@@ -38,7 +38,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 def _add_analysis_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--iteration-budget", type=int, default=1000, metavar="N",
                      help="fixpoint sweep limit per recursive call-graph "
-                          "component (default 1000)")
+                          "component; a sweep re-solves only members whose "
+                          "callees in the component changed (default 1000)")
     sub.add_argument("--dump-cfg", action="store_true",
                      help="write <input>.cfg.<function>.dot files")
     sub.add_argument("--dump-callgraph", action="store_true",

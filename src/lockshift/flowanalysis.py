@@ -9,11 +9,14 @@ Two dataflow passes per function over its flow graph:
 
 Calls use callee summaries through parameter substitution (alias). Mutually
 recursive functions are solved to a joint fixpoint with MELS seeded empty and
-MRLS seeded Top; Top never escapes a converged summary.
+MRLS seeded Top; Top never escapes a converged summary. Each sweep visits the
+members in a fixed order but re-solves only members whose SCC callees changed
+since their last solve; the iteration budget still counts sweeps.
 """
 from __future__ import annotations
 
-from collections import deque
+from collections import ChainMap, deque
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from .ast import (
@@ -29,6 +32,7 @@ from .ast import (
     place_path,
     stmt_exprs,
 )
+from .callgraph import function_calls
 from .cfg import FlowGraph, Node
 from .diagnostics import Diagnostics, IterationBudgetExceeded, UnaliasableArgument
 
@@ -156,7 +160,7 @@ class FunctionFlowFacts:
     scc_iterations: int = 0
 
 
-def _call_effect(call: Call, callee_facts: dict[str, FunctionFlowFacts],
+def _call_effect(call: Call, callee_facts: Mapping[str, FunctionFlowFacts],
                  diags, fn_name, line) -> GenKill | None:
     if call.name == UNLOCK_FN:
         p = lockset([lock_path_of(call.args[0], line)])
@@ -172,7 +176,7 @@ def _call_effect(call: Call, callee_facts: dict[str, FunctionFlowFacts],
     return GenKill(gen_l=entry, kill_l=ret, gen_a=ret, kill_a=entry)
 
 
-def transfer_gen_kill(s: Stmt, callee_facts: dict[str, FunctionFlowFacts],
+def transfer_gen_kill(s: Stmt, callee_facts: Mapping[str, FunctionFlowFacts],
                       diags: Diagnostics | None = None,
                       fn_name: str | None = None) -> GenKill:
     """Combined gen/kill of a statement, composing nested call effects in
@@ -201,7 +205,7 @@ def transfer_gen_kill(s: Stmt, callee_facts: dict[str, FunctionFlowFacts],
 
 
 def analyze_function(fn: FunctionDef, g: FlowGraph,
-                     callee_facts: dict[str, FunctionFlowFacts],
+                     callee_facts: Mapping[str, FunctionFlowFacts],
                      diags: Diagnostics | None = None) -> FunctionFlowFacts:
     """Solve both passes for one function against fixed callee summaries."""
     gk: dict[Node, GenKill] = {}
@@ -269,26 +273,48 @@ def analyze_scc(fns: list[FunctionDef], graphs: dict[str, FlowGraph],
                 trace: list | None = None) -> dict[str, FunctionFlowFacts]:
     """Joint fixpoint over one recursive SCC.
 
-    Members are seeded MELS = empty / MRLS = Top and re-analyzed until no
-    summary changes; MELS only grows and MRLS only shrinks across sweeps.
+    Members are seeded MELS = empty / MRLS = Top and swept in list order
+    until no summary changes. A sweep re-solves only the members whose SCC
+    callees changed since their last solve; a clean member would recompute
+    the same facts, so sweeps, traces and results are those of re-solving
+    every member. The order itself matters: the system is not monotone
+    (avail_in[entry] is seeded with the member's own MELS, which depends on
+    callee MRLS through the lock kills), so visiting members in another
+    order, e.g. callees first, can reach a different fixpoint.
+
+    Warnings are kept per member from its latest solve and emitted once at
+    convergence, after any no-base-case warnings, so a warning about a
+    summary that later changed is never reported.
     """
     current: dict[str, FunctionFlowFacts] = {}
     for fn in fns:
         seed = FunctionFlowFacts(fn.name, tuple(fn.param_names), mels=EMPTY, mrls=TOP)
         current[fn.name] = seed
+    env = ChainMap(current, outer_facts)
+    callers: dict[str, list[str]] = {fn.name: [] for fn in fns}
+    for fn in fns:
+        for name in {call.name for _, call in function_calls(fn)}:
+            if name in callers:
+                callers[name].append(fn.name)
+    dirty = set(current)
+    pending: dict[str, Diagnostics | None] = {}  # warnings of each latest solve
     clamped: set[str] = set()
     for iteration in range(1, budget + 1):
         changed = False
         for fn in fns:
-            env = dict(outer_facts)
-            env.update(current)
-            new = analyze_function(fn, graphs[fn.name], env, diags)
-            old = current[fn.name]
-            if new.mels != old.mels or new.mrls != old.mrls:
-                changed = True
-            current[fn.name] = new
+            name = fn.name
+            if name in dirty:
+                dirty.discard(name)
+                pending[name] = None if diags is None else Diagnostics()
+                new = analyze_function(fn, graphs[name], env, pending[name])
+                old = current[name]
+                if new.mels != old.mels or new.mrls != old.mrls:
+                    changed = True
+                    dirty.update(callers[name])
+                current[name] = new
             if trace is not None:
-                trace.append((iteration, fn.name, new.mels, new.mrls))
+                f = current[name]
+                trace.append((iteration, name, f.mels, f.mrls))
         if not changed:
             # A summary can converge at Top only when no member has a path
             # that returns without re-entering the cycle.  Such a function
@@ -299,6 +325,8 @@ def analyze_scc(fns: list[FunctionDef], graphs: dict[str, FlowGraph],
             if stuck:
                 for name in stuck:
                     current[name].mrls = EMPTY
+                    dirty.add(name)
+                    dirty.update(callers[name])
                     if name not in clamped:
                         clamped.add(name)
                         if diags is not None:
@@ -311,6 +339,9 @@ def analyze_scc(fns: list[FunctionDef], graphs: dict[str, FlowGraph],
                 continue
             for f in current.values():
                 f.scc_iterations = iteration
+            if diags is not None:
+                for fn in fns:
+                    diags.extend(pending[fn.name])
             return current
     raise IterationBudgetExceeded([fn.name for fn in fns], budget)
 

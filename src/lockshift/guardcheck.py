@@ -11,6 +11,7 @@ The checker reports errors; it never throws. An empty list means accepted.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from .ast import (
@@ -154,10 +155,10 @@ def _check_function(fn: FunctionDef, diags: Diagnostics) -> list[OwnershipError]
     g = build_cfg(fn, diags)
     in_state: dict = {n: None for n in g.nodes}
     in_state[g.entry] = dict(guards)
-    work = list(g.nodes)
+    work = deque(g.nodes)
     queued = {id(n) for n in work}
     while work:
-        n = work.pop(0)
+        n = work.popleft()
         queued.discard(id(n))
         if in_state[n] is None:
             continue

@@ -157,6 +157,40 @@ def chain_program(depth: int) -> str:
     return "\n".join(parts) + "\n"
 
 
+RING = 8
+
+
+def ring_program(rings: int) -> str:
+    """`rings` call cycles of RING members handing one `struct acct *` lock on.
+
+    Member 0 of each ring is entered holding p->lk. Every member updates a
+    field and calls the ring's helper; members 0..6 then call the next
+    member. Member 7 releases the lock, may re-lock it and re-enter member
+    0, and in every ring but the first re-locks it and enters member 0 of
+    the previous ring. Each ring is one recursive SCC swept in member
+    order, while the released lock travels from member 7 back to member 0
+    one member per sweep: 8 sweeps that change a summary and one that
+    confirms the fixpoint.
+    """
+    parts = ["struct acct { int bal; int hits; mutex_t lk; };",
+             "struct acct acc;", "thread_t t;"]
+    for r in range(rings):
+        parts.append("void r%dhelp(struct acct *q) { q->hits = q->hits + 1; }" % r)
+        for i in range(RING - 1):
+            parts.append("void r%dm%d(struct acct *p, int k) { p->bal = p->bal + 1; "
+                         "r%dhelp(p); r%dm%d(p, k); }" % (r, i, r, r, i + 1))
+        back = ("pthread_mutex_lock(&p->lk); r%dm0(p, k);" % (r - 1)) if r else ""
+        parts.append("void r%dm%d(struct acct *p, int k) { r%dhelp(p); "
+                     "pthread_mutex_unlock(&p->lk); if (0 < k) { "
+                     "pthread_mutex_lock(&p->lk); r%dm0(p, k - 1); } %s}"
+                     % (r, RING - 1, r, r, back))
+    parts.append("void worker() { pthread_mutex_lock(&acc.lk); r%dm0(&acc, 3); }"
+                 % (rings - 1))
+    parts.append("void main() { pthread_mutex_init(&acc.lk); "
+                 "pthread_create(&t, worker); }")
+    return "\n".join(parts) + "\n"
+
+
 class ProgramGen:
     """Seeded generator of small acyclic, call-free lock programs.
 

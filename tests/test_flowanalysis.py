@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from lockshift import flowanalysis
 from lockshift.ast import AddrOf, FieldAccess, IntLit, LockPath, Var
 from lockshift.cfg import build_cfg
 from lockshift.diagnostics import Diagnostics, IterationBudgetExceeded, UnaliasableArgument
@@ -21,7 +22,7 @@ from lockshift.flowanalysis import (
 from lockshift.parser import parse
 from lockshift.pipeline import analyze_program
 
-from helpers import FLOW_CASES
+from helpers import FLOW_CASES, RING, ring_program
 
 
 # -- lattice ------------------------------------------------------------------
@@ -208,6 +209,60 @@ def test_scc_trace_shows_monotone_convergence():
     first, second = trace[0], trace[1]
     assert first[2] == locks("m") and second[2] == locks("m")
     assert second[3] == EMPTY
+
+
+def test_scc_resolves_only_members_whose_callees_changed(monkeypatch):
+    # Each ring needs 9 sweeps: its released lock travels back one member
+    # per sweep. Re-solving every member on every sweep costs 9 solves a
+    # member; a member whose callees did not change is skipped instead.
+    solves: dict[str, int] = {}
+    real = flowanalysis.analyze_function
+
+    def counted(fn, *args, **kwargs):
+        solves[fn.name] = solves.get(fn.name, 0) + 1
+        return real(fn, *args, **kwargs)
+
+    monkeypatch.setattr(flowanalysis, "analyze_function", counted)
+    result = analyze_program(ring_program(3))
+    members = ["r%dm%d" % (r, i) for r in range(3) for i in range(RING)]
+    for name in members:
+        assert result.flow[name].scc_iterations == 9, name
+        assert solves[name] <= 2, (name, solves[name])
+
+
+NON_PLACE_RING = """\
+struct s { int n; mutex_t m; };
+struct s inst;
+struct s *get() { return &inst; }
+void f0(struct s *x, int k) {
+    f1(get(), k);
+}
+void f1(struct s *x, int k) {
+    f2(x, k);
+}
+void f2(struct s *x, int k) {
+    f3(x, k);
+}
+void f3(struct s *x, int k) {
+    pthread_mutex_unlock(&x->m);
+    f0(x, k);
+}
+"""
+
+
+def test_scc_warnings_are_reported_once_at_convergence():
+    # f0's non-place argument meets f1's entry set {x.m} on every sweep after
+    # it appears; the warning must come once, after the no-base-case ones.
+    p = parse(NON_PLACE_RING)
+    fns = [p.function("f%d" % i) for i in range(4)]
+    graphs = {fn.name: build_cfg(fn) for fn in fns}
+    outer = {"get": analyze_function(p.function("get"), build_cfg(p.function("get")), {})}
+    diags = Diagnostics()
+    analyze_scc(fns, graphs, outer, diags=diags)
+    got = [(d.function, d.line, d.message.split(" (")[0]) for d in diags]
+    assert got == [("f%d" % i, None, "function 'f%d' has no terminating path" % i)
+                   for i in range(4)] + [
+        ("f0", 5, "argument for parameter 'x' is not a place")]
 
 
 def test_iteration_budget_exceeded_on_growing_paths():
