@@ -1,7 +1,7 @@
 """AST node types for the plain and guarded dialects, plus lock-path canonicalization.
 
-Node classes use identity equality (eq=False) so they can key CFG maps;
-structural comparison goes through shape(), which ignores line numbers.
+Node classes use identity equality (eq=False) so they can key CFG maps and
+worklist sets.
 """
 from __future__ import annotations
 
@@ -42,9 +42,6 @@ class LockPath:
         n = len(prefix.segments)
         return len(self.segments) >= n and self.segments[:n] == prefix.segments
 
-    def replace_prefix(self, prefix: "LockPath", repl: "LockPath") -> "LockPath":
-        return LockPath(repl.segments + self.segments[len(prefix.segments):])
-
     def child(self, segment: str) -> "LockPath":
         return LockPath(self.segments + (segment,))
 
@@ -75,12 +72,6 @@ class Type:
     def is_mutex(self) -> bool:
         return self.kind in ("mutex", "lock") and self.ptr == 0
 
-    def is_struct(self) -> bool:
-        return self.kind == "struct" and self.ptr == 0
-
-
-INT = Type("int")
-VOID = Type("void")
 
 
 # ---------------------------------------------------------------------------
@@ -311,12 +302,6 @@ class FunctionDef:
     def param_names(self) -> list[str]:
         return [p.name for p in self.params]
 
-    def param(self, name: str) -> Param | None:
-        for p in self.params:
-            if p.name == name:
-                return p
-        return None
-
 
 def _function_index(obj) -> dict:
     """Lazy name index; rebuilt if the function list changed size."""
@@ -363,12 +348,6 @@ class GuardedProgram:
         for s in self.structs:
             if s.name == name:
                 return s
-        return None
-
-    def lock_decl(self, name: str) -> LockDecl | None:
-        for d in self.lock_decls:
-            if d.name == name:
-                return d
         return None
 
 
@@ -479,103 +458,58 @@ def stmt_exprs(s: Stmt) -> list[Expr]:
     return []
 
 
-# ---------------------------------------------------------------------------
-# Structural shapes (equality modulo line numbers and annotations)
+def data_accesses(s: Stmt) -> list[tuple[str, Expr, LockPath]]:
+    """Data accesses evaluated by s itself, places before values.
 
-def type_shape(t: Type | None):
-    if t is None:
-        return None
-    return (t.kind, t.name, t.path.text if t.path else None, t.ptr)
-
-
-def expr_shape(e: Expr | None):
-    if e is None:
-        return None
-    if isinstance(e, IntLit):
-        return ("int", e.value)
-    if isinstance(e, Var):
-        return ("var", e.name)
-    if isinstance(e, FieldAccess):
-        return ("field", expr_shape(e.base), e.fld)
-    if isinstance(e, AddrOf):
-        return ("addrof", expr_shape(e.expr))
-    if isinstance(e, Deref):
-        return ("deref", expr_shape(e.expr))
-    if isinstance(e, Binary):
-        return ("bin", e.op, expr_shape(e.lhs), expr_shape(e.rhs))
-    if isinstance(e, Call):
-        return ("call", e.name, tuple(expr_shape(a) for a in e.args))
-    if isinstance(e, GuardRef):
-        return ("guardref", e.name)
-    if isinstance(e, GuardDeref):
-        return ("guardderef", e.guard, e.fld)
-    if isinstance(e, GetMutAccess):
-        return ("getmut", e.path.text, e.fld)
-    if isinstance(e, TupleExpr):
-        return ("tuple", tuple(expr_shape(i) for i in e.items))
-    raise TypeError("unshapeable expr %r" % e)
-
-
-def stmt_shape(s: Stmt):
+    Each is (kind, expr, datum): kind is "read" or "write"; expr is the Var,
+    FieldAccess, GuardDeref or GetMutAccess that touches the datum; datum is
+    its dotted path, where a payload field reached through lock path x.m
+    maps back to x.fld. Bases of field accesses and operands of & only
+    compute addresses; they touch no data themselves.
+    """
+    out: list[tuple[str, Expr, LockPath]] = []
     if isinstance(s, Assign):
-        return ("assign", expr_shape(s.place), expr_shape(s.value))
-    if isinstance(s, ExprStmt):
-        return ("expr", expr_shape(s.expr))
-    if isinstance(s, Block):
-        return ("block", tuple(stmt_shape(c) for c in s.stmts))
-    if isinstance(s, If):
-        return (
-            "if",
-            expr_shape(s.cond),
-            stmt_shape(s.then),
-            stmt_shape(s.orelse) if s.orelse else None,
-        )
-    if isinstance(s, While):
-        return ("while", expr_shape(s.cond), stmt_shape(s.body))
-    if isinstance(s, Return):
-        return ("return", expr_shape(s.value))
-    if isinstance(s, AcquireAssign):
-        return ("acquire", s.guard, s.path.text)
-    if isinstance(s, DropCall):
-        return ("drop", s.guard)
-    if isinstance(s, CallAssign):
-        tgts = tuple(
-            "_" if isinstance(t, Discard)
-            else ("g", t.name) if isinstance(t, GuardTarget)
-            else expr_shape(t)
-            for t in s.targets
-        )
-        return ("callassign", tgts, expr_shape(s.call))
-    raise TypeError("unshapeable stmt %r" % s)
+        _collect_accesses(s.place, "write", False, out)
+        _collect_accesses(s.value, "read", False, out)
+    elif isinstance(s, CallAssign):
+        for t in s.targets:
+            if isinstance(t, Expr):
+                _collect_accesses(t, "write", False, out)
+        _collect_accesses(s.call, "read", False, out)
+    else:
+        for e in stmt_exprs(s):
+            _collect_accesses(e, "read", False, out)
+    return out
 
 
-def function_shape(f: FunctionDef):
-    return (
-        "fn",
-        f.name,
-        tuple(type_shape(t) for t in f.rets),
-        tuple((type_shape(p.ty), p.name) for p in f.params),
-        tuple((d.guard, d.path.text) for d in f.guard_decls),
-        stmt_shape(f.body),
-    )
+def _holds_data(ty: Type | None) -> bool:
+    return ty is not None and ty.kind not in ("mutex", "lock")
 
 
-def program_shape(p: Program | GuardedProgram):
-    globals_shape = tuple(
-        (type_shape(g.ty), g.name, expr_shape(g.init)) for g in p.globals
-    )
-    structs_shape = tuple(
-        (s.name, tuple((type_shape(f.ty), f.name) for f in s.fields)) for s in p.structs
-    )
-    locks_shape = ()
-    if isinstance(p, GuardedProgram):
-        locks_shape = tuple(
-            (d.name, d.payload, tuple((n, expr_shape(e)) for n, e in d.inits))
-            for d in p.lock_decls
-        )
-    return (
-        globals_shape,
-        locks_shape,
-        structs_shape,
-        tuple(function_shape(f) for f in p.functions),
-    )
+def _collect_accesses(e: Expr, kind: str, as_address: bool,
+                      out: list[tuple[str, Expr, LockPath]]) -> None:
+    if isinstance(e, Var):
+        if not as_address and e.kind == "global" and _holds_data(e.ty):
+            out.append((kind, e, LockPath((e.name,))))
+    elif isinstance(e, FieldAccess):
+        if not as_address and e.owner is not None and _holds_data(e.ty):
+            base = place_path(e.base)
+            if base is not None:
+                out.append((kind, e, base.child(e.fld)))
+        _collect_accesses(e.base, "read", True, out)
+    elif isinstance(e, (GuardDeref, GetMutAccess)):
+        if not as_address:
+            out.append((kind, e, LockPath(e.path.segments[:-1] + (e.fld,))))
+    elif isinstance(e, AddrOf):
+        _collect_accesses(e.expr, "read", True, out)
+    elif isinstance(e, Deref):
+        _collect_accesses(e.expr, kind, as_address, out)
+    elif isinstance(e, Binary):
+        _collect_accesses(e.lhs, "read", False, out)
+        _collect_accesses(e.rhs, "read", False, out)
+    elif isinstance(e, Call):
+        for a in e.args:
+            _collect_accesses(a, "read", False, out)
+    elif isinstance(e, TupleExpr):
+        for item in e.items:
+            _collect_accesses(item, "read", False, out)

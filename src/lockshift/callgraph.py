@@ -30,13 +30,9 @@ from .diagnostics import Diagnostics
 class CallGraph:
     nodes: list[str]
     edges: dict[str, list[str]]
-    merged_nodes: list[list[str]] = field(default_factory=list)
+    merged_nodes: list[list[str]] = field(default_factory=list)  # callees first
     merged_edges: dict[int, list[int]] = field(default_factory=dict)
-    post_order: list[int] = field(default_factory=list)
     scc_index: dict[str, int] = field(default_factory=dict)
-
-    def callers_of(self, name: str) -> list[str]:
-        return [f for f in self.nodes if name in self.edges[f]]
 
     def is_recursive_scc(self, idx: int) -> bool:
         members = self.merged_nodes[idx]
@@ -162,7 +158,6 @@ def _condense(cg: CallGraph) -> None:
     for i in merged:
         merged[i].sort()
     cg.merged_edges = merged
-    cg.post_order = list(range(len(sccs)))
 
 
 def callgraph_to_dot(cg: CallGraph) -> str:

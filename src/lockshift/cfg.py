@@ -3,12 +3,14 @@
 Every function gets a FlowGraph with synthetic Entry and Ret nodes; blocks are
 structural (not nodes), if/while conditions are their own nodes, every Return
 feeds Ret, and a body that can fall off the end gets an edge to Ret.
+
+solve() is the one worklist the dataflow passes share.
 """
 from __future__ import annotations
 
 from collections import deque
 
-from .ast import Block, Expr, FunctionDef, If, Return, Stmt, While
+from .ast import Block, FunctionDef, If, Return, Stmt, While
 from .diagnostics import Diagnostics
 from .printer import expr_text, stmt_text
 
@@ -132,19 +134,40 @@ def _cull_unreachable(g: FlowGraph, fn_name: str, diags: Diagnostics | None) -> 
         g.nodes.remove(n)
 
 
+def solve(seed, step) -> None:
+    """Run a worklist to its fixpoint.
+
+    seed gives the nodes to visit first, in order; step(n) updates the
+    facts of n and returns the nodes to revisit. A node is queued at most
+    once at a time, and revisits join the back of the queue.
+    """
+    work = deque(seed)
+    queued = set(work)
+    while work:
+        n = work.popleft()
+        queued.discard(n)
+        for m in step(n):
+            if m not in queued:
+                queued.add(m)
+                work.append(m)
+
+
+def node_text(n: Stmt) -> str:
+    """One-line text of a statement node; if and while show only their head."""
+    if isinstance(n, If):
+        return "if (%s)" % expr_text(n.cond)
+    if isinstance(n, While):
+        return "while (%s)" % expr_text(n.cond)
+    return stmt_text(n)
+
+
 def _node_label(g: FlowGraph, n: Node) -> str:
     if n is g.entry:
         return "entry"
     if n is g.ret:
         return "ret"
     assert isinstance(n, Stmt)
-    if isinstance(n, If):
-        body = "if (%s)" % expr_text(n.cond)
-    elif isinstance(n, While):
-        body = "while (%s)" % expr_text(n.cond)
-    else:
-        body = stmt_text(n)
-    return "%d: %s" % (n.line, body)
+    return "%d: %s" % (n.line, node_text(n))
 
 
 def cfg_to_dot(g: FlowGraph) -> str:

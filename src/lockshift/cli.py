@@ -15,14 +15,19 @@ import sys
 import time
 from pathlib import Path
 
-from .ast import If, Program, While
-from .cfg import cfg_to_dot
+from .ast import Program
+from .cfg import cfg_to_dot, node_text
 from .callgraph import callgraph_to_dot, merged_callgraph_to_dot
-from .diagnostics import Diagnostics, LockshiftError, SourceError
+from .diagnostics import (
+    Diagnostics,
+    LockshiftError,
+    SourceError,
+    UndecodableInput,
+)
 from .guardcheck import check
 from .parser import parse, parse_guarded
 from .pipeline import AnalysisResult, analyze_program
-from .printer import expr_text, print_guarded, stmt_text
+from .printer import print_guarded
 from .summary import read_summary, validate_against_program, write_summary
 from .transform import transform
 
@@ -108,14 +113,6 @@ def _emit(text: str, path: str | None) -> None:
         Path(path).write_text(text)
 
 
-def _node_text(n) -> str:
-    if isinstance(n, If):
-        return "if (%s)" % expr_text(n.cond)
-    if isinstance(n, While):
-        return "while (%s)" % expr_text(n.cond)
-    return stmt_text(n)
-
-
 def _flow_dump(result: AnalysisResult) -> str:
     out = {}
     for fn in result.program.functions:
@@ -124,7 +121,7 @@ def _flow_dump(result: AnalysisResult) -> str:
         lines: dict[str, list] = {}
         for n in g.stmt_nodes:
             lines.setdefault(str(n.line), []).append({
-                "stmt": _node_text(n),
+                "stmt": node_text(n),
                 "live_in": f.live_in[n].texts(),
                 "live_out": f.live_out[n].texts(),
                 "avail_in": f.avail_in[n].texts(),
@@ -155,6 +152,13 @@ def _write_dumps(args, result: AnalysisResult) -> None:
         base.with_suffix(".flow.json").write_text(_flow_dump(result))
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise UndecodableInput(path, exc) from None
+
+
 def _print_diagnostics(diags: Diagnostics, path: str) -> None:
     for d in diags:
         print("%s: %s" % (path, d.render()), file=sys.stderr)
@@ -162,7 +166,7 @@ def _print_diagnostics(diags: Diagnostics, path: str) -> None:
 
 def _load_summary(args, program: Program, result: AnalysisResult | None):
     if getattr(args, "use_summary", None):
-        summary = read_summary(Path(args.use_summary).read_text())
+        summary = read_summary(_read_text(args.use_summary))
         validate_against_program(summary, program)
         return summary
     return result.lock_summary
@@ -170,7 +174,7 @@ def _load_summary(args, program: Program, result: AnalysisResult | None):
 
 def _run(args) -> int:
     phases = _Phases(args.timings)
-    text = Path(args.input).read_text()
+    text = _read_text(args.input)
     diags = Diagnostics()
 
     if args.mode == "check":
@@ -231,6 +235,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _run(args)
+    except UndecodableInput as exc:
+        print("%s: error: %s" % (exc.file, exc), file=sys.stderr)
+        return 1
     except LockshiftError as exc:
         if isinstance(exc, SourceError):
             print("%s:%d: error: %s" % (args.input, exc.line, exc.message),

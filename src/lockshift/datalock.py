@@ -13,27 +13,14 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from .ast import (
-    AddrOf,
-    Assign,
-    Binary,
-    Call,
-    Deref,
-    Expr,
-    ExprStmt,
-    FieldAccess,
     INIT_FN,
-    If,
     LockPath,
     Program,
-    Return,
-    Stmt,
-    TupleExpr,
     Var,
-    While,
     calls_in,
+    data_accesses,
     iter_stmts,
     lock_path_of,
-    place_path,
     stmt_exprs,
 )
 from .callgraph import CallGraph, thread_entries
@@ -72,58 +59,6 @@ class ProtectionVerdict:
     unsafe_accesses: list[AccessRecord]
 
 
-def _is_data_type(ty) -> bool:
-    return ty is not None and ty.kind not in ("mutex", "lock")
-
-
-def _record_expr(e: Expr, fn_name: str, line: int, held: LockSet,
-                 records: list[AccessRecord], kind: str = "read",
-                 as_address: bool = False) -> None:
-    """Record accesses inside an expression.
-
-    Bases of field accesses and operands of address-of only compute
-    addresses; they touch no data themselves.
-    """
-    if isinstance(e, Var):
-        if as_address or e.kind != "global" or not _is_data_type(e.ty):
-            return
-        records.append(AccessRecord(fn_name, line, held, GlobalTarget(e.name), kind))
-    elif isinstance(e, FieldAccess):
-        if not as_address and e.owner is not None and _is_data_type(e.ty):
-            base = place_path(e.base)
-            if base is not None:
-                records.append(AccessRecord(
-                    fn_name, line, held, FieldTarget(e.owner, base, e.fld), kind))
-        _record_expr(e.base, fn_name, line, held, records, "read", as_address=True)
-    elif isinstance(e, AddrOf):
-        _record_expr(e.expr, fn_name, line, held, records, "read", as_address=True)
-    elif isinstance(e, Deref):
-        _record_expr(e.expr, fn_name, line, held, records, kind, as_address)
-    elif isinstance(e, Binary):
-        _record_expr(e.lhs, fn_name, line, held, records, "read")
-        _record_expr(e.rhs, fn_name, line, held, records, "read")
-    elif isinstance(e, Call):
-        for a in e.args:
-            _record_expr(a, fn_name, line, held, records, "read")
-    elif isinstance(e, TupleExpr):
-        for item in e.items:
-            _record_expr(item, fn_name, line, held, records, "read")
-
-
-def _record_stmt(s: Stmt, fn_name: str, held: LockSet,
-                 records: list[AccessRecord]) -> None:
-    if isinstance(s, Assign):
-        _record_expr(s.place, fn_name, s.line, held, records, "write")
-        _record_expr(s.value, fn_name, s.line, held, records, "read")
-    elif isinstance(s, (If, While)):
-        _record_expr(s.cond, fn_name, s.line, held, records, "read")
-    elif isinstance(s, Return):
-        if s.value is not None:
-            _record_expr(s.value, fn_name, s.line, held, records, "read")
-    elif isinstance(s, ExprStmt):
-        _record_expr(s.expr, fn_name, s.line, held, records, "read")
-
-
 def collect_accesses(program: Program, flow: dict[str, FunctionFlowFacts],
                      summaries: dict[str, FunctionFlowSummary],
                      graphs: dict[str, FlowGraph]) -> list[AccessRecord]:
@@ -135,7 +70,12 @@ def collect_accesses(program: Program, flow: dict[str, FunctionFlowFacts],
         pls = summaries[fn.name].pls
         for node in g.stmt_nodes:
             held = avail_in[node].union(pls)
-            _record_stmt(node, fn.name, held, records)
+            for kind, e, datum in data_accesses(node):
+                if isinstance(e, Var):
+                    target = GlobalTarget(e.name)
+                else:
+                    target = FieldTarget(e.owner, LockPath(datum.segments[:-1]), e.fld)
+                records.append(AccessRecord(fn.name, node.line, held, target, kind))
     return records
 
 

@@ -39,6 +39,15 @@ class NotALockPlace(SourceError):
     """Argument of a lock-API call does not denote the address of a mutex place."""
 
 
+class UndecodableInput(LockshiftError):
+    """An input file that is not UTF-8 text; carries the file's path."""
+
+    def __init__(self, file: str, exc: UnicodeDecodeError):
+        super().__init__("not UTF-8 text (byte 0x%02x at offset %d)"
+                         % (exc.object[exc.start], exc.start))
+        self.file = file
+
+
 class UnaliasableArgument(LockshiftError):
     """A call argument mapped by parameter substitution is not a place."""
 

@@ -15,7 +15,7 @@ since their last solve; the iteration budget still counts sweeps.
 """
 from __future__ import annotations
 
-from collections import ChainMap, deque
+from collections import ChainMap
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
@@ -33,7 +33,7 @@ from .ast import (
     stmt_exprs,
 )
 from .callgraph import function_calls
-from .cfg import FlowGraph, Node
+from .cfg import FlowGraph, Node, solve
 from .diagnostics import Diagnostics, IterationBudgetExceeded, UnaliasableArgument
 
 
@@ -220,22 +220,19 @@ def analyze_function(fn: FunctionDef, g: FlowGraph,
     # Backward may pass, least fixpoint from the empty set.
     live_in = {n: EMPTY for n in g.nodes}
     live_out = {n: EMPTY for n in g.nodes}
-    work = deque(reversed(g.nodes))
-    queued = {id(n) for n in g.nodes}
-    while work:
-        n = work.popleft()
-        queued.discard(id(n))
+
+    def live_step(n: Node):
         out = EMPTY
         for s in g.succ[n]:
             out = out.union(live_in[s])
         new_in = out.minus(gk[n].kill_l).union(gk[n].gen_l)
         live_out[n] = out
-        if new_in != live_in[n]:
-            live_in[n] = new_in
-            for p in g.pred[n]:
-                if id(p) not in queued:
-                    queued.add(id(p))
-                    work.append(p)
+        if new_in == live_in[n]:
+            return ()
+        live_in[n] = new_in
+        return g.pred[n]
+
+    solve(reversed(g.nodes), live_step)
     facts.mels = live_in[g.entry]
 
     # Forward must pass, greatest fixpoint from Top, entry seeded with MELS.
@@ -243,22 +240,19 @@ def analyze_function(fn: FunctionDef, g: FlowGraph,
     avail_out = {n: TOP for n in g.nodes}
     avail_in[g.entry] = facts.mels
     avail_out[g.entry] = facts.mels
-    work = deque(n for n in g.nodes if n is not g.entry)
-    queued = {id(n) for n in work}
-    while work:
-        n = work.popleft()
-        queued.discard(id(n))
+
+    def avail_step(n: Node):
         inn = TOP
         for p in g.pred[n]:
             inn = inn.intersect(avail_out[p])
         new_out = inn.minus(gk[n].kill_a).union(gk[n].gen_a)
         avail_in[n] = inn
-        if new_out != avail_out[n]:
-            avail_out[n] = new_out
-            for s in g.succ[n]:
-                if id(s) not in queued:
-                    queued.add(id(s))
-                    work.append(s)
+        if new_out == avail_out[n]:
+            return ()
+        avail_out[n] = new_out
+        return g.succ[n]
+
+    solve((n for n in g.nodes if n is not g.entry), avail_step)
     facts.mrls = avail_out[g.ret]
 
     facts.live_in, facts.live_out = live_in, live_out
@@ -351,8 +345,7 @@ def analyze_program_flow(program, cg, graphs: dict[str, FlowGraph],
                          diags: Diagnostics | None = None) -> dict[str, FunctionFlowFacts]:
     """Bottom-up pass over the condensed call graph (callees before callers)."""
     facts: dict[str, FunctionFlowFacts] = {}
-    for idx in cg.post_order:
-        members = cg.merged_nodes[idx]
+    for idx, members in enumerate(cg.merged_nodes):
         fns = [program.function(name) for name in members]
         if cg.is_recursive_scc(idx):
             facts.update(analyze_scc(fns, graphs, facts, budget, diags))

@@ -11,7 +11,6 @@ The checker reports errors; it never throws. An empty list means accepted.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .ast import (
@@ -37,7 +36,7 @@ from .ast import (
     TupleExpr,
     While,
 )
-from .cfg import build_cfg
+from .cfg import build_cfg, solve
 from .diagnostics import Diagnostics
 
 UNINIT = "uninit"
@@ -155,22 +154,22 @@ def _check_function(fn: FunctionDef, diags: Diagnostics) -> list[OwnershipError]
     g = build_cfg(fn, diags)
     in_state: dict = {n: None for n in g.nodes}
     in_state[g.entry] = dict(guards)
-    work = deque(g.nodes)
-    queued = {id(n) for n in work}
-    while work:
-        n = work.popleft()
-        queued.discard(id(n))
+
+    def step(n):
         if in_state[n] is None:
-            continue
+            return ()
         out = (_transfer(n, in_state[n], None, fn.name)
                if isinstance(n, Stmt) else in_state[n])
+        changed = []
         for s in g.succ[n]:
             joined = _join(in_state[s], out)
             if joined != in_state[s]:
                 in_state[s] = joined
-                if id(s) not in queued:
-                    queued.add(id(s))
-                    work.append(s)
+                changed.append(s)
+        return changed
+
+    solve(g.nodes, step)
+
     errors: set[OwnershipError] = set()
     for n in g.nodes:
         if isinstance(n, Stmt) and in_state[n] is not None:

@@ -8,9 +8,7 @@ assignments, tuple returns, and payload accesses.
 from __future__ import annotations
 
 from .ast import (
-    INT,
     LOCK_API,
-    CREATE_FN,
     INIT_FN,
     LOCK_FN,
     UNLOCK_FN,

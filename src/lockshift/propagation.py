@@ -8,11 +8,11 @@ per-line map of held locks used by the transformer.
 """
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .ast import Expr, LockPath, Program, calls_in, place_path, stmt_exprs
-from .cfg import FlowGraph
+from .cfg import FlowGraph, solve
 from .diagnostics import Diagnostics
 from .flowanalysis import EMPTY, TOP, FunctionFlowFacts, LockSet, lockset
 
@@ -134,18 +134,14 @@ def propagate(program: Program, flow: dict[str, FunctionFlowFacts],
             result = result.intersect(renamed)
         return result
 
-    work = deque(name for name in params_of if by_callee.get(name))
-    queued = set(work)
-    while work:
-        name = work.popleft()
-        queued.discard(name)
+    def els_step(name: str):
         new = prop_into(name, None)
-        if new != els[name]:
-            els[name] = new
-            for callee in callees_of[name]:
-                if callee in by_callee and callee not in queued:
-                    queued.add(callee)
-                    work.append(callee)
+        if new == els[name]:
+            return ()
+        els[name] = new
+        return callees_of[name]
+
+    solve([name for name in params_of if by_callee.get(name)], els_step)
 
     # Report drops once, after convergence.
     if diags is not None:

@@ -57,6 +57,7 @@ from .ast import (
     Var,
     While,
     calls_in,
+    data_accesses,
     iter_stmts,
     lock_path_of,
     path_of,
@@ -426,62 +427,9 @@ def access_multiset(p: Program | GuardedProgram) -> Counter:
     """Multiset of (line, kind, datum) for every data access in p.
 
     Datum is the dotted place text of the accessed global or field; guard
-    and get_mut accesses map back to the datum they reach. Address
-    computations (operands of &, bases of field accesses) touch nothing.
+    and get_mut accesses map back to the datum they reach (see
+    ast.data_accesses).
     """
-    acc: Counter = Counter()
-
-    def datum_through_lock(path: LockPath, fld: str) -> str:
-        return ".".join(path.segments[:-1] + (fld,))
-
-    def visit(e: Expr, line: int, kind: str = "read", as_address: bool = False):
-        if isinstance(e, Var):
-            if (not as_address and e.kind == "global" and e.ty is not None
-                    and e.ty.kind not in ("mutex", "lock")):
-                acc[(line, kind, e.name)] += 1
-        elif isinstance(e, FieldAccess):
-            if (not as_address and e.owner is not None and e.ty is not None
-                    and e.ty.kind not in ("mutex", "lock")):
-                base = place_path(e.base)
-                if base is not None:
-                    acc[(line, kind, base.child(e.fld).text)] += 1
-            visit(e.base, line, "read", as_address=True)
-        elif isinstance(e, GuardDeref):
-            acc[(line, kind, datum_through_lock(e.path, e.fld))] += 1
-        elif isinstance(e, GetMutAccess):
-            acc[(line, kind, datum_through_lock(e.path, e.fld))] += 1
-        elif isinstance(e, AddrOf):
-            visit(e.expr, line, "read", as_address=True)
-        elif isinstance(e, Deref):
-            visit(e.expr, line, kind, as_address)
-        elif isinstance(e, Binary):
-            visit(e.lhs, line, "read")
-            visit(e.rhs, line, "read")
-        elif isinstance(e, Call):
-            for a in e.args:
-                visit(a, line, "read")
-        elif isinstance(e, TupleExpr):
-            for item in e.items:
-                visit(item, line, "read")
-
-    def visit_stmt(s: Stmt):
-        if isinstance(s, Assign):
-            visit(s.place, s.line, "write")
-            visit(s.value, s.line, "read")
-        elif isinstance(s, ExprStmt):
-            visit(s.expr, s.line, "read")
-        elif isinstance(s, (If, While)):
-            visit(s.cond, s.line, "read")
-        elif isinstance(s, Return):
-            if s.value is not None:
-                visit(s.value, s.line, "read")
-        elif isinstance(s, CallAssign):
-            for t in s.targets:
-                if isinstance(t, Expr):
-                    visit(t, s.line, "write")
-            visit(s.call, s.line, "read")
-
-    for fn in p.functions:
-        for s in iter_stmts(fn.body):
-            visit_stmt(s)
-    return acc
+    return Counter((s.line, kind, datum.text)
+                   for fn in p.functions for s in iter_stmts(fn.body)
+                   for kind, _, datum in data_accesses(s))

@@ -119,6 +119,28 @@ def test_missing_inputs_exit_with_one(tmp_path, capsys):
     assert captured.err.startswith("error:")
 
 
+def test_non_utf8_inputs_exit_with_one(tmp_path, capsys):
+    bad = tmp_path / "bad.mc"
+    bad.write_bytes(b"int n;\xff\n")
+    for mode in ("analyze", "full", "check"):
+        assert main([mode, str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "%s: error: not UTF-8 text (byte 0xff at offset 6)\n" % bad)
+
+
+def test_a_non_utf8_summary_names_the_summary_file(tmp_path, capsys):
+    summary = tmp_path / "summary.json"
+    summary.write_bytes(b'{"x": "\xff"}')
+    code = main(["transform", str(FIXTURES / "listing1.mc"),
+                 "--use-summary", str(summary)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("%s: error: not UTF-8 text" % summary)
+
+
 def test_an_exhausted_iteration_budget_exits_with_one(capsys):
     code = main(["analyze", str(CORPUS / "recursive_unlock.mc"),
                  "--iteration-budget", "1"])

@@ -1,6 +1,6 @@
 """Inference of which lock protects which global or struct field."""
 
-from lockshift.ast import LockPath
+from lockshift.ast import LockPath, data_accesses, iter_stmts
 from lockshift.datalock import (
     AccessRecord,
     FieldTarget,
@@ -9,6 +9,7 @@ from lockshift.datalock import (
     collect_accesses,
 )
 from lockshift.flowanalysis import locks
+from lockshift.parser import parse, parse_guarded
 from lockshift.pipeline import analyze_program
 
 from helpers import CORPUS, fixture_text
@@ -18,6 +19,71 @@ def records_for(source):
     result = analyze_program(source)
     return collect_accesses(result.program, result.flow, result.summaries,
                             result.graphs)
+
+
+def accesses_by_line(program):
+    """{line: [(kind, expr class, datum text)]} over every statement."""
+    out = {}
+    for fn in program.functions:
+        for st in iter_stmts(fn.body):
+            out.setdefault(st.line, []).extend(
+                (kind, type(e).__name__, datum.text)
+                for kind, e, datum in data_accesses(st))
+    return out
+
+
+def test_data_accesses_order_kinds_and_address_only_operands():
+    by_line = accesses_by_line(parse("""\
+struct S { int x; mutex_t lk; };
+int n;
+int *q;
+struct S s;
+void g(int *a, int *b) { }
+int f(struct S *p) {
+    n = n + s.x;
+    g(&n, &p->x);
+    pthread_mutex_lock(&p->lk);
+    *q = n;
+    p->x = *q;
+    while (0 < p->x) { }
+    return s.x;
+}
+"""))
+    # The place comes before the value; the base s of s.x is not read.
+    assert by_line[7] == [("write", "Var", "n"), ("read", "Var", "n"),
+                          ("read", "FieldAccess", "s.x")]
+    # Operands of & compute addresses only, and locks hold no data.
+    assert by_line[8] == []
+    assert by_line[9] == []
+    # A dereferenced place keeps the write kind.
+    assert by_line[10] == [("write", "Var", "q"), ("read", "Var", "n")]
+    assert by_line[11] == [("write", "FieldAccess", "p.x"), ("read", "Var", "q")]
+    assert by_line[12] == [("read", "FieldAccess", "p.x")]
+    assert by_line[13] == [("read", "FieldAccess", "s.x")]
+
+
+def test_data_accesses_in_the_guarded_dialect():
+    by_line = accesses_by_line(parse_guarded("""\
+struct mData { int n; };
+mutex<mData> m = mData { n = 0 };
+int k;
+(int, guard<m>) take(guard<m> g) { return ((*g).n, g); }
+void f() { guard<m> m_guard;
+    m_guard = m.acquire();
+    (k, m_guard) = take(m_guard);
+    (_, m_guard) = take(m_guard);
+    (*m_guard).n = m.get_mut().n + k;
+    drop(m_guard); }
+"""))
+    # Payload accesses map back to the datum the lock owns.
+    assert by_line[4] == [("read", "GuardDeref", "n")]
+    assert by_line[6] == []
+    # Place targets of a destructuring call are writes; guards and _ are not.
+    assert by_line[7] == [("write", "Var", "k")]
+    assert by_line[8] == []
+    assert by_line[9] == [("write", "GuardDeref", "n"),
+                          ("read", "GetMutAccess", "n"), ("read", "Var", "k")]
+    assert by_line[10] == []
 
 
 def verdict_for(result, target):

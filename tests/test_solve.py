@@ -1,0 +1,81 @@
+"""The shared worklist solver, and that no pass depends on its seed order."""
+from __future__ import annotations
+
+import pytest
+
+from lockshift import cfg, flowanalysis, guardcheck, propagation
+from lockshift.diagnostics import Diagnostics, LockshiftError
+from lockshift.guardcheck import check
+from lockshift.parser import parse, parse_guarded
+from lockshift.pipeline import run_pipeline
+from lockshift.printer import print_guarded
+from lockshift.summary import write_summary
+
+from helpers import FIXTURES, corpus_paths
+
+PROGRAMS = sorted(FIXTURES.glob("*.mc")) + corpus_paths()
+GUARDED = sorted(FIXTURES.glob("*.gmc"))
+
+
+def test_a_node_is_queued_at_most_once_at_a_time():
+    asks = {0: [1, 2, 1], 1: [2, 0]}
+    visits = []
+
+    def step(n):
+        visits.append(n)
+        return asks.pop(n, [])
+
+    cfg.solve([0], step)
+    # 1 is asked for twice while queued, 2 once while queued; 0 comes back
+    # once it has left the queue.
+    assert visits == [0, 1, 2, 0]
+
+
+def _observables(program_text: str):
+    """Everything a run shows: summary, guarded text, errors, warnings,
+    and the per-statement lock sets of the flow passes."""
+    diags = Diagnostics()
+    try:
+        result, guarded, errors = run_pipeline(program_text, diags=diags)
+    except LockshiftError as exc:
+        return ("error", str(exc), [d.render() for d in diags])
+    per_node = {
+        fn: [(f.live_in[n], f.live_out[n], f.avail_in[n], f.avail_out[n])
+             for n in result.graphs[fn].nodes]
+        for fn, f in result.flow.items()}
+    return (write_summary(result.lock_summary), print_guarded(guarded),
+            [str(e) for e in errors], [d.render() for d in diags], per_node)
+
+
+def _reverse_seeds(monkeypatch) -> list[list]:
+    """Make every pass seed its worklist in reverse order. Returns the list
+    of seeds handed to the solver, which grows with each solve."""
+    seeds: list[list] = []
+
+    def solve_reversed(seed, step):
+        seed = list(seed)
+        seeds.append(seed)
+        cfg.solve(seed[::-1], step)
+
+    for module in (flowanalysis, propagation, guardcheck):
+        monkeypatch.setattr(module, "solve", solve_reversed)
+    return seeds
+
+
+@pytest.mark.parametrize("path", PROGRAMS, ids=lambda p: p.name)
+def test_results_do_not_depend_on_the_seed_order(path, monkeypatch):
+    text = path.read_text()
+    expected = _observables(text)
+    seeds = _reverse_seeds(monkeypatch)
+    assert _observables(text) == expected
+    if parse(text).functions:
+        assert any(len(seed) > 1 for seed in seeds)
+
+
+@pytest.mark.parametrize("path", GUARDED, ids=lambda p: p.name)
+def test_checker_errors_do_not_depend_on_the_seed_order(path, monkeypatch):
+    text = path.read_text()
+    expected = [str(e) for e in check(parse_guarded(text))]
+    seeds = _reverse_seeds(monkeypatch)
+    assert [str(e) for e in check(parse_guarded(text))] == expected
+    assert any(len(seed) > 1 for seed in seeds)

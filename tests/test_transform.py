@@ -65,6 +65,24 @@ def test_access_bookkeeping_maps_guards_back_to_their_data():
     assert access_multiset(guarded) == access_multiset(result.program)
 
 
+def test_taking_the_address_of_a_protected_global_is_not_an_access():
+    result, guarded, _, text = pipeline_text("""\
+mutex_t m;
+int n;
+thread_t t;
+void set(int *p) { *p = 1; }
+void w() {
+    pthread_mutex_lock(&m);
+    set(&n);
+    n = n + 1;
+    pthread_mutex_unlock(&m);
+}
+void main() { pthread_create(&t, w); }
+""")
+    assert "set(&(*m_guard).n" in text
+    assert access_multiset(guarded) == access_multiset(result.program)
+
+
 def test_protected_globals_move_into_the_mutex_with_their_initializers():
     _, _, _, text = pipeline_text((CORPUS / "global_inits.mc").read_text())
     assert "struct mData { int n; };" in text
