@@ -7,8 +7,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .diagnostics import NotALockPlace
-
 KEYWORDS = frozenset(
     ["int", "struct", "void", "mutex_t", "thread_t", "if", "else", "while", "return"]
 )
@@ -128,6 +126,9 @@ class Binary(Expr):
 class Call(Expr):
     name: str
     args: list[Expr]
+    # set by the resolver on lock, unlock and init calls: the canonical path
+    # of the mutex the call names
+    lock: LockPath | None = None
 
 
 # Guarded-dialect expressions
@@ -352,7 +353,7 @@ class GuardedProgram:
 
 
 # ---------------------------------------------------------------------------
-# Place paths and lock-path canonicalization
+# Place paths, statements and calls
 
 def place_path(e: Expr) -> LockPath | None:
     """Canonical dotted path of a place expression, or None if e is not a place.
@@ -372,61 +373,6 @@ def place_path(e: Expr) -> LockPath | None:
             return LockPath(tuple(reversed(segs)))
         else:
             return None
-
-
-def lock_path_of(arg: Expr, line: int = 0) -> LockPath:
-    """Canonical LockPath of a lock-API argument.
-
-    The argument must be `&p` or `&mut p` where p is a mutex-typed place on a
-    resolved AST; anything else raises NotALockPlace.
-    """
-    if not isinstance(arg, AddrOf):
-        raise NotALockPlace("lock-API argument is not an address-of place", line)
-    path = place_path(arg.expr)
-    if path is None:
-        raise NotALockPlace("lock-API argument is not a place", line)
-    ty = expr_type(arg.expr)
-    if ty is not None and not ty.is_mutex():
-        raise NotALockPlace("lock-API argument does not denote a mutex", line)
-    return path
-
-
-def expr_type(e: Expr) -> Type | None:
-    """Resolved type of a place expression, if the resolver annotated it."""
-    if isinstance(e, Var):
-        return e.ty
-    if isinstance(e, FieldAccess):
-        return e.ty
-    if isinstance(e, Deref):
-        inner = expr_type(e.expr)
-        if inner is not None and inner.ptr > 0:
-            return inner.deref()
-        return None
-    return None
-
-
-def calls_in(e: Expr) -> list[Call]:
-    """All calls syntactically inside e, in evaluation order (arguments first)."""
-    out: list[Call] = []
-    _collect_calls(e, out)
-    return out
-
-
-def _collect_calls(e: Expr, out: list[Call]) -> None:
-    if isinstance(e, Call):
-        for a in e.args:
-            _collect_calls(a, out)
-        out.append(e)
-    elif isinstance(e, Binary):
-        _collect_calls(e.lhs, out)
-        _collect_calls(e.rhs, out)
-    elif isinstance(e, (AddrOf, Deref)):
-        _collect_calls(e.expr, out)
-    elif isinstance(e, FieldAccess):
-        _collect_calls(e.base, out)
-    elif isinstance(e, TupleExpr):
-        for item in e.items:
-            _collect_calls(item, out)
 
 
 def iter_stmts(block: "Block"):
@@ -456,6 +402,36 @@ def stmt_exprs(s: Stmt) -> list[Expr]:
     if isinstance(s, CallAssign):
         return [s.call]
     return []
+
+
+def stmt_calls(s: Stmt) -> list[Call]:
+    """The calls evaluated by s itself, in evaluation order (arguments first)."""
+    out: list[Call] = []
+    for e in stmt_exprs(s):
+        _collect_calls(e, out)
+    return out
+
+
+def function_calls(fn: FunctionDef) -> list[tuple[Stmt, Call]]:
+    """Every call in fn paired with its enclosing statement, in program order."""
+    return [(s, c) for s in iter_stmts(fn.body) for c in stmt_calls(s)]
+
+
+def _collect_calls(e: Expr, out: list[Call]) -> None:
+    if isinstance(e, Call):
+        for a in e.args:
+            _collect_calls(a, out)
+        out.append(e)
+    elif isinstance(e, Binary):
+        _collect_calls(e.lhs, out)
+        _collect_calls(e.rhs, out)
+    elif isinstance(e, (AddrOf, Deref)):
+        _collect_calls(e.expr, out)
+    elif isinstance(e, FieldAccess):
+        _collect_calls(e.base, out)
+    elif isinstance(e, TupleExpr):
+        for item in e.items:
+            _collect_calls(item, out)
 
 
 def data_accesses(s: Stmt) -> list[tuple[str, Expr, LockPath]]:

@@ -10,19 +10,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .ast import (
-    CREATE_FN,
-    LOCK_API,
-    Block,
-    Call,
-    FunctionDef,
-    Program,
-    Stmt,
-    Var,
-    calls_in,
-    iter_stmts,
-    stmt_exprs,
-)
+from .ast import CREATE_FN, LOCK_API, Program, function_calls
 from .diagnostics import Diagnostics
 
 
@@ -53,27 +41,14 @@ class CallGraph:
         return seen
 
 
-def function_calls(fn: FunctionDef) -> list[tuple[Stmt, Call]]:
-    """Every call in fn paired with its enclosing statement, in program order."""
-    out: list[tuple[Stmt, Call]] = []
-    for s in iter_stmts(fn.body):
-        if isinstance(s, Block):
-            continue
-        for e in stmt_exprs(s):
-            for c in calls_in(e):
-                out.append((s, c))
-    return out
-
-
 def thread_entries(program) -> list[str]:
     """Function names passed to pthread_create, in first-spawn order."""
     out: list[str] = []
     for fn in program.functions:
         for _, call in function_calls(fn):
-            if call.name == CREATE_FN and len(call.args) == 2:
-                entry = call.args[1]
-                if isinstance(entry, Var) and entry.name not in out:
-                    out.append(entry.name)
+            # the resolver made the second argument a bare function name
+            if call.name == CREATE_FN and call.args[1].name not in out:
+                out.append(call.args[1].name)
     return out
 
 

@@ -12,17 +12,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 
-from .ast import (
-    INIT_FN,
-    LockPath,
-    Program,
-    Var,
-    calls_in,
-    data_accesses,
-    iter_stmts,
-    lock_path_of,
-    stmt_exprs,
-)
+from .ast import INIT_FN, LockPath, Program, Var, data_accesses, function_calls
 from .callgraph import CallGraph, thread_entries
 from .cfg import FlowGraph
 from .diagnostics import Diagnostics
@@ -122,11 +112,9 @@ def _init_paths_by_function(program: Program) -> dict[str, set[LockPath]]:
     """Lock paths each function initializes via the init call."""
     inits: dict[str, set[LockPath]] = defaultdict(set)
     for fn in program.functions:
-        for s in iter_stmts(fn.body):
-            for e in stmt_exprs(s):
-                for call in calls_in(e):
-                    if call.name == INIT_FN and call.args:
-                        inits[fn.name].add(lock_path_of(call.args[0], s.line))
+        for _, call in function_calls(fn):
+            if call.name == INIT_FN:
+                inits[fn.name].add(call.lock)
     return dict(inits)
 
 

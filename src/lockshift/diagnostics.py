@@ -35,10 +35,6 @@ class TypeCheckError(SourceError):
     """Wrong call arity, or an ill-typed construct such as a bad lock-API argument."""
 
 
-class NotALockPlace(SourceError):
-    """Argument of a lock-API call does not denote the address of a mutex place."""
-
-
 class UndecodableInput(LockshiftError):
     """An input file that is not UTF-8 text; carries the file's path."""
 

@@ -27,12 +27,10 @@ from .ast import (
     LockPath,
     Stmt,
     UNLOCK_FN,
-    calls_in,
-    lock_path_of,
+    function_calls,
     place_path,
-    stmt_exprs,
+    stmt_calls,
 )
-from .callgraph import function_calls
 from .cfg import FlowGraph, Node, solve
 from .diagnostics import Diagnostics, IterationBudgetExceeded, UnaliasableArgument
 
@@ -163,10 +161,10 @@ class FunctionFlowFacts:
 def _call_effect(call: Call, callee_facts: Mapping[str, FunctionFlowFacts],
                  diags, fn_name, line) -> GenKill | None:
     if call.name == UNLOCK_FN:
-        p = lockset([lock_path_of(call.args[0], line)])
+        p = lockset([call.lock])
         return GenKill(gen_l=p, kill_a=p)
     if call.name == LOCK_FN:
-        p = lockset([lock_path_of(call.args[0], line)])
+        p = lockset([call.lock])
         return GenKill(kill_l=p, gen_a=p)
     facts = callee_facts.get(call.name)
     if facts is None:
@@ -182,11 +180,10 @@ def transfer_gen_kill(s: Stmt, callee_facts: Mapping[str, FunctionFlowFacts],
     """Combined gen/kill of a statement, composing nested call effects in
     evaluation order."""
     effects: list[GenKill] = []
-    for e in stmt_exprs(s):
-        for call in calls_in(e):
-            gk = _call_effect(call, callee_facts, diags, fn_name, s.line)
-            if gk is not None:
-                effects.append(gk)
+    for call in stmt_calls(s):
+        gk = _call_effect(call, callee_facts, diags, fn_name, s.line)
+        if gk is not None:
+            effects.append(gk)
     if not effects:
         return GenKill()
     if len(effects) == 1:

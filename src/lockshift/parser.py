@@ -47,11 +47,9 @@ from .ast import (
     Type,
     Var,
     While,
-    lock_path_of,
     place_path,
 )
 from .diagnostics import (
-    NotALockPlace,
     ParseError,
     TypeCheckError,
     UnknownIdentifier,
@@ -602,22 +600,7 @@ class _Resolver:
                     "duplicate parameter %r in %s" % (param.name, f.name), f.line_span[0])
             self.params[param.name] = param.ty
         self.resolve_block(f.body)
-        self.check_lock_api_positions(f.body)
         self.params = {}
-
-    def check_lock_api_positions(self, block: Block) -> None:
-        """Lock-API calls may only appear as standalone expression statements."""
-        from .ast import calls_in, iter_stmts, stmt_exprs
-
-        for s in iter_stmts(block):
-            if isinstance(s, Block):
-                continue
-            standalone = s.expr if isinstance(s, ExprStmt) else None
-            for e in stmt_exprs(s):
-                for call in calls_in(e):
-                    if call.name in LOCK_API and call is not standalone:
-                        raise TypeCheckError(
-                            "%s() must be a standalone statement" % call.name, s.line)
 
     def resolve_block(self, b: Block) -> None:
         for s in b.stmts:
@@ -630,7 +613,10 @@ class _Resolver:
             self.resolve_expr(s.place)
             self.check_assign_place(s.place, s.line)
         elif isinstance(s, ExprStmt):
-            self.resolve_expr(s.expr)
+            if isinstance(s.expr, Call) and s.expr.name in LOCK_API:
+                self.resolve_lock_api(s.expr, s.line)
+            else:
+                self.resolve_expr(s.expr)
         elif isinstance(s, Block):
             self.resolve_block(s)
         elif isinstance(s, If):
@@ -696,7 +682,8 @@ class _Resolver:
             return
         if isinstance(e, AddrOf):
             self.resolve_expr(e.expr)
-            if place_path(e.expr) is None:
+            if (place_path(e.expr) is None
+                    and not isinstance(e.expr, (GuardDeref, GetMutAccess))):
                 raise TypeCheckError("cannot take the address of a non-place", self.line)
             return
         if isinstance(e, Deref):
@@ -740,8 +727,7 @@ class _Resolver:
     def resolve_call(self, call: Call) -> None:
         line = self.line
         if call.name in LOCK_API:
-            self.resolve_lock_api(call, line)
-            return
+            raise TypeCheckError("%s() must be a standalone statement" % call.name, line)
         fn = self.functions.get(call.name)
         if fn is None:
             raise UnknownIdentifier("call to undeclared function %r" % call.name, line)
@@ -754,6 +740,8 @@ class _Resolver:
             self.resolve_expr(a)
 
     def resolve_lock_api(self, call: Call, line: int) -> None:
+        """Check a standalone lock-API call; record the lock path of a lock,
+        unlock or init call on the call."""
         if call.name in (LOCK_FN, UNLOCK_FN, INIT_FN):
             if len(call.args) != 1:
                 raise TypeCheckError(
@@ -763,10 +751,10 @@ class _Resolver:
                 raise TypeCheckError(
                     "%s() argument is not an address-of place" % call.name, line)
             self.resolve_expr(arg)
-            try:
-                lock_path_of(arg, line)
-            except NotALockPlace as exc:
-                raise TypeCheckError(exc.message, line) from None
+            ty = self.place_type(arg.expr)
+            if ty is None or not ty.is_mutex():
+                raise TypeCheckError("lock-API argument does not denote a mutex", line)
+            call.lock = place_path(arg.expr)
             return
         # pthread_create(&t, f)
         if len(call.args) != 2:

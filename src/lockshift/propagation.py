@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from .ast import Expr, LockPath, Program, calls_in, place_path, stmt_exprs
+from .ast import Expr, LockPath, Program, place_path, stmt_calls
 from .cfg import FlowGraph, solve
 from .diagnostics import Diagnostics
 from .flowanalysis import EMPTY, TOP, FunctionFlowFacts, LockSet, lockset
@@ -51,12 +51,11 @@ def collect_call_facts(program: Program, flow: dict[str, FunctionFlowFacts],
         g = graphs[fn.name]
         avail_in = flow[fn.name].avail_in
         for node in g.stmt_nodes:
-            for e in stmt_exprs(node):
-                for call in calls_in(e):
-                    if call.name in defined:
-                        facts.append(CallSiteFact(
-                            fn.name, call.name, avail_in[node],
-                            list(call.args), node.line))
+            for call in stmt_calls(node):
+                if call.name in defined:
+                    facts.append(CallSiteFact(
+                        fn.name, call.name, avail_in[node],
+                        list(call.args), node.line))
     return facts
 
 
@@ -101,7 +100,6 @@ def unalias_set(paths: LockSet, args, params, caller_params: set[str],
 def propagate(program: Program, flow: dict[str, FunctionFlowFacts],
               graphs: dict[str, FlowGraph],
               diags: Diagnostics | None = None,
-              call_facts: list[CallSiteFact] | None = None,
               ) -> dict[str, FunctionFlowSummary]:
     """Solve ELS for every function and assemble the final summaries.
 
@@ -110,11 +108,9 @@ def propagate(program: Program, flow: dict[str, FunctionFlowFacts],
     from call cycles with no root keep Top forever; they are clamped to their
     own MELS with a diagnostic.
     """
-    if call_facts is None:
-        call_facts = collect_call_facts(program, flow, graphs)
     by_callee: dict[str, list[CallSiteFact]] = defaultdict(list)
     callees_of: dict[str, list[str]] = defaultdict(list)
-    for fact in call_facts:
+    for fact in collect_call_facts(program, flow, graphs):
         by_callee[fact.callee].append(fact)
         if fact.callee not in callees_of[fact.caller]:
             callees_of[fact.caller].append(fact.callee)

@@ -56,13 +56,11 @@ from .ast import (
     UNLOCK_FN,
     Var,
     While,
-    calls_in,
     data_accesses,
+    function_calls,
     iter_stmts,
-    lock_path_of,
     path_of,
     place_path,
-    stmt_exprs,
 )
 from .callgraph import thread_entries
 from .diagnostics import (
@@ -80,12 +78,29 @@ def guard_name_for(path: LockPath) -> str:
     return "_".join(path.segments) + "_guard"
 
 
-class _GuardNames:
-    """Per-function path -> guard variable name, collision-free."""
+def _fresh_name(base: str, *taken: set[str]) -> str:
+    """base, or the first of base2, base3, ... that no set in taken holds."""
+    name = base
+    k = 2
+    while any(name in t for t in taken):
+        name = "%s%d" % (base, k)
+        k += 1
+    return name
 
-    def __init__(self, reserved: set[str], diags: Diagnostics, fn_name: str):
+
+class _GuardNames:
+    """Per-function path -> guard variable name, collision-free.
+
+    A name must be free in the program-wide reserved set, which every
+    function shares (copying it per function costs O(functions^2)), and in
+    this function's own set of parameters and guards.
+    """
+
+    def __init__(self, reserved: set[str], params: list[str],
+                 diags: Diagnostics, fn_name: str):
         self.names: dict[LockPath, str] = {}
-        self.taken = set(reserved)
+        self.reserved = reserved
+        self.taken = set(params)
         self.diags = diags
         self.fn_name = fn_name
 
@@ -93,11 +108,7 @@ class _GuardNames:
         if path in self.names:
             return self.names[path]
         base = guard_name_for(path)
-        name = base
-        k = 2
-        while name in self.taken:
-            name = "%s%d" % (base, k)
-            k += 1
+        name = _fresh_name(base, self.reserved, self.taken)
         if name != base:
             self.diags.warn(
                 "guard name %s for %s collides; renamed %s" % (base, path.text, name),
@@ -135,11 +146,7 @@ class _Transformer:
     # -- declarations -------------------------------------------------------
 
     def _fresh_struct_name(self, base: str, taken: set[str]) -> str:
-        name = base
-        k = 2
-        while name in taken:
-            name = "%s%d" % (base, k)
-            k += 1
+        name = _fresh_name(base, taken)
         if name != base:
             self.diags.warn("payload struct name %s taken; using %s" % (base, name))
         taken.add(name)
@@ -202,20 +209,18 @@ class _Transformer:
 
     def _candidate_paths(self, fn: FunctionDef) -> set[LockPath]:
         paths = set(self._entry) | set(self._rets) | set(self._lock_line)
-        for st in iter_stmts(fn.body):
-            for e in stmt_exprs(st):
-                for c in calls_in(e):
-                    if c.name in (LOCK_FN, UNLOCK_FN):
-                        paths.add(lock_path_of(c.args[0], st.line))
-                    elif c.name in (INIT_FN, CREATE_FN):
-                        continue
-                    elif self.p.function(c.name) is not None:
-                        callee_params = self.p.function(c.name).param_names
-                        for q in (self.entry_paths[c.name] + self.ret_paths[c.name]):
-                            try:
-                                paths.add(alias(q, callee_params, c.args))
-                            except UnaliasableArgument:
-                                pass
+        for _, c in function_calls(fn):
+            if c.name in (LOCK_FN, UNLOCK_FN):
+                paths.add(c.lock)
+            elif c.name in (INIT_FN, CREATE_FN):
+                continue
+            elif self.p.function(c.name) is not None:
+                callee_params = self.p.function(c.name).param_names
+                for q in (self.entry_paths[c.name] + self.ret_paths[c.name]):
+                    try:
+                        paths.add(alias(q, callee_params, c.args))
+                    except UnaliasableArgument:
+                        pass
         return paths
 
     def _transform_function(self, fn: FunctionDef) -> FunctionDef:
@@ -226,7 +231,7 @@ class _Transformer:
         self._nonvoid = fn.rets[0].kind != "void"
         self._lock_line = {path_of(t): set(lines)
                            for t, lines in fs.lock_line.items()}
-        self._names = _GuardNames(self.reserved | set(fn.param_names),
+        self._names = _GuardNames(self.reserved, fn.param_names,
                                   self.diags, fn.name)
         self._used: set[str] = set()
         for path in sorted(self._candidate_paths(fn)):
@@ -290,11 +295,9 @@ class _Transformer:
         if c.name == INIT_FN:
             return []
         if c.name == LOCK_FN:
-            path = lock_path_of(c.args[0], st.line)
-            return [AcquireAssign(line=st.line, guard=self._guard(path), path=path)]
+            return [AcquireAssign(line=st.line, guard=self._guard(c.lock), path=c.lock)]
         if c.name == UNLOCK_FN:
-            path = lock_path_of(c.args[0], st.line)
-            return [DropCall(line=st.line, guard=self._guard(path))]
+            return [DropCall(line=st.line, guard=self._guard(c.lock))]
         if c.name == CREATE_FN:
             return [st]
         callee = self.p.function(c.name)

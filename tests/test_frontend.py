@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import pytest
 
-from lockshift.ast import Call, ExprStmt, lock_path_of
+from lockshift.ast import Call, ExprStmt
 from lockshift.diagnostics import ParseError, TypeCheckError, UnknownIdentifier
 from lockshift.parser import parse, parse_guarded
 from lockshift.printer import expr_text, print_guarded, print_source
@@ -18,7 +18,7 @@ def first_call_paths(source: str) -> list[str]:
     for fn in program.functions:
         for s in fn.body.stmts:
             if isinstance(s, ExprStmt) and isinstance(s.expr, Call):
-                out.append(lock_path_of(s.expr.args[0], s.line).text)
+                out.append(s.expr.lock.text)
     return out
 
 
@@ -59,6 +59,8 @@ def test_lock_api_calls_must_be_standalone():
         parse("int n;\nmutex_t m;\nvoid f() { n = pthread_mutex_lock(&m); }\n")
     with pytest.raises(TypeCheckError, match="standalone"):
         parse("mutex_t m;\nvoid f() { if (pthread_mutex_lock(&m)) { return; } }\n")
+    with pytest.raises(TypeCheckError, match="standalone"):
+        parse("mutex_t m;\nint n = pthread_mutex_lock(&m);\n")
 
 
 def test_lock_api_argument_shape():
@@ -68,6 +70,8 @@ def test_lock_api_argument_shape():
         parse("mutex_t m;\nvoid f() { pthread_mutex_lock(&m, &m); }\n")
     with pytest.raises(TypeCheckError):
         parse("mutex_t m;\nvoid f() { pthread_mutex_lock(&m + 1); }\n")
+    with pytest.raises(TypeCheckError, match="does not denote a mutex"):
+        parse("int x;\nvoid f() { pthread_mutex_lock(& &x); }\n")
 
 
 def test_thread_create_argument_shape():

@@ -1,6 +1,6 @@
-"""No dead code in the library: every import is used, and every function,
-class and method is referenced from somewhere else in src/ or bench/, or is
-part of the public API (lockshift.__all__)."""
+"""No dead code in the library: every import is used and sits at module
+level, and every function, class and method is referenced from somewhere
+else in src/ or bench/, or is part of the public API (lockshift.__all__)."""
 from __future__ import annotations
 
 import ast
@@ -62,6 +62,17 @@ def test_every_module_level_import_is_used():
                     if bound not in used:
                         unused.append("%s: %s" % (path.name, bound))
     assert not unused, "unused imports:\n" + "\n".join(unused)
+
+
+def test_no_import_inside_a_function():
+    nested = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                nested.update("%s:%d" % (path.name, stmt.lineno)
+                              for stmt in ast.walk(node)
+                              if isinstance(stmt, (ast.Import, ast.ImportFrom)))
+    assert not nested, "imports inside functions:\n" + "\n".join(sorted(nested))
 
 
 def test_every_definition_is_referenced_elsewhere():

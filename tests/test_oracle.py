@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from lockshift.ast import Stmt, calls_in, lock_path_of, stmt_exprs, LOCK_FN, UNLOCK_FN
+from lockshift.ast import Stmt, place_path, stmt_calls, LOCK_FN, UNLOCK_FN
 from lockshift.cfg import build_cfg
 from lockshift.flowanalysis import analyze_function
 from lockshift.parser import parse
@@ -96,12 +96,11 @@ def node_events(n) -> list[tuple[str, str]]:
     if not isinstance(n, Stmt):
         return []
     events = []
-    for e in stmt_exprs(n):
-        for call in calls_in(e):
-            if call.name == LOCK_FN:
-                events.append(("lock", lock_path_of(call.args[0], n.line).text))
-            elif call.name == UNLOCK_FN:
-                events.append(("unlock", lock_path_of(call.args[0], n.line).text))
+    for call in stmt_calls(n):
+        if call.name == LOCK_FN:
+            events.append(("lock", place_path(call.args[0]).text))
+        elif call.name == UNLOCK_FN:
+            events.append(("unlock", place_path(call.args[0]).text))
     return events
 
 

@@ -4,7 +4,8 @@ import pytest
 
 from lockshift.ast import LockPath
 from lockshift.diagnostics import SummaryMismatch
-from lockshift.parser import parse
+from lockshift.guardcheck import check
+from lockshift.parser import parse, parse_guarded
 from lockshift.pipeline import run_pipeline
 from lockshift.printer import print_guarded, print_source
 from lockshift.summary import read_summary
@@ -81,6 +82,7 @@ void main() { pthread_create(&t, w); }
 """)
     assert "set(&(*m_guard).n" in text
     assert access_multiset(guarded) == access_multiset(result.program)
+    assert check(parse_guarded(text)) == []
 
 
 def test_protected_globals_move_into_the_mutex_with_their_initializers():
@@ -99,6 +101,18 @@ def test_colliding_guard_names_get_a_suffix():
     assert "drop(m_guard2);" in text
     assert any("renamed m_guard2" in d.message
                for d in result.diagnostics)
+
+
+def test_colliding_payload_struct_names_get_a_suffix():
+    result, _, errors, text = pipeline_text(
+        (CORPUS / "payload_name.mc").read_text())
+    assert errors == []
+    assert "struct mData { int k; };" in text
+    assert "struct mData2 { int n; };" in text
+    assert "mutex<mData2> m = mData2 { n = 0 };" in text
+    assert [d.message for d in result.diagnostics] == [
+        "payload struct name mData taken; using mData2"]
+    assert check(parse_guarded(text)) == []
 
 
 def test_unprotected_mutexes_keep_plain_declarations_but_still_yield_guards():
