@@ -17,6 +17,10 @@ INIT_FN = "pthread_mutex_init"
 CREATE_FN = "pthread_create"
 LOCK_API = frozenset([LOCK_FN, UNLOCK_FN, INIT_FN, CREATE_FN])
 
+# Binary operators and their precedence, loosest first; all associate to the
+# left. The parser climbs this table and the printer parenthesizes by it.
+BIN_PREC = {"==": 1, "!=": 1, "<": 1, "<=": 1, "+": 2, "-": 2, "*": 3}
+
 
 @dataclass(frozen=True, order=True)
 class LockPath:

@@ -7,20 +7,27 @@ from dataclasses import dataclass
 from .ast import KEYWORDS
 from .diagnostics import ParseError
 
+# One match per token: leading blanks, then exactly one alternative. `bad`
+# takes any other character except a blank. Lines are matched with their
+# trailing blanks stripped, so every blank run is followed by a token and no
+# match is tried that must fail (a failing try would rescan the run from each
+# of its blanks).
 _TOKEN_RE = re.compile(
     r"""
-      (?P<ws>[ \t\r]+)
-    | (?P<nl>\n)
-    | (?P<comment>//[^\n]*)
-    | (?P<int>\d+)
-    | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-    | (?P<punct>->|==|!=|<=|[{}()\[\];,.&*+\-<>=])
+    [ \t\r]*
+    (?:
+        (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<punct>->|==|!=|<=|[{}()\[\];,.&*+\-<>=])
+      | (?P<int>[0-9]+)
+      | (?P<comment>//.*)
+      | (?P<bad>[^ \t\r])
+    )
     """,
     re.VERBOSE,
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class Token:
     kind: str  # kw | ident | int | punct | eof
     value: str
@@ -33,28 +40,21 @@ class Token:
 
 def tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
-    line = 1
-    line_start = 0
-    pos = 0
-    n = len(source)
-    while pos < n:
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            raise ParseError(
-                "unexpected character %r" % source[pos], line, pos - line_start + 1
-            )
-        pos = m.end()
-        kind = m.lastgroup
-        if kind == "nl":
-            line += 1
-            line_start = pos
-            continue
-        if kind in ("ws", "comment"):
-            continue
-        value = m.group()
-        col = m.start() - line_start + 1
-        if kind == "ident" and value in KEYWORDS:
-            kind = "kw"
-        tokens.append(Token(kind, value, line, col))
-    tokens.append(Token("eof", "", line, pos - line_start + 1))
+    append = tokens.append
+    lines = source.split("\n")
+    finditer = _TOKEN_RE.finditer
+    for line, text in enumerate(lines, 1):
+        for m in finditer(text.rstrip(" \t\r")):
+            kind = m.lastgroup
+            value = m.group(kind)
+            col = m.start(kind) + 1
+            if kind == "ident":
+                if value in KEYWORDS:
+                    kind = "kw"
+            elif kind == "comment":
+                break
+            elif kind == "bad":
+                raise ParseError("unexpected character %r" % value, line, col)
+            append(Token(kind, value, line, col))
+    append(Token("eof", "", len(lines), len(lines[-1]) + 1))
     return tokens

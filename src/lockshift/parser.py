@@ -8,6 +8,7 @@ assignments, tuple returns, and payload accesses.
 from __future__ import annotations
 
 from .ast import (
+    BIN_PREC,
     LOCK_API,
     INIT_FN,
     LOCK_FN,
@@ -56,8 +57,19 @@ from .diagnostics import (
 )
 from .lexer import Token, tokenize
 
-_CMP_OPS = ("==", "!=", "<", "<=")
 _BASE_KINDS = {"int": "int", "void": "void", "mutex_t": "mutex", "thread_t": "thread"}
+
+# How deep the parser lets a program nest. Each block around a statement
+# adds one level (`{}` blocks and if, else and while bodies, not a function
+# body; an `else if` one more than its `if`). Its expressions add the levels
+# of their deepest path: one per parenthesis pair, call, unary operator,
+# binary operator and field access on it. Operator and field chains build left-deep
+# trees, so a chain adds one level per link. A guard's payload `(*g)` and
+# the results of `acquire()` and `get_mut()` are leaves, so a transformed
+# program nests no deeper than its input. Every later phase walks the tree
+# recursively; the limit keeps each of them, and the parser, well inside
+# Python's recursion limit.
+NESTING_LIMIT = 100
 
 
 class _AcquireExpr(Expr):
@@ -69,17 +81,30 @@ class _AcquireExpr(Expr):
 
 
 class _Parser:
+    """Recursive descent over a token list that ends in one eof token.
+
+    eof's value is "", which no caller asks `at`, `accept` or `expect` for,
+    and `next` never moves past it, so `self.toks[self.pos]` is always valid.
+    """
+
     def __init__(self, tokens: list[Token], guarded: bool):
         self.toks = tokens
         self.pos = 0
         self.guarded = guarded
         self.guards: dict[str, LockPath] = {}  # in-scope guard vars of the current fn
+        # Levels open around the current token: blocks, and the parentheses,
+        # calls and unary operators the parser is inside. `height` is the
+        # levels of the expression parsed last, below its own position; a
+        # deep spot is `depth + height` (see NESTING_LIMIT).
+        self.depth = 0
+        self.height = 0
 
     # -- token plumbing ----------------------------------------------------
 
     def peek(self, ahead: int = 0) -> Token:
-        i = min(self.pos + ahead, len(self.toks) - 1)
-        return self.toks[i]
+        if ahead:
+            return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+        return self.toks[self.pos]
 
     def next(self) -> Token:
         t = self.toks[self.pos]
@@ -88,20 +113,37 @@ class _Parser:
         return t
 
     def at(self, value: str) -> bool:
-        return self.peek().value == value and self.peek().kind != "eof"
+        return self.toks[self.pos].value == value
 
     def accept(self, value: str) -> bool:
-        if self.at(value):
-            self.next()
+        if self.toks[self.pos].value == value:
+            self.pos += 1
             return True
         return False
 
     def expect(self, value: str) -> Token:
-        t = self.peek()
-        if t.value != value or t.kind == "eof":
+        t = self.toks[self.pos]
+        if t.value != value:
             raise ParseError("expected %r, found %r" % (value, t.value or "end of input"),
                              t.line, t.col)
-        return self.next()
+        self.pos += 1
+        return t
+
+    def nest(self, t: Token) -> None:
+        """Open one more level at `t`; the caller closes it with `depth -= 1`."""
+        self.depth += 1
+        if self.depth > NESTING_LIMIT:
+            raise ParseError("nested too deeply (the limit is %d levels)" % NESTING_LIMIT,
+                             t.line, t.col)
+
+    def grow(self, t: Token, height: int) -> None:
+        """The expression just built at `t` sits one level above a subtree
+        `height` levels high."""
+        height += 1
+        if self.depth + height > NESTING_LIMIT:
+            raise ParseError("nested too deeply (the limit is %d levels)" % NESTING_LIMIT,
+                             t.line, t.col)
+        self.height = height
 
     def expect_ident(self, what: str = "identifier") -> Token:
         t = self.peek()
@@ -266,9 +308,7 @@ class _Parser:
             self.expect(";")
             guard_decls.append(GuardVarDecl(gname.value, path, decl_tok.line))
             self.guards[gname.value] = path
-        stmts: list[Stmt] = []
-        while not self.at("}"):
-            stmts.append(self.parse_stmt())
+        stmts = self.parse_stmts()
         close = self.expect("}")
         body = Block(line=open_brace.line, stmts=stmts)
         fn = FunctionDef(rets, name.value, params, body, (start_line, close.line),
@@ -278,15 +318,17 @@ class _Parser:
 
     # -- statements ------------------------------------------------------------
 
+    def parse_stmts(self) -> list[Stmt]:
+        """Statements up to a closing `}`."""
+        stmts: list[Stmt] = []
+        while not self.at("}"):
+            stmts.append(self.parse_stmt())
+        return stmts
+
     def parse_stmt(self) -> Stmt:
         t = self.peek()
         if t.value == "{":
-            self.next()
-            stmts = []
-            while not self.at("}"):
-                stmts.append(self.parse_stmt())
-            self.expect("}")
-            return Block(line=t.line, stmts=stmts)
+            return self.parse_block()
         if t.value == "if":
             return self.parse_if()
         if t.value == "while":
@@ -312,10 +354,20 @@ class _Parser:
             return self.parse_call_assign()
         return self.parse_simple_stmt()
 
+    def parse_block(self) -> Block:
+        t = self.next()
+        self.nest(t)
+        stmts = self.parse_stmts()
+        self.expect("}")
+        self.depth -= 1
+        return Block(line=t.line, stmts=stmts)
+
     def parse_body_block(self) -> Block:
+        if self.at("{"):
+            return self.parse_block()
+        self.nest(self.peek())
         body = self.parse_stmt()
-        if isinstance(body, Block):
-            return body
+        self.depth -= 1
         return Block(line=body.line, stmts=[body])
 
     def parse_if(self) -> If:
@@ -327,7 +379,9 @@ class _Parser:
         orelse = None
         if self.accept("else"):
             if self.at("if"):
+                self.nest(self.peek())
                 nested = self.parse_if()
+                self.depth -= 1
                 orelse = Block(line=nested.line, stmts=[nested])
             else:
                 orelse = self.parse_body_block()
@@ -339,7 +393,7 @@ class _Parser:
             return Return(line=t.line, value=None)
         if self.guarded and self.at("("):
             save = self.pos
-            self.next()
+            self.nest(self.next())  # as a parenthesis would, if this is no tuple
             first = self.parse_expr()
             if self.accept(","):
                 items = [first]
@@ -348,8 +402,10 @@ class _Parser:
                     if not self.accept(","):
                         break
                 self.expect(")")
+                self.depth -= 1
                 self.expect(";")
                 return Return(line=t.line, value=TupleExpr(items))
+            self.depth -= 1
             self.pos = save
         value = self.parse_expr()
         self.expect(";")
@@ -423,66 +479,64 @@ class _Parser:
 
     # -- expressions ---------------------------------------------------------
 
-    def parse_expr(self) -> Expr:
-        return self.parse_cmp()
-
-    def parse_cmp(self) -> Expr:
-        e = self.parse_add()
-        while self.peek().value in _CMP_OPS and self.peek().kind == "punct":
-            op = self.next().value
-            e = Binary(op, e, self.parse_add())
-        return e
-
-    def parse_add(self) -> Expr:
-        e = self.parse_mul()
-        while self.peek().value in ("+", "-") and self.peek().kind == "punct":
-            op = self.next().value
-            e = Binary(op, e, self.parse_mul())
-        return e
-
-    def parse_mul(self) -> Expr:
+    def parse_expr(self, min_prec: int = 1) -> Expr:
+        """Precedence climbing: operators of at least `min_prec` bind here,
+        and a right operand takes only operators that bind tighter, so
+        equal precedence groups to the left."""
         e = self.parse_unary()
-        while self.at("*"):
-            self.next()
-            e = Binary("*", e, self.parse_unary())
-        return e
+        while True:
+            t = self.toks[self.pos]
+            prec = BIN_PREC.get(t.value)
+            if prec is None or prec < min_prec:
+                return e
+            self.pos += 1
+            lhs_height = self.height
+            e = Binary(t.value, e, self.parse_expr(prec + 1))
+            height = self.height
+            self.grow(t, height if height > lhs_height else lhs_height)
 
     def parse_unary(self) -> Expr:
-        t = self.peek()
+        t = self.toks[self.pos]
         if t.value == "&":
-            self.next()
-            mut = False
-            if self.peek().kind == "ident" and self.peek().value == "mut":
-                self.next()
-                mut = True
-            return AddrOf(self.parse_unary(), mut)
+            self.pos += 1
+            self.nest(t)
+            mut = self.accept("mut")
+            e = self.parse_unary()
+            self.depth -= 1
+            self.height += 1
+            return AddrOf(e, mut)
         if t.value == "*":
-            self.next()
-            return Deref(self.parse_unary())
+            self.pos += 1
+            self.nest(t)
+            e = self.parse_unary()
+            self.depth -= 1
+            self.height += 1
+            return Deref(e)
         return self.parse_postfix()
 
     def parse_postfix(self) -> Expr:
         e = self.parse_primary()
         while True:
-            t = self.peek()
+            t = self.toks[self.pos]
             if t.value == "." or t.value == "->":
                 arrow = t.value == "->"
-                self.next()
+                self.pos += 1
                 fld = self.expect_ident("field name")
-                if self.peek().value == "(":
+                if self.at("("):
                     e = self.parse_method(e, fld, arrow)
                 else:
-                    e = self._make_field_access(e, fld.value, arrow)
+                    e = self._make_field_access(e, t, fld.value)
             elif t.value == "(" and isinstance(e, Var):
                 e = self.parse_call(e.name)
             else:
                 return e
 
-    def _make_field_access(self, base: Expr, fld: str, arrow: bool) -> Expr:
+    def _make_field_access(self, base: Expr, op: Token, fld: str) -> Expr:
         if isinstance(base, Deref) and isinstance(base.expr, GuardRef):
             g = base.expr
-            return GuardDeref(g.name, g.path, fld)
-        return FieldAccess(base, fld, arrow)
+            return GuardDeref(g.name, g.path, fld)  # a leaf: adds no level
+        self.grow(op, self.height)
+        return FieldAccess(base, fld, op.value == "->")
 
     def parse_method(self, recv: Expr, method: Token, arrow: bool) -> Expr:
         if not self.guarded:
@@ -495,6 +549,7 @@ class _Parser:
             if path is None:
                 raise ParseError("acquire() receiver must be a lock place",
                                  method.line, method.col)
+            self.height = 0
             return _AcquireExpr(path, method.line)
         if method.value == "get_mut":
             self.expect("(")
@@ -505,34 +560,50 @@ class _Parser:
                                  method.line, method.col)
             self.expect(".")
             fld = self.expect_ident("payload field name")
+            self.height = 0
             return GetMutAccess(path, fld.value)
         raise ParseError("unknown method %r" % method.value, method.line, method.col)
 
     def parse_call(self, name: str) -> Call:
-        self.expect("(")
+        self.nest(self.expect("("))
         args: list[Expr] = []
+        height = 0
         if not self.at(")"):
             while True:
                 args.append(self.parse_expr())
+                if self.height > height:
+                    height = self.height
                 if not self.accept(","):
                     break
         self.expect(")")
+        self.depth -= 1
+        self.height = height + 1
         return Call(name, args)
 
     def parse_primary(self) -> Expr:
-        t = self.peek()
-        if t.kind == "int":
-            self.next()
-            return IntLit(int(t.value))
+        t = self.toks[self.pos]
         if t.kind == "ident":
-            self.next()
+            self.pos += 1
+            self.height = 0
             if t.value in self.guards:
                 return GuardRef(t.value, self.guards[t.value])
             return Var(t.value)
+        if t.kind == "int":
+            self.pos += 1
+            self.height = 0
+            return IntLit(int(t.value))
         if t.value == "(":
-            self.next()
+            g = self.peek(2).value
+            if g in self.guards and self.peek(1).value == "*" and self.peek(3).value == ")":
+                self.pos += 4  # `(*g)`: a leaf, see NESTING_LIMIT
+                self.height = 0
+                return Deref(GuardRef(g, self.guards[g]))
+            self.pos += 1
+            self.nest(t)
             e = self.parse_expr()
             self.expect(")")
+            self.depth -= 1
+            self.height += 1
             return e
         raise ParseError("expected an expression, found %r" % (t.value or "end of input"),
                          t.line, t.col)

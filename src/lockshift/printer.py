@@ -8,6 +8,7 @@ print -> parse round trip preserves statement lines.
 from __future__ import annotations
 
 from .ast import (
+    BIN_PREC,
     AcquireAssign,
     AddrOf,
     Assign,
@@ -41,15 +42,9 @@ from .ast import (
     While,
 )
 
-_PREC_CMP = 1
-_PREC_ADD = 2
-_PREC_MUL = 3
-_PREC_UNARY = 4
+_PREC_UNARY = 4  # binds tighter than every binary operator in BIN_PREC
 _PREC_POSTFIX = 5
 _PREC_PRIMARY = 6
-
-_BIN_PREC = {"==": _PREC_CMP, "!=": _PREC_CMP, "<": _PREC_CMP, "<=": _PREC_CMP,
-             "+": _PREC_ADD, "-": _PREC_ADD, "*": _PREC_MUL}
 
 
 def type_text(ty: Type) -> str:
@@ -109,7 +104,7 @@ def _expr(e: Expr) -> tuple[str, int]:
     if isinstance(e, Deref):
         return "*" + expr_text(e.expr, _PREC_UNARY), _PREC_UNARY
     if isinstance(e, Binary):
-        prec = _BIN_PREC[e.op]
+        prec = BIN_PREC[e.op]
         lhs = expr_text(e.lhs, prec)
         rhs = expr_text(e.rhs, prec + 1)
         return "%s %s %s" % (lhs, e.op, rhs), prec

@@ -3,7 +3,11 @@
 import json
 import shutil
 
+import pytest
+
 from lockshift.cli import main
+from lockshift.diagnostics import ParseError
+from lockshift.parser import NESTING_LIMIT, parse
 
 from helpers import CORPUS, FIXTURES, fixture_text
 
@@ -110,6 +114,147 @@ def test_parse_errors_exit_with_one(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err.startswith("%s:1: error:" % bad)
+
+
+def _parens(n):
+    return "int c;\nvoid main() { c = " + "(" * n + "c" + ")" * n + "; }\n"
+
+
+def _sum(n):
+    # c is protected by m, so the output reads it through `(*m_guard).c`
+    return ("int c;\nmutex_t m;\nthread_t t;\nvoid w() { pthread_mutex_lock(&m); c = "
+            + " + ".join(["c"] * (n + 1))
+            + "; pthread_mutex_unlock(&m); }\nvoid main() { pthread_create(&t, w); }\n")
+
+
+def _ifs(n):
+    return "int c;\nvoid main() {\n" + "if (c) {\n" * n + "c = 1;\n" + "}\n" * n + "}\n"
+
+
+def _else_ifs(n):
+    return "int c;\nvoid main() {\nif (c) c = 0;\n" + "else if (c) c = 1;\n" * (n - 1) + "}\n"
+
+
+def _address_ofs(n):
+    return "int c;\nint *p;\nvoid main() { p = " + "&" * n + "c; }\n"
+
+
+# shape -> (source nesting n levels deep, n of a deep input, (line, col)
+#           where level 101 opens)
+NESTING_SHAPES = {
+    "parentheses": (_parens, 200, (2, 119)),
+    "sum": (_sum, 999, (4, 442)),
+    "ifs": (_ifs, 1000, (103, 8)),
+    "else_ifs": (_else_ifs, 1000, (103, 13)),
+    "address_ofs": (_address_ofs, 3000, (3, 119)),
+}
+
+
+@pytest.mark.parametrize("name", NESTING_SHAPES)
+def test_deep_nesting_exits_with_one(tmp_path, capsys, name):
+    make, deep, (line, col) = NESTING_SHAPES[name]
+    assert NESTING_LIMIT == 100
+    src = tmp_path / "deep.mc"
+    for n in (deep, NESTING_LIMIT + 1):
+        src.write_text(make(n))
+        assert main(["full", str(src)]) == 1
+        assert capsys.readouterr().err == (
+            "%s:%d: error: nested too deeply (the limit is 100 levels)\n" % (src, line))
+        with pytest.raises(ParseError) as exc:
+            parse(make(n))
+        assert (exc.value.line, exc.value.col) == (line, col)
+
+
+@pytest.mark.parametrize("name", NESTING_SHAPES)
+def test_nesting_at_the_limit_runs_full(tmp_path, capsys, name):
+    """Every phase walks the tree recursively; at the limit each stays
+    under Python's recursion limit, and the output parses back."""
+    src = tmp_path / "limit.mc"
+    src.write_text(NESTING_SHAPES[name][0](NESTING_LIMIT))
+    out = tmp_path / "limit.gmc"
+    assert main(["full", str(src), "-o", str(out)]) == 0
+    assert main(["check", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def _grouped_sums(n):
+    # `((c + c + …) + c + …)`: groups of one parenthesis pair and 39 `+`,
+    # then as many `+` outside as make n levels
+    groups, rest = divmod(n, 40)
+    e = "c"
+    for _ in range(groups):
+        e = "(" + e + " + c" * 39 + ")"
+    return "int c;\nvoid main() {\nc = " + e + " + c" * rest + ";\n}\n"
+
+
+def test_a_first_operand_adds_its_levels_to_the_chain(tmp_path, capsys):
+    """A left-deep chain puts its first operand at the bottom of the tree,
+    so 40 groups of 39 operators nest 1,600 levels, though no token is
+    inside more than 40 parentheses or after more than 39 operators of its
+    group."""
+    src = tmp_path / "deep.mc"
+    src.write_text(_grouped_sums(1600))
+    assert main(["full", str(src)]) == 1
+    assert capsys.readouterr().err == (
+        "%s:3: error: nested too deeply (the limit is 100 levels)\n" % src)
+    with pytest.raises(ParseError) as exc:
+        parse(_grouped_sums(1600))
+    assert (exc.value.line, exc.value.col) == (3, 288)  # the 22nd `+` of group 2
+    src.write_text(_grouped_sums(NESTING_LIMIT))
+    out = tmp_path / "limit.gmc"
+    assert main(["full", str(src), "-o", str(out)]) == 0
+    assert main(["check", str(out)]) == 0
+    with pytest.raises(ParseError):
+        parse(_grouped_sums(NESTING_LIMIT + 1))
+
+
+def _protected_initializers(count):
+    decls = "".join("int a%d = 1 + 1;\n" % i for i in range(count))
+    body = " ".join("a%d = 1;" % i for i in range(count))
+    return (decls + "mutex_t m;\nthread_t t;\n"
+            "void w() { pthread_mutex_lock(&m); " + body
+            + " pthread_mutex_unlock(&m); }\nvoid main() { pthread_create(&t, w); }\n")
+
+
+def test_a_lock_gathering_many_initializers_round_trips(tmp_path, capsys):
+    """transform puts the initializers of every global a lock protects into
+    the one lock declaration; their operators must not add up."""
+    src = tmp_path / "inits.mc"
+    src.write_text(_protected_initializers(NESTING_LIMIT + 1))
+    out = tmp_path / "inits.gmc"
+    assert main(["transform", str(src), "-o", str(out)]) == 0
+    assert out.read_text().count("= 1 + 1") == NESTING_LIMIT + 1
+    assert main(["check", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def _call_of_sums(n):
+    params = ", ".join("int x%d" % i for i in range(n))
+    return ("int c;\nint f(%s) { return x0; }\nvoid main() { c = f(%s); }\n"
+            % (params, ", ".join(["c + c"] * n)))
+
+
+def _sum(terms, op=" + "):
+    return op.join(["c"] * terms)
+
+
+# Inputs with more binary operators than the limit, none on a path longer
+# than 61 levels.
+FLAT_SHAPES = {
+    "call_of_sums": _call_of_sums(150),
+    "sum_of_products": "int c;\nvoid main() { c = %s; }\n" % " + ".join(["c * c"] * 60),
+    "condition_and_body": "int c;\nvoid main() { if (%s) c = %s; }\n" % (_sum(61), _sum(42)),
+}
+
+
+@pytest.mark.parametrize("name", FLAT_SHAPES)
+def test_operators_in_separate_subtrees_do_not_add_up(tmp_path, capsys, name):
+    src = tmp_path / "flat.mc"
+    src.write_text(FLAT_SHAPES[name])
+    out = tmp_path / "flat.gmc"
+    assert main(["full", str(src), "-o", str(out)]) == 0
+    assert main(["check", str(out)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_missing_inputs_exit_with_one(tmp_path, capsys):

@@ -3,8 +3,10 @@ from __future__ import annotations
 
 import pytest
 
-from lockshift.ast import Call, ExprStmt
+from lockshift import parser
+from lockshift.ast import Binary, Call, Deref, ExprStmt
 from lockshift.diagnostics import ParseError, TypeCheckError, UnknownIdentifier
+from lockshift.lexer import tokenize
 from lockshift.parser import parse, parse_guarded
 from lockshift.printer import expr_text, print_guarded, print_source
 
@@ -127,6 +129,29 @@ def test_parse_error_carries_position():
     assert exc.value.col >= 1
 
 
+def test_integer_literals_are_ascii_digits():
+    with pytest.raises(ParseError) as exc:
+        parse("int n;\nvoid main() {\n    n = \u0663;\n}\n")
+    assert exc.value.message == "unexpected character '\u0663'"
+    assert (exc.value.line, exc.value.col) == (3, 9)
+
+
+def test_parse_and_parse_guarded_lex_through_the_module_binding(monkeypatch):
+    """The bench's per-layer trace times the lexer by swapping
+    `parser.tokenize`; each parse must call it once."""
+    calls = []
+
+    def counting(source):
+        calls.append(source)
+        return tokenize(source)
+
+    monkeypatch.setattr(parser, "tokenize", counting)
+    parse(fixture_text("listing1.mc"))
+    assert calls == [fixture_text("listing1.mc")]
+    parse_guarded(fixture_text("listing1.gmc"))
+    assert calls[1:] == [fixture_text("listing1.gmc")]
+
+
 def test_guarded_syntax_rejected_in_plain_dialect():
     with pytest.raises(ParseError, match="method call"):
         parse("mutex_t m;\nvoid f() { m.acquire(); }\n")
@@ -164,11 +189,38 @@ def test_guarded_parse_errors():
                       "mutex<d> m = e { n = 0 };\n")
 
 
+def shape(e):
+    """An expression tree as nested tuples: (op, lhs, rhs), ("*", e) for a
+    dereference, or the variable name."""
+    if isinstance(e, Binary):
+        return (e.op, shape(e.lhs), shape(e.rhs))
+    if isinstance(e, Deref):
+        return ("*", shape(e.expr))
+    return e.name
+
+
+PRECEDENCE_CASES = [
+    ("a + b * c", ("+", "a", ("*", "b", "c"))),
+    ("(a + b) * c", ("*", ("+", "a", "b"), "c")),
+    ("a - b - c", ("-", ("-", "a", "b"), "c")),
+    ("a < b < c", ("<", ("<", "a", "b"), "c")),
+    ("a == b + c * d", ("==", "a", ("+", "b", ("*", "c", "d")))),
+    ("a * (b - c)", ("*", "a", ("-", "b", "c"))),
+    ("*p * q", ("*", ("*", "p"), "q")),
+    ("a * b + c <= d - a != b",
+     ("!=", ("<=", ("+", ("*", "a", "b"), "c"), ("-", "d", "a")), "b")),
+]
+
+
 def test_expression_precedence_round_trip():
-    p = parse("int a;\nint b;\nint c;\nvoid f() { a = a + b * c; b = (a + b) * c; }\n")
+    body = " ".join("a = %s;" % text for text, _ in PRECEDENCE_CASES)
+    p = parse("int a;\nint b;\nint c;\nint d;\nint *p;\nint q;\n"
+              "void f() { %s }\n" % body)
     stmts = p.functions[0].body.stmts
-    assert expr_text(stmts[0].value) == "a + b * c"
-    assert expr_text(stmts[1].value) == "(a + b) * c"
+    assert len(stmts) == len(PRECEDENCE_CASES)
+    for stmt, (text, tree) in zip(stmts, PRECEDENCE_CASES):
+        assert shape(stmt.value) == tree
+        assert expr_text(stmt.value) == text
 
 
 @pytest.mark.parametrize("path", corpus_paths(), ids=lambda p: p.stem)
