@@ -62,45 +62,49 @@ class FlowGraph:
 def build_cfg(fn: FunctionDef, diags: Diagnostics | None = None) -> FlowGraph:
     g = FlowGraph(fn.name)
     g.add_node(g.entry)
-
-    def connect(frontier: list[Node], node: Node) -> None:
-        for f in frontier:
-            g.add_edge(f, node)
-
-    def walk_block(block: Block, frontier: list[Node]) -> list[Node]:
-        for s in block.stmts:
-            frontier = walk_stmt(s, frontier)
-        return frontier
-
-    def walk_stmt(s: Stmt, frontier: list[Node]) -> list[Node]:
-        if isinstance(s, Block):
-            return walk_block(s, frontier)
-        g.add_node(s)
-        connect(frontier, s)
-        if isinstance(s, If):
-            exits = walk_block(s.then, [s])
-            if s.orelse is not None:
-                exits = exits + walk_block(s.orelse, [s])
-            else:
-                exits = exits + [s]
-            return _dedupe(exits)
-        if isinstance(s, While):
-            body_exits = walk_block(s.body, [s])
-            connect(body_exits, s)
-            return [s]
-        if isinstance(s, Return):
-            return []
-        return [s]
-
-    tail = walk_block(fn.body, [g.entry])
+    tail = _walk_block(g, fn.body, [g.entry])
     g.add_node(g.ret)
-    connect(tail, g.ret)
+    _connect(g, tail, g.ret)
     for n in g.nodes:
         if isinstance(n, Return):
             g.add_edge(n, g.ret)
 
     _cull_unreachable(g, fn.name, diags)
     return g
+
+
+# The walkers are module-level and take g: nested closures would refer to
+# each other through cells, a cycle per graph that only the collector frees.
+def _connect(g: FlowGraph, frontier: list[Node], node: Node) -> None:
+    for f in frontier:
+        g.add_edge(f, node)
+
+
+def _walk_block(g: FlowGraph, block: Block, frontier: list[Node]) -> list[Node]:
+    for s in block.stmts:
+        frontier = _walk_stmt(g, s, frontier)
+    return frontier
+
+
+def _walk_stmt(g: FlowGraph, s: Stmt, frontier: list[Node]) -> list[Node]:
+    if isinstance(s, Block):
+        return _walk_block(g, s, frontier)
+    g.add_node(s)
+    _connect(g, frontier, s)
+    if isinstance(s, If):
+        exits = _walk_block(g, s.then, [s])
+        if s.orelse is not None:
+            exits = exits + _walk_block(g, s.orelse, [s])
+        else:
+            exits = exits + [s]
+        return _dedupe(exits)
+    if isinstance(s, While):
+        body_exits = _walk_block(g, s.body, [s])
+        _connect(g, body_exits, s)
+        return [s]
+    if isinstance(s, Return):
+        return []
+    return [s]
 
 
 def _dedupe(nodes: list[Node]) -> list[Node]:

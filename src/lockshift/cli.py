@@ -240,7 +240,8 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except LockshiftError as exc:
         if isinstance(exc, SourceError):
-            print("%s:%d: error: %s" % (args.input, exc.line, exc.message),
+            where = "%d:%d" % (exc.line, exc.col) if exc.col else "%d" % exc.line
+            print("%s:%s: error: %s" % (args.input, where, exc.message),
                   file=sys.stderr)
         else:
             print("%s: error: %s" % (args.input, exc), file=sys.stderr)

@@ -1,6 +1,8 @@
-"""Error types and the warning sink shared by all phases."""
+"""Error types, the warning sink and the collector pause shared by all phases."""
 from __future__ import annotations
 
+import functools
+import gc
 from dataclasses import dataclass
 
 
@@ -108,3 +110,21 @@ class Diagnostics:
 
     def __len__(self) -> int:
         return len(self.entries)
+
+
+def gc_paused(fn):
+    """Run fn with the cyclic garbage collector off, then restore the
+    caller's setting. The phases build no reference cycles, so a collection
+    inside one would only re-scan the live program at a cost that grows with
+    its size. A call that starts with the collector already off, such as a
+    nested phase, leaves it alone."""
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+    return paused

@@ -37,7 +37,7 @@ from .ast import (
     While,
 )
 from .cfg import build_cfg, solve
-from .diagnostics import Diagnostics
+from .diagnostics import Diagnostics, gc_paused
 
 UNINIT = "uninit"
 OWNED = "owned"
@@ -177,6 +177,7 @@ def _check_function(fn: FunctionDef, diags: Diagnostics) -> list[OwnershipError]
     return sorted(errors, key=lambda e: (e.line, e.guard, e.kind))
 
 
+@gc_paused
 def check(gp: GuardedProgram, diags: Diagnostics | None = None) -> list[OwnershipError]:
     """All ownership errors in the program, per function in program order."""
     if diags is None:

@@ -54,6 +54,7 @@ from .diagnostics import (
     ParseError,
     TypeCheckError,
     UnknownIdentifier,
+    gc_paused,
 )
 from .lexer import Token, tokenize
 
@@ -849,6 +850,7 @@ class _Resolver:
                 "pthread_create() second argument must name a function", line)
 
 
+@gc_paused
 def parse(source: str) -> Program:
     """Parse and resolve a plain-dialect program."""
     program = _Parser(tokenize(source), guarded=False).parse_program()
@@ -856,6 +858,7 @@ def parse(source: str) -> Program:
     return program
 
 
+@gc_paused
 def parse_guarded(source: str) -> GuardedProgram:
     """Parse and resolve a guarded-dialect program."""
     program = _Parser(tokenize(source), guarded=True).parse_program()

@@ -12,7 +12,7 @@ from .ast import GuardedProgram, Program
 from .callgraph import CallGraph, build_call_graph
 from .cfg import FlowGraph, build_cfg
 from .datalock import ProtectionVerdict, infer_data_locks
-from .diagnostics import Diagnostics
+from .diagnostics import Diagnostics, gc_paused
 from .flowanalysis import FunctionFlowFacts, analyze_program_flow
 from .guardcheck import OwnershipError, check
 from .parser import parse
@@ -33,6 +33,7 @@ class AnalysisResult:
     diagnostics: Diagnostics = field(default_factory=Diagnostics)
 
 
+@gc_paused
 def analyze_program(source: str | Program, budget: int = 1000,
                     diags: Diagnostics | None = None) -> AnalysisResult:
     """Run the full analysis and assemble the lock summary."""
@@ -50,6 +51,7 @@ def analyze_program(source: str | Program, budget: int = 1000,
                           verdicts, diags)
 
 
+@gc_paused
 def run_pipeline(source: str | Program, budget: int = 1000,
                  diags: Diagnostics | None = None,
                  ) -> tuple[AnalysisResult, GuardedProgram, list[OwnershipError]]:

@@ -68,6 +68,7 @@ from .diagnostics import (
     SchemaError,
     SummaryMismatch,
     UnaliasableArgument,
+    gc_paused,
 )
 from .flowanalysis import alias
 from .summary import LockSummary, validate_against_program
@@ -411,6 +412,7 @@ class _Transformer:
         return e
 
 
+@gc_paused
 def transform(p: Program, s: LockSummary,
               diags: Diagnostics | None = None) -> GuardedProgram:
     """Apply the summary to the program. The summary must describe p."""

@@ -113,7 +113,22 @@ def test_parse_errors_exit_with_one(tmp_path, capsys):
     code = main(["analyze", str(bad)])
     captured = capsys.readouterr()
     assert code == 1
-    assert captured.err.startswith("%s:1: error:" % bad)
+    assert captured.err.startswith("%s:1:9: error:" % bad)
+
+
+def test_error_lines_carry_the_column(tmp_path, capsys):
+    bad = tmp_path / "x.mc"
+    bad.write_text("int n;\nvoid main() {\n    n = \u0663;\n}\n")
+    assert main(["full", str(bad)]) == 1
+    assert capsys.readouterr().err == (
+        "%s:3:9: error: unexpected character '\u0663'\n" % bad)
+
+
+def test_error_lines_without_a_column_keep_the_line_form(tmp_path, capsys):
+    bad = tmp_path / "dup.mc"
+    bad.write_text("int n;\nint n;\n")
+    assert main(["analyze", str(bad)]) == 1
+    assert capsys.readouterr().err == "%s:2: error: duplicate global 'n'\n" % bad
 
 
 def _parens(n):
@@ -159,7 +174,8 @@ def test_deep_nesting_exits_with_one(tmp_path, capsys, name):
         src.write_text(make(n))
         assert main(["full", str(src)]) == 1
         assert capsys.readouterr().err == (
-            "%s:%d: error: nested too deeply (the limit is 100 levels)\n" % (src, line))
+            "%s:%d:%d: error: nested too deeply (the limit is 100 levels)\n"
+            % (src, line, col))
         with pytest.raises(ParseError) as exc:
             parse(make(n))
         assert (exc.value.line, exc.value.col) == (line, col)
@@ -196,7 +212,7 @@ def test_a_first_operand_adds_its_levels_to_the_chain(tmp_path, capsys):
     src.write_text(_grouped_sums(1600))
     assert main(["full", str(src)]) == 1
     assert capsys.readouterr().err == (
-        "%s:3: error: nested too deeply (the limit is 100 levels)\n" % src)
+        "%s:3:288: error: nested too deeply (the limit is 100 levels)\n" % src)
     with pytest.raises(ParseError) as exc:
         parse(_grouped_sums(1600))
     assert (exc.value.line, exc.value.col) == (3, 288)  # the 22nd `+` of group 2
