@@ -19,15 +19,11 @@ from .diagnostics import (
     SummaryMismatch,
 )
 from .flowanalysis import (
-    EMPTY,
-    TOP,
     FunctionFlowFacts,
-    LockSet,
     alias,
     analyze_function,
     analyze_program_flow,
     analyze_scc,
-    locks,
 )
 from .guardcheck import OwnershipError, check
 from .parser import parse, parse_guarded
@@ -49,14 +45,12 @@ __all__ = [
     "AnalysisResult",
     "CallGraph",
     "Diagnostics",
-    "EMPTY",
     "FlowGraph",
     "FunctionFlowFacts",
     "FunctionFlowSummary",
     "GuardedProgram",
     "IterationBudgetExceeded",
     "LockPath",
-    "LockSet",
     "LockshiftError",
     "LockSummary",
     "OwnershipError",
@@ -65,7 +59,6 @@ __all__ = [
     "SchemaError",
     "SourceError",
     "SummaryMismatch",
-    "TOP",
     "access_multiset",
     "alias",
     "analyze_function",
@@ -76,7 +69,6 @@ __all__ = [
     "build_cfg",
     "build_summary",
     "check",
-    "locks",
     "parse",
     "parse_guarded",
     "path_of",

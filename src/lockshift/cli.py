@@ -113,6 +113,10 @@ def _emit(text: str, path: str | None) -> None:
         Path(path).write_text(text)
 
 
+def _texts(paths) -> list[str]:
+    return [p.text for p in sorted(paths)]
+
+
 def _flow_dump(result: AnalysisResult) -> str:
     out = {}
     for fn in result.program.functions:
@@ -122,16 +126,16 @@ def _flow_dump(result: AnalysisResult) -> str:
         for n in g.stmt_nodes:
             lines.setdefault(str(n.line), []).append({
                 "stmt": node_text(n),
-                "live_in": f.live_in[n].texts(),
-                "live_out": f.live_out[n].texts(),
-                "avail_in": f.avail_in[n].texts(),
-                "avail_out": f.avail_out[n].texts(),
+                "live_in": _texts(f.live_in[n]),
+                "live_out": _texts(f.live_out[n]),
+                "avail_in": _texts(f.avail_in[n]),
+                "avail_out": _texts(f.avail_out[n]),
             })
         out[fn.name] = {
-            "mels": f.mels.texts(),
-            "mrls": f.mrls.texts(),
-            "entry": {"live_in": f.live_in[g.entry].texts()},
-            "ret": {"avail_out": f.avail_out[g.ret].texts()},
+            "mels": _texts(f.mels),
+            "mrls": _texts(f.mrls),
+            "entry": {"live_in": _texts(f.live_in[g.entry])},
+            "ret": {"avail_out": _texts(f.avail_out[g.ret])},
             "lines": lines,
         }
     return json.dumps(out, indent=2, sort_keys=True) + "\n"

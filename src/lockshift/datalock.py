@@ -16,7 +16,7 @@ from .ast import INIT_FN, LockPath, Program, Var, data_accesses, function_calls
 from .callgraph import CallGraph, thread_entries
 from .cfg import FlowGraph
 from .diagnostics import Diagnostics
-from .flowanalysis import FunctionFlowFacts, LockSet
+from .flowanalysis import FunctionFlowFacts
 from .propagation import FunctionFlowSummary
 
 
@@ -36,7 +36,7 @@ class FieldTarget:
 class AccessRecord:
     function: str
     line: int
-    held: LockSet
+    held: frozenset[LockPath]
     target: GlobalTarget | FieldTarget
     kind: str  # "read" or "write"
 
@@ -59,7 +59,7 @@ def collect_accesses(program: Program, flow: dict[str, FunctionFlowFacts],
         avail_in = flow[fn.name].avail_in
         pls = summaries[fn.name].pls
         for node in g.stmt_nodes:
-            held = avail_in[node].union(pls)
+            held = avail_in[node] | pls
             for kind, e, datum in data_accesses(node):
                 if isinstance(e, Var):
                     target = GlobalTarget(e.name)

@@ -9,9 +9,10 @@ Two dataflow passes per function over its flow graph:
 
 Calls use callee summaries through parameter substitution (alias). Mutually
 recursive functions are solved to a joint fixpoint with MELS seeded empty and
-MRLS seeded Top; Top never escapes a converged summary. Each sweep visits the
-members in a fixed order but re-solves only members whose SCC callees changed
-since their last solve; the iteration budget still counts sweeps.
+MRLS seeded Top; Top never escapes: every set in returned facts is a finite
+frozenset of lock paths. Each sweep visits the members in a fixed order but
+re-solves only members whose SCC callees changed since their last solve; the
+iteration budget still counts sweeps.
 """
 from __future__ import annotations
 
@@ -35,68 +36,37 @@ from .cfg import FlowGraph, Node, solve
 from .diagnostics import Diagnostics, IterationBudgetExceeded, UnaliasableArgument
 
 
-@dataclass(frozen=True)
-class LockSet:
-    """An immutable set of lock paths, or Top (the set of all paths)."""
+# A lock set is a frozenset of lock paths. Top, the set of all paths, is None;
+# it seeds the avail pass, the SCC sweep's MRLS and propagate's ELS, and these
+# three operators are the only ones that have to handle it.
 
-    paths: frozenset[LockPath] | None = frozenset()  # None encodes Top
-
-    @property
-    def is_top(self) -> bool:
-        return self.paths is None
-
-    def union(self, other: "LockSet") -> "LockSet":
-        if self.is_top or other.is_top:
-            return TOP
-        return LockSet(self.paths | other.paths)
-
-    def intersect(self, other: "LockSet") -> "LockSet":
-        if self.is_top:
-            return other
-        if other.is_top:
-            return self
-        return LockSet(self.paths & other.paths)
-
-    def minus(self, other: "LockSet") -> "LockSet":
-        if other.is_top:
-            return EMPTY
-        if self.is_top:
-            return TOP
-        return LockSet(self.paths - other.paths)
-
-    def __contains__(self, path: LockPath) -> bool:
-        return self.is_top or path in self.paths
-
-    def __iter__(self):
-        if self.is_top:
-            raise ValueError("cannot enumerate Top")
-        return iter(sorted(self.paths))
-
-    def __len__(self) -> int:
-        if self.is_top:
-            raise ValueError("Top has no size")
-        return len(self.paths)
-
-    def texts(self) -> list[str]:
-        return [p.text for p in self]
-
-    def __repr__(self) -> str:
-        if self.is_top:
-            return "LockSet(TOP)"
-        return "LockSet({%s})" % ", ".join(self.texts())
+def join(a: frozenset[LockPath] | None,
+         b: frozenset[LockPath] | None) -> frozenset[LockPath] | None:
+    """Union; Top absorbs."""
+    if a is None or b is None:
+        return None
+    return a | b
 
 
-TOP = LockSet(None)
-EMPTY = LockSet(frozenset())
+def meet(a: frozenset[LockPath] | None,
+         b: frozenset[LockPath] | None) -> frozenset[LockPath] | None:
+    """Intersection; Top is the identity."""
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return a & b
 
 
-def locks(*texts: str) -> LockSet:
-    """Finite LockSet from dotted path texts (test/CLI convenience)."""
-    return LockSet(frozenset(LockPath(tuple(t.split("."))) for t in texts))
-
-
-def lockset(paths) -> LockSet:
-    return LockSet(frozenset(paths))
+def minus(a: frozenset[LockPath] | None,
+          b: frozenset[LockPath] | None) -> frozenset[LockPath] | None:
+    """Difference; removing Top leaves nothing, and Top minus a finite set
+    is still Top."""
+    if b is None:
+        return frozenset()
+    if a is None:
+        return None
+    return a - b
 
 
 def alias(path: LockPath, params: tuple[str, ...] | list[str], args: list[Expr]) -> LockPath:
@@ -119,28 +89,32 @@ def alias(path: LockPath, params: tuple[str, ...] | list[str], args: list[Expr])
     return path
 
 
-def alias_set(paths: LockSet, params, args, diags: Diagnostics | None = None,
-              function: str | None = None, line: int | None = None) -> LockSet:
+def alias_set(paths: frozenset[LockPath] | None, params, args,
+              diags: Diagnostics | None = None, function: str | None = None,
+              line: int | None = None) -> frozenset[LockPath] | None:
     """Elementwise alias; paths whose argument is not a place are dropped with
-    a warning."""
-    if paths.is_top:
-        return TOP
+    a warning, in path order."""
+    if paths is None:
+        return None
     out = set()
-    for p in paths:
+    for p in sorted(paths):
         try:
             out.add(alias(p, params, args))
         except UnaliasableArgument as exc:
             if diags is not None:
                 diags.warn(str(exc), function=function, line=line)
-    return lockset(out)
+    return frozenset(out)
 
 
 @dataclass
 class GenKill:
-    gen_l: LockSet = EMPTY
-    kill_l: LockSet = EMPTY
-    gen_a: LockSet = EMPTY
-    kill_a: LockSet = EMPTY
+    """gen_l and kill_a come from callee MELS and are always finite; kill_l
+    and gen_a come from callee MRLS, which is Top inside an SCC sweep."""
+
+    gen_l: frozenset[LockPath] = frozenset()
+    kill_l: frozenset[LockPath] | None = frozenset()
+    gen_a: frozenset[LockPath] | None = frozenset()
+    kill_a: frozenset[LockPath] = frozenset()
 
 
 @dataclass
@@ -149,22 +123,22 @@ class FunctionFlowFacts:
 
     name: str
     params: tuple[str, ...]
-    mels: LockSet = EMPTY
-    mrls: LockSet = EMPTY
-    live_in: dict[Node, LockSet] = field(default_factory=dict)
-    live_out: dict[Node, LockSet] = field(default_factory=dict)
-    avail_in: dict[Node, LockSet] = field(default_factory=dict)
-    avail_out: dict[Node, LockSet] = field(default_factory=dict)
+    mels: frozenset[LockPath] = frozenset()
+    mrls: frozenset[LockPath] | None = frozenset()  # Top only inside analyze_scc
+    live_in: dict[Node, frozenset[LockPath]] = field(default_factory=dict)
+    live_out: dict[Node, frozenset[LockPath]] = field(default_factory=dict)
+    avail_in: dict[Node, frozenset[LockPath]] = field(default_factory=dict)
+    avail_out: dict[Node, frozenset[LockPath]] = field(default_factory=dict)
     scc_iterations: int = 0
 
 
 def _call_effect(call: Call, callee_facts: Mapping[str, FunctionFlowFacts],
                  diags, fn_name, line) -> GenKill | None:
     if call.name == UNLOCK_FN:
-        p = lockset([call.lock])
+        p = frozenset((call.lock,))
         return GenKill(gen_l=p, kill_a=p)
     if call.name == LOCK_FN:
-        p = lockset([call.lock])
+        p = frozenset((call.lock,))
         return GenKill(kill_l=p, gen_a=p)
     facts = callee_facts.get(call.name)
     if facts is None:
@@ -190,14 +164,13 @@ def transfer_gen_kill(s: Stmt, callee_facts: Mapping[str, FunctionFlowFacts],
         return effects[0]
     # Sequential composition. Backward: a gen survives only the kills of
     # earlier effects; forward: a gen survives only the kills of later ones.
-    gen_l, kill_l = EMPTY, EMPTY
+    gen_l = kill_l = gen_a = kill_a = frozenset()
     for gk in effects:
-        gen_l = gen_l.union(gk.gen_l.minus(kill_l))
-        kill_l = kill_l.union(gk.kill_l)
-    gen_a, kill_a = EMPTY, EMPTY
+        gen_l = gen_l | minus(gk.gen_l, kill_l)
+        kill_l = join(kill_l, gk.kill_l)
     for gk in effects:
-        gen_a = gen_a.minus(gk.kill_a).union(gk.gen_a)
-        kill_a = kill_a.union(gk.kill_a)
+        gen_a = join(minus(gen_a, gk.kill_a), gk.gen_a)
+        kill_a = kill_a | gk.kill_a
     return GenKill(gen_l=gen_l, kill_l=kill_l, gen_a=gen_a, kill_a=kill_a)
 
 
@@ -215,14 +188,14 @@ def analyze_function(fn: FunctionDef, g: FlowGraph,
     facts = FunctionFlowFacts(fn.name, tuple(fn.param_names))
 
     # Backward may pass, least fixpoint from the empty set.
-    live_in = {n: EMPTY for n in g.nodes}
-    live_out = {n: EMPTY for n in g.nodes}
+    live_in = dict.fromkeys(g.nodes, frozenset())
+    live_out = dict.fromkeys(g.nodes, frozenset())
 
     def live_step(n: Node):
-        out = EMPTY
+        out = frozenset()
         for s in g.succ[n]:
-            out = out.union(live_in[s])
-        new_in = out.minus(gk[n].kill_l).union(gk[n].gen_l)
+            out = out | live_in[s]
+        new_in = minus(out, gk[n].kill_l) | gk[n].gen_l
         live_out[n] = out
         if new_in == live_in[n]:
             return ()
@@ -232,17 +205,18 @@ def analyze_function(fn: FunctionDef, g: FlowGraph,
     solve(reversed(g.nodes), live_step)
     facts.mels = live_in[g.entry]
 
-    # Forward must pass, greatest fixpoint from Top, entry seeded with MELS.
-    avail_in = {n: TOP for n in g.nodes}
-    avail_out = {n: TOP for n in g.nodes}
+    # Forward must pass, greatest fixpoint from Top (None), entry seeded with
+    # MELS.
+    avail_in = dict.fromkeys(g.nodes)
+    avail_out = dict.fromkeys(g.nodes)
     avail_in[g.entry] = facts.mels
     avail_out[g.entry] = facts.mels
 
     def avail_step(n: Node):
-        inn = TOP
+        inn = None
         for p in g.pred[n]:
-            inn = inn.intersect(avail_out[p])
-        new_out = inn.minus(gk[n].kill_a).union(gk[n].gen_a)
+            inn = meet(inn, avail_out[p])
+        new_out = join(minus(inn, gk[n].kill_a), gk[n].gen_a)
         avail_in[n] = inn
         if new_out == avail_out[n]:
             return ()
@@ -279,7 +253,7 @@ def analyze_scc(fns: list[FunctionDef], graphs: dict[str, FlowGraph],
     """
     current: dict[str, FunctionFlowFacts] = {}
     for fn in fns:
-        seed = FunctionFlowFacts(fn.name, tuple(fn.param_names), mels=EMPTY, mrls=TOP)
+        seed = FunctionFlowFacts(fn.name, tuple(fn.param_names), mrls=None)
         current[fn.name] = seed
     env = ChainMap(current, outer_facts)
     callers: dict[str, list[str]] = {fn.name: [] for fn in fns}
@@ -312,10 +286,10 @@ def analyze_scc(fns: list[FunctionDef], graphs: dict[str, FlowGraph],
             # never completes a call, so no caller can observe locks from it;
             # pin the return set to empty and re-solve so the per-node sets
             # and the other members see the finite value.
-            stuck = [name for name, f in current.items() if f.mrls.is_top]
+            stuck = [name for name, f in current.items() if f.mrls is None]
             if stuck:
                 for name in stuck:
-                    current[name].mrls = EMPTY
+                    current[name].mrls = frozenset()
                     dirty.add(name)
                     dirty.update(callers[name])
                     if name not in clamped:

@@ -7,6 +7,10 @@ from dataclasses import dataclass
 from .ast import KEYWORDS
 from .diagnostics import ParseError
 
+# Identifiers, keywords included; lock paths in a summary are checked
+# against it too.
+IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
+
 # One match per token: leading blanks, then exactly one alternative. `bad`
 # takes any other character except a blank. Lines are matched with their
 # trailing blanks stripped, so every blank run is followed by a token and no
@@ -16,13 +20,13 @@ _TOKEN_RE = re.compile(
     r"""
     [ \t\r]*
     (?:
-        (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+        (?P<ident>%s)
       | (?P<punct>->|==|!=|<=|[{}()\[\];,.&*+\-<>=])
       | (?P<int>[0-9]+)
       | (?P<comment>//.*)
       | (?P<bad>[^ \t\r])
     )
-    """,
+    """ % IDENT,
     re.VERBOSE,
 )
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from .ast import Expr, LockPath, Program, place_path, stmt_calls
 from .cfg import FlowGraph, solve
 from .diagnostics import Diagnostics
-from .flowanalysis import EMPTY, TOP, FunctionFlowFacts, LockSet, lockset
+from .flowanalysis import FunctionFlowFacts, join, meet
 
 
 @dataclass
@@ -23,7 +23,7 @@ class CallSiteFact:
 
     caller: str
     callee: str
-    available: LockSet
+    available: frozenset[LockPath]
     args: list[Expr]
     line: int
 
@@ -33,11 +33,11 @@ class FunctionFlowSummary:
     """Final per-function lock facts after propagation."""
 
     name: str
-    mels: LockSet = EMPTY
-    mrls: LockSet = EMPTY
-    els: LockSet = EMPTY
-    pls: LockSet = EMPTY
-    rls: LockSet = EMPTY
+    mels: frozenset[LockPath] = frozenset()
+    mrls: frozenset[LockPath] = frozenset()
+    els: frozenset[LockPath] = frozenset()
+    pls: frozenset[LockPath] = frozenset()
+    rls: frozenset[LockPath] = frozenset()
     lock_line: dict[LockPath, list[int]] = field(default_factory=dict)
     scc_iterations: int = 0
 
@@ -76,15 +76,16 @@ def unalias(path: LockPath, args: list[Expr], params) -> tuple[LockPath, bool]:
     return path, False
 
 
-def unalias_set(paths: LockSet, args, params, caller_params: set[str],
-                diags: Diagnostics | None = None, caller: str | None = None,
-                callee: str | None = None, line: int | None = None) -> LockSet:
+def unalias_set(paths: frozenset[LockPath] | None, args, params,
+                caller_params: set[str], diags: Diagnostics | None = None,
+                caller: str | None = None, callee: str | None = None,
+                line: int | None = None) -> frozenset[LockPath] | None:
     """Elementwise unalias. Paths rooted at a caller local with no parameter
-    image cannot be named in the callee and are dropped."""
-    if paths.is_top:
-        return TOP
+    image cannot be named in the callee and are dropped, in path order."""
+    if paths is None:
+        return None
     kept = set()
-    for p in paths:
+    for p in sorted(paths):
         q, matched = unalias(p, args, params)
         if not matched and p.root in caller_params:
             if diags is not None:
@@ -94,7 +95,7 @@ def unalias_set(paths: LockSet, args, params, caller_params: set[str],
                     function=caller, line=line)
             continue
         kept.add(q)
-    return lockset(kept)
+    return frozenset(kept)
 
 
 def propagate(program: Program, flow: dict[str, FunctionFlowFacts],
@@ -104,9 +105,9 @@ def propagate(program: Program, flow: dict[str, FunctionFlowFacts],
     """Solve ELS for every function and assemble the final summaries.
 
     Caller-less functions start at ELS = MELS; everything else starts at Top
-    and shrinks monotonically as callers settle. Functions reachable only
-    from call cycles with no root keep Top forever; they are clamped to their
-    own MELS with a diagnostic.
+    (None) and shrinks monotonically as callers settle. Functions reachable
+    only from call cycles with no root keep Top forever; they are clamped to
+    their own MELS with a diagnostic.
     """
     by_callee: dict[str, list[CallSiteFact]] = defaultdict(list)
     callees_of: dict[str, list[str]] = defaultdict(list)
@@ -116,18 +117,18 @@ def propagate(program: Program, flow: dict[str, FunctionFlowFacts],
             callees_of[fact.caller].append(fact.callee)
     params_of = {f.name: tuple(f.param_names) for f in program.functions}
 
-    els: dict[str, LockSet] = {}
+    els: dict[str, frozenset[LockPath] | None] = {}
     for fn in program.functions:
-        els[fn.name] = TOP if by_callee.get(fn.name) else flow[fn.name].mels
+        els[fn.name] = None if by_callee.get(fn.name) else flow[fn.name].mels
 
-    def prop_into(callee: str, report: Diagnostics | None) -> LockSet:
-        result = TOP
+    def prop_into(callee: str, report: Diagnostics | None) -> frozenset[LockPath] | None:
+        result = None
         for s in by_callee[callee]:
-            held = s.available.union(els[s.caller])
+            held = join(s.available, els[s.caller])
             renamed = unalias_set(held, s.args, params_of[callee],
                                   set(params_of[s.caller]), report,
                                   s.caller, callee, s.line)
-            result = result.intersect(renamed)
+            result = meet(result, renamed)
         return result
 
     def els_step(name: str):
@@ -142,22 +143,22 @@ def propagate(program: Program, flow: dict[str, FunctionFlowFacts],
     # Report drops once, after convergence.
     if diags is not None:
         for name in params_of:
-            if by_callee.get(name) and not els[name].is_top:
+            if by_callee.get(name) and els[name] is not None:
                 prop_into(name, diags)
 
     summaries: dict[str, FunctionFlowSummary] = {}
     for fn in program.functions:
         facts = flow[fn.name]
         entry = els[fn.name]
-        if entry.is_top:
+        if entry is None:
             entry = facts.mels
             if diags is not None:
                 diags.warn(
                     "entry lock set of %s is unconstrained (callers form a "
                     "dead cycle); using its own released set" % fn.name,
                     function=fn.name)
-        pls = entry.minus(facts.mels)
-        rls = facts.mrls.union(pls)
+        pls = entry - facts.mels
+        rls = facts.mrls | pls
         summaries[fn.name] = FunctionFlowSummary(
             fn.name, mels=facts.mels, mrls=facts.mrls, els=entry, pls=pls,
             rls=rls, lock_line=_lock_lines(graphs[fn.name], facts, pls),
@@ -166,10 +167,9 @@ def propagate(program: Program, flow: dict[str, FunctionFlowFacts],
 
 
 def _lock_lines(g: FlowGraph, facts: FunctionFlowFacts,
-                pls: LockSet) -> dict[LockPath, list[int]]:
+                pls: frozenset[LockPath]) -> dict[LockPath, list[int]]:
     lines: dict[LockPath, set[int]] = defaultdict(set)
     for node in g.stmt_nodes:
-        held = facts.avail_in[node].union(pls)
-        for p in held:
+        for p in facts.avail_in[node] | pls:
             lines[p].add(node.line)
     return {p: sorted(ls) for p, ls in sorted(lines.items())}

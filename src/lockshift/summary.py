@@ -9,10 +9,12 @@ files and round-trips are byte-stable.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 
-from .ast import Program, path_of
+from .ast import KEYWORDS, Program, path_of
 from .diagnostics import SchemaError
+from .lexer import IDENT
 from .propagation import FunctionFlowSummary
 
 
@@ -143,15 +145,24 @@ def read_summary(text: str) -> LockSummary:
     return LockSummary(global_map, struct_map, function_map)
 
 
+def _is_name(segment: str) -> bool:
+    return re.fullmatch(IDENT, segment) is not None and segment not in KEYWORDS
+
+
 def validate_against_program(s: LockSummary, p: Program) -> None:
     """Check every name in the summary against the program."""
-    global_names = {g.name for g in p.globals}
+    global_types = {g.name: g.ty for g in p.globals}
     lock_names = {g.name for g in p.globals if g.ty.kind == "mutex" and g.ty.ptr == 0}
     for datum, lock in s.global_lock_map.items():
-        _expect(datum in global_names, "unknown global %r" % datum,
-                "$.global_lock_map.%s" % datum)
-        _expect(lock in lock_names, "unknown lock %r" % lock,
-                "$.global_lock_map.%s" % datum)
+        gpath = "$.global_lock_map.%s" % datum
+        _expect(datum in global_types, "unknown global %r" % datum, gpath)
+        ty = global_types[datum]
+        # The analysis never protects these; moved into a lock's payload they
+        # give guarded code that does not check.
+        _expect(ty.ptr > 0 or ty.kind not in ("mutex", "struct"),
+                "global %r is a %s held by value, which no lock protects"
+                % (datum, ty.kind), gpath)
+        _expect(lock in lock_names, "unknown lock %r" % lock, gpath)
     for sname, fields in s.struct_lock_map.items():
         spath = "$.struct_lock_map.%s" % sname
         sd = p.struct(sname)
@@ -172,7 +183,11 @@ def validate_against_program(s: LockSummary, p: Program) -> None:
                              ("return_lock", fs.return_lock),
                              ("lock_line", list(fs.lock_line))):
             for text in paths:
+                where = "%s.%s" % (fpath, which)
+                _expect(all(_is_name(seg) for seg in text.split(".")),
+                        "lock path %r is not a dotted list of identifiers" % text,
+                        where)
                 root = path_of(text).root
-                _expect(root in params or root in global_names,
+                _expect(root in params or root in global_types,
                         "lock path %r names no global or parameter of %s"
-                        % (text, fname), "%s.%s" % (fpath, which))
+                        % (text, fname), where)

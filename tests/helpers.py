@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 from pathlib import Path
 
+from lockshift.ast import LockPath, path_of
+
 FIXTURES = Path(__file__).parent / "fixtures"
 CORPUS = FIXTURES / "corpus"
 
@@ -15,6 +17,11 @@ def fixture_text(name: str) -> str:
 
 def corpus_paths() -> list[Path]:
     return sorted(CORPUS.glob("*.mc"))
+
+
+def locks(*texts: str) -> frozenset[LockPath]:
+    """Lock set from dotted path texts."""
+    return frozenset(path_of(t) for t in texts)
 
 
 # Hand-checked entry/return lock sets. Each case is

@@ -69,6 +69,61 @@ def test_a_summary_for_some_other_program_fails_cleanly(tmp_path, capsys):
     assert "$.global_lock_map.ghost" in captured.err
 
 
+SUMMARY_TARGET = """\
+struct s { int a; mutex_t k; };
+struct s x;
+struct s *px;
+int n;
+mutex_t m;
+mutex_t m2;
+void g() {
+    n = n + 1;
+    x.a = 1;
+}
+void main() {
+    g();
+}
+"""
+
+
+def transform_with(tmp_path, summary: str):
+    src = tmp_path / "p.mc"
+    src.write_text(SUMMARY_TARGET)
+    (tmp_path / "s.json").write_text(summary)
+    out = tmp_path / "out.gmc"
+    code = main(["transform", str(src), "--use-summary", str(tmp_path / "s.json"),
+                 "-o", str(out)])
+    return code, out
+
+
+# Printed as-is, each of these gives guarded code that `check` cannot parse
+# or type, e.g. `guard<m..x>`, or `m.get_mut().x.a` for a struct moved into
+# a payload.
+@pytest.mark.parametrize("summary, path", [
+    ('{"function_map": {"g": {"entry_lock": ["m..x"]}}}', "$.function_map.g.entry_lock"),
+    ('{"function_map": {"g": {"entry_lock": ["m."]}}}', "$.function_map.g.entry_lock"),
+    ('{"function_map": {"g": {"return_lock": ["x.int"]}}}',
+     "$.function_map.g.return_lock"),
+    ('{"function_map": {"g": {"lock_line": {"x.k-1": [8]}}}}',
+     "$.function_map.g.lock_line"),
+    ('{"global_lock_map": {"x": "m"}}', "$.global_lock_map.x"),
+    ('{"global_lock_map": {"m2": "m"}}', "$.global_lock_map.m2"),
+])
+def test_a_summary_with_unprintable_locks_fails_cleanly(tmp_path, capsys, summary, path):
+    code, out = transform_with(tmp_path, summary)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert ": error: %s: " % path in captured.err
+    assert not out.exists()
+
+
+def test_a_summary_protecting_ints_and_pointers_is_accepted(tmp_path, capsys):
+    code, out = transform_with(tmp_path, '{"global_lock_map": {"n": "m", "px": "m"}}')
+    assert code == 0
+    assert "m.get_mut().n" in out.read_text()
+    assert main(["check", str(out)]) == 0
+
+
 def test_check_accepts_the_golden_output(capsys):
     code = main(["check", str(FIXTURES / "listing1.gmc")])
     assert code == 0

@@ -8,11 +8,10 @@ from lockshift.datalock import (
     candidate_lock,
     collect_accesses,
 )
-from lockshift.flowanalysis import locks
 from lockshift.parser import parse, parse_guarded
 from lockshift.pipeline import analyze_program
 
-from helpers import CORPUS, fixture_text
+from helpers import CORPUS, fixture_text, locks
 
 
 def records_for(source):

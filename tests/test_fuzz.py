@@ -1,0 +1,91 @@
+"""Seeded token-level fuzzing of both front ends.
+
+Every fixture and corpus program, and the guarded text the pipeline prints
+for it, is mutated a few tokens at a time: deletions, duplications and swaps.
+Whatever a mutant is, the pipeline and the checker may reject it only with a
+LockshiftError, never with any other exception.
+"""
+from __future__ import annotations
+
+import random
+
+from lockshift.diagnostics import LockshiftError
+from lockshift.guardcheck import check
+from lockshift.lexer import tokenize
+from lockshift.parser import parse_guarded
+from lockshift.pipeline import run_pipeline
+from lockshift.printer import print_guarded
+
+from helpers import FIXTURES
+
+SEED = 20231
+MUTANTS_PER_SOURCE = 20
+BUDGET = 64
+
+
+def token_texts(source: str) -> list[tuple[int, str]]:
+    return [(t.line, t.value) for t in tokenize(source) if t.kind != "eof"]
+
+
+def mutate(tokens: list[tuple[int, str]], rng: random.Random) -> str:
+    """Apply 1-3 random deletions, duplications or swaps; a token keeps its
+    line, and a new line starts wherever the line number changes."""
+    tokens = list(tokens)
+    for _ in range(rng.randint(1, 3)):
+        if not tokens:
+            break
+        i = rng.randrange(len(tokens))
+        op = rng.choice(("delete", "duplicate", "swap"))
+        if op == "delete":
+            del tokens[i]
+        elif op == "duplicate":
+            tokens.insert(i, tokens[i])
+        else:
+            j = rng.randrange(len(tokens))
+            tokens[i], tokens[j] = tokens[j], tokens[i]
+    out, prev = [], None
+    for line, text in tokens:
+        out.append(text if prev is None else ("\n" if line != prev else " ") + text)
+        prev = line
+    return "".join(out) + "\n"
+
+
+def analyze_and_check(source: str) -> None:
+    run_pipeline(source, BUDGET)
+
+
+def parse_and_check(source: str) -> None:
+    check(parse_guarded(source))
+
+
+def sources() -> tuple[list[str], list[str]]:
+    plain = [p.read_text() for p in sorted(FIXTURES.glob("**/*.mc"))]
+    guarded = [p.read_text() for p in sorted(FIXTURES.glob("**/*.gmc"))]
+    for source in plain:
+        try:
+            guarded.append(print_guarded(run_pipeline(source, BUDGET)[1]))
+        except LockshiftError:
+            pass
+    return plain, guarded
+
+
+def test_mutants_fail_only_with_lockshift_errors():
+    rng = random.Random(SEED)
+    plain, guarded = sources()
+    escapes = []
+    tried = 0
+    for run, corpus in ((analyze_and_check, plain), (parse_and_check, guarded)):
+        for source in corpus:
+            tokens = token_texts(source)
+            for _ in range(MUTANTS_PER_SOURCE):
+                mutant = mutate(tokens, rng)
+                tried += 1
+                try:
+                    run(mutant)
+                except LockshiftError:
+                    pass
+                except Exception as exc:  # noqa: BLE001 - any other escape is the bug
+                    escapes.append("%s: %s: %s\n%s"
+                                   % (run.__name__, type(exc).__name__, exc, mutant))
+    assert tried >= 1500
+    assert not escapes, "%d escapes, first:\n%s" % (len(escapes), escapes[0])

@@ -1,6 +1,7 @@
 """No dead code in the library: every import is used and sits at module
 level, and every function, class and method is referenced from somewhere
-else in src/ or bench/, or is part of the public API (lockshift.__all__)."""
+else in src/ or bench/, or is part of the public API (lockshift.__all__).
+That list names only bound names, and every name __init__ imports."""
 from __future__ import annotations
 
 import ast
@@ -92,3 +93,14 @@ def test_every_definition_is_referenced_elsewhere():
             if all(where == path and line in inside for where, line in uses):
                 dead.append("%s:%d: %s" % (path.name, node.lineno, name))
     assert not dead, "referenced nowhere else:\n" + "\n".join(dead)
+
+
+def test_the_public_api_list_matches_the_package():
+    unbound = [name for name in lockshift.__all__ if not hasattr(lockshift, name)]
+    assert not unbound, "in __all__ but not bound: %s" % unbound
+    imported = {alias.asname or alias.name
+                for stmt in _tree(PACKAGE / "__init__.py").body
+                if isinstance(stmt, ast.ImportFrom) and stmt.module != "__future__"
+                for alias in stmt.names}
+    unlisted = sorted(imported - set(lockshift.__all__))
+    assert not unlisted, "imported by __init__ but not in __all__: %s" % unlisted

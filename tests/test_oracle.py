@@ -185,8 +185,8 @@ def assert_oracle_matches(source: str) -> int:
     assert paths, "no entry-to-ret path"
 
     entry_live = oracle_entry_live(paths)
-    assert set(facts.mels.texts()) == entry_live
-    assert set(facts.mrls.texts()) == oracle_ret_avail(paths, entry_live)
+    assert {p.text for p in facts.mels} == entry_live
+    assert {p.text for p in facts.mrls} == oracle_ret_avail(paths, entry_live)
 
     for node in g.nodes:
         live_union: set[str] = set()
@@ -199,9 +199,9 @@ def assert_oracle_matches(source: str) -> int:
             before = replay(path, entry_live, upto=node, inclusive=False)
             avail_meet = before if avail_meet is None else (avail_meet & before)
         assert avail_meet is not None, "node on no path"
-        assert set(facts.live_in[node].texts()) == live_union
+        assert {p.text for p in facts.live_in[node]} == live_union
         if node is not g.entry:
-            assert set(facts.avail_in[node].texts()) == avail_meet
+            assert {p.text for p in facts.avail_in[node]} == avail_meet
     return len(g.nodes)
 
 

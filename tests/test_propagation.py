@@ -1,10 +1,9 @@
 """Entry-lock propagation from callers to callees and the held-line map."""
 from __future__ import annotations
 
-from lockshift.flowanalysis import EMPTY, locks
 from lockshift.pipeline import analyze_program
 
-from helpers import CALLER_PROVIDES, fixture_text
+from helpers import CALLER_PROVIDES, fixture_text, locks
 
 
 def summaries_of(source: str):
@@ -13,7 +12,7 @@ def summaries_of(source: str):
 
 def test_caller_provides_entry_set():
     s = summaries_of(CALLER_PROVIDES)["inc"]
-    assert s.mels == EMPTY and s.mrls == EMPTY
+    assert s.mels == frozenset() and s.mrls == frozenset()
     assert s.els == locks("m")
     assert s.pls == locks("m")
     assert s.rls == locks("m")
@@ -21,8 +20,8 @@ def test_caller_provides_entry_set():
 
 def test_root_functions_keep_their_own_entry_set():
     s = summaries_of(CALLER_PROVIDES)
-    assert s["safe_inc"].els == EMPTY
-    assert s["main"].els == EMPTY
+    assert s["safe_inc"].els == frozenset()
+    assert s["main"].els == frozenset()
 
 
 def test_multiple_callers_intersect():
@@ -49,7 +48,7 @@ def test_propagation_renames_through_pointer_arguments():
     """
     s = summaries_of(source)
     assert s["touch"].els == locks("a.m")
-    assert s["run"].els == EMPTY
+    assert s["run"].els == frozenset()
 
 
 def test_transitive_propagation_through_middle_function():
@@ -74,7 +73,7 @@ def test_unmatched_param_rooted_lock_is_dropped_with_diagnostic():
     }
     """
     result = analyze_program(source)
-    assert result.summaries["helper"].els == EMPTY
+    assert result.summaries["helper"].els == frozenset()
     drops = [d for d in result.diagnostics if "no parameter image" in d.message]
     assert len(drops) == 1
     assert drops[0].function == "run"
@@ -94,7 +93,7 @@ def test_dead_cycle_is_clamped_to_own_released_set():
     """
     result = analyze_program(source)
     assert result.summaries["a"].els == locks("m")
-    assert result.summaries["a"].pls == EMPTY
+    assert result.summaries["a"].pls == frozenset()
     clamped = [d for d in result.diagnostics if "dead cycle" in d.message]
     assert {d.function for d in clamped} == {"a", "b"}
 
@@ -127,4 +126,4 @@ def test_entry_minus_released_equals_return_minus_surely_held():
     for src in (CALLER_PROVIDES, fixture_text("corpus/multi_caller.mc"),
                 fixture_text("listing1.mc")):
         for s in summaries_of(src).values():
-            assert s.els.minus(s.mels) == s.rls.minus(s.mrls) == s.pls
+            assert s.els - s.mels == s.rls - s.mrls == s.pls

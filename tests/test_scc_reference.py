@@ -21,7 +21,7 @@ import pytest
 
 from lockshift import flowanalysis
 from lockshift.diagnostics import Diagnostics, IterationBudgetExceeded, LockshiftError
-from lockshift.flowanalysis import EMPTY, TOP, FunctionFlowFacts, analyze_function
+from lockshift.flowanalysis import FunctionFlowFacts, analyze_function
 from lockshift.pipeline import run_pipeline
 from lockshift.printer import print_guarded
 from lockshift.summary import write_summary
@@ -46,7 +46,7 @@ def reference_analyze_scc(fns, graphs, outer_facts, budget=1000, diags=None,
     """
     current = {}
     for fn in fns:
-        seed = FunctionFlowFacts(fn.name, tuple(fn.param_names), mels=EMPTY, mrls=TOP)
+        seed = FunctionFlowFacts(fn.name, tuple(fn.param_names), mrls=None)
         current[fn.name] = seed
     clamped = set()
     for iteration in range(1, budget + 1):
@@ -63,10 +63,10 @@ def reference_analyze_scc(fns, graphs, outer_facts, budget=1000, diags=None,
             if trace is not None:
                 trace.append((iteration, fn.name, new.mels, new.mrls))
         if not changed:
-            stuck = [name for name, f in current.items() if f.mrls.is_top]
+            stuck = [name for name, f in current.items() if f.mrls is None]
             if stuck:
                 for name in stuck:
-                    current[name].mrls = EMPTY
+                    current[name].mrls = frozenset()
                     if name not in clamped:
                         clamped.add(name)
                         if diags is not None:
@@ -235,9 +235,9 @@ def test_matches_reference_on_random_sccs(monkeypatch):
         seen.add("members=%d" % gen.members)
         if max(iterations for _, _, iterations, _ in members) > 2:
             seen.add("3+ sweeps")
-        if any(mels != EMPTY for mels, _, _, _ in members):
+        if any(mels for mels, _, _, _ in members):
             seen.add("entry locks")
-        if any(mrls != EMPTY for _, mrls, _, _ in members):
+        if any(mrls for _, mrls, _, _ in members):
             seen.add("return locks")
         text = " ".join(got["diags"])
         if "no terminating path" in text:
