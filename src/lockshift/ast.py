@@ -47,6 +47,11 @@ class LockPath:
     def child(self, segment: str) -> "LockPath":
         return LockPath(self.segments + (segment,))
 
+    def sibling(self, name: str) -> "LockPath":
+        """The path beside this one: n -> name, x.n -> x.name. A datum's
+        lock is its sibling."""
+        return LockPath(self.segments[:-1] + (name,))
+
     def __str__(self) -> str:
         return self.text
 
@@ -72,8 +77,16 @@ class Type:
         return Type(self.kind, self.name, self.path, self.ptr - 1)
 
     def is_mutex(self) -> bool:
+        """Whether a declaration of this type is a lock."""
         return self.kind in ("mutex", "lock") and self.ptr == 0
 
+
+def holds_data(ty: Type | None) -> bool:
+    """Whether a declaration of this type is data a lock can protect: not a
+    mutex or lock at any pointer depth, not a thread handle, and not a
+    struct held by value."""
+    return (ty is not None and ty.kind not in ("mutex", "lock", "thread")
+            and (ty.kind != "struct" or ty.ptr > 0))
 
 
 # ---------------------------------------------------------------------------
@@ -462,24 +475,28 @@ def data_accesses(s: Stmt) -> list[tuple[str, Expr, LockPath]]:
     return out
 
 
-def _holds_data(ty: Type | None) -> bool:
-    return ty is not None and ty.kind not in ("mutex", "lock")
+def datum_of(e: Var | FieldAccess) -> LockPath | None:
+    """The dotted path of the global or struct field e names, or None when
+    e names no data a lock can protect."""
+    if not holds_data(e.ty):
+        return None
+    if isinstance(e, Var):
+        return LockPath((e.name,)) if e.kind == "global" else None
+    base = place_path(e.base) if e.owner is not None else None
+    return base.child(e.fld) if base is not None else None
 
 
 def _collect_accesses(e: Expr, kind: str, as_address: bool,
                       out: list[tuple[str, Expr, LockPath]]) -> None:
-    if isinstance(e, Var):
-        if not as_address and e.kind == "global" and _holds_data(e.ty):
-            out.append((kind, e, LockPath((e.name,))))
-    elif isinstance(e, FieldAccess):
-        if not as_address and e.owner is not None and _holds_data(e.ty):
-            base = place_path(e.base)
-            if base is not None:
-                out.append((kind, e, base.child(e.fld)))
-        _collect_accesses(e.base, "read", True, out)
+    if isinstance(e, (Var, FieldAccess)):
+        datum = None if as_address else datum_of(e)
+        if datum is not None:
+            out.append((kind, e, datum))
+        if isinstance(e, FieldAccess):
+            _collect_accesses(e.base, "read", True, out)
     elif isinstance(e, (GuardDeref, GetMutAccess)):
         if not as_address:
-            out.append((kind, e, LockPath(e.path.segments[:-1] + (e.fld,))))
+            out.append((kind, e, e.path.sibling(e.fld)))
     elif isinstance(e, AddrOf):
         _collect_accesses(e.expr, "read", True, out)
     elif isinstance(e, Deref):

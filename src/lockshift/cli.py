@@ -15,7 +15,6 @@ import sys
 import time
 from pathlib import Path
 
-from .ast import Program
 from .cfg import cfg_to_dot, node_text
 from .callgraph import callgraph_to_dot, merged_callgraph_to_dot
 from .diagnostics import (
@@ -28,7 +27,7 @@ from .guardcheck import check
 from .parser import parse, parse_guarded
 from .pipeline import AnalysisResult, analyze_program
 from .printer import print_guarded
-from .summary import read_summary, validate_against_program, write_summary
+from .summary import read_summary, write_summary
 from .transform import transform
 
 _MODES = ("analyze", "transform", "check", "full")
@@ -168,14 +167,6 @@ def _print_diagnostics(diags: Diagnostics, path: str) -> None:
         print("%s: %s" % (path, d.render()), file=sys.stderr)
 
 
-def _load_summary(args, program: Program, result: AnalysisResult | None):
-    if getattr(args, "use_summary", None):
-        summary = read_summary(_read_text(args.use_summary))
-        validate_against_program(summary, program)
-        return summary
-    return result.lock_summary
-
-
 def _run(args) -> int:
     phases = _Phases(args.timings)
     text = _read_text(args.input)
@@ -208,16 +199,18 @@ def _run(args) -> int:
         phases.report()
         return 0
 
-    summary = _load_summary(args, program, result)
+    summary = (read_summary(_read_text(args.use_summary)) if result is None
+               else result.lock_summary)
+    # transform validates the summary, so a bad one writes no file.
+    guarded = phases.run("transform", lambda: transform(program, summary, diags))
     if getattr(args, "emit_summary", None):
         _emit(write_summary(summary), args.emit_summary)
-
-    guarded = phases.run("transform", lambda: transform(program, summary, diags))
     _emit(print_guarded(guarded), getattr(args, "output", None))
 
     code = 0
     if args.mode == "full":
-        errors = phases.run("check", lambda: check(guarded, diags))
+        # The checker's warnings repeat the analysis's; `check` prints them.
+        errors = phases.run("check", lambda: check(guarded))
         for e in errors:
             print("%s:%d: %s: %s in %s"
                   % (args.input, e.line, e.kind, e.guard, e.function))

@@ -1,18 +1,19 @@
 """Data-lock inference: which globals and struct fields a lock protects.
 
 Every syntactic read or write of a global or struct field is recorded
-together with the locks surely held at that statement. A candidate lock is
-the one held most often across the accesses (for fields, only sibling lock
-fields of the same struct qualify). The candidate protects the datum when a
-write under the lock exists and every access outside the lock happens in
-code that cannot run concurrently.
+together with the locks surely held at that statement. Globals and fields
+are one case: the lock of datum n or x.n is a mutex beside it, m or x.m (a
+mutex global for a global, a mutex field of the same struct for a field).
+A candidate lock is the one held most often across the accesses. The
+candidate protects the datum when a write under the lock exists and every
+access outside the lock happens in code that cannot run concurrently.
 """
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
 
-from .ast import INIT_FN, LockPath, Program, Var, data_accesses, function_calls
+from .ast import INIT_FN, FieldAccess, LockPath, Program, data_accesses, function_calls
 from .callgraph import CallGraph, thread_entries
 from .cfg import FlowGraph
 from .diagnostics import Diagnostics
@@ -20,30 +21,19 @@ from .flowanalysis import FunctionFlowFacts
 from .propagation import FunctionFlowSummary
 
 
-@dataclass(frozen=True)
-class GlobalTarget:
-    name: str
-
-
-@dataclass(frozen=True)
-class FieldTarget:
-    struct: str
-    base: LockPath
-    field: str
-
-
 @dataclass
 class AccessRecord:
     function: str
     line: int
     held: frozenset[LockPath]
-    target: GlobalTarget | FieldTarget
+    datum: LockPath
+    struct: str | None  # struct owning the field datum; None for a global
     kind: str  # "read" or "write"
 
 
 @dataclass
 class ProtectionVerdict:
-    target: GlobalTarget | tuple[str, str]
+    target: tuple[str | None, str]  # (owning struct or None, datum name)
     candidate: str | None
     protected: bool
     unsafe_accesses: list[AccessRecord]
@@ -61,49 +51,40 @@ def collect_accesses(program: Program, flow: dict[str, FunctionFlowFacts],
         for node in g.stmt_nodes:
             held = avail_in[node] | pls
             for kind, e, datum in data_accesses(node):
-                if isinstance(e, Var):
-                    target = GlobalTarget(e.name)
-                else:
-                    target = FieldTarget(e.owner, LockPath(datum.segments[:-1]), e.fld)
-                records.append(AccessRecord(fn.name, node.line, held, target, kind))
+                struct = e.owner if isinstance(e, FieldAccess) else None
+                records.append(AccessRecord(fn.name, node.line, held, datum, struct, kind))
     return records
 
 
-def _global_lock_names(program: Program) -> list[str]:
-    return [g.name for g in program.globals
-            if g.ty.kind == "mutex" and g.ty.ptr == 0]
+def _lock_names(program: Program, struct: str | None) -> list[str]:
+    """The locks that may protect a datum: mutex globals for a global, mutex
+    fields of the same struct for a field."""
+    decls = program.globals if struct is None else program.struct(struct).fields
+    return [d.name for d in decls if d.ty.is_mutex()]
 
 
-def _sibling_lock_fields(program: Program, struct: str) -> list[str]:
-    sd = program.struct(struct)
-    if sd is None:
-        return []
-    return [f.name for f in sd.fields if f.ty.kind == "mutex" and f.ty.ptr == 0]
-
-
-def candidate_lock(records: list[AccessRecord], choices: list[str],
-                   held_path) -> str | None:
+def candidate_lock(records: list[AccessRecord], choices: list[str]) -> str | None:
     """Most frequently held lock across the records.
 
-    choices are lock names; held_path(record, name) gives the path that must
-    be held. Ties break to the smallest name; absent when nothing is ever
-    held.
+    choices are lock names; a record holds a lock when it holds the datum's
+    sibling path of that name. Ties break to the smallest name; absent when
+    nothing is ever held.
     """
     best: str | None = None
     best_count = 0
     for name in sorted(choices):
-        count = sum(1 for r in records if held_path(r, name) in r.held)
+        count = sum(1 for r in records if r.datum.sibling(name) in r.held)
         if count > best_count:
             best, best_count = name, count
     return best
 
 
 def judge_protection(records: list[AccessRecord], candidate: str,
-                     held_path, concurrent, target) -> ProtectionVerdict:
+                     concurrent, target) -> ProtectionVerdict:
     """Safe accesses hold the candidate; the datum is protected when a safe
     write exists and no unsafe access can run concurrently."""
-    safe = [r for r in records if held_path(r, candidate) in r.held]
-    unsafe = [r for r in records if held_path(r, candidate) not in r.held]
+    safe = [r for r in records if r.datum.sibling(candidate) in r.held]
+    unsafe = [r for r in records if r.datum.sibling(candidate) not in r.held]
     ok = any(r.kind == "write" for r in safe) and not any(concurrent(r) for r in unsafe)
     return ProtectionVerdict(target, candidate, ok, unsafe)
 
@@ -125,60 +106,35 @@ def infer_data_locks(program: Program, flow: dict[str, FunctionFlowFacts],
                      ) -> tuple[dict[str, str], dict[str, dict[str, str]], list[ProtectionVerdict]]:
     """Compute the global and struct lock maps."""
     records = collect_accesses(program, flow, summaries, graphs)
-    entries = thread_entries(program)
-    concurrent_fns = cg.reachable_from(entries)
+    concurrent_fns = cg.reachable_from(thread_entries(program))
     inits = _init_paths_by_function(program)
 
-    verdicts: list[ProtectionVerdict] = []
-    global_map: dict[str, str] = {}
-    struct_map: dict[str, dict[str, str]] = {}
-
-    by_global: dict[str, list[AccessRecord]] = defaultdict(list)
-    by_field: dict[tuple[str, str], list[AccessRecord]] = defaultdict(list)
+    by_target: dict[tuple[str | None, str], list[AccessRecord]] = defaultdict(list)
     for r in records:
-        if isinstance(r.target, GlobalTarget):
-            by_global[r.target.name].append(r)
-        else:
-            by_field[(r.target.struct, r.target.field)].append(r)
+        by_target[(r.struct, r.datum.segments[-1])].append(r)
 
-    lock_names = _global_lock_names(program)
-
-    def global_held(r: AccessRecord, name: str) -> LockPath:
-        return LockPath((name,))
-
-    for gname in sorted(by_global):
-        recs = by_global[gname]
-        cand = candidate_lock(recs, lock_names, global_held)
+    verdicts: list[ProtectionVerdict] = []
+    lock_maps: dict[str | None, dict[str, str]] = defaultdict(dict)
+    # Globals first, then struct fields, each in name order.
+    for target in sorted(by_target, key=lambda t: (t[0] or "", t[1])):
+        struct, name = target
+        recs = by_target[target]
+        cand = candidate_lock(recs, _lock_names(program, struct))
         if cand is None:
-            verdicts.append(ProtectionVerdict(GlobalTarget(gname), None, False, recs))
-            continue
-        verdict = judge_protection(
-            recs, cand, global_held,
-            lambda r: r.function in concurrent_fns,
-            GlobalTarget(gname))
-        verdicts.append(verdict)
-        if verdict.protected:
-            global_map[gname] = cand
-
-    def field_held(r: AccessRecord, name: str) -> LockPath:
-        return r.target.base.child(name)
-
-    for (sname, fname) in sorted(by_field):
-        recs = by_field[(sname, fname)]
-        cand = candidate_lock(recs, _sibling_lock_fields(program, sname), field_held)
-        if cand is None:
-            verdicts.append(ProtectionVerdict((sname, fname), None, False, recs))
+            verdicts.append(ProtectionVerdict(target, None, False, recs))
             continue
 
         def concurrent(r: AccessRecord, cand=cand) -> bool:
-            if r.function not in concurrent_fns:
-                return False
-            lock_path = r.target.base.child(cand)
-            return lock_path not in inits.get(r.function, set())
+            # A field access in the function that initializes its instance's
+            # lock cannot race: no other thread can hold that lock yet.
+            return r.function in concurrent_fns and (
+                r.struct is None
+                or r.datum.sibling(cand) not in inits.get(r.function, ()))
 
-        verdict = judge_protection(recs, cand, field_held, concurrent, (sname, fname))
+        verdict = judge_protection(recs, cand, concurrent, target)
         verdicts.append(verdict)
         if verdict.protected:
-            struct_map.setdefault(sname, {})[fname] = cand
+            lock_maps[struct][name] = cand
 
-    return global_map, struct_map, verdicts
+    global_map = lock_maps.pop(None, {})
+    return global_map, dict(lock_maps), verdicts

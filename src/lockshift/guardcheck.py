@@ -109,8 +109,8 @@ def _stmt_events(s: Stmt) -> tuple[list[tuple[str, str]], list[str]]:
             elif isinstance(t, Expr):
                 _expr_events(t, uses)
     elif isinstance(s, Assign):
-        _expr_events(s.place, uses)
         _expr_events(s.value, uses)
+        _expr_events(s.place, uses)
     elif isinstance(s, ExprStmt):
         _expr_events(s.expr, uses)
     elif isinstance(s, (If, While)):

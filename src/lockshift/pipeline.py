@@ -60,5 +60,7 @@ def run_pipeline(source: str | Program, budget: int = 1000,
         diags = Diagnostics()
     result = analyze_program(source, budget, diags)
     guarded = transform(result.program, result.lock_summary, diags)
-    errors = check(guarded, diags)
+    # The checker rebuilds the flow graphs, and its warnings would repeat
+    # the analysis's.
+    errors = check(guarded)
     return result, guarded, errors

@@ -12,7 +12,7 @@ import json
 import re
 from dataclasses import dataclass, field
 
-from .ast import KEYWORDS, Program, path_of
+from .ast import KEYWORDS, Program, holds_data, path_of
 from .diagnostics import SchemaError
 from .lexer import IDENT
 from .propagation import FunctionFlowSummary
@@ -36,6 +36,13 @@ class LockSummary:
 
     def function(self, name: str) -> FunctionSummary:
         return self.function_map.get(name, FunctionSummary())
+
+    def lock_of(self, struct: str | None, name: str) -> str | None:
+        """The lock beside datum name: of a global when struct is None,
+        else of a field of that struct."""
+        if struct is None:
+            return self.global_lock_map.get(name)
+        return self.struct_lock_map.get(struct, {}).get(name)
 
 
 def build_summary(global_map: dict[str, str],
@@ -149,31 +156,30 @@ def _is_name(segment: str) -> bool:
     return re.fullmatch(IDENT, segment) is not None and segment not in KEYWORDS
 
 
+def _check_lock_map(lock_map: dict[str, str], decls, noun: str, path: str) -> None:
+    """Each datum must hold data and its lock must be a mutex, both declared
+    in decls; `noun % name` names either in messages."""
+    types = {d.name: d.ty for d in decls}
+    for datum, lock in lock_map.items():
+        where = "%s.%s" % (path, datum)
+        _expect(datum in types, "unknown " + noun % datum, where)
+        # Moved into a lock's payload, these give guarded code that does
+        # not check; the analysis never protects them.
+        _expect(holds_data(types[datum]),
+                noun % datum + " holds no data a lock can protect", where)
+        _expect(lock in types and types[lock].is_mutex(),
+                noun % lock + " is not a mutex", where)
+
+
 def validate_against_program(s: LockSummary, p: Program) -> None:
     """Check every name in the summary against the program."""
-    global_types = {g.name: g.ty for g in p.globals}
-    lock_names = {g.name for g in p.globals if g.ty.kind == "mutex" and g.ty.ptr == 0}
-    for datum, lock in s.global_lock_map.items():
-        gpath = "$.global_lock_map.%s" % datum
-        _expect(datum in global_types, "unknown global %r" % datum, gpath)
-        ty = global_types[datum]
-        # The analysis never protects these; moved into a lock's payload they
-        # give guarded code that does not check.
-        _expect(ty.ptr > 0 or ty.kind not in ("mutex", "struct"),
-                "global %r is a %s held by value, which no lock protects"
-                % (datum, ty.kind), gpath)
-        _expect(lock in lock_names, "unknown lock %r" % lock, gpath)
+    _check_lock_map(s.global_lock_map, p.globals, "global %r", "$.global_lock_map")
     for sname, fields in s.struct_lock_map.items():
         spath = "$.struct_lock_map.%s" % sname
         sd = p.struct(sname)
         _expect(sd is not None, "unknown struct %r" % sname, spath)
-        field_types = {f.name: f.ty for f in sd.fields}
-        for fname, lock in fields.items():
-            _expect(fname in field_types, "unknown field %r" % fname,
-                    "%s.%s" % (spath, fname))
-            _expect(lock in field_types and field_types[lock].kind == "mutex",
-                    "field %r is not a lock of struct %s" % (lock, sname),
-                    "%s.%s" % (spath, fname))
+        _check_lock_map(fields, sd.fields, "field %%r of struct %s" % sname, spath)
+    global_names = {g.name for g in p.globals}
     for fname, fs in s.function_map.items():
         fpath = "$.function_map.%s" % fname
         fn = p.function(fname)
@@ -188,6 +194,6 @@ def validate_against_program(s: LockSummary, p: Program) -> None:
                         "lock path %r is not a dotted list of identifiers" % text,
                         where)
                 root = path_of(text).root
-                _expect(root in params or root in global_types,
+                _expect(root in params or root in global_names,
                         "lock path %r names no global or parameter of %s"
                         % (text, fname), where)

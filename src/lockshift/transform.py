@@ -43,6 +43,7 @@ from .ast import (
     INIT_FN,
     If,
     IntLit,
+    LOCK_API,
     LOCK_FN,
     LockDecl,
     LockPath,
@@ -57,10 +58,10 @@ from .ast import (
     Var,
     While,
     data_accesses,
+    datum_of,
     function_calls,
     iter_stmts,
     path_of,
-    place_path,
 )
 from .callgraph import thread_entries
 from .diagnostics import (
@@ -213,16 +214,26 @@ class _Transformer:
         for _, c in function_calls(fn):
             if c.name in (LOCK_FN, UNLOCK_FN):
                 paths.add(c.lock)
-            elif c.name in (INIT_FN, CREATE_FN):
-                continue
-            elif self.p.function(c.name) is not None:
-                callee_params = self.p.function(c.name).param_names
-                for q in (self.entry_paths[c.name] + self.ret_paths[c.name]):
-                    try:
-                        paths.add(alias(q, callee_params, c.args))
-                    except UnaliasableArgument:
-                        pass
+            elif c.name not in (INIT_FN, CREATE_FN):
+                paths.update(self._caller_paths(
+                    c, self.entry_paths[c.name] + self.ret_paths[c.name]))
         return paths
+
+    def _caller_paths(self, c: Call, paths: list[LockPath], line: int = 0,
+                      what: str | None = None) -> list[LockPath]:
+        """The callee's lock paths as the caller names them. A path that no
+        argument can alias is left out, with a warning when what names the
+        guard it belongs to."""
+        params = self.p.function(c.name).param_names
+        out = []
+        for q in paths:
+            try:
+                out.append(alias(q, params, c.args))
+            except UnaliasableArgument as exc:
+                if what is not None:
+                    self.diags.warn("%s dropped at call to %s: %s" % (what, c.name, exc),
+                                    function=self._fn.name, line=line)
+        return out
 
     def _transform_function(self, fn: FunctionDef) -> FunctionDef:
         fs = self.s.function(fn.name)
@@ -284,14 +295,20 @@ class _Transformer:
             value = self._rewrite_expr(st.value, st.line) if st.value else None
             return [self._make_return(value, st.line)]
         if isinstance(st, ExprStmt) and isinstance(st.expr, Call):
-            return self._rewrite_call_stmt(st)
+            if st.expr.name in LOCK_API:
+                return self._rewrite_lock_api(st)
+            return [self._rewrite_call(None, st.expr, st.line)]
         if isinstance(st, Assign):
-            return [self._rewrite_assign(st)]
+            place = self._rewrite_expr(st.place, st.line)
+            if isinstance(st.value, Call):
+                return [self._rewrite_call(place, st.value, st.line)]
+            return [Assign(line=st.line, place=place,
+                           value=self._rewrite_expr(st.value, st.line))]
         if isinstance(st, ExprStmt):
             return [ExprStmt(line=st.line, expr=self._rewrite_expr(st.expr, st.line))]
         return [st]
 
-    def _rewrite_call_stmt(self, st: ExprStmt) -> list[Stmt]:
+    def _rewrite_lock_api(self, st: ExprStmt) -> list[Stmt]:
         c = st.expr
         if c.name == INIT_FN:
             return []
@@ -299,59 +316,27 @@ class _Transformer:
             return [AcquireAssign(line=st.line, guard=self._guard(c.lock), path=c.lock)]
         if c.name == UNLOCK_FN:
             return [DropCall(line=st.line, guard=self._guard(c.lock))]
-        if c.name == CREATE_FN:
-            return [st]
-        callee = self.p.function(c.name)
-        if callee is None:
-            return [ExprStmt(line=st.line, expr=self._rewrite_expr(c, st.line))]
-        call = self._thread_call(c, st.line)
-        ret_qs = self._callee_ret_guards(c, st.line)
-        if not ret_qs:
-            return [ExprStmt(line=st.line, expr=call)]
-        targets: list = []
-        if callee.rets[0].kind != "void":
-            targets.append(Discard())
-        targets.extend(GuardTarget(self._guard(p), p) for p in ret_qs)
-        return [CallAssign(line=st.line, targets=targets, call=call)]
+        return [st]
 
-    def _rewrite_assign(self, st: Assign) -> Stmt:
-        value = st.value
-        place = self._rewrite_expr(st.place, st.line)
-        if isinstance(value, Call) and self.p.function(value.name) is not None:
-            ret_qs = self._callee_ret_guards(value, st.line)
-            if ret_qs:
-                call = self._thread_call(value, st.line)
-                targets: list = [place]
-                targets.extend(GuardTarget(self._guard(p), p) for p in ret_qs)
-                return CallAssign(line=st.line, targets=targets, call=call)
-        return Assign(line=st.line, place=place,
-                      value=self._rewrite_expr(st.value, st.line))
-
-    def _callee_ret_guards(self, c: Call, line: int) -> list[LockPath]:
-        """Caller-side paths of the guards a call hands back."""
-        out = []
-        for q in self.ret_paths[c.name]:
-            try:
-                out.append(alias(q, self.p.function(c.name).param_names, c.args))
-            except UnaliasableArgument as exc:
-                self.diags.warn(
-                    "returned guard dropped at call to %s: %s" % (c.name, exc),
-                    function=self._fn.name, line=line)
-        return out
-
-    def _thread_call(self, c: Call, line: int) -> Call:
+    def _rewrite_call(self, place: Expr | None, c: Call, line: int) -> Stmt:
+        """`place = c;` or, without a place, `c;`: the call takes the guards
+        the callee expects and hands back the guards it returns."""
         args = [self._rewrite_expr(a, line) for a in c.args]
-        callee_params = self.p.function(c.name).param_names
-        for q in self.entry_paths[c.name]:
-            try:
-                caller_path = alias(q, callee_params, c.args)
-            except UnaliasableArgument as exc:
-                self.diags.warn(
-                    "guard argument dropped at call to %s: %s" % (c.name, exc),
-                    function=self._fn.name, line=line)
-                continue
-            args.append(GuardRef(self._guard(caller_path), caller_path))
-        return Call(c.name, args)
+        args.extend(GuardRef(self._guard(q), q) for q in self._caller_paths(
+            c, self.entry_paths[c.name], line, "guard argument"))
+        call = Call(c.name, args)
+        ret_qs = self._caller_paths(c, self.ret_paths[c.name], line, "returned guard")
+        if not ret_qs:
+            if place is None:
+                return ExprStmt(line=line, expr=call)
+            return Assign(line=line, place=place, value=call)
+        targets: list = []
+        if place is not None:
+            targets.append(place)
+        elif self.p.function(c.name).rets[0].kind != "void":
+            targets.append(Discard())
+        targets.extend(GuardTarget(self._guard(q), q) for q in ret_qs)
+        return CallAssign(line=line, targets=targets, call=call)
 
     def _make_return(self, value: Expr | None, line: int) -> Return:
         parts: list[Expr] = []
@@ -374,24 +359,17 @@ class _Transformer:
     # -- expressions --------------------------------------------------------
 
     def _rewrite_expr(self, e: Expr, line: int) -> Expr:
-        if isinstance(e, Var):
-            if e.kind == "global":
-                lock = self.s.global_lock_map.get(e.name)
-                if lock is not None:
-                    lock_path = LockPath((lock,))
-                    if line in self._lock_line.get(lock_path, ()):
-                        return GuardDeref(self._guard(lock_path), lock_path, e.name)
-                    return GetMutAccess(lock_path, e.name)
-            return e
-        if isinstance(e, FieldAccess):
-            fmap = self.s.struct_lock_map.get(e.owner or "", {})
-            if e.fld in fmap:
-                base = place_path(e.base)
-                if base is not None:
-                    lock_path = base.child(fmap[e.fld])
-                    if line in self._lock_line.get(lock_path, ()):
-                        return GuardDeref(self._guard(lock_path), lock_path, e.fld)
-                    return GetMutAccess(lock_path, e.fld)
+        if isinstance(e, (Var, FieldAccess)):
+            datum = datum_of(e)
+            owner = e.owner if isinstance(e, FieldAccess) else None
+            lock = None if datum is None else self.s.lock_of(owner, datum.segments[-1])
+            if lock is not None:
+                lock_path = datum.sibling(lock)
+                if line in self._lock_line.get(lock_path, ()):
+                    return GuardDeref(self._guard(lock_path), lock_path, datum.segments[-1])
+                return GetMutAccess(lock_path, datum.segments[-1])
+            if isinstance(e, Var):
+                return e
             return FieldAccess(self._rewrite_expr(e.base, line), e.fld,
                                arrow=e.arrow, owner=e.owner, ty=e.ty)
         if isinstance(e, AddrOf):
@@ -402,8 +380,7 @@ class _Transformer:
             return Binary(e.op, self._rewrite_expr(e.lhs, line),
                           self._rewrite_expr(e.rhs, line))
         if isinstance(e, Call):
-            if (self.p.function(e.name) is not None
-                    and (self.entry_paths[e.name] or self.ret_paths[e.name])):
+            if self.entry_paths[e.name] or self.ret_paths[e.name]:
                 self.diags.warn(
                     "call to %s inside an expression cannot thread guards; "
                     "left unchanged" % e.name,

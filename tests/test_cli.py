@@ -399,3 +399,107 @@ def test_repeated_runs_are_byte_identical(capsys):
     first = capsys.readouterr().out
     assert main(["full", src]) == 0
     assert capsys.readouterr().out == first
+
+
+def test_an_invalid_summary_writes_no_file_and_reports_once(tmp_path, capsys):
+    src = tmp_path / "p.mc"
+    src.write_text(SUMMARY_TARGET)
+    (tmp_path / "s.json").write_text('{"global_lock_map": {"m2": "m"}}')
+    code = main(["full", str(src), "--use-summary", str(tmp_path / "s.json"),
+                 "--emit-summary", str(tmp_path / "out.json"),
+                 "-o", str(tmp_path / "out.gmc")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.count("$.global_lock_map.m2") == 1
+    assert not (tmp_path / "out.json").exists()
+    assert not (tmp_path / "out.gmc").exists()
+
+
+THREAD_HANDLE = """\
+thread_t t;
+thread_t u;
+mutex_t m;
+void w() {
+    pthread_mutex_lock(&m);
+    t = u;
+    pthread_mutex_unlock(&m);
+}
+void main() {
+    pthread_create(&t, w);
+}
+"""
+
+
+def test_thread_handles_are_never_protected(tmp_path, capsys):
+    src = tmp_path / "q.mc"
+    src.write_text(THREAD_HANDLE)
+    assert main(["full", str(src), "-o", str(tmp_path / "q.gmc"),
+                 "--emit-summary", str(tmp_path / "q.json")]) == 0
+    assert json.loads((tmp_path / "q.json").read_text())["global_lock_map"] == {}
+    assert main(["check", str(tmp_path / "q.gmc")]) == 0
+
+
+RELEASING_CALL = """\
+int n;
+int x;
+mutex_t m;
+thread_t t;
+int rel() {
+    n = n + 1;
+    pthread_mutex_unlock(&m);
+    return 0;
+}
+void w() {
+%s    pthread_mutex_lock(&m);
+    x = rel();
+}
+void main() {
+    pthread_create(&t, w);
+}
+"""
+
+
+def test_an_assigned_call_passes_the_guards_its_callee_takes(tmp_path, capsys):
+    # x is written under m, so it moves into m; rel releases m before the
+    # write, which the checker rejects.
+    src = tmp_path / "p.mc"
+    src.write_text(RELEASING_CALL % "")
+    assert main(["full", str(src)]) == 2
+    captured = capsys.readouterr()
+    assert "(*m_guard).x = rel(m_guard);" in captured.out
+    assert "p.mc:12: UseAfterMove: m_guard in w" in captured.out
+    assert "cannot thread guards" not in captured.err
+
+
+def test_an_assigned_call_to_an_unprotected_place_is_accepted(tmp_path, capsys):
+    # The bare write of x in a thread body leaves x unprotected.
+    src = tmp_path / "p.mc"
+    src.write_text(RELEASING_CALL % "    x = 2;\n")
+    assert main(["full", str(src)]) == 0
+    captured = capsys.readouterr()
+    assert "    x = rel(m_guard); }" in captured.out
+    assert captured.err == ""
+
+
+RETURNS_EARLY = """\
+int n;
+mutex_t m;
+void f() {
+    pthread_mutex_lock(&m);
+    n = n + 1;
+    pthread_mutex_unlock(&m);
+    return;
+    n = 2;
+}
+"""
+
+
+def test_full_prints_each_warning_once(tmp_path, capsys):
+    src = tmp_path / "p.mc"
+    src.write_text(RETURNS_EARLY)
+    out = tmp_path / "p.gmc"
+    assert main(["full", str(src), "-o", str(out)]) == 0
+    warning = "warning: unreachable statement removed from flow graph (f, line 8)"
+    assert capsys.readouterr().err == "%s: %s\n" % (src, warning)
+    assert main(["check", str(out)]) == 0
+    assert capsys.readouterr().err == "%s: %s\n" % (out, warning)

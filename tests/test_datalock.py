@@ -1,13 +1,7 @@
 """Inference of which lock protects which global or struct field."""
 
-from lockshift.ast import LockPath, data_accesses, iter_stmts
-from lockshift.datalock import (
-    AccessRecord,
-    FieldTarget,
-    GlobalTarget,
-    candidate_lock,
-    collect_accesses,
-)
+from lockshift.ast import data_accesses, iter_stmts, path_of
+from lockshift.datalock import AccessRecord, candidate_lock, collect_accesses
 from lockshift.parser import parse, parse_guarded
 from lockshift.pipeline import analyze_program
 
@@ -85,6 +79,11 @@ void f() { guard<m> m_guard;
     assert by_line[10] == []
 
 
+def target_of(record):
+    """(owning struct or None, datum path text) of an access record."""
+    return (record.struct, record.datum.text)
+
+
 def verdict_for(result, target):
     for v in result.verdicts:
         if v.target == target:
@@ -105,19 +104,19 @@ void f() {
 
 
 def test_compound_assignment_yields_one_write_and_one_read():
-    recs = [r for r in records_for(COUNTER) if r.target == GlobalTarget("n")]
+    recs = [r for r in records_for(COUNTER) if target_of(r) == (None, "n")]
     assert sorted((r.kind, r.line) for r in recs) == [("read", 6), ("write", 6)]
     assert all(r.held == locks("m") for r in recs)
     assert all(r.function == "f" for r in recs)
 
 
 def test_lock_operands_are_not_data_accesses():
-    assert all(r.target != GlobalTarget("m") for r in records_for(COUNTER))
+    assert all(target_of(r) != (None, "m") for r in records_for(COUNTER))
 
 
 def test_untouched_global_gets_no_verdict():
     result = analyze_program(COUNTER)
-    assert all(v.target != GlobalTarget("unused") for v in result.verdicts)
+    assert all(v.target != (None, "unused") for v in result.verdicts)
     assert "unused" not in result.lock_summary.global_lock_map
 
 
@@ -141,9 +140,9 @@ void f() {
 
 def test_conditions_and_call_arguments_count_as_reads():
     recs = records_for(SURVEY)
-    reads = {(r.target, r.kind, r.line) for r in recs}
-    assert (GlobalTarget("n"), "read", 9) in reads
-    assert (GlobalTarget("k"), "read", 12) in reads
+    reads = {(target_of(r), r.kind, r.line) for r in recs}
+    assert ((None, "n"), "read", 9) in reads
+    assert ((None, "k"), "read", 12) in reads
     assert all(r.held == locks("m") for r in recs if r.function == "f")
 
 
@@ -163,40 +162,36 @@ void g() {
 
 def test_field_accesses_record_struct_base_and_held_path():
     recs = records_for(STRUCT_PAIR)
-    field = [r for r in recs if isinstance(r.target, FieldTarget)]
-    assert {(r.target, r.kind) for r in field} == {
-        (FieldTarget("s", LockPath(("x",)), "n"), "write"),
-        (FieldTarget("s", LockPath(("x",)), "n"), "read"),
+    field = [r for r in recs if r.struct is not None]
+    assert {(target_of(r), r.kind) for r in field} == {
+        (("s", "x.n"), "write"),
+        (("s", "x.n"), "read"),
     }
     assert all(r.held == locks("x.m") for r in field)
 
 
 def test_address_of_bases_touch_no_data():
     recs = records_for(STRUCT_PAIR)
-    assert all(r.target != GlobalTarget("inst") for r in recs)
+    assert all(target_of(r) != (None, "inst") for r in recs)
 
 
 def synthetic(held, kind="read"):
-    return AccessRecord("f", 1, locks(*held), GlobalTarget("n"), kind)
-
-
-def global_path(record, name):
-    return LockPath((name,))
+    return AccessRecord("f", 1, locks(*held), path_of("n"), None, kind)
 
 
 def test_candidate_is_the_most_frequently_held_lock():
     recs = [synthetic(["a"]), synthetic(["a", "b"]), synthetic([])]
-    assert candidate_lock(recs, ["a", "b"], global_path) == "a"
+    assert candidate_lock(recs, ["a", "b"]) == "a"
 
 
 def test_candidate_tie_breaks_to_the_smaller_name():
     recs = [synthetic(["b"]), synthetic(["a"])]
-    assert candidate_lock(recs, ["b", "a"], global_path) == "a"
+    assert candidate_lock(recs, ["b", "a"]) == "a"
 
 
 def test_candidate_absent_when_no_lock_is_ever_held():
     recs = [synthetic([]), synthetic([])]
-    assert candidate_lock(recs, ["a", "b"], global_path) is None
+    assert candidate_lock(recs, ["a", "b"]) is None
 
 
 READ_ONLY = """\
@@ -214,7 +209,7 @@ void f() {
 def test_protection_requires_a_write_under_the_lock():
     result = analyze_program(READ_ONLY)
     assert result.lock_summary.global_lock_map == {"out": "m"}
-    v = verdict_for(result, GlobalTarget("n"))
+    v = verdict_for(result, (None, "n"))
     assert v.candidate == "m"
     assert not v.protected
 
@@ -240,7 +235,7 @@ void g() {
 def test_argmax_picks_the_dominant_lock_and_tolerates_sequential_outliers():
     result = analyze_program(MIXED_GUARDS)
     assert result.lock_summary.global_lock_map == {"n": "a"}
-    v = verdict_for(result, GlobalTarget("n"))
+    v = verdict_for(result, (None, "n"))
     assert v.protected
     assert [r.function for r in v.unsafe_accesses] == ["g"]
 
@@ -267,7 +262,7 @@ void main() {
 def test_unsafe_access_reachable_from_a_thread_entry_defeats_protection():
     result = analyze_program(SPAWNED_HELPER)
     assert result.lock_summary.global_lock_map == {}
-    v = verdict_for(result, GlobalTarget("n"))
+    v = verdict_for(result, (None, "n"))
     assert v.candidate == "m"
     assert not v.protected
     assert "scribble" in {r.function for r in v.unsafe_accesses}

@@ -146,6 +146,37 @@ def test_validation_rejects_names_missing_from_the_program(text, path):
     assert exc.value.path == path
 
 
+NO_DATA = """\
+struct t { int a; };
+struct s { int n; mutex_t k; mutex_t *pk; struct t in; };
+mutex_t m;
+mutex_t *pm;
+thread_t th;
+"""
+
+
+# Globals and fields follow the same two rules: a datum must hold data (no
+# lock at any pointer depth, no thread handle, no struct held by value) and
+# its lock must be a mutex held by value. The analysis never yields these.
+@pytest.mark.parametrize(
+    "text, path",
+    [
+        ('{"struct_lock_map": {"s": {"n": "pk"}}}', "$.struct_lock_map.s.n"),
+        ('{"struct_lock_map": {"s": {"k": "k"}}}', "$.struct_lock_map.s.k"),
+        ('{"struct_lock_map": {"s": {"in": "k"}}}', "$.struct_lock_map.s.in"),
+        ('{"global_lock_map": {"pm": "m"}}', "$.global_lock_map.pm"),
+        ('{"global_lock_map": {"th": "m"}}', "$.global_lock_map.th"),
+    ],
+    ids=["pointer-field-lock", "mutex-field-datum", "struct-field-datum",
+         "mutex-pointer-global-datum", "thread-global-datum"],
+)
+def test_validation_rejects_data_no_lock_protects_and_locks_that_are_not_mutexes(
+        text, path):
+    with pytest.raises(SchemaError) as exc:
+        validate_against_program(read_summary(text), parse(NO_DATA))
+    assert exc.value.path == path
+
+
 QUIET_HELPER = """\
 int n;
 int k;

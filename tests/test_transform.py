@@ -3,7 +3,12 @@
 import pytest
 
 from lockshift.ast import LockPath
-from lockshift.diagnostics import SummaryMismatch
+from lockshift.diagnostics import (
+    Diagnostic,
+    Diagnostics,
+    SummaryMismatch,
+    TypeCheckError,
+)
 from lockshift.guardcheck import check
 from lockshift.parser import parse, parse_guarded
 from lockshift.pipeline import run_pipeline
@@ -12,6 +17,7 @@ from lockshift.summary import read_summary
 from lockshift.transform import access_multiset, guard_name_for, transform
 
 from helpers import CORPUS, corpus_paths, fixture_text
+from test_scc_reference import SccGen
 
 
 def pipeline_text(source):
@@ -166,3 +172,25 @@ def test_summaries_for_some_other_program_are_refused():
     stray = read_summary('{"global_lock_map": {"ghost": "m"}}')
     with pytest.raises(SummaryMismatch):
         transform(program, stray)
+
+
+# Recursive programs that pass the non-place `get()` where a lock path runs
+# through a parameter: the transformer cannot name that guard in the caller.
+# A dropped guard argument leaves a call whose argument count matches
+# neither of the callee's signatures, so the guarded text does not parse.
+@pytest.mark.parametrize("seed, warning", [
+    pytest.param(
+        40, Diagnostic("guard argument dropped at call to f3: argument for parameter "
+                       "'p' is not a place (lock path p.w)", "f2", 24),
+        marks=pytest.mark.xfail(raises=TypeCheckError, strict=True,
+                                reason="f3() takes 3 arguments, got 4")),
+    (89, Diagnostic("returned guard dropped at call to f0: argument for parameter "
+                    "'p' is not a place (lock path p.m)", "main", 27)),
+    (49, Diagnostic("call to get inside an expression cannot thread guards; "
+                    "left unchanged", "worker", 20)),
+], ids=["guard-argument", "returned-guard", "inside-an-expression"])
+def test_guards_a_call_cannot_thread_are_reported(seed, warning):
+    diags = Diagnostics()
+    _, guarded, _ = run_pipeline(SccGen(seed).program(), diags=diags)
+    assert warning in diags.entries
+    parse_guarded(print_guarded(guarded))
