@@ -186,6 +186,9 @@ class TupleExpr(Expr):
 @dataclass(eq=False)
 class Stmt:
     line: int = 0
+    # Not a field: the resolver sets a tuple on each statement that
+    # evaluates calls; every other statement shares this empty default.
+    calls = ()
 
 
 @dataclass(eq=False)
@@ -421,34 +424,21 @@ def stmt_exprs(s: Stmt) -> list[Expr]:
     return []
 
 
-def stmt_calls(s: Stmt) -> list[Call]:
-    """The calls evaluated by s itself, in evaluation order (arguments first)."""
-    out: list[Call] = []
-    for e in stmt_exprs(s):
-        _collect_calls(e, out)
-    return out
+def stmt_calls(s: Stmt) -> tuple[Call, ...]:
+    """The calls evaluated by s itself, in evaluation order: arguments
+    before their call, an Assign's value before its place, and only the
+    condition of an If or While.
+
+    The resolver records them as it resolves s, so they are defined on
+    what `parse` and `parse_guarded` return; a statement built by hand, or
+    by the transformer and not re-parsed, reports none.
+    """
+    return s.calls
 
 
 def function_calls(fn: FunctionDef) -> list[tuple[Stmt, Call]]:
     """Every call in fn paired with its enclosing statement, in program order."""
-    return [(s, c) for s in iter_stmts(fn.body) for c in stmt_calls(s)]
-
-
-def _collect_calls(e: Expr, out: list[Call]) -> None:
-    if isinstance(e, Call):
-        for a in e.args:
-            _collect_calls(a, out)
-        out.append(e)
-    elif isinstance(e, Binary):
-        _collect_calls(e.lhs, out)
-        _collect_calls(e.rhs, out)
-    elif isinstance(e, (AddrOf, Deref)):
-        _collect_calls(e.expr, out)
-    elif isinstance(e, FieldAccess):
-        _collect_calls(e.base, out)
-    elif isinstance(e, TupleExpr):
-        for item in e.items:
-            _collect_calls(item, out)
+    return [(s, c) for s in iter_stmts(fn.body) for c in s.calls]
 
 
 def data_accesses(s: Stmt) -> list[tuple[str, Expr, LockPath]]:

@@ -43,20 +43,18 @@ class CallGraph:
 
 def thread_entries(program) -> list[str]:
     """Function names passed to pthread_create, in first-spawn order."""
-    out: list[str] = []
-    for fn in program.functions:
-        for _, call in function_calls(fn):
-            # the resolver made the second argument a bare function name
-            if call.name == CREATE_FN and call.args[1].name not in out:
-                out.append(call.args[1].name)
-    return out
+    # the resolver made the second argument a bare function name
+    return list(dict.fromkeys(
+        call.args[1].name for fn in program.functions
+        for _, call in function_calls(fn) if call.name == CREATE_FN))
 
 
 def build_call_graph(program: Program, diags: Diagnostics | None = None) -> CallGraph:
     defined = {f.name for f in program.functions}
     nodes = [f.name for f in program.functions]
-    edges: dict[str, list[str]] = {n: [] for n in nodes}
+    edges: dict[str, list[str]] = {}
     for fn in program.functions:
+        callees: dict[str, None] = {}  # distinct, in first-call order
         for stmt, call in function_calls(fn):
             if call.name in LOCK_API:
                 continue
@@ -65,8 +63,8 @@ def build_call_graph(program: Program, diags: Diagnostics | None = None) -> Call
                     diags.warn("call to undeclared function %r ignored" % call.name,
                                function=fn.name, line=stmt.line)
                 continue
-            if call.name not in edges[fn.name]:
-                edges[fn.name].append(call.name)
+            callees[call.name] = None
+        edges[fn.name] = list(callees)
     cg = CallGraph(nodes, edges)
     _condense(cg)
     return cg
@@ -123,16 +121,14 @@ def _condense(cg: CallGraph) -> None:
 
     cg.merged_nodes = sccs
     cg.scc_index = {name: i for i, scc in enumerate(sccs) for name in scc}
-    merged: dict[int, list[int]] = {i: [] for i in range(len(sccs))}
+    merged: dict[int, set[int]] = {i: set() for i in range(len(sccs))}
     for f in cg.nodes:
         fi = cg.scc_index[f]
         for g in cg.edges[f]:
             gi = cg.scc_index[g]
-            if gi != fi and gi not in merged[fi]:
-                merged[fi].append(gi)
-    for i in merged:
-        merged[i].sort()
-    cg.merged_edges = merged
+            if gi != fi:
+                merged[fi].add(gi)
+    cg.merged_edges = {i: sorted(targets) for i, targets in merged.items()}
 
 
 def callgraph_to_dot(cg: CallGraph) -> str:

@@ -230,6 +230,11 @@ def main(argv: list[str] | None = None) -> int:
         else:
             argv.insert(0, "check")
     args = _build_parser().parse_args(argv)
+    # Checked here rather than by argparse, whose usage errors exit 2, the
+    # code of a checker rejection.
+    if getattr(args, "iteration_budget", 1) < 1:
+        print("error: --iteration-budget must be at least 1", file=sys.stderr)
+        return 1
     try:
         return _run(args)
     except UndecodableInput as exc:

@@ -67,25 +67,33 @@ def candidate_lock(records: list[AccessRecord], choices: list[str]) -> str | Non
     """Most frequently held lock across the records.
 
     choices are lock names; a record holds a lock when it holds the datum's
-    sibling path of that name. Ties break to the smallest name; absent when
+    sibling path of that name. One pass over each record's held paths
+    counts every name at once. Ties break to the smallest name; absent when
     nothing is ever held.
     """
-    best: str | None = None
-    best_count = 0
-    for name in sorted(choices):
-        count = sum(1 for r in records if r.datum.sibling(name) in r.held)
-        if count > best_count:
-            best, best_count = name, count
-    return best
+    names = set(choices)
+    counts: dict[str, int] = defaultdict(int)
+    for r in records:
+        prefix = r.datum.segments[:-1]
+        for p in r.held:
+            name = p.segments[-1]
+            if name in names and p.segments[:-1] == prefix:
+                counts[name] += 1
+    return min(counts, key=lambda n: (-counts[n], n)) if counts else None
 
 
 def judge_protection(records: list[AccessRecord], candidate: str,
                      concurrent, target) -> ProtectionVerdict:
     """Safe accesses hold the candidate; the datum is protected when a safe
     write exists and no unsafe access can run concurrently."""
-    safe = [r for r in records if r.datum.sibling(candidate) in r.held]
-    unsafe = [r for r in records if r.datum.sibling(candidate) not in r.held]
-    ok = any(r.kind == "write" for r in safe) and not any(concurrent(r) for r in unsafe)
+    safe_write = False
+    unsafe = []
+    for r in records:
+        if r.datum.sibling(candidate) in r.held:
+            safe_write = safe_write or r.kind == "write"
+        else:
+            unsafe.append(r)
+    ok = safe_write and not any(concurrent(r) for r in unsafe)
     return ProtectionVerdict(target, candidate, ok, unsafe)
 
 

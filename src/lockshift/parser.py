@@ -621,6 +621,8 @@ class _Resolver:
         self.functions: dict[str, FunctionDef] = {}
         self.params: dict[str, Type] = {}
         self.line = 0
+        # calls of the statement being resolved, in evaluation order
+        self.calls: list[Call] = []
 
     def run(self) -> None:
         p = self.program
@@ -656,6 +658,7 @@ class _Resolver:
             if g.init is not None:
                 self.line = g.line
                 self.resolve_expr(g.init)
+                self.calls.clear()  # an initializer's calls belong to no statement
         for f in p.functions:
             self.resolve_function(f)
 
@@ -679,6 +682,9 @@ class _Resolver:
             self.resolve_stmt(s)
 
     def resolve_stmt(self, s: Stmt) -> None:
+        """Resolve s and move the calls it evaluates itself onto s.calls;
+        an If or While takes its condition's calls before its nested
+        statements resolve, and a Block has none of its own."""
         self.line = s.line
         if isinstance(s, Assign):
             self.resolve_expr(s.value)
@@ -687,17 +693,20 @@ class _Resolver:
         elif isinstance(s, ExprStmt):
             if isinstance(s.expr, Call) and s.expr.name in LOCK_API:
                 self.resolve_lock_api(s.expr, s.line)
+                self.calls.append(s.expr)
             else:
                 self.resolve_expr(s.expr)
         elif isinstance(s, Block):
             self.resolve_block(s)
         elif isinstance(s, If):
             self.resolve_expr(s.cond)
+            self.take_calls(s)
             self.resolve_block(s.then)
             if s.orelse is not None:
                 self.resolve_block(s.orelse)
         elif isinstance(s, While):
             self.resolve_expr(s.cond)
+            self.take_calls(s)
             self.resolve_block(s.body)
         elif isinstance(s, Return):
             if s.value is not None:
@@ -712,6 +721,12 @@ class _Resolver:
             pass
         else:
             raise TypeCheckError("unexpected statement form", s.line)
+        self.take_calls(s)
+
+    def take_calls(self, s: Stmt) -> None:
+        if self.calls:
+            s.calls = tuple(self.calls)
+            self.calls.clear()
 
     def check_assign_place(self, e: Expr, line: int) -> None:
         if isinstance(e, (GuardDeref, GetMutAccess)):
@@ -770,6 +785,7 @@ class _Resolver:
             return
         if isinstance(e, Call):
             self.resolve_call(e)
+            self.calls.append(e)
             return
         if isinstance(e, (GuardRef, GuardDeref, GetMutAccess)):
             return

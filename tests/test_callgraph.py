@@ -75,6 +75,22 @@ def test_duplicate_call_sites_give_one_edge():
     assert cg.edges["a"] == ["c"]
 
 
+def test_edges_are_unique_and_in_first_call_order():
+    callees = ["g%d" % i for i in range(300)]
+    order = callees[::-1] + callees[::2] + callees  # every callee repeats
+    p = parse("thread_t t;\n" + "".join("void %s() { }\n" % g for g in callees)
+              + "void main() { if (g7()) { g3(); } %s pthread_create(&t, g9); "
+                "pthread_create(&t, g5); pthread_create(&t, g9); }\n"
+              % " ".join("%s();" % g for g in order))
+    cg = build_call_graph(p)
+    # the If's condition is evaluated before the statements it guards
+    want = ["g7", "g3"] + [g for g in callees[::-1] if g not in ("g7", "g3")]
+    assert cg.edges["main"] == want
+    assert cg.merged_edges[cg.scc_index["main"]] == sorted(
+        cg.scc_index[g] for g in callees)
+    assert thread_entries(p) == ["g9", "g5"]
+
+
 def test_deep_chain_has_no_recursion_limit():
     # Callers first in the text, so the SCC search descends 2000 calls deep.
     lines = chain_program(2000).splitlines()

@@ -1,0 +1,220 @@
+"""Differential test of the calls the resolver records on each statement.
+
+`ast.stmt_calls` reads `Stmt.calls`, which `parser._Resolver` fills in as
+it resolves a statement. The reference below is the walk it replaced: the
+statement's own expressions (an Assign's value before its place, only the
+condition of an If or While), each searched for calls with arguments
+before their call. For every statement of every program below, both must
+give the same Call objects in the same order.
+"""
+from __future__ import annotations
+
+import runpy
+from pathlib import Path
+
+import pytest
+
+from lockshift.ast import (
+    AddrOf,
+    Assign,
+    Binary,
+    Call,
+    CallAssign,
+    Deref,
+    ExprStmt,
+    FieldAccess,
+    If,
+    Return,
+    TupleExpr,
+    While,
+    iter_stmts,
+    path_of,
+    stmt_calls,
+)
+from lockshift.diagnostics import LockshiftError
+from lockshift.parser import parse, parse_guarded
+from lockshift.pipeline import run_pipeline
+from lockshift.printer import print_guarded
+
+from helpers import FIXTURES, FLOW_CASES, ProgramGen
+from test_scc_reference import SccGen
+
+GEN_PATH = Path(__file__).resolve().parent.parent / "bench" / "gen.py"
+BUDGET = 64
+
+
+def reference_stmt_exprs(s):
+    if isinstance(s, Assign):
+        return [s.value, s.place]
+    if isinstance(s, ExprStmt):
+        return [s.expr]
+    if isinstance(s, (If, While)):
+        return [s.cond]
+    if isinstance(s, Return):
+        return [s.value] if s.value is not None else []
+    if isinstance(s, CallAssign):
+        return [s.call]
+    return []
+
+
+def reference_collect_calls(e, out):
+    if isinstance(e, Call):
+        for a in e.args:
+            reference_collect_calls(a, out)
+        out.append(e)
+    elif isinstance(e, Binary):
+        reference_collect_calls(e.lhs, out)
+        reference_collect_calls(e.rhs, out)
+    elif isinstance(e, (AddrOf, Deref)):
+        reference_collect_calls(e.expr, out)
+    elif isinstance(e, FieldAccess):
+        reference_collect_calls(e.base, out)
+    elif isinstance(e, TupleExpr):
+        for item in e.items:
+            reference_collect_calls(item, out)
+
+
+def reference_stmt_calls(s):
+    out = []
+    for e in reference_stmt_exprs(s):
+        reference_collect_calls(e, out)
+    return out
+
+
+def plain_programs() -> dict[str, str]:
+    out = {"mc/%s" % p.relative_to(FIXTURES): p.read_text()
+           for p in sorted(FIXTURES.glob("**/*.mc"))}
+    for name, source, _ in FLOW_CASES:
+        out["flow/%s" % name] = source
+    for seed in range(60):
+        out["scc/%d" % seed] = SccGen(seed).program()
+    for seed in range(30):
+        out["gen/%d" % seed] = ProgramGen(seed).program()
+    workloads = runpy.run_path(str(GEN_PATH))["WORKLOADS"]
+    for family, size in (("call_chain", 12), ("wide_body", 40), ("recursive_rings", 2)):
+        for seed in (1, 2):
+            out["bench/%s/%d" % (family, seed)] = workloads[family][0](size, seed).source
+    return out
+
+
+PLAIN = plain_programs()
+
+
+def assert_matches_reference(program) -> int:
+    """Compare every statement; return how many calls were compared."""
+    seen = 0
+    for fn in program.functions:
+        for s in iter_stmts(fn.body):
+            got, want = stmt_calls(s), reference_stmt_calls(s)
+            # Call nodes compare by identity, so this checks the objects.
+            assert list(got) == want, "line %d of %s" % (s.line, fn.name)
+            # A statement without calls keeps the shared empty default.
+            assert type(got) is tuple and (got or "calls" not in vars(s))
+            seen += len(got)
+    return seen
+
+
+@pytest.mark.parametrize("name", PLAIN)
+def test_recorded_calls_match_the_reference(name):
+    source = PLAIN[name]
+    try:
+        program = parse(source)
+    except LockshiftError:
+        return
+    assert_matches_reference(program)
+    try:
+        _, guarded, _ = run_pipeline(source, BUDGET)
+        reparsed = parse_guarded(print_guarded(guarded))
+    except LockshiftError:
+        return
+    assert_matches_reference(reparsed)
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.gmc")), ids=lambda p: p.name)
+def test_recorded_calls_match_the_reference_on_guarded_fixtures(path):
+    assert_matches_reference(parse_guarded(path.read_text()))
+
+
+def test_the_inputs_have_calls_to_compare():
+    total = 0
+    for source in PLAIN.values():
+        try:
+            total += assert_matches_reference(parse(source))
+        except LockshiftError:
+            pass
+    assert total > 1000
+
+
+def _calls(source: str):
+    program = parse(source)
+    return [[c.name for c in stmt_calls(s)]
+            for fn in program.functions for s in iter_stmts(fn.body)]
+
+
+CALLEES = """\
+int h() { return 1; }
+int g(int x) { return x; }
+int f(int x) { return x; }
+"""
+
+
+def test_arguments_are_recorded_before_their_call():
+    assert _calls(CALLEES + "void main() { f(g(h())); }\n") == [
+        [], [], [], ["h", "g", "f"]]
+
+
+def test_operands_are_recorded_left_to_right():
+    source = CALLEES + "int x;\nvoid main() { x = f(h()) + g(1) * f(2); }\n"
+    assert _calls(source)[-1] == ["h", "f", "g", "f"]
+
+
+def test_a_condition_keeps_its_calls_from_the_nested_statements():
+    source = CALLEES + """\
+void main() {
+    if (f(1)) {
+        g(2);
+    } else {
+        h();
+    }
+    while (g(f(3))) {
+        h();
+        f(4);
+    }
+}
+"""
+    assert _calls(source)[3:] == [["f"], ["g"], ["h"], ["f", "g"], ["h"], ["f"]]
+
+
+def test_a_global_initializer_call_lands_on_no_statement():
+    program = parse(CALLEES + "int x = f(h());\nvoid main() { x = 2; g(x); }\n")
+    init = program.global_decl("x").init
+    assert isinstance(init, Call) and init.name == "f"
+    recorded = [c for fn in program.functions for s in iter_stmts(fn.body)
+                for c in stmt_calls(s)]
+    assert [c.name for c in recorded] == ["g"]
+
+
+def test_lock_api_calls_are_recorded_with_their_lock():
+    program = parse("""\
+struct s { int n; mutex_t m; };
+struct s a;
+mutex_t m;
+thread_t t;
+void w() { pthread_mutex_lock(&a.m); pthread_mutex_unlock(&a.m); }
+void main() {
+    pthread_mutex_init(&m);
+    pthread_mutex_lock(&m);
+    pthread_create(&t, w);
+    pthread_mutex_unlock(&m);
+}
+""")
+    got = [(c.name, c.lock) for fn in program.functions
+           for s in iter_stmts(fn.body) for c in stmt_calls(s)]
+    assert got == [
+        ("pthread_mutex_lock", path_of("a.m")),
+        ("pthread_mutex_unlock", path_of("a.m")),
+        ("pthread_mutex_init", path_of("m")),
+        ("pthread_mutex_lock", path_of("m")),
+        ("pthread_create", None),
+        ("pthread_mutex_unlock", path_of("m")),
+    ]

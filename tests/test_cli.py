@@ -365,6 +365,23 @@ def test_an_exhausted_iteration_budget_exits_with_one(capsys):
     assert "did not converge" in captured.err
 
 
+@pytest.mark.parametrize("mode", ["analyze", "transform", "full"])
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_a_budget_below_one_is_rejected_up_front(tmp_path, capsys, mode, budget):
+    """Rejected before any analysis, also where no component is recursive
+    and the budget would otherwise go unused."""
+    for name in ("mutual_recursion.mc", "inc_global.mc"):
+        out = tmp_path / "out.gmc"
+        argv = [mode, str(CORPUS / name), "--iteration-budget", budget]
+        if mode != "analyze":
+            argv += ["-o", str(out)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --iteration-budget must be at least 1\n"
+        assert not out.exists()
+
+
 def test_dump_flags_write_sidecar_files(tmp_path, capsys):
     src = place(tmp_path, "listing1.mc")
     code = main(["analyze", str(src), "--emit-summary",

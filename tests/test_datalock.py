@@ -1,7 +1,17 @@
 """Inference of which lock protects which global or struct field."""
 
+import random
+
+import pytest
+
 from lockshift.ast import data_accesses, iter_stmts, path_of
-from lockshift.datalock import AccessRecord, candidate_lock, collect_accesses
+from lockshift.datalock import (
+    AccessRecord,
+    ProtectionVerdict,
+    candidate_lock,
+    collect_accesses,
+    judge_protection,
+)
 from lockshift.parser import parse, parse_guarded
 from lockshift.pipeline import analyze_program
 
@@ -192,6 +202,69 @@ def test_candidate_tie_breaks_to_the_smaller_name():
 def test_candidate_absent_when_no_lock_is_ever_held():
     recs = [synthetic([]), synthetic([])]
     assert candidate_lock(recs, ["a", "b"]) is None
+
+
+def test_candidate_counts_only_locks_beside_the_datum():
+    """y.m held while accessing x.n does not count for m; x.m does."""
+    recs = [AccessRecord("f", 1, locks("y.m", "m"), path_of("x.n"), "s", "write"),
+            AccessRecord("f", 2, locks("x.w"), path_of("x.n"), "s", "read"),
+            AccessRecord("f", 3, locks("y.m", "x.w"), path_of("x.n"), "s", "read")]
+    assert candidate_lock(recs, ["m", "w"]) == "w"
+    assert candidate_lock(recs[:1], ["m", "w"]) is None
+
+
+def reference_candidate_lock(records, choices):
+    """The per-name count candidate_lock replaced: one sibling path and
+    one pass over the records for each lock name."""
+    best, best_count = None, 0
+    for name in sorted(choices):
+        count = sum(1 for r in records if r.datum.sibling(name) in r.held)
+        if count > best_count:
+            best, best_count = name, count
+    return best
+
+
+def reference_judge_protection(records, candidate, concurrent, target):
+    safe = [r for r in records if r.datum.sibling(candidate) in r.held]
+    unsafe = [r for r in records if r.datum.sibling(candidate) not in r.held]
+    ok = any(r.kind == "write" for r in safe) and not any(concurrent(r) for r in unsafe)
+    return ProtectionVerdict(target, candidate, ok, unsafe)
+
+
+# Lock paths beside and away from the data below, under several prefixes.
+HELD_POOL = ["m", "w", "a", "x.m", "x.w", "y.m", "y.a", "x.p.m", "x.p.w", "m.m"]
+DATA = [("n", None), ("x.n", "s"), ("y.n", "s"), ("x.p.n", "t")]
+
+
+def random_records(rng: random.Random) -> list[AccessRecord]:
+    datum, struct = rng.choice(DATA)
+    return [AccessRecord(rng.choice(["f", "g", "h"]), line,
+                         locks(*rng.sample(HELD_POOL, rng.randint(0, 4))),
+                         path_of(datum), struct, rng.choice(["read", "write"]))
+            for line in range(rng.randint(0, 8))]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_candidate_and_judgement_match_the_per_name_reference(seed):
+    rng = random.Random(seed)
+    for _ in range(100):
+        recs = random_records(rng)
+        choices = rng.sample(["m", "w", "a", "b"], rng.randint(0, 4))
+        cand = candidate_lock(recs, choices)
+        assert cand == reference_candidate_lock(recs, choices)
+        racy = set(rng.sample(["f", "g", "h"], rng.randint(0, 3)))
+
+        def concurrent(r):
+            return r.function in racy
+
+        for name in [cand] if cand is not None else choices:
+            got = judge_protection(recs, name, concurrent, (None, "n"))
+            want = reference_judge_protection(recs, name, concurrent, (None, "n"))
+            assert (got.target, got.candidate, got.protected) == (
+                want.target, want.candidate, want.protected)
+            # AccessRecord compares by value; unsafe keeps the record order.
+            assert [id(r) for r in got.unsafe_accesses] == [
+                id(r) for r in want.unsafe_accesses]
 
 
 READ_ONLY = """\
