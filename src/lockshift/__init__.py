@@ -6,7 +6,7 @@ a guarded dialect in which locks own their data and guards witness
 possession, and verify the result with a guard ownership checker.
 """
 
-from .ast import GuardedProgram, LockPath, Program, path_of
+from .ast import GuardedProgram, LockPath, Program
 from .callgraph import CallGraph, build_call_graph, thread_entries
 from .cfg import FlowGraph, build_cfg
 from .diagnostics import (
@@ -29,7 +29,7 @@ from .guardcheck import OwnershipError, check
 from .parser import parse, parse_guarded
 from .pipeline import AnalysisResult, analyze_program, run_pipeline
 from .printer import print_guarded, print_source
-from .propagation import FunctionFlowSummary, propagate
+from .propagation import propagate
 from .summary import (
     LockSummary,
     build_summary,
@@ -47,7 +47,6 @@ __all__ = [
     "Diagnostics",
     "FlowGraph",
     "FunctionFlowFacts",
-    "FunctionFlowSummary",
     "GuardedProgram",
     "IterationBudgetExceeded",
     "LockPath",
@@ -71,7 +70,6 @@ __all__ = [
     "check",
     "parse",
     "parse_guarded",
-    "path_of",
     "print_guarded",
     "print_source",
     "propagate",

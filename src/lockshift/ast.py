@@ -186,8 +186,13 @@ class TupleExpr(Expr):
 @dataclass(eq=False)
 class Stmt:
     line: int = 0
-    # Not a field: the resolver sets a tuple on each statement that
-    # evaluates calls; every other statement shares this empty default.
+    # The calls evaluated by the statement itself, in evaluation order:
+    # arguments before their call, an Assign's value before its place, and
+    # only the condition of an If or While. Not a field: the resolver sets a
+    # tuple on each statement that evaluates calls, and every other
+    # statement shares this empty default. So it is defined only on what
+    # `parse` and `parse_guarded` return; a statement built by hand, or by
+    # the transformer and not re-parsed, reports none.
     calls = ()
 
 
@@ -323,6 +328,12 @@ class FunctionDef:
     def param_names(self) -> list[str]:
         return [p.name for p in self.params]
 
+    @property
+    def returns_void(self) -> bool:
+        """Declared plain `void`: its calls have no value. `void *` has one."""
+        ret = self.rets[0]
+        return len(self.rets) == 1 and ret.kind == "void" and not ret.ptr
+
 
 def _function_index(obj) -> dict:
     """Lazy name index; rebuilt if the function list changed size."""
@@ -422,18 +433,6 @@ def stmt_exprs(s: Stmt) -> list[Expr]:
     if isinstance(s, CallAssign):
         return [s.call]
     return []
-
-
-def stmt_calls(s: Stmt) -> tuple[Call, ...]:
-    """The calls evaluated by s itself, in evaluation order: arguments
-    before their call, an Assign's value before its place, and only the
-    condition of an If or While.
-
-    The resolver records them as it resolves s, so they are defined on
-    what `parse` and `parse_guarded` return; a statement built by hand, or
-    by the transformer and not re-parsed, reports none.
-    """
-    return s.calls
 
 
 def function_calls(fn: FunctionDef) -> list[tuple[Stmt, Call]]:

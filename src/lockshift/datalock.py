@@ -18,7 +18,7 @@ from .callgraph import CallGraph, thread_entries
 from .cfg import FlowGraph
 from .diagnostics import Diagnostics
 from .flowanalysis import FunctionFlowFacts
-from .propagation import FunctionFlowSummary
+from .summary import FunctionSummary
 
 
 @dataclass
@@ -40,14 +40,16 @@ class ProtectionVerdict:
 
 
 def collect_accesses(program: Program, flow: dict[str, FunctionFlowFacts],
-                     summaries: dict[str, FunctionFlowSummary],
+                     summaries: dict[str, FunctionSummary],
                      graphs: dict[str, FlowGraph]) -> list[AccessRecord]:
-    """All data accesses with the locks surely held at each one."""
+    """All data accesses with the locks surely held at each one: those held
+    at the statement, plus the propagated set PLS = ELS - MELS."""
     records: list[AccessRecord] = []
     for fn in program.functions:
         g = graphs[fn.name]
-        avail_in = flow[fn.name].avail_in
-        pls = summaries[fn.name].pls
+        facts = flow[fn.name]
+        avail_in = facts.avail_in
+        pls = summaries[fn.name].entry_lock - facts.mels
         for node in g.stmt_nodes:
             held = avail_in[node] | pls
             for kind, e, datum in data_accesses(node):
@@ -108,7 +110,7 @@ def _init_paths_by_function(program: Program) -> dict[str, set[LockPath]]:
 
 
 def infer_data_locks(program: Program, flow: dict[str, FunctionFlowFacts],
-                     summaries: dict[str, FunctionFlowSummary],
+                     summaries: dict[str, FunctionSummary],
                      graphs: dict[str, FlowGraph], cg: CallGraph,
                      diags: Diagnostics | None = None,
                      ) -> tuple[dict[str, str], dict[str, dict[str, str]], list[ProtectionVerdict]]:

@@ -30,7 +30,6 @@ from .ast import (
     UNLOCK_FN,
     function_calls,
     place_path,
-    stmt_calls,
 )
 from .cfg import FlowGraph, Node, solve
 from .diagnostics import Diagnostics, IterationBudgetExceeded, UnaliasableArgument
@@ -154,7 +153,7 @@ def transfer_gen_kill(s: Stmt, callee_facts: Mapping[str, FunctionFlowFacts],
     """Combined gen/kill of a statement, composing nested call effects in
     evaluation order."""
     effects: list[GenKill] = []
-    for call in stmt_calls(s):
+    for call in s.calls:
         gk = _call_effect(call, callee_facts, diags, fn_name, s.line)
         if gk is not None:
             effects.append(gk)

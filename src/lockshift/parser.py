@@ -691,8 +691,12 @@ class _Resolver:
             self.resolve_expr(s.place)
             self.check_assign_place(s.place, s.line)
         elif isinstance(s, ExprStmt):
-            if isinstance(s.expr, Call) and s.expr.name in LOCK_API:
-                self.resolve_lock_api(s.expr, s.line)
+            if isinstance(s.expr, Call):
+                # The one place a call's value may go unused.
+                if s.expr.name in LOCK_API:
+                    self.resolve_lock_api(s.expr, s.line)
+                else:
+                    self.resolve_call(s.expr)
                 self.calls.append(s.expr)
             else:
                 self.resolve_expr(s.expr)
@@ -785,6 +789,9 @@ class _Resolver:
             return
         if isinstance(e, Call):
             self.resolve_call(e)
+            if self.functions[e.name].returns_void:
+                raise TypeCheckError(
+                    "%s() returns void; its value cannot be used" % e.name, self.line)
             self.calls.append(e)
             return
         if isinstance(e, (GuardRef, GuardDeref, GetMutAccess)):
@@ -878,7 +885,5 @@ def parse(source: str) -> Program:
 def parse_guarded(source: str) -> GuardedProgram:
     """Parse and resolve a guarded-dialect program."""
     program = _Parser(tokenize(source), guarded=True).parse_program()
-    if isinstance(program, Program):
-        program = GuardedProgram(program.globals, [], program.structs, program.functions)
     _Resolver(program).run()
     return program

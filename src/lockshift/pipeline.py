@@ -16,7 +16,7 @@ from .diagnostics import Diagnostics, gc_paused
 from .flowanalysis import FunctionFlowFacts, analyze_program_flow
 from .guardcheck import OwnershipError, check
 from .parser import parse
-from .propagation import FunctionFlowSummary, propagate
+from .propagation import propagate
 from .summary import LockSummary, build_summary
 from .transform import transform
 
@@ -27,7 +27,6 @@ class AnalysisResult:
     graphs: dict[str, FlowGraph]
     callgraph: CallGraph
     flow: dict[str, FunctionFlowFacts]
-    summaries: dict[str, FunctionFlowSummary]
     lock_summary: LockSummary
     verdicts: list[ProtectionVerdict] = field(default_factory=list)
     diagnostics: Diagnostics = field(default_factory=Diagnostics)
@@ -43,12 +42,11 @@ def analyze_program(source: str | Program, budget: int = 1000,
     graphs = {fn.name: build_cfg(fn, diags) for fn in program.functions}
     cg = build_call_graph(program, diags)
     flow = analyze_program_flow(program, cg, graphs, budget, diags)
-    summaries = propagate(program, flow, graphs, diags)
+    functions = propagate(program, flow, graphs, diags)
     global_map, struct_map, verdicts = infer_data_locks(
-        program, flow, summaries, graphs, cg, diags)
-    lock_summary = build_summary(global_map, struct_map, summaries)
-    return AnalysisResult(program, graphs, cg, flow, summaries, lock_summary,
-                          verdicts, diags)
+        program, flow, functions, graphs, cg, diags)
+    lock_summary = build_summary(global_map, struct_map, functions)
+    return AnalysisResult(program, graphs, cg, flow, lock_summary, verdicts, diags)
 
 
 @gc_paused

@@ -4,17 +4,19 @@ Callers hand the locks they hold at a call site down to the callee: the
 callee's entry lock set (ELS) is the intersection, over every call site, of
 what is surely held there, renamed into the callee's namespace. From ELS come
 the propagated set PLS = ELS - MELS, the return set RLS = MRLS + PLS, and the
-per-line map of held locks used by the transformer.
+per-line map of held locks used by the transformer; together they are the
+function's summary record.
 """
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .ast import Expr, LockPath, Program, place_path, stmt_calls
+from .ast import Expr, LockPath, Program, place_path
 from .cfg import FlowGraph, solve
 from .diagnostics import Diagnostics
 from .flowanalysis import FunctionFlowFacts, join, meet
+from .summary import FunctionSummary
 
 
 @dataclass
@@ -28,20 +30,6 @@ class CallSiteFact:
     line: int
 
 
-@dataclass
-class FunctionFlowSummary:
-    """Final per-function lock facts after propagation."""
-
-    name: str
-    mels: frozenset[LockPath] = frozenset()
-    mrls: frozenset[LockPath] = frozenset()
-    els: frozenset[LockPath] = frozenset()
-    pls: frozenset[LockPath] = frozenset()
-    rls: frozenset[LockPath] = frozenset()
-    lock_line: dict[LockPath, list[int]] = field(default_factory=dict)
-    scc_iterations: int = 0
-
-
 def collect_call_facts(program: Program, flow: dict[str, FunctionFlowFacts],
                        graphs: dict[str, FlowGraph]) -> list[CallSiteFact]:
     """One fact per syntactic call to a defined function, in program order."""
@@ -51,7 +39,7 @@ def collect_call_facts(program: Program, flow: dict[str, FunctionFlowFacts],
         g = graphs[fn.name]
         avail_in = flow[fn.name].avail_in
         for node in g.stmt_nodes:
-            for call in stmt_calls(node):
+            for call in node.calls:
                 if call.name in defined:
                     facts.append(CallSiteFact(
                         fn.name, call.name, avail_in[node],
@@ -101,8 +89,8 @@ def unalias_set(paths: frozenset[LockPath] | None, args, params,
 def propagate(program: Program, flow: dict[str, FunctionFlowFacts],
               graphs: dict[str, FlowGraph],
               diags: Diagnostics | None = None,
-              ) -> dict[str, FunctionFlowSummary]:
-    """Solve ELS for every function and assemble the final summaries.
+              ) -> dict[str, FunctionSummary]:
+    """Solve ELS for every function and assemble its summary record.
 
     Caller-less functions start at ELS = MELS; everything else starts at Top
     (None) and shrinks monotonically as callers settle. Functions reachable
@@ -146,7 +134,7 @@ def propagate(program: Program, flow: dict[str, FunctionFlowFacts],
             if by_callee.get(name) and els[name] is not None:
                 prop_into(name, diags)
 
-    summaries: dict[str, FunctionFlowSummary] = {}
+    summaries: dict[str, FunctionSummary] = {}
     for fn in program.functions:
         facts = flow[fn.name]
         entry = els[fn.name]
@@ -158,18 +146,15 @@ def propagate(program: Program, flow: dict[str, FunctionFlowFacts],
                     "dead cycle); using its own released set" % fn.name,
                     function=fn.name)
         pls = entry - facts.mels
-        rls = facts.mrls | pls
-        summaries[fn.name] = FunctionFlowSummary(
-            fn.name, mels=facts.mels, mrls=facts.mrls, els=entry, pls=pls,
-            rls=rls, lock_line=_lock_lines(graphs[fn.name], facts, pls),
-            scc_iterations=facts.scc_iterations)
+        summaries[fn.name] = FunctionSummary(
+            entry, facts.mrls | pls, _lock_lines(graphs[fn.name], facts, pls))
     return summaries
 
 
 def _lock_lines(g: FlowGraph, facts: FunctionFlowFacts,
-                pls: frozenset[LockPath]) -> dict[LockPath, list[int]]:
+                pls: frozenset[LockPath]) -> dict[LockPath, frozenset[int]]:
     lines: dict[LockPath, set[int]] = defaultdict(set)
     for node in g.stmt_nodes:
         for p in facts.avail_in[node] | pls:
             lines[p].add(node.line)
-    return {p: sorted(ls) for p, ls in sorted(lines.items())}
+    return {p: frozenset(ls) for p, ls in lines.items()}

@@ -3,8 +3,9 @@ transformation.
 
 Three maps: global_lock_map (protected global -> lock), struct_lock_map
 (struct -> protected field -> lock field), and function_map (function ->
-entry_lock / return_lock / lock_line). Serialization is canonical so golden
-files and round-trips are byte-stable.
+entry_lock / return_lock / lock_line). In memory a lock path is a LockPath;
+only read_summary and write_summary turn it into dotted text and back.
+Serialization is canonical so golden files and round-trips are byte-stable.
 """
 from __future__ import annotations
 
@@ -12,17 +13,19 @@ import json
 import re
 from dataclasses import dataclass, field
 
-from .ast import KEYWORDS, Program, holds_data, path_of
+from .ast import KEYWORDS, LockPath, Program, holds_data, path_of
 from .diagnostics import SchemaError
 from .lexer import IDENT
-from .propagation import FunctionFlowSummary
 
 
 @dataclass
 class FunctionSummary:
-    entry_lock: list[str] = field(default_factory=list)
-    return_lock: list[str] = field(default_factory=list)
-    lock_line: dict[str, list[int]] = field(default_factory=dict)
+    """One function's lock facts: its entry and return lock sets, and the
+    lines on which each lock is surely held."""
+
+    entry_lock: frozenset[LockPath] = frozenset()
+    return_lock: frozenset[LockPath] = frozenset()
+    lock_line: dict[LockPath, frozenset[int]] = field(default_factory=dict)
 
     def is_empty(self) -> bool:
         return not (self.entry_lock or self.return_lock or self.lock_line)
@@ -47,34 +50,24 @@ class LockSummary:
 
 def build_summary(global_map: dict[str, str],
                   struct_map: dict[str, dict[str, str]],
-                  flow: dict[str, FunctionFlowSummary]) -> LockSummary:
-    """Assemble the summary; functions with nothing to say are omitted."""
-    function_map: dict[str, FunctionSummary] = {}
-    for name in sorted(flow):
-        s = flow[name]
-        entry = sorted(p.text for p in s.els)
-        ret = sorted(p.text for p in s.rls)
-        lock_line = {p.text: sorted(set(lines)) for p, lines in s.lock_line.items()}
-        fs = FunctionSummary(entry, ret, lock_line)
-        if not fs.is_empty():
-            function_map[name] = fs
-    return LockSummary(
-        {k: v for k, v in sorted(global_map.items())},
-        {k: dict(sorted(v.items())) for k, v in sorted(struct_map.items())},
-        function_map)
+                  functions: dict[str, FunctionSummary]) -> LockSummary:
+    """Wrap the lock maps and the per-function records."""
+    return LockSummary(global_map, struct_map, functions)
 
 
 def write_summary(s: LockSummary) -> str:
+    """Canonical JSON; functions with nothing to say are left out."""
     data = {
         "global_lock_map": s.global_lock_map,
         "struct_lock_map": s.struct_lock_map,
         "function_map": {
             name: {
-                "entry_lock": fs.entry_lock,
-                "return_lock": fs.return_lock,
-                "lock_line": fs.lock_line,
+                "entry_lock": [p.text for p in sorted(fs.entry_lock)],
+                "return_lock": [p.text for p in sorted(fs.return_lock)],
+                "lock_line": {p.text: sorted(lines)
+                              for p, lines in fs.lock_line.items()},
             }
-            for name, fs in s.function_map.items()
+            for name, fs in s.function_map.items() if not fs.is_empty()
         },
     }
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
@@ -94,14 +87,24 @@ def _str_map(value, path: str) -> dict[str, str]:
     return out
 
 
-def _str_list(value, path: str) -> list[str]:
+def _is_name(segment: str) -> bool:
+    return re.fullmatch(IDENT, segment) is not None and segment not in KEYWORDS
+
+
+def _lock_path(text: str, path: str) -> LockPath:
+    _expect(all(_is_name(seg) for seg in text.split(".")),
+            "lock path %r is not a dotted list of identifiers" % text, path)
+    return path_of(text)
+
+
+def _path_set(value, path: str) -> frozenset[LockPath]:
     _expect(isinstance(value, list), "expected a list", path)
     for i, v in enumerate(value):
         _expect(isinstance(v, str), "expected a string", "%s[%d]" % (path, i))
-    return sorted(set(value))
+    return frozenset(_lock_path(text, path) for text in sorted(set(value)))
 
 
-def _line_map(value, path: str) -> dict[str, list[int]]:
+def _line_map(value, path: str) -> dict[LockPath, frozenset[int]]:
     _expect(isinstance(value, dict), "expected an object", path)
     out = {}
     for k, lines in value.items():
@@ -110,13 +113,14 @@ def _line_map(value, path: str) -> dict[str, list[int]]:
         for i, n in enumerate(lines):
             _expect(isinstance(n, int) and not isinstance(n, bool),
                     "expected an integer", "%s[%d]" % (kpath, i))
-        out[k] = sorted(set(lines))
+        out[_lock_path(k, path)] = frozenset(lines)
     return out
 
 
 def read_summary(text: str) -> LockSummary:
-    """Parse summary JSON; missing keys default empty, unknown keys are
-    rejected with the offending JSON path."""
+    """Parse summary JSON; missing keys default empty, unknown keys and lock
+    paths that are not dotted lists of identifiers are rejected with the
+    offending JSON path. The one place lock-path text is read."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -145,15 +149,11 @@ def read_summary(text: str) -> LockSummary:
             _expect(key in ("entry_lock", "return_lock", "lock_line"),
                     "unknown key %r" % key, "%s.%s" % (fpath, key))
         function_map[fname] = FunctionSummary(
-            _str_list(body.get("entry_lock", []), "%s.entry_lock" % fpath),
-            _str_list(body.get("return_lock", []), "%s.return_lock" % fpath),
+            _path_set(body.get("entry_lock", []), "%s.entry_lock" % fpath),
+            _path_set(body.get("return_lock", []), "%s.return_lock" % fpath),
             _line_map(body.get("lock_line", {}), "%s.lock_line" % fpath))
 
     return LockSummary(global_map, struct_map, function_map)
-
-
-def _is_name(segment: str) -> bool:
-    return re.fullmatch(IDENT, segment) is not None and segment not in KEYWORDS
 
 
 def _check_lock_map(lock_map: dict[str, str], decls, noun: str, path: str) -> None:
@@ -172,7 +172,9 @@ def _check_lock_map(lock_map: dict[str, str], decls, noun: str, path: str) -> No
 
 
 def validate_against_program(s: LockSummary, p: Program) -> None:
-    """Check every name in the summary against the program."""
+    """Check every name in the summary against the program. Lock paths were
+    checked when read, so only their roots are looked up here, each set in
+    path order."""
     _check_lock_map(s.global_lock_map, p.globals, "global %r", "$.global_lock_map")
     for sname, fields in s.struct_lock_map.items():
         spath = "$.struct_lock_map.%s" % sname
@@ -187,13 +189,8 @@ def validate_against_program(s: LockSummary, p: Program) -> None:
         params = set(fn.param_names)
         for which, paths in (("entry_lock", fs.entry_lock),
                              ("return_lock", fs.return_lock),
-                             ("lock_line", list(fs.lock_line))):
-            for text in paths:
-                where = "%s.%s" % (fpath, which)
-                _expect(all(_is_name(seg) for seg in text.split(".")),
-                        "lock path %r is not a dotted list of identifiers" % text,
-                        where)
-                root = path_of(text).root
-                _expect(root in params or root in global_names,
+                             ("lock_line", fs.lock_line)):
+            for lp in sorted(paths):
+                _expect(lp.root in params or lp.root in global_names,
                         "lock path %r names no global or parameter of %s"
-                        % (text, fname), where)
+                        % (lp.text, fname), "%s.%s" % (fpath, which))

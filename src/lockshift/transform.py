@@ -61,7 +61,6 @@ from .ast import (
     datum_of,
     function_calls,
     iter_stmts,
-    path_of,
 )
 from .callgraph import thread_entries
 from .diagnostics import (
@@ -126,6 +125,8 @@ class _Transformer:
         self.s = s
         self.diags = diags
         self.external = {"main"} | set(thread_entries(p))
+        # In path order, which is the order of their dotted texts: guard
+        # parameters and returned guards follow it.
         self.entry_paths: dict[str, list[LockPath]] = {}
         self.ret_paths: dict[str, list[LockPath]] = {}
         for fn in p.functions:
@@ -139,8 +140,8 @@ class _Transformer:
                         "local instead of changing its signature" % fn.name,
                         function=fn.name)
             else:
-                self.entry_paths[fn.name] = [path_of(t) for t in fs.entry_lock]
-                self.ret_paths[fn.name] = [path_of(t) for t in fs.return_lock]
+                self.entry_paths[fn.name] = sorted(fs.entry_lock)
+                self.ret_paths[fn.name] = sorted(fs.return_lock)
         self.reserved = ({g.name for g in p.globals}
                          | {f.name for f in p.functions}
                          | {sd.name for sd in p.structs})
@@ -236,13 +237,11 @@ class _Transformer:
         return out
 
     def _transform_function(self, fn: FunctionDef) -> FunctionDef:
-        fs = self.s.function(fn.name)
         self._fn = fn
         self._entry = self.entry_paths[fn.name]
         self._rets = self.ret_paths[fn.name]
-        self._nonvoid = fn.rets[0].kind != "void"
-        self._lock_line = {path_of(t): set(lines)
-                           for t, lines in fs.lock_line.items()}
+        self._nonvoid = not fn.returns_void
+        self._lock_line = self.s.function(fn.name).lock_line
         self._names = _GuardNames(self.reserved, fn.param_names,
                                   self.diags, fn.name)
         self._used: set[str] = set()
@@ -333,7 +332,7 @@ class _Transformer:
         targets: list = []
         if place is not None:
             targets.append(place)
-        elif self.p.function(c.name).rets[0].kind != "void":
+        elif not self.p.function(c.name).returns_void:
             targets.append(Discard())
         targets.extend(GuardTarget(self._guard(q), q) for q in ret_qs)
         return CallAssign(line=line, targets=targets, call=call)

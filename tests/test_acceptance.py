@@ -8,6 +8,7 @@ time.
 import functools
 import time
 
+from lockshift.ast import path_of
 from lockshift.guardcheck import check
 from lockshift.parser import parse_guarded
 from lockshift.pipeline import analyze_program, run_pipeline
@@ -65,9 +66,9 @@ def test_criterion_2_listing_pipeline():
     s = result.lock_summary
     assert s.global_lock_map == {"n": "m"}
     assert s.struct_lock_map == {"s": {"n": "m"}}
-    assert s.function("unlock").entry_lock == ["m"]
-    assert s.function("lock").return_lock == ["m"]
-    assert s.function("foo").lock_line == {"m": [16, 17]}
+    assert s.function("unlock").entry_lock == locks("m")
+    assert s.function("lock").return_lock == locks("m")
+    assert s.function("foo").lock_line == {path_of("m"): frozenset([16, 17])}
 
     text = print_guarded(guarded)
     assert text == fixture_text("listing1.gmc")
@@ -116,11 +117,12 @@ def test_criterion_5_invariants():
     sources.extend(source for _, source, _ in FLOW_CASES)
     for source in sources:
         result, guarded, _ = run_pipeline(source)
-        for name, s in result.summaries.items():
-            assert s.mels <= s.els, name
-            assert s.mrls <= s.rls, name
-            assert s.els - s.mels == s.pls, name
-            assert s.rls - s.mrls == s.pls, name
+        for name, s in result.lock_summary.function_map.items():
+            f = result.flow[name]
+            pls = s.entry_lock - f.mels
+            assert f.mels <= s.entry_lock, name
+            assert f.mrls <= s.return_lock, name
+            assert s.return_lock - f.mrls == pls, name
         text = print_guarded(guarded)
         assert "pthread_mutex_lock" not in text
         assert "pthread_mutex_unlock" not in text

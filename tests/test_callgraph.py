@@ -78,7 +78,7 @@ def test_duplicate_call_sites_give_one_edge():
 def test_edges_are_unique_and_in_first_call_order():
     callees = ["g%d" % i for i in range(300)]
     order = callees[::-1] + callees[::2] + callees  # every callee repeats
-    p = parse("thread_t t;\n" + "".join("void %s() { }\n" % g for g in callees)
+    p = parse("thread_t t;\n" + "".join("int %s() { return 0; }\n" % g for g in callees)
               + "void main() { if (g7()) { g3(); } %s pthread_create(&t, g9); "
                 "pthread_create(&t, g5); pthread_create(&t, g9); }\n"
               % " ".join("%s();" % g for g in order))

@@ -1,7 +1,7 @@
 """Differential test of the calls the resolver records on each statement.
 
-`ast.stmt_calls` reads `Stmt.calls`, which `parser._Resolver` fills in as
-it resolves a statement. The reference below is the walk it replaced: the
+The passes read `Stmt.calls`, which `parser._Resolver` fills in as it
+resolves a statement. The reference below is the walk it replaced: the
 statement's own expressions (an Assign's value before its place, only the
 condition of an If or While), each searched for calls with arguments
 before their call. For every statement of every program below, both must
@@ -29,7 +29,6 @@ from lockshift.ast import (
     While,
     iter_stmts,
     path_of,
-    stmt_calls,
 )
 from lockshift.diagnostics import LockshiftError
 from lockshift.parser import parse, parse_guarded
@@ -105,7 +104,7 @@ def assert_matches_reference(program) -> int:
     seen = 0
     for fn in program.functions:
         for s in iter_stmts(fn.body):
-            got, want = stmt_calls(s), reference_stmt_calls(s)
+            got, want = s.calls, reference_stmt_calls(s)
             # Call nodes compare by identity, so this checks the objects.
             assert list(got) == want, "line %d of %s" % (s.line, fn.name)
             # A statement without calls keeps the shared empty default.
@@ -147,7 +146,7 @@ def test_the_inputs_have_calls_to_compare():
 
 def _calls(source: str):
     program = parse(source)
-    return [[c.name for c in stmt_calls(s)]
+    return [[c.name for c in s.calls]
             for fn in program.functions for s in iter_stmts(fn.body)]
 
 
@@ -190,7 +189,7 @@ def test_a_global_initializer_call_lands_on_no_statement():
     init = program.global_decl("x").init
     assert isinstance(init, Call) and init.name == "f"
     recorded = [c for fn in program.functions for s in iter_stmts(fn.body)
-                for c in stmt_calls(s)]
+                for c in s.calls]
     assert [c.name for c in recorded] == ["g"]
 
 
@@ -209,7 +208,7 @@ void main() {
 }
 """)
     got = [(c.name, c.lock) for fn in program.functions
-           for s in iter_stmts(fn.body) for c in stmt_calls(s)]
+           for s in iter_stmts(fn.body) for c in s.calls]
     assert got == [
         ("pthread_mutex_lock", path_of("a.m")),
         ("pthread_mutex_unlock", path_of("a.m")),

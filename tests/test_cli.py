@@ -106,6 +106,8 @@ def transform_with(tmp_path, summary: str):
      "$.function_map.g.return_lock"),
     ('{"function_map": {"g": {"lock_line": {"x.k-1": [8]}}}}',
      "$.function_map.g.lock_line"),
+    ('{"function_map": {"g": {"lock_line": {"m..x": [1]}}}}',
+     "$.function_map.g.lock_line"),
     ('{"global_lock_map": {"x": "m"}}', "$.global_lock_map.x"),
     ('{"global_lock_map": {"m2": "m"}}', "$.global_lock_map.m2"),
 ])

@@ -20,8 +20,8 @@ from helpers import CORPUS, fixture_text, locks
 
 def records_for(source):
     result = analyze_program(source)
-    return collect_accesses(result.program, result.flow, result.summaries,
-                            result.graphs)
+    return collect_accesses(result.program, result.flow,
+                            result.lock_summary.function_map, result.graphs)
 
 
 def accesses_by_line(program):

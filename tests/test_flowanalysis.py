@@ -318,12 +318,12 @@ def published_sets(result):
         yield f.mrls
         for sets in (f.live_in, f.live_out, f.avail_in, f.avail_out):
             yield from sets.values()
-    for s in result.summaries.values():
-        yield from (s.mels, s.mrls, s.els, s.pls, s.rls)
+    for s in result.lock_summary.function_map.values():
+        yield from (s.entry_lock, s.return_lock)
     for fact in collect_call_facts(result.program, result.flow, result.graphs):
         yield fact.available
-    for r in collect_accesses(result.program, result.flow, result.summaries,
-                              result.graphs):
+    for r in collect_accesses(result.program, result.flow,
+                              result.lock_summary.function_map, result.graphs):
         yield r.held
 
 

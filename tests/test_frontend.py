@@ -119,7 +119,38 @@ def test_place_and_type_errors():
     with pytest.raises(UnknownIdentifier, match="no field"):
         parse("struct s { int a; };\nstruct s x;\nvoid f() { x.b = 1; }\n")
     with pytest.raises(TypeCheckError, match="address of a non-place"):
-        parse("int n;\nvoid g() { }\nvoid f() { n = 1; pthread_mutex_lock(&g()); }\n")
+        parse("int n;\nint g() { return 0; }\n"
+              "void f() { n = 1; pthread_mutex_lock(&g()); }\n")
+
+
+VOID_G = "int x;\nstruct s { int a; };\nstruct s y;\nvoid g() { }\nint h(int v) { return v; }\n"
+
+
+@pytest.mark.parametrize("use", [
+    "void f() { x = g(); }",
+    "void f() { if (g()) { x = 1; } }",
+    "void f() { while (g()) { x = 1; } }",
+    "void f() { x = h(g()); }",
+    "void f() { h(g()); }",
+    "void f() { x = 1 + g(); }",
+    "void f() { g() == 0; }",
+    "void f() { y.a = g(); }",
+    "int f() { return g(); }",
+    "int z = g();",
+], ids=["assigned", "if", "while", "argument", "argument-of-standalone",
+        "operand", "standalone-operand", "field-assigned", "returned",
+        "global-initializer"])
+def test_the_value_of_a_void_call_is_rejected(use):
+    with pytest.raises(TypeCheckError, match=r"g\(\) returns void") as exc:
+        parse(VOID_G + use + "\n")
+    assert exc.value.line == 6
+
+
+def test_a_standalone_void_call_is_legal():
+    p = parse(VOID_G + "void f() { g(); x = h(1); }\n")
+    assert [c.name for c in p.function("f").body.stmts[0].calls] == ["g"]
+    # a pointer to void is a value
+    parse("int *p;\nvoid *g() { return p; }\nvoid f() { p = g(); }\n")
 
 
 def test_parse_error_carries_position():

@@ -104,3 +104,17 @@ def test_the_public_api_list_matches_the_package():
                 for alias in stmt.names}
     unlisted = sorted(imported - set(lockshift.__all__))
     assert not unlisted, "imported by __init__ but not in __all__: %s" % unlisted
+
+
+def test_lock_path_text_is_parsed_only_by_the_summary_reader():
+    """Dotted lock-path text is the summary's JSON format; every other
+    module hands LockPath values around and never parses text."""
+    allowed = {"ast.py", "summary.py"}
+    uses = ["%s:%d" % (path.name, node.lineno)
+            for path in sorted(PACKAGE.glob("*.py")) if path.name not in allowed
+            for node in ast.walk(_tree(path))
+            if (isinstance(node, ast.Name) and node.id == "path_of")
+            or (isinstance(node, ast.Attribute) and node.attr == "path_of")
+            or (isinstance(node, ast.ImportFrom)
+                and any(a.name == "path_of" for a in node.names))]
+    assert not uses, "path_of outside ast.py and summary.py:\n" + "\n".join(uses)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from lockshift.ast import Stmt, place_path, stmt_calls, LOCK_FN, UNLOCK_FN
+from lockshift.ast import Stmt, place_path, LOCK_FN, UNLOCK_FN
 from lockshift.cfg import build_cfg
 from lockshift.flowanalysis import analyze_function
 from lockshift.parser import parse
@@ -96,7 +96,7 @@ def node_events(n) -> list[tuple[str, str]]:
     if not isinstance(n, Stmt):
         return []
     events = []
-    for call in stmt_calls(n):
+    for call in n.calls:
         if call.name == LOCK_FN:
             events.append(("lock", place_path(call.args[0]).text))
         elif call.name == UNLOCK_FN:

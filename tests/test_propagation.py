@@ -7,27 +7,31 @@ from helpers import CALLER_PROVIDES, fixture_text, locks
 
 
 def summaries_of(source: str):
-    return analyze_program(source).summaries
+    """Each function's summary record, as propagation wrote it."""
+    return analyze_program(source).lock_summary.function_map
 
 
 def test_caller_provides_entry_set():
-    s = summaries_of(CALLER_PROVIDES)["inc"]
-    assert s.mels == frozenset() and s.mrls == frozenset()
-    assert s.els == locks("m")
-    assert s.pls == locks("m")
-    assert s.rls == locks("m")
+    result = analyze_program(CALLER_PROVIDES)
+    s = result.lock_summary.function("inc")
+    f = result.flow["inc"]
+    assert f.mels == frozenset() and f.mrls == frozenset()
+    assert s.entry_lock == locks("m")
+    assert s.entry_lock - f.mels == locks("m")
+    assert s.return_lock == locks("m")
 
 
 def test_root_functions_keep_their_own_entry_set():
     s = summaries_of(CALLER_PROVIDES)
-    assert s["safe_inc"].els == frozenset()
-    assert s["main"].els == frozenset()
+    assert s["safe_inc"].entry_lock == frozenset()
+    assert s["main"].entry_lock == frozenset()
 
 
 def test_multiple_callers_intersect():
-    s = summaries_of(fixture_text("corpus/multi_caller.mc"))["helper"]
-    assert s.els == locks("b")
-    assert s.pls == locks("b")
+    result = analyze_program(fixture_text("corpus/multi_caller.mc"))
+    s = result.lock_summary.function("helper")
+    assert s.entry_lock == locks("b")
+    assert s.entry_lock - result.flow["helper"].mels == locks("b")
 
 
 def test_propagation_renames_through_pointer_arguments():
@@ -47,14 +51,14 @@ def test_propagation_renames_through_pointer_arguments():
     }
     """
     s = summaries_of(source)
-    assert s["touch"].els == locks("a.m")
-    assert s["run"].els == frozenset()
+    assert s["touch"].entry_lock == locks("a.m")
+    assert s["run"].entry_lock == frozenset()
 
 
 def test_transitive_propagation_through_middle_function():
     s = summaries_of(fixture_text("corpus/guard_args_chain.mc"))
-    assert s["middle"].els == locks("m")
-    assert s["leaf"].els == locks("m")
+    assert s["middle"].entry_lock == locks("m")
+    assert s["leaf"].entry_lock == locks("m")
 
 
 def test_unmatched_param_rooted_lock_is_dropped_with_diagnostic():
@@ -73,7 +77,7 @@ def test_unmatched_param_rooted_lock_is_dropped_with_diagnostic():
     }
     """
     result = analyze_program(source)
-    assert result.summaries["helper"].els == frozenset()
+    assert result.lock_summary.function("helper").entry_lock == frozenset()
     drops = [d for d in result.diagnostics if "no parameter image" in d.message]
     assert len(drops) == 1
     assert drops[0].function == "run"
@@ -92,38 +96,41 @@ def test_dead_cycle_is_clamped_to_own_released_set():
     }
     """
     result = analyze_program(source)
-    assert result.summaries["a"].els == locks("m")
-    assert result.summaries["a"].pls == frozenset()
+    entry = result.lock_summary.function("a").entry_lock
+    assert entry == locks("m")
+    assert entry - result.flow["a"].mels == frozenset()
     clamped = [d for d in result.diagnostics if "dead cycle" in d.message]
     assert {d.function for d in clamped} == {"a", "b"}
 
 
 def test_global_locks_survive_propagation_without_arguments():
     s = summaries_of(fixture_text("corpus/unlock_chain.mc"))
-    assert s["release"].els == locks("m")
-    assert s["release_outer"].els == locks("m")
+    assert s["release"].entry_lock == locks("m")
+    assert s["release_outer"].entry_lock == locks("m")
 
 
 def test_lock_line_lists_lines_where_lock_is_held():
     s = summaries_of(fixture_text("listing1.mc"))
-    lines = {p.text: ls for p, ls in s["foo"].lock_line.items()}
+    lines = {p.text: sorted(ls) for p, ls in s["foo"].lock_line.items()}
     assert lines == {"m": [16, 17]}
-    lines = {p.text: ls for p, ls in s["f"].lock_line.items()}
+    lines = {p.text: sorted(ls) for p, ls in s["f"].lock_line.items()}
     assert lines == {"m": [6]}
-    lines = {p.text: ls for p, ls in s["unlock"].lock_line.items()}
+    lines = {p.text: sorted(ls) for p, ls in s["unlock"].lock_line.items()}
     assert lines == {"m": [7]}
-    lines = {p.text: ls for p, ls in s["h"].lock_line.items()}
+    lines = {p.text: sorted(ls) for p, ls in s["h"].lock_line.items()}
     assert lines == {"x.m": [20, 21]}
 
 
 def test_lock_line_includes_propagated_locks_everywhere():
     s = summaries_of(CALLER_PROVIDES)
-    lines = {p.text: ls for p, ls in s["inc"].lock_line.items()}
+    lines = {p.text: sorted(ls) for p, ls in s["inc"].lock_line.items()}
     assert lines == {"m": [4]}
 
 
 def test_entry_minus_released_equals_return_minus_surely_held():
     for src in (CALLER_PROVIDES, fixture_text("corpus/multi_caller.mc"),
                 fixture_text("listing1.mc")):
-        for s in summaries_of(src).values():
-            assert s.els - s.mels == s.rls - s.mrls == s.pls
+        result = analyze_program(src)
+        for name, s in result.lock_summary.function_map.items():
+            f = result.flow[name]
+            assert s.entry_lock - f.mels == s.return_lock - f.mrls

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from lockshift.ast import LockPath, path_of
 from lockshift.diagnostics import SchemaError
 from lockshift.parser import parse
 from lockshift.pipeline import analyze_program
@@ -15,7 +16,7 @@ from lockshift.summary import (
     write_summary,
 )
 
-from helpers import fixture_text
+from helpers import fixture_text, locks
 
 
 def sample():
@@ -23,8 +24,10 @@ def sample():
         {"n": "m"},
         {"s": {"n": "m"}},
         {
-            "f": FunctionSummary([], [], {"m": [6]}),
-            "unlock": FunctionSummary(["m"], [], {"m": [7]}),
+            "f": FunctionSummary(frozenset(), frozenset(),
+                                 {path_of("m"): frozenset([6])}),
+            "unlock": FunctionSummary(locks("m"), frozenset(),
+                                      {path_of("m"): frozenset([7])}),
         },
     )
 
@@ -68,8 +71,25 @@ def test_lock_lists_are_sorted_and_deduplicated():
         '{"function_map": {"f": {"entry_lock": ["m", "a.m", "m"],'
         ' "lock_line": {"m": [5, 3, 5]}}}}')
     fs = s.function_map["f"]
-    assert fs.entry_lock == ["a.m", "m"]
-    assert fs.lock_line == {"m": [3, 5]}
+    assert fs.entry_lock == locks("a.m", "m")
+    assert fs.lock_line == {path_of("m"): frozenset([3, 5])}
+    data = json.loads(write_summary(s))["function_map"]["f"]
+    assert data["entry_lock"] == ["a.m", "m"]
+    assert data["lock_line"] == {"m": [3, 5]}
+
+
+def test_read_summary_returns_lock_paths():
+    s = read_summary(
+        '{"function_map": {"g": {"entry_lock": ["x.m"], "return_lock": ["m"],'
+        ' "lock_line": {"x.m": [4]}}}}')
+    fs = s.function("g")
+    assert fs.entry_lock == frozenset([LockPath(("x", "m"))])
+    assert fs.return_lock == frozenset([LockPath(("m",))])
+    assert fs.lock_line == {LockPath(("x", "m")): frozenset([4])}
+    with pytest.raises(SchemaError, match=(
+            r"^\$\.function_map\.g\.lock_line: "
+            r"lock path 'm\.\.x' is not a dotted list of identifiers$")):
+        read_summary('{"function_map": {"g": {"lock_line": {"m..x": [1]}}}}')
 
 
 @pytest.mark.parametrize(
@@ -92,6 +112,8 @@ def test_lock_lists_are_sorted_and_deduplicated():
          "$.function_map.f.lock_line.m[0]"),
         ('{"function_map": {"f": {"lock_line": {"m": [true]}}}}',
          "$.function_map.f.lock_line.m[0]"),
+        ('{"function_map": {"g": {"lock_line": {"m..x": [1]}}}}',
+         "$.function_map.g.lock_line"),
     ],
 )
 def test_malformed_summaries_report_the_offending_path(text, path):
@@ -146,6 +168,15 @@ def test_validation_rejects_names_missing_from_the_program(text, path):
     assert exc.value.path == path
 
 
+def test_validation_reports_the_first_unknown_root_in_path_order():
+    s = read_summary('{"function_map": {"f": {"entry_lock": ["zz.m", "aa.m"]}}}')
+    with pytest.raises(SchemaError) as exc:
+        validate_against_program(s, little_program())
+    assert exc.value.path == "$.function_map.f.entry_lock"
+    assert str(exc.value).endswith(
+        "lock path 'aa.m' names no global or parameter of f")
+
+
 NO_DATA = """\
 struct t { int a; };
 struct s { int n; mutex_t k; mutex_t *pk; struct t in; };
@@ -195,7 +226,8 @@ void f() {
 
 def test_functions_with_nothing_to_say_are_omitted():
     result = analyze_program(QUIET_HELPER)
-    assert set(result.lock_summary.function_map) == {"f"}
+    data = json.loads(write_summary(result.lock_summary))
+    assert set(data["function_map"]) == {"f"}
 
 
 def test_analysis_summary_serializes_to_the_golden_file():

@@ -167,6 +167,30 @@ def test_guard_threading_through_a_self_feeding_call_is_rejected():
     assert [(e.kind, e.function) for e in errors] == [("UseAfterMove", "bump")]
 
 
+VOID_POINTER_LOCKER = """\
+int *p;
+int n;
+mutex_t m;
+void *g() {
+    pthread_mutex_lock(&m);
+    return p;
+}
+void main() {
+    p = g();
+    n = 1;
+    pthread_mutex_unlock(&m);
+}
+"""
+
+
+def test_a_void_pointer_result_keeps_its_place_beside_the_returned_guard():
+    _, _, errors, text = pipeline_text(VOID_POINTER_LOCKER)
+    assert "(void*, guard<m>) g() {" in text
+    assert "return (p, m_guard);" in text
+    assert "(p, m_guard) = g();" in text
+    assert errors == []
+
+
 def test_summaries_for_some_other_program_are_refused():
     program = parse(EXTERNAL_UNLOCK)
     stray = read_summary('{"global_lock_map": {"ghost": "m"}}')
