@@ -20,7 +20,6 @@ from .diagnostics import (
 )
 from .flowanalysis import (
     FunctionFlowFacts,
-    alias,
     analyze_function,
     analyze_program_flow,
     analyze_scc,
@@ -59,7 +58,6 @@ __all__ = [
     "SourceError",
     "SummaryMismatch",
     "access_multiset",
-    "alias",
     "analyze_function",
     "analyze_program",
     "analyze_program_flow",

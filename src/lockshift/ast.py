@@ -146,6 +146,9 @@ class Call(Expr):
     # set by the resolver on lock, unlock and init calls: the canonical path
     # of the mutex the call names
     lock: LockPath | None = None
+    # set by the resolver on calls to defined functions: the canonical place
+    # path of each argument, or None where the argument is not a place
+    arg_paths: tuple[LockPath | None, ...] = ()
 
 
 # Guarded-dialect expressions
@@ -404,6 +407,43 @@ def place_path(e: Expr) -> LockPath | None:
             return LockPath(tuple(reversed(segs)))
         else:
             return None
+
+
+def to_caller(path: LockPath, params, call: Call) -> LockPath | None:
+    """Rename a callee's lock path into the caller's namespace at call.
+
+    A path rooted at parameter i has that root replaced by the place of
+    argument i: p.m becomes x.inner.m for the argument &x->inner. Any other
+    path, such as a global, is unchanged. None when the argument is not a
+    place, so the caller cannot name the path.
+    """
+    for i, name in enumerate(params):
+        if path.root == name:
+            arg = call.arg_paths[i]
+            if arg is None:
+                return None
+            return LockPath(arg.segments + path.segments[1:])
+    return path
+
+
+def to_callee(path: LockPath, params, call: Call) -> LockPath | None:
+    """Rename a caller's lock path into the callee's namespace at call.
+
+    The first parameter whose argument place is a prefix of path replaces
+    that prefix: x.inner.m becomes p.m for the argument &x->inner. None
+    when no argument place prefixes path.
+    """
+    for param, arg in zip(params, call.arg_paths):
+        if arg is not None and path.starts_with(arg):
+            return LockPath((param,) + path.segments[len(arg.segments):])
+    return None
+
+
+def not_a_place(path: LockPath) -> str:
+    """Why to_caller gave None for path: the argument for its root
+    parameter is not a place."""
+    return ("argument for parameter %r is not a place (lock path %s)"
+            % (path.root, path.text))
 
 
 def iter_stmts(block: "Block"):

@@ -46,10 +46,6 @@ class UndecodableInput(LockshiftError):
         self.file = file
 
 
-class UnaliasableArgument(LockshiftError):
-    """A call argument mapped by parameter substitution is not a place."""
-
-
 class IterationBudgetExceeded(LockshiftError):
     """An SCC fixpoint failed to stabilize within the configured bound."""
 

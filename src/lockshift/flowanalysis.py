@@ -7,7 +7,9 @@ Two dataflow passes per function over its flow graph:
   forward must ("avail"):  out[s] = (in[s] - kill) + gen,  in[s] = ^ out[pred],
       in[entry] = MELS   -> MRLS = out[ret], locks surely held when returning.
 
-Calls use callee summaries through parameter substitution (alias). Mutually
+Calls use callee summaries renamed into the caller by ast.to_caller, the
+one parameter-to-argument binding the analysis and transformer share; a
+path whose argument is not a place is dropped with a warning. Mutually
 recursive functions are solved to a joint fixpoint with MELS seeded empty and
 MRLS seeded Top; Top never escapes: every set in returned facts is a finite
 frozenset of lock paths. Each sweep visits the members in a fixed order but
@@ -22,17 +24,17 @@ from dataclasses import dataclass, field
 
 from .ast import (
     Call,
-    Expr,
     FunctionDef,
     LOCK_FN,
     LockPath,
     Stmt,
     UNLOCK_FN,
     function_calls,
-    place_path,
+    not_a_place,
+    to_caller,
 )
 from .cfg import FlowGraph, Node, solve
-from .diagnostics import Diagnostics, IterationBudgetExceeded, UnaliasableArgument
+from .diagnostics import Diagnostics, IterationBudgetExceeded
 
 
 # A lock set is a frozenset of lock paths. Top, the set of all paths, is None;
@@ -68,40 +70,20 @@ def minus(a: frozenset[LockPath] | None,
     return a - b
 
 
-def alias(path: LockPath, params: tuple[str, ...] | list[str], args: list[Expr]) -> LockPath:
-    """Substitute the callee-parameter root of path with the caller argument place.
-
-    alias(p, [x1..xn], [e1..en]) = canonical(e_i).p' when p = x_i.p', else p.
-    Raises UnaliasableArgument when the matched argument is not a place.
-    """
-    for i, name in enumerate(params):
-        if path.root == name:
-            if i >= len(args):
-                raise UnaliasableArgument(
-                    "no argument for parameter %r carrying lock path %s" % (name, path.text))
-            arg_path = place_path(args[i])
-            if arg_path is None:
-                raise UnaliasableArgument(
-                    "argument for parameter %r is not a place (lock path %s)"
-                    % (name, path.text))
-            return LockPath(arg_path.segments + path.segments[1:])
-    return path
-
-
-def alias_set(paths: frozenset[LockPath] | None, params, args,
-              diags: Diagnostics | None = None, function: str | None = None,
-              line: int | None = None) -> frozenset[LockPath] | None:
-    """Elementwise alias; paths whose argument is not a place are dropped with
-    a warning, in path order."""
+def _to_caller_set(paths: frozenset[LockPath] | None, params, call: Call,
+                   diags: Diagnostics | None, function: str | None,
+                   line: int) -> frozenset[LockPath] | None:
+    """The callee's paths as the caller names them at call. A path whose
+    argument is not a place is dropped with a warning, in path order."""
     if paths is None:
         return None
     out = set()
     for p in sorted(paths):
-        try:
-            out.add(alias(p, params, args))
-        except UnaliasableArgument as exc:
-            if diags is not None:
-                diags.warn(str(exc), function=function, line=line)
+        q = to_caller(p, params, call)
+        if q is not None:
+            out.add(q)
+        elif diags is not None:
+            diags.warn(not_a_place(p), function=function, line=line)
     return frozenset(out)
 
 
@@ -142,8 +124,8 @@ def _call_effect(call: Call, callee_facts: Mapping[str, FunctionFlowFacts],
     facts = callee_facts.get(call.name)
     if facts is None:
         return None
-    entry = alias_set(facts.mels, facts.params, call.args, diags, fn_name, line)
-    ret = alias_set(facts.mrls, facts.params, call.args, diags, fn_name, line)
+    entry = _to_caller_set(facts.mels, facts.params, call, diags, fn_name, line)
+    ret = _to_caller_set(facts.mrls, facts.params, call, diags, fn_name, line)
     return GenKill(gen_l=entry, kill_l=ret, gen_a=ret, kill_a=entry)
 
 

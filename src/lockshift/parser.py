@@ -833,6 +833,7 @@ class _Resolver:
                 line)
         for a in call.args:
             self.resolve_expr(a)
+        call.arg_paths = tuple(place_path(a) for a in call.args)
 
     def resolve_lock_api(self, call: Call, line: int) -> None:
         """Check a standalone lock-API call; record the lock path of a lock,

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 
-from .ast import Expr, LockPath, Program, place_path
+from .ast import Call, LockPath, Program, to_callee
 from .cfg import FlowGraph, solve
 from .diagnostics import Diagnostics
 from .flowanalysis import FunctionFlowFacts, join, meet
@@ -26,7 +26,7 @@ class CallSiteFact:
     caller: str
     callee: str
     available: frozenset[LockPath]
-    args: list[Expr]
+    call: Call
     line: int
 
 
@@ -42,47 +42,30 @@ def collect_call_facts(program: Program, flow: dict[str, FunctionFlowFacts],
             for call in node.calls:
                 if call.name in defined:
                     facts.append(CallSiteFact(
-                        fn.name, call.name, avail_in[node],
-                        list(call.args), node.line))
+                        fn.name, call.name, avail_in[node], call, node.line))
     return facts
 
 
-def unalias(path: LockPath, args: list[Expr], params) -> tuple[LockPath, bool]:
-    """Rename a caller-side path into the callee namespace.
-
-    The first parameter whose argument place is a prefix of path wins; the
-    prefix is replaced by the parameter name. Returns (path, matched).
-    """
-    for i, param in enumerate(params):
-        if i >= len(args):
-            break
-        arg_path = place_path(args[i])
-        if arg_path is None:
-            continue
-        if path.starts_with(arg_path):
-            return LockPath((param,) + path.segments[len(arg_path.segments):]), True
-    return path, False
-
-
-def unalias_set(paths: frozenset[LockPath] | None, args, params,
-                caller_params: set[str], diags: Diagnostics | None = None,
-                caller: str | None = None, callee: str | None = None,
-                line: int | None = None) -> frozenset[LockPath] | None:
-    """Elementwise unalias. Paths rooted at a caller local with no parameter
-    image cannot be named in the callee and are dropped, in path order."""
+def _to_callee_set(paths: frozenset[LockPath] | None, params,
+                   site: CallSiteFact, caller_params: tuple[str, ...],
+                   diags: Diagnostics | None) -> frozenset[LockPath] | None:
+    """The caller's held paths as the callee names them at site. A path
+    that no argument prefixes keeps its name, unless it is rooted at a
+    caller parameter: the callee cannot name it, so it is dropped with a
+    warning, in path order."""
     if paths is None:
         return None
     kept = set()
     for p in sorted(paths):
-        q, matched = unalias(p, args, params)
-        if not matched and p.root in caller_params:
+        q = to_callee(p, params, site.call)
+        if q is None and p.root in caller_params:
             if diags is not None:
                 diags.warn(
                     "held lock %s has no parameter image at call to %s; "
-                    "not propagated" % (p.text, callee),
-                    function=caller, line=line)
+                    "not propagated" % (p.text, site.callee),
+                    function=site.caller, line=site.line)
             continue
-        kept.add(q)
+        kept.add(p if q is None else q)
     return frozenset(kept)
 
 
@@ -98,11 +81,11 @@ def propagate(program: Program, flow: dict[str, FunctionFlowFacts],
     their own MELS with a diagnostic.
     """
     by_callee: dict[str, list[CallSiteFact]] = defaultdict(list)
-    callees_of: dict[str, list[str]] = defaultdict(list)
+    # each caller's distinct callees, in first-call order
+    callees_of: dict[str, dict[str, None]] = defaultdict(dict)
     for fact in collect_call_facts(program, flow, graphs):
         by_callee[fact.callee].append(fact)
-        if fact.callee not in callees_of[fact.caller]:
-            callees_of[fact.caller].append(fact.callee)
+        callees_of[fact.caller][fact.callee] = None
     params_of = {f.name: tuple(f.param_names) for f in program.functions}
 
     els: dict[str, frozenset[LockPath] | None] = {}
@@ -113,9 +96,8 @@ def propagate(program: Program, flow: dict[str, FunctionFlowFacts],
         result = None
         for s in by_callee[callee]:
             held = join(s.available, els[s.caller])
-            renamed = unalias_set(held, s.args, params_of[callee],
-                                  set(params_of[s.caller]), report,
-                                  s.caller, callee, s.line)
+            renamed = _to_callee_set(held, params_of[callee], s,
+                                     params_of[s.caller], report)
             result = meet(result, renamed)
         return result
 

@@ -61,16 +61,11 @@ from .ast import (
     datum_of,
     function_calls,
     iter_stmts,
+    not_a_place,
+    to_caller,
 )
 from .callgraph import thread_entries
-from .diagnostics import (
-    Diagnostics,
-    SchemaError,
-    SummaryMismatch,
-    UnaliasableArgument,
-    gc_paused,
-)
-from .flowanalysis import alias
+from .diagnostics import Diagnostics, SchemaError, SummaryMismatch, gc_paused
 from .summary import LockSummary, validate_against_program
 
 
@@ -222,18 +217,19 @@ class _Transformer:
 
     def _caller_paths(self, c: Call, paths: list[LockPath], line: int = 0,
                       what: str | None = None) -> list[LockPath]:
-        """The callee's lock paths as the caller names them. A path that no
-        argument can alias is left out, with a warning when what names the
-        guard it belongs to."""
+        """The callee's lock paths as the caller names them. A path whose
+        argument is not a place is left out, with a warning when what names
+        the guard it belongs to."""
         params = self.p.function(c.name).param_names
         out = []
         for q in paths:
-            try:
-                out.append(alias(q, params, c.args))
-            except UnaliasableArgument as exc:
-                if what is not None:
-                    self.diags.warn("%s dropped at call to %s: %s" % (what, c.name, exc),
-                                    function=self._fn.name, line=line)
+            r = to_caller(q, params, c)
+            if r is not None:
+                out.append(r)
+            elif what is not None:
+                self.diags.warn("%s dropped at call to %s: %s"
+                                % (what, c.name, not_a_place(q)),
+                                function=self._fn.name, line=line)
         return out
 
     def _transform_function(self, fn: FunctionDef) -> FunctionDef:

@@ -1,4 +1,4 @@
-"""Lock-set operators, parameter aliasing, gen/kill transfer, the
+"""Lock-set operators, the call-site binding, gen/kill transfer, the
 per-function entry/return analyses, and the check that Top never leaves the
 fixpoints."""
 from __future__ import annotations
@@ -6,13 +6,21 @@ from __future__ import annotations
 import pytest
 
 from lockshift import flowanalysis
-from lockshift.ast import AddrOf, FieldAccess, IntLit, LockPath, Var
+from lockshift.ast import (
+    AddrOf,
+    Call,
+    FieldAccess,
+    IntLit,
+    LockPath,
+    Var,
+    place_path,
+    to_callee,
+    to_caller,
+)
 from lockshift.cfg import build_cfg
 from lockshift.datalock import collect_accesses
-from lockshift.diagnostics import Diagnostics, IterationBudgetExceeded, UnaliasableArgument
+from lockshift.diagnostics import Diagnostics, IterationBudgetExceeded
 from lockshift.flowanalysis import (
-    alias,
-    alias_set,
     analyze_function,
     analyze_scc,
     join,
@@ -22,7 +30,7 @@ from lockshift.flowanalysis import (
 )
 from lockshift.parser import parse
 from lockshift.pipeline import analyze_program
-from lockshift.propagation import collect_call_facts, unalias_set
+from lockshift.propagation import collect_call_facts
 
 from helpers import FIXTURES, FLOW_CASES, RING, locks, ring_program
 from test_scc_reference import RANDOM_BUDGET, SccGen
@@ -57,14 +65,19 @@ def test_join_meet_minus_treat_none_as_top():
     assert minus(None, None) == frozenset()
 
 
-# -- alias --------------------------------------------------------------------
+# -- call-site binding: to_caller and to_callee --------------------------------
 
 def path(text: str) -> LockPath:
     return LockPath(tuple(text.split(".")))
 
 
+def call_with(args: list) -> Call:
+    """A call as the resolver leaves it, each argument's place recorded."""
+    return Call("f", args, arg_paths=tuple(place_path(a) for a in args))
+
+
 def textual_alias(p: str, params: list[str], arg_places: list[str]) -> str:
-    """Independent model of alias: textual prefix substitution on the root."""
+    """Independent model of to_caller: textual prefix substitution on the root."""
     for name, place in zip(params, arg_places):
         if p == name or p.startswith(name + "."):
             return place + p[len(name):]
@@ -79,24 +92,65 @@ def textual_alias(p: str, params: list[str], arg_places: list[str]) -> str:
     ("a", ["a"], [AddrOf(Var("inst"))], ["inst"]),
 ])
 def test_alias_matches_textual_substitution(p, params, args, arg_texts):
-    got = alias(path(p), params, args)
+    got = to_caller(path(p), params, call_with(args))
     assert got.text == textual_alias(p, params, arg_texts)
 
 
-def test_alias_non_place_argument_raises():
-    with pytest.raises(UnaliasableArgument):
-        alias(path("a.m"), ["a"], [IntLit(3)])
-    with pytest.raises(UnaliasableArgument):
-        alias(path("a.m"), ["a"], [])
+def test_to_caller_is_none_for_a_non_place_argument():
+    call = call_with([IntLit(3)])
+    assert to_caller(path("a.m"), ["a"], call) is None
+    assert to_caller(path("g"), ["a"], call) == path("g")
 
 
-def test_alias_set_drops_unaliasable_with_warning():
+def textual_to_callee(p: str, params: list[str], arg_places: list) -> str | None:
+    """Independent model of to_callee: the first parameter whose argument
+    text is p or a dotted prefix of it takes that prefix's place. A None
+    argument is not a place."""
+    for name, place in zip(params, arg_places):
+        if place is not None and (p == place or p.startswith(place + ".")):
+            return name + p[len(place):]
+    return None
+
+
+@pytest.mark.parametrize("p,params,args,arg_texts", [
+    ("g.m", ["a", "b"], [Var("g"), AddrOf(FieldAccess(Var("g"), "m"))], ["g", "g.m"]),
+    ("g.m", ["a", "b"], [AddrOf(FieldAccess(Var("g"), "m")), Var("g")], ["g.m", "g"]),
+    ("g", ["p"], [Var("g")], ["g"]),
+    ("g.inner.m", ["p"], [AddrOf(FieldAccess(Var("g"), "inner", True))], ["g.inner"]),
+    ("g.m", ["a", "p"], [IntLit(3), Var("g")], [None, "g"]),
+    ("h.m", ["a", "b"], [Var("g"), IntLit(1)], ["g", None]),
+    ("gg.m", ["p"], [Var("g")], ["g"]),
+], ids=["first-wins", "first-wins-exact", "exact", "nested-prefix",
+        "non-place-skipped", "no-prefix", "not-a-segment-prefix"])
+def test_to_callee_matches_textual_prefix_substitution(p, params, args, arg_texts):
+    got = to_callee(path(p), params, call_with(args))
+    assert (None if got is None else got.text) == textual_to_callee(p, params, arg_texts)
+
+
+RELEASE_BY_NON_PLACE = """\
+struct s { mutex_t m; };
+mutex_t g;
+void release(struct s *a) {
+    pthread_mutex_unlock(&a->m);
+    pthread_mutex_unlock(&g);
+}
+void caller() {
+    release(0);
+}
+"""
+
+
+def test_flow_drops_a_path_whose_argument_is_not_a_place():
+    result = analyze_program(RELEASE_BY_NON_PLACE)
+    call_stmt = result.program.function("caller").body.stmts[0]
     diags = Diagnostics()
-    got = alias_set(locks("a.m", "g"), ["a"], [IntLit(3)], diags, "caller", 7)
-    assert got == locks("g")
-    assert len(diags) == 1
-    assert diags.entries[0].line == 7
-    assert alias_set(None, ["a"], [IntLit(3)]) is None
+    gk = transfer_gen_kill(call_stmt, result.flow, diags, "caller")
+    assert gk.gen_l == gk.kill_a == locks("g")
+    assert [(d.function, d.line) for d in diags] == [("caller", 8)]
+    # Top, the return set of a callee inside an SCC sweep, stays Top.
+    top = flowanalysis.FunctionFlowFacts("release", ("a",), locks("a.m"), None)
+    gk = transfer_gen_kill(call_stmt, {"release": top})
+    assert gk.kill_l is None and gk.gen_a is None
 
 
 # Five dropped paths: in hash order the warnings would almost never come out
@@ -104,22 +158,31 @@ def test_alias_set_drops_unaliasable_with_warning():
 DROPPED = ["a.m", "b.m", "c.m", "d.m", "e.m"]
 
 
-def test_alias_set_warns_about_dropped_paths_in_path_order():
+def test_flow_warns_about_dropped_paths_in_path_order():
     params = ["e", "d", "c", "b", "a"]
+    unlocks = "".join("    pthread_mutex_unlock(&%s->m);\n" % p for p in params)
+    source = ("struct s { mutex_t m; };\nvoid release(%s) {\n%s}\n"
+              "void caller() {\n    release(0, 0, 0, 0, 0);\n}\n"
+              % (", ".join("struct s *" + p for p in params), unlocks))
+    result = analyze_program(source)
+    call_stmt = result.program.function("caller").body.stmts[0]
     diags = Diagnostics()
-    got = alias_set(locks(*DROPPED), params, [IntLit(3)] * 5, diags)
-    assert got == frozenset()
+    gk = transfer_gen_kill(call_stmt, result.flow, diags, "caller")
+    assert gk.gen_l == frozenset()
     assert [d.message for d in diags.entries] == [
         "argument for parameter %r is not a place (lock path %s)" % (p[0], p)
         for p in DROPPED]
 
 
-def test_unalias_set_warns_about_dropped_paths_in_path_order():
-    diags = Diagnostics()
-    got = unalias_set(locks(*DROPPED, "g"), [IntLit(3)], ["p"],
-                      {"a", "b", "c", "d", "e"}, diags, "caller", "callee", 4)
-    assert got == locks("g")
-    assert [d.message for d in diags.entries] == [
+def test_propagation_warns_about_dropped_paths_in_path_order():
+    params = ["e", "d", "c", "b", "a"]
+    locked = "".join("    pthread_mutex_lock(&%s->m);\n" % p for p in params)
+    source = ("struct s { mutex_t m; };\nmutex_t g;\nvoid callee(int p) { }\n"
+              "void caller(%s) {\n%s    pthread_mutex_lock(&g);\n    callee(3);\n}\n"
+              % (", ".join("struct s *" + p for p in params), locked))
+    result = analyze_program(source)
+    assert result.lock_summary.function("callee").entry_lock == locks("g")
+    assert [d.message for d in result.diagnostics if "parameter image" in d.message] == [
         "held lock %s has no parameter image at call to callee; not propagated" % p
         for p in DROPPED]
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 import pytest
 
 from lockshift import parser
-from lockshift.ast import Binary, Call, Deref, ExprStmt
+from lockshift.ast import Binary, Call, Deref, ExprStmt, GuardRef, LockPath
 from lockshift.diagnostics import ParseError, TypeCheckError, UnknownIdentifier
 from lockshift.lexer import tokenize
 from lockshift.parser import parse, parse_guarded
@@ -151,6 +151,29 @@ def test_a_standalone_void_call_is_legal():
     assert [c.name for c in p.function("f").body.stmts[0].calls] == ["g"]
     # a pointer to void is a value
     parse("int *p;\nvoid *g() { return p; }\nvoid f() { p = g(); }\n")
+
+
+ARG_PLACES = "struct s { int f; mutex_t m; };\nstruct s *x;\nint h() { return 0; }\n"
+
+
+def test_the_resolver_records_each_arguments_place():
+    # &x->m and x.f are places; an integer and a nested call are not.
+    p = parse(ARG_PLACES + "void g(mutex_t *a, int b, int c, int d) { }\n"
+              "void f() { g(&x->m, x.f, 1, h()); }\n")
+    h, g = p.function("f").body.stmts[0].calls
+    assert h.arg_paths == ()
+    assert g.arg_paths == (LockPath(("x", "m")), LockPath(("x", "f")), None, None)
+    # The same in the guarded dialect, where a guard argument is not a place.
+    gp = parse_guarded(ARG_PLACES
+                       + "struct kData { int n; };\nmutex<kData> k = kData { n = 0 };\n"
+                       "void g(mutex_t *a, int b, int c, int d, guard<k> k_guard) "
+                       "{ drop(k_guard); }\n"
+                       "void f() { guard<k> k_guard;\n"
+                       "    k_guard = k.acquire();\n"
+                       "    g(&x->m, x.f, 1, h(), k_guard); }\n")
+    call = gp.function("f").body.stmts[1].expr
+    assert isinstance(call.args[4], GuardRef)
+    assert call.arg_paths == (LockPath(("x", "m")), LockPath(("x", "f")), None, None, None)
 
 
 def test_parse_error_carries_position():

@@ -106,15 +106,29 @@ def test_the_public_api_list_matches_the_package():
     assert not unlisted, "imported by __init__ but not in __all__: %s" % unlisted
 
 
+def _uses_outside(name: str, allowed: set[str]) -> list[str]:
+    """Where a module of the package other than those in allowed names
+    name: a bare use, an attribute or a from-import."""
+    return ["%s:%d" % (path.name, node.lineno)
+            for path in sorted(PACKAGE.glob("*.py")) if path.name not in allowed
+            for node in ast.walk(_tree(path))
+            if (isinstance(node, ast.Name) and node.id == name)
+            or (isinstance(node, ast.Attribute) and node.attr == name)
+            or (isinstance(node, ast.ImportFrom)
+                and any(a.name == name for a in node.names))]
+
+
 def test_lock_path_text_is_parsed_only_by_the_summary_reader():
     """Dotted lock-path text is the summary's JSON format; every other
     module hands LockPath values around and never parses text."""
-    allowed = {"ast.py", "summary.py"}
-    uses = ["%s:%d" % (path.name, node.lineno)
-            for path in sorted(PACKAGE.glob("*.py")) if path.name not in allowed
-            for node in ast.walk(_tree(path))
-            if (isinstance(node, ast.Name) and node.id == "path_of")
-            or (isinstance(node, ast.Attribute) and node.attr == "path_of")
-            or (isinstance(node, ast.ImportFrom)
-                and any(a.name == "path_of" for a in node.names))]
+    uses = _uses_outside("path_of", {"ast.py", "summary.py"})
     assert not uses, "path_of outside ast.py and summary.py:\n" + "\n".join(uses)
+
+
+def test_argument_places_are_taken_only_by_the_resolver():
+    """The resolver records each call argument's place on Call.arg_paths,
+    and ast.to_caller and ast.to_callee are the one binding between a
+    callee's parameters and a caller's arguments; no other module
+    canonicalizes an argument again."""
+    uses = _uses_outside("place_path", {"ast.py", "parser.py"})
+    assert not uses, "place_path outside ast.py and parser.py:\n" + "\n".join(uses)

@@ -1,7 +1,14 @@
 """Entry-lock propagation from callers to callees and the held-line map."""
 from __future__ import annotations
 
+import time
+
+from lockshift.callgraph import build_call_graph
+from lockshift.cfg import build_cfg
+from lockshift.flowanalysis import analyze_program_flow
+from lockshift.parser import parse
 from lockshift.pipeline import analyze_program
+from lockshift.propagation import propagate
 
 from helpers import CALLER_PROVIDES, fixture_text, locks
 
@@ -134,3 +141,19 @@ def test_entry_minus_released_equals_return_minus_surely_held():
         for name, s in result.lock_summary.function_map.items():
             f = result.flow[name]
             assert s.entry_lock - f.mels == s.return_lock - f.mrls
+
+
+def test_many_distinct_callees_propagate_in_linear_time():
+    # Deduplicating a caller's callees by scanning a list of them is
+    # quadratic in their number: several seconds for this program.
+    n = 16000
+    source = "".join("void f%d() { }\n" % i for i in range(n))
+    source += "void main() {\n%s}\n" % "".join("    f%d();\n" % i for i in range(n))
+    program = parse(source)
+    graphs = {fn.name: build_cfg(fn) for fn in program.functions}
+    flow = analyze_program_flow(program, build_call_graph(program), graphs)
+    start = time.perf_counter()
+    summaries = propagate(program, flow, graphs)
+    assert time.perf_counter() - start < 1.5
+    assert len(summaries) == n + 1
+    assert all(s.entry_lock == frozenset() for s in summaries.values())
