@@ -56,7 +56,7 @@ from .diagnostics import (
     UnknownIdentifier,
     gc_paused,
 )
-from .lexer import Token, tokenize
+from .lexer import Tokens, tokenize
 
 _BASE_KINDS = {"int": "int", "void": "void", "mutex_t": "mutex", "thread_t": "thread"}
 
@@ -82,14 +82,22 @@ class _AcquireExpr(Expr):
 
 
 class _Parser:
-    """Recursive descent over a token list that ends in one eof token.
+    """Recursive descent over the token lists of a `Tokens`, which end in
+    one eof token. A token is its index, as `self.pos` is and as `peek`,
+    `next`, `expect` and `expect_ident` return it; the parser reads
+    `self.kinds[i]`, `self.values[i]` and `self.lines[i]`. A column is
+    computed only for a ParseError (`fail`).
 
     eof's value is "", which no caller asks `at`, `accept` or `expect` for,
-    and `next` never moves past it, so `self.toks[self.pos]` is always valid.
+    and `next` never moves past it, so `self.pos` is always a valid index.
     """
 
-    def __init__(self, tokens: list[Token], guarded: bool):
-        self.toks = tokens
+    def __init__(self, tokens: Tokens, guarded: bool):
+        self.kinds = tokens.kinds
+        self.values = tokens.values
+        self.lines = tokens.lines
+        self.col = tokens.col
+        self.eof = len(tokens) - 1
         self.pos = 0
         self.guarded = guarded
         self.guards: dict[str, LockPath] = {}  # in-scope guard vars of the current fn
@@ -102,90 +110,88 @@ class _Parser:
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self, ahead: int = 0) -> Token:
-        if ahead:
-            return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
-        return self.toks[self.pos]
+    def peek(self, ahead: int) -> int:
+        """The token `ahead` places on, or eof."""
+        return min(self.pos + ahead, self.eof)
 
-    def next(self) -> Token:
-        t = self.toks[self.pos]
-        if t.kind != "eof":
-            self.pos += 1
-        return t
+    def next(self) -> int:
+        i = self.pos
+        if i < self.eof:
+            self.pos = i + 1
+        return i
 
     def at(self, value: str) -> bool:
-        return self.toks[self.pos].value == value
+        return self.values[self.pos] == value
 
     def accept(self, value: str) -> bool:
-        if self.toks[self.pos].value == value:
+        if self.values[self.pos] == value:
             self.pos += 1
             return True
         return False
 
-    def expect(self, value: str) -> Token:
-        t = self.toks[self.pos]
-        if t.value != value:
-            raise ParseError("expected %r, found %r" % (value, t.value or "end of input"),
-                             t.line, t.col)
-        self.pos += 1
-        return t
+    def expect(self, value: str) -> int:
+        i = self.pos
+        if self.values[i] != value:
+            raise self.fail("expected %r, found %r" % (value, self.values[i] or "end of input"))
+        self.pos = i + 1
+        return i
 
-    def nest(self, t: Token) -> None:
-        """Open one more level at `t`; the caller closes it with `depth -= 1`."""
+    def nest(self, i: int) -> None:
+        """Open one more level at token `i`; the caller closes it with `depth -= 1`."""
         self.depth += 1
         if self.depth > NESTING_LIMIT:
-            raise ParseError("nested too deeply (the limit is %d levels)" % NESTING_LIMIT,
-                             t.line, t.col)
+            raise self.fail("nested too deeply (the limit is %d levels)" % NESTING_LIMIT, i)
 
-    def grow(self, t: Token, height: int) -> None:
-        """The expression just built at `t` sits one level above a subtree
-        `height` levels high."""
+    def grow(self, i: int, height: int) -> None:
+        """The expression just built at token `i` sits one level above a
+        subtree `height` levels high."""
         height += 1
         if self.depth + height > NESTING_LIMIT:
-            raise ParseError("nested too deeply (the limit is %d levels)" % NESTING_LIMIT,
-                             t.line, t.col)
+            raise self.fail("nested too deeply (the limit is %d levels)" % NESTING_LIMIT, i)
         self.height = height
 
-    def expect_ident(self, what: str = "identifier") -> Token:
-        t = self.peek()
-        if t.kind != "ident":
-            raise ParseError("expected %s, found %r" % (what, t.value or "end of input"),
-                             t.line, t.col)
+    def expect_ident(self, what: str = "identifier") -> int:
+        i = self.pos
+        if self.kinds[i] != "ident":
+            raise self.fail("expected %s, found %r" % (what, self.values[i] or "end of input"))
         return self.next()
 
-    def fail(self, message: str) -> ParseError:
-        t = self.peek()
-        return ParseError(message, t.line, t.col)
+    def fail(self, message: str, i: int | None = None) -> ParseError:
+        """A ParseError at token `i`, by default the current one."""
+        if i is None:
+            i = self.pos
+        return ParseError(message, self.lines[i], self.col(i))
 
     # -- types ---------------------------------------------------------------
 
     def at_type(self) -> bool:
-        t = self.peek()
-        if t.kind == "kw" and t.value in ("int", "void", "mutex_t", "thread_t", "struct"):
+        kind, value = self.kinds[self.pos], self.values[self.pos]
+        if kind == "kw" and value in ("int", "void", "mutex_t", "thread_t", "struct"):
             return True
-        if self.guarded and t.kind == "ident" and t.value in ("mutex", "guard"):
-            return self.peek(1).value == "<"
+        if self.guarded and kind == "ident" and value in ("mutex", "guard"):
+            return self.values[self.peek(1)] == "<"
         return False
 
     def parse_type(self) -> Type:
         t = self.next()
-        if t.value in _BASE_KINDS:
-            ty = Type(_BASE_KINDS[t.value])
-        elif t.value == "struct":
+        value = self.values[t]
+        if value in _BASE_KINDS:
+            ty = Type(_BASE_KINDS[value])
+        elif value == "struct":
             name = self.expect_ident("struct name")
-            ty = Type("struct", name.value)
-        elif self.guarded and t.value == "mutex":
+            ty = Type("struct", self.values[name])
+        elif self.guarded and value == "mutex":
             self.expect("<")
             payload = self.expect_ident("payload struct name")
             self.expect(">")
-            ty = Type("lock", payload.value)
-        elif self.guarded and t.value == "guard":
+            ty = Type("lock", self.values[payload])
+        elif self.guarded and value == "guard":
             self.expect("<")
             path = self.parse_dotted_path()
             self.expect(">")
             ty = Type("guard", path=path)
         else:
-            raise ParseError("expected a type, found %r" % t.value, t.line, t.col)
+            raise self.fail("expected a type, found %r" % value, t)
         ptr = 0
         while self.accept("*"):
             ptr += 1
@@ -193,9 +199,9 @@ class _Parser:
         return ty
 
     def parse_dotted_path(self) -> LockPath:
-        segs = [self.expect_ident("path segment").value]
+        segs = [self.values[self.expect_ident("path segment")]]
         while self.accept("."):
-            segs.append(self.expect_ident("path segment").value)
+            segs.append(self.values[self.expect_ident("path segment")])
         return LockPath(tuple(segs))
 
     # -- top level -----------------------------------------------------------
@@ -205,34 +211,34 @@ class _Parser:
         structs: list[StructDef] = []
         functions: list[FunctionDef] = []
         lock_decls: list[LockDecl] = []
-        while self.peek().kind != "eof":
-            if (self.at("struct") and self.peek(1).kind == "ident"
-                    and self.peek(2).value == "{"):
+        values = self.values
+        while self.pos != self.eof:
+            if (self.at("struct") and self.kinds[self.peek(1)] == "ident"
+                    and values[self.peek(2)] == "{"):
                 structs.append(self.parse_struct_def())
                 continue
-            first = self.peek()
-            if first.value == "(" and self.guarded:
+            first = self.pos
+            if values[first] == "(" and self.guarded:
                 rets = self.parse_ret_types()
                 name = self.expect_ident("function name")
-                functions.append(self.parse_function(rets, name, first.line))
+                functions.append(self.parse_function(rets, name, self.lines[first]))
                 continue
             if not self.at_type():
                 raise self.fail("expected a declaration")
             ty = self.parse_type()
             name = self.expect_ident("declared name")
             if self.at("("):
-                functions.append(self.parse_function((ty,), name, first.line))
+                functions.append(self.parse_function((ty,), name, self.lines[first]))
             elif ty.kind == "lock":
                 lock_decls.append(self.parse_lock_decl(ty, name))
             else:
                 if ty.kind == "guard":
-                    raise ParseError("guard variables cannot be globals",
-                                     first.line, first.col)
+                    raise self.fail("guard variables cannot be globals", first)
                 init = None
                 if self.accept("="):
                     init = self.parse_expr()
                 self.expect(";")
-                globals_.append(GlobalDecl(ty, name.value, init, first.line))
+                globals_.append(GlobalDecl(ty, values[name], init, self.lines[first]))
         if self.guarded:
             return GuardedProgram(globals_, lock_decls, structs, functions)
         return Program(globals_, structs, functions)
@@ -246,31 +252,30 @@ class _Parser:
             fty = self.parse_type()
             fname = self.expect_ident("field name")
             self.expect(";")
-            fields.append(FieldDecl(fty, fname.value))
+            fields.append(FieldDecl(fty, self.values[fname]))
         self.expect("}")
         self.expect(";")
-        return StructDef(name.value, fields, start.line)
+        return StructDef(self.values[name], fields, self.lines[start])
 
-    def parse_lock_decl(self, ty: Type, name: Token) -> LockDecl:
+    def parse_lock_decl(self, ty: Type, name: int) -> LockDecl:
         inits: list[tuple[str, Expr | None]] = []
         if self.accept("="):
             payload = self.expect_ident("payload struct name")
-            if payload.value != ty.name:
-                raise ParseError(
-                    "initializer struct %r does not match payload %r"
-                    % (payload.value, ty.name), payload.line, payload.col)
+            if self.values[payload] != ty.name:
+                raise self.fail("initializer struct %r does not match payload %r"
+                                % (self.values[payload], ty.name), payload)
             self.expect("{")
             while not self.at("}"):
                 fname = self.expect_ident("field name")
                 finit = None
                 if self.accept("="):
                     finit = self.parse_expr()
-                inits.append((fname.value, finit))
+                inits.append((self.values[fname], finit))
                 if not self.accept(","):
                     break
             self.expect("}")
         self.expect(";")
-        return LockDecl(name.value, ty.name or "", inits, name.line)
+        return LockDecl(self.values[name], ty.name or "", inits, self.lines[name])
 
     def parse_ret_types(self) -> tuple[Type, ...]:
         self.expect("(")
@@ -282,14 +287,14 @@ class _Parser:
             raise self.fail("a tuple return type needs at least two members")
         return tuple(rets)
 
-    def parse_function(self, rets: tuple[Type, ...], name: Token, start_line: int) -> FunctionDef:
+    def parse_function(self, rets: tuple[Type, ...], name: int, start_line: int) -> FunctionDef:
         self.expect("(")
         params: list[Param] = []
         if not self.at(")"):
             while True:
                 pty = self.parse_type()
                 pname = self.expect_ident("parameter name")
-                params.append(Param(pty, pname.value))
+                params.append(Param(pty, self.values[pname]))
                 if not self.accept(","):
                     break
         self.expect(")")
@@ -299,21 +304,21 @@ class _Parser:
         }
         open_brace = self.expect("{")
         guard_decls: list[GuardVarDecl] = []
-        while (self.guarded and self.peek().kind == "ident" and self.peek().value == "guard"
-               and self.peek(1).value == "<"):
+        while (self.guarded and self.kinds[self.pos] == "ident" and self.at("guard")
+               and self.values[self.peek(1)] == "<"):
             decl_tok = self.next()
             self.expect("<")
             path = self.parse_dotted_path()
             self.expect(">")
-            gname = self.expect_ident("guard variable name")
+            gname = self.values[self.expect_ident("guard variable name")]
             self.expect(";")
-            guard_decls.append(GuardVarDecl(gname.value, path, decl_tok.line))
-            self.guards[gname.value] = path
+            guard_decls.append(GuardVarDecl(gname, path, self.lines[decl_tok]))
+            self.guards[gname] = path
         stmts = self.parse_stmts()
         close = self.expect("}")
-        body = Block(line=open_brace.line, stmts=stmts)
-        fn = FunctionDef(rets, name.value, params, body, (start_line, close.line),
-                         guard_decls)
+        body = Block(line=self.lines[open_brace], stmts=stmts)
+        fn = FunctionDef(rets, self.values[name], params, body,
+                         (start_line, self.lines[close]), guard_decls)
         self.guards = {}
         return fn
 
@@ -327,31 +332,32 @@ class _Parser:
         return stmts
 
     def parse_stmt(self) -> Stmt:
-        t = self.peek()
-        if t.value == "{":
+        t = self.pos
+        value = self.values[t]
+        if value == "{":
             return self.parse_block()
-        if t.value == "if":
+        if value == "if":
             return self.parse_if()
-        if t.value == "while":
+        if value == "while":
             self.next()
             self.expect("(")
             cond = self.parse_expr()
             self.expect(")")
             body = self.parse_body_block()
-            return While(line=t.line, cond=cond, body=body)
-        if t.value == "return":
+            return While(line=self.lines[t], cond=cond, body=body)
+        if value == "return":
             return self.parse_return()
-        if self.guarded and t.kind == "ident" and t.value == "drop" and self.peek(1).value == "(":
+        if (self.guarded and value == "drop" and self.kinds[t] == "ident"
+                and self.values[self.peek(1)] == "("):
             self.next()
             self.expect("(")
             gname = self.expect_ident("guard variable")
-            if gname.value not in self.guards:
-                raise ParseError("drop target %r is not a guard" % gname.value,
-                                 gname.line, gname.col)
+            if self.values[gname] not in self.guards:
+                raise self.fail("drop target %r is not a guard" % self.values[gname], gname)
             self.expect(")")
             self.expect(";")
-            return DropCall(line=t.line, guard=gname.value)
-        if self.guarded and t.value == "(" and self._at_target_list():
+            return DropCall(line=self.lines[t], guard=self.values[gname])
+        if self.guarded and value == "(" and self._at_target_list():
             return self.parse_call_assign()
         return self.parse_simple_stmt()
 
@@ -361,12 +367,12 @@ class _Parser:
         stmts = self.parse_stmts()
         self.expect("}")
         self.depth -= 1
-        return Block(line=t.line, stmts=stmts)
+        return Block(line=self.lines[t], stmts=stmts)
 
     def parse_body_block(self) -> Block:
         if self.at("{"):
             return self.parse_block()
-        self.nest(self.peek())
+        self.nest(self.pos)
         body = self.parse_stmt()
         self.depth -= 1
         return Block(line=body.line, stmts=[body])
@@ -380,18 +386,18 @@ class _Parser:
         orelse = None
         if self.accept("else"):
             if self.at("if"):
-                self.nest(self.peek())
+                self.nest(self.pos)
                 nested = self.parse_if()
                 self.depth -= 1
                 orelse = Block(line=nested.line, stmts=[nested])
             else:
                 orelse = self.parse_body_block()
-        return If(line=t.line, cond=cond, then=then, orelse=orelse)
+        return If(line=self.lines[t], cond=cond, then=then, orelse=orelse)
 
     def parse_return(self) -> Return:
-        t = self.expect("return")
+        line = self.lines[self.expect("return")]
         if self.accept(";"):
-            return Return(line=t.line, value=None)
+            return Return(line=line, value=None)
         if self.guarded and self.at("("):
             save = self.pos
             self.nest(self.next())  # as a parenthesis would, if this is no tuple
@@ -405,28 +411,27 @@ class _Parser:
                 self.expect(")")
                 self.depth -= 1
                 self.expect(";")
-                return Return(line=t.line, value=TupleExpr(items))
+                return Return(line=line, value=TupleExpr(items))
             self.depth -= 1
             self.pos = save
         value = self.parse_expr()
         self.expect(";")
-        return Return(line=t.line, value=value)
+        return Return(line=line, value=value)
 
     def _at_target_list(self) -> bool:
         """Lookahead: does `(` start a destructuring target list `(a, b) =`?"""
+        values = self.values
         depth = 0
-        i = self.pos
-        while i < len(self.toks):
-            v = self.toks[i].value
+        for i in range(self.pos, self.eof):
+            v = values[i]
             if v == "(":
                 depth += 1
             elif v == ")":
                 depth -= 1
                 if depth == 0:
-                    return i + 1 < len(self.toks) and self.toks[i + 1].value == "="
-            elif v == ";" or self.toks[i].kind == "eof":
+                    return values[i + 1] == "="
+            elif v == ";":
                 return False
-            i += 1
         return False
 
     def parse_call_assign(self) -> CallAssign:
@@ -441,13 +446,11 @@ class _Parser:
         call = self.parse_expr()
         self.expect(";")
         if not isinstance(call, Call):
-            raise ParseError("destructuring assignment needs a call on the right",
-                             t.line, t.col)
-        return CallAssign(line=t.line, targets=targets, call=call)
+            raise self.fail("destructuring assignment needs a call on the right", t)
+        return CallAssign(line=self.lines[t], targets=targets, call=call)
 
     def parse_target(self):
-        t = self.peek()
-        if t.kind == "ident" and t.value == "_":
+        if self.kinds[self.pos] == "ident" and self.at("_"):
             self.next()
             return Discard()
         e = self.parse_expr()
@@ -456,27 +459,26 @@ class _Parser:
         return e
 
     def parse_simple_stmt(self) -> Stmt:
-        t = self.peek()
+        t = self.pos
+        line = self.lines[t]
         lhs = self.parse_expr()
         if self.accept("="):
             rhs = self.parse_expr()
             self.expect(";")
             if isinstance(rhs, _AcquireExpr):
                 if not isinstance(lhs, GuardRef):
-                    raise ParseError("acquire() must assign to a guard variable",
-                                     t.line, t.col)
-                return AcquireAssign(line=t.line, guard=lhs.name, path=rhs.path)
+                    raise self.fail("acquire() must assign to a guard variable", t)
+                return AcquireAssign(line=line, guard=lhs.name, path=rhs.path)
             if isinstance(lhs, GuardRef):
                 if isinstance(rhs, Call):
-                    return CallAssign(line=t.line,
+                    return CallAssign(line=line,
                                       targets=[GuardTarget(lhs.name, lhs.path)], call=rhs)
-                raise ParseError("a guard can only receive acquire() or a call result",
-                                 t.line, t.col)
-            return Assign(line=t.line, place=lhs, value=rhs)
+                raise self.fail("a guard can only receive acquire() or a call result", t)
+            return Assign(line=line, place=lhs, value=rhs)
         self.expect(";")
         if isinstance(lhs, _AcquireExpr):
-            raise ParseError("acquire() result must be assigned to a guard", t.line, t.col)
-        return ExprStmt(line=t.line, expr=lhs)
+            raise self.fail("acquire() result must be assigned to a guard", t)
+        return ExprStmt(line=line, expr=lhs)
 
     # -- expressions ---------------------------------------------------------
 
@@ -486,28 +488,30 @@ class _Parser:
         equal precedence groups to the left."""
         e = self.parse_unary()
         while True:
-            t = self.toks[self.pos]
-            prec = BIN_PREC.get(t.value)
+            t = self.pos
+            op = self.values[t]
+            prec = BIN_PREC.get(op)
             if prec is None or prec < min_prec:
                 return e
-            self.pos += 1
+            self.pos = t + 1
             lhs_height = self.height
-            e = Binary(t.value, e, self.parse_expr(prec + 1))
+            e = Binary(op, e, self.parse_expr(prec + 1))
             height = self.height
             self.grow(t, height if height > lhs_height else lhs_height)
 
     def parse_unary(self) -> Expr:
-        t = self.toks[self.pos]
-        if t.value == "&":
-            self.pos += 1
+        t = self.pos
+        value = self.values[t]
+        if value == "&":
+            self.pos = t + 1
             self.nest(t)
             mut = self.accept("mut")
             e = self.parse_unary()
             self.depth -= 1
             self.height += 1
             return AddrOf(e, mut)
-        if t.value == "*":
-            self.pos += 1
+        if value == "*":
+            self.pos = t + 1
             self.nest(t)
             e = self.parse_unary()
             self.depth -= 1
@@ -517,53 +521,52 @@ class _Parser:
 
     def parse_postfix(self) -> Expr:
         e = self.parse_primary()
+        values = self.values
         while True:
-            t = self.toks[self.pos]
-            if t.value == "." or t.value == "->":
-                arrow = t.value == "->"
-                self.pos += 1
+            t = self.pos
+            value = values[t]
+            if value == "." or value == "->":
+                self.pos = t + 1
                 fld = self.expect_ident("field name")
                 if self.at("("):
-                    e = self.parse_method(e, fld, arrow)
+                    e = self.parse_method(e, fld)
                 else:
-                    e = self._make_field_access(e, t, fld.value)
-            elif t.value == "(" and isinstance(e, Var):
+                    e = self._make_field_access(e, t, values[fld])
+            elif value == "(" and isinstance(e, Var):
                 e = self.parse_call(e.name)
             else:
                 return e
 
-    def _make_field_access(self, base: Expr, op: Token, fld: str) -> Expr:
+    def _make_field_access(self, base: Expr, op: int, fld: str) -> Expr:
         if isinstance(base, Deref) and isinstance(base.expr, GuardRef):
             g = base.expr
             return GuardDeref(g.name, g.path, fld)  # a leaf: adds no level
         self.grow(op, self.height)
-        return FieldAccess(base, fld, op.value == "->")
+        return FieldAccess(base, fld, self.values[op] == "->")
 
-    def parse_method(self, recv: Expr, method: Token, arrow: bool) -> Expr:
+    def parse_method(self, recv: Expr, method: int) -> Expr:
         if not self.guarded:
-            raise ParseError("method call syntax is not part of this dialect",
-                             method.line, method.col)
-        if method.value == "acquire":
+            raise self.fail("method call syntax is not part of this dialect", method)
+        name = self.values[method]
+        if name == "acquire":
             self.expect("(")
             self.expect(")")
             path = place_path(recv)
             if path is None:
-                raise ParseError("acquire() receiver must be a lock place",
-                                 method.line, method.col)
+                raise self.fail("acquire() receiver must be a lock place", method)
             self.height = 0
-            return _AcquireExpr(path, method.line)
-        if method.value == "get_mut":
+            return _AcquireExpr(path, self.lines[method])
+        if name == "get_mut":
             self.expect("(")
             self.expect(")")
             path = place_path(recv)
             if path is None:
-                raise ParseError("get_mut() receiver must be a lock place",
-                                 method.line, method.col)
+                raise self.fail("get_mut() receiver must be a lock place", method)
             self.expect(".")
             fld = self.expect_ident("payload field name")
             self.height = 0
-            return GetMutAccess(path, fld.value)
-        raise ParseError("unknown method %r" % method.value, method.line, method.col)
+            return GetMutAccess(path, self.values[fld])
+        raise self.fail("unknown method %r" % name, method)
 
     def parse_call(self, name: str) -> Call:
         self.nest(self.expect("("))
@@ -582,32 +585,34 @@ class _Parser:
         return Call(name, args)
 
     def parse_primary(self) -> Expr:
-        t = self.toks[self.pos]
-        if t.kind == "ident":
-            self.pos += 1
+        t = self.pos
+        kind = self.kinds[t]
+        value = self.values[t]
+        if kind == "ident":
+            self.pos = t + 1
             self.height = 0
-            if t.value in self.guards:
-                return GuardRef(t.value, self.guards[t.value])
-            return Var(t.value)
-        if t.kind == "int":
-            self.pos += 1
+            if value in self.guards:
+                return GuardRef(value, self.guards[value])
+            return Var(value)
+        if kind == "int":
+            self.pos = t + 1
             self.height = 0
-            return IntLit(int(t.value))
-        if t.value == "(":
-            g = self.peek(2).value
-            if g in self.guards and self.peek(1).value == "*" and self.peek(3).value == ")":
-                self.pos += 4  # `(*g)`: a leaf, see NESTING_LIMIT
+            return IntLit(int(value))
+        if value == "(":
+            values = self.values
+            g = values[self.peek(2)]
+            if g in self.guards and values[self.peek(1)] == "*" and values[self.peek(3)] == ")":
+                self.pos = t + 4  # `(*g)`: a leaf, see NESTING_LIMIT
                 self.height = 0
                 return Deref(GuardRef(g, self.guards[g]))
-            self.pos += 1
+            self.pos = t + 1
             self.nest(t)
             e = self.parse_expr()
             self.expect(")")
             self.depth -= 1
             self.height += 1
             return e
-        raise ParseError("expected an expression, found %r" % (t.value or "end of input"),
-                         t.line, t.col)
+        raise self.fail("expected an expression, found %r" % (value or "end of input"))
 
 
 # ---------------------------------------------------------------------------

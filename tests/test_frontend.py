@@ -1,6 +1,8 @@
 """Lexer, parser, resolver, and printer behavior for both dialects."""
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from lockshift import parser
@@ -179,8 +181,75 @@ def test_the_resolver_records_each_arguments_place():
 def test_parse_error_carries_position():
     with pytest.raises(ParseError) as exc:
         parse("int n\nint k;\n")
-    assert exc.value.line == 2
-    assert exc.value.col >= 1
+    assert (exc.value.line, exc.value.col) == (2, 1)
+
+
+_DEEP = "(" * 101 + "1" + ")" * 101
+_CHAIN = "1" + " + 1" * 101
+
+# One input per place the parser raises, each error after a tab or mid-line
+# where it can be: (dialect, source, message, line, col).
+PARSE_ERROR_SITES = [
+    ("plain", "void f() {\n\tn = 1 }\n", "expected ';', found '}'", 2, 8),
+    ("plain", "int n = \t" + _DEEP + ";\n",
+     "nested too deeply (the limit is 100 levels)", 1, 110),
+    ("plain", "int n;\nint k = \t" + _CHAIN + ";\n",
+     "nested too deeply (the limit is 100 levels)", 2, 412),
+    ("plain", "int n;\n\tstruct 1 {};\n", "expected struct name, found '1'", 2, 9),
+    ("plain", "void f(\tn) {}\n", "expected a type, found 'n'", 1, 9),
+    ("plain", "int n;\n\tn = 1;\n", "expected a declaration", 2, 2),
+    ("guarded", "int n;\n\tguard<m> g;\n", "guard variables cannot be globals", 2, 2),
+    ("guarded", "struct p { int x; };\nmutex<p> m = \tq { x = 1 };\n",
+     "initializer struct 'q' does not match payload 'p'", 2, 15),
+    ("guarded", "(int) f() {}\n", "a tuple return type needs at least two members", 1, 7),
+    ("guarded", "void f() {\n\tdrop(x);\n}\n", "drop target 'x' is not a guard", 2, 7),
+    ("guarded", "void f() {\n\t(a, b) = 1;\n}\n",
+     "destructuring assignment needs a call on the right", 2, 2),
+    ("guarded", "void f() {\n\tx = m.acquire();\n}\n",
+     "acquire() must assign to a guard variable", 2, 2),
+    ("guarded", "void f() {\n\tguard<m> g;\n\tg = 1;\n}\n",
+     "a guard can only receive acquire() or a call result", 3, 2),
+    ("guarded", "void f() {\n\tm.acquire();\n}\n",
+     "acquire() result must be assigned to a guard", 2, 2),
+    ("plain", "mutex_t m;\nvoid f() {\n\tm.acquire();\n}\n",
+     "method call syntax is not part of this dialect", 3, 4),
+    ("guarded", "void f() {\n\tguard<m> g;\n\tg = h().acquire();\n}\n",
+     "acquire() receiver must be a lock place", 3, 10),
+    ("guarded", "void f() {\n\tx = h().get_mut().f;\n}\n",
+     "get_mut() receiver must be a lock place", 2, 10),
+    ("guarded", "void f() {\n\tm.lock();\n}\n", "unknown method 'lock'", 2, 4),
+    ("plain", "int n =\n\t", "expected an expression, found 'end of input'", 2, 2),
+]
+
+
+@pytest.mark.parametrize("dialect,source,message,line,col", PARSE_ERROR_SITES,
+                         ids=[case[2] for case in PARSE_ERROR_SITES])
+def test_parse_errors_carry_exact_positions(dialect, source, message, line, col):
+    with pytest.raises(ParseError) as exc:
+        (parse if dialect == "plain" else parse_guarded)(source)
+    assert (exc.value.message, exc.value.line, exc.value.col) == (message, line, col)
+
+
+# 30,000 declarations on one line, 348,890 characters.
+_LONG_LINE = "".join("int g%d; " % i for i in range(30000))
+
+
+def test_column_of_an_error_late_on_a_long_line_is_found_in_linear_time():
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as exc:
+        parse(_LONG_LINE + "@")
+    assert time.perf_counter() - start < 2
+    assert (exc.value.message, exc.value.line, exc.value.col) == (
+        "unexpected character '@'", 1, 348891)
+
+
+def test_column_of_an_error_after_a_long_line_is_found_in_linear_time():
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as exc:
+        parse(_LONG_LINE + "int x\nint y;\n")
+    assert time.perf_counter() - start < 2
+    assert (exc.value.message, exc.value.line, exc.value.col) == (
+        "expected ';', found 'int'", 2, 1)
 
 
 def test_integer_literals_are_ascii_digits():

@@ -3,10 +3,12 @@
 Every fixture and corpus program, and the guarded text the pipeline prints
 for it, is mutated a few tokens at a time: deletions, duplications and swaps.
 Whatever a mutant is, the pipeline and the checker may reject it only with a
-LockshiftError, never with any other exception.
+LockshiftError, never with any other exception. The outcome of every mutant,
+each error's type, message and position included, is pinned by one digest.
 """
 from __future__ import annotations
 
+import hashlib
 import random
 
 from lockshift.diagnostics import LockshiftError
@@ -21,10 +23,14 @@ from helpers import FIXTURES
 SEED = 20231
 MUTANTS_PER_SOURCE = 20
 BUDGET = 64
+# SHA-256 of every mutant's outcome, in order: "ok", or
+# "type|message|line|col" of the LockshiftError it raised.
+OUTCOMES_SHA256 = "a739b7aa5305eee58018f0c34e1e62e0dab767ca36a3df7e604dcb9646fef584"
 
 
 def token_texts(source: str) -> list[tuple[int, str]]:
-    return [(t.line, t.value) for t in tokenize(source) if t.kind != "eof"]
+    tokens = tokenize(source)
+    return list(zip(tokens.lines, tokens.values))[:-1]  # all but eof
 
 
 def mutate(tokens: list[tuple[int, str]], rng: random.Random) -> str:
@@ -73,6 +79,7 @@ def test_mutants_fail_only_with_lockshift_errors():
     rng = random.Random(SEED)
     plain, guarded = sources()
     escapes = []
+    outcomes = []
     tried = 0
     for run, corpus in ((analyze_and_check, plain), (parse_and_check, guarded)):
         for source in corpus:
@@ -82,10 +89,15 @@ def test_mutants_fail_only_with_lockshift_errors():
                 tried += 1
                 try:
                     run(mutant)
-                except LockshiftError:
-                    pass
+                    outcomes.append("ok")
+                except LockshiftError as exc:
+                    outcomes.append("%s|%s|%s|%s" % (
+                        type(exc).__name__, getattr(exc, "message", exc),
+                        getattr(exc, "line", ""), getattr(exc, "col", "")))
                 except Exception as exc:  # noqa: BLE001 - any other escape is the bug
                     escapes.append("%s: %s: %s\n%s"
                                    % (run.__name__, type(exc).__name__, exc, mutant))
     assert tried >= 1500
     assert not escapes, "%d escapes, first:\n%s" % (len(escapes), escapes[0])
+    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+    assert digest == OUTCOMES_SHA256

@@ -1,12 +1,12 @@
 """Differential test of the tokenizer against a reference scanner.
 
-`lexer.tokenize` splits the source into lines and takes one regex match per
-token, with the blanks before a token folded into its match. The reference
-below is the scanner it replaced: one match per token, blank run or newline
-over the whole source, tracking the line start by hand. Its only change is
-the digit class, `[0-9]` where it had `\\d`, which also matched non-ASCII
-digits. Both must give the same (kind, value, line, col) stream, or fail
-with the same ParseError message and position, on every input below.
+`lexer.tokenize` splits the source into lines, takes each line's tokens with
+one regex `findall` and computes a token's column only on demand. The
+reference below is an earlier scanner: one match per token, blank run or
+newline over the whole source, tracking the line start by hand. Its only
+change is the digit class, `[0-9]` where it had `\\d`, which also matched
+non-ASCII digits. Both must give the same (kind, value, line, col) stream,
+or fail with the same ParseError message and position, on every input below.
 """
 from __future__ import annotations
 
@@ -75,9 +75,14 @@ def outcome(scan, source: str):
         return ("error", exc.message, exc.line, exc.col)
 
 
+def token_tuples(source: str) -> list[tuple[str, str, int, int]]:
+    tokens = tokenize(source)
+    return [(tokens.kinds[i], tokens.values[i], tokens.lines[i], tokens.col(i))
+            for i in range(len(tokens))]
+
+
 def lexer_outcome(source: str):
-    return outcome(lambda s: [(t.kind, t.value, t.line, t.col) for t in tokenize(s)],
-                   source)
+    return outcome(token_tuples, source)
 
 
 def assert_same(source: str) -> None:
@@ -150,7 +155,8 @@ def test_trailing_blanks_lex_in_linear_time():
     start = time.perf_counter()
     tokens = tokenize(source)
     assert time.perf_counter() - start < 0.5
-    assert [(t.kind, t.line, t.col) for t in tokens][-1] == ("eof", 2, 10001)
+    eof = len(tokens) - 1
+    assert (tokens.kinds[eof], tokens.lines[eof], tokens.col(eof)) == ("eof", 2, 10001)
     assert_same(source)
 
 
