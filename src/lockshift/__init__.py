@@ -6,7 +6,7 @@ a guarded dialect in which locks own their data and guards witness
 possession, and verify the result with a guard ownership checker.
 """
 
-from .ast import GuardedProgram, LockPath, Program
+from .ast import LockPath, Program
 from .callgraph import CallGraph, build_call_graph, thread_entries
 from .cfg import FlowGraph, build_cfg
 from .diagnostics import (
@@ -46,7 +46,6 @@ __all__ = [
     "Diagnostics",
     "FlowGraph",
     "FunctionFlowFacts",
-    "GuardedProgram",
     "IterationBudgetExceeded",
     "LockPath",
     "LockshiftError",

@@ -6,6 +6,7 @@ worklist sets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 KEYWORDS = frozenset(
     ["int", "struct", "void", "mutex_t", "thread_t", "if", "else", "while", "return"]
@@ -183,6 +184,14 @@ class TupleExpr(Expr):
     items: list[Expr]
 
 
+@dataclass(eq=False)
+class PayloadInit(Expr):
+    """The initializer of a data-owning lock global: P { f = init, ... }."""
+
+    payload: str
+    inits: list[tuple[str, Expr | None]]
+
+
 # ---------------------------------------------------------------------------
 # Statements
 
@@ -309,16 +318,6 @@ class GuardVarDecl:
 
 
 @dataclass(eq=False)
-class LockDecl:
-    """A data-owning lock global: mutex<Payload> name = Payload { f = init, ... };"""
-
-    name: str
-    payload: str
-    inits: list[tuple[str, Expr | None]]
-    line: int
-
-
-@dataclass(eq=False)
 class FunctionDef:
     rets: tuple[Type, ...]
     name: str
@@ -338,46 +337,27 @@ class FunctionDef:
         return len(self.rets) == 1 and ret.kind == "void" and not ret.ptr
 
 
-def _function_index(obj) -> dict:
-    """Lazy name index; rebuilt if the function list changed size."""
-    index = obj.__dict__.get("_fn_index")
-    if index is None or len(index) != len(obj.functions):
-        index = {f.name: f for f in obj.functions}
-        obj.__dict__["_fn_index"] = index
-    return index
-
-
 @dataclass(eq=False)
 class Program:
+    """A program in either dialect. A guarded program's data-owning locks
+    are globals of type mutex<P>."""
+
     globals: list[GlobalDecl]
     structs: list[StructDef]
     functions: list[FunctionDef]
 
+    @cached_property
+    def _functions_by_name(self) -> dict[str, FunctionDef]:
+        return {f.name: f for f in self.functions}
+
     def function(self, name: str) -> FunctionDef | None:
-        return _function_index(self).get(name)
+        return self._functions_by_name.get(name)
 
     def global_decl(self, name: str) -> GlobalDecl | None:
         for g in self.globals:
             if g.name == name:
                 return g
         return None
-
-    def struct(self, name: str) -> StructDef | None:
-        for s in self.structs:
-            if s.name == name:
-                return s
-        return None
-
-
-@dataclass(eq=False)
-class GuardedProgram:
-    globals: list[GlobalDecl]
-    lock_decls: list[LockDecl]
-    structs: list[StructDef]
-    functions: list[FunctionDef]
-
-    def function(self, name: str) -> FunctionDef | None:
-        return _function_index(self).get(name)
 
     def struct(self, name: str) -> StructDef | None:
         for s in self.structs:

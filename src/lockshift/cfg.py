@@ -97,7 +97,7 @@ def _walk_stmt(g: FlowGraph, s: Stmt, frontier: list[Node]) -> list[Node]:
             exits = exits + _walk_block(g, s.orelse, [s])
         else:
             exits = exits + [s]
-        return _dedupe(exits)
+        return exits
     if isinstance(s, While):
         body_exits = _walk_block(g, s.body, [s])
         _connect(g, body_exits, s)
@@ -107,26 +107,16 @@ def _walk_stmt(g: FlowGraph, s: Stmt, frontier: list[Node]) -> list[Node]:
     return [s]
 
 
-def _dedupe(nodes: list[Node]) -> list[Node]:
-    seen: set[int] = set()
-    out = []
-    for n in nodes:
-        if id(n) not in seen:
-            seen.add(id(n))
-            out.append(n)
-    return out
-
-
 def _cull_unreachable(g: FlowGraph, fn_name: str, diags: Diagnostics | None) -> None:
-    reachable: set[int] = {id(g.entry)}
+    reachable: set[Node] = {g.entry}
     work = deque([g.entry])
     while work:
         n = work.popleft()
         for s in g.succ[n]:
-            if id(s) not in reachable:
-                reachable.add(id(s))
+            if s not in reachable:
+                reachable.add(s)
                 work.append(s)
-    dead = [n for n in g.nodes if id(n) not in reachable and n is not g.ret]
+    dead = [n for n in g.nodes if n not in reachable and n is not g.ret]
     for n in dead:
         if diags is not None and isinstance(n, Stmt):
             diags.warn("unreachable statement removed from flow graph",

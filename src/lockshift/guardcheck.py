@@ -29,8 +29,8 @@ from .ast import (
     GuardDeref,
     GuardRef,
     GuardTarget,
-    GuardedProgram,
     If,
+    Program,
     Return,
     Stmt,
     TupleExpr,
@@ -178,7 +178,7 @@ def _check_function(fn: FunctionDef, diags: Diagnostics) -> list[OwnershipError]
 
 
 @gc_paused
-def check(gp: GuardedProgram, diags: Diagnostics | None = None) -> list[OwnershipError]:
+def check(gp: Program, diags: Diagnostics | None = None) -> list[OwnershipError]:
     """All ownership errors in the program, per function in program order."""
     if diags is None:
         diags = Diagnostics()

@@ -34,12 +34,11 @@ from .ast import (
     GuardRef,
     GuardTarget,
     GuardVarDecl,
-    GuardedProgram,
     If,
     IntLit,
-    LockDecl,
     LockPath,
     Param,
+    PayloadInit,
     Program,
     Return,
     Stmt,
@@ -206,11 +205,10 @@ class _Parser:
 
     # -- top level -----------------------------------------------------------
 
-    def parse_program(self):
+    def parse_program(self) -> Program:
         globals_: list[GlobalDecl] = []
         structs: list[StructDef] = []
         functions: list[FunctionDef] = []
-        lock_decls: list[LockDecl] = []
         values = self.values
         while self.pos != self.eof:
             if (self.at("struct") and self.kinds[self.peek(1)] == "ident"
@@ -229,18 +227,16 @@ class _Parser:
             name = self.expect_ident("declared name")
             if self.at("("):
                 functions.append(self.parse_function((ty,), name, self.lines[first]))
-            elif ty.kind == "lock":
-                lock_decls.append(self.parse_lock_decl(ty, name))
-            else:
-                if ty.kind == "guard":
-                    raise self.fail("guard variables cannot be globals", first)
-                init = None
-                if self.accept("="):
-                    init = self.parse_expr()
-                self.expect(";")
-                globals_.append(GlobalDecl(ty, values[name], init, self.lines[first]))
-        if self.guarded:
-            return GuardedProgram(globals_, lock_decls, structs, functions)
+                continue
+            if ty.kind == "guard":
+                raise self.fail("guard variables cannot be globals", first)
+            init = None
+            if self.accept("="):
+                init = self.parse_payload_init(ty) if ty.kind == "lock" else self.parse_expr()
+            self.expect(";")
+            # A lock sits on its name's line.
+            line = self.lines[name if ty.kind == "lock" else first]
+            globals_.append(GlobalDecl(ty, values[name], init, line))
         return Program(globals_, structs, functions)
 
     def parse_struct_def(self) -> StructDef:
@@ -257,25 +253,25 @@ class _Parser:
         self.expect(";")
         return StructDef(self.values[name], fields, self.lines[start])
 
-    def parse_lock_decl(self, ty: Type, name: int) -> LockDecl:
+    def parse_payload_init(self, ty: Type) -> PayloadInit | None:
+        """`P { f = init, ... }` after a lock's `=`; None when it inits no
+        field, as `mutex<P> m;` does."""
+        payload = self.expect_ident("payload struct name")
+        if self.values[payload] != ty.name:
+            raise self.fail("initializer struct %r does not match payload %r"
+                            % (self.values[payload], ty.name), payload)
+        self.expect("{")
         inits: list[tuple[str, Expr | None]] = []
-        if self.accept("="):
-            payload = self.expect_ident("payload struct name")
-            if self.values[payload] != ty.name:
-                raise self.fail("initializer struct %r does not match payload %r"
-                                % (self.values[payload], ty.name), payload)
-            self.expect("{")
-            while not self.at("}"):
-                fname = self.expect_ident("field name")
-                finit = None
-                if self.accept("="):
-                    finit = self.parse_expr()
-                inits.append((self.values[fname], finit))
-                if not self.accept(","):
-                    break
-            self.expect("}")
-        self.expect(";")
-        return LockDecl(self.values[name], ty.name or "", inits, self.lines[name])
+        while not self.at("}"):
+            fname = self.expect_ident("field name")
+            finit = None
+            if self.accept("="):
+                finit = self.parse_expr()
+            inits.append((self.values[fname], finit))
+            if not self.accept(","):
+                break
+        self.expect("}")
+        return PayloadInit(ty.name, inits) if inits else None
 
     def parse_ret_types(self) -> tuple[Type, ...]:
         self.expect("(")
@@ -619,12 +615,14 @@ class _Parser:
 # Name resolution and checking
 
 class _Resolver:
-    def __init__(self, program: Program | GuardedProgram):
+    def __init__(self, program: Program):
         self.program = program
         self.globals: dict[str, Type] = {}
         self.structs: dict[str, StructDef] = {}
         self.functions: dict[str, FunctionDef] = {}
         self.params: dict[str, Type] = {}
+        # the type of each lock path typed in the current scope, by segments
+        self.locks: dict[tuple[str, ...], Type] = {}
         self.line = 0
         # calls of the statement being resolved, in evaluation order
         self.calls: list[Call] = []
@@ -639,18 +637,6 @@ class _Resolver:
             if g.name in self.globals:
                 raise TypeCheckError("duplicate global %r" % g.name, g.line)
             self.globals[g.name] = g.ty
-        if isinstance(p, GuardedProgram):
-            for d in p.lock_decls:
-                if d.name in self.globals:
-                    raise TypeCheckError("duplicate global %r" % d.name, d.line)
-                if d.payload not in self.structs:
-                    raise UnknownIdentifier("unknown payload struct %r" % d.payload, d.line)
-                payload = self.structs[d.payload]
-                for fname, _ in d.inits:
-                    if payload.field_type(fname) is None:
-                        raise UnknownIdentifier(
-                            "payload %r has no field %r" % (d.payload, fname), d.line)
-                self.globals[d.name] = Type("lock", d.payload)
         for f in p.functions:
             if f.name in self.functions or f.name in self.globals:
                 raise TypeCheckError("duplicate definition of %r" % f.name, f.line_span[0])
@@ -660,25 +646,71 @@ class _Resolver:
                 self.check_type(fd.ty, s.line)
         for g in p.globals:
             self.check_type(g.ty, g.line)
-            if g.init is not None:
-                self.line = g.line
+            self.line = g.line
+            if isinstance(g.init, PayloadInit):
+                self.resolve_payload_init(g.ty, g.init)
+            elif g.init is not None:
                 self.resolve_expr(g.init)
-                self.calls.clear()  # an initializer's calls belong to no statement
+            self.calls.clear()  # an initializer's calls belong to no statement
         for f in p.functions:
             self.resolve_function(f)
 
     def check_type(self, ty: Type, line: int) -> None:
         if ty.kind == "struct" and ty.name not in self.structs:
             raise UnknownIdentifier("unknown struct %r" % ty.name, line)
+        if ty.kind == "lock" and ty.name not in self.structs:
+            raise UnknownIdentifier("unknown payload struct %r" % ty.name, line)
+        if ty.kind == "guard":
+            self.lock_type(ty.path, line)
+
+    def lock_type(self, path: LockPath, line: int) -> Type:
+        """The type of the lock path names: a mutex_t or mutex<P>, reached
+        from a parameter or global through struct fields. Pointers on the
+        way are followed, as lock paths drop `*`."""
+        segs = path.segments
+        ty = self.locks.get(segs)
+        if ty is None:
+            ty = self.params.get(segs[0]) or self.globals.get(segs[0])
+            for seg in segs[1:]:
+                struct = (self.structs.get(ty.name)
+                          if ty is not None and ty.kind == "struct" else None)
+                ty = struct.field_type(seg) if struct is not None else None
+            if ty is None or ty.kind not in ("mutex", "lock"):
+                raise TypeCheckError("%s is not a lock" % path.text, line)
+            self.locks[segs] = ty
+        return ty
+
+    def check_payload_field(self, path: LockPath, fld: str) -> None:
+        ty = self.lock_type(path, self.line)
+        if ty.kind != "lock" or self.structs[ty.name].field_type(fld) is None:
+            raise UnknownIdentifier(
+                "lock %s has no payload field %r" % (path.text, fld), self.line)
+
+    def resolve_payload_init(self, ty: Type, init: PayloadInit) -> None:
+        if not ty.is_mutex():
+            raise TypeCheckError("a payload initializer needs a lock held by value",
+                                 self.line)
+        payload = self.structs[init.payload]
+        for fname, finit in init.inits:
+            if payload.field_type(fname) is None:
+                raise UnknownIdentifier(
+                    "payload %r has no field %r" % (init.payload, fname), self.line)
+            if finit is not None:
+                self.resolve_expr(finit)
 
     def resolve_function(self, f: FunctionDef) -> None:
         self.params = {}
+        self.locks = {}
+        line = f.line_span[0]
         for param in f.params:
-            self.check_type(param.ty, f.line_span[0])
             if param.name in self.params:
                 raise TypeCheckError(
-                    "duplicate parameter %r in %s" % (param.name, f.name), f.line_span[0])
+                    "duplicate parameter %r in %s" % (param.name, f.name), line)
             self.params[param.name] = param.ty
+        for ty in [param.ty for param in f.params] + list(f.rets):
+            self.check_type(ty, line)
+        for d in f.guard_decls:
+            self.lock_type(d.path, d.line)
         self.resolve_block(f.body)
         self.params = {}
 
@@ -726,7 +758,9 @@ class _Resolver:
                 if isinstance(t, Expr):
                     self.resolve_expr(t)
                     self.check_assign_place(t, s.line)
-        elif isinstance(s, (AcquireAssign, DropCall)):
+        elif isinstance(s, AcquireAssign):
+            self.lock_type(s.path, s.line)
+        elif isinstance(s, DropCall):
             pass
         else:
             raise TypeCheckError("unexpected statement form", s.line)
@@ -799,7 +833,10 @@ class _Resolver:
                     "%s() returns void; its value cannot be used" % e.name, self.line)
             self.calls.append(e)
             return
-        if isinstance(e, (GuardRef, GuardDeref, GetMutAccess)):
+        if isinstance(e, (GuardDeref, GetMutAccess)):
+            self.check_payload_field(e.path, e.fld)
+            return
+        if isinstance(e, GuardRef):
             return
         if isinstance(e, TupleExpr):
             for item in e.items:
@@ -888,7 +925,7 @@ def parse(source: str) -> Program:
 
 
 @gc_paused
-def parse_guarded(source: str) -> GuardedProgram:
+def parse_guarded(source: str) -> Program:
     """Parse and resolve a guarded-dialect program."""
     program = _Parser(tokenize(source), guarded=True).parse_program()
     _Resolver(program).run()

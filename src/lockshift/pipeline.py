@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .ast import GuardedProgram, Program
+from .ast import Program
 from .callgraph import CallGraph, build_call_graph
 from .cfg import FlowGraph, build_cfg
 from .datalock import ProtectionVerdict, infer_data_locks
@@ -52,7 +52,7 @@ def analyze_program(source: str | Program, budget: int = 1000,
 @gc_paused
 def run_pipeline(source: str | Program, budget: int = 1000,
                  diags: Diagnostics | None = None,
-                 ) -> tuple[AnalysisResult, GuardedProgram, list[OwnershipError]]:
+                 ) -> tuple[AnalysisResult, Program, list[OwnershipError]]:
     """Analyze, transform, and check in one go."""
     if diags is None:
         diags = Diagnostics()

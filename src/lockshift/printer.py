@@ -28,10 +28,9 @@ from .ast import (
     GuardDeref,
     GuardRef,
     GuardTarget,
-    GuardedProgram,
     If,
     IntLit,
-    LockDecl,
+    PayloadInit,
     Program,
     Return,
     Stmt,
@@ -113,6 +112,10 @@ def _expr(e: Expr) -> tuple[str, int]:
         return "%s(%s)" % (e.name, args), _PREC_PRIMARY
     if isinstance(e, TupleExpr):
         return "(%s)" % ", ".join(expr_text(i) for i in e.items), _PREC_PRIMARY
+    if isinstance(e, PayloadInit):
+        inits = ", ".join(name if init is None else "%s = %s" % (name, expr_text(init))
+                          for name, init in e.inits)
+        return "%s { %s }" % (e.payload, inits), _PREC_PRIMARY
     raise ValueError("unprintable expression %r" % e)
 
 
@@ -152,10 +155,7 @@ class _Sink:
         line = max(line, 1)
         while len(self.lines) < line:
             self.lines.append("")
-        target = max(line, self._last_content() or line)
-        while len(self.lines) < target:
-            self.lines.append("")
-        i = target - 1
+        i = max(line, self._last_content()) - 1
         if self.lines[i] == "":
             self.lines[i] = "    " * depth + text
         else:
@@ -237,28 +237,13 @@ def _emit_struct(sink: _Sink, s: StructDef) -> None:
         sink.put(s.line, "struct %s { };" % s.name, 0)
 
 
-def _emit_lock_decl(sink: _Sink, d: LockDecl) -> None:
-    head = "mutex<%s> %s" % (d.payload, d.name)
-    if d.inits:
-        inits = ", ".join(
-            name if init is None else "%s = %s" % (name, expr_text(init))
-            for name, init in d.inits
-        )
-        sink.put(d.line, "%s = %s { %s };" % (head, d.payload, inits), 0)
-    else:
-        sink.put(d.line, "%s;" % head, 0)
-
-
-def _emit_program(p: Program | GuardedProgram) -> str:
+def print_source(p: Program) -> str:
+    """Render a program, in either dialect, back to source text."""
     items: list[tuple[int, int, object]] = []
     seq = 0
     for g in p.globals:
         items.append((g.line, seq, g))
         seq += 1
-    if isinstance(p, GuardedProgram):
-        for d in p.lock_decls:
-            items.append((d.line, seq, d))
-            seq += 1
     for s in p.structs:
         items.append((s.line, seq, s))
         seq += 1
@@ -270,8 +255,6 @@ def _emit_program(p: Program | GuardedProgram) -> str:
     for _, _, item in items:
         if isinstance(item, GlobalDecl):
             _emit_global(sink, item)
-        elif isinstance(item, LockDecl):
-            _emit_lock_decl(sink, item)
         elif isinstance(item, StructDef):
             _emit_struct(sink, item)
         else:
@@ -279,11 +262,5 @@ def _emit_program(p: Program | GuardedProgram) -> str:
     return sink.render()
 
 
-def print_source(p: Program) -> str:
-    """Render a plain-dialect program back to source text."""
-    return _emit_program(p)
-
-
-def print_guarded(p: GuardedProgram) -> str:
-    """Render a guarded-dialect program to source text."""
-    return _emit_program(p)
+# One printer serves both dialects; this name reads better at guarded call sites.
+print_guarded = print_source

@@ -39,15 +39,14 @@ from .ast import (
     GuardRef,
     GuardTarget,
     GuardVarDecl,
-    GuardedProgram,
     INIT_FN,
     If,
     IntLit,
     LOCK_API,
     LOCK_FN,
-    LockDecl,
     LockPath,
     Param,
+    PayloadInit,
     Program,
     Return,
     Stmt,
@@ -157,21 +156,23 @@ class _Transformer:
             lock = self.s.global_lock_map.get(g.name)
             if lock is not None:
                 by_lock.setdefault(lock, []).append(g)
-        self.global_payloads: list[StructDef] = []
-        self.lock_decls: list[LockDecl] = []
+        global_payloads: list[StructDef] = []
+        locks: list[GlobalDecl] = []
         for lock, datums in by_lock.items():
             payload = self._fresh_struct_name(lock + "Data", taken)
             fields = [FieldDecl(d.ty, d.name) for d in datums]
-            self.global_payloads.append(StructDef(payload, fields, datums[0].line))
+            global_payloads.append(StructDef(payload, fields, datums[0].line))
             inits = [(d.name, d.init if d.init is not None else IntLit(0))
                      for d in datums]
-            self.lock_decls.append(
-                LockDecl(lock, payload, inits, self.p.global_decl(lock).line))
+            locks.append(GlobalDecl(Type("lock", payload), lock, PayloadInit(payload, inits),
+                                    self.p.global_decl(lock).line))
 
+        # Lock globals follow the others: the printer orders declarations
+        # that share a line by their place in the list.
         removed = set(self.s.global_lock_map) | set(by_lock)
-        self.globals_out = [g for g in self.p.globals if g.name not in removed]
+        self.globals_out = [g for g in self.p.globals if g.name not in removed] + locks
 
-        self.structs_out: list[StructDef] = list(self.global_payloads)
+        self.structs_out: list[StructDef] = global_payloads
         for sd in self.p.structs:
             fmap = self.s.struct_lock_map.get(sd.name)
             if not fmap:
@@ -199,11 +200,10 @@ class _Transformer:
 
     # -- functions ----------------------------------------------------------
 
-    def run(self) -> GuardedProgram:
+    def run(self) -> Program:
         self._build_decls()
         functions = [self._transform_function(fn) for fn in self.p.functions]
-        return GuardedProgram(self.globals_out, self.lock_decls,
-                              self.structs_out, functions)
+        return Program(self.globals_out, self.structs_out, functions)
 
     def _candidate_paths(self, fn: FunctionDef) -> set[LockPath]:
         paths = set(self._entry) | set(self._rets) | set(self._lock_line)
@@ -386,7 +386,7 @@ class _Transformer:
 
 @gc_paused
 def transform(p: Program, s: LockSummary,
-              diags: Diagnostics | None = None) -> GuardedProgram:
+              diags: Diagnostics | None = None) -> Program:
     """Apply the summary to the program. The summary must describe p."""
     try:
         validate_against_program(s, p)
@@ -400,7 +400,7 @@ def transform(p: Program, s: LockSummary,
 # ---------------------------------------------------------------------------
 # Access bookkeeping, used to check the transformation preserves accesses.
 
-def access_multiset(p: Program | GuardedProgram) -> Counter:
+def access_multiset(p: Program) -> Counter:
     """Multiset of (line, kind, datum) for every data access in p.
 
     Datum is the dotted place text of the accessed global or field; guard

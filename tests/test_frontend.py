@@ -284,8 +284,8 @@ def test_guarded_syntax_rejected_in_plain_dialect():
 
 def test_guarded_dialect_constructs():
     gp = parse_guarded(fixture_text("listing1.gmc"))
-    assert [d.name for d in gp.lock_decls] == ["m"]
-    assert gp.lock_decls[0].payload == "mData"
+    locks = [g for g in gp.globals if g.ty.is_mutex()]
+    assert [(g.name, g.ty.name, g.init.payload) for g in locks] == [("m", "mData", "mData")]
     lock_fn = gp.function("lock")
     assert [t.kind for t in lock_fn.rets] == ["guard"]
     unlock_fn = gp.function("unlock")
@@ -355,6 +355,57 @@ def test_print_parse_round_trip_is_stable(path):
 def test_guarded_round_trip_matches_golden():
     golden = fixture_text("listing1.gmc")
     assert print_guarded(parse_guarded(golden)) == golden
+
+
+def test_guarded_round_trip_keeps_lock_pointers():
+    # Lock paths drop `*`, so p.get_mut() and q.get_mut() reach through
+    # pointers to locks, as y.m does through a pointer to a struct.
+    text = ("struct d { int n; };\nstruct s { mutex<d> m; };\nmutex<d> *p;\nint x;\n"
+            "void f(struct s *y, mutex<d> *q) { guard<y.m> y_m_guard;\n"
+            "    y_m_guard = y.m.acquire();\n"
+            "    (*y_m_guard).n = p.get_mut().n + q.get_mut().n;\n"
+            "    drop(y_m_guard); }\n")
+    assert print_guarded(parse_guarded(text)) == text
+
+
+def test_an_empty_payload_initializer_prints_as_none():
+    program = parse_guarded("struct d { int n; };\nmutex<d> m = d { };\n")
+    assert print_guarded(program) == "struct d { int n; };\nmutex<d> m;\n"
+
+
+LOCK_D = "struct d { int n; };\nmutex<d> m;\nint x;\n"
+
+
+@pytest.mark.parametrize("source, error, message, line", [
+    ("int q; void f() { guard<q> g; g = q.acquire(); (*g).n = 1; drop(g); }\n",
+     TypeCheckError, "q is not a lock", 1),
+    ("struct s { mutex<zzz> m; }; int x; void f() { x = nosuch.get_mut().n; }\n",
+     UnknownIdentifier, "unknown payload struct 'zzz'", 1),
+    (LOCK_D + "void f(mutex<e> *p) { }\n",
+     UnknownIdentifier, "unknown payload struct 'e'", 4),
+    (LOCK_D + "\nmutex<e> *f() { return 0; }\n",
+     UnknownIdentifier, "unknown payload struct 'e'", 5),
+    ("struct d { int n; };\nmutex<d> m = d { n = y };\n",
+     UnknownIdentifier, "unknown identifier 'y'", 2),
+    ("struct d { int n; };\nmutex<d> *p = d { n = 1 };\n",
+     TypeCheckError, "a payload initializer needs a lock held by value", 2),
+    (LOCK_D + "void f(guard<x> g) { drop(g); }\n", TypeCheckError, "x is not a lock", 4),
+    (LOCK_D + "guard<m.n> f() { return 0; }\n", TypeCheckError, "m.n is not a lock", 4),
+    (LOCK_D + "void f() { guard<m> g;\n g = x.acquire(); drop(g); }\n",
+     TypeCheckError, "x is not a lock", 5),
+    (LOCK_D + "void f() { guard<m> g;\n g = m.acquire();\n (*g).k = 1; drop(g); }\n",
+     UnknownIdentifier, "lock m has no payload field 'k'", 6),
+    (LOCK_D + "void f() { x = m.get_mut().k; }\n",
+     UnknownIdentifier, "lock m has no payload field 'k'", 4),
+    ("mutex_t m;\nint x;\nvoid f() { x = m.get_mut().n; }\n",
+     UnknownIdentifier, "lock m has no payload field 'n'", 3),
+], ids=["guard-of-an-int", "field-payload", "param-payload", "return-payload",
+        "init-expression", "init-through-a-pointer", "guard-param", "guard-return",
+        "acquire", "guard-deref-field", "get-mut-field", "plain-mutex-payload"])
+def test_the_guarded_resolver_types_every_lock_path(source, error, message, line):
+    with pytest.raises(error) as exc:
+        parse_guarded(source)
+    assert (exc.value.message, exc.value.line) == (message, line)
 
 
 def test_printer_preserves_statement_lines():
