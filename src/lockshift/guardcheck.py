@@ -7,6 +7,25 @@ paths gives Conflict. Dereferencing requires Owned; moving requires Owned
 and consumes. Assigning into a guard is never a use, so reacquiring in a
 loop or overwriting an owned guard is fine.
 
+The flow needs no graph: a function with guards is checked by walking its
+Block/If/While/Return tree. Its n guards are numbered 0..n-1, and the state
+at a program point is one int of three n-bit fields: bit i set means guard
+i may be Uninit there, bit n+i that it may be Owned, bit 2n+i that it may
+be Moved. Paths join by `|`, and a guard with two or more bits set is in
+Conflict. A move or a receipt clears the guard's three bits and sets one.
+After a return, and where no path reaches, the state is None.
+
+A while head joins its entry with its body's exit until it stops growing.
+Each loop keeps that head and the exit it gave, and a later visit whose
+entry is already inside the head takes that exit without walking the body.
+A head starts with at least n of its 3n bits and only grows. A visit that
+walks the body grows it on entry (unless it is the first visit) and after
+each walk but its last, so a body is walked at most 2n+1 times to find its
+head, however deeply loops nest. The top-level walk
+then reports: it checks each statement's uses against its state once the
+enclosing loop heads are at their fixpoint, and warns about each statement
+no path reaches, as the analysis CFGs do.
+
 The checker reports errors; it never throws. An empty list means accepted.
 """
 from __future__ import annotations
@@ -18,6 +37,7 @@ from .ast import (
     AddrOf,
     Assign,
     Binary,
+    Block,
     Call,
     CallAssign,
     Deref,
@@ -30,29 +50,19 @@ from .ast import (
     GuardRef,
     GuardTarget,
     If,
+    IntLit,
     Program,
     Return,
     Stmt,
     TupleExpr,
+    Var,
     While,
 )
-from .cfg import build_cfg, solve
 from .diagnostics import Diagnostics, gc_paused
-
-UNINIT = "uninit"
-OWNED = "owned"
-MOVED = "moved"
-CONFLICT = "conflict"
 
 USE_OF_UNINIT = "UseOfUninit"
 USE_AFTER_MOVE = "UseAfterMove"
 CONFLICTING_PATHS = "ConflictingPaths"
-
-_ERROR_OF_STATE = {
-    UNINIT: USE_OF_UNINIT,
-    MOVED: USE_AFTER_MOVE,
-    CONFLICT: CONFLICTING_PATHS,
-}
 
 
 @dataclass(frozen=True)
@@ -72,19 +82,20 @@ def _expr_events(e: Expr | None, out: list[tuple[str, str]]) -> None:
     ("move", g) consumes ownership (argument passing, returning);
     ("deref", g) requires ownership without consuming it.
     """
-    if e is None:
-        return
-    if isinstance(e, GuardRef):
-        out.append(("move", e.name))
-    elif isinstance(e, GuardDeref):
+    # The forms are tested most frequent first; names and literals use no guard.
+    if isinstance(e, GuardDeref):
         out.append(("deref", e.guard))
+    elif isinstance(e, Binary):
+        _expr_events(e.lhs, out)
+        _expr_events(e.rhs, out)
+    elif e is None or isinstance(e, (Var, IntLit)):
+        return
+    elif isinstance(e, GuardRef):
+        out.append(("move", e.name))
     elif isinstance(e, FieldAccess):
         _expr_events(e.base, out)
     elif isinstance(e, (AddrOf, Deref)):
         _expr_events(e.expr, out)
-    elif isinstance(e, Binary):
-        _expr_events(e.lhs, out)
-        _expr_events(e.rhs, out)
     elif isinstance(e, Call):
         for a in e.args:
             _expr_events(a, out)
@@ -120,61 +131,139 @@ def _stmt_events(s: Stmt) -> tuple[list[tuple[str, str]], list[str]]:
     return uses, gets
 
 
-def _transfer(s: Stmt, state: dict[str, str],
-              errors: set[OwnershipError] | None, fn_name: str) -> dict[str, str]:
-    state = dict(state)
+class _Walk:
+    """One function's check: its guards' bits, each loop's head and exit,
+    and what the reporting walk found."""
+
+    __slots__ = ("function", "bits", "loops", "errors", "diags")
+
+    def __init__(self, function: str, bits: dict[str, tuple[int, int, int]],
+                 diags: Diagnostics):
+        self.function = function
+        self.bits = bits
+        self.loops: dict[int, tuple[int, int]] = {}
+        self.errors: set[OwnershipError] = set()
+        self.diags = diags
+
+
+def _step(w: _Walk, s: Stmt, state: int, report: bool) -> int:
+    """The state after s itself runs from state. With report, each guard
+    use is checked against the state it meets."""
     uses, gets = _stmt_events(s)
+    bits = w.bits
     for kind, name in uses:
-        current = state.get(name)
-        if current is None:
+        b = bits.get(name)
+        if b is None:
             continue
-        if current != OWNED and errors is not None:
-            errors.add(OwnershipError(_ERROR_OF_STATE[current], name, fn_name, s.line))
+        u, o, m = b
+        if report:
+            held = state & (u | o | m)
+            if held != o:
+                error = (USE_OF_UNINIT if held == u else USE_AFTER_MOVE if held == m
+                         else CONFLICTING_PATHS)
+                w.errors.add(OwnershipError(error, name, w.function, s.line))
         if kind == "move":
-            state[name] = MOVED
+            state = state & ~(u | o | m) | m
     for name in gets:
-        if name in state:
-            state[name] = OWNED
+        b = bits.get(name)
+        if b is not None:
+            u, o, m = b
+            state = state & ~(u | o | m) | o
     return state
 
 
-def _join(a: dict[str, str] | None, b: dict[str, str]) -> dict[str, str]:
-    if a is None:
-        return dict(b)
-    return {g: (a[g] if a[g] == b[g] else CONFLICT) for g in a}
+def _loop(w: _Walk, s: While, entry: int) -> tuple[int, int]:
+    """(head, exit) of loop s entered in state entry: the head joins entry
+    with the body's exit until it stops growing, and the exit is the head
+    after the condition."""
+    memo = w.loops.get(id(s))
+    if memo is not None:
+        head = memo[0]
+        if entry | head == head:
+            return memo
+        head |= entry
+    else:
+        head = entry
+    while True:
+        out = _step(w, s, head, False)
+        back = _flow(w, s.body.stmts, out)
+        if back is None or back | head == head:
+            break
+        head |= back
+    memo = w.loops[id(s)] = (head, out)
+    return memo
+
+
+def _either(a: int | None, b: int | None) -> int | None:
+    """The state where two paths meet; None stands for no path."""
+    return b if a is None else a if b is None else a | b
+
+
+def _flow(w: _Walk, stmts: list[Stmt], state: int | None) -> int | None:
+    """The state after stmts run from state; None once every path returned."""
+    for s in stmts:
+        if state is None:
+            return None
+        if isinstance(s, Block):
+            state = _flow(w, s.stmts, state)
+        elif isinstance(s, While):
+            state = _loop(w, s, state)[1]
+        elif isinstance(s, If):
+            state = _step(w, s, state, False)
+            then = _flow(w, s.then.stmts, state)
+            if s.orelse is not None:
+                state = _flow(w, s.orelse.stmts, state)
+            state = _either(then, state)
+        elif isinstance(s, Return):
+            return None
+        else:
+            state = _step(w, s, state, False)
+    return state
+
+
+def _report(w: _Walk, stmts: list[Stmt], state: int | None) -> int | None:
+    """_flow at the fixpoint, checking each use against the state it meets
+    and warning about each statement no path reaches."""
+    for s in stmts:
+        if isinstance(s, Block):
+            state = _report(w, s.stmts, state)
+            continue
+        if state is None:
+            w.diags.warn("unreachable statement removed from flow graph",
+                         function=w.function, line=s.line)
+        else:
+            if isinstance(s, While):
+                state = _loop(w, s, state)[0]
+            state = _step(w, s, state, True)
+        if isinstance(s, If):
+            then = _report(w, s.then.stmts, state)
+            if s.orelse is not None:
+                state = _report(w, s.orelse.stmts, state)
+            state = _either(then, state)
+        elif isinstance(s, While):
+            _report(w, s.body.stmts, state)
+        elif isinstance(s, Return):
+            state = None
+    return state
 
 
 def _check_function(fn: FunctionDef, diags: Diagnostics) -> list[OwnershipError]:
-    guards = {d.guard: UNINIT for d in fn.guard_decls}
+    owned = {d.guard: False for d in fn.guard_decls}
     for p in fn.params:
         if p.ty.kind == "guard":
-            guards[p.name] = OWNED
-    if not guards:
+            owned[p.name] = True
+    if not owned:
         return []
-    g = build_cfg(fn, diags)
-    in_state: dict = {n: None for n in g.nodes}
-    in_state[g.entry] = dict(guards)
-
-    def step(n):
-        if in_state[n] is None:
-            return ()
-        out = (_transfer(n, in_state[n], None, fn.name)
-               if isinstance(n, Stmt) else in_state[n])
-        changed = []
-        for s in g.succ[n]:
-            joined = _join(in_state[s], out)
-            if joined != in_state[s]:
-                in_state[s] = joined
-                changed.append(s)
-        return changed
-
-    solve(g.nodes, step)
-
-    errors: set[OwnershipError] = set()
-    for n in g.nodes:
-        if isinstance(n, Stmt) and in_state[n] is not None:
-            _transfer(n, in_state[n], errors, fn.name)
-    return sorted(errors, key=lambda e: (e.line, e.guard, e.kind))
+    n = len(owned)
+    bits: dict[str, tuple[int, int, int]] = {}
+    state = 0
+    for i, (name, is_owned) in enumerate(owned.items()):
+        u, o, m = 1 << i, 1 << (n + i), 1 << (2 * n + i)
+        bits[name] = (u, o, m)
+        state |= o if is_owned else u
+    w = _Walk(fn.name, bits, diags)
+    _report(w, fn.body.stmts, state)
+    return sorted(w.errors, key=lambda e: (e.line, e.guard, e.kind))
 
 
 @gc_paused

@@ -48,6 +48,7 @@ from .ast import (
     Var,
     While,
     place_path,
+    to_caller,
 )
 from .diagnostics import (
     ParseError,
@@ -623,6 +624,8 @@ class _Resolver:
         self.params: dict[str, Type] = {}
         # the type of each lock path typed in the current scope, by segments
         self.locks: dict[tuple[str, ...], Type] = {}
+        # the lock path of each guard variable in the current function
+        self.guards: dict[str, LockPath] = {}
         self.line = 0
         # calls of the statement being resolved, in evaluation order
         self.calls: list[Call] = []
@@ -709,10 +712,13 @@ class _Resolver:
             self.params[param.name] = param.ty
         for ty in [param.ty for param in f.params] + list(f.rets):
             self.check_type(ty, line)
+        self.guards = {p.name: p.ty.path for p in f.params if p.ty.kind == "guard"}
         for d in f.guard_decls:
             self.lock_type(d.path, d.line)
+            self.guards[d.guard] = d.path
         self.resolve_block(f.body)
         self.params = {}
+        self.guards = {}
 
     def resolve_block(self, b: Block) -> None:
         for s in b.stmts:
@@ -758,8 +764,21 @@ class _Resolver:
                 if isinstance(t, Expr):
                     self.resolve_expr(t)
                     self.check_assign_place(t, s.line)
+            callee = self.functions[s.call.name]
+            names = callee.param_names
+            if len(s.call.args) != len(names):
+                # the call leaves out the guard arguments, so the arguments
+                # line up with the other parameters
+                names = [p.name for p in callee.params if p.ty.kind != "guard"]
+            for t, ret in zip(s.targets, callee.rets):
+                if isinstance(t, GuardTarget) and ret.kind == "guard":
+                    self.check_guard_path(t.name, t.path, ret.path, names, s.call, "returns")
         elif isinstance(s, AcquireAssign):
             self.lock_type(s.path, s.line)
+            held = self.guards[s.guard]
+            if s.path != held:
+                raise TypeCheckError("guard %s is for %s, not %s"
+                                     % (s.guard, held.text, s.path.text), s.line)
         elif isinstance(s, DropCall):
             pass
         else:
@@ -876,6 +895,23 @@ class _Resolver:
         for a in call.args:
             self.resolve_expr(a)
         call.arg_paths = tuple(place_path(a) for a in call.args)
+        if len(call.args) == len(fn.params):
+            names = fn.param_names
+            for a, p in zip(call.args, fn.params):
+                if isinstance(a, GuardRef) and p.ty.kind == "guard":
+                    self.check_guard_path(a.name, a.path, p.ty.path, names, call, "takes")
+
+    def check_guard_path(self, guard: str, held: LockPath, path: LockPath,
+                         names: list[str], call: Call, verb: str) -> None:
+        """A guard passed to or received from the callee, whose parameters
+        are names, must be for the lock that the callee's guard<path> names
+        at call. A path the caller cannot name, rooted at a parameter whose
+        argument is not a place, is not checked."""
+        want = to_caller(path, names, call)
+        if want is not None and want != held:
+            raise TypeCheckError("guard %s is for %s, but %s() %s a guard for %s"
+                                 % (guard, held.text, call.name, verb, want.text),
+                                 self.line)
 
     def resolve_lock_api(self, call: Call, line: int) -> None:
         """Check a standalone lock-API call; record the lock path of a lock,

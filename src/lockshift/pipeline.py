@@ -58,7 +58,7 @@ def run_pipeline(source: str | Program, budget: int = 1000,
         diags = Diagnostics()
     result = analyze_program(source, budget, diags)
     guarded = transform(result.program, result.lock_summary, diags)
-    # The checker rebuilds the flow graphs, and its warnings would repeat
-    # the analysis's.
+    # The checker warns about the same unreachable statements as the
+    # analysis's flow graphs did, so its warnings are not kept.
     errors = check(guarded)
     return result, guarded, errors

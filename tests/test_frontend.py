@@ -8,6 +8,7 @@ import pytest
 from lockshift import parser
 from lockshift.ast import Binary, Call, Deref, ExprStmt, GuardRef, LockPath
 from lockshift.diagnostics import ParseError, TypeCheckError, UnknownIdentifier
+from lockshift.guardcheck import check
 from lockshift.lexer import tokenize
 from lockshift.parser import parse, parse_guarded
 from lockshift.printer import expr_text, print_guarded, print_source
@@ -374,6 +375,7 @@ def test_an_empty_payload_initializer_prints_as_none():
 
 
 LOCK_D = "struct d { int n; };\nmutex<d> m;\nint x;\n"
+TWO_LOCKS = "struct d { int n; };\nstruct s { mutex<d> m; };\nmutex<d> m;\nmutex<d> q;\n"
 
 
 @pytest.mark.parametrize("source, error, message, line", [
@@ -399,13 +401,53 @@ LOCK_D = "struct d { int n; };\nmutex<d> m;\nint x;\n"
      UnknownIdentifier, "lock m has no payload field 'k'", 4),
     ("mutex_t m;\nint x;\nvoid f() { x = m.get_mut().n; }\n",
      UnknownIdentifier, "lock m has no payload field 'n'", 3),
+    (TWO_LOCKS + "void f() { guard<m> g;\n g = q.acquire(); (*g).n = 1; drop(g); }\n",
+     TypeCheckError, "guard g is for m, not q", 6),
+    (TWO_LOCKS + "void r(guard<q> h) { drop(h); }\n"
+     "void f() { guard<m> g; g = m.acquire();\n r(g); }\n",
+     TypeCheckError, "guard g is for m, but r() takes a guard for q", 7),
+    (TWO_LOCKS + "guard<q> r() { guard<q> h; h = q.acquire(); return h; }\n"
+     "void f() { guard<m> g;\n g = r(); drop(g); }\n",
+     TypeCheckError, "guard g is for m, but r() returns a guard for q", 7),
+    (TWO_LOCKS + "(int, guard<p.m>) r(struct s *p) { guard<p.m> h; h = p.m.acquire(); "
+     "return (1, h); }\nint k; struct s x; struct s y;\n"
+     "void f() { guard<x.m> g;\n (k, g) = r(&y); drop(g); }\n",
+     TypeCheckError, "guard g is for x.m, but r() returns a guard for y.m", 8),
+    (TWO_LOCKS + "guard<p.m> r(guard<q> h, struct s *p) { guard<p.m> k; drop(h); "
+     "k = p.m.acquire(); return k; }\nstruct s x; struct s y;\n"
+     "void f() { guard<x.m> g;\n g = r(&y); drop(g); }\n",
+     TypeCheckError, "guard g is for x.m, but r() returns a guard for y.m", 8),
 ], ids=["guard-of-an-int", "field-payload", "param-payload", "return-payload",
         "init-expression", "init-through-a-pointer", "guard-param", "guard-return",
-        "acquire", "guard-deref-field", "get-mut-field", "plain-mutex-payload"])
+        "acquire", "guard-deref-field", "get-mut-field", "plain-mutex-payload",
+        "acquire-another-lock", "guard-argument-for-another-lock",
+        "guard-target-for-another-lock", "tuple-target-through-a-parameter",
+        "target-of-a-call-without-guard-arguments"])
 def test_the_guarded_resolver_types_every_lock_path(source, error, message, line):
     with pytest.raises(error) as exc:
         parse_guarded(source)
     assert (exc.value.message, exc.value.line) == (message, line)
+
+
+def test_guard_paths_map_through_the_callees_parameters():
+    program = parse_guarded(
+        TWO_LOCKS + "(int, guard<p.m>) r(struct s *p, guard<p.m> h) { return (1, h); }\n"
+        "int k;\nvoid f(struct s *x) { guard<x.m> g; g = x.m.acquire();\n"
+        " (k, g) = r(x, g); drop(g); }\n")
+    assert check(program) == []
+
+
+@pytest.mark.parametrize("params, args", [
+    ("guard<q> h, struct s *p", "&x"),
+    ("guard<q> h, struct s *p, struct s *a", "&x, &y"),
+], ids=["one-argument", "two-arguments"])
+def test_a_call_without_guard_arguments_maps_its_returned_guard(params, args):
+    """A call may leave out the guard arguments; its arguments then line up
+    with the callee's other parameters, so p is x in both calls."""
+    parse_guarded(
+        TWO_LOCKS + "guard<p.m> r(%s) { guard<p.m> k; drop(h); k = p.m.acquire(); "
+        "return k; }\nstruct s x; struct s y;\n"
+        "void f() { guard<x.m> g;\n g = r(%s); drop(g); }\n" % (params, args))
 
 
 def test_printer_preserves_statement_lines():
