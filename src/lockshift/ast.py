@@ -1,7 +1,8 @@
 """AST node types for the plain and guarded dialects, plus lock-path canonicalization.
 
 Node classes use identity equality (eq=False) so they can key CFG maps and
-worklist sets.
+worklist sets, and slots, so a node carries no per-instance dict. Program
+keeps its dict for its cached function index.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ LOCK_API = frozenset([LOCK_FN, UNLOCK_FN, INIT_FN, CREATE_FN])
 BIN_PREC = {"==": 1, "!=": 1, "<": 1, "<=": 1, "+": 2, "-": 2, "*": 3}
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class LockPath:
     """A canonical dotted place path; first segment is a global or a parameter."""
 
@@ -65,7 +66,7 @@ def path_of(text: str) -> LockPath:
 # ---------------------------------------------------------------------------
 # Types
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Type:
     """A declared type: base kind, optional struct/payload name, pointer depth."""
 
@@ -93,17 +94,17 @@ def holds_data(ty: Type | None) -> bool:
 # ---------------------------------------------------------------------------
 # Expressions
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Expr:
     pass
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class IntLit(Expr):
     value: int
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Var(Expr):
     name: str
     # set by the resolver: "global" | "param" | "function" | "guard"
@@ -111,7 +112,7 @@ class Var(Expr):
     ty: Type | None = None
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class FieldAccess(Expr):
     """Covers both `.` and `->`; arrow is recorded for printing only."""
 
@@ -122,25 +123,25 @@ class FieldAccess(Expr):
     ty: Type | None = None
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class AddrOf(Expr):
     expr: Expr
     mut: bool = False
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Deref(Expr):
     expr: Expr
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Binary(Expr):
     op: str  # + - * == != < <=
     lhs: Expr
     rhs: Expr
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Call(Expr):
     name: str
     args: list[Expr]
@@ -154,7 +155,7 @@ class Call(Expr):
 
 # Guarded-dialect expressions
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class GuardRef(Expr):
     """A guard variable used as a value (call argument or return)."""
 
@@ -162,7 +163,7 @@ class GuardRef(Expr):
     path: LockPath
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class GuardDeref(Expr):
     """Payload field access through an owned guard: (*m_guard).n"""
 
@@ -171,7 +172,7 @@ class GuardDeref(Expr):
     fld: str
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class GetMutAccess(Expr):
     """Unguarded payload field access on the lock itself: m.get_mut().n"""
 
@@ -179,12 +180,12 @@ class GetMutAccess(Expr):
     fld: str
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class TupleExpr(Expr):
     items: list[Expr]
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class PayloadInit(Expr):
     """The initializer of a data-owning lock global: P { f = init, ... }."""
 
@@ -195,78 +196,78 @@ class PayloadInit(Expr):
 # ---------------------------------------------------------------------------
 # Statements
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Stmt:
     line: int = 0
     # The calls evaluated by the statement itself, in evaluation order:
     # arguments before their call, an Assign's value before its place, and
-    # only the condition of an If or While. Not a field: the resolver sets a
-    # tuple on each statement that evaluates calls, and every other
-    # statement shares this empty default. So it is defined only on what
-    # `parse` and `parse_guarded` return; a statement built by hand, or by
-    # the transformer and not re-parsed, reports none.
-    calls = ()
+    # only the condition of an If or While. Not an __init__ argument: the
+    # resolver sets a tuple on each statement that evaluates calls, and
+    # every other statement keeps the shared empty default. So it is defined
+    # only on what `parse` and `parse_guarded` return; a statement built by
+    # hand, or by the transformer and not re-parsed, reports none.
+    calls: tuple[Call, ...] = field(default=(), init=False, repr=False)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Assign(Stmt):
     place: Expr = None  # type: ignore[assignment]
     value: Expr = None  # type: ignore[assignment]
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class ExprStmt(Stmt):
     expr: Expr = None  # type: ignore[assignment]
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Block(Stmt):
     stmts: list[Stmt] = field(default_factory=list)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class If(Stmt):
     cond: Expr = None  # type: ignore[assignment]
     then: Block = None  # type: ignore[assignment]
     orelse: Block | None = None
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class While(Stmt):
     cond: Expr = None  # type: ignore[assignment]
     body: Block = None  # type: ignore[assignment]
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Return(Stmt):
     value: Expr | None = None
 
 
 # Guarded-dialect statements
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class AcquireAssign(Stmt):
     guard: str = ""
     path: LockPath = None  # type: ignore[assignment]
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class DropCall(Stmt):
     guard: str = ""
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Discard:
     """The `_` slot in a destructuring call assignment."""
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class GuardTarget:
     name: str
     path: LockPath
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class CallAssign(Stmt):
     """Destructuring call: (x, m_guard) = g(...); targets are places, guards, or _."""
 
@@ -277,7 +278,7 @@ class CallAssign(Stmt):
 # ---------------------------------------------------------------------------
 # Declarations
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class GlobalDecl:
     ty: Type
     name: str
@@ -285,13 +286,13 @@ class GlobalDecl:
     line: int
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class FieldDecl:
     ty: Type
     name: str
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class StructDef:
     name: str
     fields: list[FieldDecl]
@@ -304,20 +305,20 @@ class StructDef:
         return None
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Param:
     ty: Type
     name: str
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class GuardVarDecl:
     guard: str
     path: LockPath
     line: int
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class FunctionDef:
     rets: tuple[Type, ...]
     name: str

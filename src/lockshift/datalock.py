@@ -17,7 +17,7 @@ from .ast import INIT_FN, FieldAccess, LockPath, Program, data_accesses, functio
 from .callgraph import CallGraph, thread_entries
 from .cfg import FlowGraph
 from .diagnostics import Diagnostics
-from .flowanalysis import FunctionFlowFacts
+from .flowanalysis import FunctionFlowFacts, join, minus
 from .summary import FunctionSummary
 
 
@@ -49,9 +49,9 @@ def collect_accesses(program: Program, flow: dict[str, FunctionFlowFacts],
         g = graphs[fn.name]
         facts = flow[fn.name]
         avail_in = facts.avail_in
-        pls = summaries[fn.name].entry_lock - facts.mels
+        pls = minus(summaries[fn.name].entry_lock, facts.mels)
         for node in g.stmt_nodes:
-            held = avail_in[node] | pls
+            held = join(avail_in[node], pls)
             for kind, e, datum in data_accesses(node):
                 struct = e.owner if isinstance(e, FieldAccess) else None
                 records.append(AccessRecord(fn.name, node.line, held, datum, struct, kind))

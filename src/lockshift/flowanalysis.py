@@ -15,6 +15,10 @@ MRLS seeded Top; Top never escapes: every set in returned facts is a finite
 frozenset of lock paths. Each sweep visits the members in a fixed order but
 re-solves only members whose SCC callees changed since their last solve; the
 iteration budget still counts sweeps.
+
+Lock sets are shared values. join, meet and minus return an operand whenever
+the result equals it, so most steps allocate nothing, and each
+analyze_function call stores one object per distinct set in its node maps.
 """
 from __future__ import annotations
 
@@ -39,13 +43,22 @@ from .diagnostics import Diagnostics, IterationBudgetExceeded
 
 # A lock set is a frozenset of lock paths. Top, the set of all paths, is None;
 # it seeds the avail pass, the SCC sweep's MRLS and propagate's ELS, and these
-# three operators are the only ones that have to handle it.
+# three operators are the only ones that have to handle it. Each returns one
+# of its operands whenever the result equals it, so equal sets stay one
+# object; _EMPTY is the one empty set they start from.
+
+_EMPTY: frozenset[LockPath] = frozenset()
+
 
 def join(a: frozenset[LockPath] | None,
          b: frozenset[LockPath] | None) -> frozenset[LockPath] | None:
     """Union; Top absorbs."""
     if a is None or b is None:
         return None
+    if b <= a:
+        return a
+    if a <= b:
+        return b
     return a | b
 
 
@@ -54,8 +67,10 @@ def meet(a: frozenset[LockPath] | None,
     """Intersection; Top is the identity."""
     if a is None:
         return b
-    if b is None:
+    if b is None or a <= b:
         return a
+    if b <= a:
+        return b
     return a & b
 
 
@@ -64,9 +79,9 @@ def minus(a: frozenset[LockPath] | None,
     """Difference; removing Top leaves nothing, and Top minus a finite set
     is still Top."""
     if b is None:
-        return frozenset()
-    if a is None:
-        return None
+        return _EMPTY
+    if a is None or a.isdisjoint(b):
+        return a
     return a - b
 
 
@@ -92,10 +107,10 @@ class GenKill:
     """gen_l and kill_a come from callee MELS and are always finite; kill_l
     and gen_a come from callee MRLS, which is Top inside an SCC sweep."""
 
-    gen_l: frozenset[LockPath] = frozenset()
-    kill_l: frozenset[LockPath] | None = frozenset()
-    gen_a: frozenset[LockPath] | None = frozenset()
-    kill_a: frozenset[LockPath] = frozenset()
+    gen_l: frozenset[LockPath] = _EMPTY
+    kill_l: frozenset[LockPath] | None = _EMPTY
+    gen_a: frozenset[LockPath] | None = _EMPTY
+    kill_a: frozenset[LockPath] = _EMPTY
 
 
 @dataclass
@@ -104,8 +119,8 @@ class FunctionFlowFacts:
 
     name: str
     params: tuple[str, ...]
-    mels: frozenset[LockPath] = frozenset()
-    mrls: frozenset[LockPath] | None = frozenset()  # Top only inside analyze_scc
+    mels: frozenset[LockPath] = _EMPTY
+    mrls: frozenset[LockPath] | None = _EMPTY  # Top only inside analyze_scc
     live_in: dict[Node, frozenset[LockPath]] = field(default_factory=dict)
     live_out: dict[Node, frozenset[LockPath]] = field(default_factory=dict)
     avail_in: dict[Node, frozenset[LockPath]] = field(default_factory=dict)
@@ -145,13 +160,13 @@ def transfer_gen_kill(s: Stmt, callee_facts: Mapping[str, FunctionFlowFacts],
         return effects[0]
     # Sequential composition. Backward: a gen survives only the kills of
     # earlier effects; forward: a gen survives only the kills of later ones.
-    gen_l = kill_l = gen_a = kill_a = frozenset()
+    gen_l = kill_l = gen_a = kill_a = _EMPTY
     for gk in effects:
-        gen_l = gen_l | minus(gk.gen_l, kill_l)
+        gen_l = join(gen_l, minus(gk.gen_l, kill_l))
         kill_l = join(kill_l, gk.kill_l)
     for gk in effects:
         gen_a = join(minus(gen_a, gk.kill_a), gk.gen_a)
-        kill_a = kill_a | gk.kill_a
+        kill_a = join(kill_a, gk.kill_a)
     return GenKill(gen_l=gen_l, kill_l=kill_l, gen_a=gen_a, kill_a=kill_a)
 
 
@@ -169,14 +184,14 @@ def analyze_function(fn: FunctionDef, g: FlowGraph,
     facts = FunctionFlowFacts(fn.name, tuple(fn.param_names))
 
     # Backward may pass, least fixpoint from the empty set.
-    live_in = dict.fromkeys(g.nodes, frozenset())
-    live_out = dict.fromkeys(g.nodes, frozenset())
+    live_in = dict.fromkeys(g.nodes, _EMPTY)
+    live_out = dict.fromkeys(g.nodes, _EMPTY)
 
     def live_step(n: Node):
-        out = frozenset()
+        out = _EMPTY
         for s in g.succ[n]:
-            out = out | live_in[s]
-        new_in = minus(out, gk[n].kill_l) | gk[n].gen_l
+            out = join(out, live_in[s])
+        new_in = join(minus(out, gk[n].kill_l), gk[n].gen_l)
         live_out[n] = out
         if new_in == live_in[n]:
             return ()
@@ -184,14 +199,12 @@ def analyze_function(fn: FunctionDef, g: FlowGraph,
         return g.pred[n]
 
     solve(reversed(g.nodes), live_step)
-    facts.mels = live_in[g.entry]
 
     # Forward must pass, greatest fixpoint from Top (None), entry seeded with
     # MELS.
     avail_in = dict.fromkeys(g.nodes)
     avail_out = dict.fromkeys(g.nodes)
-    avail_in[g.entry] = facts.mels
-    avail_out[g.entry] = facts.mels
+    avail_in[g.entry] = avail_out[g.entry] = live_in[g.entry]
 
     def avail_step(n: Node):
         inn = None
@@ -205,8 +218,13 @@ def analyze_function(fn: FunctionDef, g: FlowGraph,
         return g.succ[n]
 
     solve((n for n in g.nodes if n is not g.entry), avail_step)
-    facts.mrls = avail_out[g.ret]
 
+    # One stored object per distinct set; the table dies with this call.
+    shared: dict = {}
+    for facts_map in (live_in, live_out, avail_in, avail_out):
+        for n, s in facts_map.items():
+            facts_map[n] = shared.setdefault(s, s)
+    facts.mels, facts.mrls = live_in[g.entry], avail_out[g.ret]
     facts.live_in, facts.live_out = live_in, live_out
     facts.avail_in, facts.avail_out = avail_in, avail_out
     return facts
@@ -270,7 +288,7 @@ def analyze_scc(fns: list[FunctionDef], graphs: dict[str, FlowGraph],
             stuck = [name for name, f in current.items() if f.mrls is None]
             if stuck:
                 for name in stuck:
-                    current[name].mrls = frozenset()
+                    current[name].mrls = _EMPTY
                     dirty.add(name)
                     dirty.update(callers[name])
                     if name not in clamped:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .ast import Call, LockPath, Program, to_callee
 from .cfg import FlowGraph, solve
 from .diagnostics import Diagnostics
-from .flowanalysis import FunctionFlowFacts, join, meet
+from .flowanalysis import FunctionFlowFacts, join, meet, minus
 from .summary import FunctionSummary
 
 
@@ -52,7 +52,7 @@ def _to_callee_set(paths: frozenset[LockPath] | None, params,
     """The caller's held paths as the callee names them at site. A path
     that no argument prefixes keeps its name, unless it is rooted at a
     caller parameter: the callee cannot name it, so it is dropped with a
-    warning, in path order."""
+    warning, in path order. paths itself when the result equals it."""
     if paths is None:
         return None
     kept = set()
@@ -66,7 +66,7 @@ def _to_callee_set(paths: frozenset[LockPath] | None, params,
                     function=site.caller, line=site.line)
             continue
         kept.add(p if q is None else q)
-    return frozenset(kept)
+    return paths if kept == paths else frozenset(kept)
 
 
 def propagate(program: Program, flow: dict[str, FunctionFlowFacts],
@@ -76,7 +76,8 @@ def propagate(program: Program, flow: dict[str, FunctionFlowFacts],
     """Solve ELS for every function and assemble its summary record.
 
     Caller-less functions start at ELS = MELS; everything else starts at Top
-    (None) and shrinks monotonically as callers settle. Functions reachable
+    (None) and shrinks monotonically as callers settle; the worklist
+    visits callers first (_callers_first). Functions reachable
     only from call cycles with no root keep Top forever; they are clamped to
     their own MELS with a diagnostic.
     """
@@ -108,7 +109,8 @@ def propagate(program: Program, flow: dict[str, FunctionFlowFacts],
         els[name] = new
         return callees_of[name]
 
-    solve([name for name in params_of if by_callee.get(name)], els_step)
+    solve([name for name in _callers_first(params_of, callees_of)
+           if by_callee.get(name)], els_step)
 
     # Report drops once, after convergence.
     if diags is not None:
@@ -127,16 +129,42 @@ def propagate(program: Program, flow: dict[str, FunctionFlowFacts],
                     "entry lock set of %s is unconstrained (callers form a "
                     "dead cycle); using its own released set" % fn.name,
                     function=fn.name)
-        pls = entry - facts.mels
+        pls = minus(entry, facts.mels)
         summaries[fn.name] = FunctionSummary(
-            entry, facts.mrls | pls, _lock_lines(graphs[fn.name], facts, pls))
+            entry, join(facts.mrls, pls), _lock_lines(graphs[fn.name], facts, pls))
     return summaries
+
+
+def _callers_first(names, callees_of: dict[str, dict[str, None]]) -> list[str]:
+    """names in reverse DFS postorder over the call graph, so that outside
+    call cycles every caller comes before its callees. ELS is the greatest
+    fixpoint reached from Top, so the order changes only how often a
+    callee is re-visited, never its result."""
+    post: list[str] = []
+    seen: set[str] = set()
+    for root in names:
+        if root in seen:
+            continue
+        seen.add(root)
+        stack = [(root, iter(callees_of.get(root, ())))]
+        while stack:
+            name, callees = stack[-1]
+            for callee in callees:
+                if callee not in seen:
+                    seen.add(callee)
+                    stack.append((callee, iter(callees_of.get(callee, ()))))
+                    break
+            else:
+                stack.pop()
+                post.append(name)
+    post.reverse()
+    return post
 
 
 def _lock_lines(g: FlowGraph, facts: FunctionFlowFacts,
                 pls: frozenset[LockPath]) -> dict[LockPath, frozenset[int]]:
     lines: dict[LockPath, set[int]] = defaultdict(set)
     for node in g.stmt_nodes:
-        for p in facts.avail_in[node] | pls:
+        for p in join(facts.avail_in[node], pls):
             lines[p].add(node.line)
     return {p: frozenset(ls) for p, ls in lines.items()}

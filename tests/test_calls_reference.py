@@ -107,8 +107,8 @@ def assert_matches_reference(program) -> int:
             got, want = s.calls, reference_stmt_calls(s)
             # Call nodes compare by identity, so this checks the objects.
             assert list(got) == want, "line %d of %s" % (s.line, fn.name)
-            # A statement without calls keeps the shared empty default.
-            assert type(got) is tuple and (got or "calls" not in vars(s))
+            # So a statement without calls reports the empty tuple.
+            assert type(got) is tuple
             seen += len(got)
     return seen
 
