@@ -91,6 +91,19 @@ def holds_data(ty: Type | None) -> bool:
             and (ty.kind != "struct" or ty.ptr > 0))
 
 
+def lock_path_type(path: LockPath, root: Type | None,
+                   structs: dict[str, StructDef]) -> Type | None:
+    """The type of the lock path names, a mutex_t or mutex<P>, reached from
+    root, the type of its first segment, through the fields of structs (by
+    name); None when it names no lock. Pointers on the way are followed, as
+    lock paths drop `*`."""
+    ty = root
+    for seg in path.segments[1:]:
+        struct = structs.get(ty.name) if ty is not None and ty.kind == "struct" else None
+        ty = struct.field_type(seg) if struct is not None else None
+    return ty if ty is not None and ty.kind in ("mutex", "lock") else None
+
+
 # ---------------------------------------------------------------------------
 # Expressions
 

@@ -47,6 +47,7 @@ from .ast import (
     Type,
     Var,
     While,
+    lock_path_type,
     place_path,
     to_caller,
 )
@@ -667,18 +668,13 @@ class _Resolver:
             self.lock_type(ty.path, line)
 
     def lock_type(self, path: LockPath, line: int) -> Type:
-        """The type of the lock path names: a mutex_t or mutex<P>, reached
-        from a parameter or global through struct fields. Pointers on the
-        way are followed, as lock paths drop `*`."""
+        """The type of the lock path names, from a parameter or global."""
         segs = path.segments
         ty = self.locks.get(segs)
         if ty is None:
-            ty = self.params.get(segs[0]) or self.globals.get(segs[0])
-            for seg in segs[1:]:
-                struct = (self.structs.get(ty.name)
-                          if ty is not None and ty.kind == "struct" else None)
-                ty = struct.field_type(seg) if struct is not None else None
-            if ty is None or ty.kind not in ("mutex", "lock"):
+            root = self.params.get(segs[0]) or self.globals.get(segs[0])
+            ty = lock_path_type(path, root, self.structs)
+            if ty is None:
                 raise TypeCheckError("%s is not a lock" % path.text, line)
             self.locks[segs] = ty
         return ty

@@ -13,7 +13,7 @@ import json
 import re
 from dataclasses import dataclass, field
 
-from .ast import KEYWORDS, LockPath, Program, holds_data, path_of
+from .ast import KEYWORDS, LockPath, Program, holds_data, lock_path_type, path_of
 from .diagnostics import SchemaError
 from .lexer import IDENT
 
@@ -172,25 +172,28 @@ def _check_lock_map(lock_map: dict[str, str], decls, noun: str, path: str) -> No
 
 
 def validate_against_program(s: LockSummary, p: Program) -> None:
-    """Check every name in the summary against the program. Lock paths were
-    checked when read, so only their roots are looked up here, each set in
-    path order."""
+    """Check every name in the summary against the program. Each lock path
+    of a function, each set in path order, must start at a global or one of
+    its parameters and name a lock, as a guard's path must in guarded code."""
     _check_lock_map(s.global_lock_map, p.globals, "global %r", "$.global_lock_map")
     for sname, fields in s.struct_lock_map.items():
         spath = "$.struct_lock_map.%s" % sname
         sd = p.struct(sname)
         _expect(sd is not None, "unknown struct %r" % sname, spath)
         _check_lock_map(fields, sd.fields, "field %%r of struct %s" % sname, spath)
-    global_names = {g.name for g in p.globals}
+    global_types = {g.name: g.ty for g in p.globals}
+    structs = {sd.name: sd for sd in p.structs}
     for fname, fs in s.function_map.items():
         fpath = "$.function_map.%s" % fname
         fn = p.function(fname)
         _expect(fn is not None, "unknown function %r" % fname, fpath)
-        params = set(fn.param_names)
+        scope = global_types | {param.name: param.ty for param in fn.params}
         for which, paths in (("entry_lock", fs.entry_lock),
                              ("return_lock", fs.return_lock),
                              ("lock_line", fs.lock_line)):
+            where = "%s.%s" % (fpath, which)
             for lp in sorted(paths):
-                _expect(lp.root in params or lp.root in global_names,
-                        "lock path %r names no global or parameter of %s"
-                        % (lp.text, fname), "%s.%s" % (fpath, which))
+                _expect(lp.root in scope, "lock path %r names no global or "
+                        "parameter of %s" % (lp.text, fname), where)
+                _expect(lock_path_type(lp, scope[lp.root], structs) is not None,
+                        "lock path %r of %s is not a lock" % (lp.text, fname), where)

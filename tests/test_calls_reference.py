@@ -9,9 +9,6 @@ give the same Call objects in the same order.
 """
 from __future__ import annotations
 
-import runpy
-from pathlib import Path
-
 import pytest
 
 from lockshift.ast import (
@@ -30,16 +27,10 @@ from lockshift.ast import (
     iter_stmts,
     path_of,
 )
-from lockshift.diagnostics import LockshiftError
 from lockshift.parser import parse, parse_guarded
-from lockshift.pipeline import run_pipeline
-from lockshift.printer import print_guarded
 
-from helpers import FIXTURES, FLOW_CASES, ProgramGen
-from test_scc_reference import SccGen
-
-GEN_PATH = Path(__file__).resolve().parent.parent / "bench" / "gen.py"
-BUDGET = 64
+from corpus import first_seeds, programs
+from helpers import FIXTURES
 
 
 def reference_stmt_exprs(s):
@@ -80,23 +71,8 @@ def reference_stmt_calls(s):
     return out
 
 
-def plain_programs() -> dict[str, str]:
-    out = {"mc/%s" % p.relative_to(FIXTURES): p.read_text()
-           for p in sorted(FIXTURES.glob("**/*.mc"))}
-    for name, source, _ in FLOW_CASES:
-        out["flow/%s" % name] = source
-    for seed in range(60):
-        out["scc/%d" % seed] = SccGen(seed).program()
-    for seed in range(30):
-        out["gen/%d" % seed] = ProgramGen(seed).program()
-    workloads = runpy.run_path(str(GEN_PATH))["WORKLOADS"]
-    for family, size in (("call_chain", 12), ("wide_body", 40), ("recursive_rings", 2)):
-        for seed in (1, 2):
-            out["bench/%s/%d" % (family, seed)] = workloads[family][0](size, seed).source
-    return out
-
-
-PLAIN = plain_programs()
+# The fixtures and flow cases, scc/0-59, gen/0-29 and bench seeds 1 and 2.
+PLAIN = first_seeds(programs(), scc=60, gen=30, bench=3)
 
 
 def assert_matches_reference(program) -> int:
@@ -114,19 +90,12 @@ def assert_matches_reference(program) -> int:
 
 
 @pytest.mark.parametrize("name", PLAIN)
-def test_recorded_calls_match_the_reference(name):
-    source = PLAIN[name]
-    try:
-        program = parse(source)
-    except LockshiftError:
-        return
-    assert_matches_reference(program)
-    try:
-        _, guarded, _ = run_pipeline(source, BUDGET)
-        reparsed = parse_guarded(print_guarded(guarded))
-    except LockshiftError:
-        return
-    assert_matches_reference(reparsed)
+def test_recorded_calls_match_the_reference(name, corpus):
+    run = corpus[name]
+    if run.program is not None:
+        assert_matches_reference(run.program)
+    if run.reparsed is not None:
+        assert_matches_reference(run.reparsed)
 
 
 @pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.gmc")), ids=lambda p: p.name)
@@ -134,13 +103,9 @@ def test_recorded_calls_match_the_reference_on_guarded_fixtures(path):
     assert_matches_reference(parse_guarded(path.read_text()))
 
 
-def test_the_inputs_have_calls_to_compare():
-    total = 0
-    for source in PLAIN.values():
-        try:
-            total += assert_matches_reference(parse(source))
-        except LockshiftError:
-            pass
+def test_the_inputs_have_calls_to_compare(corpus):
+    total = sum(assert_matches_reference(corpus[name].program)
+                for name in PLAIN if corpus[name].program is not None)
     assert total > 1000
 
 

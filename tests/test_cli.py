@@ -119,6 +119,43 @@ def test_a_summary_with_unprintable_locks_fails_cleanly(tmp_path, capsys, summar
     assert not out.exists()
 
 
+DATA_AS_LOCK = """\
+struct s { int a; mutex_t k; };
+struct s x;
+int n;
+mutex_t m;
+void f() { n = 2; }
+void main() { pthread_mutex_lock(&m); f(); pthread_mutex_unlock(&m); }
+"""
+
+
+# Each path starts at a global but names data, not a lock. Taking n as f's
+# entry and return lock, `full` printed `guard<n> f(guard<n> n_guard)`,
+# exited 2 with `UseOfUninit: n_guard in main`, and `check` on the written
+# file failed with "n is not a lock".
+@pytest.mark.parametrize("summary, path", [
+    ('{"function_map": {"f": {"entry_lock": ["n"], "return_lock": ["n"]}}}',
+     "$.function_map.f.entry_lock"),
+    ('{"function_map": {"f": {"return_lock": ["x.a"]}}}',
+     "$.function_map.f.return_lock"),
+    ('{"function_map": {"f": {"lock_line": {"x": [5]}}}}',
+     "$.function_map.f.lock_line"),
+], ids=["global", "field", "struct"])
+def test_a_summary_lock_path_that_names_no_lock_fails_cleanly(
+        tmp_path, capsys, summary, path):
+    src = tmp_path / "p.mc"
+    src.write_text(DATA_AS_LOCK)
+    (tmp_path / "s.json").write_text(summary)
+    out = tmp_path / "out.gmc"
+    code = main(["full", str(src), "--use-summary", str(tmp_path / "s.json"),
+                 "-o", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert ": error: %s: " % path in captured.err
+    assert "is not a lock" in captured.err
+    assert not out.exists()
+
+
 def test_a_summary_protecting_ints_and_pointers_is_accepted(tmp_path, capsys):
     code, out = transform_with(tmp_path, '{"global_lock_map": {"n": "m", "px": "m"}}')
     assert code == 0

@@ -32,11 +32,12 @@ from lockshift.parser import parse
 from lockshift.pipeline import analyze_program
 from lockshift.propagation import collect_call_facts
 
-from helpers import FIXTURES, FLOW_CASES, RING, locks, ring_program
-from test_scc_reference import RANDOM_BUDGET, SccGen
+from corpus import completed, first_seeds
+from helpers import FLOW_CASES, RING, locks, ring_program
 
-# Random recursive SCCs for the Top check; about one in thirteen never
-# converges and is skipped.
+# The pinned programs the Top check reads: the fixtures, the flow cases and
+# the first SccGen programs, of which about one in thirteen never converges
+# and is skipped.
 SCC_PROGRAMS = 120
 
 
@@ -390,17 +391,11 @@ def published_sets(result):
         yield r.held
 
 
-def test_every_published_lock_set_is_a_frozenset():
-    sources = [p.read_text() for p in sorted(FIXTURES.glob("**/*.mc"))]
-    sources += [source for _, source, _ in FLOW_CASES]
-    sources += [SccGen(seed).program() for seed in range(SCC_PROGRAMS)]
+def test_every_published_lock_set_is_a_frozenset(corpus):
+    names = first_seeds(corpus, scc=SCC_PROGRAMS, gen=0, bench=0)
     converged = 0
-    for source in sources:
-        try:
-            result = analyze_program(source, RANDOM_BUDGET)
-        except IterationBudgetExceeded:
-            continue
+    for name, run in completed({name: corpus[name] for name in names}):
         converged += 1
-        kinds = {type(s) for s in published_sets(result)}
-        assert kinds <= {frozenset}, source
-    assert converged >= len(sources) - SCC_PROGRAMS + 100
+        kinds = {type(s) for s in published_sets(run.result)}
+        assert kinds <= {frozenset}, name
+    assert converged >= len(names) - SCC_PROGRAMS + 100

@@ -16,7 +16,6 @@ from lockshift.guardcheck import check
 from lockshift.lexer import tokenize
 from lockshift.parser import parse_guarded
 from lockshift.pipeline import run_pipeline
-from lockshift.printer import print_guarded
 
 from helpers import FIXTURES
 
@@ -64,20 +63,17 @@ def parse_and_check(source: str) -> None:
     check(parse_guarded(source))
 
 
-def sources() -> tuple[list[str], list[str]]:
-    plain = [p.read_text() for p in sorted(FIXTURES.glob("**/*.mc"))]
+def sources(corpus) -> tuple[list[str], list[str]]:
+    runs = [run for name, run in corpus.items() if name.startswith("mc/")]
+    plain = [run.source for run in runs]
     guarded = [p.read_text() for p in sorted(FIXTURES.glob("**/*.gmc"))]
-    for source in plain:
-        try:
-            guarded.append(print_guarded(run_pipeline(source, BUDGET)[1]))
-        except LockshiftError:
-            pass
+    guarded += [run.printed for run in runs if run.error is None]
     return plain, guarded
 
 
-def test_mutants_fail_only_with_lockshift_errors():
+def test_mutants_fail_only_with_lockshift_errors(corpus):
     rng = random.Random(SEED)
-    plain, guarded = sources()
+    plain, guarded = sources(corpus)
     escapes = []
     outcomes = []
     tried = 0

@@ -7,9 +7,7 @@ shared machine, so these tests count objects and collector passes instead.
 from __future__ import annotations
 
 import gc
-import runpy
 from contextlib import contextmanager
-from pathlib import Path
 
 import pytest
 
@@ -19,18 +17,16 @@ from lockshift.parser import parse, parse_guarded
 from lockshift.pipeline import analyze_program, run_pipeline
 from lockshift.printer import print_guarded
 
+from corpus import programs
 from helpers import FIXTURES, chain_program, corpus_paths
-
-GEN_PATH = Path(__file__).resolve().parent.parent / "bench" / "gen.py"
 
 
 def _programs() -> dict[str, str]:
     paths = corpus_paths() + sorted(FIXTURES.glob("*.mc"))
-    programs = {p.name: p.read_text() for p in paths}
-    workloads = runpy.run_path(str(GEN_PATH))["WORKLOADS"]
-    for name, size in (("call_chain", 12), ("wide_body", 40), ("recursive_rings", 2)):
-        programs["bench-%s" % name] = workloads[name][0](size, 1).source
-    return programs
+    out = {p.name: p.read_text() for p in paths}
+    for name in ("call_chain", "wide_body", "recursive_rings"):
+        out["bench-%s" % name] = programs()["bench/%s/1" % name]
+    return out
 
 
 PROGRAMS = _programs()
@@ -52,9 +48,9 @@ def test_phases_leave_no_cyclic_garbage(name):
     """Everything a phase drops is freed by reference counting alone; a
     reference cycle would wait for the collector the phases pause."""
     with collector_off():
-        gc.collect()
-        # Objects older than the test cannot be the phases' garbage; frozen,
-        # they are not re-scanned by every collect below.
+        # Objects older than the test, garbage among them, cannot be the
+        # phases' garbage; frozen, they are neither counted nor re-scanned
+        # by the collects below.
         gc.freeze()
         try:
             _, guarded, _ = run_pipeline(PROGRAMS[name])

@@ -16,15 +16,13 @@ import pytest
 from lockshift import guardcheck
 from lockshift.ast import Stmt
 from lockshift.cfg import build_cfg, solve
-from lockshift.diagnostics import Diagnostics, IterationBudgetExceeded, LockshiftError
+from lockshift.diagnostics import Diagnostics
 from lockshift.guardcheck import (
     CONFLICTING_PATHS, USE_AFTER_MOVE, USE_OF_UNINIT, OwnershipError, _stmt_events, check)
 from lockshift.parser import parse_guarded
-from lockshift.pipeline import run_pipeline
-from lockshift.printer import print_guarded
 
+from corpus import completed, run_program
 from helpers import FIXTURES, ProgramGen
-from test_outputs_pinned import BUDGET, programs
 from test_scc_reference import SccGen
 
 UNINIT = "uninit"
@@ -120,31 +118,27 @@ def test_the_fixtures_match_the_reference(path):
     assert_matches_reference(parse_guarded(path.read_text()))
 
 
-def _printed_outputs(sources):
+def _printed_outputs(runs):
     """The transformer's program and its printed text parsed back, for
-    each source whose pipeline run completes and whose text parses."""
-    for source in sources:
-        try:
-            guarded = run_pipeline(source, BUDGET)[1]
-        except IterationBudgetExceeded:
-            continue
-        yield guarded
-        try:
-            yield parse_guarded(print_guarded(guarded))
-        except LockshiftError:
-            pass
+    each run that completes and whose text parses."""
+    for _, run in completed(runs):
+        yield run.guarded
+        if run.reparsed is not None:
+            yield run.reparsed
 
 
-def test_every_printed_pinned_output_matches_the_reference():
+def test_every_printed_pinned_output_matches_the_reference(corpus):
     rejected = sum(bool(assert_matches_reference(p)[0])
-                   for p in _printed_outputs(programs().values()))
+                   for p in _printed_outputs(corpus))
     assert rejected > 0
 
 
 def test_more_generated_outputs_match_the_reference():
-    sources = ([SccGen(seed).program() for seed in range(1000, 1120)]
-               + [ProgramGen(seed).program() for seed in range(1000, 1060)])
-    for program in _printed_outputs(sources):
+    runs = {"scc/%d" % seed: run_program(SccGen(seed).program())
+            for seed in range(1000, 1120)}
+    runs.update(("gen/%d" % seed, run_program(ProgramGen(seed).program()))
+                for seed in range(1000, 1060))
+    for program in _printed_outputs(runs):
         assert_matches_reference(program)
 
 

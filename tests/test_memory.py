@@ -10,33 +10,21 @@ more when its drops are reported.
 from __future__ import annotations
 
 import dataclasses
-import runpy
-from pathlib import Path
 
 import pytest
 
 from lockshift import ast, propagation
-from lockshift.diagnostics import LockshiftError
-from lockshift.parser import parse, parse_guarded
-from lockshift.pipeline import analyze_program, run_pipeline
-from lockshift.printer import print_guarded
+from lockshift.parser import parse_guarded
+from lockshift.pipeline import analyze_program
 
+from corpus import completed, first_seeds, programs
 from helpers import FIXTURES, chain_program
-from test_outputs_pinned import BUDGET, programs
-
-GEN_PATH = Path(__file__).resolve().parent.parent / "bench" / "gen.py"
-WORKLOADS = runpy.run_path(str(GEN_PATH))["WORKLOADS"]
-FAMILY_SIZES = (("call_chain", 12), ("wide_body", 40), ("recursive_rings", 2))
 
 
-def test_flow_facts_store_one_object_per_distinct_set():
+def test_flow_facts_store_one_object_per_distinct_set(corpus):
     checked = 0
-    for name, source in programs().items():
-        try:
-            result = analyze_program(source, BUDGET)
-        except LockshiftError:
-            continue
-        for fn, facts in result.flow.items():
+    for name, run in completed(corpus):
+        for fn, facts in run.result.flow.items():
             stored = [s for m in (facts.live_in, facts.live_out,
                                   facts.avail_in, facts.avail_out)
                       for s in m.values()]
@@ -83,26 +71,25 @@ def _reachable_nodes(root):
     return list(seen.values())
 
 
-def _sample_programs() -> list[ast.Program]:
-    sources = [p.read_text() for p in sorted(FIXTURES.glob("**/*.mc"))]
-    sources += [WORKLOADS[family][0](size, 1).source
-                for family, size in FAMILY_SIZES]
+def _sample_programs(corpus) -> list[ast.Program]:
+    """The fixtures, flow cases and bench programs of seed 1: each plain,
+    guarded and printed then parsed back; the guarded fixtures; and one
+    more guarded program."""
     out = []
-    for source in sources:
-        plain = parse(source)
-        _, guarded, _ = run_pipeline(source)
-        out += [plain, guarded, parse_guarded(print_guarded(guarded))]
+    for name in first_seeds(corpus, scc=0, gen=0, bench=2):
+        run = corpus[name]
+        out += [run.program, run.guarded, run.reparsed]
     out += [parse_guarded(p.read_text()) for p in sorted(FIXTURES.glob("*.gmc"))]
     out.append(parse_guarded(EXTRA_GUARDED))
     return out
 
 
-def test_no_ast_node_has_an_instance_dict():
+def test_no_ast_node_has_an_instance_dict(corpus):
     # Instances of a class without a dict slot have no __dict__.
     for cls in _node_classes():
         assert cls.__dictoffset__ == 0, cls.__name__
     seen: set[type] = set()
-    for program in _sample_programs():
+    for program in _sample_programs(corpus):
         for node in _reachable_nodes(program):
             if node is program:
                 continue
@@ -130,7 +117,7 @@ def _diamond_program(layers: int) -> str:
 ACYCLIC = {
     "chain_program(60)": chain_program(60),
     "diamond(20)": _diamond_program(20),
-    **{"call_chain/%d" % seed: WORKLOADS["call_chain"][0](12, seed).source
+    **{"call_chain/%d" % seed: programs()["bench/call_chain/%d" % seed]
        for seed in (1, 2)},
 }
 

@@ -7,64 +7,43 @@ it raises. The programs are the fixtures and corpus, the flow cases, seeded
 each guarded fixture is pinned by its checker errors and diagnostics. A
 change that alters any output fails here and names the programs it touched.
 
-Regenerate the file with `PYTHONPATH=src python tests/test_outputs_pinned.py`
-and say in the change's notes which lines moved and why.
+The digests are taken from the session's one run of each program
+(`corpus.run_corpus`). Regenerate the file from the same runs with
+`PYTHONPATH=src python tests/test_outputs_pinned.py` and say in the change's
+notes which lines moved and why.
 """
 from __future__ import annotations
 
 import hashlib
-import runpy
-from pathlib import Path
 
 from lockshift.diagnostics import Diagnostics, IterationBudgetExceeded, LockshiftError
 from lockshift.guardcheck import check
 from lockshift.parser import parse_guarded
-from lockshift.pipeline import run_pipeline
 from lockshift.printer import print_guarded
-from lockshift.summary import write_summary
 
-from helpers import FIXTURES, FLOW_CASES, ProgramGen
-from test_scc_reference import SccGen
+from corpus import PinnedRun, run_corpus
+from helpers import FIXTURES
 
 PINNED = FIXTURES / "outputs.sha256"
-GEN_PATH = Path(__file__).resolve().parent.parent / "bench" / "gen.py"
-BUDGET = 64
-
-
-def programs() -> dict[str, str]:
-    """Plain-dialect inputs by name."""
-    out = {"mc/%s" % p.relative_to(FIXTURES): p.read_text()
-           for p in sorted(FIXTURES.glob("**/*.mc"))}
-    for name, source, _ in FLOW_CASES:
-        out["flow/%s" % name] = source
-    for seed in range(160):
-        out["scc/%d" % seed] = SccGen(seed).program()
-    for seed in range(100):
-        out["gen/%d" % seed] = ProgramGen(seed).program()
-    workloads = runpy.run_path(str(GEN_PATH))["WORKLOADS"]
-    for family, size in (("call_chain", 12), ("wide_body", 40), ("recursive_rings", 2)):
-        for seed in range(1, 5):
-            out["bench/%s/%d" % (family, seed)] = workloads[family][0](size, seed).source
-    return out
 
 
 def _digest(parts: list[str]) -> str:
     return hashlib.sha256("\0".join(parts).encode()).hexdigest()
 
 
-def _errors_and_diags(errors, diags: Diagnostics) -> list[str]:
-    return (["errors"] + [str(e) for e in errors]
-            + ["diagnostics"] + [d.render() for d in diags])
+def _error_digest(exc: LockshiftError) -> str:
+    return _digest(["error", type(exc).__name__, str(exc)])
 
 
-def program_digest(source: str) -> str:
-    diags = Diagnostics()
-    try:
-        result, guarded, errors = run_pipeline(source, BUDGET, diags)
-    except LockshiftError as exc:
-        return _digest(["error", type(exc).__name__, str(exc)])
-    return _digest([write_summary(result.lock_summary), print_guarded(guarded)]
-                   + _errors_and_diags(errors, diags))
+def _errors_and_diags(error_texts, diagnostics) -> list[str]:
+    return ["errors", *error_texts, "diagnostics", *diagnostics]
+
+
+def program_digest(run: PinnedRun) -> str:
+    if run.error is not None:
+        return _error_digest(run.error)
+    return _digest([run.summary, run.printed]
+                   + _errors_and_diags(run.error_texts, run.diagnostics))
 
 
 def guarded_digest(text: str) -> str:
@@ -72,12 +51,13 @@ def guarded_digest(text: str) -> str:
     try:
         errors = check(parse_guarded(text), diags)
     except LockshiftError as exc:
-        return _digest(["error", type(exc).__name__, str(exc)])
-    return _digest(_errors_and_diags(errors, diags))
+        return _error_digest(exc)
+    return _digest(_errors_and_diags([str(e) for e in errors],
+                                     [d.render() for d in diags]))
 
 
-def digests() -> dict[str, str]:
-    out = {name: program_digest(source) for name, source in programs().items()}
+def digests(runs: dict[str, PinnedRun]) -> dict[str, str]:
+    out = {name: program_digest(run) for name, run in runs.items()}
     for p in sorted(FIXTURES.glob("*.gmc")):
         out["gmc/%s" % p.name] = guarded_digest(p.read_text())
     return out
@@ -91,9 +71,9 @@ def read_pinned() -> dict[str, str]:
     return out
 
 
-def test_every_output_matches_its_pinned_digest():
+def test_every_output_matches_its_pinned_digest(corpus):
     pinned = read_pinned()
-    got = digests()
+    got = digests(corpus)
     assert sorted(got) == sorted(pinned)
     changed = [name for name in got if got[name] != pinned[name]]
     assert changed == []
@@ -104,24 +84,22 @@ def test_every_output_matches_its_pinned_digest():
 UNPARSABLE = {"scc/19", "scc/40", "scc/62"}
 
 
-def test_every_printed_output_prints_back_unchanged():
+def test_every_printed_output_prints_back_unchanged(corpus):
     unparsable, exhausted, held = set(), 0, 0
-    for name, source in programs().items():
-        try:
-            text = print_guarded(run_pipeline(source, BUDGET)[1])
-        except IterationBudgetExceeded:
+    for name, run in corpus.items():
+        if isinstance(run.error, IterationBudgetExceeded):
             exhausted += 1
             continue
-        try:
-            program = parse_guarded(text)
-        except LockshiftError:
+        assert run.error is None, name
+        if run.reparse_error is not None:
             unparsable.add(name)
             continue
-        assert print_guarded(program) == text, name
+        assert print_guarded(run.reparsed) == run.printed, name
         held += 1
     assert unparsable == UNPARSABLE
     assert (held, exhausted) == (308, 15)
 
 
 if __name__ == "__main__":
-    PINNED.write_text("".join("%s  %s\n" % (d, name) for name, d in digests().items()))
+    PINNED.write_text("".join("%s  %s\n" % (d, name)
+                              for name, d in digests(run_corpus()).items()))

@@ -8,6 +8,7 @@ from lockshift.ast import LockPath, path_of
 from lockshift.diagnostics import SchemaError
 from lockshift.parser import parse
 from lockshift.pipeline import analyze_program
+from lockshift.printer import print_guarded
 from lockshift.summary import (
     FunctionSummary,
     LockSummary,
@@ -15,7 +16,9 @@ from lockshift.summary import (
     validate_against_program,
     write_summary,
 )
+from lockshift.transform import transform
 
+from corpus import completed
 from helpers import fixture_text, locks
 
 
@@ -233,3 +236,14 @@ def test_functions_with_nothing_to_say_are_omitted():
 def test_analysis_summary_serializes_to_the_golden_file():
     result = analyze_program(fixture_text("listing1.mc"))
     assert write_summary(result.lock_summary) == fixture_text("listing1.summary.json")
+
+
+def test_the_summary_json_round_trip_gives_the_same_guarded_program(corpus):
+    """The transformer takes the summary as input: read back from its JSON,
+    the analysis's summary yields the same printed program."""
+    checked = 0
+    for name, run in completed(corpus):
+        summary = read_summary(run.summary)
+        assert print_guarded(transform(run.result.program, summary)) == run.printed, name
+        checked += 1
+    assert checked == 311
