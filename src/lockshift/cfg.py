@@ -2,7 +2,11 @@
 
 Every function gets a FlowGraph with synthetic Entry and Ret nodes; blocks are
 structural (not nodes), if/while conditions are their own nodes, every Return
-feeds Ret, and a body that can fall off the end gets an edge to Ret.
+feeds Ret, and a body that can fall off the end gets an edge to Ret. A
+statement that no path reaches gets no node: the walk meets it with an empty
+frontier (a return ends a path; an if reaches its end when a branch does or
+it has no else; a while always exits) and warns about it and every statement
+under it instead.
 
 solve() is the one worklist the dataflow passes share.
 """
@@ -62,14 +66,12 @@ class FlowGraph:
 def build_cfg(fn: FunctionDef, diags: Diagnostics | None = None) -> FlowGraph:
     g = FlowGraph(fn.name)
     g.add_node(g.entry)
-    tail = _walk_block(g, fn.body, [g.entry])
+    tail = _walk_block(g, fn.body, [g.entry], diags)
     g.add_node(g.ret)
     _connect(g, tail, g.ret)
     for n in g.nodes:
         if isinstance(n, Return):
             g.add_edge(n, g.ret)
-
-    _cull_unreachable(g, fn.name, diags)
     return g
 
 
@@ -80,52 +82,37 @@ def _connect(g: FlowGraph, frontier: list[Node], node: Node) -> None:
         g.add_edge(f, node)
 
 
-def _walk_block(g: FlowGraph, block: Block, frontier: list[Node]) -> list[Node]:
+def _walk_block(g: FlowGraph, block: Block, frontier: list[Node],
+                diags: Diagnostics | None) -> list[Node]:
     for s in block.stmts:
-        frontier = _walk_stmt(g, s, frontier)
+        frontier = _walk_stmt(g, s, frontier, diags)
     return frontier
 
 
-def _walk_stmt(g: FlowGraph, s: Stmt, frontier: list[Node]) -> list[Node]:
+def _walk_stmt(g: FlowGraph, s: Stmt, frontier: list[Node],
+               diags: Diagnostics | None) -> list[Node]:
     if isinstance(s, Block):
-        return _walk_block(g, s, frontier)
-    g.add_node(s)
-    _connect(g, frontier, s)
+        return _walk_block(g, s, frontier, diags)
+    if frontier:
+        g.add_node(s)
+        _connect(g, frontier, s)
+        here = [s]
+    else:
+        if diags is not None:
+            diags.warn("unreachable statement removed from flow graph",
+                       function=g.name, line=s.line)
+        here = []
     if isinstance(s, If):
-        exits = _walk_block(g, s.then, [s])
+        exits = _walk_block(g, s.then, here, diags)
         if s.orelse is not None:
-            exits = exits + _walk_block(g, s.orelse, [s])
-        else:
-            exits = exits + [s]
-        return exits
+            return exits + _walk_block(g, s.orelse, here, diags)
+        return exits + here
     if isinstance(s, While):
-        body_exits = _walk_block(g, s.body, [s])
-        _connect(g, body_exits, s)
-        return [s]
+        _connect(g, _walk_block(g, s.body, here, diags), s)
+        return here
     if isinstance(s, Return):
         return []
-    return [s]
-
-
-def _cull_unreachable(g: FlowGraph, fn_name: str, diags: Diagnostics | None) -> None:
-    reachable: set[Node] = {g.entry}
-    work = deque([g.entry])
-    while work:
-        n = work.popleft()
-        for s in g.succ[n]:
-            if s not in reachable:
-                reachable.add(s)
-                work.append(s)
-    dead = [n for n in g.nodes if n not in reachable and n is not g.ret]
-    for n in dead:
-        if diags is not None and isinstance(n, Stmt):
-            diags.warn("unreachable statement removed from flow graph",
-                       function=fn_name, line=n.line)
-        for s in g.succ.pop(n):
-            g.pred[s].remove(n)
-        for p in g.pred.pop(n):
-            g.succ[p].remove(n)
-        g.nodes.remove(n)
+    return here
 
 
 def solve(seed, step) -> None:

@@ -23,6 +23,7 @@ from .diagnostics import (
     SourceError,
     UndecodableInput,
 )
+from .flowanalysis import flow_sets
 from .guardcheck import check
 from .parser import parse, parse_guarded
 from .pipeline import AnalysisResult, analyze_program
@@ -117,24 +118,27 @@ def _texts(paths) -> list[str]:
 
 
 def _flow_dump(result: AnalysisResult) -> str:
+    # The facts are a fixpoint against the final summaries, so solving a
+    # function again against them gives the sets the analysis converged on.
     out = {}
     for fn in result.program.functions:
         g = result.graphs[fn.name]
         f = result.flow[fn.name]
+        live_in, live_out, avail_in, avail_out = flow_sets(fn, g, result.flow)
         lines: dict[str, list] = {}
         for n in g.stmt_nodes:
             lines.setdefault(str(n.line), []).append({
                 "stmt": node_text(n),
-                "live_in": _texts(f.live_in[n]),
-                "live_out": _texts(f.live_out[n]),
-                "avail_in": _texts(f.avail_in[n]),
-                "avail_out": _texts(f.avail_out[n]),
+                "live_in": _texts(live_in[n]),
+                "live_out": _texts(live_out[n]),
+                "avail_in": _texts(avail_in[n]),
+                "avail_out": _texts(avail_out[n]),
             })
         out[fn.name] = {
             "mels": _texts(f.mels),
             "mrls": _texts(f.mrls),
-            "entry": {"live_in": _texts(f.live_in[g.entry])},
-            "ret": {"avail_out": _texts(f.avail_out[g.ret])},
+            "entry": {"live_in": _texts(live_in[g.entry])},
+            "ret": {"avail_out": _texts(avail_out[g.ret])},
             "lines": lines,
         }
     return json.dumps(out, indent=2, sort_keys=True) + "\n"

@@ -1,11 +1,22 @@
 """Bottom-up lock-set analysis.
 
-Two dataflow passes per function over its flow graph:
+Each call a statement evaluates has one lock effect, a pair (released, held)
+as the caller names it: an unlock is ({p}, {}), a lock ({}, {p}), and a call
+to a defined function its callee's (MELS, MRLS). Two dataflow passes per
+function over its flow graph apply a statement's effects in turn:
 
-  backward may ("live"):   in[s] = (out[s] - kill) + gen,  out[s] = U in[succ]
+  backward may ("live"):   last to first, live = (live - held) + released;
+                           out[s] = U in[succ]
       -> MELS = in[entry], locks a function releases before acquiring them.
-  forward must ("avail"):  out[s] = (in[s] - kill) + gen,  in[s] = ^ out[pred],
-      in[entry] = MELS   -> MRLS = out[ret], locks surely held when returning.
+  forward must ("avail"):  first to last, avail = (avail - released) + held;
+                           in[s] = ^ out[pred], in[entry] = MELS
+      -> MRLS = out[ret], locks surely held when returning.
+
+flow_sets() solves both and returns all four per-node maps. A function's
+facts keep only what later phases read: MELS, MRLS and avail_in, the locks
+surely held before each node. Converged facts are a fixpoint against the
+callees' final summaries, so flow_sets() run again against them gives back
+the same maps, the three the facts drop included.
 
 Calls use callee summaries renamed into the caller by ast.to_caller, the
 one parameter-to-argument binding the analysis and transformer share; a
@@ -18,7 +29,7 @@ iteration budget still counts sweeps.
 
 Lock sets are shared values. join, meet and minus return an operand whenever
 the result equals it, so most steps allocate nothing, and each
-analyze_function call stores one object per distinct set in its node maps.
+analyze_function call stores one object per distinct set in avail_in.
 """
 from __future__ import annotations
 
@@ -103,85 +114,55 @@ def _to_caller_set(paths: frozenset[LockPath] | None, params, call: Call,
 
 
 @dataclass
-class GenKill:
-    """gen_l and kill_a come from callee MELS and are always finite; kill_l
-    and gen_a come from callee MRLS, which is Top inside an SCC sweep."""
-
-    gen_l: frozenset[LockPath] = _EMPTY
-    kill_l: frozenset[LockPath] | None = _EMPTY
-    gen_a: frozenset[LockPath] | None = _EMPTY
-    kill_a: frozenset[LockPath] = _EMPTY
-
-
-@dataclass
 class FunctionFlowFacts:
-    """Per-function analysis result: summaries plus per-node in/out sets."""
+    """Per-function analysis result: the summaries, and the locks surely
+    held before each flow-graph node."""
 
     name: str
     params: tuple[str, ...]
     mels: frozenset[LockPath] = _EMPTY
     mrls: frozenset[LockPath] | None = _EMPTY  # Top only inside analyze_scc
-    live_in: dict[Node, frozenset[LockPath]] = field(default_factory=dict)
-    live_out: dict[Node, frozenset[LockPath]] = field(default_factory=dict)
     avail_in: dict[Node, frozenset[LockPath]] = field(default_factory=dict)
-    avail_out: dict[Node, frozenset[LockPath]] = field(default_factory=dict)
     scc_iterations: int = 0
 
 
+# (released, held): released is always finite; held comes from callee MRLS,
+# which is Top inside an SCC sweep.
+Effect = tuple[frozenset[LockPath], frozenset[LockPath] | None]
+
+
 def _call_effect(call: Call, callee_facts: Mapping[str, FunctionFlowFacts],
-                 diags, fn_name, line) -> GenKill | None:
+                 diags, fn_name, line) -> Effect | None:
     if call.name == UNLOCK_FN:
-        p = frozenset((call.lock,))
-        return GenKill(gen_l=p, kill_a=p)
+        return frozenset((call.lock,)), _EMPTY
     if call.name == LOCK_FN:
-        p = frozenset((call.lock,))
-        return GenKill(kill_l=p, gen_a=p)
+        return _EMPTY, frozenset((call.lock,))
     facts = callee_facts.get(call.name)
     if facts is None:
         return None
-    entry = _to_caller_set(facts.mels, facts.params, call, diags, fn_name, line)
-    ret = _to_caller_set(facts.mrls, facts.params, call, diags, fn_name, line)
-    return GenKill(gen_l=entry, kill_l=ret, gen_a=ret, kill_a=entry)
+    return (_to_caller_set(facts.mels, facts.params, call, diags, fn_name, line),
+            _to_caller_set(facts.mrls, facts.params, call, diags, fn_name, line))
 
 
-def transfer_gen_kill(s: Stmt, callee_facts: Mapping[str, FunctionFlowFacts],
-                      diags: Diagnostics | None = None,
-                      fn_name: str | None = None) -> GenKill:
-    """Combined gen/kill of a statement, composing nested call effects in
-    evaluation order."""
-    effects: list[GenKill] = []
+def stmt_effects(s: Stmt, callee_facts: Mapping[str, FunctionFlowFacts],
+                 diags: Diagnostics | None = None,
+                 fn_name: str | None = None) -> tuple[Effect, ...]:
+    """The lock effects of the calls s evaluates, in evaluation order."""
+    effects = []
     for call in s.calls:
-        gk = _call_effect(call, callee_facts, diags, fn_name, s.line)
-        if gk is not None:
-            effects.append(gk)
-    if not effects:
-        return GenKill()
-    if len(effects) == 1:
-        return effects[0]
-    # Sequential composition. Backward: a gen survives only the kills of
-    # earlier effects; forward: a gen survives only the kills of later ones.
-    gen_l = kill_l = gen_a = kill_a = _EMPTY
-    for gk in effects:
-        gen_l = join(gen_l, minus(gk.gen_l, kill_l))
-        kill_l = join(kill_l, gk.kill_l)
-    for gk in effects:
-        gen_a = join(minus(gen_a, gk.kill_a), gk.gen_a)
-        kill_a = join(kill_a, gk.kill_a)
-    return GenKill(gen_l=gen_l, kill_l=kill_l, gen_a=gen_a, kill_a=kill_a)
+        effect = _call_effect(call, callee_facts, diags, fn_name, s.line)
+        if effect is not None:
+            effects.append(effect)
+    return tuple(effects)
 
 
-def analyze_function(fn: FunctionDef, g: FlowGraph,
-                     callee_facts: Mapping[str, FunctionFlowFacts],
-                     diags: Diagnostics | None = None) -> FunctionFlowFacts:
-    """Solve both passes for one function against fixed callee summaries."""
-    gk: dict[Node, GenKill] = {}
-    for n in g.nodes:
-        if isinstance(n, Stmt):
-            gk[n] = transfer_gen_kill(n, callee_facts, diags, fn.name)
-        else:
-            gk[n] = GenKill()
-
-    facts = FunctionFlowFacts(fn.name, tuple(fn.param_names))
+def flow_sets(fn: FunctionDef, g: FlowGraph,
+              callee_facts: Mapping[str, FunctionFlowFacts],
+              diags: Diagnostics | None = None):
+    """(live_in, live_out, avail_in, avail_out) per node of g, both passes
+    solved against fixed callee summaries."""
+    effects = {n: e for n in g.stmt_nodes
+               if (e := stmt_effects(n, callee_facts, diags, fn.name))}
 
     # Backward may pass, least fixpoint from the empty set.
     live_in = dict.fromkeys(g.nodes, _EMPTY)
@@ -191,8 +172,9 @@ def analyze_function(fn: FunctionDef, g: FlowGraph,
         out = _EMPTY
         for s in g.succ[n]:
             out = join(out, live_in[s])
-        new_in = join(minus(out, gk[n].kill_l), gk[n].gen_l)
-        live_out[n] = out
+        live_out[n] = new_in = out
+        for released, held in reversed(effects.get(n, ())):
+            new_in = join(minus(new_in, held), released)
         if new_in == live_in[n]:
             return ()
         live_in[n] = new_in
@@ -210,24 +192,30 @@ def analyze_function(fn: FunctionDef, g: FlowGraph,
         inn = None
         for p in g.pred[n]:
             inn = meet(inn, avail_out[p])
-        new_out = join(minus(inn, gk[n].kill_a), gk[n].gen_a)
-        avail_in[n] = inn
+        avail_in[n] = new_out = inn
+        for released, held in effects.get(n, ()):
+            new_out = join(minus(new_out, released), held)
         if new_out == avail_out[n]:
             return ()
         avail_out[n] = new_out
         return g.succ[n]
 
     solve((n for n in g.nodes if n is not g.entry), avail_step)
+    return live_in, live_out, avail_in, avail_out
 
+
+def analyze_function(fn: FunctionDef, g: FlowGraph,
+                     callee_facts: Mapping[str, FunctionFlowFacts],
+                     diags: Diagnostics | None = None) -> FunctionFlowFacts:
+    """Solve both passes for one function against fixed callee summaries,
+    keeping MELS, MRLS and avail_in."""
+    live_in, _, avail_in, avail_out = flow_sets(fn, g, callee_facts, diags)
     # One stored object per distinct set; the table dies with this call.
     shared: dict = {}
-    for facts_map in (live_in, live_out, avail_in, avail_out):
-        for n, s in facts_map.items():
-            facts_map[n] = shared.setdefault(s, s)
-    facts.mels, facts.mrls = live_in[g.entry], avail_out[g.ret]
-    facts.live_in, facts.live_out = live_in, live_out
-    facts.avail_in, facts.avail_out = avail_in, avail_out
-    return facts
+    for n, s in avail_in.items():
+        avail_in[n] = shared.setdefault(s, s)
+    return FunctionFlowFacts(fn.name, tuple(fn.param_names),
+                             live_in[g.entry], avail_out[g.ret], avail_in)
 
 
 def analyze_scc(fns: list[FunctionDef], graphs: dict[str, FlowGraph],

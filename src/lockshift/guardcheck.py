@@ -21,10 +21,10 @@ entry is already inside the head takes that exit without walking the body.
 A head starts with at least n of its 3n bits and only grows. A visit that
 walks the body grows it on entry (unless it is the first visit) and after
 each walk but its last, so a body is walked at most 2n+1 times to find its
-head, however deeply loops nest. The top-level walk
-then reports: it checks each statement's uses against its state once the
-enclosing loop heads are at their fixpoint, and warns about each statement
-no path reaches, as the analysis CFGs do.
+head, however deeply loops nest. The same walk, run once more from the
+top with report set, then checks each statement's uses against its state
+once the enclosing loop heads are at their fixpoint, and warns about each
+statement no path reaches, as the analysis CFGs do.
 
 The checker reports errors; it never throws. An empty list means accepted.
 """
@@ -57,6 +57,7 @@ from .ast import (
     TupleExpr,
     Var,
     While,
+    iter_stmts,
 )
 from .diagnostics import Diagnostics, gc_paused
 
@@ -186,7 +187,7 @@ def _loop(w: _Walk, s: While, entry: int) -> tuple[int, int]:
         head = entry
     while True:
         out = _step(w, s, head, False)
-        back = _flow(w, s.body.stmts, out)
+        back = _flow(w, s.body.stmts, out, False)
         if back is None or back | head == head:
             break
         head |= back
@@ -199,51 +200,40 @@ def _either(a: int | None, b: int | None) -> int | None:
     return b if a is None else a if b is None else a | b
 
 
-def _flow(w: _Walk, stmts: list[Stmt], state: int | None) -> int | None:
-    """The state after stmts run from state; None once every path returned."""
+def _flow(w: _Walk, stmts: list[Stmt], state: int | None,
+          report: bool) -> int | None:
+    """The state after stmts run from state; None once every path returned.
+    With report, the enclosing loop heads are at their fixpoint: each use is
+    checked against the state it meets, and each statement no path reaches
+    is warned about."""
     for s in stmts:
         if state is None:
-            return None
-        if isinstance(s, Block):
-            state = _flow(w, s.stmts, state)
+            if not report:
+                return None
+            for d in iter_stmts(Block(stmts=[s])):
+                if not isinstance(d, Block):
+                    w.diags.warn("unreachable statement removed from flow graph",
+                                 function=w.function, line=d.line)
+        elif isinstance(s, Block):
+            state = _flow(w, s.stmts, state, report)
         elif isinstance(s, While):
-            state = _loop(w, s, state)[1]
+            head, state = _loop(w, s, state)
+            if report:
+                _step(w, s, head, True)
+                _flow(w, s.body.stmts, state, True)
         elif isinstance(s, If):
-            state = _step(w, s, state, False)
-            then = _flow(w, s.then.stmts, state)
+            state = _step(w, s, state, report)
+            then = _flow(w, s.then.stmts, state, report)
             if s.orelse is not None:
-                state = _flow(w, s.orelse.stmts, state)
+                state = _flow(w, s.orelse.stmts, state, report)
             state = _either(then, state)
         elif isinstance(s, Return):
-            return None
-        else:
-            state = _step(w, s, state, False)
-    return state
-
-
-def _report(w: _Walk, stmts: list[Stmt], state: int | None) -> int | None:
-    """_flow at the fixpoint, checking each use against the state it meets
-    and warning about each statement no path reaches."""
-    for s in stmts:
-        if isinstance(s, Block):
-            state = _report(w, s.stmts, state)
-            continue
-        if state is None:
-            w.diags.warn("unreachable statement removed from flow graph",
-                         function=w.function, line=s.line)
-        else:
-            if isinstance(s, While):
-                state = _loop(w, s, state)[0]
-            state = _step(w, s, state, True)
-        if isinstance(s, If):
-            then = _report(w, s.then.stmts, state)
-            if s.orelse is not None:
-                state = _report(w, s.orelse.stmts, state)
-            state = _either(then, state)
-        elif isinstance(s, While):
-            _report(w, s.body.stmts, state)
-        elif isinstance(s, Return):
+            if not report:
+                return None
+            _step(w, s, state, True)
             state = None
+        else:
+            state = _step(w, s, state, report)
     return state
 
 
@@ -262,7 +252,7 @@ def _check_function(fn: FunctionDef, diags: Diagnostics) -> list[OwnershipError]
         bits[name] = (u, o, m)
         state |= o if is_owned else u
     w = _Walk(fn.name, bits, diags)
-    _report(w, fn.body.stmts, state)
+    _flow(w, fn.body.stmts, state, True)
     return sorted(w.errors, key=lambda e: (e.line, e.guard, e.kind))
 
 

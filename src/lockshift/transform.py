@@ -83,6 +83,22 @@ def _fresh_name(base: str, *taken: set[str]) -> str:
     return name
 
 
+def _falls_through(stmts: list[Stmt]) -> bool:
+    """Whether a path runs off the end of stmts, by the rule the flow graphs
+    and the checker follow: a return ends a path, an if reaches its end when
+    a branch does or it has no else, and a while always exits."""
+    for s in stmts:
+        if isinstance(s, Return):
+            return False
+        if isinstance(s, Block) and not _falls_through(s.stmts):
+            return False
+        if (isinstance(s, If) and s.orelse is not None
+                and not _falls_through(s.then.stmts)
+                and not _falls_through(s.orelse.stmts)):
+            return False
+    return True
+
+
 class _GuardNames:
     """Per-function path -> guard variable name, collision-free.
 
@@ -245,7 +261,8 @@ class _Transformer:
             self._names.register(path)
 
         body = self._rewrite_block(fn.body)
-        if self._rets and (not body.stmts or not isinstance(body.stmts[-1], Return)):
+        if (self._rets and (not body.stmts or not isinstance(body.stmts[-1], Return))
+                and _falls_through(body.stmts)):
             body.stmts.append(self._make_return(None, fn.line_span[1]))
 
         param_guards = {self._names.register(q) for q in self._entry}

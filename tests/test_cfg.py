@@ -1,4 +1,5 @@
-"""Flow-graph construction: node inventory, edges, and dead-code culling."""
+"""Flow-graph construction: node inventory, edges, and no nodes for code
+that no path reaches."""
 from __future__ import annotations
 
 from lockshift.ast import If, Return, While
@@ -62,6 +63,16 @@ def test_unreachable_statements_are_culled():
     assert len(diags) == 2
     assert all("unreachable" in d.message for d in diags)
     assert [d.line for d in diags] == [2, 2]
+
+
+def test_unreachable_nested_statements_warn_in_textual_order():
+    diags = Diagnostics()
+    g = graph_for("int n;\nint c;\nvoid f() {\n    return;\n    if (c) {\n"
+                  "        n = 1;\n    } else {\n        { n = 2; }\n    }\n"
+                  "    while (c) {\n        n = 3;\n    }\n}\n", diags=diags)
+    assert [type(n) for n in g.stmt_nodes] == [Return]
+    assert g.pred[g.ret] == [g.stmt_nodes[0]]
+    assert [d.line for d in diags] == [5, 6, 8, 10, 11]
 
 
 def test_empty_body_connects_entry_to_ret():

@@ -559,3 +559,52 @@ def test_full_prints_each_warning_once(tmp_path, capsys):
     assert capsys.readouterr().err == "%s: %s\n" % (src, warning)
     assert main(["check", str(out)]) == 0
     assert capsys.readouterr().err == "%s: %s\n" % (out, warning)
+
+
+RETURNS_ON_EVERY_BRANCH = """\
+mutex_t m;
+int n;
+int f() {
+    pthread_mutex_lock(&m);
+    if (n) {
+        return 1;
+    } else {
+        return 2;
+    }
+}
+void main() {
+    n = f();
+    pthread_mutex_unlock(&m);
+}
+"""
+
+
+def test_no_fall_through_return_where_every_branch_returns(tmp_path, capsys):
+    src = tmp_path / "p.mc"
+    src.write_text(RETURNS_ON_EVERY_BRANCH)
+    out = tmp_path / "p.gmc"
+    assert main(["full", str(src), "-o", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert "return (0, m_guard);" not in out.read_text()
+    assert main(["check", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+RETURNS_BEFORE_DEAD_CODE = """\
+int n;
+mutex_t m;
+void f() { pthread_mutex_lock(&m); return; n = 1; }
+void main() { f(); pthread_mutex_unlock(&m); }
+"""
+
+
+def test_no_fall_through_return_after_dead_code(tmp_path, capsys):
+    src = tmp_path / "p.mc"
+    src.write_text(RETURNS_BEFORE_DEAD_CODE)
+    out = tmp_path / "p.gmc"
+    assert main(["full", str(src), "-o", str(out)]) == 0
+    warning = "warning: unreachable statement removed from flow graph (f, line 3)"
+    assert capsys.readouterr().err == "%s: %s\n" % (src, warning)
+    assert out.read_text().count("return m_guard;") == 1
+    assert main(["check", str(out)]) == 0
+    assert capsys.readouterr().err == "%s: %s\n" % (out, warning)

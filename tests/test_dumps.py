@@ -20,8 +20,8 @@ from helpers import CORPUS, FIXTURES
 
 DUMPS = FIXTURES / "dumps"
 
-# A call, a lock held across it, and statements after a return, which the
-# flow graph culls and the flow dump leaves out.
+# A call, a lock held across it, and statements after a return, which get
+# no flow-graph node and so no place in the dumps.
 DEAD_CODE = """\
 int n;
 mutex_t m;

@@ -1,6 +1,6 @@
-"""Lock-set operators, the call-site binding, gen/kill transfer, the
-per-function entry/return analyses, and the check that Top never leaves the
-fixpoints."""
+"""Lock-set operators, the call-site binding, the lock effects of calls,
+the per-function entry/return analyses, and the check that Top never leaves
+the fixpoints."""
 from __future__ import annotations
 
 import pytest
@@ -23,10 +23,11 @@ from lockshift.diagnostics import Diagnostics, IterationBudgetExceeded
 from lockshift.flowanalysis import (
     analyze_function,
     analyze_scc,
+    flow_sets,
     join,
     meet,
     minus,
-    transfer_gen_kill,
+    stmt_effects,
 )
 from lockshift.parser import parse
 from lockshift.pipeline import analyze_program
@@ -145,13 +146,12 @@ def test_flow_drops_a_path_whose_argument_is_not_a_place():
     result = analyze_program(RELEASE_BY_NON_PLACE)
     call_stmt = result.program.function("caller").body.stmts[0]
     diags = Diagnostics()
-    gk = transfer_gen_kill(call_stmt, result.flow, diags, "caller")
-    assert gk.gen_l == gk.kill_a == locks("g")
+    assert stmt_effects(call_stmt, result.flow, diags, "caller") == (
+        (locks("g"), frozenset()),)
     assert [(d.function, d.line) for d in diags] == [("caller", 8)]
     # Top, the return set of a callee inside an SCC sweep, stays Top.
     top = flowanalysis.FunctionFlowFacts("release", ("a",), locks("a.m"), None)
-    gk = transfer_gen_kill(call_stmt, {"release": top})
-    assert gk.kill_l is None and gk.gen_a is None
+    assert stmt_effects(call_stmt, {"release": top}) == ((frozenset(), None),)
 
 
 # Five dropped paths: in hash order the warnings would almost never come out
@@ -168,8 +168,8 @@ def test_flow_warns_about_dropped_paths_in_path_order():
     result = analyze_program(source)
     call_stmt = result.program.function("caller").body.stmts[0]
     diags = Diagnostics()
-    gk = transfer_gen_kill(call_stmt, result.flow, diags, "caller")
-    assert gk.gen_l == frozenset()
+    assert stmt_effects(call_stmt, result.flow, diags, "caller") == (
+        (frozenset(), frozenset()),)
     assert [d.message for d in diags.entries] == [
         "argument for parameter %r is not a place (lock path %s)" % (p[0], p)
         for p in DROPPED]
@@ -188,27 +188,23 @@ def test_propagation_warns_about_dropped_paths_in_path_order():
         for p in DROPPED]
 
 
-# -- gen/kill -----------------------------------------------------------------
+# -- lock effects: one (released, held) pair per call ---------------------------
 
 def stmt_of(source_body: str):
     p = parse("mutex_t m;\nmutex_t w;\nvoid f() { %s }\n" % source_body)
     return p.functions[0].body.stmts[0]
 
 
-def test_gen_kill_of_lock_and_unlock():
-    gk = transfer_gen_kill(stmt_of("pthread_mutex_unlock(&m);"), {})
-    assert gk.gen_l == locks("m") and gk.kill_a == locks("m")
-    assert gk.kill_l == frozenset() and gk.gen_a == frozenset()
-    gk = transfer_gen_kill(stmt_of("pthread_mutex_lock(&m);"), {})
-    assert gk.kill_l == locks("m") and gk.gen_a == locks("m")
-    assert gk.gen_l == frozenset() and gk.kill_a == frozenset()
+def test_effect_of_lock_and_unlock():
+    assert stmt_effects(stmt_of("pthread_mutex_unlock(&m);"), {}) == (
+        (locks("m"), frozenset()),)
+    assert stmt_effects(stmt_of("pthread_mutex_lock(&m);"), {}) == (
+        (frozenset(), locks("m")),)
 
 
-def test_gen_kill_of_plain_statement_is_identity():
+def test_plain_statement_has_no_effect():
     p = parse("int n;\nvoid f() { n = n + 1; }\n")
-    gk = transfer_gen_kill(p.functions[0].body.stmts[0], {})
-    assert gk.gen_l == frozenset() and gk.kill_l == frozenset()
-    assert gk.gen_a == frozenset() and gk.kill_a == frozenset()
+    assert stmt_effects(p.functions[0].body.stmts[0], {}) == ()
 
 
 def test_call_effect_uses_callee_summary_through_alias():
@@ -224,15 +220,13 @@ def test_call_effect_uses_callee_summary_through_alias():
     """
     result = analyze_program(src)
     call_stmt = result.program.function("caller").body.stmts[0]
-    gk = transfer_gen_kill(call_stmt, result.flow)
-    assert gk.gen_l == locks("inst.m")
-    assert gk.kill_a == locks("inst.m")
+    assert stmt_effects(call_stmt, result.flow) == ((locks("inst.m"), frozenset()),)
 
 
 def test_nested_calls_compose_in_evaluation_order():
     # One statement whose condition both releases (inner callee) and then
-    # reacquires (outer callee) the lock: the statement-level L-gen must
-    # still report the release, and the A-gen the reacquisition.
+    # reacquires (outer callee) the lock: the live set before it must still
+    # hold the release, and the avail set after it the reacquisition.
     src = """
     mutex_t m;
     int release() {
@@ -251,13 +245,32 @@ def test_nested_calls_compose_in_evaluation_order():
     """
     result = analyze_program(src)
     cond_stmt = result.program.function("caller").body.stmts[0]
-    gk = transfer_gen_kill(cond_stmt, result.flow)
-    assert gk.gen_l == locks("m")
-    assert gk.kill_l == locks("m")
-    assert gk.gen_a == locks("m")
-    assert gk.kill_a == locks("m")
+    assert stmt_effects(cond_stmt, result.flow) == (
+        (locks("m"), frozenset()), (frozenset(), locks("m")))
+    caller = result.program.function("caller")
+    live_in, live_out, avail_in, avail_out = flow_sets(
+        caller, result.graphs["caller"], result.flow)
+    # Applied in the other order, the effects would take m out of both.
+    assert live_out[cond_stmt] == live_in[cond_stmt] == locks("m")
+    assert avail_in[cond_stmt] == avail_out[cond_stmt] == locks("m")
     facts = result.flow["caller"]
     assert facts.mels == locks("m")
+
+
+def test_the_kept_facts_reproduce_every_flow_set(corpus):
+    # --dump-flow solves each function again against the final facts; that
+    # must give back the entry set, return set and held sets they keep.
+    checked = 0
+    for name, run in completed(corpus):
+        result = run.result
+        for fn in result.program.functions:
+            f, g = result.flow[fn.name], result.graphs[fn.name]
+            live_in, _, avail_in, avail_out = flow_sets(fn, g, result.flow)
+            assert live_in[g.entry] == f.mels, (name, fn.name)
+            assert avail_out[g.ret] == f.mrls, (name, fn.name)
+            assert avail_in == f.avail_in, (name, fn.name)
+            checked += 1
+    assert checked > 1000
 
 
 # -- per-function analyses -----------------------------------------------------
@@ -370,17 +383,21 @@ def test_avail_in_is_seeded_with_entry_set():
     g = build_cfg(fn)
     facts = analyze_function(fn, g, {})
     assert facts.avail_in[g.entry] == facts.mels == locks("m")
-    assert facts.avail_out[g.ret] == frozenset()
+    live_in, _, avail_in, avail_out = flow_sets(fn, g, {})
+    assert avail_in[g.entry] == live_in[g.entry] == facts.mels
+    assert avail_out[g.ret] == facts.mrls == frozenset()
 
 
 # -- Top never escapes ----------------------------------------------------------
 
 def published_sets(result):
     """Every lock set the analysis hands on past its fixpoints."""
-    for f in result.flow.values():
+    for name, f in result.flow.items():
         yield f.mels
         yield f.mrls
-        for sets in (f.live_in, f.live_out, f.avail_in, f.avail_out):
+        yield from f.avail_in.values()
+        fn = result.program.function(name)
+        for sets in flow_sets(fn, result.graphs[name], result.flow):
             yield from sets.values()
     for s in result.lock_summary.function_map.values():
         yield from (s.entry_lock, s.return_lock)

@@ -1,8 +1,10 @@
 """Ownership checking of guard variables in the guarded dialect."""
 
+from lockshift.diagnostics import Diagnostics
 from lockshift.guardcheck import check
 from lockshift.parser import parse_guarded
 
+from corpus import completed
 from helpers import fixture_text
 
 HEADER = """\
@@ -169,3 +171,16 @@ def test_errors_render_with_their_location():
         "    drop(m_guard);\n"
         "}\n")
     assert str(errs[0]) == "UseOfUninit: m_guard at f line 6"
+
+
+def test_the_checker_warns_about_the_dead_code_the_analysis_found(corpus):
+    # run_pipeline and `full` drop the checker's warnings as repeats of
+    # these, so they must be the same warnings, in the same order.
+    dead = 0
+    for name, run in completed(corpus):
+        diags = Diagnostics()
+        check(run.guarded, diags)
+        want = [d for d in run.diagnostics if "unreachable statement" in d]
+        assert [d.render() for d in diags] == want, name
+        dead += bool(want)
+    assert dead >= 15

@@ -272,10 +272,11 @@ def test_deeply_nested_loops_are_checked_in_linear_time(monkeypatch):
     walks = []
     flow = guardcheck._flow
 
-    def counted(*args):
-        walks.append(args[1])
-        assert len(walks) <= 4 * depth, "loop bodies walked once per outer iteration"
-        return flow(*args)
+    def counted(w, stmts, state, report):
+        if not report:
+            walks.append(stmts)
+            assert len(walks) <= 4 * depth, "loop bodies walked once per outer iteration"
+        return flow(w, stmts, state, report)
 
     monkeypatch.setattr(guardcheck, "_flow", counted)
     errors, _ = assert_matches_reference(program)

@@ -1,7 +1,8 @@
 """What the analysis keeps in memory, by counting objects, never by timing.
 
-Equal lock sets are one object: every set a function's flow facts store
-is shared with each equal set stored beside it. AST nodes have no
+A function's flow facts keep one per-node map, the locks surely held
+before each node. Equal lock sets are one object: every set in that map is
+shared with each equal set stored beside it. AST nodes have no
 per-instance dict. And propagation renames each call site's held set a
 bounded number of times: on an acyclic call graph, callers are solved
 before their callees, so each site is renamed once while solving and once
@@ -21,13 +22,23 @@ from corpus import completed, first_seeds, programs
 from helpers import FIXTURES, chain_program
 
 
+def test_flow_facts_keep_one_map_keyed_by_the_graph_nodes(corpus):
+    checked = 0
+    for name, run in completed(corpus):
+        for fn, facts in run.result.flow.items():
+            maps = [getattr(facts, f.name) for f in dataclasses.fields(facts)
+                    if isinstance(getattr(facts, f.name), dict)]
+            assert maps == [facts.avail_in], (name, fn, len(maps))
+            assert list(facts.avail_in) == run.result.graphs[fn].nodes, (name, fn)
+            checked += 1
+    assert checked > 1000
+
+
 def test_flow_facts_store_one_object_per_distinct_set(corpus):
     checked = 0
     for name, run in completed(corpus):
         for fn, facts in run.result.flow.items():
-            stored = [s for m in (facts.live_in, facts.live_out,
-                                  facts.avail_in, facts.avail_out)
-                      for s in m.values()]
+            stored = list(facts.avail_in.values())
             objects = len({id(s) for s in stored})
             values = len(set(stored))
             assert objects <= values, (name, fn, objects, values)

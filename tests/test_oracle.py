@@ -12,7 +12,7 @@ import pytest
 
 from lockshift.ast import Stmt, place_path, LOCK_FN, UNLOCK_FN
 from lockshift.cfg import build_cfg
-from lockshift.flowanalysis import analyze_function
+from lockshift.flowanalysis import analyze_function, flow_sets
 from lockshift.parser import parse
 
 from helpers import ProgramGen
@@ -181,6 +181,8 @@ def assert_oracle_matches(source: str) -> int:
     fn = program.functions[0]
     g = build_cfg(fn)
     facts = analyze_function(fn, g, {})
+    live_in, _, avail_in, _ = flow_sets(fn, g, {})
+    assert avail_in == facts.avail_in
     paths = enum_paths(g)
     assert paths, "no entry-to-ret path"
 
@@ -199,7 +201,7 @@ def assert_oracle_matches(source: str) -> int:
             before = replay(path, entry_live, upto=node, inclusive=False)
             avail_meet = before if avail_meet is None else (avail_meet & before)
         assert avail_meet is not None, "node on no path"
-        assert {p.text for p in facts.live_in[node]} == live_union
+        assert {p.text for p in live_in[node]} == live_union
         if node is not g.entry:
             assert {p.text for p in facts.avail_in[node]} == avail_meet
     return len(g.nodes)

@@ -21,7 +21,7 @@ import pytest
 
 from lockshift import flowanalysis
 from lockshift.diagnostics import Diagnostics, IterationBudgetExceeded, LockshiftError
-from lockshift.flowanalysis import FunctionFlowFacts, analyze_function
+from lockshift.flowanalysis import FunctionFlowFacts, analyze_function, flow_sets
 from lockshift.pipeline import run_pipeline
 from lockshift.printer import print_guarded
 from lockshift.summary import write_summary
@@ -104,9 +104,9 @@ def observe(source: str, scc, monkeypatch, budget: int) -> dict:
                     "diags": [d.render() for d in diags]}
     flow = {}
     for name, f in result.flow.items():
-        nodes = result.graphs[name].nodes
-        per_node = [[sets[n] for n in nodes]
-                    for sets in (f.live_in, f.live_out, f.avail_in, f.avail_out)]
+        g = result.graphs[name]
+        all_sets = flow_sets(result.program.function(name), g, result.flow)
+        per_node = [[sets[n] for n in g.nodes] for sets in (f.avail_in, *all_sets)]
         flow[name] = (f.mels, f.mrls, f.scc_iterations, per_node)
     return {"flow": flow, "traces": traces,
             "diags": [d.render() for d in diags],

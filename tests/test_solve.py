@@ -41,10 +41,13 @@ def _observables(program_text: str):
         result, guarded, errors = run_pipeline(program_text, diags=diags)
     except LockshiftError as exc:
         return ("error", str(exc), [d.render() for d in diags])
-    per_node = {
-        fn: [(f.live_in[n], f.live_out[n], f.avail_in[n], f.avail_out[n])
-             for n in result.graphs[fn].nodes]
-        for fn, f in result.flow.items()}
+    per_node = {}
+    for fn, f in result.flow.items():
+        g = result.graphs[fn]
+        live_in, live_out, avail_in, avail_out = flowanalysis.flow_sets(
+            result.program.function(fn), g, result.flow)
+        per_node[fn] = [(live_in[n], live_out[n], avail_in[n], avail_out[n],
+                         f.avail_in[n]) for n in g.nodes]
     return (write_summary(result.lock_summary), print_guarded(guarded),
             [str(e) for e in errors], [d.render() for d in diags], per_node)
 
