@@ -26,7 +26,7 @@ from .flowanalysis import (
 )
 from .guardcheck import OwnershipError, check
 from .parser import parse, parse_guarded
-from .pipeline import AnalysisResult, analyze_program, run_pipeline
+from .pipeline import AnalysisResult, LockSets, analyze_program, lock_sets, run_pipeline
 from .printer import print_guarded, print_source
 from .propagation import propagate
 from .summary import (
@@ -48,6 +48,7 @@ __all__ = [
     "FunctionFlowFacts",
     "IterationBudgetExceeded",
     "LockPath",
+    "LockSets",
     "LockshiftError",
     "LockSummary",
     "OwnershipError",
@@ -65,6 +66,7 @@ __all__ = [
     "build_cfg",
     "build_summary",
     "check",
+    "lock_sets",
     "parse",
     "parse_guarded",
     "print_guarded",

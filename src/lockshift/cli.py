@@ -15,6 +15,7 @@ import sys
 import time
 from pathlib import Path
 
+from .ast import Program
 from .cfg import cfg_to_dot, node_text
 from .callgraph import callgraph_to_dot, merged_callgraph_to_dot
 from .diagnostics import (
@@ -26,7 +27,7 @@ from .diagnostics import (
 from .flowanalysis import flow_sets
 from .guardcheck import check
 from .parser import parse, parse_guarded
-from .pipeline import AnalysisResult, analyze_program
+from .pipeline import LockSets, analyze_program, lock_sets
 from .printer import print_guarded
 from .summary import read_summary, write_summary
 from .transform import transform
@@ -117,14 +118,14 @@ def _texts(paths) -> list[str]:
     return [p.text for p in sorted(paths)]
 
 
-def _flow_dump(result: AnalysisResult) -> str:
+def _flow_dump(program: Program, sets: LockSets) -> str:
     # The facts are a fixpoint against the final summaries, so solving a
     # function again against them gives the sets the analysis converged on.
     out = {}
-    for fn in result.program.functions:
-        g = result.graphs[fn.name]
-        f = result.flow[fn.name]
-        live_in, live_out, avail_in, avail_out = flow_sets(fn, g, result.flow)
+    for fn in program.functions:
+        g = sets.graphs[fn.name]
+        f = sets.flow[fn.name]
+        live_in, live_out, avail_in, avail_out = flow_sets(fn, g, sets.flow)
         lines: dict[str, list] = {}
         for n in g.stmt_nodes:
             lines.setdefault(str(n.line), []).append({
@@ -144,19 +145,24 @@ def _flow_dump(result: AnalysisResult) -> str:
     return json.dumps(out, indent=2, sort_keys=True) + "\n"
 
 
-def _write_dumps(args, result: AnalysisResult) -> None:
+def _write_dumps(args, program: Program) -> None:
+    """Write the requested --dump-* files from facts computed again, with
+    no diagnostics: the analysis, if it ran, reported them already."""
+    if not (args.dump_cfg or args.dump_callgraph or args.dump_flow):
+        return
+    sets = lock_sets(program, args.iteration_budget)
     base = Path(args.input)
-    if getattr(args, "dump_cfg", False):
-        for fn in result.program.functions:
+    if args.dump_cfg:
+        for fn in program.functions:
             path = base.with_suffix(".cfg.%s.dot" % fn.name)
-            path.write_text(cfg_to_dot(result.graphs[fn.name]))
-    if getattr(args, "dump_callgraph", False):
+            path.write_text(cfg_to_dot(sets.graphs[fn.name]))
+    if args.dump_callgraph:
         base.with_suffix(".callgraph.dot").write_text(
-            callgraph_to_dot(result.callgraph))
+            callgraph_to_dot(sets.callgraph))
         base.with_suffix(".callgraph.merged.dot").write_text(
-            merged_callgraph_to_dot(result.callgraph))
-    if getattr(args, "dump_flow", False):
-        base.with_suffix(".flow.json").write_text(_flow_dump(result))
+            merged_callgraph_to_dot(sets.callgraph))
+    if args.dump_flow:
+        base.with_suffix(".flow.json").write_text(_flow_dump(program, sets))
 
 
 def _read_text(path: str) -> str:
@@ -193,9 +199,9 @@ def _run(args) -> int:
         result = phases.run(
             "analyze", lambda: analyze_program(text, budget, diags))
         program = result.program
-        _write_dumps(args, result)
     else:
         program = phases.run("parse", lambda: parse(text))
+    _write_dumps(args, program)
 
     if args.mode == "analyze":
         _emit(write_summary(result.lock_summary), args.emit_summary)

@@ -28,7 +28,8 @@ re-solves only members whose SCC callees changed since their last solve; the
 iteration budget still counts sweeps.
 
 Lock sets are shared values. join, meet and minus return an operand whenever
-the result equals it, so most steps allocate nothing, and each
+the result equals it, and a callee summary that renaming leaves unchanged is
+the callee's own set, so most steps allocate nothing, and each
 analyze_function call stores one object per distinct set in avail_in.
 """
 from __future__ import annotations
@@ -100,7 +101,8 @@ def _to_caller_set(paths: frozenset[LockPath] | None, params, call: Call,
                    diags: Diagnostics | None, function: str | None,
                    line: int) -> frozenset[LockPath] | None:
     """The callee's paths as the caller names them at call. A path whose
-    argument is not a place is dropped with a warning, in path order."""
+    argument is not a place is dropped with a warning, in path order.
+    paths itself when the result equals it."""
     if paths is None:
         return None
     out = set()
@@ -110,7 +112,7 @@ def _to_caller_set(paths: frozenset[LockPath] | None, params, call: Call,
             out.add(q)
         elif diags is not None:
             diags.warn(not_a_place(p), function=function, line=line)
-    return frozenset(out)
+    return paths if out == paths else frozenset(out)
 
 
 @dataclass

@@ -3,10 +3,16 @@
 parse -> control flow graphs -> call graph -> lock-set fixpoints ->
 propagation -> data-lock inference -> summary, and optionally onward to the
 transformer and the ownership checker.
+
+lock_sets() is the one place the graph and lock-set phases are chained.
+analyze_program() holds what they make only in locals, so the flow graphs,
+call graph and flow facts are freed before any transform or check runs.
+The --dump-* flags call lock_sets() again; the phases are deterministic.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .ast import Program
 from .callgraph import CallGraph, build_call_graph
@@ -21,15 +27,30 @@ from .summary import LockSummary, build_summary
 from .transform import transform
 
 
-@dataclass
-class AnalysisResult:
-    program: Program
+class LockSets(NamedTuple):
+    """What the lock-set phases make: a flow graph per function, the call
+    graph, and each function's flow facts."""
+
     graphs: dict[str, FlowGraph]
     callgraph: CallGraph
     flow: dict[str, FunctionFlowFacts]
+
+
+@dataclass
+class AnalysisResult:
+    program: Program
     lock_summary: LockSummary
     verdicts: list[ProtectionVerdict] = field(default_factory=list)
     diagnostics: Diagnostics = field(default_factory=Diagnostics)
+
+
+@gc_paused
+def lock_sets(program: Program, budget: int = 1000,
+              diags: Diagnostics | None = None) -> LockSets:
+    """Flow graphs, call graph and bottom-up lock-set fixpoints."""
+    graphs = {fn.name: build_cfg(fn, diags) for fn in program.functions}
+    cg = build_call_graph(program, diags)
+    return LockSets(graphs, cg, analyze_program_flow(program, cg, graphs, budget, diags))
 
 
 @gc_paused
@@ -39,14 +60,12 @@ def analyze_program(source: str | Program, budget: int = 1000,
     if diags is None:
         diags = Diagnostics()
     program = parse(source) if isinstance(source, str) else source
-    graphs = {fn.name: build_cfg(fn, diags) for fn in program.functions}
-    cg = build_call_graph(program, diags)
-    flow = analyze_program_flow(program, cg, graphs, budget, diags)
+    graphs, cg, flow = lock_sets(program, budget, diags)
     functions = propagate(program, flow, graphs, diags)
     global_map, struct_map, verdicts = infer_data_locks(
         program, flow, functions, graphs, cg, diags)
     lock_summary = build_summary(global_map, struct_map, functions)
-    return AnalysisResult(program, graphs, cg, flow, lock_summary, verdicts, diags)
+    return AnalysisResult(program, lock_summary, verdicts, diags)
 
 
 @gc_paused

@@ -4,8 +4,11 @@
 `fixtures/outputs.sha256` pins: the fixtures and corpus, the flow cases,
 seeded `SccGen` and `ProgramGen` programs and small programs of every bench
 family. `run_corpus()` parses each once and runs the pipeline on it once at
-BUDGET, and keeps what the corpus-wide tests read. The tests get these runs
-from the session fixture `corpus` (conftest.py); none may change them.
+BUDGET, and keeps what the corpus-wide tests read. The analysis result keeps
+no flow graphs or facts, so a run computes them with `lock_sets` the first
+time a test reads `PinnedRun.sets`, and keeps them for the session. The
+tests get these runs from the session fixture `corpus` (conftest.py); none
+may change them.
 """
 from __future__ import annotations
 
@@ -18,7 +21,7 @@ from lockshift.ast import Program
 from lockshift.diagnostics import Diagnostics, IterationBudgetExceeded, LockshiftError
 from lockshift.guardcheck import OwnershipError
 from lockshift.parser import parse, parse_guarded
-from lockshift.pipeline import AnalysisResult, run_pipeline
+from lockshift.pipeline import AnalysisResult, LockSets, lock_sets, run_pipeline
 from lockshift.printer import print_guarded
 from lockshift.summary import write_summary
 
@@ -75,6 +78,12 @@ class PinnedRun:
     diagnostics: tuple[str, ...] = ()  # rendered warnings of every phase
     reparsed: Program | None = None  # parse_guarded of the printed text
     reparse_error: LockshiftError | None = None
+
+    @functools.cached_property
+    def sets(self) -> LockSets:
+        """The flow graphs, call graph and flow facts of the analysis,
+        computed again at BUDGET on the first read."""
+        return lock_sets(self.program, BUDGET)
 
 
 def run_program(source: str) -> PinnedRun:

@@ -10,8 +10,8 @@ import time
 
 from lockshift.ast import path_of
 from lockshift.guardcheck import check
-from lockshift.parser import parse_guarded
-from lockshift.pipeline import analyze_program, run_pipeline
+from lockshift.parser import parse, parse_guarded
+from lockshift.pipeline import lock_sets, run_pipeline
 from lockshift.printer import print_guarded
 from lockshift.summary import read_summary, write_summary
 from lockshift.transform import access_multiset
@@ -49,15 +49,14 @@ def criterion(number, label):
 @criterion(1, "per-function lock sets match the worked examples")
 def test_criterion_1_flow_examples():
     for name, source, expected in FLOW_CASES:
-        result = analyze_program(source)
+        flow = lock_sets(parse(source)).flow
         for fn_name, (entry, ret) in expected.items():
-            facts = result.flow[fn_name]
+            facts = flow[fn_name]
             assert facts.mels == locks(*entry), (name, fn_name, "entry")
             assert facts.mrls == locks(*ret), (name, fn_name, "return")
     for name in ("recursive_unlock", "recursive_lock"):
         source = dict((n, s) for n, s, _ in FLOW_CASES)[name]
-        result = analyze_program(source)
-        assert result.flow["rec"].scc_iterations <= 2, name
+        assert lock_sets(parse(source)).flow["rec"].scc_iterations <= 2, name
 
 
 @criterion(2, "counter example yields the reference summary and output")
@@ -117,8 +116,9 @@ def test_criterion_5_invariants():
     sources.extend(source for _, source, _ in FLOW_CASES)
     for source in sources:
         result, guarded, _ = run_pipeline(source)
+        flow = lock_sets(result.program).flow
         for name, s in result.lock_summary.function_map.items():
-            f = result.flow[name]
+            f = flow[name]
             pls = s.entry_lock - f.mels
             assert f.mels <= s.entry_lock, name
             assert f.mrls <= s.return_lock, name

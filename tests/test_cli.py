@@ -437,6 +437,26 @@ def test_dump_flags_write_sidecar_files(tmp_path, capsys):
     assert flow["lock"]["mrls"] == ["m"]
 
 
+def test_dump_flags_write_the_same_files_with_a_given_summary(tmp_path, capsys):
+    src = place(tmp_path, "listing1.mc")
+    summary = tmp_path / "s.json"
+    dump_flags = ["--dump-cfg", "--dump-callgraph", "--dump-flow"]
+    assert main(["analyze", str(src), "--emit-summary", str(summary)] + dump_flags) == 0
+    dumps = sorted(p for p in tmp_path.glob("listing1.*") if p != src)
+    analyzed = {p.name: p.read_text() for p in dumps}
+    for p in dumps:
+        p.unlink()
+    run = ["full", str(src), "--use-summary", str(summary),
+           "-o", str(tmp_path / "out.gmc")]
+    code = main(run)
+    plain = capsys.readouterr()
+    assert main(run + dump_flags) == code
+    # The dumps add no warnings to the run's own.
+    assert capsys.readouterr() == plain
+    written = {p.name: p.read_text() for p in tmp_path.glob("listing1.*") if p != src}
+    assert written == analyzed
+
+
 def test_timings_go_to_stderr_and_leave_stdout_alone(capsys):
     src = str(FIXTURES / "listing1.mc")
     assert main(["full", src]) in (0, 2)

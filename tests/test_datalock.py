@@ -13,15 +13,16 @@ from lockshift.datalock import (
     judge_protection,
 )
 from lockshift.parser import parse, parse_guarded
-from lockshift.pipeline import analyze_program
+from lockshift.pipeline import analyze_program, lock_sets
 
 from helpers import CORPUS, fixture_text, locks
 
 
 def records_for(source):
     result = analyze_program(source)
-    return collect_accesses(result.program, result.flow,
-                            result.lock_summary.function_map, result.graphs)
+    graphs, _, flow = lock_sets(result.program)
+    return collect_accesses(result.program, flow,
+                            result.lock_summary.function_map, graphs)
 
 
 def accesses_by_line(program):

@@ -30,7 +30,7 @@ from lockshift.flowanalysis import (
     stmt_effects,
 )
 from lockshift.parser import parse
-from lockshift.pipeline import analyze_program
+from lockshift.pipeline import analyze_program, lock_sets
 from lockshift.propagation import collect_call_facts
 
 from corpus import completed, first_seeds
@@ -143,10 +143,10 @@ void caller() {
 
 
 def test_flow_drops_a_path_whose_argument_is_not_a_place():
-    result = analyze_program(RELEASE_BY_NON_PLACE)
-    call_stmt = result.program.function("caller").body.stmts[0]
+    program = parse(RELEASE_BY_NON_PLACE)
+    call_stmt = program.function("caller").body.stmts[0]
     diags = Diagnostics()
-    assert stmt_effects(call_stmt, result.flow, diags, "caller") == (
+    assert stmt_effects(call_stmt, lock_sets(program).flow, diags, "caller") == (
         (locks("g"), frozenset()),)
     assert [(d.function, d.line) for d in diags] == [("caller", 8)]
     # Top, the return set of a callee inside an SCC sweep, stays Top.
@@ -165,10 +165,10 @@ def test_flow_warns_about_dropped_paths_in_path_order():
     source = ("struct s { mutex_t m; };\nvoid release(%s) {\n%s}\n"
               "void caller() {\n    release(0, 0, 0, 0, 0);\n}\n"
               % (", ".join("struct s *" + p for p in params), unlocks))
-    result = analyze_program(source)
-    call_stmt = result.program.function("caller").body.stmts[0]
+    program = parse(source)
+    call_stmt = program.function("caller").body.stmts[0]
     diags = Diagnostics()
-    assert stmt_effects(call_stmt, result.flow, diags, "caller") == (
+    assert stmt_effects(call_stmt, lock_sets(program).flow, diags, "caller") == (
         (frozenset(), frozenset()),)
     assert [d.message for d in diags.entries] == [
         "argument for parameter %r is not a place (lock path %s)" % (p[0], p)
@@ -218,9 +218,10 @@ def test_call_effect_uses_callee_summary_through_alias():
         release(&inst);
     }
     """
-    result = analyze_program(src)
-    call_stmt = result.program.function("caller").body.stmts[0]
-    assert stmt_effects(call_stmt, result.flow) == ((locks("inst.m"), frozenset()),)
+    program = parse(src)
+    call_stmt = program.function("caller").body.stmts[0]
+    assert stmt_effects(call_stmt, lock_sets(program).flow) == (
+        (locks("inst.m"), frozenset()),)
 
 
 def test_nested_calls_compose_in_evaluation_order():
@@ -243,18 +244,18 @@ def test_nested_calls_compose_in_evaluation_order():
         }
     }
     """
-    result = analyze_program(src)
-    cond_stmt = result.program.function("caller").body.stmts[0]
-    assert stmt_effects(cond_stmt, result.flow) == (
+    program = parse(src)
+    graphs, _, flow = lock_sets(program)
+    cond_stmt = program.function("caller").body.stmts[0]
+    assert stmt_effects(cond_stmt, flow) == (
         (locks("m"), frozenset()), (frozenset(), locks("m")))
-    caller = result.program.function("caller")
+    caller = program.function("caller")
     live_in, live_out, avail_in, avail_out = flow_sets(
-        caller, result.graphs["caller"], result.flow)
+        caller, graphs["caller"], flow)
     # Applied in the other order, the effects would take m out of both.
     assert live_out[cond_stmt] == live_in[cond_stmt] == locks("m")
     assert avail_in[cond_stmt] == avail_out[cond_stmt] == locks("m")
-    facts = result.flow["caller"]
-    assert facts.mels == locks("m")
+    assert flow["caller"].mels == locks("m")
 
 
 def test_the_kept_facts_reproduce_every_flow_set(corpus):
@@ -262,10 +263,10 @@ def test_the_kept_facts_reproduce_every_flow_set(corpus):
     # must give back the entry set, return set and held sets they keep.
     checked = 0
     for name, run in completed(corpus):
-        result = run.result
-        for fn in result.program.functions:
-            f, g = result.flow[fn.name], result.graphs[fn.name]
-            live_in, _, avail_in, avail_out = flow_sets(fn, g, result.flow)
+        graphs, _, flow = run.sets
+        for fn in run.program.functions:
+            f, g = flow[fn.name], graphs[fn.name]
+            live_in, _, avail_in, avail_out = flow_sets(fn, g, flow)
             assert live_in[g.entry] == f.mels, (name, fn.name)
             assert avail_out[g.ret] == f.mrls, (name, fn.name)
             assert avail_in == f.avail_in, (name, fn.name)
@@ -278,9 +279,9 @@ def test_the_kept_facts_reproduce_every_flow_set(corpus):
 @pytest.mark.parametrize("name,source,expected", FLOW_CASES,
                          ids=[c[0] for c in FLOW_CASES])
 def test_entry_and_return_lock_sets(name, source, expected):
-    result = analyze_program(source)
+    flow = lock_sets(parse(source)).flow
     for fn_name, (mels, mrls) in expected.items():
-        facts = result.flow[fn_name]
+        facts = flow[fn_name]
         assert sorted(p.text for p in facts.mels) == mels, fn_name
         assert sorted(p.text for p in facts.mrls) == mrls, fn_name
 
@@ -288,13 +289,12 @@ def test_entry_and_return_lock_sets(name, source, expected):
 @pytest.mark.parametrize("case", ["recursive_unlock", "recursive_lock"])
 def test_recursive_fixpoint_converges_in_two_sweeps(case):
     source = dict((c[0], c[1]) for c in FLOW_CASES)[case]
-    result = analyze_program(source)
-    assert result.flow["rec"].scc_iterations == 2
+    assert lock_sets(parse(source)).flow["rec"].scc_iterations == 2
 
 
 def test_non_recursive_functions_take_one_pass():
-    result = analyze_program("mutex_t m;\nvoid f() { pthread_mutex_lock(&m); }\n")
-    assert result.flow["f"].scc_iterations == 1
+    program = parse("mutex_t m;\nvoid f() { pthread_mutex_lock(&m); }\n")
+    assert lock_sets(program).flow["f"].scc_iterations == 1
 
 
 def test_scc_trace_shows_monotone_convergence():
@@ -321,10 +321,10 @@ def test_scc_resolves_only_members_whose_callees_changed(monkeypatch):
         return real(fn, *args, **kwargs)
 
     monkeypatch.setattr(flowanalysis, "analyze_function", counted)
-    result = analyze_program(ring_program(3))
+    flow = lock_sets(parse(ring_program(3))).flow
     members = ["r%dm%d" % (r, i) for r in range(3) for i in range(RING)]
     for name in members:
-        assert result.flow[name].scc_iterations == 9, name
+        assert flow[name].scc_iterations == 9, name
         assert solves[name] <= 2, (name, solves[name])
 
 
@@ -390,21 +390,23 @@ def test_avail_in_is_seeded_with_entry_set():
 
 # -- Top never escapes ----------------------------------------------------------
 
-def published_sets(result):
+def published_sets(run):
     """Every lock set the analysis hands on past its fixpoints."""
-    for name, f in result.flow.items():
+    result = run.result
+    graphs, _, flow = run.sets
+    for name, f in flow.items():
         yield f.mels
         yield f.mrls
         yield from f.avail_in.values()
         fn = result.program.function(name)
-        for sets in flow_sets(fn, result.graphs[name], result.flow):
+        for sets in flow_sets(fn, graphs[name], flow):
             yield from sets.values()
     for s in result.lock_summary.function_map.values():
         yield from (s.entry_lock, s.return_lock)
-    for fact in collect_call_facts(result.program, result.flow, result.graphs):
+    for fact in collect_call_facts(result.program, flow, graphs):
         yield fact.available
-    for r in collect_accesses(result.program, result.flow,
-                              result.lock_summary.function_map, result.graphs):
+    for r in collect_accesses(result.program, flow,
+                              result.lock_summary.function_map, graphs):
         yield r.held
 
 
@@ -413,6 +415,6 @@ def test_every_published_lock_set_is_a_frozenset(corpus):
     converged = 0
     for name, run in completed({name: corpus[name] for name in names}):
         converged += 1
-        kinds = {type(s) for s in published_sets(run.result)}
+        kinds = {type(s) for s in published_sets(run)}
         assert kinds <= {frozenset}, name
     assert converged >= len(names) - SCC_PROGRAMS + 100

@@ -7,7 +7,7 @@ from lockshift.callgraph import build_call_graph
 from lockshift.cfg import build_cfg
 from lockshift.flowanalysis import analyze_program_flow
 from lockshift.parser import parse
-from lockshift.pipeline import analyze_program
+from lockshift.pipeline import analyze_program, lock_sets
 from lockshift.propagation import propagate
 
 from helpers import CALLER_PROVIDES, fixture_text, locks
@@ -21,7 +21,7 @@ def summaries_of(source: str):
 def test_caller_provides_entry_set():
     result = analyze_program(CALLER_PROVIDES)
     s = result.lock_summary.function("inc")
-    f = result.flow["inc"]
+    f = lock_sets(result.program).flow["inc"]
     assert f.mels == frozenset() and f.mrls == frozenset()
     assert s.entry_lock == locks("m")
     assert s.entry_lock - f.mels == locks("m")
@@ -38,7 +38,7 @@ def test_multiple_callers_intersect():
     result = analyze_program(fixture_text("corpus/multi_caller.mc"))
     s = result.lock_summary.function("helper")
     assert s.entry_lock == locks("b")
-    assert s.entry_lock - result.flow["helper"].mels == locks("b")
+    assert s.entry_lock - lock_sets(result.program).flow["helper"].mels == locks("b")
 
 
 def test_propagation_renames_through_pointer_arguments():
@@ -105,7 +105,7 @@ def test_dead_cycle_is_clamped_to_own_released_set():
     result = analyze_program(source)
     entry = result.lock_summary.function("a").entry_lock
     assert entry == locks("m")
-    assert entry - result.flow["a"].mels == frozenset()
+    assert entry - lock_sets(result.program).flow["a"].mels == frozenset()
     clamped = [d for d in result.diagnostics if "dead cycle" in d.message]
     assert {d.function for d in clamped} == {"a", "b"}
 
@@ -138,8 +138,9 @@ def test_entry_minus_released_equals_return_minus_surely_held():
     for src in (CALLER_PROVIDES, fixture_text("corpus/multi_caller.mc"),
                 fixture_text("listing1.mc")):
         result = analyze_program(src)
+        flow = lock_sets(result.program).flow
         for name, s in result.lock_summary.function_map.items():
-            f = result.flow[name]
+            f = flow[name]
             assert s.entry_lock - f.mels == s.return_lock - f.mrls
 
 

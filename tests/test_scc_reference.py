@@ -19,7 +19,7 @@ import random
 
 import pytest
 
-from lockshift import flowanalysis
+from lockshift import flowanalysis, pipeline
 from lockshift.diagnostics import Diagnostics, IterationBudgetExceeded, LockshiftError
 from lockshift.flowanalysis import FunctionFlowFacts, analyze_function, flow_sets
 from lockshift.pipeline import run_pipeline
@@ -86,26 +86,35 @@ def reference_analyze_scc(fns, graphs, outer_facts, budget=1000, diags=None,
 
 
 def observe(source: str, scc, monkeypatch, budget: int) -> dict:
-    """Everything the pipeline yields on source when SCCs are solved by scc."""
+    """Everything the pipeline yields on source when SCCs are solved by scc,
+    the flow graphs and facts its lock_sets call returned included."""
     traces = []
+    kept = []
+    real_lock_sets = pipeline.lock_sets
 
     def traced(fns, graphs, outer_facts, budget=1000, diags=None, trace=None):
         sweeps = []
         traces.append(sweeps)
         return scc(fns, graphs, outer_facts, budget, diags, sweeps)
 
+    def keep(*args, **kwargs):
+        kept.append(real_lock_sets(*args, **kwargs))
+        return kept[-1]
+
     diags = Diagnostics()
     with monkeypatch.context() as m:
         m.setattr(flowanalysis, "analyze_scc", traced)
+        m.setattr(pipeline, "lock_sets", keep)
         try:
             result, guarded, errors = run_pipeline(source, budget, diags)
         except LockshiftError as exc:
             return {"error": (type(exc).__name__, str(exc)), "traces": traces,
                     "diags": [d.render() for d in diags]}
+    [(graphs, _, facts)] = kept
     flow = {}
-    for name, f in result.flow.items():
-        g = result.graphs[name]
-        all_sets = flow_sets(result.program.function(name), g, result.flow)
+    for name, f in facts.items():
+        g = graphs[name]
+        all_sets = flow_sets(result.program.function(name), g, facts)
         per_node = [[sets[n] for n in g.nodes] for sets in (f.avail_in, *all_sets)]
         flow[name] = (f.mels, f.mrls, f.scc_iterations, per_node)
     return {"flow": flow, "traces": traces,

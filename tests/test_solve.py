@@ -10,7 +10,7 @@ import pytest
 from lockshift import cfg, flowanalysis, propagation
 from lockshift.diagnostics import Diagnostics, LockshiftError
 from lockshift.parser import parse
-from lockshift.pipeline import run_pipeline
+from lockshift.pipeline import lock_sets, run_pipeline
 from lockshift.printer import print_guarded
 from lockshift.summary import write_summary
 
@@ -35,17 +35,19 @@ def test_a_node_is_queued_at_most_once_at_a_time():
 
 def _observables(program_text: str):
     """Everything a run shows: summary, guarded text, errors, warnings,
-    and the per-statement lock sets of the flow passes."""
+    and the per-statement lock sets of the flow passes, which lock_sets
+    computes again on the run's program under the same solver."""
     diags = Diagnostics()
     try:
         result, guarded, errors = run_pipeline(program_text, diags=diags)
     except LockshiftError as exc:
         return ("error", str(exc), [d.render() for d in diags])
     per_node = {}
-    for fn, f in result.flow.items():
-        g = result.graphs[fn]
+    graphs, _, flow = lock_sets(result.program)
+    for fn, f in flow.items():
+        g = graphs[fn]
         live_in, live_out, avail_in, avail_out = flowanalysis.flow_sets(
-            result.program.function(fn), g, result.flow)
+            result.program.function(fn), g, flow)
         per_node[fn] = [(live_in[n], live_out[n], avail_in[n], avail_out[n],
                          f.avail_in[n]) for n in g.nodes]
     return (write_summary(result.lock_summary), print_guarded(guarded),
