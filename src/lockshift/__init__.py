@@ -17,6 +17,7 @@ from .diagnostics import (
     SchemaError,
     SourceError,
     SummaryMismatch,
+    UnsupportedCall,
 )
 from .flowanalysis import (
     FunctionFlowFacts,
@@ -57,6 +58,7 @@ __all__ = [
     "SchemaError",
     "SourceError",
     "SummaryMismatch",
+    "UnsupportedCall",
     "access_multiset",
     "analyze_function",
     "analyze_program",

@@ -297,6 +297,8 @@ class GlobalDecl:
     name: str
     init: Expr | None
     line: int
+    # the calls of init, set by the resolver as on a statement (Stmt.calls)
+    calls: tuple[Call, ...] = field(default=(), init=False, repr=False)
 
 
 @dataclass(eq=False, slots=True)

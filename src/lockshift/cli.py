@@ -16,8 +16,8 @@ import time
 from pathlib import Path
 
 from .ast import Program
-from .cfg import cfg_to_dot, node_text
-from .callgraph import callgraph_to_dot, merged_callgraph_to_dot
+from .cfg import build_cfg, cfg_to_dot, node_text
+from .callgraph import build_call_graph, callgraph_to_dot, merged_callgraph_to_dot
 from .diagnostics import (
     Diagnostics,
     LockshiftError,
@@ -147,20 +147,18 @@ def _flow_dump(program: Program, sets: LockSets) -> str:
 
 def _write_dumps(args, program: Program) -> None:
     """Write the requested --dump-* files from facts computed again, with
-    no diagnostics: the analysis, if it ran, reported them already."""
-    if not (args.dump_cfg or args.dump_callgraph or args.dump_flow):
-        return
-    sets = lock_sets(program, args.iteration_budget)
+    no diagnostics: the analysis, if it ran, reported them already. Only
+    --dump-flow runs the lock-set fixpoints; the others build the graphs."""
+    sets = lock_sets(program, args.iteration_budget) if args.dump_flow else None
     base = Path(args.input)
     if args.dump_cfg:
         for fn in program.functions:
             path = base.with_suffix(".cfg.%s.dot" % fn.name)
-            path.write_text(cfg_to_dot(sets.graphs[fn.name]))
+            path.write_text(cfg_to_dot(sets.graphs[fn.name] if sets else build_cfg(fn)))
     if args.dump_callgraph:
-        base.with_suffix(".callgraph.dot").write_text(
-            callgraph_to_dot(sets.callgraph))
-        base.with_suffix(".callgraph.merged.dot").write_text(
-            merged_callgraph_to_dot(sets.callgraph))
+        cg = sets.callgraph if sets else build_call_graph(program)
+        base.with_suffix(".callgraph.dot").write_text(callgraph_to_dot(cg))
+        base.with_suffix(".callgraph.merged.dot").write_text(merged_callgraph_to_dot(cg))
     if args.dump_flow:
         base.with_suffix(".flow.json").write_text(_flow_dump(program, sets))
 
@@ -177,6 +175,11 @@ def _print_diagnostics(diags: Diagnostics, path: str) -> None:
         print("%s: %s" % (path, d.render()), file=sys.stderr)
 
 
+def _print_errors(errors, path: str) -> None:
+    for e in errors:
+        print("%s:%d: %s: %s in %s" % (path, e.line, e.kind, e.guard, e.function))
+
+
 def _run(args) -> int:
     phases = _Phases(args.timings)
     text = _read_text(args.input)
@@ -186,18 +189,14 @@ def _run(args) -> int:
         guarded = phases.run("parse", lambda: parse_guarded(text))
         errors = phases.run("check", lambda: check(guarded, diags))
         _print_diagnostics(diags, args.input)
-        for e in errors:
-            print("%s:%d: %s: %s in %s"
-                  % (args.input, e.line, e.kind, e.guard, e.function))
+        _print_errors(errors, args.input)
         phases.report()
         return 2 if errors else 0
 
-    budget = args.iteration_budget
-    needs_analysis = args.mode == "analyze" or not getattr(args, "use_summary", None)
     result = None
-    if needs_analysis:
-        result = phases.run(
-            "analyze", lambda: analyze_program(text, budget, diags))
+    if args.mode == "analyze" or not getattr(args, "use_summary", None):
+        result = phases.run("analyze", lambda: analyze_program(
+            text, args.iteration_budget, diags))
         program = result.program
     else:
         program = phases.run("parse", lambda: parse(text))
@@ -217,18 +216,14 @@ def _run(args) -> int:
         _emit(write_summary(summary), args.emit_summary)
     _emit(print_guarded(guarded), getattr(args, "output", None))
 
-    code = 0
+    errors = []
     if args.mode == "full":
         # The checker's warnings repeat the analysis's; `check` prints them.
         errors = phases.run("check", lambda: check(guarded))
-        for e in errors:
-            print("%s:%d: %s: %s in %s"
-                  % (args.input, e.line, e.kind, e.guard, e.function))
-        if errors:
-            code = 2
+        _print_errors(errors, args.input)
     _print_diagnostics(diags, args.input)
     phases.report()
-    return code
+    return 2 if errors else 0
 
 
 def main(argv: list[str] | None = None) -> int:

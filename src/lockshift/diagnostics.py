@@ -37,6 +37,11 @@ class TypeCheckError(SourceError):
     """Wrong call arity, or an ill-typed construct such as a bad lock-API argument."""
 
 
+class UnsupportedCall(SourceError):
+    """A call the transformer cannot thread guards through: one inside an
+    expression, or one whose guard's lock runs through a non-place argument."""
+
+
 class UndecodableInput(LockshiftError):
     """An input file that is not UTF-8 text; carries the file's path."""
 

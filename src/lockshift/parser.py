@@ -48,6 +48,7 @@ from .ast import (
     Var,
     While,
     lock_path_type,
+    not_a_place,
     place_path,
     to_caller,
 )
@@ -546,25 +547,18 @@ class _Parser:
         if not self.guarded:
             raise self.fail("method call syntax is not part of this dialect", method)
         name = self.values[method]
+        if name not in ("acquire", "get_mut"):
+            raise self.fail("unknown method %r" % name, method)
+        self.expect("(")
+        self.expect(")")
+        path = place_path(recv)
+        if path is None:
+            raise self.fail("%s() receiver must be a lock place" % name, method)
+        self.height = 0
         if name == "acquire":
-            self.expect("(")
-            self.expect(")")
-            path = place_path(recv)
-            if path is None:
-                raise self.fail("acquire() receiver must be a lock place", method)
-            self.height = 0
             return _AcquireExpr(path, self.lines[method])
-        if name == "get_mut":
-            self.expect("(")
-            self.expect(")")
-            path = place_path(recv)
-            if path is None:
-                raise self.fail("get_mut() receiver must be a lock place", method)
-            self.expect(".")
-            fld = self.expect_ident("payload field name")
-            self.height = 0
-            return GetMutAccess(path, self.values[fld])
-        raise self.fail("unknown method %r" % name, method)
+        self.expect(".")
+        return GetMutAccess(path, self.values[self.expect_ident("payload field name")])
 
     def parse_call(self, name: str) -> Call:
         self.nest(self.expect("("))
@@ -655,7 +649,7 @@ class _Resolver:
                 self.resolve_payload_init(g.ty, g.init)
             elif g.init is not None:
                 self.resolve_expr(g.init)
-            self.calls.clear()  # an initializer's calls belong to no statement
+            self.take_calls(g)
         for f in p.functions:
             self.resolve_function(f)
 
@@ -755,20 +749,12 @@ class _Resolver:
             if s.value is not None:
                 self.resolve_expr(s.value)
         elif isinstance(s, CallAssign):
-            self.resolve_expr(s.call)
+            self.resolve_call(s.call, s.targets)
+            self.calls.append(s.call)
             for t in s.targets:
                 if isinstance(t, Expr):
                     self.resolve_expr(t)
                     self.check_assign_place(t, s.line)
-            callee = self.functions[s.call.name]
-            names = callee.param_names
-            if len(s.call.args) != len(names):
-                # the call leaves out the guard arguments, so the arguments
-                # line up with the other parameters
-                names = [p.name for p in callee.params if p.ty.kind != "guard"]
-            for t, ret in zip(s.targets, callee.rets):
-                if isinstance(t, GuardTarget) and ret.kind == "guard":
-                    self.check_guard_path(t.name, t.path, ret.path, names, s.call, "returns")
         elif isinstance(s, AcquireAssign):
             self.lock_type(s.path, s.line)
             held = self.guards[s.guard]
@@ -781,7 +767,7 @@ class _Resolver:
             raise TypeCheckError("unexpected statement form", s.line)
         self.take_calls(s)
 
-    def take_calls(self, s: Stmt) -> None:
+    def take_calls(self, s: Stmt | GlobalDecl) -> None:
         if self.calls:
             s.calls = tuple(self.calls)
             self.calls.clear()
@@ -842,10 +828,7 @@ class _Resolver:
             self.resolve_expr(e.rhs)
             return
         if isinstance(e, Call):
-            self.resolve_call(e)
-            if self.functions[e.name].returns_void:
-                raise TypeCheckError(
-                    "%s() returns void; its value cannot be used" % e.name, self.line)
+            self.resolve_call(e, [e])  # its one value goes to the expression
             self.calls.append(e)
             return
         if isinstance(e, (GuardDeref, GetMutAccess)):
@@ -876,37 +859,54 @@ class _Resolver:
             return None
         return None
 
-    def resolve_call(self, call: Call) -> None:
+    def resolve_call(self, call: Call, targets: list | None = None) -> None:
+        """Check call against its callee: one argument per parameter and one
+        target per returned value, where targets are where its values go
+        (None for a statement call, which discards each). Each guard passed
+        or received is a guard for the lock the callee's guard<path> names
+        at call."""
         line = self.line
         if call.name in LOCK_API:
             raise TypeCheckError("%s() must be a standalone statement" % call.name, line)
         fn = self.functions.get(call.name)
         if fn is None:
             raise UnknownIdentifier("call to undeclared function %r" % call.name, line)
-        plain = [p for p in fn.params if p.ty.kind != "guard"]
-        if len(call.args) != len(plain) and len(call.args) != len(fn.params):
-            raise TypeCheckError(
-                "%s() takes %d arguments, got %d" % (call.name, len(plain), len(call.args)),
-                line)
+        if len(call.args) != len(fn.params):
+            raise TypeCheckError("%s() takes %d arguments, got %d"
+                                 % (call.name, len(fn.params), len(call.args)), line)
         for a in call.args:
             self.resolve_expr(a)
         call.arg_paths = tuple(place_path(a) for a in call.args)
-        if len(call.args) == len(fn.params):
-            names = fn.param_names
-            for a, p in zip(call.args, fn.params):
-                if isinstance(a, GuardRef) and p.ty.kind == "guard":
-                    self.check_guard_path(a.name, a.path, p.ty.path, names, call, "takes")
+        for a, p in zip(call.args, fn.params):
+            if p.ty.kind == "guard" or isinstance(a, GuardRef):
+                self.check_guard(a, p.ty, fn, call, "takes")
+        if targets is None:
+            targets = [Discard()] * len(fn.rets)
+        elif fn.returns_void:
+            raise TypeCheckError(
+                "%s() returns void; its value cannot be used" % call.name, line)
+        if len(targets) != len(fn.rets):
+            raise TypeCheckError("%s() returns %d values, not %d"
+                                 % (call.name, len(fn.rets), len(targets)), line)
+        for t, r in zip(targets, fn.rets):
+            if r.kind == "guard" or isinstance(t, GuardTarget):
+                self.check_guard(t, r, fn, call, "returns")
 
-    def check_guard_path(self, guard: str, held: LockPath, path: LockPath,
-                         names: list[str], call: Call, verb: str) -> None:
-        """A guard passed to or received from the callee, whose parameters
-        are names, must be for the lock that the callee's guard<path> names
-        at call. A path the caller cannot name, rooted at a parameter whose
-        argument is not a place, is not checked."""
-        want = to_caller(path, names, call)
-        if want is not None and want != held:
+    def check_guard(self, guard, ty: Type, fn: FunctionDef, call: Call, verb: str) -> None:
+        """guard, an argument or target of call, is a guard where fn takes
+        or returns ty = guard<path>, and one for the lock path names at
+        call; it is no guard where ty is another type."""
+        if ty.kind != "guard" or not isinstance(guard, (GuardRef, GuardTarget)):
+            what = ("a guard for %s, not a value" % ty.path.text if ty.kind == "guard"
+                    else "a value, not guard %s" % guard.name)
+            raise TypeCheckError("%s() %s %s" % (call.name, verb, what), self.line)
+        want = to_caller(ty.path, fn.param_names, call)
+        if want is None:
+            raise TypeCheckError("%s() %s a guard whose lock the call cannot name: %s"
+                                 % (call.name, verb, not_a_place(ty.path)), self.line)
+        if want != guard.path:
             raise TypeCheckError("guard %s is for %s, but %s() %s a guard for %s"
-                                 % (guard, held.text, call.name, verb, want.text),
+                                 % (guard.name, guard.path.text, call.name, verb, want.text),
                                  self.line)
 
     def resolve_lock_api(self, call: Call, line: int) -> None:

@@ -7,7 +7,7 @@ transformer and the ownership checker.
 lock_sets() is the one place the graph and lock-set phases are chained.
 analyze_program() holds what they make only in locals, so the flow graphs,
 call graph and flow facts are freed before any transform or check runs.
-The --dump-* flags call lock_sets() again; the phases are deterministic.
+The --dump-flow flag calls lock_sets() again; the phases are deterministic.
 """
 from __future__ import annotations
 

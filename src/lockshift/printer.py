@@ -46,15 +46,12 @@ _PREC_POSTFIX = 5
 _PREC_PRIMARY = 6
 
 
+_BASE_TEXT = {"int": "int", "void": "void", "mutex": "mutex_t", "thread": "thread_t"}
+
+
 def type_text(ty: Type) -> str:
-    if ty.kind == "int":
-        base = "int"
-    elif ty.kind == "void":
-        base = "void"
-    elif ty.kind == "mutex":
-        base = "mutex_t"
-    elif ty.kind == "thread":
-        base = "thread_t"
+    if ty.kind in _BASE_TEXT:
+        base = _BASE_TEXT[ty.kind]
     elif ty.kind == "struct":
         base = "struct %s" % ty.name
     elif ty.kind == "lock":
@@ -223,10 +220,8 @@ def _emit_function(sink: _Sink, f: FunctionDef) -> None:
 
 
 def _emit_global(sink: _Sink, g: GlobalDecl) -> None:
-    if g.init is not None:
-        sink.put(g.line, "%s = %s;" % (decl_text(g.ty, g.name), expr_text(g.init)), 0)
-    else:
-        sink.put(g.line, "%s;" % decl_text(g.ty, g.name), 0)
+    init = "" if g.init is None else " = " + expr_text(g.init)
+    sink.put(g.line, "%s%s;" % (decl_text(g.ty, g.name), init), 0)
 
 
 def _emit_struct(sink: _Sink, s: StructDef) -> None:
@@ -239,20 +234,12 @@ def _emit_struct(sink: _Sink, s: StructDef) -> None:
 
 def print_source(p: Program) -> str:
     """Render a program, in either dialect, back to source text."""
-    items: list[tuple[int, int, object]] = []
-    seq = 0
-    for g in p.globals:
-        items.append((g.line, seq, g))
-        seq += 1
-    for s in p.structs:
-        items.append((s.line, seq, s))
-        seq += 1
-    for f in p.functions:
-        items.append((f.line_span[0], seq, f))
-        seq += 1
-    items.sort(key=lambda it: (it[0], it[1]))
+    # By line; the sort is stable, so declarations that share a line keep
+    # their order: globals, then structs, then functions.
+    items = sorted([(g.line, g) for g in p.globals] + [(s.line, s) for s in p.structs]
+                   + [(f.line_span[0], f) for f in p.functions], key=lambda it: it[0])
     sink = _Sink()
-    for _, _, item in items:
+    for _, item in items:
         if isinstance(item, GlobalDecl):
             _emit_global(sink, item)
         elif isinstance(item, StructDef):

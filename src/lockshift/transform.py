@@ -64,7 +64,13 @@ from .ast import (
     to_caller,
 )
 from .callgraph import thread_entries
-from .diagnostics import Diagnostics, SchemaError, SummaryMismatch, gc_paused
+from .diagnostics import (
+    Diagnostics,
+    SchemaError,
+    SummaryMismatch,
+    UnsupportedCall,
+    gc_paused,
+)
 from .summary import LockSummary, validate_against_program
 
 
@@ -217,36 +223,45 @@ class _Transformer:
     # -- functions ----------------------------------------------------------
 
     def run(self) -> Program:
+        for g in self.p.globals:
+            for c in g.calls:
+                self._thread(g.name, g, c)
         self._build_decls()
         functions = [self._transform_function(fn) for fn in self.p.functions]
         return Program(self.globals_out, self.structs_out, functions)
 
     def _candidate_paths(self, fn: FunctionDef) -> set[LockPath]:
         paths = set(self._entry) | set(self._rets) | set(self._lock_line)
-        for _, c in function_calls(fn):
+        self._threads: dict[Call, tuple[list[LockPath], list[LockPath]]] = {}
+        for s, c in function_calls(fn):
             if c.name in (LOCK_FN, UNLOCK_FN):
                 paths.add(c.lock)
             elif c.name not in (INIT_FN, CREATE_FN):
-                paths.update(self._caller_paths(
-                    c, self.entry_paths[c.name] + self.ret_paths[c.name]))
+                takes, gives = self._threads[c] = self._thread(fn.name, s, c)
+                paths.update(takes, gives)
         return paths
 
-    def _caller_paths(self, c: Call, paths: list[LockPath], line: int = 0,
-                      what: str | None = None) -> list[LockPath]:
-        """The callee's lock paths as the caller names them. A path whose
-        argument is not a place is left out, with a warning when what names
-        the guard it belongs to."""
+    def _thread(self, owner: str, s, c: Call) -> tuple[list[LockPath], list[LockPath]]:
+        """The locks of the guards call c passes and receives, as function
+        or global owner names them. A call with guards to thread must be all
+        of statement s or the value s assigns, and each lock path must run
+        through an argument that is a place."""
+        paths = self.entry_paths[c.name], self.ret_paths[c.name]
+        if not (paths[0] or paths[1]):
+            return [], []
+        where = "in %s, call to %s" % (owner, c.name)
+        if c is not (s.expr if isinstance(s, ExprStmt)
+                     else s.value if isinstance(s, Assign) else None):
+            raise UnsupportedCall(
+                "%s inside an expression cannot thread its guards" % where, s.line)
         params = self.p.function(c.name).param_names
-        out = []
-        for q in paths:
-            r = to_caller(q, params, c)
-            if r is not None:
-                out.append(r)
-            elif what is not None:
-                self.diags.warn("%s dropped at call to %s: %s"
-                                % (what, c.name, not_a_place(q)),
-                                function=self._fn.name, line=line)
-        return out
+        named = tuple([to_caller(q, params, c) for q in qs] for qs in paths)
+        for qs, out, verb in zip(paths, named, ("pass", "receive")):
+            if None in out:
+                q = qs[out.index(None)]
+                raise UnsupportedCall("%s cannot %s the guard for %s: %s"
+                                      % (where, verb, q.text, not_a_place(q)), s.line)
+        return named
 
     def _transform_function(self, fn: FunctionDef) -> FunctionDef:
         self._fn = fn
@@ -333,12 +348,10 @@ class _Transformer:
     def _rewrite_call(self, place: Expr | None, c: Call, line: int) -> Stmt:
         """`place = c;` or, without a place, `c;`: the call takes the guards
         the callee expects and hands back the guards it returns."""
-        args = [self._rewrite_expr(a, line) for a in c.args]
-        args.extend(GuardRef(self._guard(q), q) for q in self._caller_paths(
-            c, self.entry_paths[c.name], line, "guard argument"))
-        call = Call(c.name, args)
-        ret_qs = self._caller_paths(c, self.ret_paths[c.name], line, "returned guard")
-        if not ret_qs:
+        takes, gives = self._threads[c]
+        call = Call(c.name, [self._rewrite_expr(a, line) for a in c.args]
+                    + [GuardRef(self._guard(q), q) for q in takes])
+        if not gives:
             if place is None:
                 return ExprStmt(line=line, expr=call)
             return Assign(line=line, place=place, value=call)
@@ -347,7 +360,7 @@ class _Transformer:
             targets.append(place)
         elif not self.p.function(c.name).returns_void:
             targets.append(Discard())
-        targets.extend(GuardTarget(self._guard(q), q) for q in ret_qs)
+        targets.extend(GuardTarget(self._guard(q), q) for q in gives)
         return CallAssign(line=line, targets=targets, call=call)
 
     def _make_return(self, value: Expr | None, line: int) -> Return:
@@ -392,11 +405,6 @@ class _Transformer:
             return Binary(e.op, self._rewrite_expr(e.lhs, line),
                           self._rewrite_expr(e.rhs, line))
         if isinstance(e, Call):
-            if self.entry_paths[e.name] or self.ret_paths[e.name]:
-                self.diags.warn(
-                    "call to %s inside an expression cannot thread guards; "
-                    "left unchanged" % e.name,
-                    function=self._fn.name, line=line)
             return Call(e.name, [self._rewrite_expr(a, line) for a in e.args])
         return e
 

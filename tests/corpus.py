@@ -18,12 +18,18 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from lockshift.ast import Program
-from lockshift.diagnostics import Diagnostics, IterationBudgetExceeded, LockshiftError
-from lockshift.guardcheck import OwnershipError
+from lockshift.diagnostics import (
+    Diagnostics,
+    IterationBudgetExceeded,
+    LockshiftError,
+    UnsupportedCall,
+)
+from lockshift.guardcheck import OwnershipError, check
 from lockshift.parser import parse, parse_guarded
-from lockshift.pipeline import AnalysisResult, LockSets, lock_sets, run_pipeline
+from lockshift.pipeline import AnalysisResult, LockSets, analyze_program, lock_sets
 from lockshift.printer import print_guarded
 from lockshift.summary import write_summary
+from lockshift.transform import transform
 
 from helpers import FIXTURES, FLOW_CASES, ProgramGen
 from test_scc_reference import SccGen
@@ -64,7 +70,9 @@ def first_seeds(names, **limits: int) -> list[str]:
 @dataclass(frozen=True)
 class PinnedRun:
     """One program's run: parse, then `run_pipeline` at BUDGET, then the
-    printed text parsed back. The texts are those the digests pin."""
+    printed text parsed back. The texts are those the digests pin. Where
+    the transformer refuses the program, the run keeps the analysis: its
+    result, summary and diagnostics, and the refusal as its error."""
 
     source: str
     program: Program | None = None  # None when the source does not parse
@@ -91,11 +99,20 @@ def run_program(source: str) -> PinnedRun:
         program = parse(source)
     except LockshiftError as exc:
         return PinnedRun(source, error=exc.with_traceback(None))
+    # run_pipeline's phases, one by one, to keep the analysis of a program
+    # the transformer refuses.
     diags = Diagnostics()
     try:
-        result, guarded, errors = run_pipeline(program, BUDGET, diags)
+        result = analyze_program(program, BUDGET, diags)
     except LockshiftError as exc:
         return PinnedRun(source, program, exc.with_traceback(None))
+    summary = write_summary(result.lock_summary)
+    try:
+        guarded = transform(program, result.lock_summary, diags)
+    except UnsupportedCall as exc:
+        return PinnedRun(source, program, exc.with_traceback(None), result,
+                         summary=summary, diagnostics=tuple(d.render() for d in diags))
+    errors = check(guarded)
     printed = print_guarded(guarded)
     reparsed = reparse_error = None
     try:
@@ -103,8 +120,7 @@ def run_program(source: str) -> PinnedRun:
     except LockshiftError as exc:
         reparse_error = exc.with_traceback(None)
     return PinnedRun(
-        source, program, None, result, guarded, tuple(errors),
-        write_summary(result.lock_summary), printed,
+        source, program, None, result, guarded, tuple(errors), summary, printed,
         tuple(str(e) for e in errors), tuple(d.render() for d in diags),
         reparsed, reparse_error)
 
@@ -113,11 +129,19 @@ def run_corpus() -> dict[str, PinnedRun]:
     return {name: run_program(source) for name, source in programs().items()}
 
 
-def completed(runs: dict[str, PinnedRun]):
-    """(name, run) for each run the pipeline completed. Runs over BUDGET
-    are skipped; any other error fails the calling test."""
+def analyzed(runs: dict[str, PinnedRun]):
+    """(name, run) for each run whose analysis completed, also where the
+    transformer refused it (UnsupportedCall). Runs over BUDGET are skipped;
+    any other error fails the calling test."""
     for name, run in runs.items():
         if isinstance(run.error, IterationBudgetExceeded):
             continue
-        assert run.error is None, (name, run.error)
+        assert run.error is None or isinstance(run.error, UnsupportedCall), (name, run.error)
         yield name, run
+
+
+def completed(runs: dict[str, PinnedRun]):
+    """(name, run) for each run the pipeline completed."""
+    for name, run in analyzed(runs):
+        if run.error is None:
+            yield name, run

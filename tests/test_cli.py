@@ -457,6 +457,30 @@ def test_dump_flags_write_the_same_files_with_a_given_summary(tmp_path, capsys):
     assert written == analyzed
 
 
+# f's lock-set fixpoint does not converge within 16 sweeps.
+UNLOCKS_ALONG_A_LIST = """\
+struct node { mutex_t m; struct node *next; };
+void f(struct node *x) { pthread_mutex_unlock(&x->m); f(x->next); }
+"""
+
+
+def test_only_the_flow_dump_runs_the_lock_set_fixpoints(tmp_path, capsys):
+    src = tmp_path / "d.mc"
+    src.write_text(UNLOCKS_ALONG_A_LIST)
+    summary = tmp_path / "s.json"
+    summary.write_text("{}")
+    run = ["full", str(src), "--use-summary", str(summary),
+           "-o", str(tmp_path / "out.gmc"), "--iteration-budget", "16"]
+    assert main(run + ["--dump-cfg"]) == 2
+    assert (tmp_path / "d.cfg.f.dot").exists()
+    assert main(run + ["--dump-callgraph"]) == 2
+    assert (tmp_path / "d.callgraph.merged.dot").exists()
+    capsys.readouterr()
+    assert main(run + ["--dump-flow"]) == 1
+    assert "did not converge within 16 iterations" in capsys.readouterr().err
+    assert not (tmp_path / "d.flow.json").exists()
+
+
 def test_timings_go_to_stderr_and_leave_stdout_alone(capsys):
     src = str(FIXTURES / "listing1.mc")
     assert main(["full", src]) in (0, 2)
@@ -544,7 +568,7 @@ def test_an_assigned_call_passes_the_guards_its_callee_takes(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "(*m_guard).x = rel(m_guard);" in captured.out
     assert "p.mc:12: UseAfterMove: m_guard in w" in captured.out
-    assert "cannot thread guards" not in captured.err
+    assert "error:" not in captured.err
 
 
 def test_an_assigned_call_to_an_unprotected_place_is_accepted(tmp_path, capsys):
@@ -555,6 +579,30 @@ def test_an_assigned_call_to_an_unprotected_place_is_accepted(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "    x = rel(m_guard); }" in captured.out
     assert captured.err == ""
+
+
+# get() takes and returns the guard of g1, so its call in f's argument
+# cannot thread it.
+CALL_IN_AN_ARGUMENT = (
+    "struct s { int n; mutex_t m; }; struct s ga; mutex_t g1; int c; "
+    "struct s *get() { return &ga; } void f(struct s *p) { p->n = 1; } "
+    "void main() { pthread_mutex_lock(&g1); f(get()); c = c + 1; "
+    "pthread_mutex_unlock(&g1); }\n")
+
+
+def test_a_call_that_cannot_thread_its_guards_fails_full_not_analyze(tmp_path, capsys):
+    src = tmp_path / "p.mc"
+    src.write_text(CALL_IN_AN_ARGUMENT)
+    out = tmp_path / "p.gmc"
+    assert main(["full", str(src), "-o", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("%s:1: error: in main, call to get inside an expression "
+                            "cannot thread its guards\n" % src)
+    assert not out.exists()
+    assert main(["analyze", str(src)]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["function_map"]["get"]["entry_lock"] == ["g1"]
 
 
 RETURNS_EARLY = """\

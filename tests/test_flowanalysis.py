@@ -33,7 +33,7 @@ from lockshift.parser import parse
 from lockshift.pipeline import analyze_program, lock_sets
 from lockshift.propagation import collect_call_facts
 
-from corpus import completed, first_seeds
+from corpus import analyzed, first_seeds
 from helpers import FLOW_CASES, RING, locks, ring_program
 
 # The pinned programs the Top check reads: the fixtures, the flow cases and
@@ -262,7 +262,7 @@ def test_the_kept_facts_reproduce_every_flow_set(corpus):
     # --dump-flow solves each function again against the final facts; that
     # must give back the entry set, return set and held sets they keep.
     checked = 0
-    for name, run in completed(corpus):
+    for name, run in analyzed(corpus):
         graphs, _, flow = run.sets
         for fn in run.program.functions:
             f, g = flow[fn.name], graphs[fn.name]
@@ -413,7 +413,7 @@ def published_sets(run):
 def test_every_published_lock_set_is_a_frozenset(corpus):
     names = first_seeds(corpus, scc=SCC_PROGRAMS, gen=0, bench=0)
     converged = 0
-    for name, run in completed({name: corpus[name] for name in names}):
+    for name, run in analyzed({name: corpus[name] for name in names}):
         converged += 1
         kinds = {type(s) for s in published_sets(run)}
         assert kinds <= {frozenset}, name

@@ -416,7 +416,7 @@ TWO_LOCKS = "struct d { int n; };\nstruct s { mutex<d> m; };\nmutex<d> m;\nmutex
     (TWO_LOCKS + "guard<p.m> r(guard<q> h, struct s *p) { guard<p.m> k; drop(h); "
      "k = p.m.acquire(); return k; }\nstruct s x; struct s y;\n"
      "void f() { guard<x.m> g;\n g = r(&y); drop(g); }\n",
-     TypeCheckError, "guard g is for x.m, but r() returns a guard for y.m", 8),
+     TypeCheckError, "r() takes 2 arguments, got 1", 8),
 ], ids=["guard-of-an-int", "field-payload", "param-payload", "return-payload",
         "init-expression", "init-through-a-pointer", "guard-param", "guard-return",
         "acquire", "guard-deref-field", "get-mut-field", "plain-mutex-payload",
@@ -441,13 +441,58 @@ def test_guard_paths_map_through_the_callees_parameters():
     ("guard<q> h, struct s *p", "&x"),
     ("guard<q> h, struct s *p, struct s *a", "&x, &y"),
 ], ids=["one-argument", "two-arguments"])
-def test_a_call_without_guard_arguments_maps_its_returned_guard(params, args):
-    """A call may leave out the guard arguments; its arguments then line up
-    with the callee's other parameters, so p is x in both calls."""
-    parse_guarded(
-        TWO_LOCKS + "guard<p.m> r(%s) { guard<p.m> k; drop(h); k = p.m.acquire(); "
-        "return k; }\nstruct s x; struct s y;\n"
-        "void f() { guard<x.m> g;\n g = r(%s); drop(g); }\n" % (params, args))
+def test_a_call_without_guard_arguments_is_rejected(params, args):
+    """A call passes every guard its callee takes: without them, its
+    arguments match none of the callee's parameter lists."""
+    with pytest.raises(TypeCheckError) as exc:
+        parse_guarded(
+            TWO_LOCKS + "guard<p.m> r(%s) { guard<p.m> k; drop(h); k = p.m.acquire(); "
+            "return k; }\nstruct s x; struct s y;\n"
+            "void f() { guard<x.m> g;\n g = r(%s); drop(g); }\n" % (params, args))
+    n = params.count(",") + 1
+    assert (exc.value.message, exc.value.line) == (
+        "r() takes %d arguments, got %d" % (n, n - 1), 8)
+
+
+# r takes a guard for p.m and hands back (int, guard for p.m, guard for q);
+# r1 hands back a guard for q, and t two ints.
+RETURNS_TWO_GUARDS = (
+    TWO_LOCKS + "(int, guard<p.m>, guard<q>) r(struct s *p, guard<p.m> h) "
+    "{ guard<q> k; k = q.acquire(); return (1, h, k); } guard<q> r1() "
+    "{ guard<q> k; k = q.acquire(); return k; } (int, int) t() { return (1, 2); }\n"
+    "int n; struct s x;\nstruct s *get() { return &x; }\n"
+    "void f() { guard<x.m> g; guard<q> k; g = x.m.acquire();\n")
+
+
+@pytest.mark.parametrize("body, message", [
+    (" (n, g) = r(&x, g); drop(g); }\n", "r() returns 3 values, not 2"),
+    (" (n, g, k, g) = r(&x, g); drop(g); }\n", "r() returns 3 values, not 4"),
+    (" r(&x, g); }\n", "r() returns a guard for p.m, not a value"),
+    (" n = r(&x, g); }\n", "r() returns 3 values, not 1"),
+    (" n = 1 + r(&x, g); }\n", "r() returns 3 values, not 1"),
+    (" n = r1(); }\n", "r1() returns a guard for q, not a value"),
+    (" n = t(); }\n", "t() returns 2 values, not 1"),
+    (" (n, _, k) = r(&x, g); drop(k); }\n", "r() returns a guard for p.m, not a value"),
+    (" (g, n, k) = r(&x, g); drop(k); }\n", "r() returns a value, not guard g"),
+    (" (n, g, k) = r(&x, n); drop(g); drop(k); }\n", "r() takes a guard for p.m, not a value"),
+    (" (n, g, k) = r(g, g); drop(g); drop(k); }\n", "r() takes a value, not guard g"),
+    (" (n, g, k) = r(get(), g); drop(g); drop(k); }\n",
+     "r() takes a guard whose lock the call cannot name: argument for "
+     "parameter 'p' is not a place (lock path p.m)"),
+], ids=["short-target-list", "long-target-list", "bare-call-drops-returned-guards",
+        "assignment-drops-returned-guards", "call-in-an-expression",
+        "assignment-drops-the-returned-guard", "assignment-of-a-tuple",
+        "returned-guard-discarded", "guard-target-for-a-value", "value-for-a-guard",
+        "guard-for-a-value", "guard-path-through-a-non-place"])
+def test_a_call_has_one_guarded_shape(body, message):
+    """A call passes every guard its callee takes and receives every guard it
+    returns, each in its own slot."""
+    with pytest.raises(TypeCheckError) as exc:
+        parse_guarded(RETURNS_TWO_GUARDS + body)
+    assert (exc.value.message, exc.value.line) == (message, 9)
+    # The same call with every guard in its slot is accepted.
+    ok = RETURNS_TWO_GUARDS + " (n, g, k) = r(&x, g); drop(g); drop(k); }\n"
+    assert check(parse_guarded(ok)) == []
 
 
 def test_printer_preserves_statement_lines():

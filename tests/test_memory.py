@@ -26,13 +26,13 @@ from lockshift.flowanalysis import FunctionFlowFacts, stmt_effects
 from lockshift.parser import parse_guarded
 from lockshift.pipeline import AnalysisResult, analyze_program, lock_sets
 
-from corpus import completed, first_seeds, programs
+from corpus import analyzed, first_seeds, programs
 from helpers import FIXTURES, chain_program
 
 
 def test_flow_facts_keep_one_map_keyed_by_the_graph_nodes(corpus):
     checked = 0
-    for name, run in completed(corpus):
+    for name, run in analyzed(corpus):
         graphs, _, flow = run.sets
         for fn, facts in flow.items():
             maps = [getattr(facts, f.name) for f in dataclasses.fields(facts)
@@ -45,7 +45,7 @@ def test_flow_facts_keep_one_map_keyed_by_the_graph_nodes(corpus):
 
 def test_flow_facts_store_one_object_per_distinct_set(corpus):
     checked = 0
-    for name, run in completed(corpus):
+    for name, run in analyzed(corpus):
         for fn, facts in run.sets.flow.items():
             stored = list(facts.avail_in.values())
             objects = len({id(s) for s in stored})
@@ -82,7 +82,7 @@ def test_the_analysis_result_keeps_nothing_of_the_lock_set_phases(corpus):
     assert fields == ["program", "lock_summary", "verdicts", "diagnostics"]
     # The result is analyze_program's; the tuple is what run_pipeline returns.
     walked = 0
-    for name, run in completed(corpus):
+    for name, run in analyzed(corpus):
         reached = _reached_types((run.result, run.guarded, list(run.errors)))
         assert ast.Program in reached, name
         assert not reached & LOCK_SET_PHASE_TYPES, (name, reached & LOCK_SET_PHASE_TYPES)
@@ -94,7 +94,7 @@ def test_the_analysis_result_keeps_nothing_of_the_lock_set_phases(corpus):
 
 def test_a_call_that_renames_nothing_shares_its_callee_summary(corpus):
     shared = 0
-    for name, run in completed(corpus):
+    for name, run in analyzed(corpus):
         graphs, _, flow = run.sets
         for fn in run.program.functions:
             for s in graphs[fn.name].stmt_nodes:

@@ -2,7 +2,8 @@
 
 `fixtures/outputs.sha256` holds one line per program: the sha256 of its
 summary JSON, guarded text, checker errors and diagnostics, or of the error
-it raises. The programs are the fixtures and corpus, the flow cases, seeded
+it raises. A program the transformer refuses (`UnsupportedCall`) is pinned
+by its summary JSON, the refusal and its diagnostics. The programs are the fixtures and corpus, the flow cases, seeded
 `SccGen` and `ProgramGen` programs and small programs of every bench family;
 each guarded fixture is pinned by its checker errors and diagnostics. A
 change that alters any output fails here and names the programs it touched.
@@ -16,7 +17,12 @@ from __future__ import annotations
 
 import hashlib
 
-from lockshift.diagnostics import Diagnostics, IterationBudgetExceeded, LockshiftError
+from lockshift.diagnostics import (
+    Diagnostics,
+    IterationBudgetExceeded,
+    LockshiftError,
+    UnsupportedCall,
+)
 from lockshift.guardcheck import check
 from lockshift.parser import parse_guarded
 from lockshift.printer import print_guarded
@@ -31,8 +37,12 @@ def _digest(parts: list[str]) -> str:
     return hashlib.sha256("\0".join(parts).encode()).hexdigest()
 
 
+def _error_parts(exc: LockshiftError) -> list[str]:
+    return ["error", type(exc).__name__, str(exc)]
+
+
 def _error_digest(exc: LockshiftError) -> str:
-    return _digest(["error", type(exc).__name__, str(exc)])
+    return _digest(_error_parts(exc))
 
 
 def _errors_and_diags(error_texts, diagnostics) -> list[str]:
@@ -40,10 +50,13 @@ def _errors_and_diags(error_texts, diagnostics) -> list[str]:
 
 
 def program_digest(run: PinnedRun) -> str:
-    if run.error is not None:
+    if run.error is None:
+        return _digest([run.summary, run.printed]
+                       + _errors_and_diags(run.error_texts, run.diagnostics))
+    if run.result is None:
         return _error_digest(run.error)
-    return _digest([run.summary, run.printed]
-                   + _errors_and_diags(run.error_texts, run.diagnostics))
+    # The transformer refused the program: its analysis is pinned too.
+    return _digest([run.summary, *_error_parts(run.error), "diagnostics", *run.diagnostics])
 
 
 def guarded_digest(text: str) -> str:
@@ -79,25 +92,22 @@ def test_every_output_matches_its_pinned_digest(corpus):
     assert changed == []
 
 
-# The printed outputs that do not parse back: each has a call to which the
-# transformer passes only some of its callee's guards (ROADMAP item 1).
-UNPARSABLE = {"scc/19", "scc/40", "scc/62"}
-
-
 def test_every_printed_output_prints_back_unchanged(corpus):
-    unparsable, exhausted, held = set(), 0, 0
+    """The written program is the checked program: every printed output
+    parses back, prints back the same and gets the same verdict."""
+    refused, exhausted, held = 0, 0, 0
     for name, run in corpus.items():
         if isinstance(run.error, IterationBudgetExceeded):
             exhausted += 1
             continue
-        assert run.error is None, name
-        if run.reparse_error is not None:
-            unparsable.add(name)
+        if isinstance(run.error, UnsupportedCall):
+            refused += 1
             continue
+        assert run.error is None and run.reparse_error is None, name
         assert print_guarded(run.reparsed) == run.printed, name
+        assert check(run.reparsed) == list(run.errors), name
         held += 1
-    assert unparsable == UNPARSABLE
-    assert (held, exhausted) == (308, 15)
+    assert (held, refused, exhausted) == (189, 122, 15)
 
 
 if __name__ == "__main__":

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from lockshift.ast import LockPath, path_of
-from lockshift.diagnostics import SchemaError
+from lockshift.diagnostics import SchemaError, UnsupportedCall
 from lockshift.parser import parse
 from lockshift.pipeline import analyze_program
 from lockshift.printer import print_guarded
@@ -18,7 +18,7 @@ from lockshift.summary import (
 )
 from lockshift.transform import transform
 
-from corpus import completed
+from corpus import analyzed
 from helpers import fixture_text, locks
 
 
@@ -240,10 +240,16 @@ def test_analysis_summary_serializes_to_the_golden_file():
 
 def test_the_summary_json_round_trip_gives_the_same_guarded_program(corpus):
     """The transformer takes the summary as input: read back from its JSON,
-    the analysis's summary yields the same printed program."""
+    the analysis's summary yields the same printed program, or the same
+    refusal."""
     checked = 0
-    for name, run in completed(corpus):
+    for name, run in analyzed(corpus):
         summary = read_summary(run.summary)
-        assert print_guarded(transform(run.result.program, summary)) == run.printed, name
+        if run.error is None:
+            assert print_guarded(transform(run.result.program, summary)) == run.printed, name
+        else:
+            with pytest.raises(UnsupportedCall) as exc:
+                transform(run.result.program, summary)
+            assert str(exc.value) == str(run.error), name
         checked += 1
     assert checked == 311

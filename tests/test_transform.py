@@ -3,15 +3,10 @@
 import pytest
 
 from lockshift.ast import LockPath
-from lockshift.diagnostics import (
-    Diagnostic,
-    Diagnostics,
-    SummaryMismatch,
-    TypeCheckError,
-)
+from lockshift.diagnostics import SummaryMismatch, UnsupportedCall
 from lockshift.guardcheck import check
 from lockshift.parser import parse, parse_guarded
-from lockshift.pipeline import run_pipeline
+from lockshift.pipeline import analyze_program, run_pipeline
 from lockshift.printer import print_guarded, print_source
 from lockshift.summary import read_summary
 from lockshift.transform import access_multiset, guard_name_for, transform
@@ -199,22 +194,29 @@ def test_summaries_for_some_other_program_are_refused():
 
 
 # Recursive programs that pass the non-place `get()` where a lock path runs
-# through a parameter: the transformer cannot name that guard in the caller.
-# A dropped guard argument leaves a call whose argument count matches
-# neither of the callee's signatures, so the guarded text does not parse.
-@pytest.mark.parametrize("seed, warning", [
-    pytest.param(
-        40, Diagnostic("guard argument dropped at call to f3: argument for parameter "
-                       "'p' is not a place (lock path p.w)", "f2", 24),
-        marks=pytest.mark.xfail(raises=TypeCheckError, strict=True,
-                                reason="f3() takes 3 arguments, got 4")),
-    (89, Diagnostic("returned guard dropped at call to f0: argument for parameter "
-                    "'p' is not a place (lock path p.m)", "main", 27)),
-    (49, Diagnostic("call to get inside an expression cannot thread guards; "
-                    "left unchanged", "worker", 20)),
+# through a parameter, so the caller cannot name that guard, or that call a
+# function with guards inside an expression. The transformer refuses them
+# and names the caller, the callee and the line; the analysis still runs.
+@pytest.mark.parametrize("seed, message, line", [
+    (40, "in f2, call to f3 cannot pass the guard for p.w: argument for "
+         "parameter 'p' is not a place (lock path p.w)", 24),
+    (5, "in f0, call to f1 cannot receive the guard for p.m: argument for "
+        "parameter 'p' is not a place (lock path p.m)", 15),
+    (49, "in worker, call to get inside an expression cannot thread its guards", 20),
 ], ids=["guard-argument", "returned-guard", "inside-an-expression"])
-def test_guards_a_call_cannot_thread_are_reported(seed, warning):
-    diags = Diagnostics()
-    _, guarded, _ = run_pipeline(SccGen(seed).program(), diags=diags)
-    assert warning in diags.entries
-    parse_guarded(print_guarded(guarded))
+def test_guards_a_call_cannot_thread_are_reported(seed, message, line):
+    result = analyze_program(SccGen(seed).program())
+    with pytest.raises(UnsupportedCall) as exc:
+        transform(result.program, result.lock_summary)
+    assert (exc.value.message, exc.value.line) == (message, line)
+
+
+def test_a_global_initializer_cannot_thread_guards():
+    # f releases m, so it takes m's guard, which no initializer can pass.
+    result = analyze_program("mutex_t m;\nint f() { pthread_mutex_unlock(&m); return 0; }\n"
+                             "int x = f();\nvoid main() { }\n")
+    assert result.lock_summary.function("f").entry_lock == {LockPath(("m",))}
+    with pytest.raises(UnsupportedCall) as exc:
+        transform(result.program, result.lock_summary)
+    assert (exc.value.message, exc.value.line) == (
+        "in x, call to f inside an expression cannot thread its guards", 3)
