@@ -180,10 +180,9 @@ def _print_errors(errors, path: str) -> None:
         print("%s:%d: %s: %s in %s" % (path, e.line, e.kind, e.guard, e.function))
 
 
-def _run(args) -> int:
+def _run(args, diags: Diagnostics) -> int:
     phases = _Phases(args.timings)
     text = _read_text(args.input)
-    diags = Diagnostics()
 
     if args.mode == "check":
         guarded = phases.run("parse", lambda: parse_guarded(text))
@@ -240,12 +239,16 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "iteration_budget", 1) < 1:
         print("error: --iteration-budget must be at least 1", file=sys.stderr)
         return 1
+    diags = Diagnostics()
     try:
-        return _run(args)
+        return _run(args, diags)
     except UndecodableInput as exc:
         print("%s: error: %s" % (exc.file, exc), file=sys.stderr)
         return 1
     except LockshiftError as exc:
+        # The warnings gathered before a failure, such as a refusal, often
+        # explain it; none were printed yet.
+        _print_diagnostics(diags, args.input)
         if isinstance(exc, SourceError):
             where = "%d:%d" % (exc.line, exc.col) if exc.col else "%d" % exc.line
             print("%s:%s: error: %s" % (args.input, where, exc.message),

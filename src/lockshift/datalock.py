@@ -17,7 +17,7 @@ from .ast import INIT_FN, FieldAccess, LockPath, Program, data_accesses, functio
 from .callgraph import CallGraph, thread_entries
 from .cfg import FlowGraph
 from .diagnostics import Diagnostics
-from .flowanalysis import FunctionFlowFacts, join, minus
+from .flowanalysis import FunctionFlowFacts, held_set, propagated_set
 from .summary import FunctionSummary
 
 
@@ -42,16 +42,14 @@ class ProtectionVerdict:
 def collect_accesses(program: Program, flow: dict[str, FunctionFlowFacts],
                      summaries: dict[str, FunctionSummary],
                      graphs: dict[str, FlowGraph]) -> list[AccessRecord]:
-    """All data accesses with the locks surely held at each one: those held
-    at the statement, plus the propagated set PLS = ELS - MELS."""
+    """All data accesses with the locks surely held at each one (held_set:
+    those held at the statement, plus the propagated set PLS)."""
     records: list[AccessRecord] = []
     for fn in program.functions:
-        g = graphs[fn.name]
         facts = flow[fn.name]
-        avail_in = facts.avail_in
-        pls = minus(summaries[fn.name].entry_lock, facts.mels)
-        for node in g.stmt_nodes:
-            held = join(avail_in[node], pls)
+        pls = propagated_set(summaries[fn.name].entry_lock, facts.mels)
+        for node in graphs[fn.name].stmt_nodes:
+            held = held_set(facts.avail_in[node], pls)
             for kind, e, datum in data_accesses(node):
                 struct = e.owner if isinstance(e, FieldAccess) else None
                 records.append(AccessRecord(fn.name, node.line, held, datum, struct, kind))

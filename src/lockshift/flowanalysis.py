@@ -31,6 +31,10 @@ Lock sets are shared values. join, meet and minus return an operand whenever
 the result equals it, and a callee summary that renaming leaves unchanged is
 the callee's own set, so most steps allocate nothing, and each
 analyze_function call stores one object per distinct set in avail_in.
+
+The rules that later phases apply to these sets are stated once, here:
+propagated_set and held_set combine the facts with a function's entry lock
+set, and rename_set renames a set across a call in either direction.
 """
 from __future__ import annotations
 
@@ -57,7 +61,7 @@ from .diagnostics import Diagnostics, IterationBudgetExceeded
 # it seeds the avail pass, the SCC sweep's MRLS and propagate's ELS, and these
 # three operators are the only ones that have to handle it. Each returns one
 # of its operands whenever the result equals it, so equal sets stay one
-# object; _EMPTY is the one empty set they start from.
+# object; _EMPTY is the one empty set they start from and minus returns.
 
 _EMPTY: frozenset[LockPath] = frozenset()
 
@@ -94,25 +98,45 @@ def minus(a: frozenset[LockPath] | None,
         return _EMPTY
     if a is None or a.isdisjoint(b):
         return a
-    return a - b
+    return a - b or _EMPTY
 
 
-def _to_caller_set(paths: frozenset[LockPath] | None, params, call: Call,
-                   diags: Diagnostics | None, function: str | None,
-                   line: int) -> frozenset[LockPath] | None:
-    """The callee's paths as the caller names them at call. A path whose
-    argument is not a place is dropped with a warning, in path order.
-    paths itself when the result equals it."""
+def propagated_set(entry: frozenset[LockPath] | None,
+                   mels: frozenset[LockPath]) -> frozenset[LockPath] | None:
+    """PLS = ELS - MELS, the entry locks a function passes through untouched."""
+    return minus(entry, mels)
+
+
+def held_set(avail: frozenset[LockPath] | None,
+             pls: frozenset[LockPath] | None) -> frozenset[LockPath] | None:
+    """avail_in + PLS, the locks surely held before a statement; RLS for MRLS."""
+    return join(avail, pls)
+
+
+def rename_set(paths: frozenset[LockPath] | None, rename, params, call: Call,
+               bound, why, diags: Diagnostics | None, function: str | None,
+               line: int) -> frozenset[LockPath] | None:
+    """paths renamed across call by rename(p, params, call), the binding
+    ast.to_caller or ast.to_callee. A path rename cannot name keeps its name
+    unless its root is in bound; then it is dropped with the warning
+    why(p, call), in path order. paths itself when the result equals it;
+    Top stays Top."""
     if paths is None:
         return None
     out = set()
     for p in sorted(paths):
-        q = to_caller(p, params, call)
+        q = rename(p, params, call)
         if q is not None:
             out.add(q)
+        elif p.root not in bound:
+            out.add(p)
         elif diags is not None:
-            diags.warn(not_a_place(p), function=function, line=line)
+            diags.warn(why(p, call), function=function, line=line)
     return paths if out == paths else frozenset(out)
+
+
+def _not_a_place(p: LockPath, call: Call) -> str:
+    return not_a_place(p)
 
 
 @dataclass
@@ -142,8 +166,9 @@ def _call_effect(call: Call, callee_facts: Mapping[str, FunctionFlowFacts],
     facts = callee_facts.get(call.name)
     if facts is None:
         return None
-    return (_to_caller_set(facts.mels, facts.params, call, diags, fn_name, line),
-            _to_caller_set(facts.mrls, facts.params, call, diags, fn_name, line))
+    p = facts.params  # to_caller names every path but a parameter's
+    return (rename_set(facts.mels, to_caller, p, call, p, _not_a_place, diags, fn_name, line),
+            rename_set(facts.mrls, to_caller, p, call, p, _not_a_place, diags, fn_name, line))
 
 
 def stmt_effects(s: Stmt, callee_facts: Mapping[str, FunctionFlowFacts],
@@ -240,10 +265,8 @@ def analyze_scc(fns: list[FunctionDef], graphs: dict[str, FlowGraph],
     convergence, after any no-base-case warnings, so a warning about a
     summary that later changed is never reported.
     """
-    current: dict[str, FunctionFlowFacts] = {}
-    for fn in fns:
-        seed = FunctionFlowFacts(fn.name, tuple(fn.param_names), mrls=None)
-        current[fn.name] = seed
+    current = {fn.name: FunctionFlowFacts(fn.name, tuple(fn.param_names), mrls=None)
+               for fn in fns}
     env = ChainMap(current, outer_facts)
     callers: dict[str, list[str]] = {fn.name: [] for fn in fns}
     for fn in fns:

@@ -501,21 +501,14 @@ class _Parser:
     def parse_unary(self) -> Expr:
         t = self.pos
         value = self.values[t]
-        if value == "&":
+        if value == "&" or value == "*":
             self.pos = t + 1
             self.nest(t)
-            mut = self.accept("mut")
+            mut = value == "&" and self.accept("mut")
             e = self.parse_unary()
             self.depth -= 1
             self.height += 1
-            return AddrOf(e, mut)
-        if value == "*":
-            self.pos = t + 1
-            self.nest(t)
-            e = self.parse_unary()
-            self.depth -= 1
-            self.height += 1
-            return Deref(e)
+            return AddrOf(e, mut) if value == "&" else Deref(e)
         return self.parse_postfix()
 
     def parse_postfix(self) -> Expr:
@@ -625,7 +618,7 @@ class _Resolver:
         # calls of the statement being resolved, in evaluation order
         self.calls: list[Call] = []
 
-    def run(self) -> None:
+    def run(self) -> Program:
         p = self.program
         for s in p.structs:
             if s.name in self.structs:
@@ -652,6 +645,7 @@ class _Resolver:
             self.take_calls(g)
         for f in p.functions:
             self.resolve_function(f)
+        return p
 
     def check_type(self, ty: Type, line: int) -> None:
         if ty.kind == "struct" and ty.name not in self.structs:
@@ -843,9 +837,7 @@ class _Resolver:
         raise TypeCheckError("unexpected expression form", self.line)
 
     def place_type(self, e: Expr) -> Type | None:
-        if isinstance(e, Var):
-            return e.ty
-        if isinstance(e, FieldAccess):
+        if isinstance(e, (Var, FieldAccess)):
             return e.ty
         if isinstance(e, Deref):
             inner = self.place_type(e.expr)
@@ -951,14 +943,10 @@ class _Resolver:
 @gc_paused
 def parse(source: str) -> Program:
     """Parse and resolve a plain-dialect program."""
-    program = _Parser(tokenize(source), guarded=False).parse_program()
-    _Resolver(program).run()
-    return program
+    return _Resolver(_Parser(tokenize(source), guarded=False).parse_program()).run()
 
 
 @gc_paused
 def parse_guarded(source: str) -> Program:
     """Parse and resolve a guarded-dialect program."""
-    program = _Parser(tokenize(source), guarded=True).parse_program()
-    _Resolver(program).run()
-    return program
+    return _Resolver(_Parser(tokenize(source), guarded=True).parse_program()).run()

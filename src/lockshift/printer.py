@@ -64,10 +64,8 @@ def type_text(ty: Type) -> str:
 
 
 def decl_text(ty: Type, name: str) -> str:
-    if ty.ptr:
-        base = type_text(Type(ty.kind, ty.name, ty.path, 0))
-        return "%s %s%s" % (base, "*" * ty.ptr, name)
-    return "%s %s" % (type_text(ty), name)
+    text = type_text(ty)  # the stars go with the name: int *p
+    return "%s %s%s" % (text[:len(text) - ty.ptr], "*" * ty.ptr, name)
 
 
 def expr_text(e: Expr, min_prec: int = 0) -> str:
@@ -80,9 +78,7 @@ def expr_text(e: Expr, min_prec: int = 0) -> str:
 def _expr(e: Expr) -> tuple[str, int]:
     if isinstance(e, IntLit):
         return str(e.value), _PREC_PRIMARY
-    if isinstance(e, Var):
-        return e.name, _PREC_PRIMARY
-    if isinstance(e, GuardRef):
+    if isinstance(e, (Var, GuardRef)):
         return e.name, _PREC_PRIMARY
     if isinstance(e, FieldAccess):
         if e.arrow:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .ast import Call, LockPath, Program, to_callee
 from .cfg import FlowGraph, solve
 from .diagnostics import Diagnostics
-from .flowanalysis import FunctionFlowFacts, join, meet, minus
+from .flowanalysis import FunctionFlowFacts, held_set, meet, propagated_set, rename_set
 from .summary import FunctionSummary
 
 
@@ -24,7 +24,6 @@ class CallSiteFact:
     """One syntactic call: who calls whom, with what surely held there."""
 
     caller: str
-    callee: str
     available: frozenset[LockPath]
     call: Call
     line: int
@@ -41,32 +40,13 @@ def collect_call_facts(program: Program, flow: dict[str, FunctionFlowFacts],
         for node in g.stmt_nodes:
             for call in node.calls:
                 if call.name in defined:
-                    facts.append(CallSiteFact(
-                        fn.name, call.name, avail_in[node], call, node.line))
+                    facts.append(CallSiteFact(fn.name, avail_in[node], call, node.line))
     return facts
 
 
-def _to_callee_set(paths: frozenset[LockPath] | None, params,
-                   site: CallSiteFact, caller_params: tuple[str, ...],
-                   diags: Diagnostics | None) -> frozenset[LockPath] | None:
-    """The caller's held paths as the callee names them at site. A path
-    that no argument prefixes keeps its name, unless it is rooted at a
-    caller parameter: the callee cannot name it, so it is dropped with a
-    warning, in path order. paths itself when the result equals it."""
-    if paths is None:
-        return None
-    kept = set()
-    for p in sorted(paths):
-        q = to_callee(p, params, site.call)
-        if q is None and p.root in caller_params:
-            if diags is not None:
-                diags.warn(
-                    "held lock %s has no parameter image at call to %s; "
-                    "not propagated" % (p.text, site.callee),
-                    function=site.caller, line=site.line)
-            continue
-        kept.add(p if q is None else q)
-    return paths if kept == paths else frozenset(kept)
+def _no_image(p: LockPath, call: Call) -> str:
+    return ("held lock %s has no parameter image at call to %s; "
+            "not propagated" % (p.text, call.name))
 
 
 def propagate(program: Program, flow: dict[str, FunctionFlowFacts],
@@ -77,7 +57,8 @@ def propagate(program: Program, flow: dict[str, FunctionFlowFacts],
 
     Caller-less functions start at ELS = MELS; everything else starts at Top
     (None) and shrinks monotonically as callers settle; the worklist
-    visits callers first (_callers_first). Functions reachable
+    visits callers first (_callers_first). A call site hands down what the
+    caller surely holds there, held_set(avail_in, PLS). Functions reachable
     only from call cycles with no root keep Top forever; they are clamped to
     their own MELS with a diagnostic.
     """
@@ -85,20 +66,26 @@ def propagate(program: Program, flow: dict[str, FunctionFlowFacts],
     # each caller's distinct callees, in first-call order
     callees_of: dict[str, dict[str, None]] = defaultdict(dict)
     for fact in collect_call_facts(program, flow, graphs):
-        by_callee[fact.callee].append(fact)
-        callees_of[fact.caller][fact.callee] = None
-    params_of = {f.name: tuple(f.param_names) for f in program.functions}
+        by_callee[fact.call.name].append(fact)
+        callees_of[fact.caller][fact.call.name] = None
 
+    # ELS and PLS per function, in program order.
     els: dict[str, frozenset[LockPath] | None] = {}
+    pls: dict[str, frozenset[LockPath] | None] = {}
     for fn in program.functions:
-        els[fn.name] = None if by_callee.get(fn.name) else flow[fn.name].mels
+        mels = flow[fn.name].mels
+        els[fn.name] = None if by_callee.get(fn.name) else mels
+        pls[fn.name] = propagated_set(els[fn.name], mels)
 
     def prop_into(callee: str, report: Diagnostics | None) -> frozenset[LockPath] | None:
+        params = flow[callee].params
         result = None
         for s in by_callee[callee]:
-            held = join(s.available, els[s.caller])
-            renamed = _to_callee_set(held, params_of[callee], s,
-                                     params_of[s.caller], report)
+            # A held path no argument carries keeps its name, unless it is
+            # rooted at a parameter of the caller.
+            renamed = rename_set(held_set(s.available, pls[s.caller]), to_callee, params,
+                                 s.call, flow[s.caller].params, _no_image, report,
+                                 s.caller, s.line)
             result = meet(result, renamed)
         return result
 
@@ -107,21 +94,22 @@ def propagate(program: Program, flow: dict[str, FunctionFlowFacts],
         if new == els[name]:
             return ()
         els[name] = new
+        pls[name] = propagated_set(new, flow[name].mels)
         return callees_of[name]
 
-    solve([name for name in _callers_first(params_of, callees_of)
+    solve([name for name in _callers_first(els, callees_of)
            if by_callee.get(name)], els_step)
 
     # Report drops once, after convergence.
     if diags is not None:
-        for name in params_of:
+        for name in els:
             if by_callee.get(name) and els[name] is not None:
                 prop_into(name, diags)
 
     summaries: dict[str, FunctionSummary] = {}
     for fn in program.functions:
         facts = flow[fn.name]
-        entry = els[fn.name]
+        entry, fn_pls = els[fn.name], pls[fn.name]
         if entry is None:
             entry = facts.mels
             if diags is not None:
@@ -129,9 +117,10 @@ def propagate(program: Program, flow: dict[str, FunctionFlowFacts],
                     "entry lock set of %s is unconstrained (callers form a "
                     "dead cycle); using its own released set" % fn.name,
                     function=fn.name)
-        pls = minus(entry, facts.mels)
+            fn_pls = propagated_set(entry, facts.mels)
         summaries[fn.name] = FunctionSummary(
-            entry, join(facts.mrls, pls), _lock_lines(graphs[fn.name], facts, pls))
+            entry, held_set(facts.mrls, fn_pls),
+            _lock_lines(graphs[fn.name], facts, fn_pls))
     return summaries
 
 
@@ -165,6 +154,6 @@ def _lock_lines(g: FlowGraph, facts: FunctionFlowFacts,
                 pls: frozenset[LockPath]) -> dict[LockPath, frozenset[int]]:
     lines: dict[LockPath, set[int]] = defaultdict(set)
     for node in g.stmt_nodes:
-        for p in join(facts.avail_in[node], pls):
+        for p in held_set(facts.avail_in[node], pls):
             lines[p].add(node.line)
     return {p: frozenset(ls) for p, ls in lines.items()}

@@ -158,6 +158,7 @@ class _Transformer:
             else:
                 self.entry_paths[fn.name] = sorted(fs.entry_lock)
                 self.ret_paths[fn.name] = sorted(fs.return_lock)
+        self._lock_line: dict = {}  # none is held in a global initializer
         self.reserved = ({g.name for g in p.globals}
                          | {f.name for f in p.functions}
                          | {sd.name for sd in p.structs})
@@ -184,7 +185,7 @@ class _Transformer:
             payload = self._fresh_struct_name(lock + "Data", taken)
             fields = [FieldDecl(d.ty, d.name) for d in datums]
             global_payloads.append(StructDef(payload, fields, datums[0].line))
-            inits = [(d.name, d.init if d.init is not None else IntLit(0))
+            inits = [(d.name, IntLit(0) if d.init is None else self._rewrite_expr(d.init, d.line))
                      for d in datums]
             locks.append(GlobalDecl(Type("lock", payload), lock, PayloadInit(payload, inits),
                                     self.p.global_decl(lock).line))
@@ -192,7 +193,9 @@ class _Transformer:
         # Lock globals follow the others: the printer orders declarations
         # that share a line by their place in the list.
         removed = set(self.s.global_lock_map) | set(by_lock)
-        self.globals_out = [g for g in self.p.globals if g.name not in removed] + locks
+        self.globals_out = [g if g.init is None else GlobalDecl(
+            g.ty, g.name, self._rewrite_expr(g.init, g.line), g.line)
+            for g in self.p.globals if g.name not in removed] + locks
 
         self.structs_out: list[StructDef] = global_payloads
         for sd in self.p.structs:

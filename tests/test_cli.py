@@ -605,6 +605,20 @@ def test_a_call_that_cannot_thread_its_guards_fails_full_not_analyze(tmp_path, c
     assert summary["function_map"]["get"]["entry_lock"] == ["g1"]
 
 
+def test_a_refused_program_reports_the_analysis_warnings_first(tmp_path, capsys):
+    src = tmp_path / "p.mc"
+    src.write_text(CALL_IN_AN_ARGUMENT + "void h() { return; c = 2; }\n")
+    assert main(["analyze", str(src)]) == 0
+    warnings = capsys.readouterr().err
+    assert warnings == ("%s: warning: unreachable statement removed from flow "
+                        "graph (h, line 2)\n" % src)
+    for mode in ("transform", "full"):
+        assert main([mode, str(src)]) == 1
+        assert capsys.readouterr().err == warnings + (
+            "%s:1: error: in main, call to get inside an expression cannot "
+            "thread its guards\n" % src)
+
+
 RETURNS_EARLY = """\
 int n;
 mutex_t m;

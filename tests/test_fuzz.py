@@ -5,6 +5,8 @@ for it, is mutated a few tokens at a time: deletions, duplications and swaps.
 Whatever a mutant is, the pipeline and the checker may reject it only with a
 LockshiftError, never with any other exception. The outcome of every mutant,
 each error's type, message and position included, is pinned by one digest.
+A plain mutant the pipeline completes must print a guarded program that
+parses back and gets the same checker errors.
 """
 from __future__ import annotations
 
@@ -16,6 +18,7 @@ from lockshift.guardcheck import check
 from lockshift.lexer import tokenize
 from lockshift.parser import parse_guarded
 from lockshift.pipeline import run_pipeline
+from lockshift.printer import print_guarded
 
 from helpers import FIXTURES
 
@@ -55,8 +58,10 @@ def mutate(tokens: list[tuple[int, str]], rng: random.Random) -> str:
     return "".join(out) + "\n"
 
 
-def analyze_and_check(source: str) -> None:
-    run_pipeline(source, BUDGET)
+def analyze_and_check(source: str):
+    """The guarded program and its checker errors."""
+    _, guarded, errors = run_pipeline(source, BUDGET)
+    return guarded, errors
 
 
 def parse_and_check(source: str) -> None:
@@ -76,6 +81,7 @@ def test_mutants_fail_only_with_lockshift_errors(corpus):
     plain, guarded = sources(corpus)
     escapes = []
     outcomes = []
+    survivors = []  # (guarded program, checker errors) of completed plain mutants
     tried = 0
     for run, corpus in ((analyze_and_check, plain), (parse_and_check, guarded)):
         for source in corpus:
@@ -84,8 +90,10 @@ def test_mutants_fail_only_with_lockshift_errors(corpus):
                 mutant = mutate(tokens, rng)
                 tried += 1
                 try:
-                    run(mutant)
+                    survived = run(mutant)
                     outcomes.append("ok")
+                    if survived is not None:
+                        survivors.append(survived)
                 except LockshiftError as exc:
                     outcomes.append("%s|%s|%s|%s" % (
                         type(exc).__name__, getattr(exc, "message", exc),
@@ -97,3 +105,7 @@ def test_mutants_fail_only_with_lockshift_errors(corpus):
     assert not escapes, "%d escapes, first:\n%s" % (len(escapes), escapes[0])
     digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
     assert digest == OUTCOMES_SHA256
+    assert len(survivors) == 30
+    for guarded, errors in survivors:
+        reparsed = parse_guarded(print_guarded(guarded))
+        assert check(reparsed) == errors

@@ -132,3 +132,11 @@ def test_argument_places_are_taken_only_by_the_resolver():
     canonicalizes an argument again."""
     uses = _uses_outside("place_path", {"ast.py", "parser.py"})
     assert not uses, "place_path outside ast.py and parser.py:\n" + "\n".join(uses)
+
+
+def test_the_held_set_rules_have_one_home():
+    """PLS = ELS - MELS and the held set avail_in + PLS are stated once, in
+    flowanalysis (propagated_set, held_set); no other module takes a
+    lock-set difference of its own."""
+    uses = _uses_outside("minus", {"flowanalysis.py"})
+    assert not uses, "minus outside flowanalysis.py:\n" + "\n".join(uses)

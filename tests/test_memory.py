@@ -204,14 +204,16 @@ ACYCLIC = {
 @pytest.mark.parametrize("name", ACYCLIC)
 def test_each_call_site_is_renamed_at_most_twice(name, monkeypatch):
     calls = 0
-    real = propagation._to_callee_set
+    real = propagation.rename_set
 
     def counted(*args, **kwargs):
         nonlocal calls
         calls += 1
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(propagation, "_to_callee_set", counted)
+    # Only propagation's renamings, into callees: flowanalysis's
+    # renamings into callers go through its own binding of rename_set.
+    monkeypatch.setattr(propagation, "rename_set", counted)
     result = analyze_program(ACYCLIC[name])
     graphs, cg, flow = lock_sets(result.program)
     assert not any(cg.is_recursive_scc(i) for i in range(len(cg.merged_nodes)))

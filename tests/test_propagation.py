@@ -3,13 +3,15 @@ from __future__ import annotations
 
 import time
 
+from lockshift.ast import to_callee
 from lockshift.callgraph import build_call_graph
 from lockshift.cfg import build_cfg
 from lockshift.flowanalysis import analyze_program_flow
 from lockshift.parser import parse
-from lockshift.pipeline import analyze_program, lock_sets
+from lockshift.pipeline import analyze_program, lock_sets, run_pipeline
 from lockshift.propagation import propagate
 
+from corpus import analyzed
 from helpers import CALLER_PROVIDES, fixture_text, locks
 
 
@@ -108,6 +110,56 @@ def test_dead_cycle_is_clamped_to_own_released_set():
     assert entry - lock_sets(result.program).flow["a"].mels == frozenset()
     clamped = [d for d in result.diagnostics if "dead cycle" in d.message]
     assert {d.function for d in clamped} == {"a", "b"}
+
+
+def test_a_lock_the_caller_released_is_not_handed_down():
+    # main holds m at its call to f, and f releases m before it calls g:
+    # m is in f's entry set but not held at g's call site.
+    source = (
+        "mutex_t m; int n; thread_t t; void g() { n = 1; } "
+        "void f() { pthread_mutex_unlock(&m); g(); } "
+        "void w() { pthread_mutex_lock(&m); n = 2; pthread_mutex_unlock(&m); } "
+        "void main() { pthread_create(&t, w); pthread_mutex_lock(&m); f(); }\n")
+    result, _, errors = run_pipeline(source)
+    assert result.lock_summary.function("f").entry_lock == locks("m")
+    assert result.lock_summary.function("g").entry_lock == frozenset()
+    assert errors == []
+
+
+def test_every_entry_set_is_held_at_each_of_its_call_sites(corpus):
+    """At every call site, the locks the caller surely holds there
+    (avail_in + ELS - MELS), named as the callee names them, cover the
+    callee's entry set. A held path that no argument carries keeps its
+    name, unless it is rooted at a caller parameter. Functions whose entry
+    set was clamped at a dead cycle are skipped."""
+    checked = 0
+    for name, run in analyzed(corpus):
+        graphs, _, flow = run.sets
+        summary = run.result.lock_summary
+        clamped = {d.function for d in run.result.diagnostics
+                   if "dead cycle" in d.message}
+        params = {fn.name: fn.param_names for fn in run.program.functions}
+        for caller in params:
+            if caller in clamped:
+                continue
+            facts = flow[caller]
+            pls = summary.function(caller).entry_lock - facts.mels
+            for node in graphs[caller].stmt_nodes:
+                held = facts.avail_in[node] | pls
+                for call in node.calls:
+                    if call.name not in params or call.name in clamped:
+                        continue
+                    image = set()
+                    for p in held:
+                        q = to_callee(p, params[call.name], call)
+                        if q is not None:
+                            image.add(q)
+                        elif p.root not in params[caller]:
+                            image.add(p)
+                    entry = summary.function(call.name).entry_lock
+                    assert entry <= image, (name, caller, call.name, node.line)
+                    checked += 1
+    assert checked > 1000, checked
 
 
 def test_global_locks_survive_propagation_without_arguments():

@@ -220,3 +220,23 @@ def test_a_global_initializer_cannot_thread_guards():
         transform(result.program, result.lock_summary)
     assert (exc.value.message, exc.value.line) == (
         "in x, call to f inside an expression cannot thread its guards", 3)
+
+
+def test_global_initializers_read_protected_data_through_get_mut():
+    # n and y move into m, z into ga.k; the initializers that read them
+    # run before any thread, with no lock held.
+    source = (
+        "mutex_t m; int n = 3; int y = n + 1; int x = n;\n"
+        "struct s { int a; mutex_t k; }; struct s ga; int z = ga.a;\n"
+        "thread_t t;\n"
+        "void w() { pthread_mutex_lock(&m); n = 1; y = 2; pthread_mutex_unlock(&m);\n"
+        "  pthread_mutex_lock(&ga.k); ga.a = 1; pthread_mutex_unlock(&ga.k); }\n"
+        "void main() { pthread_create(&t, w); }\n")
+    _, guarded, errors, text = pipeline_text(source)
+    assert errors == []
+    for line in ("int x = m.get_mut().n;", "int z = ga.k.get_mut().a;",
+                 "mutex<mData> m = mData { n = 3, y = m.get_mut().n + 1 };"):
+        assert line in text
+    reparsed = parse_guarded(text)
+    assert print_guarded(reparsed) == text
+    assert check(reparsed) == []
