@@ -37,7 +37,7 @@ from .summary import (
     validate_against_program,
     write_summary,
 )
-from .transform import access_multiset, transform
+from .transform import transform
 
 __version__ = "0.1.0"
 
@@ -59,7 +59,6 @@ __all__ = [
     "SourceError",
     "SummaryMismatch",
     "UnsupportedCall",
-    "access_multiset",
     "analyze_function",
     "analyze_program",
     "analyze_program_flow",

@@ -1,9 +1,10 @@
 """Call graph construction and SCC condensation.
 
 Edges only target user-defined callees; the four pthread API names are library
-functions, and the function passed to pthread_create seeds the thread-entry set
-instead of adding an edge. The condensation is emitted in post-order (callees
-before callers), which the lock-set analysis consumes directly.
+functions and add none, so the function passed to pthread_create gets no edge
+(thread_entries() finds the entry points by walking the calls again). The
+condensation is emitted in post-order (callees before callers), which the
+lock-set analysis consumes directly.
 """
 from __future__ import annotations
 

@@ -128,7 +128,9 @@ def _callers_first(names, callees_of: dict[str, dict[str, None]]) -> list[str]:
     """names in reverse DFS postorder over the call graph, so that outside
     call cycles every caller comes before its callees. ELS is the greatest
     fixpoint reached from Top, so the order changes only how often a
-    callee is re-visited, never its result."""
+    callee is re-visited, never its result. Seeded instead with the flow
+    facts' order reversed, outputs stay the same but bench recursive_rings
+    renames 3x the call-site sets (1,080 -> 3,260); test_memory bounds it."""
     post: list[str] = []
     seen: set[str] = set()
     for root in names:

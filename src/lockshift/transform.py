@@ -14,8 +14,6 @@ result.
 """
 from __future__ import annotations
 
-from collections import Counter
-
 from .ast import (
     AcquireAssign,
     AddrOf,
@@ -56,10 +54,8 @@ from .ast import (
     UNLOCK_FN,
     Var,
     While,
-    data_accesses,
     datum_of,
     function_calls,
-    iter_stmts,
     not_a_place,
     to_caller,
 )
@@ -105,34 +101,22 @@ def _falls_through(stmts: list[Stmt]) -> bool:
     return True
 
 
-class _GuardNames:
-    """Per-function path -> guard variable name, collision-free.
-
-    A name must be free in the program-wide reserved set, which every
-    function shares (copying it per function costs O(functions^2)), and in
-    this function's own set of parameters and guards.
-    """
-
-    def __init__(self, reserved: set[str], params: list[str],
-                 diags: Diagnostics, fn_name: str):
-        self.names: dict[LockPath, str] = {}
-        self.reserved = reserved
-        self.taken = set(params)
-        self.diags = diags
-        self.fn_name = fn_name
-
-    def register(self, path: LockPath) -> str:
-        if path in self.names:
-            return self.names[path]
+def _guard_names(paths: set[LockPath], reserved: set[str], params: list[str],
+                 diags: Diagnostics, fn_name: str) -> dict[LockPath, str]:
+    """A function's lock paths, in path order, to guard variable names. A
+    name is free in the program-wide reserved set, which every function
+    shares (copying it per function costs O(functions^2)), among params and
+    among the names given so far; a collision warns and takes a suffix."""
+    names: dict[LockPath, str] = {}
+    taken = set(params)
+    for path in sorted(paths):
         base = guard_name_for(path)
-        name = _fresh_name(base, self.reserved, self.taken)
+        name = names[path] = _fresh_name(base, reserved, taken)
         if name != base:
-            self.diags.warn(
-                "guard name %s for %s collides; renamed %s" % (base, path.text, name),
-                function=self.fn_name)
-        self.names[path] = name
-        self.taken.add(name)
-        return name
+            diags.warn("guard name %s for %s collides; renamed %s"
+                       % (base, path.text, name), function=fn_name)
+        taken.add(name)
+    return names
 
 
 class _Transformer:
@@ -272,36 +256,28 @@ class _Transformer:
         self._rets = self.ret_paths[fn.name]
         self._nonvoid = not fn.returns_void
         self._lock_line = self.s.function(fn.name).lock_line
-        self._names = _GuardNames(self.reserved, fn.param_names,
-                                  self.diags, fn.name)
-        self._used: set[str] = set()
-        for path in sorted(self._candidate_paths(fn)):
-            self._names.register(path)
+        self._names = _guard_names(self._candidate_paths(fn), self.reserved,
+                                   fn.param_names, self.diags, fn.name)
+        self._used: set[LockPath] = set()
 
         body = self._rewrite_block(fn.body)
-        if (self._rets and (not body.stmts or not isinstance(body.stmts[-1], Return))
-                and _falls_through(body.stmts)):
+        if self._rets and _falls_through(body.stmts):
             body.stmts.append(self._make_return(None, fn.line_span[1]))
 
-        param_guards = {self._names.register(q) for q in self._entry}
-        self._used |= param_guards
-        params = list(fn.params) + [
-            Param(Type("guard", path=q), self._names.register(q))
-            for q in self._entry]
+        params = list(fn.params) + [Param(Type("guard", path=q), self._names[q])
+                                    for q in self._entry]
+        rets = fn.rets
         if self._rets:
-            guard_types = tuple(Type("guard", path=q) for q in self._rets)
-            rets = (fn.rets if self._nonvoid else ()) + guard_types
-        else:
-            rets = fn.rets
+            rets = ((rets if self._nonvoid else ())
+                    + tuple(Type("guard", path=q) for q in self._rets))
         decls = [GuardVarDecl(name, path, fn.line_span[0])
-                 for path, name in sorted(self._names.names.items())
-                 if name in self._used and name not in param_guards]
+                 for path, name in self._names.items()
+                 if path in self._used and path not in self._entry]
         return FunctionDef(rets, fn.name, params, body, fn.line_span, decls)
 
     def _guard(self, path: LockPath) -> str:
-        name = self._names.register(path)
-        self._used.add(name)
-        return name
+        self._used.add(path)
+        return self._names[path]
 
     # -- statements ---------------------------------------------------------
 
@@ -367,16 +343,12 @@ class _Transformer:
         return CallAssign(line=line, targets=targets, call=call)
 
     def _make_return(self, value: Expr | None, line: int) -> Return:
-        parts: list[Expr] = []
-        if self._nonvoid:
-            if value is None:
-                value = IntLit(0)
-                self.diags.warn(
-                    "fall-through return in %s yields 0 alongside its guards"
-                    % self._fn.name, function=self._fn.name, line=line)
-            parts.append(value)
-        elif value is not None:
-            parts.append(value)
+        if value is None and self._nonvoid:
+            value = IntLit(0)
+            self.diags.warn(
+                "fall-through return in %s yields 0 alongside its guards"
+                % self._fn.name, function=self._fn.name, line=line)
+        parts: list[Expr] = [] if value is None else [value]
         parts.extend(GuardRef(self._guard(q), q) for q in self._rets)
         if not parts:
             return Return(line=line, value=None)
@@ -424,17 +396,3 @@ def transform(p: Program, s: LockSummary,
         diags = Diagnostics()
     return _Transformer(p, s, diags).run()
 
-
-# ---------------------------------------------------------------------------
-# Access bookkeeping, used to check the transformation preserves accesses.
-
-def access_multiset(p: Program) -> Counter:
-    """Multiset of (line, kind, datum) for every data access in p.
-
-    Datum is the dotted place text of the accessed global or field; guard
-    and get_mut accesses map back to the datum they reach (see
-    ast.data_accesses).
-    """
-    return Counter((s.line, kind, datum.text)
-                   for fn in p.functions for s in iter_stmts(fn.body)
-                   for kind, _, datum in data_accesses(s))

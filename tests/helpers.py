@@ -3,9 +3,10 @@ random program generator used by the property and oracle tests."""
 from __future__ import annotations
 
 import random
+from collections import Counter
 from pathlib import Path
 
-from lockshift.ast import LockPath, path_of
+from lockshift.ast import LockPath, Program, data_accesses, iter_stmts, path_of
 
 FIXTURES = Path(__file__).parent / "fixtures"
 CORPUS = FIXTURES / "corpus"
@@ -17,6 +18,19 @@ def fixture_text(name: str) -> str:
 
 def corpus_paths() -> list[Path]:
     return sorted(CORPUS.glob("*.mc"))
+
+
+def access_multiset(p: Program) -> Counter:
+    """Multiset of (line, kind, datum) for every data access in p, to check
+    that a transformation preserves accesses.
+
+    Datum is the dotted place text of the accessed global or field; guard
+    and get_mut accesses map back to the datum they reach (see
+    ast.data_accesses).
+    """
+    return Counter((s.line, kind, datum.text)
+                   for fn in p.functions for s in iter_stmts(fn.body)
+                   for kind, _, datum in data_accesses(s))
 
 
 def locks(*texts: str) -> frozenset[LockPath]:

@@ -14,12 +14,12 @@ from lockshift.parser import parse, parse_guarded
 from lockshift.pipeline import lock_sets, run_pipeline
 from lockshift.printer import print_guarded
 from lockshift.summary import read_summary, write_summary
-from lockshift.transform import access_multiset
 
 from helpers import (
     CALLER_PROVIDES,
     FLOW_CASES,
     ProgramGen,
+    access_multiset,
     chain_program,
     corpus_paths,
     fixture_text,

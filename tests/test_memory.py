@@ -9,7 +9,8 @@ its callee's summary has the callee's own sets as its effect. AST nodes
 have no per-instance dict. And propagation renames each call site's held
 set a bounded number of times: on an acyclic call graph, callers are
 solved before their callees, so each site is renamed once while solving
-and once more when its drops are reported.
+and once more when its drops are reported; inside call cycles, at most
+three times on the bench's recursive rings.
 """
 from __future__ import annotations
 
@@ -201,8 +202,9 @@ ACYCLIC = {
 }
 
 
-@pytest.mark.parametrize("name", ACYCLIC)
-def test_each_call_site_is_renamed_at_most_twice(name, monkeypatch):
+def _renames_and_sites(source: str, monkeypatch) -> tuple[int, int, CallGraph]:
+    """How often propagation renames a held set into a callee while
+    analyzing source, the number of call sites, and the call graph."""
     calls = 0
     real = propagation.rename_set
 
@@ -214,9 +216,28 @@ def test_each_call_site_is_renamed_at_most_twice(name, monkeypatch):
     # Only propagation's renamings, into callees: flowanalysis's
     # renamings into callers go through its own binding of rename_set.
     monkeypatch.setattr(propagation, "rename_set", counted)
-    result = analyze_program(ACYCLIC[name])
+    result = analyze_program(source)
     graphs, cg, flow = lock_sets(result.program)
-    assert not any(cg.is_recursive_scc(i) for i in range(len(cg.merged_nodes)))
     sites = len(propagation.collect_call_facts(result.program, flow, graphs))
     assert sites > 0
+    return calls, sites, cg
+
+
+@pytest.mark.parametrize("name", ACYCLIC)
+def test_each_call_site_is_renamed_at_most_twice(name, monkeypatch):
+    calls, sites, cg = _renames_and_sites(ACYCLIC[name], monkeypatch)
+    assert not any(cg.is_recursive_scc(i) for i in range(len(cg.merged_nodes)))
     assert calls <= 2 * sites, (calls, sites)
+
+
+@pytest.mark.parametrize("seed", range(1, 5))
+def test_call_sites_in_call_cycles_are_renamed_at_most_three_times(seed, monkeypatch):
+    """Inside a call cycle a caller can be re-solved after its callee, so
+    a site may be renamed more than twice, but callers-first order keeps it
+    near that. Seeding the worklist with the flow facts' order reversed
+    instead (callers' components first, a cycle's members in another
+    order) passes every other test and triples the renames here."""
+    calls, sites, cg = _renames_and_sites(
+        programs()["bench/recursive_rings/%d" % seed], monkeypatch)
+    assert any(cg.is_recursive_scc(i) for i in range(len(cg.merged_nodes)))
+    assert calls <= 3 * sites, (calls, sites)

@@ -110,6 +110,32 @@ def test_every_printed_output_prints_back_unchanged(corpus):
     assert (held, refused, exhausted) == (218, 93, 15)
 
 
+# (completed and accepted, checker-rejected, refused, over budget) per family:
+# the fixtures and corpus, the flow cases, ProgramGen, the bench families
+# and SccGen. A change in precision shows as a diff of this table.
+CENSUS = {
+    "mc": (44, 1, 0, 0),
+    "flow": (9, 0, 0, 0),
+    "gen": (56, 44, 0, 0),
+    "bench": (8, 4, 0, 0),
+    "scc": (5, 47, 93, 15),
+}
+
+
+def test_the_census_of_each_family_is_pinned(corpus):
+    census = {family: [0, 0, 0, 0] for family in CENSUS}
+    for name, run in corpus.items():
+        if isinstance(run.error, IterationBudgetExceeded):
+            column = 3
+        elif isinstance(run.error, UnsupportedCall):
+            column = 2
+        else:
+            assert run.error is None, name
+            column = 1 if run.errors else 0
+        census[name.split("/")[0]][column] += 1
+    assert {family: tuple(row) for family, row in census.items()} == CENSUS
+
+
 if __name__ == "__main__":
     PINNED.write_text("".join("%s  %s\n" % (d, name)
                               for name, d in digests(run_corpus()).items()))

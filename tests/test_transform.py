@@ -9,9 +9,9 @@ from lockshift.parser import parse, parse_guarded
 from lockshift.pipeline import analyze_program, run_pipeline
 from lockshift.printer import print_guarded, print_source
 from lockshift.summary import read_summary
-from lockshift.transform import access_multiset, guard_name_for, transform
+from lockshift.transform import guard_name_for, transform
 
-from helpers import CORPUS, corpus_paths, fixture_text
+from helpers import CORPUS, access_multiset, corpus_paths, fixture_text
 from test_scc_reference import SccGen
 
 
@@ -102,6 +102,97 @@ def test_colliding_guard_names_get_a_suffix():
     assert "drop(m_guard2);" in text
     assert any("renamed m_guard2" in d.message
                for d in result.diagnostics)
+
+
+def _collisions(result) -> list[tuple[str, str]]:
+    return [(d.function, d.message) for d in result.diagnostics
+            if "collides" in d.message]
+
+
+def test_a_guard_name_a_parameter_holds_gets_a_suffix():
+    result, _, errors, text = pipeline_text("""\
+int n;
+mutex_t m;
+void inc(int m_guard) {
+    n = n + m_guard;
+}
+void bump(int m_guard) {
+    pthread_mutex_lock(&m);
+    inc(m_guard);
+    pthread_mutex_unlock(&m);
+}
+void main() {
+    bump(1);
+}
+""")
+    assert errors == []
+    assert "guard<m> inc(int m_guard, guard<m> m_guard2) {" in text
+    assert "void bump(int m_guard) { guard<m> m_guard2;" in text
+    assert "m_guard2 = inc(m_guard, m_guard2);" in text
+    assert _collisions(result) == [
+        ("inc", "guard name m_guard for m collides; renamed m_guard2"),
+        ("bump", "guard name m_guard for m collides; renamed m_guard2")]
+    assert check(parse_guarded(text)) == []
+
+
+def test_a_guard_name_skips_every_taken_suffix():
+    result, _, errors, text = pipeline_text("""\
+int m_guard;
+int m_guard2;
+int n;
+mutex_t m;
+void bump() {
+    pthread_mutex_lock(&m);
+    n = n + 1;
+    pthread_mutex_unlock(&m);
+    m_guard = m_guard2;
+}
+void main() {
+    bump();
+}
+""")
+    assert errors == []
+    assert "m_guard3 = m.acquire();" in text
+    assert "drop(m_guard3);" in text
+    assert _collisions(result) == [
+        ("bump", "guard name m_guard for m collides; renamed m_guard3")]
+
+
+def test_guard_names_follow_lock_path_order_not_use_order():
+    # a.b and a_b share the base name a_b_guard; c_guard is a global. The
+    # body takes the locks in reverse path order: c, a_b, then a.b.
+    result, _, errors, text = pipeline_text("""\
+struct s { int v; mutex_t b; };
+struct s a;
+mutex_t a_b;
+mutex_t c;
+int c_guard;
+int n;
+int k;
+void f() {
+    pthread_mutex_lock(&c);
+    k = k + 1;
+    pthread_mutex_unlock(&c);
+    pthread_mutex_lock(&a_b);
+    n = n + 1;
+    pthread_mutex_unlock(&a_b);
+    pthread_mutex_lock(&a.b);
+    a.v = a.v + 1;
+    pthread_mutex_unlock(&a.b);
+}
+void main() {
+    f();
+}
+""")
+    assert errors == []
+    assert ("void f() { guard<a.b> a_b_guard; guard<a_b> a_b_guard2; "
+            "guard<c> c_guard2;") in text
+    assert "a_b_guard = a.b.acquire();" in text
+    assert "a_b_guard2 = a_b.acquire();" in text
+    assert _collisions(result) == [
+        ("f", "guard name a_b_guard for a_b collides; renamed a_b_guard2"),
+        ("f", "guard name c_guard for c collides; renamed c_guard2")]
+    assert check(parse_guarded(text)) == []
 
 
 def test_colliding_payload_struct_names_get_a_suffix():
