@@ -5,7 +5,8 @@ guarded dialect), check (run the ownership checker on guarded code), and
 full (all of it). Outputs are byte-deterministic; timings go to stderr so
 they never perturb them.
 
-Exit codes: 0 success, 1 input or analysis errors, 2 ownership rejection.
+Exit codes: 0 success, 1 usage, input or analysis errors, 2 ownership
+rejection.
 """
 from __future__ import annotations
 
@@ -233,9 +234,13 @@ def main(argv: list[str] | None = None) -> int:
             argv[0] = "check"
         else:
             argv.insert(0, "check")
-    args = _build_parser().parse_args(argv)
-    # Checked here rather than by argparse, whose usage errors exit 2, the
-    # code of a checker rejection.
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # A usage error exits 1, as every input error does: argparse's 2 is
+        # the code of a checker rejection. --help exits 0.
+        return 1 if exc.code == 2 else exc.code
+    # Checked after parsing, with a message of its own.
     if getattr(args, "iteration_budget", 1) < 1:
         print("error: --iteration-budget must be at least 1", file=sys.stderr)
         return 1

@@ -7,6 +7,9 @@ mutex global for a global, a mutex field of the same struct for a field).
 A candidate lock is the one held most often across the accesses. The
 candidate protects the datum when a write under the lock exists and every
 access outside the lock happens in code that cannot run concurrently.
+
+The records of one datum share one datum LockPath, and a record, like a
+verdict, is slotted: it has no per-instance dict.
 """
 from __future__ import annotations
 
@@ -21,7 +24,7 @@ from .flowanalysis import FunctionFlowFacts, held_set, propagated_set
 from .summary import FunctionSummary
 
 
-@dataclass
+@dataclass(slots=True)
 class AccessRecord:
     function: str
     line: int
@@ -31,7 +34,7 @@ class AccessRecord:
     kind: str  # "read" or "write"
 
 
-@dataclass
+@dataclass(slots=True)
 class ProtectionVerdict:
     target: tuple[str | None, str]  # (owning struct or None, datum name)
     candidate: str | None
@@ -43,8 +46,10 @@ def collect_accesses(program: Program, flow: dict[str, FunctionFlowFacts],
                      summaries: dict[str, FunctionSummary],
                      graphs: dict[str, FlowGraph]) -> list[AccessRecord]:
     """All data accesses with the locks surely held at each one (held_set:
-    those held at the statement, plus the propagated set PLS)."""
+    those held at the statement, plus the propagated set PLS). Records of
+    one datum share one LockPath object."""
     records: list[AccessRecord] = []
+    datums: dict[LockPath, LockPath] = {}
     for fn in program.functions:
         facts = flow[fn.name]
         pls = propagated_set(summaries[fn.name].entry_lock, facts.mels)
@@ -52,15 +57,17 @@ def collect_accesses(program: Program, flow: dict[str, FunctionFlowFacts],
             held = held_set(facts.avail_in[node], pls)
             for kind, e, datum in data_accesses(node):
                 struct = e.owner if isinstance(e, FieldAccess) else None
+                datum = datums.setdefault(datum, datum)
                 records.append(AccessRecord(fn.name, node.line, held, datum, struct, kind))
     return records
 
 
-def _lock_names(program: Program, struct: str | None) -> list[str]:
-    """The locks that may protect a datum: mutex globals for a global, mutex
-    fields of the same struct for a field."""
-    decls = program.globals if struct is None else program.struct(struct).fields
-    return [d.name for d in decls if d.ty.is_mutex()]
+def _lock_names(program: Program) -> dict[str | None, list[str]]:
+    """The locks that may protect a datum, by the struct that owns it (None
+    for a global): mutex globals for a global, mutex fields of the same
+    struct for a field. Built once, so inference stays linear in globals."""
+    owners = [(None, program.globals)] + [(sd.name, sd.fields) for sd in program.structs]
+    return {owner: [d.name for d in decls if d.ty.is_mutex()] for owner, decls in owners}
 
 
 def candidate_lock(records: list[AccessRecord], choices: list[str]) -> str | None:
@@ -116,6 +123,7 @@ def infer_data_locks(program: Program, flow: dict[str, FunctionFlowFacts],
     records = collect_accesses(program, flow, summaries, graphs)
     concurrent_fns = cg.reachable_from(thread_entries(program))
     inits = _init_paths_by_function(program)
+    lock_names = _lock_names(program)
 
     by_target: dict[tuple[str | None, str], list[AccessRecord]] = defaultdict(list)
     for r in records:
@@ -127,7 +135,7 @@ def infer_data_locks(program: Program, flow: dict[str, FunctionFlowFacts],
     for target in sorted(by_target, key=lambda t: (t[0] or "", t[1])):
         struct, name = target
         recs = by_target[target]
-        cand = candidate_lock(recs, _lock_names(program, struct))
+        cand = candidate_lock(recs, lock_names[struct])
         if cand is None:
             verdicts.append(ProtectionVerdict(target, None, False, recs))
             continue

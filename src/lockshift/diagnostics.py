@@ -75,7 +75,7 @@ class SummaryMismatch(LockshiftError):
     """A summary references entities that do not exist in the program it is applied to."""
 
 
-@dataclass
+@dataclass(slots=True)
 class Diagnostic:
     """A non-fatal warning emitted by a phase."""
 

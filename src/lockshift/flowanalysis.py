@@ -139,7 +139,7 @@ def _not_a_place(p: LockPath, call: Call) -> str:
     return not_a_place(p)
 
 
-@dataclass
+@dataclass(slots=True)
 class FunctionFlowFacts:
     """Per-function analysis result: the summaries, and the locks surely
     held before each flow-graph node."""

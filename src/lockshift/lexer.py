@@ -3,7 +3,9 @@
 A token is an index into the three parallel lists of a `Tokens`: its kind
 (kw | ident | int | punct | eof), its text and its line. The last token is
 eof, with the text "". No per-token object is built, and a token's column
-is found only when an error needs it, by rescanning that one line.
+is found only when an error needs it, by rescanning that one line. Equal
+token texts are one shared string, and so are the names the parser copies
+from them into the AST.
 """
 from __future__ import annotations
 
@@ -68,7 +70,10 @@ def tokenize(source: str) -> Tokens:
         found = findall(text)
         values += found
         lines += [no] * len(found)
-    kind_of = {v: _KINDS[v] if v in _KINDS else _FIRST.get(v[0]) for v in set(values)}
+    # One string per distinct text; the copies `findall` made are freed.
+    distinct: dict[str, str] = {}
+    values = list(map(distinct.setdefault, values, values))
+    kind_of = {v: _KINDS[v] if v in _KINDS else _FIRST.get(v[0]) for v in distinct}
     kinds = list(map(kind_of.__getitem__, values))
     values.append("")
     lines.append(no)

@@ -5,7 +5,8 @@ callee's entry lock set (ELS) is the intersection, over every call site, of
 what is surely held there, renamed into the callee's namespace. From ELS come
 the propagated set PLS = ELS - MELS, the return set RLS = MRLS + PLS, and the
 per-line map of held locks used by the transformer; together they are the
-function's summary record.
+function's summary record. Equal entry and return sets are one object
+across all the records.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from .flowanalysis import FunctionFlowFacts, held_set, meet, propagated_set, ren
 from .summary import FunctionSummary
 
 
-@dataclass
+@dataclass(slots=True)
 class CallSiteFact:
     """One syntactic call: who calls whom, with what surely held there."""
 
@@ -107,6 +108,8 @@ def propagate(program: Program, flow: dict[str, FunctionFlowFacts],
                 prop_into(name, diags)
 
     summaries: dict[str, FunctionSummary] = {}
+    # One object per distinct entry or return set across the summaries.
+    shared: dict[frozenset[LockPath], frozenset[LockPath]] = {}
     for fn in program.functions:
         facts = flow[fn.name]
         entry, fn_pls = els[fn.name], pls[fn.name]
@@ -118,8 +121,9 @@ def propagate(program: Program, flow: dict[str, FunctionFlowFacts],
                     "dead cycle); using its own released set" % fn.name,
                     function=fn.name)
             fn_pls = propagated_set(entry, facts.mels)
+        ret = held_set(facts.mrls, fn_pls)
         summaries[fn.name] = FunctionSummary(
-            entry, held_set(facts.mrls, fn_pls),
+            shared.setdefault(entry, entry), shared.setdefault(ret, ret),
             _lock_lines(graphs[fn.name], facts, fn_pls))
     return summaries
 

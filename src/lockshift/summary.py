@@ -18,7 +18,7 @@ from .diagnostics import SchemaError
 from .lexer import IDENT
 
 
-@dataclass
+@dataclass(slots=True)
 class FunctionSummary:
     """One function's lock facts: its entry and return lock sets, and the
     lines on which each lock is surely held."""
@@ -187,13 +187,16 @@ def validate_against_program(s: LockSummary, p: Program) -> None:
         fpath = "$.function_map.%s" % fname
         fn = p.function(fname)
         _expect(fn is not None, "unknown function %r" % fname, fpath)
-        scope = global_types | {param.name: param.ty for param in fn.params}
+        # A parameter shadows a global of its name; the globals are looked
+        # up, not copied per function, which would cost O(globals x functions).
+        params = {param.name: param.ty for param in fn.params}
         for which, paths in (("entry_lock", fs.entry_lock),
                              ("return_lock", fs.return_lock),
                              ("lock_line", fs.lock_line)):
             where = "%s.%s" % (fpath, which)
             for lp in sorted(paths):
-                _expect(lp.root in scope, "lock path %r names no global or "
+                root = params.get(lp.root) or global_types.get(lp.root)
+                _expect(root is not None, "lock path %r names no global or "
                         "parameter of %s" % (lp.text, fname), where)
-                _expect(lock_path_type(lp, scope[lp.root], structs) is not None,
+                _expect(lock_path_type(lp, root, structs) is not None,
                         "lock path %r of %s is not a lock" % (lp.text, fname), where)

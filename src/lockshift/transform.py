@@ -7,6 +7,10 @@ acquisition and drop, accesses go through a guard where one is held (per
 lock_line) and through get_mut elsewhere, and functions with entry or return
 locks exchange guards through parameters and return values.
 
+A run builds one guard type and one base guard name per lock path, and
+every function's guard parameters, returned guards and guard names share
+them.
+
 Functions invoked from outside the program (main and thread entry points)
 keep their original signatures; nobody exists to hand them a guard. Their
 lock use must balance internally or the ownership checker rejects the
@@ -102,15 +106,19 @@ def _falls_through(stmts: list[Stmt]) -> bool:
 
 
 def _guard_names(paths: set[LockPath], reserved: set[str], params: list[str],
-                 diags: Diagnostics, fn_name: str) -> dict[LockPath, str]:
+                 diags: Diagnostics, fn_name: str,
+                 bases: dict[LockPath, str]) -> dict[LockPath, str]:
     """A function's lock paths, in path order, to guard variable names. A
     name is free in the program-wide reserved set, which every function
     shares (copying it per function costs O(functions^2)), among params and
-    among the names given so far; a collision warns and takes a suffix."""
+    among the names given so far; a collision warns and takes a suffix.
+    bases holds the run's one guard_name_for string per path."""
     names: dict[LockPath, str] = {}
     taken = set(params)
     for path in sorted(paths):
-        base = guard_name_for(path)
+        base = bases.get(path)
+        if base is None:
+            base = bases[path] = guard_name_for(path)
         name = names[path] = _fresh_name(base, reserved, taken)
         if name != base:
             diags.warn("guard name %s for %s collides; renamed %s"
@@ -146,6 +154,8 @@ class _Transformer:
         self.reserved = ({g.name for g in p.globals}
                          | {f.name for f in p.functions}
                          | {sd.name for sd in p.structs})
+        self.base_names: dict[LockPath, str] = {}
+        self.guard_types: dict[LockPath, Type] = {}
 
     # -- declarations -------------------------------------------------------
 
@@ -257,23 +267,29 @@ class _Transformer:
         self._nonvoid = not fn.returns_void
         self._lock_line = self.s.function(fn.name).lock_line
         self._names = _guard_names(self._candidate_paths(fn), self.reserved,
-                                   fn.param_names, self.diags, fn.name)
+                                   fn.param_names, self.diags, fn.name, self.base_names)
         self._used: set[LockPath] = set()
 
         body = self._rewrite_block(fn.body)
         if self._rets and _falls_through(body.stmts):
             body.stmts.append(self._make_return(None, fn.line_span[1]))
 
-        params = list(fn.params) + [Param(Type("guard", path=q), self._names[q])
+        params = list(fn.params) + [Param(self._guard_type(q), self._names[q])
                                     for q in self._entry]
         rets = fn.rets
         if self._rets:
             rets = ((rets if self._nonvoid else ())
-                    + tuple(Type("guard", path=q) for q in self._rets))
+                    + tuple(self._guard_type(q) for q in self._rets))
         decls = [GuardVarDecl(name, path, fn.line_span[0])
                  for path, name in self._names.items()
                  if path in self._used and path not in self._entry]
         return FunctionDef(rets, fn.name, params, body, fn.line_span, decls)
+
+    def _guard_type(self, path: LockPath) -> Type:
+        ty = self.guard_types.get(path)
+        if ty is None:
+            ty = self.guard_types[path] = Type("guard", path=path)
+        return ty
 
     def _guard(self, path: LockPath) -> str:
         self._used.add(path)

@@ -374,6 +374,26 @@ def test_missing_inputs_exit_with_one(tmp_path, capsys):
     assert captured.err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["analyze"], "the following arguments are required: input"),
+    (["analyze", "--bogus", "x.mc"], "unrecognized arguments: --bogus"),
+    (["full", "x.mc", "--iteration-budget", "x"],
+     "argument --iteration-budget: invalid int value: 'x'"),
+], ids=["missing-input", "unknown-flag", "budget-not-a-number"])
+def test_usage_errors_exit_with_one_not_the_rejection_code(capsys, argv, message):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("usage: lockshift")
+    assert captured.err.endswith("error: %s\n" % message)
+
+
+def test_help_exits_with_zero(capsys):
+    assert main(["analyze", "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: lockshift analyze")
+
+
 def test_non_utf8_inputs_exit_with_one(tmp_path, capsys):
     bad = tmp_path / "bad.mc"
     bad.write_bytes(b"int n;\xff\n")

@@ -4,16 +4,18 @@ import random
 
 import pytest
 
-from lockshift.ast import data_accesses, iter_stmts, path_of
+from lockshift.ast import Type, data_accesses, iter_stmts, path_of
 from lockshift.datalock import (
     AccessRecord,
     ProtectionVerdict,
     candidate_lock,
     collect_accesses,
+    infer_data_locks,
     judge_protection,
 )
 from lockshift.parser import parse, parse_guarded
 from lockshift.pipeline import analyze_program, lock_sets
+from lockshift.propagation import propagate
 
 from helpers import CORPUS, fixture_text, locks
 
@@ -456,3 +458,41 @@ def test_protected_verdicts_keep_their_bookkeeping_invariants():
         for v in result.verdicts:
             if v.protected:
                 assert v.candidate is not None
+
+
+def _many_globals(n: int) -> str:
+    """n globals, each written under the one lock by its own function."""
+    lines = ["int g%d;" % i for i in range(n)] + ["mutex_t m;"]
+    lines += ["void f%d() { pthread_mutex_lock(&m); g%d = %d; pthread_mutex_unlock(&m); }"
+              % (i, i, i) for i in range(n)]
+    lines.append("void main() { %s }" % " ".join("f%d();" % i for i in range(n)))
+    return "\n".join(lines) + "\n"
+
+
+def _is_mutex_calls_during_inference(n: int, monkeypatch) -> int:
+    program = parse(_many_globals(n))
+    graphs, cg, flow = lock_sets(program)
+    summaries = propagate(program, flow, graphs)
+    calls = 0
+    real = Type.is_mutex
+
+    def counted(ty):
+        nonlocal calls
+        calls += 1
+        return real(ty)
+
+    with monkeypatch.context() as m:
+        m.setattr(Type, "is_mutex", counted)
+        global_map, _, _ = infer_data_locks(program, flow, summaries, graphs, cg)
+    assert len(global_map) == n
+    return calls
+
+
+def test_inference_looks_at_each_declaration_once_not_once_per_datum(monkeypatch):
+    """The lock names beside a datum are found once per struct and once for
+    the globals, so doubling the globals at most doubles the work: looking
+    them up again per datum made it quadruple."""
+    small = _is_mutex_calls_during_inference(100, monkeypatch)
+    large = _is_mutex_calls_during_inference(200, monkeypatch)
+    assert small > 0
+    assert large <= 2 * small, (small, large)

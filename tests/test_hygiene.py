@@ -141,3 +141,38 @@ def test_the_held_set_rules_have_one_home():
     lock-set difference of its own."""
     uses = _uses_outside("minus", {"flowanalysis.py"})
     assert not uses, "minus outside flowanalysis.py:\n" + "\n".join(uses)
+
+
+# Made once per run or per error, these keep their dict: Program for its
+# cached function index, the others for having a few instances at most.
+PER_RUN_SINGLETONS = {"Program", "LockSummary", "AnalysisResult", "CallGraph",
+                      "OwnershipError"}
+
+
+def _is_slotted_dataclass(decorator: ast.expr) -> bool | None:
+    """None when decorator is not @dataclass, else whether it has slots=True."""
+    call = decorator if isinstance(decorator, ast.Call) else None
+    name = call.func if call else decorator
+    if not (isinstance(name, ast.Name) and name.id == "dataclass"):
+        return None
+    return call is not None and any(
+        k.arg == "slots" and isinstance(k.value, ast.Constant) and k.value.value is True
+        for k in call.keywords)
+
+
+def test_every_dataclass_is_slotted_but_the_per_run_singletons():
+    """A slotted instance has no per-instance dict; the library builds
+    records by the thousand, so each of them is slotted."""
+    unslotted = set()
+    dataclasses = 0
+    for path in MODULES:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.ClassDef):
+                for decorator in node.decorator_list:
+                    slotted = _is_slotted_dataclass(decorator)
+                    if slotted is not None:
+                        dataclasses += 1
+                        if not slotted:
+                            unslotted.add(node.name)
+    assert dataclasses > 40
+    assert unslotted == PER_RUN_SINGLETONS

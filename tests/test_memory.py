@@ -5,12 +5,17 @@ the diagnostics; nothing the lock-set phases make outlives it. A function's
 flow facts keep one per-node map, the locks surely held before each node.
 Equal lock sets are one object: every set in that map is shared with each
 equal set stored beside it, and a call whose renaming changes no path of
-its callee's summary has the callee's own sets as its effect. AST nodes
-have no per-instance dict. And propagation renames each call site's held
-set a bounded number of times: on an acyclic call graph, callers are
-solved before their callees, so each site is renamed once while solving
-and once more when its drops are reported; inside call cycles, at most
-three times on the bench's recursive rings.
+its callee's summary has the callee's own sets as its effect. Values the
+later phases keep are shared too: one string per distinct token text, one
+datum path per datum across the access records, one set object per
+distinct entry or return set across the summaries, and one guard type per
+lock path across a transformed program's guard parameters and returned
+guards. AST nodes and the analysis's records have no per-instance dict.
+And propagation renames each call site's held set a bounded number of
+times: on an acyclic call graph, callers are solved before their callees,
+so each site is renamed once while solving and once more when its drops
+are reported; inside call cycles, at most three times on the bench's
+recursive rings.
 """
 from __future__ import annotations
 
@@ -23,11 +28,16 @@ import pytest
 from lockshift import ast, propagation
 from lockshift.callgraph import CallGraph
 from lockshift.cfg import FlowGraph
+from lockshift.datalock import AccessRecord, ProtectionVerdict, collect_accesses
+from lockshift.diagnostics import Diagnostic
 from lockshift.flowanalysis import FunctionFlowFacts, stmt_effects
+from lockshift.lexer import tokenize
 from lockshift.parser import parse_guarded
 from lockshift.pipeline import AnalysisResult, analyze_program, lock_sets
+from lockshift.propagation import CallSiteFact, collect_call_facts
+from lockshift.summary import FunctionSummary
 
-from corpus import analyzed, first_seeds, programs
+from corpus import analyzed, completed, first_seeds, programs
 from helpers import FIXTURES, chain_program
 
 
@@ -178,6 +188,75 @@ def test_no_ast_node_has_an_instance_dict(corpus):
     # The walk met every class but the two abstract bases.
     unseen = set(_node_classes()) - seen
     assert unseen == {ast.Expr, ast.Stmt}, sorted(c.__name__ for c in unseen)
+
+
+RECORD_CLASSES = [AccessRecord, ProtectionVerdict, FunctionFlowFacts,
+                  FunctionSummary, CallSiteFact, Diagnostic]
+
+
+def test_no_analysis_record_has_an_instance_dict(corpus):
+    for cls in RECORD_CLASSES:
+        assert cls.__dictoffset__ == 0, cls.__name__
+    seen: set[type] = set()
+    for name in first_seeds(corpus, scc=0, gen=0, bench=2):
+        run = corpus[name]
+        if run.result is None:
+            continue
+        graphs, _, flow = run.sets
+        functions = run.result.lock_summary.function_map
+        records = [*collect_accesses(run.program, flow, functions, graphs),
+                   *run.result.verdicts, *flow.values(), *functions.values(),
+                   *collect_call_facts(run.program, flow, graphs),
+                   *run.result.diagnostics]
+        for record in records:
+            assert not hasattr(record, "__dict__"), (name, type(record).__name__)
+            seen.add(type(record))
+    assert seen == set(RECORD_CLASSES), sorted(c.__name__ for c in seen)
+
+
+def _one_object_per_value(values: list) -> bool:
+    """Whether equal values in the list are one object."""
+    return len({id(v) for v in values}) == len(set(values))
+
+
+def test_token_texts_are_one_string_per_distinct_text(corpus):
+    checked = 0
+    for name, run in analyzed(corpus):
+        values = tokenize(run.source).values
+        assert _one_object_per_value(values), name
+        checked += 1
+    assert checked > 300
+
+
+def test_access_records_share_one_datum_object_per_datum(corpus):
+    checked = 0
+    for name, run in analyzed(corpus):
+        graphs, _, flow = run.sets
+        records = collect_accesses(run.program, flow,
+                                   run.result.lock_summary.function_map, graphs)
+        assert _one_object_per_value([r.datum for r in records]), name
+        checked += len(records)
+    assert checked > 2500
+
+
+def test_summaries_share_one_object_per_distinct_lock_set(corpus):
+    checked = 0
+    for name, run in analyzed(corpus):
+        functions = run.result.lock_summary.function_map.values()
+        sets = [s for fs in functions for s in (fs.entry_lock, fs.return_lock)]
+        assert _one_object_per_value(sets), name
+        checked += len(sets)
+    assert checked > 2000
+
+
+def test_guard_parameters_and_returned_guards_share_one_type_per_lock_path(corpus):
+    checked = 0
+    for name, run in completed(corpus):
+        types = [t for fn in run.guarded.functions
+                 for t in [p.ty for p in fn.params] + list(fn.rets) if t.kind == "guard"]
+        assert len({id(t) for t in types}) == len({t.path for t in types}), name
+        checked += len(types)
+    assert checked > 500
 
 
 def _diamond_program(layers: int) -> str:

@@ -180,6 +180,22 @@ def test_validation_reports_the_first_unknown_root_in_path_order():
         "lock path 'aa.m' names no global or parameter of f")
 
 
+SHADOWED = '{"function_map": {"f": {"entry_lock": ["m"], "lock_line": {"m": [2]}}}}'
+
+
+def test_a_parameter_that_is_a_lock_shadows_a_global_that_is_not():
+    program = parse("int m;\nvoid f(mutex_t *m) { }\nvoid main() { }\n")
+    validate_against_program(read_summary(SHADOWED), program)
+
+
+def test_a_parameter_that_is_no_lock_shadows_a_global_lock():
+    program = parse("mutex_t m;\nvoid f(int m) { }\nvoid main() { }\n")
+    with pytest.raises(SchemaError) as exc:
+        validate_against_program(read_summary(SHADOWED), program)
+    assert exc.value.path == "$.function_map.f.entry_lock"
+    assert str(exc.value).endswith("lock path 'm' of f is not a lock")
+
+
 NO_DATA = """\
 struct t { int a; };
 struct s { int n; mutex_t k; mutex_t *pk; struct t in; };
