@@ -2,7 +2,7 @@
 
 Node classes use identity equality (eq=False) so they can key CFG maps and
 worklist sets, and slots, so a node carries no per-instance dict. Program
-keeps its dict for its cached function index.
+keeps its dict for its cached by-name indexes.
 """
 from __future__ import annotations
 
@@ -91,16 +91,23 @@ def holds_data(ty: Type | None) -> bool:
             and (ty.kind != "struct" or ty.ptr > 0))
 
 
-def lock_path_type(path: LockPath, root: Type | None,
-                   structs: dict[str, StructDef]) -> Type | None:
+def root_type(path: LockPath, params: dict[str, Type], program: Program) -> Type | None:
+    """The type of a lock path's first segment: a parameter of its name,
+    which shadows a global, else the global; None when it names neither."""
+    g = program.global_decl(path.root)
+    return params.get(path.root) or (g.ty if g is not None else None)
+
+
+def lock_path_type(path: LockPath, params: dict[str, Type], program: Program) -> Type | None:
     """The type of the lock path names, a mutex_t or mutex<P>, reached from
-    root, the type of its first segment, through the fields of structs (by
-    name); None when it names no lock. Pointers on the way are followed, as
-    lock paths drop `*`."""
-    ty = root
+    its root (root_type) through the fields of program's structs; None when
+    it names no lock. Pointers on the way are followed, as lock paths drop
+    `*`."""
+    ty = root_type(path, params, program)
     for seg in path.segments[1:]:
-        struct = structs.get(ty.name) if ty is not None and ty.kind == "struct" else None
-        ty = struct.field_type(seg) if struct is not None else None
+        struct = program.struct(ty.name) if ty is not None and ty.kind == "struct" else None
+        fd = struct.field_decl(seg) if struct is not None else None
+        ty = fd.ty if fd is not None else None
     return ty if ty is not None and ty.kind in ("mutex", "lock") else None
 
 
@@ -307,17 +314,26 @@ class FieldDecl:
     name: str
 
 
+def _first_by_name(decls) -> dict:
+    """The first of decls under each name."""
+    index: dict = {}
+    for d in decls:
+        index.setdefault(d.name, d)
+    return index
+
+
 @dataclass(eq=False, slots=True)
 class StructDef:
     name: str
     fields: list[FieldDecl]
     line: int
+    # the first field of each name, built on first use
+    _by_name: dict[str, FieldDecl] | None = field(default=None, init=False, repr=False)
 
-    def field_type(self, name: str) -> Type | None:
-        for f in self.fields:
-            if f.name == name:
-                return f.ty
-        return None
+    def field_decl(self, name: str) -> FieldDecl | None:
+        if self._by_name is None:
+            self._by_name = _first_by_name(self.fields)
+        return self._by_name.get(name)
 
 
 @dataclass(eq=False, slots=True)
@@ -356,30 +372,30 @@ class FunctionDef:
 @dataclass(eq=False)
 class Program:
     """A program in either dialect. A guarded program's data-owning locks
-    are globals of type mutex<P>."""
+    are globals of type mutex<P>. Its by-name indexes, cached on first use,
+    keep the first declaration of each name: `names` for globals and
+    functions, which share one namespace, and `tags` for structs."""
 
     globals: list[GlobalDecl]
     structs: list[StructDef]
     functions: list[FunctionDef]
 
     @cached_property
-    def _functions_by_name(self) -> dict[str, FunctionDef]:
-        return {f.name: f for f in self.functions}
+    def names(self) -> dict[str, GlobalDecl | FunctionDef]:
+        return _first_by_name([*self.globals, *self.functions])
+
+    @cached_property
+    def tags(self) -> dict[str, StructDef]:
+        return _first_by_name(self.structs)
 
     def function(self, name: str) -> FunctionDef | None:
-        return self._functions_by_name.get(name)
+        return d if isinstance(d := self.names.get(name), FunctionDef) else None
 
     def global_decl(self, name: str) -> GlobalDecl | None:
-        for g in self.globals:
-            if g.name == name:
-                return g
-        return None
+        return d if isinstance(d := self.names.get(name), GlobalDecl) else None
 
     def struct(self, name: str) -> StructDef | None:
-        for s in self.structs:
-            if s.name == name:
-                return s
-        return None
+        return self.tags.get(name)
 
 
 # ---------------------------------------------------------------------------

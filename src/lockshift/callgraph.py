@@ -51,7 +51,6 @@ def thread_entries(program) -> list[str]:
 
 
 def build_call_graph(program: Program, diags: Diagnostics | None = None) -> CallGraph:
-    defined = {f.name for f in program.functions}
     nodes = [f.name for f in program.functions]
     edges: dict[str, list[str]] = {}
     for fn in program.functions:
@@ -59,7 +58,7 @@ def build_call_graph(program: Program, diags: Diagnostics | None = None) -> Call
         for stmt, call in function_calls(fn):
             if call.name in LOCK_API:
                 continue
-            if call.name not in defined:
+            if program.function(call.name) is None:
                 if diags is not None:
                     diags.warn("call to undeclared function %r ignored" % call.name,
                                function=fn.name, line=stmt.line)

@@ -297,10 +297,7 @@ class _Parser:
                 if not self.accept(","):
                     break
         self.expect(")")
-        self.guards = {
-            p.name: p.ty.path for p in params
-            if p.ty.kind == "guard" and p.ty.path is not None
-        }
+        self.guards = {p.name: p.ty.path for p in params if p.ty.kind == "guard"}
         open_brace = self.expect("{")
         guard_decls: list[GuardVarDecl] = []
         while (self.guarded and self.kinds[self.pos] == "ident" and self.at("guard")
@@ -606,9 +603,7 @@ class _Parser:
 class _Resolver:
     def __init__(self, program: Program):
         self.program = program
-        self.globals: dict[str, Type] = {}
-        self.structs: dict[str, StructDef] = {}
-        self.functions: dict[str, FunctionDef] = {}
+        self.names = program.names  # bound once for the lookup of each Var
         self.params: dict[str, Type] = {}
         # the type of each lock path typed in the current scope, by segments
         self.locks: dict[tuple[str, ...], Type] = {}
@@ -619,21 +614,22 @@ class _Resolver:
         self.calls: list[Call] = []
 
     def run(self) -> Program:
+        # A duplicate is a declaration that is not its name's index entry.
         p = self.program
         for s in p.structs:
-            if s.name in self.structs:
+            if p.tags[s.name] is not s:
                 raise TypeCheckError("duplicate struct %r" % s.name, s.line)
-            self.structs[s.name] = s
         for g in p.globals:
-            if g.name in self.globals:
+            if p.names[g.name] is not g:
                 raise TypeCheckError("duplicate global %r" % g.name, g.line)
-            self.globals[g.name] = g.ty
         for f in p.functions:
-            if f.name in self.functions or f.name in self.globals:
+            if p.names[f.name] is not f:
                 raise TypeCheckError("duplicate definition of %r" % f.name, f.line_span[0])
-            self.functions[f.name] = f
         for s in p.structs:
             for fd in s.fields:
+                if s.field_decl(fd.name) is not fd:
+                    raise TypeCheckError("duplicate field %r in struct %s"
+                                         % (fd.name, s.name), s.line)
                 self.check_type(fd.ty, s.line)
         for g in p.globals:
             self.check_type(g.ty, g.line)
@@ -648,9 +644,9 @@ class _Resolver:
         return p
 
     def check_type(self, ty: Type, line: int) -> None:
-        if ty.kind == "struct" and ty.name not in self.structs:
+        if ty.kind == "struct" and self.program.struct(ty.name) is None:
             raise UnknownIdentifier("unknown struct %r" % ty.name, line)
-        if ty.kind == "lock" and ty.name not in self.structs:
+        if ty.kind == "lock" and self.program.struct(ty.name) is None:
             raise UnknownIdentifier("unknown payload struct %r" % ty.name, line)
         if ty.kind == "guard":
             self.lock_type(ty.path, line)
@@ -660,8 +656,7 @@ class _Resolver:
         segs = path.segments
         ty = self.locks.get(segs)
         if ty is None:
-            root = self.params.get(segs[0]) or self.globals.get(segs[0])
-            ty = lock_path_type(path, root, self.structs)
+            ty = lock_path_type(path, self.params, self.program)
             if ty is None:
                 raise TypeCheckError("%s is not a lock" % path.text, line)
             self.locks[segs] = ty
@@ -669,7 +664,7 @@ class _Resolver:
 
     def check_payload_field(self, path: LockPath, fld: str) -> None:
         ty = self.lock_type(path, self.line)
-        if ty.kind != "lock" or self.structs[ty.name].field_type(fld) is None:
+        if ty.kind != "lock" or self.program.struct(ty.name).field_decl(fld) is None:
             raise UnknownIdentifier(
                 "lock %s has no payload field %r" % (path.text, fld), self.line)
 
@@ -677,9 +672,9 @@ class _Resolver:
         if not ty.is_mutex():
             raise TypeCheckError("a payload initializer needs a lock held by value",
                                  self.line)
-        payload = self.structs[init.payload]
+        payload = self.program.struct(init.payload)
         for fname, finit in init.inits:
-            if payload.field_type(fname) is None:
+            if payload.field_decl(fname) is None:
                 raise UnknownIdentifier(
                     "payload %r has no field %r" % (init.payload, fname), self.line)
             if finit is not None:
@@ -698,11 +693,14 @@ class _Resolver:
             self.check_type(ty, line)
         self.guards = {p.name: p.ty.path for p in f.params if p.ty.kind == "guard"}
         for d in f.guard_decls:
+            if d.guard in self.params:
+                raise TypeCheckError("guard %r shadows a parameter of %s"
+                                     % (d.guard, f.name), d.line)
+            if d.guard in self.guards:
+                raise TypeCheckError("duplicate guard %r in %s" % (d.guard, f.name), d.line)
             self.lock_type(d.path, d.line)
             self.guards[d.guard] = d.path
         self.resolve_block(f.body)
-        self.params = {}
-        self.guards = {}
 
     def resolve_block(self, b: Block) -> None:
         for s in b.stmts:
@@ -781,9 +779,9 @@ class _Resolver:
         if isinstance(e, Var):
             if e.name in self.params:
                 e.kind, e.ty = "param", self.params[e.name]
-            elif e.name in self.globals:
-                e.kind, e.ty = "global", self.globals[e.name]
-            elif e.name in self.functions:
+            elif isinstance(d := self.names.get(e.name), GlobalDecl):
+                e.kind, e.ty = "global", d.ty
+            elif d is not None:
                 if not fn_name_ok:
                     raise TypeCheckError(
                         "function %r used as a value" % e.name, self.line)
@@ -797,13 +795,13 @@ class _Resolver:
             if base_ty is None or base_ty.kind != "struct" or base_ty.ptr > 1:
                 raise TypeCheckError(
                     "field access %r on a non-struct value" % e.fld, self.line)
-            struct = self.structs[base_ty.name]
-            fty = struct.field_type(e.fld)
-            if fty is None:
+            struct = self.program.struct(base_ty.name)
+            fd = struct.field_decl(e.fld)
+            if fd is None:
                 raise UnknownIdentifier(
                     "struct %r has no field %r" % (struct.name, e.fld), self.line)
             e.owner = struct.name
-            e.ty = fty
+            e.ty = fd.ty
             return
         if isinstance(e, AddrOf):
             self.resolve_expr(e.expr)
@@ -860,7 +858,7 @@ class _Resolver:
         line = self.line
         if call.name in LOCK_API:
             raise TypeCheckError("%s() must be a standalone statement" % call.name, line)
-        fn = self.functions.get(call.name)
+        fn = self.program.function(call.name)
         if fn is None:
             raise UnknownIdentifier("call to undeclared function %r" % call.name, line)
         if len(call.args) != len(fn.params):

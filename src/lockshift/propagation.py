@@ -33,14 +33,13 @@ class CallSiteFact:
 def collect_call_facts(program: Program, flow: dict[str, FunctionFlowFacts],
                        graphs: dict[str, FlowGraph]) -> list[CallSiteFact]:
     """One fact per syntactic call to a defined function, in program order."""
-    defined = {f.name for f in program.functions}
     facts: list[CallSiteFact] = []
     for fn in program.functions:
         g = graphs[fn.name]
         avail_in = flow[fn.name].avail_in
         for node in g.stmt_nodes:
             for call in node.calls:
-                if call.name in defined:
+                if program.function(call.name) is not None:
                     facts.append(CallSiteFact(fn.name, avail_in[node], call, node.line))
     return facts
 

@@ -13,7 +13,7 @@ import json
 import re
 from dataclasses import dataclass, field
 
-from .ast import KEYWORDS, LockPath, Program, holds_data, lock_path_type, path_of
+from .ast import KEYWORDS, LockPath, Program, holds_data, lock_path_type, path_of, root_type
 from .diagnostics import SchemaError
 from .lexer import IDENT
 
@@ -156,47 +156,41 @@ def read_summary(text: str) -> LockSummary:
     return LockSummary(global_map, struct_map, function_map)
 
 
-def _check_lock_map(lock_map: dict[str, str], decls, noun: str, path: str) -> None:
-    """Each datum must hold data and its lock must be a mutex, both declared
-    in decls; `noun % name` names either in messages."""
-    types = {d.name: d.ty for d in decls}
+def _check_lock_map(lock_map: dict[str, str], decl_of, noun: str, path: str) -> None:
+    """Each datum must hold data and its lock must be a mutex, both found by
+    decl_of; `noun % name` names either in messages."""
     for datum, lock in lock_map.items():
         where = "%s.%s" % (path, datum)
-        _expect(datum in types, "unknown " + noun % datum, where)
+        d = decl_of(datum)
+        _expect(d is not None, "unknown " + noun % datum, where)
         # Moved into a lock's payload, these give guarded code that does
         # not check; the analysis never protects them.
-        _expect(holds_data(types[datum]),
-                noun % datum + " holds no data a lock can protect", where)
-        _expect(lock in types and types[lock].is_mutex(),
-                noun % lock + " is not a mutex", where)
+        _expect(holds_data(d.ty), noun % datum + " holds no data a lock can protect", where)
+        d = decl_of(lock)
+        _expect(d is not None and d.ty.is_mutex(), noun % lock + " is not a mutex", where)
 
 
 def validate_against_program(s: LockSummary, p: Program) -> None:
     """Check every name in the summary against the program. Each lock path
     of a function, each set in path order, must start at a global or one of
     its parameters and name a lock, as a guard's path must in guarded code."""
-    _check_lock_map(s.global_lock_map, p.globals, "global %r", "$.global_lock_map")
+    _check_lock_map(s.global_lock_map, p.global_decl, "global %r", "$.global_lock_map")
     for sname, fields in s.struct_lock_map.items():
         spath = "$.struct_lock_map.%s" % sname
         sd = p.struct(sname)
         _expect(sd is not None, "unknown struct %r" % sname, spath)
-        _check_lock_map(fields, sd.fields, "field %%r of struct %s" % sname, spath)
-    global_types = {g.name: g.ty for g in p.globals}
-    structs = {sd.name: sd for sd in p.structs}
+        _check_lock_map(fields, sd.field_decl, "field %%r of struct %s" % sname, spath)
     for fname, fs in s.function_map.items():
         fpath = "$.function_map.%s" % fname
         fn = p.function(fname)
         _expect(fn is not None, "unknown function %r" % fname, fpath)
-        # A parameter shadows a global of its name; the globals are looked
-        # up, not copied per function, which would cost O(globals x functions).
         params = {param.name: param.ty for param in fn.params}
         for which, paths in (("entry_lock", fs.entry_lock),
                              ("return_lock", fs.return_lock),
                              ("lock_line", fs.lock_line)):
             where = "%s.%s" % (fpath, which)
             for lp in sorted(paths):
-                root = params.get(lp.root) or global_types.get(lp.root)
-                _expect(root is not None, "lock path %r names no global or "
-                        "parameter of %s" % (lp.text, fname), where)
-                _expect(lock_path_type(lp, root, structs) is not None,
+                _expect(root_type(lp, params, p) is not None, "lock path %r names no "
+                        "global or parameter of %s" % (lp.text, fname), where)
+                _expect(lock_path_type(lp, params, p) is not None,
                         "lock path %r of %s is not a lock" % (lp.text, fname), where)

@@ -79,8 +79,8 @@ def guard_name_for(path: LockPath) -> str:
     return "_".join(path.segments) + "_guard"
 
 
-def _fresh_name(base: str, *taken: set[str]) -> str:
-    """base, or the first of base2, base3, ... that no set in taken holds."""
+def _fresh_name(base: str, *taken) -> str:
+    """base, or the first of base2, base3, ... that nothing in taken holds."""
     name = base
     k = 2
     while any(name in t for t in taken):
@@ -103,28 +103,6 @@ def _falls_through(stmts: list[Stmt]) -> bool:
                 and not _falls_through(s.orelse.stmts)):
             return False
     return True
-
-
-def _guard_names(paths: set[LockPath], reserved: set[str], params: list[str],
-                 diags: Diagnostics, fn_name: str,
-                 bases: dict[LockPath, str]) -> dict[LockPath, str]:
-    """A function's lock paths, in path order, to guard variable names. A
-    name is free in the program-wide reserved set, which every function
-    shares (copying it per function costs O(functions^2)), among params and
-    among the names given so far; a collision warns and takes a suffix.
-    bases holds the run's one guard_name_for string per path."""
-    names: dict[LockPath, str] = {}
-    taken = set(params)
-    for path in sorted(paths):
-        base = bases.get(path)
-        if base is None:
-            base = bases[path] = guard_name_for(path)
-        name = names[path] = _fresh_name(base, reserved, taken)
-        if name != base:
-            diags.warn("guard name %s for %s collides; renamed %s"
-                       % (base, path.text, name), function=fn_name)
-        taken.add(name)
-    return names
 
 
 class _Transformer:
@@ -151,23 +129,20 @@ class _Transformer:
                 self.entry_paths[fn.name] = sorted(fs.entry_lock)
                 self.ret_paths[fn.name] = sorted(fs.return_lock)
         self._lock_line: dict = {}  # none is held in a global initializer
-        self.reserved = ({g.name for g in p.globals}
-                         | {f.name for f in p.functions}
-                         | {sd.name for sd in p.structs})
         self.base_names: dict[LockPath, str] = {}
         self.guard_types: dict[LockPath, Type] = {}
 
     # -- declarations -------------------------------------------------------
 
     def _fresh_struct_name(self, base: str, taken: set[str]) -> str:
-        name = _fresh_name(base, taken)
+        name = _fresh_name(base, self.p.tags, taken)
         if name != base:
             self.diags.warn("payload struct name %s taken; using %s" % (base, name))
         taken.add(name)
         return name
 
     def _build_decls(self):
-        taken = {sd.name for sd in self.p.structs}
+        taken: set[str] = set()
         by_lock: dict[str, list[GlobalDecl]] = {}
         for g in self.p.globals:
             lock = self.s.global_lock_map.get(g.name)
@@ -219,6 +194,24 @@ class _Transformer:
 
     # -- functions ----------------------------------------------------------
 
+    def _guard_names(self, paths: set[LockPath], fn: FunctionDef) -> dict[LockPath, str]:
+        """fn's lock paths, in path order, to guard variable names. A name is
+        free among the program's names and tags, among fn's parameters and
+        among the names given so far; a collision warns and takes a suffix.
+        Each path's base name is made once per run."""
+        names: dict[LockPath, str] = {}
+        taken = set(fn.param_names)
+        for path in sorted(paths):
+            base = self.base_names.get(path)
+            if base is None:
+                base = self.base_names[path] = guard_name_for(path)
+            name = names[path] = _fresh_name(base, self.p.names, self.p.tags, taken)
+            if name != base:
+                self.diags.warn("guard name %s for %s collides; renamed %s"
+                                % (base, path.text, name), function=fn.name)
+            taken.add(name)
+        return names
+
     def run(self) -> Program:
         for g in self.p.globals:
             for c in g.calls:
@@ -266,8 +259,7 @@ class _Transformer:
         self._rets = self.ret_paths[fn.name]
         self._nonvoid = not fn.returns_void
         self._lock_line = self.s.function(fn.name).lock_line
-        self._names = _guard_names(self._candidate_paths(fn), self.reserved,
-                                   fn.param_names, self.diags, fn.name, self.base_names)
+        self._names = self._guard_names(self._candidate_paths(fn), fn)
         self._used: set[LockPath] = set()
 
         body = self._rewrite_block(fn.body)

@@ -225,6 +225,22 @@ def test_error_lines_without_a_column_keep_the_line_form(tmp_path, capsys):
     assert capsys.readouterr().err == "%s:2: error: duplicate global 'n'\n" % bad
 
 
+@pytest.mark.parametrize("mode, name, source, error", [
+    ("analyze", "field.mc", "int n;\nstruct s { int a; mutex_t a; };\n",
+     "2: error: duplicate field 'a' in struct s"),
+    ("check", "guard.gmc", "struct d { int n; };\nmutex<d> m;\nvoid f() {\n"
+     "    guard<m> g;\n    guard<m> g;\n    g = m.acquire(); drop(g); }\n",
+     "5: error: duplicate guard 'g' in f"),
+], ids=["duplicate-field", "duplicate-guard"])
+def test_a_name_declared_twice_in_one_scope_exits_with_one(tmp_path, capsys, mode, name,
+                                                           source, error):
+    bad = tmp_path / name
+    bad.write_text(source)
+    assert main([mode, str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "%s:%s\n" % (bad, error))
+
+
 def _parens(n):
     return "int c;\nvoid main() { c = " + "(" * n + "c" + ")" * n + "; }\n"
 

@@ -108,6 +108,16 @@ def test_name_resolution_errors():
         parse("void f(int a, int a) { }\n")
     with pytest.raises(TypeCheckError, match="used as a value"):
         parse("int n;\nvoid g() { }\nvoid f() { n = g; }\n")
+    # A struct's fields are distinct: neither the first nor the lock wins.
+    with pytest.raises(TypeCheckError) as exc:
+        parse("int n;\nstruct s { int a; int a; mutex_t m; };\n")
+    assert (exc.value.message, exc.value.line) == ("duplicate field 'a' in struct s", 2)
+    with pytest.raises(TypeCheckError) as exc:
+        parse("struct s { int a; mutex_t a; };\nstruct s x;\n"
+              "void f() { pthread_mutex_lock(&x.a); }\n")
+    assert (exc.value.message, exc.value.line) == ("duplicate field 'a' in struct s", 1)
+    # A parameter may shadow a global.
+    assert parse("int a;\nvoid f(int a) { a = 1; }\n").function("f").params[0].name == "a"
 
 
 def test_place_and_type_errors():
@@ -425,6 +435,22 @@ TWO_LOCKS = "struct d { int n; };\nstruct s { mutex<d> m; };\nmutex<d> m;\nmutex
         "target-of-a-call-without-guard-arguments"])
 def test_the_guarded_resolver_types_every_lock_path(source, error, message, line):
     with pytest.raises(error) as exc:
+        parse_guarded(source)
+    assert (exc.value.message, exc.value.line) == (message, line)
+
+
+@pytest.mark.parametrize("source, message, line", [
+    (LOCK_D + "void f() {\n guard<m> g;\n guard<m> g;\n g = m.acquire(); drop(g); }\n",
+     "duplicate guard 'g' in f", 6),
+    (LOCK_D + "void f(int g) {\n guard<m> g;\n g = m.acquire(); drop(g); }\n",
+     "guard 'g' shadows a parameter of f", 5),
+    (LOCK_D + "void f(guard<m> g) {\n guard<m> g;\n drop(g); }\n",
+     "guard 'g' shadows a parameter of f", 5),
+], ids=["guard-twice", "guard-named-like-a-parameter", "guard-named-like-a-guard-parameter"])
+def test_guarded_name_resolution_errors(source, message, line):
+    """A function's parameters and guards are distinct; the checker would
+    otherwise see one guard where the program declares two."""
+    with pytest.raises(TypeCheckError) as exc:
         parse_guarded(source)
     assert (exc.value.message, exc.value.line) == (message, line)
 

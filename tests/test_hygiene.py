@@ -143,8 +143,73 @@ def test_the_held_set_rules_have_one_home():
     assert not uses, "minus outside flowanalysis.py:\n" + "\n".join(uses)
 
 
+DECLARATION_LISTS = {"globals", "structs", "functions", "fields"}
+
+
+def _is_name_of(node: ast.expr, target: str) -> bool:
+    """Whether node is `target.name`."""
+    return (isinstance(node, ast.Attribute) and node.attr == "name"
+            and isinstance(node.value, ast.Name) and node.value.id == target)
+
+
+def _is_or_is_of(node: ast.expr | None, target: str) -> bool:
+    """Whether node is `target` or an attribute of it, such as `target.ty`."""
+    if isinstance(node, ast.Attribute):
+        node = node.value
+    return isinstance(node, ast.Name) and node.id == target
+
+
+def _by_name_tables(tree: ast.Module) -> list[int]:
+    """Lines that build a table of declarations by name from a declaration
+    list (`p.globals`, `p.structs`, `p.functions`, `s.fields`): a set of
+    their names, or a dict from each name to the declaration or one of its
+    attributes, by a comprehension over the list or a loop that stores or
+    adds under `d.name`."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.SetComp, ast.DictComp)):
+            key = node.elt if isinstance(node, ast.SetComp) else node.key
+            for gen in node.generators:
+                if (isinstance(gen.iter, ast.Attribute) and gen.iter.attr in DECLARATION_LISTS
+                        and isinstance(gen.target, ast.Name)
+                        and _is_name_of(key, gen.target.id)
+                        and (isinstance(node, ast.SetComp)
+                             or _is_or_is_of(node.value, gen.target.id))):
+                    lines.append(node.lineno)
+        elif (isinstance(node, ast.For) and isinstance(node.iter, ast.Attribute)
+              and node.iter.attr in DECLARATION_LISTS and isinstance(node.target, ast.Name)):
+            d = node.target.id
+            for inner in ast.walk(node):
+                stored = (isinstance(inner, ast.Assign) and _is_or_is_of(inner.value, d)
+                          and any(isinstance(t, ast.Subscript) and _is_name_of(t.slice, d)
+                                  for t in inner.targets))
+                added = (isinstance(inner, ast.Call) and isinstance(inner.func, ast.Attribute)
+                         and inner.func.attr in ("add", "setdefault") and inner.args
+                         and _is_name_of(inner.args[0], d))
+                if stored or added:
+                    lines.append(inner.lineno)
+    return lines
+
+
+def test_declarations_are_indexed_by_name_only_in_the_ast():
+    """ast.Program indexes its globals, functions and structs by name, and
+    a StructDef its fields; every phase reads those indexes, and no other
+    module builds a table of its own. Per-function scopes, such as a
+    function's parameters, are not declaration lists and stay allowed."""
+    tables = ["%s:%d" % (path.name, line) for path in MODULES if path.name != "ast.py"
+              for line in _by_name_tables(_tree(path))]
+    assert not tables, "by-name declaration tables outside ast.py:\n" + "\n".join(tables)
+    # The rule sees the forms it forbids, and lets per-function results be.
+    assert len(_by_name_tables(ast.parse(
+        "a = {g.name: g.ty for g in p.globals}\nb = {s.name for s in p.structs}\n"
+        "for f in p.functions:\n    c[f.name] = f\n    d.add(f.name)\n"))) == 4
+    assert not _by_name_tables(ast.parse(
+        "a = {q.name: q.ty for q in fn.params}\nfor f in p.functions:\n"
+        "    out[f.name] = build(f)\n"))
+
+
 # Made once per run or per error, these keep their dict: Program for its
-# cached function index, the others for having a few instances at most.
+# cached by-name indexes, the others for having a few instances at most.
 PER_RUN_SINGLETONS = {"Program", "LockSummary", "AnalysisResult", "CallGraph",
                       "OwnershipError"}
 

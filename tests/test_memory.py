@@ -11,6 +11,9 @@ datum path per datum across the access records, one set object per
 distinct entry or return set across the summaries, and one guard type per
 lock path across a transformed program's guard parameters and returned
 guards. AST nodes and the analysis's records have no per-instance dict.
+A declaration is found through its container's by-name index: doubling
+the declarations at most doubles the items visited in the declaration
+lists.
 And propagation renames each call site's held set a bounded number of
 times: on an acyclic call graph, callers are solved before their callees,
 so each site is renamed once while solving and once more when its drops
@@ -25,20 +28,21 @@ import types
 
 import pytest
 
-from lockshift import ast, propagation
+from lockshift import ast, parser, propagation
 from lockshift.callgraph import CallGraph
 from lockshift.cfg import FlowGraph
 from lockshift.datalock import AccessRecord, ProtectionVerdict, collect_accesses
 from lockshift.diagnostics import Diagnostic
 from lockshift.flowanalysis import FunctionFlowFacts, stmt_effects
 from lockshift.lexer import tokenize
-from lockshift.parser import parse_guarded
+from lockshift.parser import parse, parse_guarded
 from lockshift.pipeline import AnalysisResult, analyze_program, lock_sets
 from lockshift.propagation import CallSiteFact, collect_call_facts
-from lockshift.summary import FunctionSummary
+from lockshift.summary import FunctionSummary, LockSummary, validate_against_program
+from lockshift.transform import transform
 
 from corpus import analyzed, completed, first_seeds, programs
-from helpers import FIXTURES, chain_program
+from helpers import FIXTURES, chain_program, fixture_text
 
 
 def test_flow_facts_keep_one_map_keyed_by_the_graph_nodes(corpus):
@@ -320,3 +324,97 @@ def test_call_sites_in_call_cycles_are_renamed_at_most_three_times(seed, monkeyp
         programs()["bench/recursive_rings/%d" % seed], monkeypatch)
     assert any(cg.is_recursive_scc(i) for i in range(len(cg.merged_nodes)))
     assert calls <= 3 * sites, (calls, sites)
+
+
+class _CountingList(list):
+    """A declaration list that adds the items its iterations yield to
+    visits[0], so a lookup that scans the list shows up as work."""
+
+    def __init__(self, items, visits: list[int]):
+        super().__init__(items)
+        self.visits = visits
+
+    def __iter__(self):
+        for item in list.__iter__(self):
+            self.visits[0] += 1
+            yield item
+
+
+def _counting(p: ast.Program, visits: list[int]) -> ast.Program:
+    """p with every declaration list, a struct's fields too, counting."""
+    structs = [ast.StructDef(s.name, _CountingList(s.fields, visits), s.line)
+               for s in p.structs]
+    return ast.Program(*(_CountingList(decls, visits)
+                         for decls in (p.globals, structs, p.functions)))
+
+
+def _payload_accesses(n: int) -> str:
+    """One lock whose payload struct has n fields, each written once."""
+    fields = " ".join("int f%d;" % i for i in range(n))
+    writes = "\n".join("    (*g).f%d = %d;" % (i, i) for i in range(n))
+    return ("struct d { %s };\nmutex<d> m;\nvoid main() { guard<m> g;\n"
+            "    g = m.acquire();\n%s\n    drop(g); }\n" % (fields, writes))
+
+
+def _resolving_visits(n: int) -> int:
+    source = _payload_accesses(n)
+    visits = [0]
+    with pytest.MonkeyPatch.context() as m:
+        # The parser builds its lists by appending; the resolver visits them.
+        m.setattr(parser, "StructDef", lambda name, fields, line:
+                  ast.StructDef(name, _CountingList(fields, visits), line))
+        m.setattr(parser, "Program", lambda *lists: ast.Program(
+            *(_CountingList(decls, visits) for decls in lists)))
+        parse_guarded(source)
+    return visits[0]
+
+
+def _lock_per_global(n: int) -> str:
+    """n globals, each written under a lock of its own."""
+    lines = ["int g%d;" % i for i in range(n)] + ["mutex_t m%d;" % i for i in range(n)]
+    lines += ["void f%d() { pthread_mutex_lock(&m%d); g%d = %d; pthread_mutex_unlock(&m%d); }"
+              % (i, i, i, i, i) for i in range(n)]
+    lines.append("void main() { %s }" % " ".join("f%d();" % i for i in range(n)))
+    return "\n".join(lines) + "\n"
+
+
+def _transform_visits(n: int) -> int:
+    result = analyze_program(_lock_per_global(n))
+    assert len(result.lock_summary.global_lock_map) == n
+    visits = [0]
+    transform(_counting(result.program, visits), result.lock_summary)
+    return visits[0]
+
+
+def _validation_visits(n: int) -> int:
+    source = "".join("struct s%d { int n; mutex_t m; };\n" % i for i in range(n))
+    program = parse(source)
+    summary = LockSummary(struct_lock_map={"s%d" % i: {"n": "m"} for i in range(n)})
+    visits = [0]
+    validate_against_program(summary, _counting(program, visits))
+    return visits[0]
+
+
+@pytest.mark.parametrize("visits", [_resolving_visits, _transform_visits,
+                                    _validation_visits],
+                         ids=["resolving-payload-fields", "transform-locks-and-globals",
+                              "validating-structs"])
+def test_declarations_are_found_by_name_not_by_scanning(visits):
+    """Each phase looks a declaration up in its container's index, so
+    doubling the declarations at most doubles the list visits. Scanning a
+    list per lookup made them quadruple: per payload field access in the
+    resolver, per lock in the transformer, per struct in validation."""
+    small, large = visits(100), visits(200)
+    assert small > 0
+    assert large <= 2 * small, (small, large)
+
+
+def test_a_transformed_program_finds_its_payloads_and_locks():
+    result = analyze_program(fixture_text("listing1.mc"))
+    out = transform(result.program, result.lock_summary)
+    lock = out.global_decl("m")
+    assert (lock.ty.kind, lock.ty.name) == ("lock", "mData")
+    assert [f.name for f in out.struct("mData").fields] == ["n"]
+    field = out.struct("s").field_decl("m")
+    assert [f.name for f in out.struct(field.ty.name).fields] == ["n"]
+    assert out.global_decl("f") is None and out.function("m") is None
