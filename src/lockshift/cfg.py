@@ -60,7 +60,7 @@ class FlowGraph:
 
     @property
     def stmt_nodes(self) -> list[Stmt]:
-        return [n for n in self.nodes if isinstance(n, Stmt)]
+        return self.nodes[1:-1]
 
 
 def build_cfg(fn: FunctionDef, diags: Diagnostics | None = None) -> FlowGraph:

@@ -11,7 +11,6 @@ rejection.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
@@ -30,7 +29,7 @@ from .guardcheck import check
 from .parser import parse, parse_guarded
 from .pipeline import LockSets, analyze_program, lock_sets
 from .printer import print_guarded
-from .summary import read_summary, write_summary
+from .summary import read_summary, write_json, write_summary
 from .transform import transform
 
 _MODES = ("analyze", "transform", "check", "full")
@@ -143,7 +142,7 @@ def _flow_dump(program: Program, sets: LockSets) -> str:
             "ret": {"avail_out": _texts(avail_out[g.ret])},
             "lines": lines,
         }
-    return json.dumps(out, indent=2, sort_keys=True) + "\n"
+    return write_json(out) + "\n"
 
 
 def _write_dumps(args, program: Program) -> None:

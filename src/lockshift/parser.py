@@ -619,12 +619,19 @@ class _Resolver:
         for s in p.structs:
             if p.tags[s.name] is not s:
                 raise TypeCheckError("duplicate struct %r" % s.name, s.line)
+        # Every call by a lock-API name resolves as the API, so a declaration
+        # of one would be dead.
         for g in p.globals:
             if p.names[g.name] is not g:
                 raise TypeCheckError("duplicate global %r" % g.name, g.line)
+            if g.name in LOCK_API:
+                raise TypeCheckError("global %r is named like the lock API" % g.name, g.line)
         for f in p.functions:
             if p.names[f.name] is not f:
                 raise TypeCheckError("duplicate definition of %r" % f.name, f.line_span[0])
+            if f.name in LOCK_API:
+                raise TypeCheckError("function %r is named like the lock API" % f.name,
+                                     f.line_span[0])
         for s in p.structs:
             for fd in s.fields:
                 if s.field_decl(fd.name) is not fd:
@@ -635,7 +642,7 @@ class _Resolver:
             self.check_type(g.ty, g.line)
             self.line = g.line
             if isinstance(g.init, PayloadInit):
-                self.resolve_payload_init(g.ty, g.init)
+                self.resolve_payload_init(g)
             elif g.init is not None:
                 self.resolve_expr(g.init)
             self.take_calls(g)
@@ -668,15 +675,21 @@ class _Resolver:
             raise UnknownIdentifier(
                 "lock %s has no payload field %r" % (path.text, fld), self.line)
 
-    def resolve_payload_init(self, ty: Type, init: PayloadInit) -> None:
-        if not ty.is_mutex():
+    def resolve_payload_init(self, g: GlobalDecl) -> None:
+        init = g.init
+        if not g.ty.is_mutex():
             raise TypeCheckError("a payload initializer needs a lock held by value",
                                  self.line)
         payload = self.program.struct(init.payload)
+        seen: set[str] = set()
         for fname, finit in init.inits:
             if payload.field_decl(fname) is None:
                 raise UnknownIdentifier(
                     "payload %r has no field %r" % (init.payload, fname), self.line)
+            if fname in seen:
+                raise TypeCheckError("duplicate field %r in the initializer of %s"
+                                     % (fname, g.name), self.line)
+            seen.add(fname)
             if finit is not None:
                 self.resolve_expr(finit)
 

@@ -89,8 +89,18 @@ def propagate(program: Program, flow: dict[str, FunctionFlowFacts],
             result = meet(result, renamed)
         return result
 
+    # Each callee's drops from its last visit, kept only when there are
+    # some. A caller whose ELS changes re-queues its callees, so that
+    # visit renamed against every caller's final PLS.
+    drops: dict[str, Diagnostics] = {}
+
     def els_step(name: str):
-        new = prop_into(name, None)
+        report = Diagnostics() if diags is not None else None
+        new = prop_into(name, report)
+        if report:
+            drops[name] = report
+        else:
+            drops.pop(name, None)
         if new == els[name]:
             return ()
         els[name] = new
@@ -100,11 +110,10 @@ def propagate(program: Program, flow: dict[str, FunctionFlowFacts],
     solve([name for name in _callers_first(els, callees_of)
            if by_callee.get(name)], els_step)
 
-    # Report drops once, after convergence.
     if diags is not None:
         for name in els:
-            if by_callee.get(name) and els[name] is not None:
-                prop_into(name, diags)
+            if name in drops and els[name] is not None:
+                diags.extend(drops[name])
 
     summaries: dict[str, FunctionSummary] = {}
     # One object per distinct entry or return set across the summaries.
@@ -133,7 +142,8 @@ def _callers_first(names, callees_of: dict[str, dict[str, None]]) -> list[str]:
     fixpoint reached from Top, so the order changes only how often a
     callee is re-visited, never its result. Seeded instead with the flow
     facts' order reversed, outputs stay the same but bench recursive_rings
-    renames 3x the call-site sets (1,080 -> 3,260); test_memory bounds it."""
+    renames almost 5x the call-site sets (570 -> 2,750); test_memory bounds
+    it."""
     post: list[str] = []
     seen: set[str] = set()
     for root in names:

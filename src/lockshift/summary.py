@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 from .ast import KEYWORDS, LockPath, Program, holds_data, lock_path_type, path_of, root_type
 from .diagnostics import SchemaError
@@ -70,7 +71,32 @@ def write_summary(s: LockSummary) -> str:
             for name, fs in s.function_map.items() if not fs.is_empty()
         },
     }
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    return write_json(data) + "\n"
+
+
+def write_json(value, pad: str = "") -> str:
+    """value as json.dumps(value, indent=2, sort_keys=True) writes it, for
+    dicts with string keys, lists, strings and ints; anything else is a
+    TypeError. The canonical form of every JSON file the library writes.
+    json's own encoder takes its pure-Python path whenever it indents."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return int.__repr__(value)
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = sep.join([encode_basestring_ascii(k) + ": " + write_json(value[k], inner)
+                          for k in sorted(value)])
+        return "{\n%s%s\n%s}" % (inner, items, pad)
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        items = sep.join([write_json(v, inner) for v in value])
+        return "[\n%s%s\n%s]" % (inner, items, pad)
+    raise TypeError("cannot write %s as JSON" % type(value).__name__)
 
 
 def _expect(cond: bool, message: str, path: str) -> None:
@@ -181,16 +207,20 @@ def validate_against_program(s: LockSummary, p: Program) -> None:
         _expect(sd is not None, "unknown struct %r" % sname, spath)
         _check_lock_map(fields, sd.field_decl, "field %%r of struct %s" % sname, spath)
     for fname, fs in s.function_map.items():
-        fpath = "$.function_map.%s" % fname
         fn = p.function(fname)
-        _expect(fn is not None, "unknown function %r" % fname, fpath)
+        if fn is None:
+            raise SchemaError("unknown function %r" % fname, "$.function_map.%s" % fname)
         params = {param.name: param.ty for param in fn.params}
         for which, paths in (("entry_lock", fs.entry_lock),
                              ("return_lock", fs.return_lock),
                              ("lock_line", fs.lock_line)):
-            where = "%s.%s" % (fpath, which)
-            for lp in sorted(paths):
-                _expect(root_type(lp, params, p) is not None, "lock path %r names no "
-                        "global or parameter of %s" % (lp.text, fname), where)
-                _expect(lock_path_type(lp, params, p) is not None,
-                        "lock path %r of %s is not a lock" % (lp.text, fname), where)
+            # A path that names a lock has a root, so the first path in
+            # order that fails either check is the first that names no lock.
+            bad = [lp for lp in paths if lock_path_type(lp, params, p) is None]
+            if not bad:
+                continue
+            lp, where = min(bad), "$.function_map.%s.%s" % (fname, which)
+            if root_type(lp, params, p) is None:
+                raise SchemaError("lock path %r names no global or parameter of %s"
+                                  % (lp.text, fname), where)
+            raise SchemaError("lock path %r of %s is not a lock" % (lp.text, fname), where)

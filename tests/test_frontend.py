@@ -446,12 +446,31 @@ def test_the_guarded_resolver_types_every_lock_path(source, error, message, line
      "guard 'g' shadows a parameter of f", 5),
     (LOCK_D + "void f(guard<m> g) {\n guard<m> g;\n drop(g); }\n",
      "guard 'g' shadows a parameter of f", 5),
-], ids=["guard-twice", "guard-named-like-a-parameter", "guard-named-like-a-guard-parameter"])
+    ("struct d { int n; };\nmutex<d> m = d { n = 0, n = 1 };\n",
+     "duplicate field 'n' in the initializer of m", 2),
+], ids=["guard-twice", "guard-named-like-a-parameter", "guard-named-like-a-guard-parameter",
+        "payload-field-initialized-twice"])
 def test_guarded_name_resolution_errors(source, message, line):
     """A function's parameters and guards are distinct; the checker would
-    otherwise see one guard where the program declares two."""
+    otherwise see one guard where the program declares two. A payload
+    initializer names each field once."""
     with pytest.raises(TypeCheckError) as exc:
         parse_guarded(source)
+    assert (exc.value.message, exc.value.line) == (message, line)
+
+
+@pytest.mark.parametrize("dialect", [parse, parse_guarded], ids=["plain", "guarded"])
+@pytest.mark.parametrize("source, message, line", [
+    ("int n;\nvoid pthread_mutex_lock(int a) { n = a; }\n",
+     "function 'pthread_mutex_lock' is named like the lock API", 2),
+    ("int n;\n\nint pthread_create;\n",
+     "global 'pthread_create' is named like the lock API", 3),
+], ids=["function", "global"])
+def test_a_declaration_named_like_the_lock_api_is_rejected(dialect, source, message, line):
+    """Every call by a lock-API name resolves as the API, so such a
+    declaration could never be reached."""
+    with pytest.raises(TypeCheckError) as exc:
+        dialect(source)
     assert (exc.value.message, exc.value.line) == (message, line)
 
 

@@ -143,6 +143,14 @@ def test_the_held_set_rules_have_one_home():
     assert not uses, "minus outside flowanalysis.py:\n" + "\n".join(uses)
 
 
+def test_json_is_written_only_by_write_json():
+    """summary.write_json renders every JSON file the library writes, the
+    summary and the --dump-flow file, in one canonical form; json.dumps
+    with an indent runs json's pure-Python encoder."""
+    uses = _uses_outside("dumps", set())
+    assert not uses, "json.dumps in the library:\n" + "\n".join(uses)
+
+
 DECLARATION_LISTS = {"globals", "structs", "functions", "fields"}
 
 

@@ -16,9 +16,10 @@ the declarations at most doubles the items visited in the declaration
 lists.
 And propagation renames each call site's held set a bounded number of
 times: on an acyclic call graph, callers are solved before their callees,
-so each site is renamed once while solving and once more when its drops
-are reported; inside call cycles, at most three times on the bench's
-recursive rings.
+so each site is renamed once, and the drops that renaming reports are the
+ones kept; inside call cycles, at most twice on the bench's recursive
+rings. A flow graph's statement nodes are its node list between Entry and
+Ret, taken without a filter.
 """
 from __future__ import annotations
 
@@ -307,23 +308,38 @@ def _renames_and_sites(source: str, monkeypatch) -> tuple[int, int, CallGraph]:
 
 
 @pytest.mark.parametrize("name", ACYCLIC)
-def test_each_call_site_is_renamed_at_most_twice(name, monkeypatch):
+def test_each_call_site_is_renamed_once(name, monkeypatch):
+    """Renaming a site again after convergence, only to report its drops,
+    made this twice the sites."""
     calls, sites, cg = _renames_and_sites(ACYCLIC[name], monkeypatch)
     assert not any(cg.is_recursive_scc(i) for i in range(len(cg.merged_nodes)))
-    assert calls <= 2 * sites, (calls, sites)
+    assert calls == sites, (calls, sites)
 
 
 @pytest.mark.parametrize("seed", range(1, 5))
 def test_call_sites_in_call_cycles_are_renamed_at_most_three_times(seed, monkeypatch):
     """Inside a call cycle a caller can be re-solved after its callee, so
-    a site may be renamed more than twice, but callers-first order keeps it
-    near that. Seeding the worklist with the flow facts' order reversed
+    a site may be renamed more than once, but callers-first order keeps it
+    near that: under twice the sites, the bound asserted here. Renaming
+    every site again after convergence made it 72 renames for 34 sites on
+    seed 1. Seeding the worklist with the flow facts' order reversed
     instead (callers' components first, a cycle's members in another
-    order) passes every other test and triples the renames here."""
+    order) passes every other test and gives 174 renames for those 34
+    sites."""
     calls, sites, cg = _renames_and_sites(
         programs()["bench/recursive_rings/%d" % seed], monkeypatch)
     assert any(cg.is_recursive_scc(i) for i in range(len(cg.merged_nodes)))
-    assert calls <= 3 * sites, (calls, sites)
+    assert calls <= 2 * sites, (calls, sites)
+
+
+def test_statement_nodes_are_the_nodes_between_entry_and_ret(corpus):
+    checked = 0
+    for name, run in analyzed(corpus):
+        for fn, g in run.sets.graphs.items():
+            assert g.stmt_nodes == [n for n in g.nodes if isinstance(n, ast.Stmt)], (name, fn)
+            assert (g.nodes[0], g.nodes[-1]) == (g.entry, g.ret), (name, fn)
+            checked += 1
+    assert checked > 1000
 
 
 class _CountingList(list):
