@@ -177,27 +177,21 @@ class Call(Expr):
 
 @dataclass(eq=False, slots=True)
 class GuardRef(Expr):
-    """A guard variable used as a value (call argument or return)."""
+    """A guard variable: a value where it is passed or returned, a receiver
+    where it is a destructuring call assignment's target."""
 
     name: str
     path: LockPath
 
 
 @dataclass(eq=False, slots=True)
-class GuardDeref(Expr):
-    """Payload field access through an owned guard: (*m_guard).n"""
-
-    guard: str
-    path: LockPath
-    fld: str
-
-
-@dataclass(eq=False, slots=True)
-class GetMutAccess(Expr):
-    """Unguarded payload field access on the lock itself: m.get_mut().n"""
+class PayloadAccess(Expr):
+    """A payload field of the lock at path: through the owned guard named
+    guard, (*m_guard).n, or with no guard on the lock itself, m.get_mut().n."""
 
     path: LockPath
     fld: str
+    guard: str | None = None
 
 
 @dataclass(eq=False, slots=True)
@@ -282,14 +276,9 @@ class Discard:
 
 
 @dataclass(eq=False, slots=True)
-class GuardTarget:
-    name: str
-    path: LockPath
-
-
-@dataclass(eq=False, slots=True)
 class CallAssign(Stmt):
-    """Destructuring call: (x, m_guard) = g(...); targets are places, guards, or _."""
+    """Destructuring call: (x, m_guard) = g(...); targets are places,
+    GuardRefs, or _."""
 
     targets: list = field(default_factory=list)
     call: Call = None  # type: ignore[assignment]
@@ -472,21 +461,6 @@ def iter_stmts(block: "Block"):
             yield from iter_stmts(s.body)
 
 
-def stmt_exprs(s: Stmt) -> list[Expr]:
-    """The expressions evaluated by s itself (not by nested statements)."""
-    if isinstance(s, Assign):
-        return [s.value, s.place]
-    if isinstance(s, ExprStmt):
-        return [s.expr]
-    if isinstance(s, (If, While)):
-        return [s.cond]
-    if isinstance(s, Return):
-        return [s.value] if s.value is not None else []
-    if isinstance(s, CallAssign):
-        return [s.call]
-    return []
-
-
 def function_calls(fn: FunctionDef) -> list[tuple[Stmt, Call]]:
     """Every call in fn paired with its enclosing statement, in program order."""
     return [(s, c) for s in iter_stmts(fn.body) for c in s.calls]
@@ -496,10 +470,10 @@ def data_accesses(s: Stmt) -> list[tuple[str, Expr, LockPath]]:
     """Data accesses evaluated by s itself, places before values.
 
     Each is (kind, expr, datum): kind is "read" or "write"; expr is the Var,
-    FieldAccess, GuardDeref or GetMutAccess that touches the datum; datum is
-    its dotted path, where a payload field reached through lock path x.m
-    maps back to x.fld. Bases of field accesses and operands of & only
-    compute addresses; they touch no data themselves.
+    FieldAccess or PayloadAccess that touches the datum; datum is its
+    dotted path, where a payload field of lock path x.m maps back to x.fld.
+    Bases of field accesses and operands of & only compute addresses; they
+    touch no data themselves.
     """
     out: list[tuple[str, Expr, LockPath]] = []
     if isinstance(s, Assign):
@@ -510,9 +484,12 @@ def data_accesses(s: Stmt) -> list[tuple[str, Expr, LockPath]]:
             if isinstance(t, Expr):
                 _collect_accesses(t, "write", False, out)
         _collect_accesses(s.call, "read", False, out)
-    else:
-        for e in stmt_exprs(s):
-            _collect_accesses(e, "read", False, out)
+    elif isinstance(s, ExprStmt):
+        _collect_accesses(s.expr, "read", False, out)
+    elif isinstance(s, (If, While)):
+        _collect_accesses(s.cond, "read", False, out)
+    elif isinstance(s, Return):
+        _collect_accesses(s.value, "read", False, out)  # None adds nothing
     return out
 
 
@@ -535,7 +512,7 @@ def _collect_accesses(e: Expr, kind: str, as_address: bool,
             out.append((kind, e, datum))
         if isinstance(e, FieldAccess):
             _collect_accesses(e.base, "read", True, out)
-    elif isinstance(e, (GuardDeref, GetMutAccess)):
+    elif isinstance(e, PayloadAccess):
         if not as_address:
             out.append((kind, e, e.path.sibling(e.fld)))
     elif isinstance(e, AddrOf):

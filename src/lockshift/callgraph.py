@@ -1,15 +1,18 @@
 """Call graph construction and SCC condensation.
 
-Edges only target user-defined callees; the four pthread API names are library
-functions and add none, so the function passed to pthread_create gets no edge
+A call graph is its edges, each function's distinct callees keyed in
+program order, and its strongly connected components. Edges only target
+user-defined callees; the four pthread API names are library functions and
+add none, so the function passed to pthread_create gets no edge
 (thread_entries() finds the entry points by walking the calls again). The
-condensation is emitted in post-order (callees before callers), which the
-lock-set analysis consumes directly.
+components are emitted in post-order (callees before callers), which the
+lock-set analysis consumes directly; the merged-graph dump derives each
+function's component and the edges between components itself.
 """
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .ast import CREATE_FN, LOCK_API, Program, function_calls
 from .diagnostics import Diagnostics
@@ -17,11 +20,8 @@ from .diagnostics import Diagnostics
 
 @dataclass
 class CallGraph:
-    nodes: list[str]
-    edges: dict[str, list[str]]
-    merged_nodes: list[list[str]] = field(default_factory=list)  # callees first
-    merged_edges: dict[int, list[int]] = field(default_factory=dict)
-    scc_index: dict[str, int] = field(default_factory=dict)
+    edges: dict[str, list[str]]  # keyed in program order
+    merged_nodes: list[list[str]]  # callees first
 
     def is_recursive_scc(self, idx: int) -> bool:
         members = self.merged_nodes[idx]
@@ -51,7 +51,6 @@ def thread_entries(program) -> list[str]:
 
 
 def build_call_graph(program: Program, diags: Diagnostics | None = None) -> CallGraph:
-    nodes = [f.name for f in program.functions]
     edges: dict[str, list[str]] = {}
     for fn in program.functions:
         callees: dict[str, None] = {}  # distinct, in first-call order
@@ -65,12 +64,10 @@ def build_call_graph(program: Program, diags: Diagnostics | None = None) -> Call
                 continue
             callees[call.name] = None
         edges[fn.name] = list(callees)
-    cg = CallGraph(nodes, edges)
-    _condense(cg)
-    return cg
+    return CallGraph(edges, _condense(edges))
 
 
-def _condense(cg: CallGraph) -> None:
+def _condense(edges: dict[str, list[str]]) -> list[list[str]]:
     """Iterative Tarjan; SCC emission order is already callees-before-callers."""
     index: dict[str, int] = {}
     lowlink: dict[str, int] = {}
@@ -79,7 +76,7 @@ def _condense(cg: CallGraph) -> None:
     counter = [0]
     sccs: list[list[str]] = []
 
-    for root in cg.nodes:
+    for root in edges:
         if root in index:
             continue
         work = [(root, 0)]
@@ -91,7 +88,7 @@ def _condense(cg: CallGraph) -> None:
                 stack.append(node)
                 on_stack.add(node)
             advanced = False
-            targets = cg.edges[node]
+            targets = edges[node]
             while ei < len(targets):
                 t = targets[ei]
                 ei += 1
@@ -119,36 +116,29 @@ def _condense(cg: CallGraph) -> None:
                 parent = work[-1][0]
                 lowlink[parent] = min(lowlink[parent], lowlink[node])
 
-    cg.merged_nodes = sccs
-    cg.scc_index = {name: i for i, scc in enumerate(sccs) for name in scc}
-    merged: dict[int, set[int]] = {i: set() for i in range(len(sccs))}
-    for f in cg.nodes:
-        fi = cg.scc_index[f]
-        for g in cg.edges[f]:
-            gi = cg.scc_index[g]
-            if gi != fi:
-                merged[fi].add(gi)
-    cg.merged_edges = {i: sorted(targets) for i, targets in merged.items()}
+    return sccs
 
 
 def callgraph_to_dot(cg: CallGraph) -> str:
     out = ["digraph calls {"]
-    for n in cg.nodes:
+    for n in cg.edges:
         out.append('    "%s";' % n)
-    for n in cg.nodes:
-        for t in cg.edges[n]:
+    for n, callees in cg.edges.items():
+        for t in callees:
             out.append('    "%s" -> "%s";' % (n, t))
     out.append("}")
     return "\n".join(out) + "\n"
 
 
 def merged_callgraph_to_dot(cg: CallGraph) -> str:
+    """The components, and each one's edges to the others in index order."""
+    scc = {name: i for i, members in enumerate(cg.merged_nodes) for name in members}
     out = ["digraph calls_merged {"]
     for i, members in enumerate(cg.merged_nodes):
         label = "{%s}" % ", ".join(members)
         out.append('    scc%d [label="%s"];' % (i, label))
-    for i in range(len(cg.merged_nodes)):
-        for j in cg.merged_edges[i]:
+    for i, members in enumerate(cg.merged_nodes):
+        for j in sorted({scc[g] for f in members for g in cg.edges[f]} - {i}):
             out.append("    scc%d -> scc%d;" % (i, j))
     out.append("}")
     return "\n".join(out) + "\n"

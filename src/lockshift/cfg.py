@@ -37,8 +37,8 @@ Node = object  # EntryNode | RetNode | Stmt
 
 
 class FlowGraph:
-    """succ/pred are exact inverses; nodes lists Entry, the statements in
-    textual order, then Ret."""
+    """nodes lists Entry, the statements in textual order, then Ret; succ
+    holds each node's successors, the one stored form of its edges."""
 
     def __init__(self, name: str):
         self.name = name
@@ -46,17 +46,14 @@ class FlowGraph:
         self.ret = RetNode()
         self.nodes: list[Node] = []
         self.succ: dict[Node, list[Node]] = {}
-        self.pred: dict[Node, list[Node]] = {}
 
     def add_node(self, n: Node) -> None:
         self.nodes.append(n)
         self.succ[n] = []
-        self.pred[n] = []
 
     def add_edge(self, a: Node, b: Node) -> None:
         if b not in self.succ[a]:
             self.succ[a].append(b)
-            self.pred[b].append(a)
 
     @property
     def stmt_nodes(self) -> list[Stmt]:

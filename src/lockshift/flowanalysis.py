@@ -190,6 +190,11 @@ def flow_sets(fn: FunctionDef, g: FlowGraph,
     solved against fixed callee summaries."""
     effects = {n: e for n in g.stmt_nodes
                if (e := stmt_effects(n, callee_facts, diags, fn.name))}
+    succ = g.succ
+    pred: dict[Node, list[Node]] = {n: [] for n in g.nodes}
+    for n in g.nodes:
+        for s in succ[n]:
+            pred[s].append(n)
 
     # Backward may pass, least fixpoint from the empty set.
     live_in = dict.fromkeys(g.nodes, _EMPTY)
@@ -197,7 +202,7 @@ def flow_sets(fn: FunctionDef, g: FlowGraph,
 
     def live_step(n: Node):
         out = _EMPTY
-        for s in g.succ[n]:
+        for s in succ[n]:
             out = join(out, live_in[s])
         live_out[n] = new_in = out
         for released, held in reversed(effects.get(n, ())):
@@ -205,7 +210,7 @@ def flow_sets(fn: FunctionDef, g: FlowGraph,
         if new_in == live_in[n]:
             return ()
         live_in[n] = new_in
-        return g.pred[n]
+        return pred[n]
 
     solve(reversed(g.nodes), live_step)
 
@@ -217,7 +222,7 @@ def flow_sets(fn: FunctionDef, g: FlowGraph,
 
     def avail_step(n: Node):
         inn = None
-        for p in g.pred[n]:
+        for p in pred[n]:
             inn = meet(inn, avail_out[p])
         avail_in[n] = new_out = inn
         for released, held in effects.get(n, ()):
@@ -225,7 +230,7 @@ def flow_sets(fn: FunctionDef, g: FlowGraph,
         if new_out == avail_out[n]:
             return ()
         avail_out[n] = new_out
-        return g.succ[n]
+        return succ[n]
 
     solve((n for n in g.nodes if n is not g.entry), avail_step)
     return live_in, live_out, avail_in, avail_out

@@ -46,11 +46,10 @@ from .ast import (
     ExprStmt,
     FieldAccess,
     FunctionDef,
-    GuardDeref,
     GuardRef,
-    GuardTarget,
     If,
     IntLit,
+    PayloadAccess,
     Program,
     Return,
     Stmt,
@@ -84,8 +83,9 @@ def _expr_events(e: Expr | None, out: list[tuple[str, str]]) -> None:
     ("deref", g) requires ownership without consuming it.
     """
     # The forms are tested most frequent first; names and literals use no guard.
-    if isinstance(e, GuardDeref):
-        out.append(("deref", e.guard))
+    if isinstance(e, PayloadAccess):
+        if e.guard is not None:
+            out.append(("deref", e.guard))
     elif isinstance(e, Binary):
         _expr_events(e.lhs, out)
         _expr_events(e.rhs, out)
@@ -116,7 +116,7 @@ def _stmt_events(s: Stmt) -> tuple[list[tuple[str, str]], list[str]]:
     elif isinstance(s, CallAssign):
         _expr_events(s.call, uses)
         for t in s.targets:
-            if isinstance(t, GuardTarget):
+            if isinstance(t, GuardRef):  # a target receives its guard
                 gets.append(t.name)
             elif isinstance(t, Expr):
                 _expr_events(t, uses)

@@ -28,16 +28,14 @@ from .ast import (
     FieldAccess,
     FieldDecl,
     FunctionDef,
-    GetMutAccess,
     GlobalDecl,
-    GuardDeref,
     GuardRef,
-    GuardTarget,
     GuardVarDecl,
     If,
     IntLit,
     LockPath,
     Param,
+    PayloadAccess,
     PayloadInit,
     Program,
     Return,
@@ -449,10 +447,7 @@ class _Parser:
         if self.kinds[self.pos] == "ident" and self.at("_"):
             self.next()
             return Discard()
-        e = self.parse_expr()
-        if isinstance(e, GuardRef):
-            return GuardTarget(e.name, e.path)
-        return e
+        return self.parse_expr()
 
     def parse_simple_stmt(self) -> Stmt:
         t = self.pos
@@ -467,8 +462,7 @@ class _Parser:
                 return AcquireAssign(line=line, guard=lhs.name, path=rhs.path)
             if isinstance(lhs, GuardRef):
                 if isinstance(rhs, Call):
-                    return CallAssign(line=line,
-                                      targets=[GuardTarget(lhs.name, lhs.path)], call=rhs)
+                    return CallAssign(line=line, targets=[lhs], call=rhs)
                 raise self.fail("a guard can only receive acquire() or a call result", t)
             return Assign(line=line, place=lhs, value=rhs)
         self.expect(";")
@@ -529,7 +523,7 @@ class _Parser:
     def _make_field_access(self, base: Expr, op: int, fld: str) -> Expr:
         if isinstance(base, Deref) and isinstance(base.expr, GuardRef):
             g = base.expr
-            return GuardDeref(g.name, g.path, fld)  # a leaf: adds no level
+            return PayloadAccess(g.path, fld, g.name)  # a leaf: adds no level
         self.grow(op, self.height)
         return FieldAccess(base, fld, self.values[op] == "->")
 
@@ -548,7 +542,7 @@ class _Parser:
         if name == "acquire":
             return _AcquireExpr(path, self.lines[method])
         self.expect(".")
-        return GetMutAccess(path, self.values[self.expect_ident("payload field name")])
+        return PayloadAccess(path, self.values[self.expect_ident("payload field name")])
 
     def parse_call(self, name: str) -> Call:
         self.nest(self.expect("("))
@@ -778,7 +772,9 @@ class _Resolver:
             self.calls.clear()
 
     def check_assign_place(self, e: Expr, line: int) -> None:
-        if isinstance(e, (GuardDeref, GetMutAccess)):
+        """e is a place to assign, a payload field, or, as a destructuring
+        target, a guard that receives."""
+        if isinstance(e, (PayloadAccess, GuardRef)):
             return
         if place_path(e) is None or isinstance(e, AddrOf):
             raise TypeCheckError("assignment target is not a place", line)
@@ -818,8 +814,7 @@ class _Resolver:
             return
         if isinstance(e, AddrOf):
             self.resolve_expr(e.expr)
-            if (place_path(e.expr) is None
-                    and not isinstance(e.expr, (GuardDeref, GetMutAccess))):
+            if place_path(e.expr) is None and not isinstance(e.expr, PayloadAccess):
                 raise TypeCheckError("cannot take the address of a non-place", self.line)
             return
         if isinstance(e, Deref):
@@ -836,7 +831,7 @@ class _Resolver:
             self.resolve_call(e, [e])  # its one value goes to the expression
             self.calls.append(e)
             return
-        if isinstance(e, (GuardDeref, GetMutAccess)):
+        if isinstance(e, PayloadAccess):
             self.check_payload_field(e.path, e.fld)
             return
         if isinstance(e, GuardRef):
@@ -892,14 +887,14 @@ class _Resolver:
             raise TypeCheckError("%s() returns %d values, not %d"
                                  % (call.name, len(fn.rets), len(targets)), line)
         for t, r in zip(targets, fn.rets):
-            if r.kind == "guard" or isinstance(t, GuardTarget):
+            if r.kind == "guard" or isinstance(t, GuardRef):
                 self.check_guard(t, r, fn, call, "returns")
 
     def check_guard(self, guard, ty: Type, fn: FunctionDef, call: Call, verb: str) -> None:
         """guard, an argument or target of call, is a guard where fn takes
         or returns ty = guard<path>, and one for the lock path names at
         call; it is no guard where ty is another type."""
-        if ty.kind != "guard" or not isinstance(guard, (GuardRef, GuardTarget)):
+        if ty.kind != "guard" or not isinstance(guard, GuardRef):
             what = ("a guard for %s, not a value" % ty.path.text if ty.kind == "guard"
                     else "a value, not guard %s" % guard.name)
             raise TypeCheckError("%s() %s %s" % (call.name, verb, what), self.line)

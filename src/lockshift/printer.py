@@ -23,13 +23,11 @@ from .ast import (
     ExprStmt,
     FieldAccess,
     FunctionDef,
-    GetMutAccess,
     GlobalDecl,
-    GuardDeref,
     GuardRef,
-    GuardTarget,
     If,
     IntLit,
+    PayloadAccess,
     PayloadInit,
     Program,
     Return,
@@ -86,10 +84,10 @@ def _expr(e: Expr) -> tuple[str, int]:
         if isinstance(e.base, Deref):
             return "(*%s).%s" % (expr_text(e.base.expr), e.fld), _PREC_POSTFIX
         return "%s.%s" % (expr_text(e.base, _PREC_POSTFIX), e.fld), _PREC_POSTFIX
-    if isinstance(e, GuardDeref):
+    if isinstance(e, PayloadAccess):
+        if e.guard is None:
+            return "%s.get_mut().%s" % (e.path.text, e.fld), _PREC_POSTFIX
         return "(*%s).%s" % (e.guard, e.fld), _PREC_POSTFIX
-    if isinstance(e, GetMutAccess):
-        return "%s.get_mut().%s" % (e.path.text, e.fld), _PREC_POSTFIX
     if isinstance(e, AddrOf):
         op = "&mut " if e.mut else "&"
         return op + expr_text(e.expr, _PREC_UNARY), _PREC_UNARY
@@ -127,12 +125,8 @@ def stmt_text(s: Stmt) -> str:
     if isinstance(s, DropCall):
         return "drop(%s);" % s.guard
     if isinstance(s, CallAssign):
-        targets = ", ".join(
-            "_" if isinstance(t, Discard)
-            else t.name if isinstance(t, GuardTarget)
-            else expr_text(t)
-            for t in s.targets
-        )
+        targets = ", ".join("_" if isinstance(t, Discard) else expr_text(t)
+                            for t in s.targets)
         call = expr_text(s.call)
         if len(s.targets) == 1:
             return "%s = %s;" % (targets, call)
@@ -155,14 +149,8 @@ class _Sink:
             self.lines[i] += " " + text
 
     def append_to_last(self, text: str) -> None:
-        if not self.lines:
-            self.lines.append(text)
-            return
-        i = self._last_content()
-        if i == 0:
-            self.lines[0] = text
-        else:
-            self.lines[i - 1] += " " + text
+        # Only ever called after a put, so a line holds content.
+        self.lines[self._last_content() - 1] += " " + text
 
     def _last_content(self) -> int:
         for i in range(len(self.lines), 0, -1):

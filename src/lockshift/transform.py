@@ -35,11 +35,8 @@ from .ast import (
     FieldAccess,
     FieldDecl,
     FunctionDef,
-    GetMutAccess,
     GlobalDecl,
-    GuardDeref,
     GuardRef,
-    GuardTarget,
     GuardVarDecl,
     INIT_FN,
     If,
@@ -48,6 +45,7 @@ from .ast import (
     LOCK_FN,
     LockPath,
     Param,
+    PayloadAccess,
     PayloadInit,
     Program,
     Return,
@@ -347,7 +345,7 @@ class _Transformer:
             targets.append(place)
         elif not self.p.function(c.name).returns_void:
             targets.append(Discard())
-        targets.extend(GuardTarget(self._guard(q), q) for q in gives)
+        targets.extend(GuardRef(self._guard(q), q) for q in gives)
         return CallAssign(line=line, targets=targets, call=call)
 
     def _make_return(self, value: Expr | None, line: int) -> Return:
@@ -373,9 +371,9 @@ class _Transformer:
             lock = None if datum is None else self.s.lock_of(owner, datum.segments[-1])
             if lock is not None:
                 lock_path = datum.sibling(lock)
-                if line in self._lock_line.get(lock_path, ()):
-                    return GuardDeref(self._guard(lock_path), lock_path, datum.segments[-1])
-                return GetMutAccess(lock_path, datum.segments[-1])
+                held = line in self._lock_line.get(lock_path, ())
+                return PayloadAccess(lock_path, datum.segments[-1],
+                                     self._guard(lock_path) if held else None)
             if isinstance(e, Var):
                 return e
             return FieldAccess(self._rewrite_expr(e.base, line), e.fld,

@@ -54,19 +54,16 @@ def test_mutual_recursion_merges_into_one_scc():
     void main() { a(3); }
     """)
     cg = build_call_graph(p)
-    idx = cg.scc_index["a"]
-    assert cg.scc_index["b"] == idx
-    assert sorted(cg.merged_nodes[idx]) == ["a", "b"]
-    assert cg.is_recursive_scc(idx)
-    assert not cg.is_recursive_scc(cg.scc_index["main"])
+    assert cg.merged_nodes == [["a", "b"], ["main"]]
+    assert cg.is_recursive_scc(0)
+    assert not cg.is_recursive_scc(1)
 
 
 def test_self_loop_is_recursive_without_merging():
     p = parse("void f(int k) { if (0 < k) { f(k - 1); } }\n")
     cg = build_call_graph(p)
-    idx = cg.scc_index["f"]
-    assert cg.merged_nodes[idx] == ["f"]
-    assert cg.is_recursive_scc(idx)
+    assert cg.merged_nodes == [["f"]]
+    assert cg.is_recursive_scc(0)
 
 
 def test_duplicate_call_sites_give_one_edge():
@@ -86,8 +83,11 @@ def test_edges_are_unique_and_in_first_call_order():
     # the If's condition is evaluated before the statements it guards
     want = ["g7", "g3"] + [g for g in callees[::-1] if g not in ("g7", "g3")]
     assert cg.edges["main"] == want
-    assert cg.merged_edges[cg.scc_index["main"]] == sorted(
-        cg.scc_index[g] for g in callees)
+    # one component per callee, in program order, then main's, which has
+    # one edge to each of them in component order
+    assert cg.merged_nodes == [[g] for g in callees] + [["main"]]
+    edges = [line for line in merged_callgraph_to_dot(cg).splitlines() if "->" in line]
+    assert edges == ["    scc300 -> scc%d;" % i for i in range(300)]
     assert thread_entries(p) == ["g9", "g5"]
 
 

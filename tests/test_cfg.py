@@ -20,7 +20,7 @@ def test_straight_line_nodes_and_edges():
     assert g.succ[g.entry] == [stmts[0]]
     assert g.succ[stmts[0]] == [stmts[1]]
     assert g.succ[stmts[1]] == [g.ret]
-    assert g.pred[g.ret] == [stmts[1]]
+    assert [n for n in g.nodes if g.ret in g.succ[n]] == [stmts[1]]
 
 
 def test_if_condition_is_its_own_node():
@@ -52,7 +52,7 @@ def test_return_feeds_ret_node():
     g = graph_for("int n;\nint c;\nvoid f() { if (c) { return; } n = 1; }\n")
     ret_stmt = next(n for n in g.stmt_nodes if isinstance(n, Return))
     assert g.succ[ret_stmt] == [g.ret]
-    assert len(g.pred[g.ret]) == 2
+    assert len([n for n in g.nodes if g.ret in g.succ[n]]) == 2
 
 
 def test_unreachable_statements_are_culled():
@@ -71,7 +71,7 @@ def test_unreachable_nested_statements_warn_in_textual_order():
                   "        n = 1;\n    } else {\n        { n = 2; }\n    }\n"
                   "    while (c) {\n        n = 3;\n    }\n}\n", diags=diags)
     assert [type(n) for n in g.stmt_nodes] == [Return]
-    assert g.pred[g.ret] == [g.stmt_nodes[0]]
+    assert [n for n in g.nodes if g.ret in g.succ[n]] == [g.stmt_nodes[0]]
     assert [d.line for d in diags] == [5, 6, 8, 10, 11]
 
 

@@ -82,13 +82,13 @@ void f() { guard<m> m_guard;
     drop(m_guard); }
 """))
     # Payload accesses map back to the datum the lock owns.
-    assert by_line[4] == [("read", "GuardDeref", "n")]
+    assert by_line[4] == [("read", "PayloadAccess", "n")]
     assert by_line[6] == []
     # Place targets of a destructuring call are writes; guards and _ are not.
     assert by_line[7] == [("write", "Var", "k")]
     assert by_line[8] == []
-    assert by_line[9] == [("write", "GuardDeref", "n"),
-                          ("read", "GetMutAccess", "n"), ("read", "Var", "k")]
+    assert by_line[9] == [("write", "PayloadAccess", "n"),
+                          ("read", "PayloadAccess", "n"), ("read", "Var", "k")]
     assert by_line[10] == []
 
 

@@ -88,6 +88,12 @@ def test_thread_create_argument_shape():
         parse(base + "void main() { pthread_create(&t, t); }\n")
     with pytest.raises(TypeCheckError, match="bare function name"):
         parse(base + "void main() { pthread_create(&t, w()); }\n")
+    with pytest.raises(TypeCheckError) as exc:
+        parse(base + "void main() { pthread_create(&t); }\n")
+    assert exc.value.message == "pthread_create() takes 2 arguments, got 1"
+    with pytest.raises(TypeCheckError) as exc:
+        parse(base + "void main() { pthread_create(t, w); }\n")
+    assert exc.value.message == "pthread_create() first argument is not an address-of place"
 
 
 def test_forward_references_resolve():
@@ -106,6 +112,9 @@ def test_name_resolution_errors():
         parse("struct s { int a; };\nstruct s { int b; };\n")
     with pytest.raises(TypeCheckError, match="duplicate parameter"):
         parse("void f(int a, int a) { }\n")
+    with pytest.raises(TypeCheckError) as exc:
+        parse("void f() { }\nvoid f() { }\n")
+    assert (exc.value.message, exc.value.line) == ("duplicate definition of 'f'", 2)
     with pytest.raises(TypeCheckError, match="used as a value"):
         parse("int n;\nvoid g() { }\nvoid f() { n = g; }\n")
     # A struct's fields are distinct: neither the first nor the lock wins.
@@ -230,6 +239,8 @@ PARSE_ERROR_SITES = [
      "get_mut() receiver must be a lock place", 2, 10),
     ("guarded", "void f() {\n\tm.lock();\n}\n", "unknown method 'lock'", 2, 4),
     ("plain", "int n =\n\t", "expected an expression, found 'end of input'", 2, 2),
+    # `(` with no `)` before the end is no target list: an expression.
+    ("guarded", "void f() { (a", "expected ')', found 'end of input'", 1, 14),
 ]
 
 
@@ -377,6 +388,10 @@ def test_guarded_round_trip_keeps_lock_pointers():
             "    (*y_m_guard).n = p.get_mut().n + q.get_mut().n;\n"
             "    drop(y_m_guard); }\n")
     assert print_guarded(parse_guarded(text)) == text
+
+
+def test_an_empty_struct_prints_back_unchanged():
+    assert print_source(parse("struct s { };\n")) == "struct s { };\n"
 
 
 def test_an_empty_payload_initializer_prints_as_none():

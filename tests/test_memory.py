@@ -19,7 +19,9 @@ times: on an acyclic call graph, callers are solved before their callees,
 so each site is renamed once, and the drops that renaming reports are the
 ones kept; inside call cycles, at most twice on the bench's recursive
 rings. A flow graph's statement nodes are its node list between Entry and
-Ret, taken without a filter.
+Ret, taken without a filter. Each graph stores its edges once: a flow
+graph one successor list per node, the flow passes deriving predecessors,
+and a call graph its edges and components, nothing derived from them.
 """
 from __future__ import annotations
 
@@ -56,6 +58,24 @@ def test_flow_facts_keep_one_map_keyed_by_the_graph_nodes(corpus):
             assert maps == [facts.avail_in], (name, fn, len(maps))
             assert list(facts.avail_in) == graphs[fn].nodes, (name, fn)
             checked += 1
+    assert checked > 1000
+
+
+def test_graphs_store_each_edge_once(corpus):
+    """Predecessor lists, a function's component and the edges between
+    components are derived where they are read, not stored."""
+    assert [f.name for f in dataclasses.fields(CallGraph)] == ["edges", "merged_nodes"]
+    checked = 0
+    for name, run in analyzed(corpus):
+        graphs, cg, _ = run.sets
+        for fn, g in graphs.items():
+            maps = [v for v in vars(g).values() if isinstance(v, dict)]
+            assert maps == [g.succ], (name, fn, len(maps))
+            assert list(g.succ) == g.nodes, (name, fn)
+            assert all(type(v) is list for v in g.succ.values()), (name, fn)
+            assert not hasattr(g, "pred"), (name, fn)
+            checked += 1
+        assert list(cg.edges) == [f.name for f in run.program.functions], name
     assert checked > 1000
 
 

@@ -331,3 +331,26 @@ def test_global_initializers_read_protected_data_through_get_mut():
     reparsed = parse_guarded(text)
     assert print_guarded(reparsed) == text
     assert check(reparsed) == []
+
+
+def test_a_body_whose_branches_all_return_gets_no_appended_return():
+    source = ("mutex_t m;\nint c;\n"
+              "void acq() { pthread_mutex_lock(&m); if (c) { return; } else { return; } }\n"
+              "void main() { acq(); pthread_mutex_unlock(&m); }\n")
+    result, _, errors, text = pipeline_text(source)
+    assert errors == [] and list(result.diagnostics) == []
+    assert ("guard<m> acq() { guard<m> m_guard; m_guard = m.acquire(); "
+            "if (c) { return m_guard; } else { return m_guard; } }") in text
+
+
+def test_a_value_function_that_falls_through_returns_zero_beside_its_guard():
+    source = ("mutex_t m;\nint c;\n"
+              "int acq() { pthread_mutex_lock(&m); if (c) { return 1; } }\n"
+              "void main() { c = acq(); pthread_mutex_unlock(&m); }\n")
+    result, guarded, errors = run_pipeline(source)
+    assert errors == []
+    assert [(d.message, d.function, d.line) for d in result.diagnostics] == [
+        ("fall-through return in acq yields 0 alongside its guards", "acq", 3)]
+    text = print_guarded(guarded)
+    assert "if (c) { return (1, m_guard); } return (0, m_guard); }" in text
+    assert "(c, m_guard) = acq();" in text
