@@ -29,7 +29,8 @@ iteration budget still counts sweeps.
 
 Lock sets are shared values. join, meet and minus return an operand whenever
 the result equals it, and a callee summary that renaming leaves unchanged is
-the callee's own set, so most steps allocate nothing, and each
+the callee's own set (a callee without parameters is not renamed at all),
+so most steps allocate nothing, and each
 analyze_function call stores one object per distinct set in avail_in.
 
 The rules that later phases apply to these sets are stated once, here:
@@ -123,14 +124,15 @@ def rename_set(paths: frozenset[LockPath] | None, rename, params, call: Call,
     Top stays Top."""
     if paths is None:
         return None
-    out = set()
-    for p in sorted(paths):
+    out, dropped = set(), []
+    for p in paths:
         q = rename(p, params, call)
-        if q is not None:
-            out.add(q)
-        elif p.root not in bound:
-            out.add(p)
-        elif diags is not None:
+        if q is None and p.root in bound:
+            dropped.append(p)
+        else:
+            out.add(p if q is None else q)
+    if diags is not None:
+        for p in sorted(dropped):
             diags.warn(why(p, call), function=function, line=line)
     return paths if out == paths else frozenset(out)
 
@@ -167,6 +169,8 @@ def _call_effect(call: Call, callee_facts: Mapping[str, FunctionFlowFacts],
     if facts is None:
         return None
     p = facts.params  # to_caller names every path but a parameter's
+    if not p:  # so it is the identity
+        return facts.mels, facts.mrls
     return (rename_set(facts.mels, to_caller, p, call, p, _not_a_place, diags, fn_name, line),
             rename_set(facts.mrls, to_caller, p, call, p, _not_a_place, diags, fn_name, line))
 

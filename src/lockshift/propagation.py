@@ -167,8 +167,12 @@ def _callers_first(names, callees_of: dict[str, dict[str, None]]) -> list[str]:
 
 def _lock_lines(g: FlowGraph, facts: FunctionFlowFacts,
                 pls: frozenset[LockPath]) -> dict[LockPath, frozenset[int]]:
-    lines: dict[LockPath, set[int]] = defaultdict(set)
+    # Lines by avail_in set, one object per value: one join per held set.
+    by_avail: dict[frozenset[LockPath], list[int]] = defaultdict(list)
     for node in g.stmt_nodes:
-        for p in held_set(facts.avail_in[node], pls):
-            lines[p].add(node.line)
+        by_avail[facts.avail_in[node]].append(node.line)
+    lines: dict[LockPath, set[int]] = defaultdict(set)
+    for avail, group in by_avail.items():
+        for p in held_set(avail, pls):
+            lines[p].update(group)
     return {p: frozenset(ls) for p, ls in lines.items()}

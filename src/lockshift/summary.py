@@ -57,45 +57,61 @@ def build_summary(global_map: dict[str, str],
 
 
 def write_summary(s: LockSummary) -> str:
-    """Canonical JSON; functions with nothing to say are left out."""
-    data = {
-        "global_lock_map": s.global_lock_map,
-        "struct_lock_map": s.struct_lock_map,
-        "function_map": {
-            name: {
-                "entry_lock": [p.text for p in sorted(fs.entry_lock)],
-                "return_lock": [p.text for p in sorted(fs.return_lock)],
-                "lock_line": {p.text: sorted(lines)
-                              for p, lines in fs.lock_line.items()},
-            }
-            for name, fs in s.function_map.items() if not fs.is_empty()
-        },
-    }
-    return write_json(data) + "\n"
+    """Canonical JSON as write_json writes the three maps, without functions
+    that have nothing to say; each distinct lock set is rendered once."""
+    sets: dict[frozenset[LockPath], str] = {}
+    functions = []
+    for name in sorted(s.function_map):
+        fs = s.function_map[name]
+        if fs.is_empty():
+            continue
+        for paths in (fs.entry_lock, fs.return_lock):
+            if paths not in sets:
+                sets[paths] = _path_list(paths)
+        lines = {p.text: ls for p, ls in fs.lock_line.items()}
+        lock_line = [encode_basestring_ascii(t) + ": "
+                     + _block(list(map(str, sorted(lines[t]))), " " * 8, "[]")
+                     for t in sorted(lines)]
+        functions.append(encode_basestring_ascii(name) + ": " + _block(
+            ['"entry_lock": ' + sets[fs.entry_lock],
+             '"lock_line": ' + _block(lock_line, " " * 6, "{}"),
+             '"return_lock": ' + sets[fs.return_lock]], " " * 4, "{}"))
+    return _block(['"function_map": ' + _block(functions, "  ", "{}"),
+                   '"global_lock_map": ' + write_json(s.global_lock_map, "  "),
+                   '"struct_lock_map": ' + write_json(s.struct_lock_map, "  ")],
+                  "", "{}") + "\n"
+
+
+def _path_list(paths: frozenset[LockPath]) -> str:
+    """An entry or return set as write_summary writes it, in path order."""
+    return _block([encode_basestring_ascii(p.text) for p in sorted(paths)], " " * 6, "[]")
+
+
+def _block(items: list[str], pad: str, brackets: str) -> str:
+    """Written items inside brackets, "[]" or "{}", one to a line one level
+    deeper than pad, as json.dumps(indent=2) lays them out."""
+    if not items:
+        return brackets
+    inner = pad + "  "
+    return "%s\n%s%s\n%s%s" % (brackets[0], inner, (",\n" + inner).join(items), pad, brackets[1])
 
 
 def write_json(value, pad: str = "") -> str:
     """value as json.dumps(value, indent=2, sort_keys=True) writes it, for
     dicts with string keys, lists, strings and ints; anything else is a
-    TypeError. The canonical form of every JSON file the library writes.
-    json's own encoder takes its pure-Python path whenever it indents."""
+    TypeError. The canonical form of every JSON file the library writes
+    (write_summary writes the function map itself). json's own encoder
+    takes its pure-Python path whenever it indents."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if isinstance(value, int) and not isinstance(value, bool):
         return int.__repr__(value)
     inner = pad + "  "
-    sep = ",\n" + inner
     if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = sep.join([encode_basestring_ascii(k) + ": " + write_json(value[k], inner)
-                          for k in sorted(value)])
-        return "{\n%s%s\n%s}" % (inner, items, pad)
+        return _block([encode_basestring_ascii(k) + ": " + write_json(value[k], inner)
+                       for k in sorted(value)], pad, "{}")
     if isinstance(value, list):
-        if not value:
-            return "[]"
-        items = sep.join([write_json(v, inner) for v in value])
-        return "[\n%s%s\n%s]" % (inner, items, pad)
+        return _block([write_json(v, inner) for v in value], pad, "[]")
     raise TypeError("cannot write %s as JSON" % type(value).__name__)
 
 
@@ -206,6 +222,17 @@ def validate_against_program(s: LockSummary, p: Program) -> None:
         sd = p.struct(sname)
         _expect(sd is not None, "unknown struct %r" % sname, spath)
         _check_lock_map(fields, sd.field_decl, "field %%r of struct %s" % sname, spath)
+    # Whether a path rooted at a global names a lock: the same in every function.
+    global_lock: dict[LockPath, bool] = {}
+
+    def names_lock(lp: LockPath, params: dict) -> bool:
+        if lp.root in params:
+            return lock_path_type(lp, params, p) is not None
+        ok = global_lock.get(lp)
+        if ok is None:
+            ok = global_lock[lp] = lock_path_type(lp, params, p) is not None
+        return ok
+
     for fname, fs in s.function_map.items():
         fn = p.function(fname)
         if fn is None:
@@ -216,7 +243,7 @@ def validate_against_program(s: LockSummary, p: Program) -> None:
                              ("lock_line", fs.lock_line)):
             # A path that names a lock has a root, so the first path in
             # order that fails either check is the first that names no lock.
-            bad = [lp for lp in paths if lock_path_type(lp, params, p) is None]
+            bad = [lp for lp in paths if not names_lock(lp, params)]
             if not bad:
                 continue
             lp, where = min(bad), "$.function_map.%s.%s" % (fname, which)

@@ -175,6 +175,24 @@ def test_flow_warns_about_dropped_paths_in_path_order():
         for p in DROPPED]
 
 
+def test_one_call_warns_about_the_dropped_paths_of_a_parameter_in_path_order():
+    """Only the dropped paths are sorted; the kept one, g, is not. Five
+    paths, as above, so that hash order is almost never path order."""
+    fields = "edcba"
+    unlocks = "".join("    pthread_mutex_unlock(&p->%s);\n" % f for f in fields)
+    source = ("struct s { %s };\nmutex_t g;\nvoid release(struct s *p) {\n%s"
+              "    pthread_mutex_unlock(&g);\n}\nvoid caller() {\n    release(0);\n}\n"
+              % (" ".join("mutex_t %s;" % f for f in fields), unlocks))
+    program = parse(source)
+    call_stmt = program.function("caller").body.stmts[0]
+    diags = Diagnostics()
+    assert stmt_effects(call_stmt, lock_sets(program).flow, diags, "caller") == (
+        (locks("g"), frozenset()),)
+    assert [(d.line, d.message) for d in diags.entries] == [
+        (12, "argument for parameter 'p' is not a place (lock path p.%s)" % f)
+        for f in sorted(fields)]
+
+
 def test_propagation_warns_about_dropped_paths_in_path_order():
     params = ["e", "d", "c", "b", "a"]
     locked = "".join("    pthread_mutex_lock(&%s->m);\n" % p for p in params)

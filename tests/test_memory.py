@@ -22,16 +22,23 @@ rings. A flow graph's statement nodes are its node list between Entry and
 Ret, taken without a filter. Each graph stores its edges once: a flow
 graph one successor list per node, the flow passes deriving predecessors,
 and a call graph its edges and components, nothing derived from them.
+After the fixpoints, work that depends only on a shared set's value is
+done once per set: on the bench's call chain at two sizes, the summary
+writer renders its three distinct entry and return sets once each, a
+callee without parameters is never renamed into its callers, and
+validation looks up each path rooted at a global once.
 """
 from __future__ import annotations
 
 import dataclasses
+import functools
 import gc
+import runpy
 import types
 
 import pytest
 
-from lockshift import ast, parser, propagation
+from lockshift import ast, flowanalysis, parser, propagation, summary
 from lockshift.callgraph import CallGraph
 from lockshift.cfg import FlowGraph
 from lockshift.datalock import AccessRecord, ProtectionVerdict, collect_accesses
@@ -41,10 +48,15 @@ from lockshift.lexer import tokenize
 from lockshift.parser import parse, parse_guarded
 from lockshift.pipeline import AnalysisResult, analyze_program, lock_sets
 from lockshift.propagation import CallSiteFact, collect_call_facts
-from lockshift.summary import FunctionSummary, LockSummary, validate_against_program
+from lockshift.summary import (
+    FunctionSummary,
+    LockSummary,
+    validate_against_program,
+    write_summary,
+)
 from lockshift.transform import transform
 
-from corpus import analyzed, completed, first_seeds, programs
+from corpus import GEN_PATH, analyzed, completed, first_seeds, programs
 from helpers import FIXTURES, chain_program, fixture_text
 
 
@@ -284,6 +296,64 @@ def test_guard_parameters_and_returned_guards_share_one_type_per_lock_path(corpu
     assert checked > 500
 
 
+@functools.cache
+def _call_chain(n: int) -> AnalysisResult:
+    """The analysis of the bench's call chain of n functions, seed 1."""
+    workloads = runpy.run_path(str(GEN_PATH))["WORKLOADS"]
+    return analyze_program(workloads["call_chain"][0](n, 1).source)
+
+
+def _calls_to(module, name: str, run) -> tuple[int, object]:
+    """How often run() calls module.name through the module's binding,
+    and what run() returns."""
+    calls = 0
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return real(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(module, name, counted)
+        value = run()
+    return calls, value
+
+
+@pytest.mark.parametrize("n", [20, 40])
+def test_the_summary_writer_renders_each_distinct_lock_set_once(n):
+    """Every call_chain function but main enters with {w} and returns
+    {m, w}; main has {} for both. Rendering each function's sets made
+    this twice the functions."""
+    s = _call_chain(n).lock_summary
+    objects = {id(x) for fs in s.function_map.values() for x in (fs.entry_lock, fs.return_lock)}
+    assert len(s.function_map) == n + 1
+    assert _calls_to(summary, "_path_list", lambda: write_summary(s))[0] == len(objects) == 3
+
+
+@pytest.mark.parametrize("n", [20, 40])
+def test_a_callee_without_parameters_is_not_renamed_into_its_callers(n):
+    """Renaming is the identity then; renaming anyway made this two per
+    call site and solve. A callee with parameters is renamed."""
+    program = _call_chain(n).program
+    assert _calls_to(flowanalysis, "rename_set", lambda: lock_sets(program))[0] == 0
+    rings = parse(programs()["bench/recursive_rings/1"])
+    assert _calls_to(flowanalysis, "rename_set", lambda: lock_sets(rings))[0] > 0
+
+
+@pytest.mark.parametrize("n", [20, 40])
+def test_validation_looks_up_each_path_rooted_at_a_global_once(n):
+    """No call_chain function has a parameter, so its paths, m and w, are
+    each looked up once however many functions hold them. Looking them up
+    per function made this grow with n."""
+    result = _call_chain(n)
+    paths = {lp for fs in result.lock_summary.function_map.values()
+             for lp in (*fs.entry_lock, *fs.return_lock, *fs.lock_line)}
+    assert {lp.text for lp in paths} == {"m", "w"}
+    assert _calls_to(summary, "lock_path_type", lambda: validate_against_program(
+        result.lock_summary, result.program))[0] == len(paths)
+
+
 def _diamond_program(layers: int) -> str:
     """Each layer's two functions call both of the next layer's; callees
     are defined before their callers."""
@@ -306,21 +376,12 @@ ACYCLIC = {
 }
 
 
-def _renames_and_sites(source: str, monkeypatch) -> tuple[int, int, CallGraph]:
+def _renames_and_sites(source: str) -> tuple[int, int, CallGraph]:
     """How often propagation renames a held set into a callee while
     analyzing source, the number of call sites, and the call graph."""
-    calls = 0
-    real = propagation.rename_set
-
-    def counted(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return real(*args, **kwargs)
-
     # Only propagation's renamings, into callees: flowanalysis's
     # renamings into callers go through its own binding of rename_set.
-    monkeypatch.setattr(propagation, "rename_set", counted)
-    result = analyze_program(source)
+    calls, result = _calls_to(propagation, "rename_set", lambda: analyze_program(source))
     graphs, cg, flow = lock_sets(result.program)
     sites = len(propagation.collect_call_facts(result.program, flow, graphs))
     assert sites > 0
@@ -328,16 +389,16 @@ def _renames_and_sites(source: str, monkeypatch) -> tuple[int, int, CallGraph]:
 
 
 @pytest.mark.parametrize("name", ACYCLIC)
-def test_each_call_site_is_renamed_once(name, monkeypatch):
+def test_each_call_site_is_renamed_once(name):
     """Renaming a site again after convergence, only to report its drops,
     made this twice the sites."""
-    calls, sites, cg = _renames_and_sites(ACYCLIC[name], monkeypatch)
+    calls, sites, cg = _renames_and_sites(ACYCLIC[name])
     assert not any(cg.is_recursive_scc(i) for i in range(len(cg.merged_nodes)))
     assert calls == sites, (calls, sites)
 
 
 @pytest.mark.parametrize("seed", range(1, 5))
-def test_call_sites_in_call_cycles_are_renamed_at_most_three_times(seed, monkeypatch):
+def test_call_sites_in_call_cycles_are_renamed_at_most_three_times(seed):
     """Inside a call cycle a caller can be re-solved after its callee, so
     a site may be renamed more than once, but callers-first order keeps it
     near that: under twice the sites, the bound asserted here. Renaming
@@ -346,8 +407,7 @@ def test_call_sites_in_call_cycles_are_renamed_at_most_three_times(seed, monkeyp
     instead (callers' components first, a cycle's members in another
     order) passes every other test and gives 174 renames for those 34
     sites."""
-    calls, sites, cg = _renames_and_sites(
-        programs()["bench/recursive_rings/%d" % seed], monkeypatch)
+    calls, sites, cg = _renames_and_sites(programs()["bench/recursive_rings/%d" % seed])
     assert any(cg.is_recursive_scc(i) for i in range(len(cg.merged_nodes)))
     assert calls <= 2 * sites, (calls, sites)
 
