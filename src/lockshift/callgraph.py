@@ -5,9 +5,10 @@ program order, and its strongly connected components. Edges only target
 user-defined callees; the four pthread API names are library functions and
 add none, so the function passed to pthread_create gets no edge
 (thread_entries() finds the entry points by walking the calls again). The
-components are emitted in post-order (callees before callers), which the
-lock-set analysis consumes directly; the merged-graph dump derives each
-function's component and the edges between components itself.
+components are emitted in post-order (callees before callers): the lock-set
+analysis sweeps them in it, and propagation takes them reversed, as the
+flow facts' key order. The merged-graph dump derives each function's
+component and the edges between components itself.
 """
 from __future__ import annotations
 

@@ -146,7 +146,6 @@ class FunctionFlowFacts:
     """Per-function analysis result: the summaries, and the locks surely
     held before each flow-graph node."""
 
-    name: str
     params: tuple[str, ...]
     mels: frozenset[LockPath] = _EMPTY
     mrls: frozenset[LockPath] | None = _EMPTY  # Top only inside analyze_scc
@@ -250,8 +249,7 @@ def analyze_function(fn: FunctionDef, g: FlowGraph,
     shared: dict = {}
     for n, s in avail_in.items():
         avail_in[n] = shared.setdefault(s, s)
-    return FunctionFlowFacts(fn.name, tuple(fn.param_names),
-                             live_in[g.entry], avail_out[g.ret], avail_in)
+    return FunctionFlowFacts(tuple(fn.param_names), live_in[g.entry], avail_out[g.ret], avail_in)
 
 
 def analyze_scc(fns: list[FunctionDef], graphs: dict[str, FlowGraph],
@@ -274,7 +272,7 @@ def analyze_scc(fns: list[FunctionDef], graphs: dict[str, FlowGraph],
     convergence, after any no-base-case warnings, so a warning about a
     summary that later changed is never reported.
     """
-    current = {fn.name: FunctionFlowFacts(fn.name, tuple(fn.param_names), mrls=None)
+    current = {fn.name: FunctionFlowFacts(tuple(fn.param_names), mrls=None)
                for fn in fns}
     env = ChainMap(current, outer_facts)
     callers: dict[str, list[str]] = {fn.name: [] for fn in fns}
@@ -335,7 +333,9 @@ def analyze_scc(fns: list[FunctionDef], graphs: dict[str, FlowGraph],
 def analyze_program_flow(program, cg, graphs: dict[str, FlowGraph],
                          budget: int = 1000,
                          diags: Diagnostics | None = None) -> dict[str, FunctionFlowFacts]:
-    """Bottom-up pass over the condensed call graph (callees before callers)."""
+    """Bottom-up pass over the condensed call graph, callees before callers.
+    The facts come back keyed callers first: components in the reverse of
+    cg.merged_nodes, a recursive component's members in their sweep order."""
     facts: dict[str, FunctionFlowFacts] = {}
     for idx, members in enumerate(cg.merged_nodes):
         fns = [program.function(name) for name in members]
@@ -346,4 +346,4 @@ def analyze_program_flow(program, cg, graphs: dict[str, FlowGraph],
             one = analyze_function(fn, graphs[fn.name], facts, diags)
             one.scc_iterations = 1
             facts[fn.name] = one
-    return facts
+    return {name: facts[name] for members in reversed(cg.merged_nodes) for name in members}

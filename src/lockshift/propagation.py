@@ -56,11 +56,12 @@ def propagate(program: Program, flow: dict[str, FunctionFlowFacts],
     """Solve ELS for every function and assemble its summary record.
 
     Caller-less functions start at ELS = MELS; everything else starts at Top
-    (None) and shrinks monotonically as callers settle; the worklist
-    visits callers first (_callers_first). A call site hands down what the
-    caller surely holds there, held_set(avail_in, PLS). Functions reachable
-    only from call cycles with no root keep Top forever; they are clamped to
-    their own MELS with a diagnostic.
+    (None) and shrinks monotonically as callers settle. The worklist takes
+    the flow facts' order, callers first; ELS is the greatest fixpoint, so
+    the order changes only how often a callee is re-visited. A call site
+    hands down what the caller surely holds there, held_set(avail_in, PLS).
+    Functions reachable only from call cycles with no root keep Top
+    forever; they are clamped to their own MELS with a diagnostic.
     """
     by_callee: dict[str, list[CallSiteFact]] = defaultdict(list)
     # each caller's distinct callees, in first-call order
@@ -107,8 +108,7 @@ def propagate(program: Program, flow: dict[str, FunctionFlowFacts],
         pls[name] = propagated_set(new, flow[name].mels)
         return callees_of[name]
 
-    solve([name for name in _callers_first(els, callees_of)
-           if by_callee.get(name)], els_step)
+    solve([name for name in flow if by_callee.get(name)], els_step)
 
     if diags is not None:
         for name in els:
@@ -134,35 +134,6 @@ def propagate(program: Program, flow: dict[str, FunctionFlowFacts],
             shared.setdefault(entry, entry), shared.setdefault(ret, ret),
             _lock_lines(graphs[fn.name], facts, fn_pls))
     return summaries
-
-
-def _callers_first(names, callees_of: dict[str, dict[str, None]]) -> list[str]:
-    """names in reverse DFS postorder over the call graph, so that outside
-    call cycles every caller comes before its callees. ELS is the greatest
-    fixpoint reached from Top, so the order changes only how often a
-    callee is re-visited, never its result. Seeded instead with the flow
-    facts' order reversed, outputs stay the same but bench recursive_rings
-    renames almost 5x the call-site sets (570 -> 2,750); test_memory bounds
-    it."""
-    post: list[str] = []
-    seen: set[str] = set()
-    for root in names:
-        if root in seen:
-            continue
-        seen.add(root)
-        stack = [(root, iter(callees_of.get(root, ())))]
-        while stack:
-            name, callees = stack[-1]
-            for callee in callees:
-                if callee not in seen:
-                    seen.add(callee)
-                    stack.append((callee, iter(callees_of.get(callee, ()))))
-                    break
-            else:
-                stack.pop()
-                post.append(name)
-    post.reverse()
-    return post
 
 
 def _lock_lines(g: FlowGraph, facts: FunctionFlowFacts,

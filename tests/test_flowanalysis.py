@@ -1,7 +1,9 @@
 """Lock-set operators, the call-site binding, the lock effects of calls,
-the per-function entry/return analyses, and the check that Top never leaves
-the fixpoints."""
+the per-function entry/return analyses, the flow facts' callers-first key
+order, and the check that Top never leaves the fixpoints."""
 from __future__ import annotations
+
+import runpy
 
 import pytest
 
@@ -33,7 +35,7 @@ from lockshift.parser import parse
 from lockshift.pipeline import analyze_program, lock_sets
 from lockshift.propagation import collect_call_facts
 
-from corpus import analyzed, first_seeds
+from corpus import GEN_PATH, analyzed, first_seeds
 from helpers import FLOW_CASES, RING, locks, ring_program
 
 # The pinned programs the Top check reads: the fixtures, the flow cases and
@@ -150,7 +152,7 @@ def test_flow_drops_a_path_whose_argument_is_not_a_place():
         (locks("g"), frozenset()),)
     assert [(d.function, d.line) for d in diags] == [("caller", 8)]
     # Top, the return set of a callee inside an SCC sweep, stays Top.
-    top = flowanalysis.FunctionFlowFacts("release", ("a",), locks("a.m"), None)
+    top = flowanalysis.FunctionFlowFacts(("a",), locks("a.m"), None)
     assert stmt_effects(call_stmt, {"release": top}) == ((frozenset(), None),)
 
 
@@ -290,6 +292,37 @@ def test_the_kept_facts_reproduce_every_flow_set(corpus):
             assert avail_in == f.avail_in, (name, fn.name)
             checked += 1
     assert checked > 1000
+
+
+def _keyed_callers_first(flow, cg, name) -> int:
+    """Check that a caller's key comes before each callee's outside its
+    component, and that each component's members are contiguous, in their
+    sweep order; return how many edges between components were checked."""
+    pos = {f: i for i, f in enumerate(flow)}
+    assert sorted(pos) == sorted(cg.edges), name
+    scc = {f: i for i, members in enumerate(cg.merged_nodes) for f in members}
+    for members in cg.merged_nodes:
+        first = pos[members[0]]
+        assert [pos[f] for f in members] == list(range(first, first + len(members))), name
+    crossing = [(f, g) for f, callees in cg.edges.items() for g in callees if scc[f] != scc[g]]
+    for f, g in crossing:
+        assert pos[f] < pos[g], (name, f, g)
+    return len(crossing)
+
+
+def test_flow_facts_are_keyed_callers_first(corpus):
+    # Propagation solves entry sets in this order.
+    checked = sum(_keyed_callers_first(run.sets.flow, run.sets.callgraph, name)
+                  for name, run in analyzed(corpus))
+    assert checked > 800
+
+
+def test_bench_flow_facts_are_keyed_callers_first():
+    checked = 0
+    for family, (factory, size) in runpy.run_path(str(GEN_PATH))["WORKLOADS"].items():
+        _, cg, flow = lock_sets(parse(factory(size, 1).source))
+        checked += _keyed_callers_first(flow, cg, family)
+    assert checked > 900
 
 
 # -- per-function analyses -----------------------------------------------------

@@ -46,7 +46,7 @@ def reference_analyze_scc(fns, graphs, outer_facts, budget=1000, diags=None,
     """
     current = {}
     for fn in fns:
-        seed = FunctionFlowFacts(fn.name, tuple(fn.param_names), mrls=None)
+        seed = FunctionFlowFacts(tuple(fn.param_names), mrls=None)
         current[fn.name] = seed
     clamped = set()
     for iteration in range(1, budget + 1):
