@@ -127,7 +127,7 @@ class IntLit(Expr):
 @dataclass(eq=False, slots=True)
 class Var(Expr):
     name: str
-    # set by the resolver: "global" | "param" | "function" | "guard"
+    # set by the resolver: "global" | "param" | "function"
     kind: str | None = None
     ty: Type | None = None
 
@@ -178,7 +178,7 @@ class Call(Expr):
 @dataclass(eq=False, slots=True)
 class GuardRef(Expr):
     """A guard variable: a value where it is passed or returned, a receiver
-    where it is a destructuring call assignment's target."""
+    where it is a call statement's target."""
 
     name: str
     path: LockPath
@@ -196,6 +196,9 @@ class PayloadAccess(Expr):
 
 @dataclass(eq=False, slots=True)
 class TupleExpr(Expr):
+    """A parenthesised list `(a, b)`: only ever a return value, or the
+    targets of a call statement before the parser unpacks them."""
+
     items: list[Expr]
 
 
@@ -214,8 +217,8 @@ class PayloadInit(Expr):
 class Stmt:
     line: int = 0
     # The calls evaluated by the statement itself, in evaluation order:
-    # arguments before their call, an Assign's value before its place, and
-    # only the condition of an If or While. Not an __init__ argument: the
+    # arguments before their call (a place holds none), and only the
+    # condition of an If or While. Not an __init__ argument: the
     # resolver sets a tuple on each statement that evaluates calls, and
     # every other statement keeps the shared empty default. So it is defined
     # only on what `parse` and `parse_guarded` return; a statement built by
@@ -225,12 +228,16 @@ class Stmt:
 
 @dataclass(eq=False, slots=True)
 class Assign(Stmt):
+    """`place = value;` where value is not a call (see CallAssign)."""
+
     place: Expr = None  # type: ignore[assignment]
     value: Expr = None  # type: ignore[assignment]
 
 
 @dataclass(eq=False, slots=True)
 class ExprStmt(Stmt):
+    """`expr;` where expr is not a call (see CallAssign)."""
+
     expr: Expr = None  # type: ignore[assignment]
 
 
@@ -272,15 +279,17 @@ class DropCall(Stmt):
 
 @dataclass(eq=False, slots=True)
 class Discard:
-    """The `_` slot in a destructuring call assignment."""
+    """The `_` target of a call statement: that value is dropped."""
 
 
 @dataclass(eq=False, slots=True)
 class CallAssign(Stmt):
-    """Destructuring call: (x, m_guard) = g(...); targets are places,
-    GuardRefs, or _."""
+    """Every statement whose value is a call, and where its values go, one
+    target per returned value: `f();` has no targets (the shared empty
+    tuple) and drops every value, `x = f();` has one, `(x, _, g) = f();`
+    several. A target is a place, a GuardRef that receives, or a Discard."""
 
-    targets: list = field(default_factory=list)
+    targets: tuple = ()
     call: Call = None  # type: ignore[assignment]
 
 

@@ -7,13 +7,13 @@ paths gives Conflict. Dereferencing requires Owned; moving requires Owned
 and consumes. Assigning into a guard is never a use, so reacquiring in a
 loop or overwriting an owned guard is fine.
 
-The flow needs no graph: a function with guards is checked by walking its
-Block/If/While/Return tree. Its n guards are numbered 0..n-1, and the state
-at a program point is one int of three n-bit fields: bit i set means guard
-i may be Uninit there, bit n+i that it may be Owned, bit 2n+i that it may
-be Moved. Paths join by `|`, and a guard with two or more bits set is in
-Conflict. A move or a receipt clears the guard's three bits and sets one.
-After a return, and where no path reaches, the state is None.
+The flow needs no graph: every function, one without guards too, is checked
+by walking its Block/If/While/Return tree. Its n guards are numbered 0..n-1,
+and the state at a program point is one int of three n-bit fields: bit i set
+means guard i may be Uninit there, bit n+i that it may be Owned, bit 2n+i
+that it may be Moved. Paths join by `|`, and a guard with two or more bits
+set is in Conflict. A move or a receipt clears the guard's three bits and
+sets one. After a return, and where no path reaches, the state is None.
 
 A while head joins its entry with its body's exit until it stops growing.
 Each loop keeps that head and the exit it gave, and a later visit whose
@@ -242,8 +242,6 @@ def _check_function(fn: FunctionDef, diags: Diagnostics) -> list[OwnershipError]
     for p in fn.params:
         if p.ty.kind == "guard":
             owned[p.name] = True
-    if not owned:
-        return []
     n = len(owned)
     bits: dict[str, tuple[int, int, int]] = {}
     state = 0

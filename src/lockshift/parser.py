@@ -2,8 +2,12 @@
 
 parse() reads the plain dialect (.mc); parse_guarded() additionally accepts the
 guarded forms a transformed program uses (.gmc): data-owning lock declarations,
-guard variables typed guard<lock-path>, acquire/drop, destructuring call
-assignments, tuple returns, and payload accesses.
+guard variables typed guard<lock-path>, acquire/drop, parenthesised lists as
+return values and call targets, and payload accesses.
+
+A call statement is one CallAssign: `f();`, `x = f();` or `(x, g) = f();`.
+parse_primary reads a parenthesised list as a TupleExpr, which the resolver
+accepts only as a return value or unpacked into a call's targets.
 """
 from __future__ import annotations
 
@@ -351,8 +355,6 @@ class _Parser:
             self.expect(")")
             self.expect(";")
             return DropCall(line=self.lines[t], guard=self.values[gname])
-        if self.guarded and value == "(" and self._at_target_list():
-            return self.parse_call_assign()
         return self.parse_simple_stmt()
 
     def parse_block(self) -> Block:
@@ -390,85 +392,40 @@ class _Parser:
 
     def parse_return(self) -> Return:
         line = self.lines[self.expect("return")]
-        if self.accept(";"):
-            return Return(line=line, value=None)
-        if self.guarded and self.at("("):
-            save = self.pos
-            self.nest(self.next())  # as a parenthesis would, if this is no tuple
-            first = self.parse_expr()
-            if self.accept(","):
-                items = [first]
-                while True:
-                    items.append(self.parse_expr())
-                    if not self.accept(","):
-                        break
-                self.expect(")")
-                self.depth -= 1
-                self.expect(";")
-                return Return(line=line, value=TupleExpr(items))
-            self.depth -= 1
-            self.pos = save
-        value = self.parse_expr()
+        value = None if self.at(";") else self.parse_expr()
         self.expect(";")
         return Return(line=line, value=value)
 
-    def _at_target_list(self) -> bool:
-        """Lookahead: does `(` start a destructuring target list `(a, b) =`?"""
-        values = self.values
-        depth = 0
-        for i in range(self.pos, self.eof):
-            v = values[i]
-            if v == "(":
-                depth += 1
-            elif v == ")":
-                depth -= 1
-                if depth == 0:
-                    return values[i + 1] == "="
-            elif v == ";":
-                return False
-        return False
-
-    def parse_call_assign(self) -> CallAssign:
-        t = self.expect("(")
-        targets = []
-        while True:
-            targets.append(self.parse_target())
-            if not self.accept(","):
-                break
-        self.expect(")")
-        self.expect("=")
-        call = self.parse_expr()
-        self.expect(";")
-        if not isinstance(call, Call):
-            raise self.fail("destructuring assignment needs a call on the right", t)
-        return CallAssign(line=self.lines[t], targets=targets, call=call)
-
-    def parse_target(self):
-        if self.kinds[self.pos] == "ident" and self.at("_"):
-            self.next()
-            return Discard()
-        return self.parse_expr()
-
     def parse_simple_stmt(self) -> Stmt:
+        """An expression statement or an assignment. The one producer of
+        CallAssign: a call whose values go to no target, to a place or
+        guard, or to each item of a parenthesised list."""
         t = self.pos
         line = self.lines[t]
-        lhs = self.parse_expr()
+        place, value = None, self.parse_expr()
         if self.accept("="):
-            rhs = self.parse_expr()
-            self.expect(";")
-            if isinstance(rhs, _AcquireExpr):
-                if not isinstance(lhs, GuardRef):
-                    raise self.fail("acquire() must assign to a guard variable", t)
-                return AcquireAssign(line=line, guard=lhs.name, path=rhs.path)
-            if isinstance(lhs, GuardRef):
-                if isinstance(rhs, Call):
-                    return CallAssign(line=line, targets=[lhs], call=rhs)
-                raise self.fail("a guard can only receive acquire() or a call result", t)
-            return Assign(line=line, place=lhs, value=rhs)
+            place, value = value, self.parse_expr()
         self.expect(";")
-        if isinstance(lhs, _AcquireExpr):
-            raise self.fail("acquire() result must be assigned to a guard", t)
-        return ExprStmt(line=line, expr=lhs)
+        if isinstance(value, Call):
+            targets = (tuple(place.items) if isinstance(place, TupleExpr)
+                       else () if place is None else (place,))
+            if self.guarded:  # where a bare `_` target drops its value
+                targets = tuple(Discard() if isinstance(e, Var) and e.name == "_" else e
+                                for e in targets)
+            return CallAssign(line=line, targets=targets, call=value)
+        if isinstance(place, TupleExpr):
+            raise self.fail("destructuring assignment needs a call on the right", t)
+        if isinstance(value, _AcquireExpr):
+            if place is None:
+                raise self.fail("acquire() result must be assigned to a guard", t)
+            if not isinstance(place, GuardRef):
+                raise self.fail("acquire() must assign to a guard variable", t)
+            return AcquireAssign(line=line, guard=place.name, path=value.path)
+        if place is None:
+            return ExprStmt(line=line, expr=value)
+        if isinstance(place, GuardRef):
+            raise self.fail("a guard can only receive acquire() or a call result", t)
+        return Assign(line=line, place=place, value=value)
 
     # -- expressions ---------------------------------------------------------
 
@@ -584,6 +541,15 @@ class _Parser:
             self.pos = t + 1
             self.nest(t)
             e = self.parse_expr()
+            if self.guarded and self.at(","):  # a tuple, as high as its highest item
+                items = [e]
+                height = self.height
+                while self.accept(","):
+                    items.append(self.parse_expr())
+                    if self.height > height:
+                        height = self.height
+                self.height = height
+                e = TupleExpr(items)
             self.expect(")")
             self.depth -= 1
             self.height += 1
@@ -722,16 +688,18 @@ class _Resolver:
             self.resolve_expr(s.value)
             self.resolve_expr(s.place)
             self.check_assign_place(s.place, s.line)
-        elif isinstance(s, ExprStmt):
-            if isinstance(s.expr, Call):
-                # The one place a call's value may go unused.
-                if s.expr.name in LOCK_API:
-                    self.resolve_lock_api(s.expr, s.line)
-                else:
-                    self.resolve_call(s.expr)
-                self.calls.append(s.expr)
+        elif isinstance(s, CallAssign):
+            if s.call.name in LOCK_API and not s.targets:
+                self.resolve_lock_api(s.call, s.line)
             else:
-                self.resolve_expr(s.expr)
+                self.resolve_call(s.call, s.targets)
+            self.calls.append(s.call)
+            for t in s.targets:
+                if isinstance(t, Expr):
+                    self.resolve_expr(t)
+                    self.check_assign_place(t, s.line)
+        elif isinstance(s, ExprStmt):
+            self.resolve_expr(s.expr)
         elif isinstance(s, Block):
             self.resolve_block(s)
         elif isinstance(s, If):
@@ -745,15 +713,11 @@ class _Resolver:
             self.take_calls(s)
             self.resolve_block(s.body)
         elif isinstance(s, Return):
-            if s.value is not None:
+            if isinstance(s.value, TupleExpr):
+                for item in s.value.items:
+                    self.resolve_expr(item)
+            elif s.value is not None:
                 self.resolve_expr(s.value)
-        elif isinstance(s, CallAssign):
-            self.resolve_call(s.call, s.targets)
-            self.calls.append(s.call)
-            for t in s.targets:
-                if isinstance(t, Expr):
-                    self.resolve_expr(t)
-                    self.check_assign_place(t, s.line)
         elif isinstance(s, AcquireAssign):
             self.lock_type(s.path, s.line)
             held = self.guards[s.guard]
@@ -837,9 +801,7 @@ class _Resolver:
         if isinstance(e, GuardRef):
             return
         if isinstance(e, TupleExpr):
-            for item in e.items:
-                self.resolve_expr(item)
-            return
+            raise TypeCheckError("a tuple is only a return value or a target list", self.line)
         raise TypeCheckError("unexpected expression form", self.line)
 
     def place_type(self, e: Expr) -> Type | None:
@@ -857,12 +819,11 @@ class _Resolver:
             return None
         return None
 
-    def resolve_call(self, call: Call, targets: list | None = None) -> None:
+    def resolve_call(self, call: Call, targets: tuple | list) -> None:
         """Check call against its callee: one argument per parameter and one
         target per returned value, where targets are where its values go
-        (None for a statement call, which discards each). Each guard passed
-        or received is a guard for the lock the callee's guard<path> names
-        at call."""
+        (none for a call that drops each). Each guard passed or received is
+        a guard for the lock the callee's guard<path> names at call."""
         line = self.line
         if call.name in LOCK_API:
             raise TypeCheckError("%s() must be a standalone statement" % call.name, line)
@@ -878,7 +839,7 @@ class _Resolver:
         for a, p in zip(call.args, fn.params):
             if p.ty.kind == "guard" or isinstance(a, GuardRef):
                 self.check_guard(a, p.ty, fn, call, "takes")
-        if targets is None:
+        if not targets:
             targets = [Discard()] * len(fn.rets)
         elif fn.returns_void:
             raise TypeCheckError(

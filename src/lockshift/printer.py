@@ -125,9 +125,11 @@ def stmt_text(s: Stmt) -> str:
     if isinstance(s, DropCall):
         return "drop(%s);" % s.guard
     if isinstance(s, CallAssign):
+        call = expr_text(s.call)
+        if not s.targets:
+            return "%s;" % call
         targets = ", ".join("_" if isinstance(t, Discard) else expr_text(t)
                             for t in s.targets)
-        call = expr_text(s.call)
         if len(s.targets) == 1:
             return "%s = %s;" % (targets, call)
         return "(%s) = %s;" % (targets, call)
@@ -135,28 +137,24 @@ def stmt_text(s: Stmt) -> str:
 
 
 class _Sink:
+    """Output lines. After any put the last line holds content, and only
+    the padding before a line holds none."""
+
     def __init__(self) -> None:
         self.lines: list[str] = []
 
     def put(self, line: int, text: str, depth: int) -> None:
         line = max(line, 1)
-        while len(self.lines) < line:
-            self.lines.append("")
-        i = max(line, self._last_content()) - 1
-        if self.lines[i] == "":
-            self.lines[i] = "    " * depth + text
+        lines = self.lines
+        if len(lines) < line:
+            lines.extend([""] * (line - 1 - len(lines)))
+            lines.append("    " * depth + text)
         else:
-            self.lines[i] += " " + text
+            lines[-1] += " " + text
 
     def append_to_last(self, text: str) -> None:
-        # Only ever called after a put, so a line holds content.
-        self.lines[self._last_content() - 1] += " " + text
-
-    def _last_content(self) -> int:
-        for i in range(len(self.lines), 0, -1):
-            if self.lines[i - 1] != "":
-                return i
-        return 0
+        # Only ever called after a put, so the last line holds content.
+        self.lines[-1] += " " + text
 
     def render(self) -> str:
         return "\n".join(self.lines) + "\n" if self.lines else ""

@@ -232,14 +232,13 @@ class _Transformer:
     def _thread(self, owner: str, s, c: Call) -> tuple[list[LockPath], list[LockPath]]:
         """The locks of the guards call c passes and receives, as function
         or global owner names them. A call with guards to thread must be all
-        of statement s or the value s assigns, and each lock path must run
-        through an argument that is a place."""
+        the call of a call statement s, and each lock path must run through
+        an argument that is a place."""
         paths = self.entry_paths[c.name], self.ret_paths[c.name]
         if not (paths[0] or paths[1]):
             return [], []
         where = "in %s, call to %s" % (owner, c.name)
-        if c is not (s.expr if isinstance(s, ExprStmt)
-                     else s.value if isinstance(s, Assign) else None):
+        if not (isinstance(s, CallAssign) and c is s.call):
             raise UnsupportedCall(
                 "%s inside an expression cannot thread its guards" % where, s.line)
         params = self.p.function(c.name).param_names
@@ -306,22 +305,19 @@ class _Transformer:
         if isinstance(st, Return):
             value = self._rewrite_expr(st.value, st.line) if st.value else None
             return [self._make_return(value, st.line)]
-        if isinstance(st, ExprStmt) and isinstance(st.expr, Call):
-            if st.expr.name in LOCK_API:
+        if isinstance(st, CallAssign):
+            if st.call.name in LOCK_API:
                 return self._rewrite_lock_api(st)
-            return [self._rewrite_call(None, st.expr, st.line)]
+            return [self._rewrite_call(st)]
         if isinstance(st, Assign):
-            place = self._rewrite_expr(st.place, st.line)
-            if isinstance(st.value, Call):
-                return [self._rewrite_call(place, st.value, st.line)]
-            return [Assign(line=st.line, place=place,
+            return [Assign(line=st.line, place=self._rewrite_expr(st.place, st.line),
                            value=self._rewrite_expr(st.value, st.line))]
         if isinstance(st, ExprStmt):
             return [ExprStmt(line=st.line, expr=self._rewrite_expr(st.expr, st.line))]
         return [st]
 
-    def _rewrite_lock_api(self, st: ExprStmt) -> list[Stmt]:
-        c = st.expr
+    def _rewrite_lock_api(self, st: CallAssign) -> list[Stmt]:
+        c = st.call
         if c.name == INIT_FN:
             return []
         if c.name == LOCK_FN:
@@ -330,22 +326,19 @@ class _Transformer:
             return [DropCall(line=st.line, guard=self._guard(c.lock))]
         return [st]
 
-    def _rewrite_call(self, place: Expr | None, c: Call, line: int) -> Stmt:
-        """`place = c;` or, without a place, `c;`: the call takes the guards
-        the callee expects and hands back the guards it returns."""
+    def _rewrite_call(self, st: CallAssign) -> CallAssign:
+        """`x = f();` or `f();` whose call takes the guards the callee
+        expects and whose targets receive the guards it returns, after `_`
+        for a dropped value."""
+        c, line = st.call, st.line
         takes, gives = self._threads[c]
         call = Call(c.name, [self._rewrite_expr(a, line) for a in c.args]
                     + [GuardRef(self._guard(q), q) for q in takes])
-        if not gives:
-            if place is None:
-                return ExprStmt(line=line, expr=call)
-            return Assign(line=line, place=place, value=call)
-        targets: list = []
-        if place is not None:
-            targets.append(place)
-        elif not self.p.function(c.name).returns_void:
-            targets.append(Discard())
-        targets.extend(GuardRef(self._guard(q), q) for q in gives)
+        targets = tuple(self._rewrite_expr(t, line) for t in st.targets)
+        if gives:
+            if not targets and not self.p.function(c.name).returns_void:
+                targets = (Discard(),)
+            targets += tuple(GuardRef(self._guard(q), q) for q in gives)
         return CallAssign(line=line, targets=targets, call=call)
 
     def _make_return(self, value: Expr | None, line: int) -> Return:

@@ -726,3 +726,15 @@ def test_no_fall_through_return_after_dead_code(tmp_path, capsys):
     assert out.read_text().count("return m_guard;") == 1
     assert main(["check", str(out)]) == 0
     assert capsys.readouterr().err == "%s: %s\n" % (out, warning)
+
+
+def test_check_warns_about_dead_code_in_a_function_without_guards(tmp_path, capsys):
+    """`check` walks every function, as the analysis does for `full`."""
+    text = "int n;\nvoid f() { return;\n n = 1; }\nvoid main() { f(); }\n"
+    warning = "warning: unreachable statement removed from flow graph (f, line 3)"
+    for suffix, command in ((".mc", "full"), (".gmc", "check")):
+        src = tmp_path / ("p" + suffix)
+        src.write_text(text)
+        out = ["-o", str(tmp_path / "out.gmc")] if command == "full" else []
+        assert main([command, str(src)] + out) == 0
+        assert capsys.readouterr().err == "%s: %s\n" % (src, warning)

@@ -6,13 +6,25 @@ import time
 import pytest
 
 from lockshift import parser
-from lockshift.ast import Binary, Call, Deref, ExprStmt, GuardRef, LockPath
+from lockshift.ast import (
+    Assign,
+    Binary,
+    Call,
+    CallAssign,
+    Deref,
+    Discard,
+    ExprStmt,
+    GuardRef,
+    LockPath,
+    iter_stmts,
+)
 from lockshift.diagnostics import ParseError, TypeCheckError, UnknownIdentifier
 from lockshift.guardcheck import check
 from lockshift.lexer import tokenize
 from lockshift.parser import parse, parse_guarded
 from lockshift.printer import expr_text, print_guarded, print_source
 
+from corpus import analyzed
 from helpers import corpus_paths, fixture_text
 
 
@@ -22,8 +34,8 @@ def first_call_paths(source: str) -> list[str]:
     out = []
     for fn in program.functions:
         for s in fn.body.stmts:
-            if isinstance(s, ExprStmt) and isinstance(s.expr, Call):
-                out.append(s.expr.lock.text)
+            if isinstance(s, CallAssign):
+                out.append(s.call.lock.text)
     return out
 
 
@@ -193,7 +205,7 @@ def test_the_resolver_records_each_arguments_place():
                        "void f() { guard<k> k_guard;\n"
                        "    k_guard = k.acquire();\n"
                        "    g(&x->m, x.f, 1, h(), k_guard); }\n")
-    call = gp.function("f").body.stmts[1].expr
+    call = gp.function("f").body.stmts[1].call
     assert isinstance(call.args[4], GuardRef)
     assert call.arg_paths == (LockPath(("x", "m")), LockPath(("x", "f")), None, None, None)
 
@@ -539,11 +551,14 @@ RETURNS_TWO_GUARDS = (
     (" (n, g, k) = r(get(), g); drop(g); drop(k); }\n",
      "r() takes a guard whose lock the call cannot name: argument for "
      "parameter 'p' is not a place (lock path p.m)"),
+    (" n = (n, k); }\n", "a tuple is only a return value or a target list"),
+    (" (n, n); }\n", "a tuple is only a return value or a target list"),
 ], ids=["short-target-list", "long-target-list", "bare-call-drops-returned-guards",
         "assignment-drops-returned-guards", "call-in-an-expression",
         "assignment-drops-the-returned-guard", "assignment-of-a-tuple",
         "returned-guard-discarded", "guard-target-for-a-value", "value-for-a-guard",
-        "guard-for-a-value", "guard-path-through-a-non-place"])
+        "guard-for-a-value", "guard-path-through-a-non-place",
+        "tuple-as-an-assigned-value", "tuple-as-a-statement"])
 def test_a_call_has_one_guarded_shape(body, message):
     """A call passes every guard its callee takes and receives every guard it
     returns, each in its own slot."""
@@ -553,6 +568,33 @@ def test_a_call_has_one_guarded_shape(body, message):
     # The same call with every guard in its slot is accepted.
     ok = RETURNS_TWO_GUARDS + " (n, g, k) = r(&x, g); drop(g); drop(k); }\n"
     assert check(parse_guarded(ok)) == []
+
+
+def test_every_call_statement_is_a_call_assign(corpus):
+    """parse, the transformer and parse_guarded of the printed text each make
+    one CallAssign of every statement whose value is a call, so no ExprStmt
+    or Assign holds a call."""
+    calls = 0
+    for name, run in analyzed(corpus):
+        # guarded is None where the transformer refused the program
+        programs = [p for p in (run.program, run.guarded, run.reparsed) if p is not None]
+        for s in (s for p in programs for fn in p.functions for s in iter_stmts(fn.body)):
+            value = (s.expr if isinstance(s, ExprStmt)
+                     else s.value if isinstance(s, Assign) else None)
+            assert not isinstance(value, Call), (name, s.line)
+            calls += isinstance(s, CallAssign)
+    assert calls > 4000
+
+
+@pytest.mark.parametrize("stmt", ["_ = one();", "(_) = one();"])
+def test_a_bare_underscore_target_drops_the_value(stmt):
+    """`_` is the target print_guarded writes for a dropped value, on its
+    own as in a list."""
+    printed = "int one() { return 1; }\nvoid f() { _ = one(); }\n"
+    program = parse_guarded(printed.replace("_ = one();", stmt))
+    s = program.function("f").body.stmts[0]
+    assert isinstance(s, CallAssign) and isinstance(s.targets[0], Discard)
+    assert print_guarded(program) == printed
 
 
 def test_printer_preserves_statement_lines():
