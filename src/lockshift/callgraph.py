@@ -12,7 +12,9 @@ component and the edges between components itself.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .ast import CREATE_FN, LOCK_API, Program, function_calls
@@ -52,71 +54,55 @@ def thread_entries(program) -> list[str]:
 
 
 def build_call_graph(program: Program, diags: Diagnostics | None = None) -> CallGraph:
+    """The call graph of a resolved program, where every call names a lock-API
+    function or a defined one. diags is unused; bench/layers.py passes it,
+    and it goes once the bench drives the public entry points instead."""
     edges: dict[str, list[str]] = {}
     for fn in program.functions:
-        callees: dict[str, None] = {}  # distinct, in first-call order
-        for stmt, call in function_calls(fn):
-            if call.name in LOCK_API:
-                continue
-            if program.function(call.name) is None:
-                if diags is not None:
-                    diags.warn("call to undeclared function %r ignored" % call.name,
-                               function=fn.name, line=stmt.line)
-                continue
-            callees[call.name] = None
-        edges[fn.name] = list(callees)
+        # distinct, in first-call order
+        edges[fn.name] = list(dict.fromkeys(
+            call.name for _, call in function_calls(fn) if call.name not in LOCK_API))
     return CallGraph(edges, _condense(edges))
 
 
 def _condense(edges: dict[str, list[str]]) -> list[list[str]]:
-    """Iterative Tarjan; SCC emission order is already callees-before-callers."""
+    """Iterative Tarjan; SCC emission order is already callees-before-callers.
+    The work stack holds each open node with the iterator over its callees."""
     index: dict[str, int] = {}
     lowlink: dict[str, int] = {}
     on_stack: set[str] = set()
-    stack: list[str] = []
-    counter = [0]
+    stack: list[str] = []  # in discovery order, so sorted by index
+    work: list[tuple[str, Iterator[str]]] = []
     sccs: list[list[str]] = []
+
+    def push(node: str) -> None:
+        index[node] = lowlink[node] = len(index)
+        stack.append(node)
+        on_stack.add(node)
+        work.append((node, iter(edges[node])))
 
     for root in edges:
         if root in index:
             continue
-        work = [(root, 0)]
+        push(root)
         while work:
-            node, ei = work[-1]
-            if ei == 0:
-                index[node] = lowlink[node] = counter[0]
-                counter[0] += 1
-                stack.append(node)
-                on_stack.add(node)
-            advanced = False
-            targets = edges[node]
-            while ei < len(targets):
-                t = targets[ei]
-                ei += 1
+            node, callees = work[-1]
+            for t in callees:
                 if t not in index:
-                    work[-1] = (node, ei)
-                    work.append((t, 0))
-                    advanced = True
+                    push(t)
                     break
                 if t in on_stack:
                     lowlink[node] = min(lowlink[node], index[t])
-            if advanced:
-                continue
-            work.pop()
-            if lowlink[node] == index[node]:
-                members = []
-                while True:
-                    m = stack.pop()
-                    on_stack.discard(m)
-                    members.append(m)
-                    if m == node:
-                        break
-                members.reverse()
-                sccs.append(members)
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-
+            else:
+                work.pop()
+                if lowlink[node] == index[node]:
+                    i = bisect_left(stack, index[node], key=index.__getitem__)
+                    sccs.append(members := stack[i:])
+                    on_stack.difference_update(members)
+                    del stack[i:]
+                if work:
+                    parent = work[-1][0]
+                    lowlink[parent] = min(lowlink[parent], lowlink[node])
     return sccs
 
 

@@ -103,9 +103,6 @@ class Diagnostics:
     def warn(self, message: str, function: str | None = None, line: int | None = None) -> None:
         self.entries.append(Diagnostic(message, function, line))
 
-    def extend(self, other: "Diagnostics") -> None:
-        self.entries.extend(other.entries)
-
     def __iter__(self):
         return iter(self.entries)
 

@@ -20,12 +20,13 @@ the same maps, the three the facts drop included.
 
 Calls use callee summaries renamed into the caller by ast.to_caller, the
 one parameter-to-argument binding the analysis and transformer share; a
-path whose argument is not a place is dropped with a warning. Mutually
-recursive functions are solved to a joint fixpoint with MELS seeded empty and
-MRLS seeded Top; Top never escapes: every set in returned facts is a finite
-frozenset of lock paths. Each sweep visits the members in a fixed order but
-re-solves only members whose SCC callees changed since their last solve; the
-iteration budget still counts sweeps.
+path whose argument is not a place is dropped. The fixpoints only compute:
+each drop is reported once, from the converged facts of its call-graph
+component. Mutually recursive functions are solved to a joint fixpoint with
+MELS seeded empty and MRLS seeded Top; Top never escapes: every set in
+returned facts is a finite frozenset of lock paths. Each sweep visits the
+members in a fixed order but re-solves only members whose SCC callees
+changed since their last solve; the iteration budget still counts sweeps.
 
 Lock sets are shared values. join, meet and minus return an operand whenever
 the result equals it, and a callee summary that renaming leaves unchanged is
@@ -35,7 +36,8 @@ analyze_function call stores one object per distinct set in avail_in.
 
 The rules that later phases apply to these sets are stated once, here:
 propagated_set and held_set combine the facts with a function's entry lock
-set, and rename_set renames a set across a call in either direction.
+set, and rename_set renames a set across a call in either direction and
+returns the paths it drops, for the caller to report.
 """
 from __future__ import annotations
 
@@ -115,15 +117,14 @@ def held_set(avail: frozenset[LockPath] | None,
 
 
 def rename_set(paths: frozenset[LockPath] | None, rename, params, call: Call,
-               bound, why, diags: Diagnostics | None, function: str | None,
-               line: int) -> frozenset[LockPath] | None:
-    """paths renamed across call by rename(p, params, call), the binding
-    ast.to_caller or ast.to_callee. A path rename cannot name keeps its name
-    unless its root is in bound; then it is dropped with the warning
-    why(p, call), in path order. paths itself when the result equals it;
-    Top stays Top."""
+               bound) -> tuple[frozenset[LockPath] | None, tuple[LockPath, ...]]:
+    """(renamed, dropped): paths renamed across call by rename(p, params,
+    call), the binding ast.to_caller or ast.to_callee, and the paths it
+    dropped, in path order. A path rename cannot name keeps its name unless
+    its root is in bound; then it is dropped. renamed is paths itself when
+    it equals it; Top stays Top and drops nothing."""
     if paths is None:
-        return None
+        return None, ()
     out, dropped = set(), []
     for p in paths:
         q = rename(p, params, call)
@@ -131,14 +132,7 @@ def rename_set(paths: frozenset[LockPath] | None, rename, params, call: Call,
             dropped.append(p)
         else:
             out.add(p if q is None else q)
-    if diags is not None:
-        for p in sorted(dropped):
-            diags.warn(why(p, call), function=function, line=line)
-    return paths if out == paths else frozenset(out)
-
-
-def _not_a_place(p: LockPath, call: Call) -> str:
-    return not_a_place(p)
+    return paths if out == paths else frozenset(out), tuple(sorted(dropped))
 
 
 @dataclass(slots=True)
@@ -158,8 +152,7 @@ class FunctionFlowFacts:
 Effect = tuple[frozenset[LockPath], frozenset[LockPath] | None]
 
 
-def _call_effect(call: Call, callee_facts: Mapping[str, FunctionFlowFacts],
-                 diags, fn_name, line) -> Effect | None:
+def _call_effect(call: Call, callee_facts: Mapping[str, FunctionFlowFacts]) -> Effect | None:
     if call.name == UNLOCK_FN:
         return frozenset((call.lock,)), _EMPTY
     if call.name == LOCK_FN:
@@ -170,29 +163,26 @@ def _call_effect(call: Call, callee_facts: Mapping[str, FunctionFlowFacts],
     p = facts.params  # to_caller names every path but a parameter's
     if not p:  # so it is the identity
         return facts.mels, facts.mrls
-    return (rename_set(facts.mels, to_caller, p, call, p, _not_a_place, diags, fn_name, line),
-            rename_set(facts.mrls, to_caller, p, call, p, _not_a_place, diags, fn_name, line))
+    return (rename_set(facts.mels, to_caller, p, call, p)[0],
+            rename_set(facts.mrls, to_caller, p, call, p)[0])
 
 
-def stmt_effects(s: Stmt, callee_facts: Mapping[str, FunctionFlowFacts],
-                 diags: Diagnostics | None = None,
-                 fn_name: str | None = None) -> tuple[Effect, ...]:
+def stmt_effects(s: Stmt, callee_facts: Mapping[str, FunctionFlowFacts]) -> tuple[Effect, ...]:
     """The lock effects of the calls s evaluates, in evaluation order."""
     effects = []
     for call in s.calls:
-        effect = _call_effect(call, callee_facts, diags, fn_name, s.line)
+        effect = _call_effect(call, callee_facts)
         if effect is not None:
             effects.append(effect)
     return tuple(effects)
 
 
 def flow_sets(fn: FunctionDef, g: FlowGraph,
-              callee_facts: Mapping[str, FunctionFlowFacts],
-              diags: Diagnostics | None = None):
+              callee_facts: Mapping[str, FunctionFlowFacts]):
     """(live_in, live_out, avail_in, avail_out) per node of g, both passes
     solved against fixed callee summaries."""
     effects = {n: e for n in g.stmt_nodes
-               if (e := stmt_effects(n, callee_facts, diags, fn.name))}
+               if (e := stmt_effects(n, callee_facts))}
     succ = g.succ
     pred: dict[Node, list[Node]] = {n: [] for n in g.nodes}
     for n in g.nodes:
@@ -240,11 +230,10 @@ def flow_sets(fn: FunctionDef, g: FlowGraph,
 
 
 def analyze_function(fn: FunctionDef, g: FlowGraph,
-                     callee_facts: Mapping[str, FunctionFlowFacts],
-                     diags: Diagnostics | None = None) -> FunctionFlowFacts:
+                     callee_facts: Mapping[str, FunctionFlowFacts]) -> FunctionFlowFacts:
     """Solve both passes for one function against fixed callee summaries,
     keeping MELS, MRLS and avail_in."""
-    live_in, _, avail_in, avail_out = flow_sets(fn, g, callee_facts, diags)
+    live_in, _, avail_in, avail_out = flow_sets(fn, g, callee_facts)
     # One stored object per distinct set; the table dies with this call.
     shared: dict = {}
     for n, s in avail_in.items():
@@ -268,9 +257,8 @@ def analyze_scc(fns: list[FunctionDef], graphs: dict[str, FlowGraph],
     callee MRLS through the lock kills), so visiting members in another
     order, e.g. callees first, can reach a different fixpoint.
 
-    Warnings are kept per member from its latest solve and emitted once at
-    convergence, after any no-base-case warnings, so a warning about a
-    summary that later changed is never reported.
+    The sweep warns only about a member with no base case; dropped paths
+    are reported by analyze_program_flow, from the converged facts.
     """
     current = {fn.name: FunctionFlowFacts(tuple(fn.param_names), mrls=None)
                for fn in fns}
@@ -281,7 +269,6 @@ def analyze_scc(fns: list[FunctionDef], graphs: dict[str, FlowGraph],
             if name in callers:
                 callers[name].append(fn.name)
     dirty = set(current)
-    pending: dict[str, Diagnostics | None] = {}  # warnings of each latest solve
     clamped: set[str] = set()
     for iteration in range(1, budget + 1):
         changed = False
@@ -289,8 +276,7 @@ def analyze_scc(fns: list[FunctionDef], graphs: dict[str, FlowGraph],
             name = fn.name
             if name in dirty:
                 dirty.discard(name)
-                pending[name] = None if diags is None else Diagnostics()
-                new = analyze_function(fn, graphs[name], env, pending[name])
+                new = analyze_function(fn, graphs[name], env)
                 old = current[name]
                 if new.mels != old.mels or new.mrls != old.mrls:
                     changed = True
@@ -323,9 +309,6 @@ def analyze_scc(fns: list[FunctionDef], graphs: dict[str, FlowGraph],
                 continue
             for f in current.values():
                 f.scc_iterations = iteration
-            if diags is not None:
-                for fn in fns:
-                    diags.extend(pending[fn.name])
             return current
     raise IterationBudgetExceeded([fn.name for fn in fns], budget)
 
@@ -333,7 +316,8 @@ def analyze_scc(fns: list[FunctionDef], graphs: dict[str, FlowGraph],
 def analyze_program_flow(program, cg, graphs: dict[str, FlowGraph],
                          budget: int = 1000,
                          diags: Diagnostics | None = None) -> dict[str, FunctionFlowFacts]:
-    """Bottom-up pass over the condensed call graph, callees before callers.
+    """Bottom-up pass over the condensed call graph, callees before callers,
+    warning about the paths each component's calls drop once it converges.
     The facts come back keyed callers first: components in the reverse of
     cg.merged_nodes, a recursive component's members in their sweep order."""
     facts: dict[str, FunctionFlowFacts] = {}
@@ -343,7 +327,25 @@ def analyze_program_flow(program, cg, graphs: dict[str, FlowGraph],
             facts.update(analyze_scc(fns, graphs, facts, budget, diags))
         else:
             fn = fns[0]
-            one = analyze_function(fn, graphs[fn.name], facts, diags)
+            one = analyze_function(fn, graphs[fn.name], facts)
             one.scc_iterations = 1
             facts[fn.name] = one
+        if diags is not None:
+            for name in members:
+                for line, lp in _dropped_paths(graphs[name], facts):
+                    diags.warn(not_a_place(lp), function=name, line=line)
     return {name: facts[name] for members in reversed(cg.merged_nodes) for name in members}
+
+
+def _dropped_paths(g: FlowGraph, facts: dict[str, FunctionFlowFacts]):
+    """(line, path) for each path a call in g drops from its callee's MELS,
+    then MRLS, because the argument for the path's root parameter is not a
+    place; in statement and call order."""
+    for node in g.stmt_nodes:
+        for call in node.calls:
+            callee = facts.get(call.name)
+            if callee is not None and None in call.arg_paths:
+                p = callee.params
+                for paths in (callee.mels, callee.mrls):
+                    for lp in rename_set(paths, to_caller, p, call, p)[1]:
+                        yield node.line, lp

@@ -560,6 +560,9 @@ class _Parser:
 # ---------------------------------------------------------------------------
 # Name resolution and checking
 
+_RESERVED = "%s named '_': a target named '_' drops its value"
+
+
 class _Resolver:
     def __init__(self, program: Program):
         self.program = program
@@ -580,18 +583,23 @@ class _Resolver:
             if p.tags[s.name] is not s:
                 raise TypeCheckError("duplicate struct %r" % s.name, s.line)
         # Every call by a lock-API name resolves as the API, so a declaration
-        # of one would be dead.
+        # of one would be dead; and a guarded target `_` drops its value, so
+        # a declaration named `_` could not be written back.
         for g in p.globals:
             if p.names[g.name] is not g:
                 raise TypeCheckError("duplicate global %r" % g.name, g.line)
             if g.name in LOCK_API:
                 raise TypeCheckError("global %r is named like the lock API" % g.name, g.line)
+            if g.name == "_":
+                raise TypeCheckError(_RESERVED % "global", g.line)
         for f in p.functions:
             if p.names[f.name] is not f:
                 raise TypeCheckError("duplicate definition of %r" % f.name, f.line_span[0])
             if f.name in LOCK_API:
                 raise TypeCheckError("function %r is named like the lock API" % f.name,
                                      f.line_span[0])
+            if f.name == "_":
+                raise TypeCheckError(_RESERVED % "function", f.line_span[0])
         for s in p.structs:
             for fd in s.fields:
                 if s.field_decl(fd.name) is not fd:
@@ -661,6 +669,8 @@ class _Resolver:
             if param.name in self.params:
                 raise TypeCheckError(
                     "duplicate parameter %r in %s" % (param.name, f.name), line)
+            if param.name == "_":
+                raise TypeCheckError(_RESERVED % "parameter", line)
             self.params[param.name] = param.ty
         for ty in [param.ty for param in f.params] + list(f.rets):
             self.check_type(ty, line)

@@ -22,12 +22,14 @@ from .summary import FunctionSummary
 
 @dataclass(slots=True)
 class CallSiteFact:
-    """One syntactic call: who calls whom, with what surely held there."""
+    """One syntactic call: who calls whom, with what surely held there, and
+    the paths propagation's last renaming of it dropped, in path order."""
 
     caller: str
     available: frozenset[LockPath]
     call: Call
     line: int
+    dropped: tuple[LockPath, ...] = ()
 
 
 def collect_call_facts(program: Program, flow: dict[str, FunctionFlowFacts],
@@ -44,11 +46,6 @@ def collect_call_facts(program: Program, flow: dict[str, FunctionFlowFacts],
     return facts
 
 
-def _no_image(p: LockPath, call: Call) -> str:
-    return ("held lock %s has no parameter image at call to %s; "
-            "not propagated" % (p.text, call.name))
-
-
 def propagate(program: Program, flow: dict[str, FunctionFlowFacts],
               graphs: dict[str, FlowGraph],
               diags: Diagnostics | None = None,
@@ -62,6 +59,10 @@ def propagate(program: Program, flow: dict[str, FunctionFlowFacts],
     hands down what the caller surely holds there, held_set(avail_in, PLS).
     Functions reachable only from call cycles with no root keep Top
     forever; they are clamped to their own MELS with a diagnostic.
+
+    The solve only computes. A caller whose ELS changes re-queues its
+    callees, so each site's last renaming saw its caller's final PLS; its
+    drops are reported after the solve, for callees with a finite ELS.
     """
     by_callee: dict[str, list[CallSiteFact]] = defaultdict(list)
     # each caller's distinct callees, in first-call order
@@ -78,30 +79,15 @@ def propagate(program: Program, flow: dict[str, FunctionFlowFacts],
         els[fn.name] = None if by_callee.get(fn.name) else mels
         pls[fn.name] = propagated_set(els[fn.name], mels)
 
-    def prop_into(callee: str, report: Diagnostics | None) -> frozenset[LockPath] | None:
-        params = flow[callee].params
-        result = None
-        for s in by_callee[callee]:
-            # A held path no argument carries keeps its name, unless it is
-            # rooted at a parameter of the caller.
-            renamed = rename_set(held_set(s.available, pls[s.caller]), to_callee, params,
-                                 s.call, flow[s.caller].params, _no_image, report,
-                                 s.caller, s.line)
-            result = meet(result, renamed)
-        return result
-
-    # Each callee's drops from its last visit, kept only when there are
-    # some. A caller whose ELS changes re-queues its callees, so that
-    # visit renamed against every caller's final PLS.
-    drops: dict[str, Diagnostics] = {}
-
     def els_step(name: str):
-        report = Diagnostics() if diags is not None else None
-        new = prop_into(name, report)
-        if report:
-            drops[name] = report
-        else:
-            drops.pop(name, None)
+        params = flow[name].params
+        new = None
+        for s in by_callee[name]:
+            # A held path no argument carries keeps its name, unless it is
+            # rooted at a parameter of the caller; then it is dropped.
+            renamed, s.dropped = rename_set(held_set(s.available, pls[s.caller]), to_callee,
+                                            params, s.call, flow[s.caller].params)
+            new = meet(new, renamed)
         if new == els[name]:
             return ()
         els[name] = new
@@ -111,9 +97,13 @@ def propagate(program: Program, flow: dict[str, FunctionFlowFacts],
     solve([name for name in flow if by_callee.get(name)], els_step)
 
     if diags is not None:
-        for name in els:
-            if name in drops and els[name] is not None:
-                diags.extend(drops[name])
+        for name, entry in els.items():
+            if entry is not None:
+                for s in by_callee.get(name, ()):
+                    for p in s.dropped:
+                        diags.warn("held lock %s has no parameter image at call to %s; "
+                                   "not propagated" % (p.text, s.call.name),
+                                   function=s.caller, line=s.line)
 
     summaries: dict[str, FunctionSummary] = {}
     # One object per distinct entry or return set across the summaries.

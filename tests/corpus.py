@@ -94,11 +94,14 @@ class PinnedRun:
         return lock_sets(self.program, BUDGET)
 
 
-def run_program(source: str) -> PinnedRun:
-    try:
-        program = parse(source)
-    except LockshiftError as exc:
-        return PinnedRun(source, error=exc.with_traceback(None))
+def run_program(source: str, program: Program | None = None) -> PinnedRun:
+    """The run of source, or of program when given: source parsed already,
+    and perhaps altered."""
+    if program is None:
+        try:
+            program = parse(source)
+        except LockshiftError as exc:
+            return PinnedRun(source, error=exc.with_traceback(None))
     # run_pipeline's phases, one by one, to keep the analysis of a program
     # the transformer refuses.
     diags = Diagnostics()

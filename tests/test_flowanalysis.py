@@ -148,7 +148,7 @@ def test_flow_drops_a_path_whose_argument_is_not_a_place():
     program = parse(RELEASE_BY_NON_PLACE)
     call_stmt = program.function("caller").body.stmts[0]
     diags = Diagnostics()
-    assert stmt_effects(call_stmt, lock_sets(program).flow, diags, "caller") == (
+    assert stmt_effects(call_stmt, lock_sets(program, diags=diags).flow) == (
         (locks("g"), frozenset()),)
     assert [(d.function, d.line) for d in diags] == [("caller", 8)]
     # Top, the return set of a callee inside an SCC sweep, stays Top.
@@ -170,7 +170,7 @@ def test_flow_warns_about_dropped_paths_in_path_order():
     program = parse(source)
     call_stmt = program.function("caller").body.stmts[0]
     diags = Diagnostics()
-    assert stmt_effects(call_stmt, lock_sets(program).flow, diags, "caller") == (
+    assert stmt_effects(call_stmt, lock_sets(program, diags=diags).flow) == (
         (frozenset(), frozenset()),)
     assert [d.message for d in diags.entries] == [
         "argument for parameter %r is not a place (lock path %s)" % (p[0], p)
@@ -188,7 +188,7 @@ def test_one_call_warns_about_the_dropped_paths_of_a_parameter_in_path_order():
     program = parse(source)
     call_stmt = program.function("caller").body.stmts[0]
     diags = Diagnostics()
-    assert stmt_effects(call_stmt, lock_sets(program).flow, diags, "caller") == (
+    assert stmt_effects(call_stmt, lock_sets(program, diags=diags).flow) == (
         (locks("g"), frozenset()),)
     assert [(d.line, d.message) for d in diags.entries] == [
         (12, "argument for parameter 'p' is not a place (lock path p.%s)" % f)
@@ -403,15 +403,19 @@ def test_scc_warnings_are_reported_once_at_convergence():
     # f0's non-place argument meets f1's entry set {x.m} on every sweep after
     # it appears; the warning must come once, after the no-base-case ones.
     p = parse(NON_PLACE_RING)
+    no_base_case = [("f%d" % i, None, "function 'f%d' has no terminating path" % i)
+                    for i in range(4)]
+    diags = Diagnostics()
+    lock_sets(p, diags=diags)
+    got = [(d.function, d.line, d.message.split(" (")[0]) for d in diags]
+    assert got == no_base_case + [("f0", 5, "argument for parameter 'x' is not a place")]
+    # The sweep itself warns only about the missing base case.
     fns = [p.function("f%d" % i) for i in range(4)]
     graphs = {fn.name: build_cfg(fn) for fn in fns}
     outer = {"get": analyze_function(p.function("get"), build_cfg(p.function("get")), {})}
     diags = Diagnostics()
     analyze_scc(fns, graphs, outer, diags=diags)
-    got = [(d.function, d.line, d.message.split(" (")[0]) for d in diags]
-    assert got == [("f%d" % i, None, "function 'f%d' has no terminating path" % i)
-                   for i in range(4)] + [
-        ("f0", 5, "argument for parameter 'x' is not a place")]
+    assert [(d.function, d.line, d.message.split(" (")[0]) for d in diags] == no_base_case
 
 
 def test_iteration_budget_exceeded_on_growing_paths():

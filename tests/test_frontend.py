@@ -501,6 +501,25 @@ def test_a_declaration_named_like_the_lock_api_is_rejected(dialect, source, mess
     assert (exc.value.message, exc.value.line) == (message, line)
 
 
+@pytest.mark.parametrize("dialect", [parse, parse_guarded], ids=["plain", "guarded"])
+@pytest.mark.parametrize("source, message, line", [
+    ("int _;\nmutex_t m;\nint f() { pthread_mutex_lock(&m); return 1; }\n"
+     "void g() { _ = f(); pthread_mutex_unlock(&m); }\nvoid main() { g(); }\n",
+     "global named '_': a target named '_' drops its value", 1),
+    ("int n;\n\nvoid _() { n = 1; }\n",
+     "function named '_': a target named '_' drops its value", 3),
+    ("int n;\nvoid f(int k,\n int _) { n = k; }\n",
+     "parameter named '_': a target named '_' drops its value", 2),
+], ids=["global", "function", "parameter"])
+def test_a_declaration_named_underscore_is_rejected(dialect, source, message, line):
+    """A guarded target `_` drops its value, so a global `_` assigned a
+    call's value would print as `(_, m_guard) = f();` and read back as a
+    write to nothing."""
+    with pytest.raises(TypeCheckError) as exc:
+        dialect(source)
+    assert (exc.value.message, exc.value.line) == (message, line)
+
+
 def test_guard_paths_map_through_the_callees_parameters():
     program = parse_guarded(
         TWO_LOCKS + "(int, guard<p.m>) r(struct s *p, guard<p.m> h) { return (1, h); }\n"

@@ -249,3 +249,20 @@ def test_every_dataclass_is_slotted_but_the_per_run_singletons():
                             unslotted.add(node.name)
     assert dataclasses > 40
     assert unslotted == PER_RUN_SINGLETONS
+
+
+def test_only_the_fixpoint_drivers_take_a_collector():
+    """The lock-set fixpoints only compute. A dropped path is reported once,
+    after its fixpoint has converged, by the driver that ran it; no step
+    inside a fixpoint takes a warnings collector, which would need a buffer
+    to drop what it said about a set that later changed."""
+    drivers = {"analyze_scc", "analyze_program_flow", "propagate"}
+    takers = set()
+    for name in ("flowanalysis.py", "propagation.py"):
+        for node in ast.walk(_tree(PACKAGE / name)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                if any(a.arg == "diags" for a in (*args.posonlyargs, *args.args,
+                                                  *args.kwonlyargs)):
+                    takers.add(node.name)
+    assert takers == drivers

@@ -40,9 +40,8 @@ def reference_analyze_scc(fns, graphs, outer_facts, budget=1000, diags=None,
                           trace=None):
     """Round-robin joint fixpoint that re-solves every member each sweep.
 
-    It differs from the original loop only in its warnings: those of every
-    sweep but the last are dropped, so each converged warning is reported
-    once, after the no-base-case warnings.
+    Like analyze_scc, it warns only about members with no base case; the
+    dropped-path warnings come from the converged facts, after it returns.
     """
     current = {}
     for fn in fns:
@@ -51,11 +50,10 @@ def reference_analyze_scc(fns, graphs, outer_facts, budget=1000, diags=None,
     clamped = set()
     for iteration in range(1, budget + 1):
         changed = False
-        sweep = None if diags is None else Diagnostics()
         for fn in fns:
             env = dict(outer_facts)
             env.update(current)
-            new = analyze_function(fn, graphs[fn.name], env, sweep)
+            new = analyze_function(fn, graphs[fn.name], env)
             old = current[fn.name]
             if new.mels != old.mels or new.mrls != old.mrls:
                 changed = True
@@ -79,8 +77,6 @@ def reference_analyze_scc(fns, graphs, outer_facts, budget=1000, diags=None,
                 continue
             for f in current.values():
                 f.scc_iterations = iteration
-            if diags is not None:
-                diags.extend(sweep)
             return current
     raise IterationBudgetExceeded([fn.name for fn in fns], budget)
 
