@@ -427,12 +427,13 @@ def to_caller(path: LockPath, params, call: Call) -> LockPath | None:
     path, such as a global, is unchanged. None when the argument is not a
     place, so the caller cannot name the path.
     """
+    segs = path.segments
     for i, name in enumerate(params):
-        if path.root == name:
+        if segs[0] == name:
             arg = call.arg_paths[i]
             if arg is None:
                 return None
-            return LockPath(arg.segments + path.segments[1:])
+            return LockPath(arg.segments + segs[1:])
     return path
 
 

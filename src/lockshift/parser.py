@@ -6,8 +6,14 @@ guard variables typed guard<lock-path>, acquire/drop, parenthesised lists as
 return values and call targets, and payload accesses.
 
 A call statement is one CallAssign: `f();`, `x = f();` or `(x, g) = f();`.
-parse_primary reads a parenthesised list as a TupleExpr, which the resolver
+parse_group reads a parenthesised list as a TupleExpr, which the resolver
 accepts only as a return value or unpacked into a call's targets.
+
+The common forms take one step each: a name or number with nothing after
+it that binds tighter is a leaf in parse_expr, `(*g).f` is one
+PayloadAccess where parse_operand recognises `(*g)`, and a base type or
+`guard<p>` for a one-segment p is read in parse_type. The resolver
+dispatches on a node's type (`_RESOLVE_STMT`, `_RESOLVE_EXPR`).
 """
 from __future__ import annotations
 
@@ -76,6 +82,14 @@ _BASE_KINDS = {"int": "int", "void": "void", "mutex_t": "mutex", "thread_t": "th
 # Python's recursion limit.
 NESTING_LIMIT = 100
 
+# What may follow a primary expression to extend it: a field access, a
+# method call or a call's arguments.
+_POSTFIX = frozenset([".", "->", "("])
+
+# The first tokens of statements other than an expression or assignment.
+# `drop` starts one only in the guarded dialect, before `(`.
+_STMT_WORDS = frozenset(["{", "if", "while", "return", "drop"])
+
 
 class _AcquireExpr(Expr):
     """Parse-time marker for `path.acquire()`; must become an AcquireAssign."""
@@ -85,15 +99,26 @@ class _AcquireExpr(Expr):
         self.line = line
 
 
+class _Paths(dict):
+    """One LockPath per distinct tuple of segments, made on first use."""
+
+    def __missing__(self, segs: tuple[str, ...]) -> LockPath:
+        path = self[segs] = LockPath(segs)
+        return path
+
+
 class _Parser:
     """Recursive descent over the token lists of a `Tokens`, which end in
-    one eof token. A token is its index, as `self.pos` is and as `peek`,
-    `next`, `expect` and `expect_ident` return it; the parser reads
-    `self.kinds[i]`, `self.values[i]` and `self.lines[i]`. A column is
-    computed only for a ParseError (`fail`).
+    one eof token. A token is its index, as `self.pos` is and as `expect`
+    and `expect_ident` return it; the parser reads `self.kinds[i]`,
+    `self.values[i]` and `self.lines[i]`. A column is computed only for a
+    ParseError (`fail`).
 
     eof's value is "", which no caller asks `at`, `accept` or `expect` for,
-    and `next` never moves past it, so `self.pos` is always a valid index.
+    and the parser never moves past it, so `self.pos` is always a valid
+    index. Only eof has an empty value or the kind "eof", so a token with a
+    nonempty value, an identifier or a number, has a next one: the hot
+    paths read `values[i + 1]` after such a token without a bounds test.
     """
 
     def __init__(self, tokens: Tokens, guarded: bool):
@@ -105,6 +130,7 @@ class _Parser:
         self.pos = 0
         self.guarded = guarded
         self.guards: dict[str, LockPath] = {}  # in-scope guard vars of the current fn
+        self.paths = _Paths()  # the lock paths of guard types and declarations
         # Levels open around the current token: blocks, and the parentheses,
         # calls and unary operators the parser is inside. `height` is the
         # levels of the expression parsed last, below its own position; a
@@ -113,16 +139,6 @@ class _Parser:
         self.height = 0
 
     # -- token plumbing ----------------------------------------------------
-
-    def peek(self, ahead: int) -> int:
-        """The token `ahead` places on, or eof."""
-        return min(self.pos + ahead, self.eof)
-
-    def next(self) -> int:
-        i = self.pos
-        if i < self.eof:
-            self.pos = i + 1
-        return i
 
     def at(self, value: str) -> bool:
         return self.values[self.pos] == value
@@ -140,25 +156,29 @@ class _Parser:
         self.pos = i + 1
         return i
 
+    def expect_ident(self, what: str = "identifier") -> int:
+        i = self.pos
+        if self.kinds[i] != "ident":
+            raise self.fail("expected %s, found %r" % (what, self.values[i] or "end of input"))
+        self.pos = i + 1
+        return i
+
     def nest(self, i: int) -> None:
         """Open one more level at token `i`; the caller closes it with `depth -= 1`."""
         self.depth += 1
         if self.depth > NESTING_LIMIT:
-            raise self.fail("nested too deeply (the limit is %d levels)" % NESTING_LIMIT, i)
+            raise self.too_deep(i)
 
     def grow(self, i: int, height: int) -> None:
         """The expression just built at token `i` sits one level above a
         subtree `height` levels high."""
         height += 1
         if self.depth + height > NESTING_LIMIT:
-            raise self.fail("nested too deeply (the limit is %d levels)" % NESTING_LIMIT, i)
+            raise self.too_deep(i)
         self.height = height
 
-    def expect_ident(self, what: str = "identifier") -> int:
-        i = self.pos
-        if self.kinds[i] != "ident":
-            raise self.fail("expected %s, found %r" % (what, self.values[i] or "end of input"))
-        return self.next()
+    def too_deep(self, i: int) -> ParseError:
+        return self.fail("nested too deeply (the limit is %d levels)" % NESTING_LIMIT, i)
 
     def fail(self, message: str, i: int | None = None) -> ParseError:
         """A ParseError at token `i`, by default the current one."""
@@ -169,44 +189,61 @@ class _Parser:
     # -- types ---------------------------------------------------------------
 
     def at_type(self) -> bool:
-        kind, value = self.kinds[self.pos], self.values[self.pos]
+        i = self.pos
+        kind, value = self.kinds[i], self.values[i]
         if kind == "kw" and value in ("int", "void", "mutex_t", "thread_t", "struct"):
             return True
         if self.guarded and kind == "ident" and value in ("mutex", "guard"):
-            return self.values[self.peek(1)] == "<"
+            return self.values[i + 1] == "<"
         return False
 
     def parse_type(self) -> Type:
-        t = self.next()
-        value = self.values[t]
-        if value in _BASE_KINDS:
-            ty = Type(_BASE_KINDS[value])
+        """A type; a base type, and `guard<p>` for a one-segment `p`, take
+        one step each."""
+        t = self.pos
+        values = self.values
+        value = values[t]
+        kind = _BASE_KINDS.get(value)
+        if kind is not None:
+            self.pos = t + 1
+            ty = Type(kind)
         elif value == "struct":
+            self.pos = t + 1
             name = self.expect_ident("struct name")
-            ty = Type("struct", self.values[name])
+            ty = Type("struct", values[name])
         elif self.guarded and value == "mutex":
+            self.pos = t + 1
             self.expect("<")
             payload = self.expect_ident("payload struct name")
             self.expect(">")
-            ty = Type("lock", self.values[payload])
+            ty = Type("lock", values[payload])
         elif self.guarded and value == "guard":
-            self.expect("<")
-            path = self.parse_dotted_path()
-            self.expect(">")
-            ty = Type("guard", path=path)
+            self.pos = t + 1
+            ty = Type("guard", path=self.parse_guard_path())
         else:
             raise self.fail("expected a type, found %r" % value, t)
-        ptr = 0
-        while self.accept("*"):
-            ptr += 1
-        ty.ptr = ptr
+        while values[self.pos] == "*":
+            self.pos += 1
+            ty.ptr += 1
         return ty
+
+    def parse_guard_path(self) -> LockPath:
+        """`<p>` after `guard`: a one-segment `p` in one step."""
+        t = self.pos
+        values = self.values
+        if values[t] == "<" and self.kinds[t + 1] == "ident" and values[t + 2] == ">":
+            self.pos = t + 3
+            return self.paths[(values[t + 1],)]
+        self.expect("<")
+        path = self.parse_dotted_path()
+        self.expect(">")
+        return path
 
     def parse_dotted_path(self) -> LockPath:
         segs = [self.values[self.expect_ident("path segment")]]
         while self.accept("."):
             segs.append(self.values[self.expect_ident("path segment")])
-        return LockPath(tuple(segs))
+        return self.paths[tuple(segs)]
 
     # -- top level -----------------------------------------------------------
 
@@ -216,11 +253,11 @@ class _Parser:
         functions: list[FunctionDef] = []
         values = self.values
         while self.pos != self.eof:
-            if (self.at("struct") and self.kinds[self.peek(1)] == "ident"
-                    and values[self.peek(2)] == "{"):
+            first = self.pos
+            if (values[first] == "struct" and self.kinds[first + 1] == "ident"
+                    and values[first + 2] == "{"):
                 structs.append(self.parse_struct_def())
                 continue
-            first = self.pos
             if values[first] == "(" and self.guarded:
                 rets = self.parse_ret_types()
                 name = self.expect_ident("function name")
@@ -230,7 +267,7 @@ class _Parser:
                 raise self.fail("expected a declaration")
             ty = self.parse_type()
             name = self.expect_ident("declared name")
-            if self.at("("):
+            if values[self.pos] == "(":
                 functions.append(self.parse_function((ty,), name, self.lines[first]))
                 continue
             if ty.kind == "guard":
@@ -281,7 +318,8 @@ class _Parser:
     def parse_ret_types(self) -> tuple[Type, ...]:
         self.expect("(")
         rets = [self.parse_type()]
-        while self.accept(","):
+        while self.values[self.pos] == ",":
+            self.pos += 1
             rets.append(self.parse_type())
         self.expect(")")
         if len(rets) < 2:
@@ -289,33 +327,36 @@ class _Parser:
         return tuple(rets)
 
     def parse_function(self, rets: tuple[Type, ...], name: int, start_line: int) -> FunctionDef:
+        values = self.values
         self.expect("(")
         params: list[Param] = []
-        if not self.at(")"):
+        guards: dict[str, LockPath] = {}
+        if values[self.pos] != ")":
             while True:
                 pty = self.parse_type()
-                pname = self.expect_ident("parameter name")
-                params.append(Param(pty, self.values[pname]))
-                if not self.accept(","):
+                pname = values[self.expect_ident("parameter name")]
+                params.append(Param(pty, pname))
+                if pty.kind == "guard":
+                    guards[pname] = pty.path
+                if values[self.pos] != ",":
                     break
+                self.pos += 1
         self.expect(")")
-        self.guards = {p.name: p.ty.path for p in params if p.ty.kind == "guard"}
+        self.guards = guards
         open_brace = self.expect("{")
         guard_decls: list[GuardVarDecl] = []
-        while (self.guarded and self.kinds[self.pos] == "ident" and self.at("guard")
-               and self.values[self.peek(1)] == "<"):
-            decl_tok = self.next()
-            self.expect("<")
-            path = self.parse_dotted_path()
-            self.expect(">")
-            gname = self.values[self.expect_ident("guard variable name")]
+        while self.guarded and values[self.pos] == "guard" and values[self.pos + 1] == "<":
+            decl_tok = self.pos
+            self.pos = decl_tok + 1
+            path = self.parse_guard_path()
+            gname = values[self.expect_ident("guard variable name")]
             self.expect(";")
             guard_decls.append(GuardVarDecl(gname, path, self.lines[decl_tok]))
-            self.guards[gname] = path
+            guards[gname] = path
         stmts = self.parse_stmts()
         close = self.expect("}")
         body = Block(line=self.lines[open_brace], stmts=stmts)
-        fn = FunctionDef(rets, self.values[name], params, body,
+        fn = FunctionDef(rets, values[name], params, body,
                          (start_line, self.lines[close]), guard_decls)
         self.guards = {}
         return fn
@@ -325,8 +366,9 @@ class _Parser:
     def parse_stmts(self) -> list[Stmt]:
         """Statements up to a closing `}`."""
         stmts: list[Stmt] = []
-        while not self.at("}"):
-            stmts.append(self.parse_stmt())
+        values = self.values
+        while (value := values[self.pos]) != "}":
+            stmts.append(self.parse_stmt() if value in _STMT_WORDS else self.parse_simple_stmt())
         return stmts
 
     def parse_stmt(self) -> Stmt:
@@ -337,7 +379,7 @@ class _Parser:
         if value == "if":
             return self.parse_if()
         if value == "while":
-            self.next()
+            self.pos = t + 1
             self.expect("(")
             cond = self.parse_expr()
             self.expect(")")
@@ -345,10 +387,8 @@ class _Parser:
             return While(line=self.lines[t], cond=cond, body=body)
         if value == "return":
             return self.parse_return()
-        if (self.guarded and value == "drop" and self.kinds[t] == "ident"
-                and self.values[self.peek(1)] == "("):
-            self.next()
-            self.expect("(")
+        if self.guarded and value == "drop" and self.values[t + 1] == "(":
+            self.pos = t + 2
             gname = self.expect_ident("guard variable")
             if self.values[gname] not in self.guards:
                 raise self.fail("drop target %r is not a guard" % self.values[gname], gname)
@@ -358,7 +398,8 @@ class _Parser:
         return self.parse_simple_stmt()
 
     def parse_block(self) -> Block:
-        t = self.next()
+        t = self.pos
+        self.pos = t + 1
         self.nest(t)
         stmts = self.parse_stmts()
         self.expect("}")
@@ -392,7 +433,7 @@ class _Parser:
 
     def parse_return(self) -> Return:
         line = self.lines[self.expect("return")]
-        value = None if self.at(";") else self.parse_expr()
+        value = None if self.values[self.pos] == ";" else self.parse_expr()
         self.expect(";")
         return Return(line=line, value=value)
 
@@ -403,27 +444,35 @@ class _Parser:
         t = self.pos
         line = self.lines[t]
         place, value = None, self.parse_expr()
-        if self.accept("="):
+        if self.values[self.pos] == "=":
+            self.pos += 1
             place, value = value, self.parse_expr()
-        self.expect(";")
-        if isinstance(value, Call):
-            targets = (tuple(place.items) if isinstance(place, TupleExpr)
-                       else () if place is None else (place,))
-            if self.guarded:  # where a bare `_` target drops its value
-                targets = tuple(Discard() if isinstance(e, Var) and e.name == "_" else e
-                                for e in targets)
+        if self.values[self.pos] != ";":
+            self.expect(";")  # raises
+        self.pos += 1
+        if type(value) is Call:
+            # In the guarded dialect a bare `_` target drops its value.
+            if place is None:
+                targets = ()
+            elif type(place) is TupleExpr:  # guarded only
+                targets = tuple([Discard() if type(e) is Var and e.name == "_" else e
+                                 for e in place.items])
+            elif self.guarded and type(place) is Var and place.name == "_":
+                targets = (Discard(),)
+            else:
+                targets = (place,)
             return CallAssign(line=line, targets=targets, call=value)
-        if isinstance(place, TupleExpr):
+        if type(place) is TupleExpr:
             raise self.fail("destructuring assignment needs a call on the right", t)
-        if isinstance(value, _AcquireExpr):
+        if type(value) is _AcquireExpr:
             if place is None:
                 raise self.fail("acquire() result must be assigned to a guard", t)
-            if not isinstance(place, GuardRef):
+            if type(place) is not GuardRef:
                 raise self.fail("acquire() must assign to a guard variable", t)
             return AcquireAssign(line=line, guard=place.name, path=value.path)
         if place is None:
             return ExprStmt(line=line, expr=value)
-        if isinstance(place, GuardRef):
+        if type(place) is GuardRef:
             raise self.fail("a guard can only receive acquire() or a call result", t)
         return Assign(line=line, place=place, value=value)
 
@@ -432,57 +481,145 @@ class _Parser:
     def parse_expr(self, min_prec: int = 1) -> Expr:
         """Precedence climbing: operators of at least `min_prec` bind here,
         and a right operand takes only operators that bind tighter, so
-        equal precedence groups to the left."""
-        e = self.parse_unary()
+        equal precedence groups to the left. A name or number that no
+        `.`, `->` or `(` follows is an operand in itself, a leaf."""
+        values = self.values
+        t = self.pos
+        kind = self.kinds[t]
+        if (kind == "ident" or kind == "int") and values[t + 1] not in _POSTFIX:
+            self.pos = t + 1
+            self.height = 0
+            value = values[t]
+            if kind == "int":
+                e = IntLit(int(value))
+            else:
+                path = self.guards.get(value)
+                e = Var(value) if path is None else GuardRef(value, path)
+        else:
+            e = self.parse_operand()
         while True:
             t = self.pos
-            op = self.values[t]
+            op = values[t]
             prec = BIN_PREC.get(op)
             if prec is None or prec < min_prec:
                 return e
             self.pos = t + 1
             lhs_height = self.height
             e = Binary(op, e, self.parse_expr(prec + 1))
-            height = self.height
-            self.grow(t, height if height > lhs_height else lhs_height)
+            height = (self.height if self.height > lhs_height else lhs_height) + 1
+            if self.depth + height > NESTING_LIMIT:
+                raise self.too_deep(t)
+            self.height = height
 
-    def parse_unary(self) -> Expr:
+    def parse_operand(self) -> Expr:
+        """An operand of a binary operator: its prefix `&`, `&mut` and `*`,
+        a name, number or parenthesized expression, then the field
+        accesses, method calls and call arguments after it."""
+        values = self.values
         t = self.pos
-        value = self.values[t]
+        value = values[t]
         if value == "&" or value == "*":
             self.pos = t + 1
-            self.nest(t)
-            mut = value == "&" and self.accept("mut")
-            e = self.parse_unary()
+            self.depth += 1
+            if self.depth > NESTING_LIMIT:
+                raise self.too_deep(t)
+            mut = value == "&" and values[t + 1] == "mut"
+            if mut:
+                self.pos = t + 2
+            e = self.parse_operand()
             self.depth -= 1
             self.height += 1
             return AddrOf(e, mut) if value == "&" else Deref(e)
-        return self.parse_postfix()
-
-    def parse_postfix(self) -> Expr:
-        e = self.parse_primary()
-        values = self.values
+        kinds = self.kinds
+        kind = kinds[t]
+        guards = self.guards
+        if kind == "ident":
+            self.pos = t + 1
+            self.height = 0
+            path = guards.get(value)
+            e = Var(value) if path is None else GuardRef(value, path)
+        elif kind == "int":
+            self.pos = t + 1
+            self.height = 0
+            e = IntLit(int(value))
+        elif value != "(":
+            raise self.fail("expected an expression, found %r" % (value or "end of input"))
+        elif values[t + 1] == "*" and values[t + 2] in guards and values[t + 3] == ")":
+            # `(*g)`, the payload of guard g: a leaf (see NESTING_LIMIT),
+            # and with a field after it one PayloadAccess
+            g = values[t + 2]
+            self.height = 0
+            if (values[t + 4] in (".", "->") and kinds[t + 5] == "ident"
+                    and values[t + 6] != "("):
+                self.pos = t + 6
+                e = PayloadAccess(guards[g], values[t + 5], g)
+            else:
+                self.pos = t + 4
+                e = Deref(GuardRef(g, guards[g]))
+        else:
+            e = self.parse_group(t)
         while True:
             t = self.pos
             value = values[t]
             if value == "." or value == "->":
-                self.pos = t + 1
-                fld = self.expect_ident("field name")
-                if self.at("("):
+                fld = t + 1
+                if kinds[fld] != "ident":
+                    raise self.fail("expected field name, found %r"
+                                    % (values[fld] or "end of input"), fld)
+                self.pos = t + 2
+                if values[t + 2] == "(":
                     e = self.parse_method(e, fld)
+                elif type(e) is Deref and type(e.expr) is GuardRef:
+                    g = e.expr
+                    e = PayloadAccess(g.path, values[fld], g.name)  # a leaf: adds no level
                 else:
-                    e = self._make_field_access(e, t, values[fld])
-            elif value == "(" and isinstance(e, Var):
-                e = self.parse_call(e.name)
+                    self.grow(t, self.height)
+                    e = FieldAccess(e, values[fld], value == "->")
+            elif value == "(" and type(e) is Var:
+                self.pos = t + 1
+                self.depth += 1
+                if self.depth > NESTING_LIMIT:
+                    raise self.too_deep(t)
+                args: list[Expr] = []
+                height = 0
+                if values[t + 1] != ")":
+                    while True:
+                        args.append(self.parse_expr())
+                        if self.height > height:
+                            height = self.height
+                        if values[self.pos] != ",":
+                            break
+                        self.pos += 1
+                if values[self.pos] != ")":
+                    self.expect(")")  # raises
+                self.pos += 1
+                self.depth -= 1
+                self.height = height + 1
+                e = Call(e.name, args)
             else:
                 return e
 
-    def _make_field_access(self, base: Expr, op: int, fld: str) -> Expr:
-        if isinstance(base, Deref) and isinstance(base.expr, GuardRef):
-            g = base.expr
-            return PayloadAccess(g.path, fld, g.name)  # a leaf: adds no level
-        self.grow(op, self.height)
-        return FieldAccess(base, fld, self.values[op] == "->")
+    def parse_group(self, t: int) -> Expr:
+        """A parenthesized expression at token `t`, or in the guarded
+        dialect a tuple, as high as its highest item."""
+        values = self.values
+        self.pos = t + 1
+        self.nest(t)
+        e = self.parse_expr()
+        if self.guarded and values[self.pos] == ",":
+            items = [e]
+            height = self.height
+            while values[self.pos] == ",":
+                self.pos += 1
+                items.append(self.parse_expr())
+                if self.height > height:
+                    height = self.height
+            self.height = height
+            e = TupleExpr(items)
+        self.expect(")")
+        self.depth -= 1
+        self.height += 1
+        return e
 
     def parse_method(self, recv: Expr, method: int) -> Expr:
         if not self.guarded:
@@ -501,61 +638,6 @@ class _Parser:
         self.expect(".")
         return PayloadAccess(path, self.values[self.expect_ident("payload field name")])
 
-    def parse_call(self, name: str) -> Call:
-        self.nest(self.expect("("))
-        args: list[Expr] = []
-        height = 0
-        if not self.at(")"):
-            while True:
-                args.append(self.parse_expr())
-                if self.height > height:
-                    height = self.height
-                if not self.accept(","):
-                    break
-        self.expect(")")
-        self.depth -= 1
-        self.height = height + 1
-        return Call(name, args)
-
-    def parse_primary(self) -> Expr:
-        t = self.pos
-        kind = self.kinds[t]
-        value = self.values[t]
-        if kind == "ident":
-            self.pos = t + 1
-            self.height = 0
-            if value in self.guards:
-                return GuardRef(value, self.guards[value])
-            return Var(value)
-        if kind == "int":
-            self.pos = t + 1
-            self.height = 0
-            return IntLit(int(value))
-        if value == "(":
-            values = self.values
-            g = values[self.peek(2)]
-            if g in self.guards and values[self.peek(1)] == "*" and values[self.peek(3)] == ")":
-                self.pos = t + 4  # `(*g)`: a leaf, see NESTING_LIMIT
-                self.height = 0
-                return Deref(GuardRef(g, self.guards[g]))
-            self.pos = t + 1
-            self.nest(t)
-            e = self.parse_expr()
-            if self.guarded and self.at(","):  # a tuple, as high as its highest item
-                items = [e]
-                height = self.height
-                while self.accept(","):
-                    items.append(self.parse_expr())
-                    if self.height > height:
-                        height = self.height
-                self.height = height
-                e = TupleExpr(items)
-            self.expect(")")
-            self.depth -= 1
-            self.height += 1
-            return e
-        raise self.fail("expected an expression, found %r" % (value or "end of input"))
-
 
 # ---------------------------------------------------------------------------
 # Name resolution and checking
@@ -564,11 +646,19 @@ _RESERVED = "%s named '_': a target named '_' drops its value"
 
 
 class _Resolver:
+    """Resolves names and checks types, one declaration kind at a time,
+    then each function body. Statements and expressions are dispatched on
+    their node type through `_RESOLVE_STMT` and `_RESOLVE_EXPR`."""
+
     def __init__(self, program: Program):
         self.program = program
         self.names = program.names  # bound once for the lookup of each Var
+        self.fn: FunctionDef | None = None  # the function being resolved
         self.params: dict[str, Type] = {}
-        # the type of each lock path typed in the current scope, by segments
+        # The type of each lock path typed so far, by segments: a path
+        # rooted at a global for the whole run, one rooted at a parameter
+        # only in the current function.
+        self.global_locks: dict[tuple[str, ...], Type] = {}
         self.locks: dict[tuple[str, ...], Type] = {}
         # the lock path of each guard variable in the current function
         self.guards: dict[str, LockPath] = {}
@@ -605,43 +695,54 @@ class _Resolver:
                 if s.field_decl(fd.name) is not fd:
                     raise TypeCheckError("duplicate field %r in struct %s"
                                          % (fd.name, s.name), s.line)
-                self.check_type(fd.ty, s.line)
+                self.check_type(fd.ty, s.line, "field %r in struct %s" % (fd.name, s.name))
+        # Every global's type is checked before an initializer reads one.
         for g in p.globals:
-            self.check_type(g.ty, g.line)
+            self.check_type(g.ty, g.line, "global %r" % g.name)
+        for g in p.globals:
             self.line = g.line
-            if isinstance(g.init, PayloadInit):
+            if type(g.init) is PayloadInit:
                 self.resolve_payload_init(g)
             elif g.init is not None:
-                self.resolve_expr(g.init)
+                _RESOLVE_EXPR[type(g.init)](self, g.init)
             self.take_calls(g)
         for f in p.functions:
             self.resolve_function(f)
         return p
 
-    def check_type(self, ty: Type, line: int) -> None:
-        if ty.kind == "struct" and self.program.struct(ty.name) is None:
+    def check_type(self, ty: Type, line: int, holder: str = "") -> None:
+        """ty names declared structs and locks. A holder of a value, a
+        global, field or parameter, named by `holder`, is not plain void."""
+        kind = ty.kind
+        if kind == "void" and holder and not ty.ptr:
+            raise TypeCheckError("%s has type void" % holder, line)
+        if kind == "struct" and self.program.struct(ty.name) is None:
             raise UnknownIdentifier("unknown struct %r" % ty.name, line)
-        if ty.kind == "lock" and self.program.struct(ty.name) is None:
+        if kind == "lock" and self.program.struct(ty.name) is None:
             raise UnknownIdentifier("unknown payload struct %r" % ty.name, line)
-        if ty.kind == "guard":
+        if kind == "guard":
             self.lock_type(ty.path, line)
 
     def lock_type(self, path: LockPath, line: int) -> Type:
         """The type of the lock path names, from a parameter or global."""
         segs = path.segments
-        ty = self.locks.get(segs)
+        locks = self.locks if segs[0] in self.params else self.global_locks
+        ty = locks.get(segs)
         if ty is None:
             ty = lock_path_type(path, self.params, self.program)
             if ty is None:
                 raise TypeCheckError("%s is not a lock" % path.text, line)
-            self.locks[segs] = ty
+            locks[segs] = ty
         return ty
 
-    def check_payload_field(self, path: LockPath, fld: str) -> None:
-        ty = self.lock_type(path, self.line)
-        if ty.kind != "lock" or self.program.struct(ty.name).field_decl(fld) is None:
+    def payload_field(self, e: PayloadAccess) -> FieldDecl:
+        """The payload field e names, which must be declared."""
+        ty = self.lock_type(e.path, self.line)
+        fd = self.program.tags[ty.name].field_decl(e.fld) if ty.kind == "lock" else None
+        if fd is None:
             raise UnknownIdentifier(
-                "lock %s has no payload field %r" % (path.text, fld), self.line)
+                "lock %s has no payload field %r" % (e.path.text, e.fld), self.line)
+        return fd
 
     def resolve_payload_init(self, g: GlobalDecl) -> None:
         init = g.init
@@ -659,175 +760,212 @@ class _Resolver:
                                      % (fname, g.name), self.line)
             seen.add(fname)
             if finit is not None:
-                self.resolve_expr(finit)
+                _RESOLVE_EXPR[type(finit)](self, finit)
 
     def resolve_function(self, f: FunctionDef) -> None:
-        self.params = {}
+        self.fn = f
+        self.params = params = {}
         self.locks = {}
+        self.guards = guards = {}
         line = f.line_span[0]
         for param in f.params:
-            if param.name in self.params:
+            if param.name in params:
                 raise TypeCheckError(
                     "duplicate parameter %r in %s" % (param.name, f.name), line)
             if param.name == "_":
                 raise TypeCheckError(_RESERVED % "parameter", line)
-            self.params[param.name] = param.ty
-        for ty in [param.ty for param in f.params] + list(f.rets):
+            params[param.name] = param.ty
+            if param.ty.kind == "guard":
+                guards[param.name] = param.ty.path
+        for param in f.params:
+            self.check_type(param.ty, line, "parameter %r in %s" % (param.name, f.name))
+        for ty in f.rets:
             self.check_type(ty, line)
-        self.guards = {p.name: p.ty.path for p in f.params if p.ty.kind == "guard"}
         for d in f.guard_decls:
-            if d.guard in self.params:
+            if d.guard in params:
                 raise TypeCheckError("guard %r shadows a parameter of %s"
                                      % (d.guard, f.name), d.line)
-            if d.guard in self.guards:
+            if d.guard in guards:
                 raise TypeCheckError("duplicate guard %r in %s" % (d.guard, f.name), d.line)
             self.lock_type(d.path, d.line)
-            self.guards[d.guard] = d.path
+            guards[d.guard] = d.path
         self.resolve_block(f.body)
 
-    def resolve_block(self, b: Block) -> None:
-        for s in b.stmts:
-            self.resolve_stmt(s)
+    # -- statements ----------------------------------------------------------
 
-    def resolve_stmt(self, s: Stmt) -> None:
-        """Resolve s and move the calls it evaluates itself onto s.calls;
-        an If or While takes its condition's calls before its nested
-        statements resolve, and a Block has none of its own."""
-        self.line = s.line
-        if isinstance(s, Assign):
-            self.resolve_expr(s.value)
-            self.resolve_expr(s.place)
-            self.check_assign_place(s.place, s.line)
-        elif isinstance(s, CallAssign):
-            if s.call.name in LOCK_API and not s.targets:
-                self.resolve_lock_api(s.call, s.line)
-            else:
-                self.resolve_call(s.call, s.targets)
-            self.calls.append(s.call)
-            for t in s.targets:
-                if isinstance(t, Expr):
-                    self.resolve_expr(t)
-                    self.check_assign_place(t, s.line)
-        elif isinstance(s, ExprStmt):
-            self.resolve_expr(s.expr)
-        elif isinstance(s, Block):
-            self.resolve_block(s)
-        elif isinstance(s, If):
-            self.resolve_expr(s.cond)
-            self.take_calls(s)
-            self.resolve_block(s.then)
-            if s.orelse is not None:
-                self.resolve_block(s.orelse)
-        elif isinstance(s, While):
-            self.resolve_expr(s.cond)
-            self.take_calls(s)
-            self.resolve_block(s.body)
-        elif isinstance(s, Return):
-            if isinstance(s.value, TupleExpr):
-                for item in s.value.items:
-                    self.resolve_expr(item)
-            elif s.value is not None:
-                self.resolve_expr(s.value)
-        elif isinstance(s, AcquireAssign):
-            self.lock_type(s.path, s.line)
-            held = self.guards[s.guard]
-            if s.path != held:
-                raise TypeCheckError("guard %s is for %s, not %s"
-                                     % (s.guard, held.text, s.path.text), s.line)
-        elif isinstance(s, DropCall):
-            pass
-        else:
-            raise TypeCheckError("unexpected statement form", s.line)
-        self.take_calls(s)
+    def resolve_block(self, b: Block) -> None:
+        """Resolve each statement of b and move the calls it evaluates
+        itself onto its `calls`; an If or While takes its condition's calls
+        before its nested statements resolve, and a Block has none of its
+        own."""
+        for s in b.stmts:
+            self.line = s.line
+            _RESOLVE_STMT[type(s)](self, s)
+            if self.calls:
+                s.calls = tuple(self.calls)
+                self.calls.clear()
 
     def take_calls(self, s: Stmt | GlobalDecl) -> None:
         if self.calls:
             s.calls = tuple(self.calls)
             self.calls.clear()
 
+    def resolve_assign(self, s: Assign) -> None:
+        _RESOLVE_EXPR[type(s.value)](self, s.value)
+        _RESOLVE_EXPR[type(s.place)](self, s.place)
+        self.check_assign_place(s.place, s.line)
+
+    def resolve_call_assign(self, s: CallAssign) -> None:
+        call = s.call
+        if call.name in LOCK_API and not s.targets:
+            self.resolve_lock_api(call, s.line)
+        else:
+            self.resolve_call(call, s.targets)
+        self.calls.append(call)
+        for t in s.targets:
+            kind = type(t)
+            if kind is not GuardRef and kind is not Discard:  # a guard receives
+                _RESOLVE_EXPR[kind](self, t)
+                self.check_assign_place(t, s.line)
+
+    def resolve_expr_stmt(self, s: ExprStmt) -> None:
+        _RESOLVE_EXPR[type(s.expr)](self, s.expr)
+
+    def resolve_if(self, s: If) -> None:
+        _RESOLVE_EXPR[type(s.cond)](self, s.cond)
+        self.take_calls(s)
+        self.resolve_block(s.then)
+        if s.orelse is not None:
+            self.resolve_block(s.orelse)
+
+    def resolve_while(self, s: While) -> None:
+        _RESOLVE_EXPR[type(s.cond)](self, s.cond)
+        self.take_calls(s)
+        self.resolve_block(s.body)
+
+    def resolve_return(self, s: Return) -> None:
+        """A return gives one value per type its function returns, like the
+        targets of a call: a guard for p exactly where the function returns
+        guard<p>. With no value it drops each, so its function returns no
+        guard. A function declared plain void returns no value."""
+        value = s.value
+        values = (() if value is None else value.items if type(value) is TupleExpr
+                  else (value,))
+        for v in values:
+            _RESOLVE_EXPR[type(v)](self, v)
+        fn = self.fn
+        if fn.returns_void:
+            if values:
+                raise TypeCheckError("%s() returns void, not a value" % fn.name, s.line)
+            return
+        rets = fn.rets
+        if not values:
+            values = [Discard()] * len(rets)
+        elif len(values) != len(rets):
+            raise TypeCheckError("%s() returns %d values, not %d"
+                                 % (fn.name, len(rets), len(values)), s.line)
+        for v, r in zip(values, rets):
+            if r.kind == "guard" or type(v) is GuardRef:
+                self.check_guard(v, r, fn.name, "returns", (), None)
+
+    def resolve_acquire(self, s: AcquireAssign) -> None:
+        self.lock_type(s.path, s.line)
+        held = self.guards[s.guard]
+        if s.path.segments != held.segments:
+            raise TypeCheckError("guard %s is for %s, not %s"
+                                 % (s.guard, held.text, s.path.text), s.line)
+
     def check_assign_place(self, e: Expr, line: int) -> None:
         """e is a place to assign, a payload field, or, as a destructuring
         target, a guard that receives."""
-        if isinstance(e, (PayloadAccess, GuardRef)):
+        kind = type(e)
+        if kind is PayloadAccess or kind is GuardRef:
             return
-        if place_path(e) is None or isinstance(e, AddrOf):
+        if kind is not Var and (kind is AddrOf or type(_place_root(e)) not in _PLACE_ROOTS):
             raise TypeCheckError("assignment target is not a place", line)
-        ty = self.place_type(e)
+        ty = e.ty if kind is Var else self.place_type(e)
         if ty is not None and ty.ptr == 0 and ty.kind in ("struct", "mutex", "lock"):
             raise TypeCheckError("cannot assign whole %s values" % ty.kind, line)
 
-    def resolve_expr(self, e: Expr, fn_name_ok: bool = False) -> None:
-        if isinstance(e, IntLit):
-            return
-        if isinstance(e, Var):
-            if e.name in self.params:
-                e.kind, e.ty = "param", self.params[e.name]
-            elif isinstance(d := self.names.get(e.name), GlobalDecl):
-                e.kind, e.ty = "global", d.ty
-            elif d is not None:
-                if not fn_name_ok:
-                    raise TypeCheckError(
-                        "function %r used as a value" % e.name, self.line)
-                e.kind = "function"
-            else:
-                raise UnknownIdentifier("unknown identifier %r" % e.name, self.line)
-            return
-        if isinstance(e, FieldAccess):
-            self.resolve_expr(e.base)
-            base_ty = self.place_type(e.base)
-            if base_ty is None or base_ty.kind != "struct" or base_ty.ptr > 1:
+    # -- expressions -----------------------------------------------------------
+
+    def resolve_nothing(self, node: IntLit | GuardRef | DropCall) -> None:
+        """A number, a guard, whose lock path was typed where it was
+        declared, or a drop."""
+
+    def resolve_var(self, e: Var, fn_name_ok: bool = False) -> None:
+        ty = self.params.get(e.name)
+        if ty is not None:
+            e.kind, e.ty = "param", ty
+        elif type(d := self.names.get(e.name)) is GlobalDecl:
+            e.kind, e.ty = "global", d.ty
+        elif d is not None:
+            if not fn_name_ok:
                 raise TypeCheckError(
-                    "field access %r on a non-struct value" % e.fld, self.line)
-            struct = self.program.struct(base_ty.name)
-            fd = struct.field_decl(e.fld)
-            if fd is None:
-                raise UnknownIdentifier(
-                    "struct %r has no field %r" % (struct.name, e.fld), self.line)
-            e.owner = struct.name
-            e.ty = fd.ty
-            return
-        if isinstance(e, AddrOf):
-            self.resolve_expr(e.expr)
-            if place_path(e.expr) is None and not isinstance(e.expr, PayloadAccess):
-                raise TypeCheckError("cannot take the address of a non-place", self.line)
-            return
-        if isinstance(e, Deref):
-            self.resolve_expr(e.expr)
-            inner = self.place_type(e.expr)
-            if inner is not None and inner.ptr == 0:
-                raise TypeCheckError("cannot dereference a non-pointer", self.line)
-            return
-        if isinstance(e, Binary):
-            self.resolve_expr(e.lhs)
-            self.resolve_expr(e.rhs)
-            return
-        if isinstance(e, Call):
-            self.resolve_call(e, [e])  # its one value goes to the expression
-            self.calls.append(e)
-            return
-        if isinstance(e, PayloadAccess):
-            self.check_payload_field(e.path, e.fld)
-            return
-        if isinstance(e, GuardRef):
-            return
-        if isinstance(e, TupleExpr):
-            raise TypeCheckError("a tuple is only a return value or a target list", self.line)
+                    "function %r used as a value" % e.name, self.line)
+            e.kind = "function"
+        else:
+            raise UnknownIdentifier("unknown identifier %r" % e.name, self.line)
+
+    def resolve_field_access(self, e: FieldAccess) -> None:
+        _RESOLVE_EXPR[type(e.base)](self, e.base)
+        base_ty = self.place_type(e.base)
+        if base_ty is None or base_ty.kind != "struct" or base_ty.ptr > 1:
+            raise TypeCheckError(
+                "field access %r on a non-struct value" % e.fld, self.line)
+        struct = self.program.tags[base_ty.name]
+        fd = struct.field_decl(e.fld)
+        if fd is None:
+            raise UnknownIdentifier(
+                "struct %r has no field %r" % (struct.name, e.fld), self.line)
+        e.owner = struct.name
+        e.ty = fd.ty
+
+    def resolve_addr_of(self, e: AddrOf) -> None:
+        inner = e.expr
+        _RESOLVE_EXPR[type(inner)](self, inner)
+        if type(inner) is not Var and type(_place_root(inner)) not in _PLACE_ROOTS:
+            raise TypeCheckError("cannot take the address of a non-place", self.line)
+
+    def resolve_deref(self, e: Deref) -> None:
+        _RESOLVE_EXPR[type(e.expr)](self, e.expr)
+        inner = self.place_type(e.expr)
+        if inner is not None and inner.ptr == 0:
+            raise TypeCheckError("cannot dereference a non-pointer", self.line)
+
+    def resolve_binary(self, e: Binary) -> None:
+        _RESOLVE_EXPR[type(e.lhs)](self, e.lhs)
+        _RESOLVE_EXPR[type(e.rhs)](self, e.rhs)
+
+    def resolve_call_expr(self, e: Call) -> None:
+        self.resolve_call(e, [e])  # its one value goes to the expression
+        self.calls.append(e)
+
+    def reject_tuple(self, e: TupleExpr) -> None:
+        raise TypeCheckError("a tuple is only a return value or a target list", self.line)
+
+    def reject_acquire(self, e: _AcquireExpr) -> None:
         raise TypeCheckError("unexpected expression form", self.line)
 
     def place_type(self, e: Expr) -> Type | None:
-        if isinstance(e, (Var, FieldAccess)):
+        kind = type(e)
+        if kind is Var or kind is FieldAccess:
             return e.ty
-        if isinstance(e, Deref):
+        if kind is PayloadAccess:
+            return self.payload_field(e).ty
+        if kind is Deref:
             inner = self.place_type(e.expr)
             if inner is not None and inner.ptr > 0:
                 return inner.deref()
             return None
-        if isinstance(e, AddrOf):
+        if kind is AddrOf:
             inner = self.place_type(e.expr)
             if inner is not None:
                 return Type(inner.kind, inner.name, inner.path, inner.ptr + 1)
             return None
         return None
+
+    # -- calls ---------------------------------------------------------------
 
     def resolve_call(self, call: Call, targets: tuple | list) -> None:
         """Check call against its callee: one argument per parameter and one
@@ -835,47 +973,55 @@ class _Resolver:
         (none for a call that drops each). Each guard passed or received is
         a guard for the lock the callee's guard<path> names at call."""
         line = self.line
-        if call.name in LOCK_API:
-            raise TypeCheckError("%s() must be a standalone statement" % call.name, line)
-        fn = self.program.function(call.name)
-        if fn is None:
-            raise UnknownIdentifier("call to undeclared function %r" % call.name, line)
-        if len(call.args) != len(fn.params):
+        name = call.name
+        if name in LOCK_API:
+            raise TypeCheckError("%s() must be a standalone statement" % name, line)
+        fn = self.names.get(name)
+        if type(fn) is not FunctionDef:
+            raise UnknownIdentifier("call to undeclared function %r" % name, line)
+        args, params = call.args, fn.params
+        if len(args) != len(params):
             raise TypeCheckError("%s() takes %d arguments, got %d"
-                                 % (call.name, len(fn.params), len(call.args)), line)
-        for a in call.args:
-            self.resolve_expr(a)
-        call.arg_paths = tuple(place_path(a) for a in call.args)
-        for a, p in zip(call.args, fn.params):
-            if p.ty.kind == "guard" or isinstance(a, GuardRef):
-                self.check_guard(a, p.ty, fn, call, "takes")
+                                 % (name, len(params), len(args)), line)
+        for a in args:
+            _RESOLVE_EXPR[type(a)](self, a)
+        call.arg_paths = tuple(map(place_path, args))
+        names = None  # the callee's parameter names, built for its first guard
+        for a, p in zip(args, params):
+            if p.ty.kind == "guard" or type(a) is GuardRef:
+                names = names or [q.name for q in params]
+                self.check_guard(a, p.ty, name, "takes", names, call)
         if not targets:
             targets = [Discard()] * len(fn.rets)
         elif fn.returns_void:
             raise TypeCheckError(
-                "%s() returns void; its value cannot be used" % call.name, line)
+                "%s() returns void; its value cannot be used" % name, line)
         if len(targets) != len(fn.rets):
             raise TypeCheckError("%s() returns %d values, not %d"
-                                 % (call.name, len(fn.rets), len(targets)), line)
+                                 % (name, len(fn.rets), len(targets)), line)
         for t, r in zip(targets, fn.rets):
-            if r.kind == "guard" or isinstance(t, GuardRef):
-                self.check_guard(t, r, fn, call, "returns")
+            if r.kind == "guard" or type(t) is GuardRef:
+                names = names or [q.name for q in params]
+                self.check_guard(t, r, name, "returns", names, call)
 
-    def check_guard(self, guard, ty: Type, fn: FunctionDef, call: Call, verb: str) -> None:
-        """guard, an argument or target of call, is a guard where fn takes
-        or returns ty = guard<path>, and one for the lock path names at
-        call; it is no guard where ty is another type."""
-        if ty.kind != "guard" or not isinstance(guard, GuardRef):
+    def check_guard(self, guard, ty: Type, name: str, verb: str, params,
+                    call: Call | None) -> None:
+        """guard, an argument or target of call, is a guard where function
+        name takes or returns ty = guard<path>, and one for the lock path
+        names at call, renamed through the callee's params; it is no guard
+        where ty is another type. A returned value is checked with no call
+        and no params: its path is the function's own."""
+        if ty.kind != "guard" or type(guard) is not GuardRef:
             what = ("a guard for %s, not a value" % ty.path.text if ty.kind == "guard"
                     else "a value, not guard %s" % guard.name)
-            raise TypeCheckError("%s() %s %s" % (call.name, verb, what), self.line)
-        want = to_caller(ty.path, fn.param_names, call)
+            raise TypeCheckError("%s() %s %s" % (name, verb, what), self.line)
+        want = to_caller(ty.path, params, call) if params else ty.path
         if want is None:
             raise TypeCheckError("%s() %s a guard whose lock the call cannot name: %s"
-                                 % (call.name, verb, not_a_place(ty.path)), self.line)
-        if want != guard.path:
+                                 % (name, verb, not_a_place(ty.path)), self.line)
+        if want is not guard.path and want.segments != guard.path.segments:
             raise TypeCheckError("guard %s is for %s, but %s() %s a guard for %s"
-                                 % (guard.name, guard.path.text, call.name, verb, want.text),
+                                 % (guard.name, guard.path.text, name, verb, want.text),
                                  self.line)
 
     def resolve_lock_api(self, call: Call, line: int) -> None:
@@ -886,35 +1032,79 @@ class _Resolver:
                 raise TypeCheckError(
                     "%s() takes 1 argument, got %d" % (call.name, len(call.args)), line)
             arg = call.args[0]
-            if not isinstance(arg, AddrOf):
+            if type(arg) is not AddrOf:
                 raise TypeCheckError(
                     "%s() argument is not an address-of place" % call.name, line)
-            self.resolve_expr(arg)
+            self.resolve_addr_of(arg)
             ty = self.place_type(arg.expr)
-            if ty is None or not ty.is_mutex():
-                raise TypeCheckError("lock-API argument does not denote a mutex", line)
             call.lock = place_path(arg.expr)
+            if ty is None or not ty.is_mutex() or call.lock is None:
+                raise TypeCheckError("lock-API argument does not denote a mutex", line)
             return
         # pthread_create(&t, f)
         if len(call.args) != 2:
             raise TypeCheckError(
                 "pthread_create() takes 2 arguments, got %d" % len(call.args), line)
         handle, entry = call.args
-        if not isinstance(handle, AddrOf):
+        if type(handle) is not AddrOf:
             raise TypeCheckError(
                 "pthread_create() first argument is not an address-of place", line)
-        self.resolve_expr(handle)
+        self.resolve_addr_of(handle)
         hty = self.place_type(handle.expr)
         if hty is None or hty.kind != "thread" or hty.ptr != 0:
             raise TypeCheckError(
                 "pthread_create() first argument does not denote a thread handle", line)
-        if not isinstance(entry, Var):
+        if type(entry) is not Var:
             raise TypeCheckError(
                 "pthread_create() second argument must be a bare function name", line)
-        self.resolve_expr(entry, fn_name_ok=True)
+        self.resolve_var(entry, fn_name_ok=True)
         if entry.kind != "function":
             raise TypeCheckError(
                 "pthread_create() second argument must name a function", line)
+
+
+# The resolver of each node type the parser builds.
+_RESOLVE_STMT = {
+    Assign: _Resolver.resolve_assign,
+    CallAssign: _Resolver.resolve_call_assign,
+    ExprStmt: _Resolver.resolve_expr_stmt,
+    Block: _Resolver.resolve_block,
+    If: _Resolver.resolve_if,
+    While: _Resolver.resolve_while,
+    Return: _Resolver.resolve_return,
+    AcquireAssign: _Resolver.resolve_acquire,
+    DropCall: _Resolver.resolve_nothing,
+}
+_RESOLVE_EXPR = {
+    IntLit: _Resolver.resolve_nothing,
+    GuardRef: _Resolver.resolve_nothing,
+    Var: _Resolver.resolve_var,
+    FieldAccess: _Resolver.resolve_field_access,
+    AddrOf: _Resolver.resolve_addr_of,
+    Deref: _Resolver.resolve_deref,
+    Binary: _Resolver.resolve_binary,
+    Call: _Resolver.resolve_call_expr,
+    PayloadAccess: _Resolver.payload_field,
+    TupleExpr: _Resolver.reject_tuple,
+    _AcquireExpr: _Resolver.reject_acquire,
+}
+
+
+def _place_root(e: Expr) -> Expr:
+    """The expression a place's `&`, `*` and field accesses apply to, as
+    place_path strips them: a Var or, in the guarded dialect, a
+    PayloadAccess when e is a place."""
+    while True:
+        kind = type(e)
+        if kind is FieldAccess:
+            e = e.base
+        elif kind is AddrOf or kind is Deref:
+            e = e.expr
+        else:
+            return e
+
+
+_PLACE_ROOTS = (Var, PayloadAccess)
 
 
 @gc_paused

@@ -7,7 +7,8 @@ import pytest
 
 from lockshift.cli import main
 from lockshift.diagnostics import ParseError
-from lockshift.parser import NESTING_LIMIT, parse
+from lockshift.parser import NESTING_LIMIT, parse, parse_guarded
+from lockshift.printer import print_guarded
 
 from helpers import CORPUS, FIXTURES, fixture_text
 
@@ -738,3 +739,61 @@ def test_check_warns_about_dead_code_in_a_function_without_guards(tmp_path, caps
         out = ["-o", str(tmp_path / "out.gmc")] if command == "full" else []
         assert main([command, str(src)] + out) == 0
         assert capsys.readouterr().err == "%s: %s\n" % (src, warning)
+
+
+# r points to a struct and is written under m in two threads, so it moves
+# into m's payload and main's `r->a` becomes `(*m_guard).r->a`.
+POINTER_IN_PAYLOAD = """\
+struct p { int a; };
+struct p *r;
+struct p pa;
+mutex_t m;
+thread_t t;
+void w() {
+    pthread_mutex_lock(&m);
+    r = &pa;
+    pthread_mutex_unlock(&m);
+}
+void main() {
+    pthread_create(&t, w);
+    pthread_mutex_lock(&m);
+    r->a = 1;
+    pthread_mutex_unlock(&m);
+}
+"""
+
+
+def test_a_field_through_a_protected_pointer_passes_check(tmp_path, capsys):
+    """A payload access has its field's type, so a field through it
+    resolves; check rejected full's own output before."""
+    src = tmp_path / "r.mc"
+    src.write_text(POINTER_IN_PAYLOAD)
+    out = tmp_path / "r.gmc"
+    assert main(["full", str(src), "-o", str(out)]) == 0
+    text = out.read_text()
+    assert "    (*m_guard).r->a = 1;\n" in text
+    assert main(["check", str(out)]) == 0
+    assert print_guarded(parse_guarded(text)) == text
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("name, source, message", [
+    ("ret.gmc", "struct qData { int n; };\nstruct mData { int k; };\nmutex<qData> q;\n"
+     "mutex<mData> m;\nguard<m> f() { guard<q> g;\n    g = q.acquire();\n    return g; }\n"
+     "void main() { guard<m> m_guard;\n    m_guard = f();\n    (*m_guard).k = 1;\n"
+     "    drop(m_guard); }\n", "7: error: guard g is for q, but f() returns a guard for m"),
+    ("ret.mc", "int n;\nmutex_t m;\nvoid f() { pthread_mutex_lock(&m); return 1; }\n"
+     "void main() { f(); n = 1; pthread_mutex_unlock(&m); }\n",
+     "3: error: f() returns void, not a value"),
+    ("void.mc", "void x;\nmutex_t m;\nthread_t t;\n"
+     "void w() { pthread_mutex_lock(&m); x = 1; pthread_mutex_unlock(&m); }\n"
+     "void main() { pthread_create(&t, w); pthread_mutex_lock(&m); x = 2; "
+     "pthread_mutex_unlock(&m); }\n", "1: error: global 'x' has type void"),
+], ids=["guard-returned-for-another-lock", "value-returned-from-void", "void-global"])
+def test_a_mistyped_return_or_void_value_exits_with_one(tmp_path, capsys, name, source, message):
+    """Each of these went through before: check accepted the guard, and
+    full printed `return (1, m_guard);` or `struct mData { void x; };`."""
+    src = tmp_path / name
+    src.write_text(source)
+    assert main(["check" if name.endswith(".gmc") else "full", str(src)]) == 1
+    assert capsys.readouterr().err == "%s:%s\n" % (src, message)

@@ -1,6 +1,7 @@
 """Lexer, parser, resolver, and printer behavior for both dialects."""
 from __future__ import annotations
 
+import dataclasses
 import time
 
 import pytest
@@ -253,6 +254,16 @@ PARSE_ERROR_SITES = [
     ("plain", "int n =\n\t", "expected an expression, found 'end of input'", 2, 2),
     # `(` with no `)` before the end is no target list: an expression.
     ("guarded", "void f() { (a", "expected ')', found 'end of input'", 1, 14),
+    # A guard's payload followed by no field name, or by a method call.
+    ("guarded", "void f(guard<m> g) {\n\t(*g).;\n}\n", "expected field name, found ';'", 2, 7),
+    ("guarded", "void f(guard<m> g) { (* g).", "expected field name, found 'end of input'",
+     1, 28),
+    ("guarded", "void f(guard<m> g) {\n\t(*g).n();\n}\n", "unknown method 'n'", 2, 7),
+    ("guarded", "void f(guard<m> g) {\n\t(*g).acquire();\n}\n",
+     "acquire() receiver must be a lock place", 2, 7),
+    ("guarded", "void f() {\n\tguard<m> *h;\n}\n", "expected guard variable name, found '*'",
+     2, 11),
+    ("guarded", "void f(guard<m.> g) {}\n", "expected path segment, found '>'", 1, 16),
 ]
 
 
@@ -622,3 +633,187 @@ def test_printer_preserves_statement_lines():
     assert "pthread_mutex_lock(&m);" in lines[4]
     assert "pthread_mutex_lock(&m);" in lines[14]
     assert lines[17].startswith("void h(struct s *x)")
+
+
+# -- one-step operands, payload accesses and guard types -------------------
+
+def tree(node):
+    """node as nested tuples of its class and field values, to compare the
+    trees two parse paths build."""
+    if isinstance(node, (list, tuple)):
+        return [tree(x) for x in node]
+    if dataclasses.is_dataclass(node):
+        return (type(node).__name__,) + tuple(
+            tree(getattr(node, f.name)) for f in dataclasses.fields(node))
+    return node
+
+
+# A lock whose payload holds an int, a struct, a pointer to one and a
+# pointer to an int; the statements of f's body start on line 7.
+PAYLOADS = ("struct q { int a; };\nstruct d { int n; struct q s; struct q *r; int *p; };\n"
+            "mutex<d> m;\nint k;\n")
+
+
+def payload_body(stmts: str) -> str:
+    return PAYLOADS + "void f() { guard<m> g;\n g = m.acquire();\n " + stmts + "\n drop(g); }\n"
+
+
+@pytest.mark.parametrize("one_step, general", [
+    ("(*g).n = 1;", "(*(g)).n = 1;"),
+    ("(* g).n = 1;", "(*(g)).n = 1;"),
+    ("(*g)->n = 1;", "(*(g))->n = 1;"),
+    ("(*g).s.a = 1;", "(*(g)).s.a = 1;"),
+    ("(*g).r->a = 1;", "(*(g)).r->a = 1;"),
+    ("k = (*g).n + (*g).s.a;", "k = (*(g)).n + (*(g)).s.a;"),
+    ("k = *(*g).p;", "k = *(*(g)).p;"),
+], ids=["field", "spaced", "arrow", "then-dot", "then-arrow", "operands", "dereferenced"])
+def test_a_payload_access_in_one_step_is_the_general_tree(one_step, general):
+    """`(*g).f` becomes one PayloadAccess where `(*g)` is recognised; a
+    `(*g)` the general path builds becomes the same node at its field."""
+    first = parse_guarded(payload_body(one_step)).function("f").body.stmts[1]
+    assert tree(first) == tree(parse_guarded(payload_body(general)).function("f").body.stmts[1])
+
+
+def test_a_payload_access_then_a_field_is_a_field_of_the_payload_access():
+    s = parse_guarded(payload_body("(*g).r->a = 1;")).function("f").body.stmts[1]
+    assert tree(s.place) == (
+        "FieldAccess", ("PayloadAccess", ("LockPath", ["m"]), "r", "g"), "a", True, "q",
+        ("Type", "int", None, None, 0))
+
+
+@pytest.mark.parametrize("dialect, leaf", [
+    (parse, "k"), (parse, "7"),
+    (parse_guarded, "k"), (parse_guarded, "7"), (parse_guarded, "g"),
+    (parse_guarded, "(*g)"), (parse_guarded, "(*g).n"), (parse_guarded, "(* g).n"),
+], ids=["plain-name", "plain-number", "name", "number", "guard", "payload",
+        "payload-field", "spaced-payload-field"])
+def test_a_leaf_adds_no_level(dialect, leaf):
+    """Inside NESTING_LIMIT parentheses a leaf is at the limit, and a sum of
+    it inside one fewer; one more parenthesis, or the sum inside as many,
+    opens level 101 there."""
+    def program(parens: int, expr: str) -> str:
+        stmt = "k = " + "(" * parens + expr + ")" * parens + ";"
+        if dialect is parse:
+            return "int k;\nint n;\nint o;\nint p;\nvoid f() {\n\n " + stmt + "\n}\n"
+        return payload_body(stmt)
+
+    limit = parser.NESTING_LIMIT
+    for parens, expr in ((limit, leaf), (limit - 1, leaf + " + 1")):
+        dialect(program(parens, expr))
+    for parens, expr, at in ((limit + 1, leaf, "(" * (limit + 1)), (limit, leaf + " + 1", "+")):
+        source = program(parens, expr)
+        with pytest.raises(ParseError) as exc:
+            dialect(source)
+        line = source.split("\n")[6]
+        col = line.index(at) + len(at) if at.startswith("(") else line.index(at) + 1
+        assert (exc.value.message, exc.value.line, exc.value.col) == (
+            "nested too deeply (the limit is 100 levels)", 7, col)
+
+
+def test_guard_types_with_a_longer_path_or_a_pointer():
+    """`guard<a.b>` and `guard<m> *` take the general path of parse_type,
+    and `guard<a.b>` that of a guard declaration."""
+    program = parse_guarded(
+        "struct d { int n; };\nstruct s { mutex<d> b; };\nstruct s a;\nmutex<d> m;\n"
+        "void f(guard<a.b> g, guard<m> *p) { guard<a . b> h; drop(g); }\n")
+    fn = program.function("f")
+    assert [tree(p.ty) for p in fn.params] == [
+        ("Type", "guard", None, ("LockPath", ["a", "b"]), 0),
+        ("Type", "guard", None, ("LockPath", ["m"]), 1)]
+    assert fn.guard_decls[0].path == LockPath(("a", "b"))
+
+
+def test_a_guarded_program_has_one_path_object_per_lock_path():
+    """The lock paths of guard types and guard declarations are shared, so
+    the resolver compares a guard's path with the one a call needs by
+    identity."""
+    program = parse_guarded(RETURNS_TWO_GUARDS + " (n, g, k) = r(&x, g); drop(g); drop(k); }\n")
+    paths = [d.path for fn in program.functions for d in fn.guard_decls]
+    paths += [ty.path for fn in program.functions
+              for ty in (*fn.rets, *(p.ty for p in fn.params)) if ty.kind == "guard"]
+    assert len({id(p) for p in paths}) == len(set(paths)) == 3
+
+
+# -- places rooted at a payload access, returns and void values -----------
+
+@pytest.mark.parametrize("stmt", [
+    "(*g).r->a = 1;", "m.get_mut().r->a = 1;", "k = (*g).r->a;", "(*g).s.a = (*g).n;",
+    "*(*g).p = 1;", "(*g).p = &(*g).r->a;", "(*g).p = &m.get_mut().s.a;",
+], ids=["arrow", "get-mut-arrow", "read", "field-of-a-struct", "through-a-pointer",
+        "address-of", "address-of-get-mut"])
+def test_a_place_rooted_at_a_payload_access_is_typed(stmt):
+    """A payload access has its field's declared type, so a field or
+    dereference of it is a place, to assign and to take the address of."""
+    program = parse_guarded(payload_body(stmt))
+    assert print_guarded(program) == print_guarded(parse_guarded(print_guarded(program)))
+    assert check(program) == []
+
+
+@pytest.mark.parametrize("stmt, error, message", [
+    ("*(*g).n = 1;", TypeCheckError, "cannot dereference a non-pointer"),
+    ("(*g).n.a = 1;", TypeCheckError, "field access 'a' on a non-struct value"),
+    ("(*g).r->b = 1;", UnknownIdentifier, "struct 'q' has no field 'b'"),
+    ("(*g).s = (*g).s;", None, None),
+], ids=["dereference-an-int", "field-of-an-int", "unknown-field", "whole-payload-field"])
+def test_a_payload_field_is_checked_like_any_place(stmt, error, message):
+    if error is None:  # a payload field itself is assigned as before
+        parse_guarded(payload_body(stmt))
+        return
+    with pytest.raises(error) as exc:
+        parse_guarded(payload_body(stmt))
+    assert (exc.value.message, exc.value.line) == (message, 7)
+
+
+@pytest.mark.parametrize("dialect, source, message, line", [
+    (parse, "int n;\nmutex_t m;\nvoid f() { pthread_mutex_lock(&m);\n return 1; }\n",
+     "f() returns void, not a value", 4),
+    (parse_guarded, TWO_LOCKS + "guard<m> f() { guard<q> g;\n g = q.acquire();\n return g; }\n",
+     "guard g is for q, but f() returns a guard for m", 7),
+    (parse_guarded, TWO_LOCKS + "guard<m> f() { guard<m> g; g = m.acquire();\n"
+     " return (1, g); }\n", "f() returns 1 values, not 2", 6),
+    (parse_guarded, TWO_LOCKS + "(int, guard<m>) f() { guard<m> g; g = m.acquire();\n"
+     " return (g, 1); }\n", "f() returns a value, not guard g", 6),
+    (parse_guarded, TWO_LOCKS + "guard<m> f() {\n return 0; }\n",
+     "f() returns a guard for m, not a value", 6),
+    (parse_guarded, TWO_LOCKS + "guard<m> f() {\n return; }\n",
+     "f() returns a guard for m, not a value", 6),
+    (parse_guarded, TWO_LOCKS + "void f() { guard<m> g; g = m.acquire();\n return g; }\n",
+     "f() returns void, not a value", 6),
+    (parse_guarded, TWO_LOCKS + "(int, guard<m>) f() { guard<m> g; g = m.acquire();\n"
+     " return (1, g, g); }\n", "f() returns 2 values, not 3", 6),
+], ids=["plain-void-returns-a-value", "guard-for-another-lock", "tuple-for-one-value",
+        "value-and-guard-swapped", "value-for-a-guard", "nothing-for-a-guard",
+        "guarded-void-returns-a-guard", "too-many-values"])
+def test_a_return_gives_what_its_function_returns(dialect, source, message, line):
+    with pytest.raises(TypeCheckError) as exc:
+        dialect(source)
+    assert (exc.value.message, exc.value.line) == (message, line)
+
+
+def test_a_return_with_no_value_drops_a_value_but_no_guard():
+    parse("int n;\nint f() { return; }\nvoid g() { return; }\n")
+    parse_guarded(TWO_LOCKS + "(int, guard<m>) f() { guard<m> g; g = m.acquire(); "
+                  "return (1, g); }\nint h() { return; }\n")
+
+
+@pytest.mark.parametrize("dialect", [parse, parse_guarded], ids=["plain", "guarded"])
+@pytest.mark.parametrize("source, message, line", [
+    ("int n;\n\nvoid x;\n", "global 'x' has type void", 3),
+    ("struct s {\n int a;\n void b; };\n", "field 'b' in struct s has type void", 1),
+    ("int n;\nvoid f(int a,\n void b) { n = a; }\n", "parameter 'b' in f has type void", 2),
+], ids=["global", "field", "parameter"])
+def test_a_declaration_of_a_plain_void_value_is_rejected(dialect, source, message, line):
+    with pytest.raises(TypeCheckError) as exc:
+        dialect(source)
+    assert (exc.value.message, exc.value.line) == (message, line)
+    # A pointer to void holds a value.
+    dialect(source.replace("void", "void *"))
+
+
+def test_a_global_initializer_reads_only_checked_types():
+    """Every global's type is checked before any initializer resolves, so a
+    field read through a later global of an unknown struct is a located
+    error, not a crash."""
+    with pytest.raises(UnknownIdentifier) as exc:
+        parse("int a = b.x;\nstruct zz b;\n")
+    assert (exc.value.message, exc.value.line) == ("unknown struct 'zz'", 2)

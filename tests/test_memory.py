@@ -28,6 +28,8 @@ done once per set: on the bench's call chain at two sizes, the summary
 writer renders its three distinct entry and return sets once each, a
 callee without parameters is never renamed into its callers, and
 validation looks up each path rooted at a global once.
+The front end makes a bounded number of Python calls per token: on the
+bench's three families, parse_guarded 1.7 to 2.3 and parse 2.4 to 2.9.
 """
 from __future__ import annotations
 
@@ -35,6 +37,7 @@ import dataclasses
 import functools
 import gc
 import runpy
+import sys
 import types
 
 import pytest
@@ -48,6 +51,7 @@ from lockshift.flowanalysis import FunctionFlowFacts, stmt_effects
 from lockshift.lexer import tokenize
 from lockshift.parser import parse, parse_guarded
 from lockshift.pipeline import AnalysisResult, analyze_program, lock_sets
+from lockshift.printer import print_guarded
 from lockshift.propagation import CallSiteFact, collect_call_facts
 from lockshift.summary import (
     FunctionSummary,
@@ -527,3 +531,54 @@ def test_a_transformed_program_finds_its_payloads_and_locks():
     field = out.struct("s").field_decl("m")
     assert [f.name for f in out.struct(field.ty.name).fields] == ["n"]
     assert out.global_decl("f") is None and out.function("m") is None
+
+
+@functools.cache
+def _bench_texts(family: str) -> tuple[str, str]:
+    """The bench input of family at its bench size, seed 1, and the guarded
+    text `full` prints for it."""
+    factory, size = runpy.run_path(str(GEN_PATH))["WORKLOADS"][family]
+    source = factory(size, 1).source
+    result = analyze_program(source)
+    return source, print_guarded(transform(result.program, result.lock_summary))
+
+
+def _python_calls(run) -> int:
+    """The Python function calls run() makes, as the profiler sees them:
+    a generator's resumptions count, calls into C do not."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+# Family: (most calls per token of parse, of parse_guarded). Each bound is
+# about a tenth above what the front end makes. The parser took the
+# operands' prefix, primary and postfix steps in three calls, a payload
+# field through a Deref node, and a guard type and each expected token in
+# calls of their own, and the resolver walked isinstance ladders and built
+# a callee's parameter names per guard: parse made 5.02, 5.81 and 5.16 per
+# token, and parse_guarded 4.38, 3.74 and 4.62.
+FRONT_END_CALLS = {
+    "call_chain": (2.7, 2.05),
+    "wide_body": (3.2, 1.85),
+    "recursive_rings": (2.95, 2.55),
+}
+
+
+@pytest.mark.parametrize("family", FRONT_END_CALLS)
+def test_the_front_end_makes_a_bounded_number_of_calls_per_token(family):
+    source, guarded = _bench_texts(family)
+    for bound, parse_fn, text in zip(FRONT_END_CALLS[family], (parse, parse_guarded),
+                                     (source, guarded)):
+        per_token = _python_calls(lambda: parse_fn(text)) / len(tokenize(text))
+        assert per_token <= bound, (parse_fn.__name__, round(per_token, 2))
