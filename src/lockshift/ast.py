@@ -75,9 +75,6 @@ class Type:
     path: LockPath | None = None  # lock path for kind == "guard"
     ptr: int = 0
 
-    def deref(self) -> "Type":
-        return Type(self.kind, self.name, self.path, self.ptr - 1)
-
     def is_mutex(self) -> bool:
         """Whether a declaration of this type is a lock."""
         return self.kind in ("mutex", "lock") and self.ptr == 0

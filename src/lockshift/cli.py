@@ -125,7 +125,7 @@ def _flow_dump(program: Program, sets: LockSets) -> str:
     for fn in program.functions:
         g = sets.graphs[fn.name]
         f = sets.flow[fn.name]
-        live_in, live_out, avail_in, avail_out = flow_sets(fn, g, sets.flow)
+        live_in, live_out, avail_in, avail_out = flow_sets(g, sets.flow)
         lines: dict[str, list] = {}
         for n in g.stmt_nodes:
             lines.setdefault(str(n.line), []).append({

@@ -177,8 +177,7 @@ def stmt_effects(s: Stmt, callee_facts: Mapping[str, FunctionFlowFacts]) -> tupl
     return tuple(effects)
 
 
-def flow_sets(fn: FunctionDef, g: FlowGraph,
-              callee_facts: Mapping[str, FunctionFlowFacts]):
+def flow_sets(g: FlowGraph, callee_facts: Mapping[str, FunctionFlowFacts]):
     """(live_in, live_out, avail_in, avail_out) per node of g, both passes
     solved against fixed callee summaries."""
     effects = {n: e for n in g.stmt_nodes
@@ -233,7 +232,7 @@ def analyze_function(fn: FunctionDef, g: FlowGraph,
                      callee_facts: Mapping[str, FunctionFlowFacts]) -> FunctionFlowFacts:
     """Solve both passes for one function against fixed callee summaries,
     keeping MELS, MRLS and avail_in."""
-    live_in, _, avail_in, avail_out = flow_sets(fn, g, callee_facts)
+    live_in, _, avail_in, avail_out = flow_sets(g, callee_facts)
     # One stored object per distinct set; the table dies with this call.
     shared: dict = {}
     for n, s in avail_in.items():

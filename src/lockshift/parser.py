@@ -17,6 +17,8 @@ dispatches on a node's type (`_RESOLVE_STMT`, `_RESOLVE_EXPR`).
 """
 from __future__ import annotations
 
+from operator import attrgetter
+
 from .ast import (
     BIN_PREC,
     LOCK_API,
@@ -644,11 +646,17 @@ class _Parser:
 
 _RESERVED = "%s named '_': a target named '_' drops its value"
 
+# The kinds no expression reads held by value (_Resolver.check_read).
+_WHOLE_KINDS = frozenset(["mutex", "lock", "thread", "struct"])
+
 
 class _Resolver:
     """Resolves names and checks types, one declaration kind at a time,
     then each function body. Statements and expressions are dispatched on
-    their node type through `_RESOLVE_STMT` and `_RESOLVE_EXPR`."""
+    their node type through `_RESOLVE_STMT` and `_RESOLVE_EXPR`. An
+    expression's handler returns its type where it is a place or a place's
+    address, and None for a number, a binary, a call, a guard or a
+    function name, so each expression is walked once."""
 
     def __init__(self, program: Program):
         self.program = program
@@ -704,7 +712,7 @@ class _Resolver:
             if type(g.init) is PayloadInit:
                 self.resolve_payload_init(g)
             elif g.init is not None:
-                _RESOLVE_EXPR[type(g.init)](self, g.init)
+                self.read(g.init)
             self.take_calls(g)
         for f in p.functions:
             self.resolve_function(f)
@@ -735,15 +743,6 @@ class _Resolver:
             locks[segs] = ty
         return ty
 
-    def payload_field(self, e: PayloadAccess) -> FieldDecl:
-        """The payload field e names, which must be declared."""
-        ty = self.lock_type(e.path, self.line)
-        fd = self.program.tags[ty.name].field_decl(e.fld) if ty.kind == "lock" else None
-        if fd is None:
-            raise UnknownIdentifier(
-                "lock %s has no payload field %r" % (e.path.text, e.fld), self.line)
-        return fd
-
     def resolve_payload_init(self, g: GlobalDecl) -> None:
         init = g.init
         if not g.ty.is_mutex():
@@ -760,7 +759,7 @@ class _Resolver:
                                      % (fname, g.name), self.line)
             seen.add(fname)
             if finit is not None:
-                _RESOLVE_EXPR[type(finit)](self, finit)
+                self.read(finit)
 
     def resolve_function(self, f: FunctionDef) -> None:
         self.fn = f
@@ -802,18 +801,21 @@ class _Resolver:
             self.line = s.line
             _RESOLVE_STMT[type(s)](self, s)
             if self.calls:
-                s.calls = tuple(self.calls)
-                self.calls.clear()
+                self.take_calls(s)
 
     def take_calls(self, s: Stmt | GlobalDecl) -> None:
-        if self.calls:
-            s.calls = tuple(self.calls)
-            self.calls.clear()
+        """Move the calls resolved since the last move onto s."""
+        s.calls = tuple(self.calls)
+        self.calls.clear()
 
     def resolve_assign(self, s: Assign) -> None:
-        _RESOLVE_EXPR[type(s.value)](self, s.value)
-        _RESOLVE_EXPR[type(s.place)](self, s.place)
-        self.check_assign_place(s.place, s.line)
+        """The value is read (check_read) after the place is checked."""
+        value, place = s.value, s.place
+        ty = _RESOLVE_EXPR[type(value)](self, value)
+        place_ty = _RESOLVE_EXPR[type(place)](self, place)
+        self.check_assign_place(place, place_ty)
+        if type(value) is GuardRef or ty is not None and ty.kind in _WHOLE_KINDS:
+            self.check_read(value, ty, place_ty)
 
     def resolve_call_assign(self, s: CallAssign) -> None:
         call = s.call
@@ -825,48 +827,32 @@ class _Resolver:
         for t in s.targets:
             kind = type(t)
             if kind is not GuardRef and kind is not Discard:  # a guard receives
-                _RESOLVE_EXPR[kind](self, t)
-                self.check_assign_place(t, s.line)
+                self.check_assign_place(t, _RESOLVE_EXPR[kind](self, t))
 
     def resolve_expr_stmt(self, s: ExprStmt) -> None:
         _RESOLVE_EXPR[type(s.expr)](self, s.expr)
 
     def resolve_if(self, s: If) -> None:
-        _RESOLVE_EXPR[type(s.cond)](self, s.cond)
+        self.read(s.cond)
         self.take_calls(s)
         self.resolve_block(s.then)
         if s.orelse is not None:
             self.resolve_block(s.orelse)
 
     def resolve_while(self, s: While) -> None:
-        _RESOLVE_EXPR[type(s.cond)](self, s.cond)
+        self.read(s.cond)
         self.take_calls(s)
         self.resolve_block(s.body)
 
     def resolve_return(self, s: Return) -> None:
-        """A return gives one value per type its function returns, like the
-        targets of a call: a guard for p exactly where the function returns
-        guard<p>. With no value it drops each, so its function returns no
-        guard. A function declared plain void returns no value."""
+        """A return gives its function's values as a call's targets do
+        (check_values); with no value it drops each."""
         value = s.value
         values = (() if value is None else value.items if type(value) is TupleExpr
                   else (value,))
         for v in values:
             _RESOLVE_EXPR[type(v)](self, v)
-        fn = self.fn
-        if fn.returns_void:
-            if values:
-                raise TypeCheckError("%s() returns void, not a value" % fn.name, s.line)
-            return
-        rets = fn.rets
-        if not values:
-            values = [Discard()] * len(rets)
-        elif len(values) != len(rets):
-            raise TypeCheckError("%s() returns %d values, not %d"
-                                 % (fn.name, len(rets), len(values)), s.line)
-        for v, r in zip(values, rets):
-            if r.kind == "guard" or type(v) is GuardRef:
-                self.check_guard(v, r, fn.name, "returns", (), None)
+        self.check_values(self.fn, (), values, "%s() returns void, not a value", None)
 
     def resolve_acquire(self, s: AcquireAssign) -> None:
         self.lock_type(s.path, s.line)
@@ -875,41 +861,54 @@ class _Resolver:
             raise TypeCheckError("guard %s is for %s, not %s"
                                  % (s.guard, held.text, s.path.text), s.line)
 
-    def check_assign_place(self, e: Expr, line: int) -> None:
-        """e is a place to assign, a payload field, or, as a destructuring
-        target, a guard that receives."""
+    def check_assign_place(self, e: Expr, ty: Type | None) -> None:
+        """e, of type ty, is a place to assign or a payload field."""
         kind = type(e)
-        if kind is PayloadAccess or kind is GuardRef:
+        if kind is PayloadAccess:
             return
         if kind is not Var and (kind is AddrOf or type(_place_root(e)) not in _PLACE_ROOTS):
-            raise TypeCheckError("assignment target is not a place", line)
-        ty = e.ty if kind is Var else self.place_type(e)
+            raise TypeCheckError("assignment target is not a place", self.line)
         if ty is not None and ty.ptr == 0 and ty.kind in ("struct", "mutex", "lock"):
-            raise TypeCheckError("cannot assign whole %s values" % ty.kind, line)
+            raise TypeCheckError("cannot assign whole %s values" % ty.kind, self.line)
 
     # -- expressions -----------------------------------------------------------
+
+    def read(self, e: Expr) -> None:
+        """Resolve e, whose value is read (check_read)."""
+        self.check_read(e, _RESOLVE_EXPR[type(e)](self, e))
+
+    def check_read(self, e: Expr, ty: Type | None, into: Type | None = None) -> None:
+        """e, of type ty, is read: an operand, a condition, an initializer or
+        the right side of `=` into a place of type `into`. It is no guard, and
+        no lock, thread handle or struct held by value unless `into` holds the
+        same kind by value (a handle copied, a payload field assigned whole)."""
+        if type(e) is GuardRef:
+            raise TypeCheckError("guard %s is not a value" % e.name, self.line)
+        if (ty is not None and not ty.ptr and ty.kind in _WHOLE_KINDS
+                and (into is None or into.kind != ty.kind or into.ptr)):
+            raise TypeCheckError("cannot read whole %s values" % ty.kind, self.line)
 
     def resolve_nothing(self, node: IntLit | GuardRef | DropCall) -> None:
         """A number, a guard, whose lock path was typed where it was
         declared, or a drop."""
 
-    def resolve_var(self, e: Var, fn_name_ok: bool = False) -> None:
+    def resolve_var(self, e: Var, fn_name_ok: bool = False) -> Type | None:
         ty = self.params.get(e.name)
         if ty is not None:
-            e.kind, e.ty = "param", ty
+            e.kind = "param"
         elif type(d := self.names.get(e.name)) is GlobalDecl:
-            e.kind, e.ty = "global", d.ty
-        elif d is not None:
-            if not fn_name_ok:
-                raise TypeCheckError(
-                    "function %r used as a value" % e.name, self.line)
-            e.kind = "function"
-        else:
+            e.kind, ty = "global", d.ty
+        elif d is None:
             raise UnknownIdentifier("unknown identifier %r" % e.name, self.line)
+        elif not fn_name_ok:
+            raise TypeCheckError("function %r used as a value" % e.name, self.line)
+        else:
+            e.kind = "function"
+        e.ty = ty
+        return ty
 
-    def resolve_field_access(self, e: FieldAccess) -> None:
-        _RESOLVE_EXPR[type(e.base)](self, e.base)
-        base_ty = self.place_type(e.base)
+    def resolve_field_access(self, e: FieldAccess) -> Type:
+        base_ty = _RESOLVE_EXPR[type(e.base)](self, e.base)
         if base_ty is None or base_ty.kind != "struct" or base_ty.ptr > 1:
             raise TypeCheckError(
                 "field access %r on a non-struct value" % e.fld, self.line)
@@ -920,26 +919,43 @@ class _Resolver:
                 "struct %r has no field %r" % (struct.name, e.fld), self.line)
         e.owner = struct.name
         e.ty = fd.ty
+        return fd.ty
 
-    def resolve_addr_of(self, e: AddrOf) -> None:
+    def resolve_addr_of(self, e: AddrOf) -> Type | None:
         inner = e.expr
-        _RESOLVE_EXPR[type(inner)](self, inner)
+        ty = _RESOLVE_EXPR[type(inner)](self, inner)
         if type(inner) is not Var and type(_place_root(inner)) not in _PLACE_ROOTS:
             raise TypeCheckError("cannot take the address of a non-place", self.line)
+        return None if ty is None else Type(ty.kind, ty.name, ty.path, ty.ptr + 1)
 
-    def resolve_deref(self, e: Deref) -> None:
-        _RESOLVE_EXPR[type(e.expr)](self, e.expr)
-        inner = self.place_type(e.expr)
-        if inner is not None and inner.ptr == 0:
+    def resolve_deref(self, e: Deref) -> Type | None:
+        ty = _RESOLVE_EXPR[type(e.expr)](self, e.expr)
+        if ty is not None and ty.ptr == 0:
             raise TypeCheckError("cannot dereference a non-pointer", self.line)
+        return None if ty is None else Type(ty.kind, ty.name, ty.path, ty.ptr - 1)
 
     def resolve_binary(self, e: Binary) -> None:
-        _RESOLVE_EXPR[type(e.lhs)](self, e.lhs)
-        _RESOLVE_EXPR[type(e.rhs)](self, e.rhs)
+        """Both operands are read (check_read)."""
+        lhs, rhs = e.lhs, e.rhs
+        lty = _RESOLVE_EXPR[type(lhs)](self, lhs)
+        rty = _RESOLVE_EXPR[type(rhs)](self, rhs)
+        if type(lhs) is GuardRef or lty is not None and lty.kind in _WHOLE_KINDS:
+            self.check_read(lhs, lty)
+        if type(rhs) is GuardRef or rty is not None and rty.kind in _WHOLE_KINDS:
+            self.check_read(rhs, rty)
 
     def resolve_call_expr(self, e: Call) -> None:
         self.resolve_call(e, [e])  # its one value goes to the expression
         self.calls.append(e)
+
+    def payload_type(self, e: PayloadAccess) -> Type:
+        """The type of the payload field e names, which must be declared."""
+        ty = self.lock_type(e.path, self.line)
+        fd = self.program.tags[ty.name].field_decl(e.fld) if ty.kind == "lock" else None
+        if fd is None:
+            raise UnknownIdentifier(
+                "lock %s has no payload field %r" % (e.path.text, e.fld), self.line)
+        return fd.ty
 
     def reject_tuple(self, e: TupleExpr) -> None:
         raise TypeCheckError("a tuple is only a return value or a target list", self.line)
@@ -947,31 +963,12 @@ class _Resolver:
     def reject_acquire(self, e: _AcquireExpr) -> None:
         raise TypeCheckError("unexpected expression form", self.line)
 
-    def place_type(self, e: Expr) -> Type | None:
-        kind = type(e)
-        if kind is Var or kind is FieldAccess:
-            return e.ty
-        if kind is PayloadAccess:
-            return self.payload_field(e).ty
-        if kind is Deref:
-            inner = self.place_type(e.expr)
-            if inner is not None and inner.ptr > 0:
-                return inner.deref()
-            return None
-        if kind is AddrOf:
-            inner = self.place_type(e.expr)
-            if inner is not None:
-                return Type(inner.kind, inner.name, inner.path, inner.ptr + 1)
-            return None
-        return None
-
     # -- calls ---------------------------------------------------------------
 
     def resolve_call(self, call: Call, targets: tuple | list) -> None:
         """Check call against its callee: one argument per parameter and one
         target per returned value, where targets are where its values go
-        (none for a call that drops each). Each guard passed or received is
-        a guard for the lock the callee's guard<path> names at call."""
+        (none for a call that drops each)."""
         line = self.line
         name = call.name
         if name in LOCK_API:
@@ -986,43 +983,47 @@ class _Resolver:
         for a in args:
             _RESOLVE_EXPR[type(a)](self, a)
         call.arg_paths = tuple(map(place_path, args))
-        names = None  # the callee's parameter names, built for its first guard
-        for a, p in zip(args, params):
-            if p.ty.kind == "guard" or type(a) is GuardRef:
-                names = names or [q.name for q in params]
-                self.check_guard(a, p.ty, name, "takes", names, call)
-        if not targets:
-            targets = [Discard()] * len(fn.rets)
-        elif fn.returns_void:
-            raise TypeCheckError(
-                "%s() returns void; its value cannot be used" % name, line)
-        if len(targets) != len(fn.rets):
-            raise TypeCheckError("%s() returns %d values, not %d"
-                                 % (name, len(fn.rets), len(targets)), line)
-        for t, r in zip(targets, fn.rets):
-            if r.kind == "guard" or type(t) is GuardRef:
-                names = names or [q.name for q in params]
-                self.check_guard(t, r, name, "returns", names, call)
+        self.check_values(fn, args, targets, "%s() returns void; its value cannot be used",
+                          call)
 
-    def check_guard(self, guard, ty: Type, name: str, verb: str, params,
-                    call: Call | None) -> None:
-        """guard, an argument or target of call, is a guard where function
-        name takes or returns ty = guard<path>, and one for the lock path
-        names at call, renamed through the callee's params; it is no guard
-        where ty is another type. A returned value is checked with no call
-        and no params: its path is the function's own."""
-        if ty.kind != "guard" or type(guard) is not GuardRef:
-            what = ("a guard for %s, not a value" % ty.path.text if ty.kind == "guard"
-                    else "a value, not guard %s" % guard.name)
-            raise TypeCheckError("%s() %s %s" % (name, verb, what), self.line)
-        want = to_caller(ty.path, params, call) if params else ty.path
-        if want is None:
-            raise TypeCheckError("%s() %s a guard whose lock the call cannot name: %s"
-                                 % (name, verb, not_a_place(ty.path)), self.line)
-        if want is not guard.path and want.segments != guard.path.segments:
-            raise TypeCheckError("guard %s is for %s, but %s() %s a guard for %s"
-                                 % (guard.name, guard.path.text, name, verb, want.text),
-                                 self.line)
+    def check_values(self, fn: FunctionDef, args, rets, void: str, call: Call | None) -> None:
+        """Match args to fn's parameters, then rets to what it returns (none
+        drops each; `void` is the error for a plain void fn's value): the
+        arguments and targets of call, or a return's values with no call. A
+        guard stands exactly where fn takes or returns guard<p>, for p renamed
+        through fn's parameters at call, or with no call for p itself."""
+        names = None  # fn's parameter names, built at the first guard of a call
+        values, types, verb = args, map(attrgetter("ty"), fn.params), "takes"
+        while True:
+            for v, ty in zip(values, types):
+                if ty.kind != "guard" and type(v) is not GuardRef:
+                    continue
+                if ty.kind != "guard" or type(v) is not GuardRef:
+                    what = ("a guard for %s, not a value" % ty.path.text if ty.kind == "guard"
+                            else "a value, not guard %s" % v.name)
+                    raise TypeCheckError("%s() %s %s" % (fn.name, verb, what), self.line)
+                want = ty.path
+                if call is not None:
+                    names = names or [q.name for q in fn.params]
+                    want = to_caller(want, names, call)
+                    if want is None:
+                        raise TypeCheckError(
+                            "%s() %s a guard whose lock the call cannot name: %s"
+                            % (fn.name, verb, not_a_place(ty.path)), self.line)
+                if want is not v.path and want.segments != v.path.segments:
+                    raise TypeCheckError("guard %s is for %s, but %s() %s a guard for %s"
+                                         % (v.name, v.path.text, fn.name, verb, want.text),
+                                         self.line)
+            if verb == "returns":
+                return
+            if not rets:
+                rets = [Discard()] * len(fn.rets)
+            elif fn.returns_void:
+                raise TypeCheckError(void % fn.name, self.line)
+            elif len(rets) != len(fn.rets):
+                raise TypeCheckError("%s() returns %d values, not %d"
+                                     % (fn.name, len(fn.rets), len(rets)), self.line)
+            values, types, verb = rets, fn.rets, "returns"
 
     def resolve_lock_api(self, call: Call, line: int) -> None:
         """Check a standalone lock-API call; record the lock path of a lock,
@@ -1035,10 +1036,10 @@ class _Resolver:
             if type(arg) is not AddrOf:
                 raise TypeCheckError(
                     "%s() argument is not an address-of place" % call.name, line)
-            self.resolve_addr_of(arg)
-            ty = self.place_type(arg.expr)
+            ty = self.resolve_addr_of(arg)
             call.lock = place_path(arg.expr)
-            if ty is None or not ty.is_mutex() or call.lock is None:
+            if (ty is None or ty.ptr != 1 or ty.kind not in ("mutex", "lock")
+                    or call.lock is None):
                 raise TypeCheckError("lock-API argument does not denote a mutex", line)
             return
         # pthread_create(&t, f)
@@ -1049,9 +1050,8 @@ class _Resolver:
         if type(handle) is not AddrOf:
             raise TypeCheckError(
                 "pthread_create() first argument is not an address-of place", line)
-        self.resolve_addr_of(handle)
-        hty = self.place_type(handle.expr)
-        if hty is None or hty.kind != "thread" or hty.ptr != 0:
+        hty = self.resolve_addr_of(handle)
+        if hty is None or hty.kind != "thread" or hty.ptr != 1:
             raise TypeCheckError(
                 "pthread_create() first argument does not denote a thread handle", line)
         if type(entry) is not Var:
@@ -1084,7 +1084,7 @@ _RESOLVE_EXPR = {
     Deref: _Resolver.resolve_deref,
     Binary: _Resolver.resolve_binary,
     Call: _Resolver.resolve_call_expr,
-    PayloadAccess: _Resolver.payload_field,
+    PayloadAccess: _Resolver.payload_type,
     TupleExpr: _Resolver.reject_tuple,
     _AcquireExpr: _Resolver.reject_acquire,
 }

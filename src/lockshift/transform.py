@@ -342,7 +342,7 @@ class _Transformer:
         return CallAssign(line=line, targets=targets, call=call)
 
     def _make_return(self, value: Expr | None, line: int) -> Return:
-        if value is None and self._nonvoid:
+        if value is None and self._nonvoid and self._rets:
             value = IntLit(0)
             self.diags.warn(
                 "fall-through return in %s yields 0 alongside its guards"

@@ -789,11 +789,22 @@ def test_a_field_through_a_protected_pointer_passes_check(tmp_path, capsys):
      "void w() { pthread_mutex_lock(&m); x = 1; pthread_mutex_unlock(&m); }\n"
      "void main() { pthread_create(&t, w); pthread_mutex_lock(&m); x = 2; "
      "pthread_mutex_unlock(&m); }\n", "1: error: global 'x' has type void"),
-], ids=["guard-returned-for-another-lock", "value-returned-from-void", "void-global"])
+    ("op.mc", "int k;\nmutex_t m;\nthread_t t;\n"
+     "void w() { pthread_mutex_lock(&m);\n    k = m + 1;\n    pthread_mutex_unlock(&m); }\n"
+     "void main() { pthread_create(&t, w); pthread_mutex_lock(&m); k = 2; "
+     "pthread_mutex_unlock(&m); }\n", "5: error: cannot read whole mutex values"),
+    ("op.gmc", "struct mData { int n; };\nmutex<mData> m;\nint k;\n"
+     "void main() { guard<m> g;\n    g = m.acquire();\n    k = g + 1;\n    drop(g); }\n",
+     "6: error: guard g is not a value"),
+], ids=["guard-returned-for-another-lock", "value-returned-from-void", "void-global",
+        "lock-read-as-a-value", "guard-read-as-a-value"])
 def test_a_mistyped_return_or_void_value_exits_with_one(tmp_path, capsys, name, source, message):
-    """Each of these went through before: check accepted the guard, and
-    full printed `return (1, m_guard);` or `struct mData { void x; };`."""
+    """Each of these went through before: check accepted the guard, or
+    reported only a use after move at the drop for `k = g + 1;`, and full
+    printed `return (1, m_guard);`, `struct mData { void x; };` or
+    `(*m_guard).k = m + 1;`."""
     src = tmp_path / name
     src.write_text(source)
     assert main(["check" if name.endswith(".gmc") else "full", str(src)]) == 1
     assert capsys.readouterr().err == "%s:%s\n" % (src, message)
+

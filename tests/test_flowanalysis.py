@@ -269,9 +269,7 @@ def test_nested_calls_compose_in_evaluation_order():
     cond_stmt = program.function("caller").body.stmts[0]
     assert stmt_effects(cond_stmt, flow) == (
         (locks("m"), frozenset()), (frozenset(), locks("m")))
-    caller = program.function("caller")
-    live_in, live_out, avail_in, avail_out = flow_sets(
-        caller, graphs["caller"], flow)
+    live_in, live_out, avail_in, avail_out = flow_sets(graphs["caller"], flow)
     # Applied in the other order, the effects would take m out of both.
     assert live_out[cond_stmt] == live_in[cond_stmt] == locks("m")
     assert avail_in[cond_stmt] == avail_out[cond_stmt] == locks("m")
@@ -286,7 +284,7 @@ def test_the_kept_facts_reproduce_every_flow_set(corpus):
         graphs, _, flow = run.sets
         for fn in run.program.functions:
             f, g = flow[fn.name], graphs[fn.name]
-            live_in, _, avail_in, avail_out = flow_sets(fn, g, flow)
+            live_in, _, avail_in, avail_out = flow_sets(g, flow)
             assert live_in[g.entry] == f.mels, (name, fn.name)
             assert avail_out[g.ret] == f.mrls, (name, fn.name)
             assert avail_in == f.avail_in, (name, fn.name)
@@ -438,7 +436,7 @@ def test_avail_in_is_seeded_with_entry_set():
     g = build_cfg(fn)
     facts = analyze_function(fn, g, {})
     assert facts.avail_in[g.entry] == facts.mels == locks("m")
-    live_in, _, avail_in, avail_out = flow_sets(fn, g, {})
+    live_in, _, avail_in, avail_out = flow_sets(g, {})
     assert avail_in[g.entry] == live_in[g.entry] == facts.mels
     assert avail_out[g.ret] == facts.mrls == frozenset()
 
@@ -453,8 +451,7 @@ def published_sets(run):
         yield f.mels
         yield f.mrls
         yield from f.avail_in.values()
-        fn = result.program.function(name)
-        for sets in flow_sets(fn, graphs[name], flow):
+        for sets in flow_sets(graphs[name], flow):
             yield from sets.values()
     for s in result.lock_summary.function_map.values():
         yield from (s.entry_lock, s.return_lock)

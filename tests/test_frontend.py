@@ -690,7 +690,8 @@ def test_a_payload_access_then_a_field_is_a_field_of_the_payload_access():
 def test_a_leaf_adds_no_level(dialect, leaf):
     """Inside NESTING_LIMIT parentheses a leaf is at the limit, and a sum of
     it inside one fewer; one more parenthesis, or the sum inside as many,
-    opens level 101 there."""
+    opens level 101 there. A guard is no value, so its two programs at the
+    limit parse and then fail to resolve, at the guard."""
     def program(parens: int, expr: str) -> str:
         stmt = "k = " + "(" * parens + expr + ")" * parens + ";"
         if dialect is parse:
@@ -699,7 +700,12 @@ def test_a_leaf_adds_no_level(dialect, leaf):
 
     limit = parser.NESTING_LIMIT
     for parens, expr in ((limit, leaf), (limit - 1, leaf + " + 1")):
-        dialect(program(parens, expr))
+        if leaf == "g":
+            with pytest.raises(TypeCheckError) as exc:
+                dialect(program(parens, expr))
+            assert (exc.value.message, exc.value.line) == ("guard g is not a value", 7)
+        else:
+            dialect(program(parens, expr))
     for parens, expr, at in ((limit + 1, leaf, "(" * (limit + 1)), (limit, leaf + " + 1", "+")):
         source = program(parens, expr)
         with pytest.raises(ParseError) as exc:
@@ -815,3 +821,56 @@ def test_a_global_initializer_reads_only_checked_types():
     with pytest.raises(UnknownIdentifier) as exc:
         parse("int a = b.x;\nstruct zz b;\n")
     assert (exc.value.message, exc.value.line) == ("unknown struct 'zz'", 2)
+
+
+# -- values read -------------------------------------------------------------
+
+# The statement of values_body is on line 9.
+VALUES = ("struct q { int a; };\nmutex_t m;\nthread_t t;\nthread_t u;\nstruct q s;\n"
+          "struct q *r;\nint k;\n")
+
+
+def values_body(stmt: str) -> str:
+    return VALUES + "void f() {\n " + stmt + "\n}\n"
+
+
+@pytest.mark.parametrize("dialect", [parse, parse_guarded], ids=["plain", "guarded"])
+@pytest.mark.parametrize("stmt, message", [
+    ("k = m + 1;", "cannot read whole mutex values"),
+    ("k = 1 + t;", "cannot read whole thread values"),
+    ("k = t;", "cannot read whole thread values"),
+    ("k = s;", "cannot read whole struct values"),
+    ("k = *r;", "cannot read whole struct values"),
+    ("if (m) { k = 1; }", "cannot read whole mutex values"),
+    ("while (s) { k = 1; }", "cannot read whole struct values"),
+], ids=["mutex-operand", "thread-operand", "thread", "struct", "dereferenced-struct",
+        "mutex-condition", "struct-condition"])
+def test_a_lock_thread_or_struct_is_no_value(dialect, stmt, message):
+    """An operand, a condition and the right side of `=` are read as
+    values: none is a lock, thread handle or struct held by value."""
+    with pytest.raises(TypeCheckError) as exc:
+        dialect(values_body(stmt))
+    assert (exc.value.message, exc.value.line) == (message, 9)
+
+
+@pytest.mark.parametrize("stmt", [
+    "k = g + 1;", "k = 1 - g;", "k = g;", "if (g) { k = 1; }", "while (k < g) { k = 1; }",
+], ids=["operand", "right-operand", "assigned", "condition", "in-a-condition"])
+def test_a_guard_is_no_value(stmt):
+    with pytest.raises(TypeCheckError) as exc:
+        parse_guarded(payload_body(stmt))
+    assert (exc.value.message, exc.value.line) == ("guard g is not a value", 7)
+
+
+@pytest.mark.parametrize("dialect", [parse, parse_guarded], ids=["plain", "guarded"])
+def test_a_global_initializer_is_read_as_a_value(dialect):
+    with pytest.raises(TypeCheckError) as exc:
+        dialect(VALUES + "\nint j = s;\n")
+    assert (exc.value.message, exc.value.line) == ("cannot read whole struct values", 9)
+
+
+@pytest.mark.parametrize("dialect", [parse, parse_guarded], ids=["plain", "guarded"])
+def test_pointers_fields_and_a_copied_handle_are_values(dialect):
+    """A pointer to a lock, thread or struct is a value, and so is a field
+    of a struct. A thread handle is copied into a thread_t place."""
+    dialect(values_body("k = r == 0; r = &s; k = s.a + r->a; t = u; if (&m) { k = 1; }"))

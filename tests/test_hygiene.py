@@ -9,6 +9,7 @@ import ast
 from pathlib import Path
 
 import lockshift
+from lockshift import parser
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "lockshift"
@@ -266,3 +267,50 @@ def test_only_the_fixpoint_drivers_take_a_collector():
                                                   *args.kwonlyargs)):
                     takers.add(node.name)
     assert takers == drivers
+
+
+# Parameters kept for their callers: bench/layers.py passes a collector to
+# both of these, which report nothing.
+UNREAD_PARAMETERS = {("callgraph.py", "build_call_graph", "diags"),
+                     ("datalock.py", "infer_data_locks", "diags")}
+
+
+def _unread_parameters(tree: ast.Module, module: str,
+                       handlers: set[str]) -> list[tuple[str, int, str, str]]:
+    """(module, line, function, parameter) for each parameter that its
+    function's body never reads, but `self` and the node a dispatch handler
+    (one of handlers) is called with, which its type already decides."""
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                  *filter(None, (args.vararg, args.kwarg)))]
+        name = getattr(node, "name", "<lambda>")
+        if name in handlers:
+            params = params[2:]  # self, node
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        out += [(module, node.lineno, name, p) for p in params
+                if p not in read and p not in ("self", "cls")]
+    return out
+
+
+def test_every_parameter_is_used():
+    handlers = {f.__name__ for table in (parser._RESOLVE_STMT, parser._RESOLVE_EXPR)
+                for f in table.values()}
+    unread = [u for path in MODULES + [PACKAGE / "__init__.py"]
+              for u in _unread_parameters(_tree(path), path.name, handlers)]
+    unused = ["%s:%d: %s(%s)" % u for u in unread if (u[0], u[2], u[3]) not in UNREAD_PARAMETERS]
+    assert not unused, "parameters never read:\n" + "\n".join(unused)
+    # Each allowed one is still there, and still unread.
+    assert {(u[0], u[2], u[3]) for u in unread} >= UNREAD_PARAMETERS
+    # The rule sees an unread parameter, of a lambda too, and a dispatch
+    # handler's others.
+    sample = ast.parse("def f(a, b):\n    return a\ng = lambda x, y: y\n"
+                       "def resolve_nothing(self, node, extra): pass\n")
+    assert sorted((u[2], u[3]) for u in _unread_parameters(
+        sample, "sample.py", {"resolve_nothing"})) == [
+        ("<lambda>", "x"), ("f", "b"), ("resolve_nothing", "extra")]

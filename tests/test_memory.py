@@ -29,7 +29,8 @@ writer renders its three distinct entry and return sets once each, a
 callee without parameters is never renamed into its callers, and
 validation looks up each path rooted at a global once.
 The front end makes a bounded number of Python calls per token: on the
-bench's three families, parse_guarded 1.7 to 2.3 and parse 2.4 to 2.9.
+bench's three families, parse_guarded 1.7 to 2.3 and parse 2.6 to 2.9,
+and on a `*` chain 80 deep beside a field and `*` chain of 93 levels, 2.4.
 """
 from __future__ import annotations
 
@@ -533,12 +534,24 @@ def test_a_transformed_program_finds_its_payloads_and_locks():
     assert out.global_decl("f") is None and out.function("m") is None
 
 
+def _deref_chains() -> str:
+    """A `*` chain 80 deep, and a chain of 30 `(*x).q` links, 93 levels."""
+    mixed = "p"
+    for _ in range(30):
+        mixed = "(*%s).q" % mixed
+    return ("struct s { int r; struct s *q; };\nstruct s *p;\nint %sd;\nint k;\n"
+            "void main() {\n    k = %sd;\n    k = (*%s).r;\n}\n" % ("*" * 80, "*" * 80, mixed))
+
+
 @functools.cache
 def _bench_texts(family: str) -> tuple[str, str]:
-    """The bench input of family at its bench size, seed 1, and the guarded
-    text `full` prints for it."""
-    factory, size = runpy.run_path(str(GEN_PATH))["WORKLOADS"][family]
-    source = factory(size, 1).source
+    """The bench input of family at its bench size, seed 1, or the deref
+    chains, and the guarded text `full` prints for it."""
+    if family == "deref_chains":
+        source = _deref_chains()
+    else:
+        factory, size = runpy.run_path(str(GEN_PATH))["WORKLOADS"][family]
+        source = factory(size, 1).source
     result = analyze_program(source)
     return source, print_guarded(transform(result.program, result.lock_summary))
 
@@ -562,16 +575,22 @@ def _python_calls(run) -> int:
 
 
 # Family: (most calls per token of parse, of parse_guarded). Each bound is
-# about a tenth above what the front end makes. The parser took the
+# about a tenth above what the front end makes, but the call chain's parse
+# bound, which is 5% above: moving each call statement's calls and matching
+# its values to its callee's types take one call each. The parser took the
 # operands' prefix, primary and postfix steps in three calls, a payload
 # field through a Deref node, and a guard type and each expected token in
 # calls of their own, and the resolver walked isinstance ladders and built
 # a callee's parameter names per guard: parse made 5.02, 5.81 and 5.16 per
-# token, and parse_guarded 4.38, 3.74 and 4.62.
+# token, and parse_guarded 4.38, 3.74 and 4.62. The deref chains are the
+# counter case of the resolver typing each `*` and field access by walking
+# the subtree below it again: quadratic in the depth, 29.5 calls per token
+# in both parses.
 FRONT_END_CALLS = {
     "call_chain": (2.7, 2.05),
     "wide_body": (3.2, 1.85),
     "recursive_rings": (2.95, 2.55),
+    "deref_chains": (2.6, 2.6),
 }
 
 

@@ -181,7 +181,7 @@ def assert_oracle_matches(source: str) -> int:
     fn = program.functions[0]
     g = build_cfg(fn)
     facts = analyze_function(fn, g, {})
-    live_in, _, avail_in, _ = flow_sets(fn, g, {})
+    live_in, _, avail_in, _ = flow_sets(g, {})
     assert avail_in == facts.avail_in
     paths = enum_paths(g)
     assert paths, "no entry-to-ret path"

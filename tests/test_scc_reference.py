@@ -110,7 +110,7 @@ def observe(source: str, scc, monkeypatch, budget: int) -> dict:
     flow = {}
     for name, f in facts.items():
         g = graphs[name]
-        all_sets = flow_sets(result.program.function(name), g, facts)
+        all_sets = flow_sets(g, facts)
         per_node = [[sets[n] for n in g.nodes] for sets in (f.avail_in, *all_sets)]
         flow[name] = (f.mels, f.mrls, f.scc_iterations, per_node)
     return {"flow": flow, "traces": traces,

@@ -46,8 +46,7 @@ def _observables(program_text: str):
     graphs, _, flow = lock_sets(result.program)
     for fn, f in flow.items():
         g = graphs[fn]
-        live_in, live_out, avail_in, avail_out = flowanalysis.flow_sets(
-            result.program.function(fn), g, flow)
+        live_in, live_out, avail_in, avail_out = flowanalysis.flow_sets(g, flow)
         per_node[fn] = [(live_in[n], live_out[n], avail_in[n], avail_out[n],
                          f.avail_in[n]) for n in g.nodes]
     return (write_summary(result.lock_summary), print_guarded(guarded),

@@ -354,3 +354,12 @@ def test_a_value_function_that_falls_through_returns_zero_beside_its_guard():
     text = print_guarded(guarded)
     assert "if (c) { return (1, m_guard); } return (0, m_guard); }" in text
     assert "(c, m_guard) = acq();" in text
+
+
+def test_a_value_function_without_guards_keeps_its_bare_return():
+    """Only a function that returns guards gives 0 beside them for `return;`;
+    this one printed `return 0;` with that warning before."""
+    result, guarded, errors = run_pipeline(
+        "int n;\nint f() { n = 1; return; }\nvoid main() { f(); }\n")
+    assert errors == [] and list(result.diagnostics) == []
+    assert "int f() { n = 1; return; }" in print_guarded(guarded)
