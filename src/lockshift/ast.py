@@ -54,9 +54,6 @@ class LockPath:
         lock is its sibling."""
         return LockPath(self.segments[:-1] + (name,))
 
-    def __str__(self) -> str:
-        return self.text
-
 
 def path_of(text: str) -> LockPath:
     """Build a LockPath from dotted text (test/CLI convenience)."""
@@ -143,7 +140,6 @@ class FieldAccess(Expr):
 @dataclass(eq=False, slots=True)
 class AddrOf(Expr):
     expr: Expr
-    mut: bool = False
 
 
 @dataclass(eq=False, slots=True)
@@ -225,17 +221,11 @@ class Stmt:
 
 @dataclass(eq=False, slots=True)
 class Assign(Stmt):
-    """`place = value;` where value is not a call (see CallAssign)."""
+    """`place = value;` where value is not a call (see CallAssign); `value;`
+    has no place (None), as `f();` has no targets."""
 
-    place: Expr = None  # type: ignore[assignment]
+    place: Expr | None = None
     value: Expr = None  # type: ignore[assignment]
-
-
-@dataclass(eq=False, slots=True)
-class ExprStmt(Stmt):
-    """`expr;` where expr is not a call (see CallAssign)."""
-
-    expr: Expr = None  # type: ignore[assignment]
 
 
 @dataclass(eq=False, slots=True)
@@ -399,8 +389,8 @@ class Program:
 def place_path(e: Expr) -> LockPath | None:
     """Canonical dotted path of a place expression, or None if e is not a place.
 
-    Strips `&`, `&mut`, `*`, and treats `->` like `.`, so `&mut (*a).m`,
-    `&a->m`, and `a.m` all canonicalize to a.m.
+    Strips `&` and `*`, and treats `->` like `.`, so `&(*a).m`, `&a->m`,
+    and `a.m` all canonicalize to a.m.
     """
     segs: list[str] = []
     while True:
@@ -479,24 +469,23 @@ def data_accesses(s: Stmt) -> list[tuple[str, Expr, LockPath]]:
     Each is (kind, expr, datum): kind is "read" or "write"; expr is the Var,
     FieldAccess or PayloadAccess that touches the datum; datum is its
     dotted path, where a payload field of lock path x.m maps back to x.fld.
-    Bases of field accesses and operands of & only compute addresses; they
-    touch no data themselves.
+    Every mention of a datum is an access, as it is every mention the
+    transformer rewrites: the base of a field access and the operand of &
+    are read, and a dereferenced place keeps its kind.
     """
     out: list[tuple[str, Expr, LockPath]] = []
     if isinstance(s, Assign):
-        _collect_accesses(s.place, "write", False, out)
-        _collect_accesses(s.value, "read", False, out)
+        _collect_accesses(s.place, "write", out)  # None adds nothing
+        _collect_accesses(s.value, "read", out)
     elif isinstance(s, CallAssign):
         for t in s.targets:
             if isinstance(t, Expr):
-                _collect_accesses(t, "write", False, out)
-        _collect_accesses(s.call, "read", False, out)
-    elif isinstance(s, ExprStmt):
-        _collect_accesses(s.expr, "read", False, out)
+                _collect_accesses(t, "write", out)
+        _collect_accesses(s.call, "read", out)
     elif isinstance(s, (If, While)):
-        _collect_accesses(s.cond, "read", False, out)
+        _collect_accesses(s.cond, "read", out)
     elif isinstance(s, Return):
-        _collect_accesses(s.value, "read", False, out)  # None adds nothing
+        _collect_accesses(s.value, "read", out)
     return out
 
 
@@ -511,27 +500,26 @@ def datum_of(e: Var | FieldAccess) -> LockPath | None:
     return base.child(e.fld) if base is not None else None
 
 
-def _collect_accesses(e: Expr, kind: str, as_address: bool,
+def _collect_accesses(e: Expr | None, kind: str,
                       out: list[tuple[str, Expr, LockPath]]) -> None:
     if isinstance(e, (Var, FieldAccess)):
-        datum = None if as_address else datum_of(e)
+        datum = datum_of(e)
         if datum is not None:
             out.append((kind, e, datum))
         if isinstance(e, FieldAccess):
-            _collect_accesses(e.base, "read", True, out)
+            _collect_accesses(e.base, "read", out)
     elif isinstance(e, PayloadAccess):
-        if not as_address:
-            out.append((kind, e, e.path.sibling(e.fld)))
+        out.append((kind, e, e.path.sibling(e.fld)))
     elif isinstance(e, AddrOf):
-        _collect_accesses(e.expr, "read", True, out)
+        _collect_accesses(e.expr, "read", out)
     elif isinstance(e, Deref):
-        _collect_accesses(e.expr, kind, as_address, out)
+        _collect_accesses(e.expr, kind, out)
     elif isinstance(e, Binary):
-        _collect_accesses(e.lhs, "read", False, out)
-        _collect_accesses(e.rhs, "read", False, out)
+        _collect_accesses(e.lhs, "read", out)
+        _collect_accesses(e.rhs, "read", out)
     elif isinstance(e, Call):
         for a in e.args:
-            _collect_accesses(a, "read", False, out)
+            _collect_accesses(a, "read", out)
     elif isinstance(e, TupleExpr):
         for item in e.items:
-            _collect_accesses(item, "read", False, out)
+            _collect_accesses(item, "read", out)

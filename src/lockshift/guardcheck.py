@@ -43,7 +43,6 @@ from .ast import (
     Deref,
     DropCall,
     Expr,
-    ExprStmt,
     FieldAccess,
     FunctionDef,
     GuardRef,
@@ -123,8 +122,6 @@ def _stmt_events(s: Stmt) -> tuple[list[tuple[str, str]], list[str]]:
     elif isinstance(s, Assign):
         _expr_events(s.value, uses)
         _expr_events(s.place, uses)
-    elif isinstance(s, ExprStmt):
-        _expr_events(s.expr, uses)
     elif isinstance(s, (If, While)):
         _expr_events(s.cond, uses)
     elif isinstance(s, Return):

@@ -36,7 +36,6 @@ from .ast import (
     Discard,
     DropCall,
     Expr,
-    ExprStmt,
     FieldAccess,
     FieldDecl,
     FunctionDef,
@@ -440,9 +439,9 @@ class _Parser:
         return Return(line=line, value=value)
 
     def parse_simple_stmt(self) -> Stmt:
-        """An expression statement or an assignment. The one producer of
-        CallAssign: a call whose values go to no target, to a place or
-        guard, or to each item of a parenthesised list."""
+        """An assignment; `value;` is one with no place (None). The one
+        producer of CallAssign: a call whose values go to no target, to a
+        place or guard, or to each item of a parenthesised list."""
         t = self.pos
         line = self.lines[t]
         place, value = None, self.parse_expr()
@@ -472,8 +471,6 @@ class _Parser:
             if type(place) is not GuardRef:
                 raise self.fail("acquire() must assign to a guard variable", t)
             return AcquireAssign(line=line, guard=place.name, path=value.path)
-        if place is None:
-            return ExprStmt(line=line, expr=value)
         if type(place) is GuardRef:
             raise self.fail("a guard can only receive acquire() or a call result", t)
         return Assign(line=line, place=place, value=value)
@@ -514,7 +511,7 @@ class _Parser:
             self.height = height
 
     def parse_operand(self) -> Expr:
-        """An operand of a binary operator: its prefix `&`, `&mut` and `*`,
+        """An operand of a binary operator: its prefix `&` and `*`,
         a name, number or parenthesized expression, then the field
         accesses, method calls and call arguments after it."""
         values = self.values
@@ -525,13 +522,10 @@ class _Parser:
             self.depth += 1
             if self.depth > NESTING_LIMIT:
                 raise self.too_deep(t)
-            mut = value == "&" and values[t + 1] == "mut"
-            if mut:
-                self.pos = t + 2
             e = self.parse_operand()
             self.depth -= 1
             self.height += 1
-            return AddrOf(e, mut) if value == "&" else Deref(e)
+            return AddrOf(e) if value == "&" else Deref(e)
         kinds = self.kinds
         kind = kinds[t]
         guards = self.guards
@@ -654,9 +648,9 @@ class _Resolver:
     """Resolves names and checks types, one declaration kind at a time,
     then each function body. Statements and expressions are dispatched on
     their node type through `_RESOLVE_STMT` and `_RESOLVE_EXPR`. An
-    expression's handler returns its type where it is a place or a place's
-    address, and None for a number, a binary, a call, a guard or a
-    function name, so each expression is walked once."""
+    expression's handler returns its type where it is a place, a place's
+    address or a guard's payload, and None for a number, a binary, a call,
+    a guard or a function name, so each expression is walked once."""
 
     def __init__(self, program: Program):
         self.program = program
@@ -809,11 +803,13 @@ class _Resolver:
         self.calls.clear()
 
     def resolve_assign(self, s: Assign) -> None:
-        """The value is read (check_read) after the place is checked."""
+        """The value is read (check_read) after the place, if any, is checked."""
         value, place = s.value, s.place
         ty = _RESOLVE_EXPR[type(value)](self, value)
-        place_ty = _RESOLVE_EXPR[type(place)](self, place)
-        self.check_assign_place(place, place_ty)
+        place_ty = None
+        if place is not None:
+            place_ty = _RESOLVE_EXPR[type(place)](self, place)
+            self.check_assign_place(place, place_ty)
         if type(value) is GuardRef or ty is not None and ty.kind in _WHOLE_KINDS:
             self.check_read(value, ty, place_ty)
 
@@ -828,9 +824,6 @@ class _Resolver:
             kind = type(t)
             if kind is not GuardRef and kind is not Discard:  # a guard receives
                 self.check_assign_place(t, _RESOLVE_EXPR[kind](self, t))
-
-    def resolve_expr_stmt(self, s: ExprStmt) -> None:
-        _RESOLVE_EXPR[type(s.expr)](self, s.expr)
 
     def resolve_if(self, s: If) -> None:
         self.read(s.cond)
@@ -878,10 +871,11 @@ class _Resolver:
         self.check_read(e, _RESOLVE_EXPR[type(e)](self, e))
 
     def check_read(self, e: Expr, ty: Type | None, into: Type | None = None) -> None:
-        """e, of type ty, is read: an operand, a condition, an initializer or
-        the right side of `=` into a place of type `into`. It is no guard, and
-        no lock, thread handle or struct held by value unless `into` holds the
-        same kind by value (a handle copied, a payload field assigned whole)."""
+        """e, of type ty, is read: an operand, a condition, an initializer,
+        a statement `e;`, or the right side of `=` or a call's argument into
+        a place or parameter of type `into`. It is no guard, and no lock,
+        thread handle or struct held by value unless `into` holds the same
+        kind by value (a handle copied, a payload field assigned whole)."""
         if type(e) is GuardRef:
             raise TypeCheckError("guard %s is not a value" % e.name, self.line)
         if (ty is not None and not ty.ptr and ty.kind in _WHOLE_KINDS
@@ -929,7 +923,13 @@ class _Resolver:
         return None if ty is None else Type(ty.kind, ty.name, ty.path, ty.ptr + 1)
 
     def resolve_deref(self, e: Deref) -> Type | None:
-        ty = _RESOLVE_EXPR[type(e.expr)](self, e.expr)
+        """`(*g)` is guard g's payload: the struct P of a mutex<P>, or
+        nothing for a mutex_t."""
+        inner = e.expr
+        if type(inner) is GuardRef:
+            ty = self.lock_type(inner.path, self.line)
+            return Type("struct", ty.name) if ty.kind == "lock" else None
+        ty = _RESOLVE_EXPR[type(inner)](self, inner)
         if ty is not None and ty.ptr == 0:
             raise TypeCheckError("cannot dereference a non-pointer", self.line)
         return None if ty is None else Type(ty.kind, ty.name, ty.path, ty.ptr - 1)
@@ -980,8 +980,11 @@ class _Resolver:
         if len(args) != len(params):
             raise TypeCheckError("%s() takes %d arguments, got %d"
                                  % (name, len(params), len(args)), line)
-        for a in args:
-            _RESOLVE_EXPR[type(a)](self, a)
+        for a, param in zip(args, params):
+            # read into a value parameter as by `=`; guards go to check_values
+            ty = _RESOLVE_EXPR[type(a)](self, a)
+            if ty is not None and ty.kind in _WHOLE_KINDS and param.ty.kind != "guard":
+                self.check_read(a, ty, param.ty)
         call.arg_paths = tuple(map(place_path, args))
         self.check_values(fn, args, targets, "%s() returns void; its value cannot be used",
                           call)
@@ -1067,7 +1070,6 @@ class _Resolver:
 _RESOLVE_STMT = {
     Assign: _Resolver.resolve_assign,
     CallAssign: _Resolver.resolve_call_assign,
-    ExprStmt: _Resolver.resolve_expr_stmt,
     Block: _Resolver.resolve_block,
     If: _Resolver.resolve_if,
     While: _Resolver.resolve_while,

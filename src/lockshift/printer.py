@@ -20,7 +20,6 @@ from .ast import (
     Discard,
     DropCall,
     Expr,
-    ExprStmt,
     FieldAccess,
     FunctionDef,
     GlobalDecl,
@@ -89,8 +88,7 @@ def _expr(e: Expr) -> tuple[str, int]:
             return "%s.get_mut().%s" % (e.path.text, e.fld), _PREC_POSTFIX
         return "(*%s).%s" % (e.guard, e.fld), _PREC_POSTFIX
     if isinstance(e, AddrOf):
-        op = "&mut " if e.mut else "&"
-        return op + expr_text(e.expr, _PREC_UNARY), _PREC_UNARY
+        return "&" + expr_text(e.expr, _PREC_UNARY), _PREC_UNARY
     if isinstance(e, Deref):
         return "*" + expr_text(e.expr, _PREC_UNARY), _PREC_UNARY
     if isinstance(e, Binary):
@@ -113,9 +111,9 @@ def _expr(e: Expr) -> tuple[str, int]:
 def stmt_text(s: Stmt) -> str:
     """Single-statement text without trailing brace context (simple forms only)."""
     if isinstance(s, Assign):
+        if s.place is None:
+            return "%s;" % expr_text(s.value)
         return "%s = %s;" % (expr_text(s.place), expr_text(s.value))
-    if isinstance(s, ExprStmt):
-        return "%s;" % expr_text(s.expr)
     if isinstance(s, Return):
         if s.value is None:
             return "return;"
@@ -157,7 +155,11 @@ class _Sink:
         self.lines[-1] += " " + text
 
     def render(self) -> str:
-        return "\n".join(self.lines) + "\n" if self.lines else ""
+        lines = self.lines
+        if not lines:
+            return ""
+        lines.append("")  # the final newline, without a second copy of the text
+        return "\n".join(lines)
 
 
 def _emit_block_stmts(sink: _Sink, block: Block, depth: int) -> None:

@@ -31,7 +31,6 @@ from .ast import (
     Discard,
     DropCall,
     Expr,
-    ExprStmt,
     FieldAccess,
     FieldDecl,
     FunctionDef,
@@ -310,10 +309,9 @@ class _Transformer:
                 return self._rewrite_lock_api(st)
             return [self._rewrite_call(st)]
         if isinstance(st, Assign):
+            # a place of None, as in `value;`, comes back as None
             return [Assign(line=st.line, place=self._rewrite_expr(st.place, st.line),
                            value=self._rewrite_expr(st.value, st.line))]
-        if isinstance(st, ExprStmt):
-            return [ExprStmt(line=st.line, expr=self._rewrite_expr(st.expr, st.line))]
         return [st]
 
     def _rewrite_lock_api(self, st: CallAssign) -> list[Stmt]:
@@ -372,7 +370,7 @@ class _Transformer:
             return FieldAccess(self._rewrite_expr(e.base, line), e.fld,
                                arrow=e.arrow, owner=e.owner, ty=e.ty)
         if isinstance(e, AddrOf):
-            return AddrOf(self._rewrite_expr(e.expr, line), e.mut)
+            return AddrOf(self._rewrite_expr(e.expr, line))
         if isinstance(e, Deref):
             return Deref(self._rewrite_expr(e.expr, line))
         if isinstance(e, Binary):

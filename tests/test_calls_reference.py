@@ -18,7 +18,6 @@ from lockshift.ast import (
     Call,
     CallAssign,
     Deref,
-    ExprStmt,
     FieldAccess,
     If,
     Return,
@@ -36,8 +35,6 @@ from helpers import FIXTURES
 def reference_stmt_exprs(s):
     if isinstance(s, Assign):
         return [s.value, s.place]
-    if isinstance(s, ExprStmt):
-        return [s.expr]
     if isinstance(s, (If, While)):
         return [s.cond]
     if isinstance(s, Return):

@@ -58,8 +58,8 @@ int f(struct S *p) {
     # The place comes before the value; the base s of s.x is not read.
     assert by_line[7] == [("write", "Var", "n"), ("read", "Var", "n"),
                           ("read", "FieldAccess", "s.x")]
-    # Operands of & compute addresses only, and locks hold no data.
-    assert by_line[8] == []
+    # An operand of & is read, and locks hold no data.
+    assert by_line[8] == [("read", "Var", "n"), ("read", "FieldAccess", "p.x")]
     assert by_line[9] == []
     # A dereferenced place keeps the write kind.
     assert by_line[10] == [("write", "Var", "q"), ("read", "Var", "n")]
@@ -354,6 +354,60 @@ def test_direct_unguarded_write_in_a_worker_defeats_protection():
     source = (CORPUS / "unprotected_concurrent.mc").read_text()
     result = analyze_program(source)
     assert result.lock_summary.global_lock_map == {}
+
+
+POINTER_READ = """\
+struct s { int a; };
+struct s q;
+struct s *r;
+mutex_t m;
+thread_t t;
+void h() {
+    %s = 1;
+}
+void w() {
+    pthread_mutex_lock(&m);
+    r = &q;
+    pthread_mutex_unlock(&m);
+    h();
+}
+void main() {
+    pthread_create(&t, w);
+}
+"""
+
+
+@pytest.mark.parametrize("place", ["r->a", "(*r).a"], ids=["arrow", "dereferenced"])
+def test_a_field_access_reads_the_pointer_it_goes_through(place):
+    """h reads r unheld to reach r->a, and the transformer would rewrite
+    that r, so r is not protected by m."""
+    result = analyze_program(POINTER_READ % place)
+    assert result.lock_summary.global_lock_map == {}
+    v = verdict_for(result, (None, "r"))
+    assert v.candidate == "m" and not v.protected
+    assert [(r.function, r.kind, r.line) for r in v.unsafe_accesses] == [("h", "read", 7)]
+
+
+def test_taking_the_address_of_a_datum_unheld_is_an_access():
+    result = analyze_program("""\
+int n;
+int *p;
+mutex_t m;
+thread_t t;
+void w() {
+    pthread_mutex_lock(&m);
+    n = 1;
+    pthread_mutex_unlock(&m);
+    p = &n;
+}
+void main() {
+    pthread_create(&t, w);
+}
+""")
+    assert "n" not in result.lock_summary.global_lock_map
+    v = verdict_for(result, (None, "n"))
+    assert v.candidate == "m" and not v.protected
+    assert [(r.kind, r.line) for r in v.unsafe_accesses] == [("read", 9)]
 
 
 INIT_IN_WORKER = """\

@@ -8,13 +8,13 @@ import pytest
 
 from lockshift import parser
 from lockshift.ast import (
+    AddrOf,
     Assign,
     Binary,
     Call,
     CallAssign,
     Deref,
     Discard,
-    ExprStmt,
     GuardRef,
     LockPath,
     iter_stmts,
@@ -66,10 +66,9 @@ def test_lock_path_canonicalization():
         pthread_mutex_lock(&a->m);
         pthread_mutex_unlock(&(*a).m);
         pthread_mutex_lock(&*&inst.m);
-        pthread_mutex_unlock(&mut inst.m);
     }
     """
-    assert first_call_paths(source) == ["a.m", "a.m", "inst.m", "inst.m"]
+    assert first_call_paths(source) == ["a.m", "a.m", "inst.m"]
 
 
 def test_lock_api_calls_must_be_standalone():
@@ -327,6 +326,12 @@ def test_guarded_syntax_rejected_in_plain_dialect():
         parse(fixture_text("listing1.gmc"))
 
 
+def test_an_acquire_inside_an_expression_is_rejected():
+    with pytest.raises(TypeCheckError) as exc:
+        parse_guarded(payload_body("k = 1 + m.acquire();"))
+    assert (exc.value.message, exc.value.line) == ("unexpected expression form", 7)
+
+
 def test_guarded_dialect_constructs():
     gp = parse_guarded(fixture_text("listing1.gmc"))
     locks = [g for g in gp.globals if g.ty.is_mutex()]
@@ -336,6 +341,18 @@ def test_guarded_dialect_constructs():
     unlock_fn = gp.function("unlock")
     assert [p.ty.kind for p in unlock_fn.params] == ["guard"]
     assert [d.guard for d in gp.function("foo").guard_decls] == ["m_guard"]
+
+
+@pytest.mark.parametrize("dialect", [parse, parse_guarded], ids=["plain", "guarded"])
+def test_mut_is_an_ordinary_identifier(dialect):
+    """`&` has one spelling: `&mut` is the address of a global named mut."""
+    p = dialect("int mut;\nint *p;\nvoid main() { p = &mut; }\n")
+    value = p.function("main").body.stmts[0].value
+    assert isinstance(value, AddrOf) and value.expr.name == "mut"
+    with pytest.raises(ParseError) as exc:
+        dialect("int mut;\nint x;\nint *p;\nvoid main() { p = &mut x; }\n")
+    assert (exc.value.message, exc.value.line, exc.value.col) == (
+        "expected ';', found 'x'", 4, 24)
 
 
 def test_guarded_parse_errors():
@@ -602,15 +619,14 @@ def test_a_call_has_one_guarded_shape(body, message):
 
 def test_every_call_statement_is_a_call_assign(corpus):
     """parse, the transformer and parse_guarded of the printed text each make
-    one CallAssign of every statement whose value is a call, so no ExprStmt
-    or Assign holds a call."""
+    one CallAssign of every statement whose value is a call, so no Assign
+    holds a call."""
     calls = 0
     for name, run in analyzed(corpus):
         # guarded is None where the transformer refused the program
         programs = [p for p in (run.program, run.guarded, run.reparsed) if p is not None]
         for s in (s for p in programs for fn in p.functions for s in iter_stmts(fn.body)):
-            value = (s.expr if isinstance(s, ExprStmt)
-                     else s.value if isinstance(s, Assign) else None)
+            value = s.value if isinstance(s, Assign) else None
             assert not isinstance(value, Call), (name, s.line)
             calls += isinstance(s, CallAssign)
     assert calls > 4000
@@ -690,8 +706,9 @@ def test_a_payload_access_then_a_field_is_a_field_of_the_payload_access():
 def test_a_leaf_adds_no_level(dialect, leaf):
     """Inside NESTING_LIMIT parentheses a leaf is at the limit, and a sum of
     it inside one fewer; one more parenthesis, or the sum inside as many,
-    opens level 101 there. A guard is no value, so its two programs at the
-    limit parse and then fail to resolve, at the guard."""
+    opens level 101 there. A guard and a guard's whole payload are no
+    values, so their two programs at the limit parse and then fail to
+    resolve, at the leaf."""
     def program(parens: int, expr: str) -> str:
         stmt = "k = " + "(" * parens + expr + ")" * parens + ";"
         if dialect is parse:
@@ -699,11 +716,12 @@ def test_a_leaf_adds_no_level(dialect, leaf):
         return payload_body(stmt)
 
     limit = parser.NESTING_LIMIT
+    rejected = {"g": "guard g is not a value", "(*g)": "cannot read whole struct values"}
     for parens, expr in ((limit, leaf), (limit - 1, leaf + " + 1")):
-        if leaf == "g":
+        if leaf in rejected:
             with pytest.raises(TypeCheckError) as exc:
                 dialect(program(parens, expr))
-            assert (exc.value.message, exc.value.line) == ("guard g is not a value", 7)
+            assert (exc.value.message, exc.value.line) == (rejected[leaf], 7)
         else:
             dialect(program(parens, expr))
     for parens, expr, at in ((limit + 1, leaf, "(" * (limit + 1)), (limit, leaf + " + 1", "+")):
@@ -843,11 +861,14 @@ def values_body(stmt: str) -> str:
     ("k = *r;", "cannot read whole struct values"),
     ("if (m) { k = 1; }", "cannot read whole mutex values"),
     ("while (s) { k = 1; }", "cannot read whole struct values"),
+    ("m;", "cannot read whole mutex values"),
+    ("*r;", "cannot read whole struct values"),
 ], ids=["mutex-operand", "thread-operand", "thread", "struct", "dereferenced-struct",
-        "mutex-condition", "struct-condition"])
+        "mutex-condition", "struct-condition", "mutex-statement", "struct-statement"])
 def test_a_lock_thread_or_struct_is_no_value(dialect, stmt, message):
-    """An operand, a condition and the right side of `=` are read as
-    values: none is a lock, thread handle or struct held by value."""
+    """An operand, a condition, a statement `value;` and the right side of
+    `=` are read as values: none is a lock, thread handle or struct held by
+    value."""
     with pytest.raises(TypeCheckError) as exc:
         dialect(values_body(stmt))
     assert (exc.value.message, exc.value.line) == (message, 9)
@@ -855,11 +876,43 @@ def test_a_lock_thread_or_struct_is_no_value(dialect, stmt, message):
 
 @pytest.mark.parametrize("stmt", [
     "k = g + 1;", "k = 1 - g;", "k = g;", "if (g) { k = 1; }", "while (k < g) { k = 1; }",
-], ids=["operand", "right-operand", "assigned", "condition", "in-a-condition"])
+    "g;",
+], ids=["operand", "right-operand", "assigned", "condition", "in-a-condition", "statement"])
 def test_a_guard_is_no_value(stmt):
+    """`g;` too: a guard statement is no hidden second drop(g)."""
     with pytest.raises(TypeCheckError) as exc:
         parse_guarded(payload_body(stmt))
     assert (exc.value.message, exc.value.line) == ("guard g is not a value", 7)
+
+
+@pytest.mark.parametrize("stmt", ["k = (*g);", "k = (*g) + 1;", "(*g);", "if ((*g)) { k = 1; }"],
+                         ids=["assigned", "operand", "statement", "condition"])
+def test_a_guards_whole_payload_is_no_value(stmt):
+    """`(*g)` is the payload struct of a mutex<P> guard, held by value."""
+    with pytest.raises(TypeCheckError) as exc:
+        parse_guarded(payload_body(stmt))
+    assert (exc.value.message, exc.value.line) == ("cannot read whole struct values", 7)
+
+
+def test_the_payload_of_a_plain_mutex_guard_has_no_type():
+    parse_guarded("mutex_t m;\nint k;\n"
+                  "void f() { guard<m> g; g = m.acquire(); k = (*g); drop(g); }\n")
+
+
+@pytest.mark.parametrize("dialect", [parse, parse_guarded], ids=["plain", "guarded"])
+@pytest.mark.parametrize("param, arg, message", [
+    ("int x", "m", "cannot read whole mutex values"),
+    ("int x", "t", "cannot read whole thread values"),
+    ("int *x", "*r", "cannot read whole struct values"),
+    ("struct q *x", "s", "cannot read whole struct values"),
+], ids=["mutex", "thread", "dereferenced-struct", "struct-for-a-pointer"])
+def test_an_argument_is_read_into_its_parameter(dialect, param, arg, message):
+    """An argument is read into its parameter as the right side of `=` is
+    into its place."""
+    source = VALUES + "void h(%s) { }\nvoid f() { h(%s); }\n" % (param, arg)
+    with pytest.raises(TypeCheckError) as exc:
+        dialect(source)
+    assert (exc.value.message, exc.value.line) == (message, 9)
 
 
 @pytest.mark.parametrize("dialect", [parse, parse_guarded], ids=["plain", "guarded"])
@@ -872,5 +925,7 @@ def test_a_global_initializer_is_read_as_a_value(dialect):
 @pytest.mark.parametrize("dialect", [parse, parse_guarded], ids=["plain", "guarded"])
 def test_pointers_fields_and_a_copied_handle_are_values(dialect):
     """A pointer to a lock, thread or struct is a value, and so is a field
-    of a struct. A thread handle is copied into a thread_t place."""
-    dialect(values_body("k = r == 0; r = &s; k = s.a + r->a; t = u; if (&m) { k = 1; }"))
+    of a struct. A thread handle is copied into a thread_t place or
+    parameter."""
+    dialect(values_body("k = r == 0; r = &s; k = s.a + r->a; t = u; h(u); if (&m) { k = 1; }")
+            + "void h(thread_t x) { }\n")

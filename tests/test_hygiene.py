@@ -9,6 +9,7 @@ import ast
 from pathlib import Path
 
 import lockshift
+from lockshift import ast as nodes
 from lockshift import parser
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -314,3 +315,18 @@ def test_every_parameter_is_used():
     assert sorted((u[2], u[3]) for u in _unread_parameters(
         sample, "sample.py", {"resolve_nothing"})) == [
         ("<lambda>", "x"), ("f", "b"), ("resolve_nothing", "extra")]
+
+
+def test_every_node_type_has_its_resolver():
+    """Every statement class of the ast has a _RESOLVE_STMT handler, every
+    expression class but PayloadInit (a lock global's initializer, resolved
+    with its global) a _RESOLVE_EXPR one, and no handler is keyed by a class
+    the ast does not define, but the parser's own `acquire()` marker. A form
+    added or removed without its handler fails here, not as a KeyError."""
+    classes = [c for c in vars(nodes).values()
+               if isinstance(c, type) and c.__module__ == nodes.__name__]
+    stmts = {c for c in classes if issubclass(c, nodes.Stmt) and c is not nodes.Stmt}
+    exprs = {c for c in classes if issubclass(c, nodes.Expr)
+             and c not in (nodes.Expr, nodes.PayloadInit)}
+    assert set(parser._RESOLVE_STMT) == stmts
+    assert set(parser._RESOLVE_EXPR) == exprs | {parser._AcquireExpr}

@@ -343,6 +343,16 @@ def test_a_body_whose_branches_all_return_gets_no_appended_return():
             "if (c) { return m_guard; } else { return m_guard; } }") in text
 
 
+def test_a_body_that_ends_in_a_returning_block_gets_no_appended_return():
+    source = ("mutex_t m;\nint c;\n"
+              "void acq() { pthread_mutex_lock(&m); { c = 1; return; } }\n"
+              "void main() { acq(); pthread_mutex_unlock(&m); }\n")
+    result, _, errors, text = pipeline_text(source)
+    assert errors == [] and list(result.diagnostics) == []
+    assert ("guard<m> acq() { guard<m> m_guard; m_guard = m.acquire(); "
+            "{ (*m_guard).c = 1; return m_guard; } }") in text
+
+
 def test_a_value_function_that_falls_through_returns_zero_beside_its_guard():
     source = ("mutex_t m;\nint c;\n"
               "int acq() { pthread_mutex_lock(&m); if (c) { return 1; } }\n"
