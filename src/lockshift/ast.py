@@ -24,40 +24,15 @@ LOCK_API = frozenset([LOCK_FN, UNLOCK_FN, INIT_FN, CREATE_FN])
 BIN_PREC = {"==": 1, "!=": 1, "<": 1, "<=": 1, "+": 2, "-": 2, "*": 3}
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class LockPath:
-    """A canonical dotted place path; first segment is a global or a parameter."""
-
-    segments: tuple[str, ...]
-
-    def __post_init__(self):
-        if not self.segments:
-            raise ValueError("lock path needs at least one segment")
-
-    @property
-    def text(self) -> str:
-        return ".".join(self.segments)
-
-    @property
-    def root(self) -> str:
-        return self.segments[0]
-
-    def starts_with(self, prefix: "LockPath") -> bool:
-        n = len(prefix.segments)
-        return len(self.segments) >= n and self.segments[:n] == prefix.segments
-
-    def child(self, segment: str) -> "LockPath":
-        return LockPath(self.segments + (segment,))
-
-    def sibling(self, name: str) -> "LockPath":
-        """The path beside this one: n -> name, x.n -> x.name. A datum's
-        lock is its sibling."""
-        return LockPath(self.segments[:-1] + (name,))
+# A canonical dotted place path, the tuple of its names: ("x", "m") for
+# x.m. Its first name is a global or a parameter. Tuples of names sort as
+# their dotted texts do (tests/test_summary.py checks this).
+LockPath = tuple[str, ...]
 
 
 def path_of(text: str) -> LockPath:
-    """Build a LockPath from dotted text (test/CLI convenience)."""
-    return LockPath(tuple(text.split(".")))
+    """The lock path of dotted text (test/CLI convenience)."""
+    return tuple(text.split("."))
 
 
 # ---------------------------------------------------------------------------
@@ -88,8 +63,8 @@ def holds_data(ty: Type | None) -> bool:
 def root_type(path: LockPath, params: dict[str, Type], program: Program) -> Type | None:
     """The type of a lock path's first segment: a parameter of its name,
     which shadows a global, else the global; None when it names neither."""
-    g = program.global_decl(path.root)
-    return params.get(path.root) or (g.ty if g is not None else None)
+    g = program.global_decl(path[0])
+    return params.get(path[0]) or (g.ty if g is not None else None)
 
 
 def lock_path_type(path: LockPath, params: dict[str, Type], program: Program) -> Type | None:
@@ -98,7 +73,7 @@ def lock_path_type(path: LockPath, params: dict[str, Type], program: Program) ->
     it names no lock. Pointers on the way are followed, as lock paths drop
     `*`."""
     ty = root_type(path, params, program)
-    for seg in path.segments[1:]:
+    for seg in path[1:]:
         struct = program.struct(ty.name) if ty is not None and ty.kind == "struct" else None
         fd = struct.field_decl(seg) if struct is not None else None
         ty = fd.ty if fd is not None else None
@@ -401,7 +376,7 @@ def place_path(e: Expr) -> LockPath | None:
             e = e.base
         elif isinstance(e, Var):
             segs.append(e.name)
-            return LockPath(tuple(reversed(segs)))
+            return tuple(reversed(segs))
         else:
             return None
 
@@ -414,13 +389,10 @@ def to_caller(path: LockPath, params, call: Call) -> LockPath | None:
     path, such as a global, is unchanged. None when the argument is not a
     place, so the caller cannot name the path.
     """
-    segs = path.segments
     for i, name in enumerate(params):
-        if segs[0] == name:
+        if path[0] == name:
             arg = call.arg_paths[i]
-            if arg is None:
-                return None
-            return LockPath(arg.segments + segs[1:])
+            return None if arg is None else arg + path[1:]
     return path
 
 
@@ -432,8 +404,8 @@ def to_callee(path: LockPath, params, call: Call) -> LockPath | None:
     when no argument place prefixes path.
     """
     for param, arg in zip(params, call.arg_paths):
-        if arg is not None and path.starts_with(arg):
-            return LockPath((param,) + path.segments[len(arg.segments):])
+        if arg is not None and path[:len(arg)] == arg:
+            return (param,) + path[len(arg):]
     return None
 
 
@@ -441,7 +413,7 @@ def not_a_place(path: LockPath) -> str:
     """Why to_caller gave None for path: the argument for its root
     parameter is not a place."""
     return ("argument for parameter %r is not a place (lock path %s)"
-            % (path.root, path.text))
+            % (path[0], ".".join(path)))
 
 
 def iter_stmts(block: "Block"):
@@ -495,9 +467,9 @@ def datum_of(e: Var | FieldAccess) -> LockPath | None:
     if not holds_data(e.ty):
         return None
     if isinstance(e, Var):
-        return LockPath((e.name,)) if e.kind == "global" else None
+        return (e.name,) if e.kind == "global" else None
     base = place_path(e.base) if e.owner is not None else None
-    return base.child(e.fld) if base is not None else None
+    return base + (e.fld,) if base is not None else None
 
 
 def _collect_accesses(e: Expr | None, kind: str,
@@ -509,7 +481,7 @@ def _collect_accesses(e: Expr | None, kind: str,
         if isinstance(e, FieldAccess):
             _collect_accesses(e.base, "read", out)
     elif isinstance(e, PayloadAccess):
-        out.append((kind, e, e.path.sibling(e.fld)))
+        out.append((kind, e, e.path[:-1] + (e.fld,)))
     elif isinstance(e, AddrOf):
         _collect_accesses(e.expr, "read", out)
     elif isinstance(e, Deref):

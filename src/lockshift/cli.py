@@ -115,7 +115,7 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def _texts(paths) -> list[str]:
-    return [p.text for p in sorted(paths)]
+    return [".".join(p) for p in sorted(paths)]
 
 
 def _flow_dump(program: Program, sets: LockSets) -> str:

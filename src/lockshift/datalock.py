@@ -8,7 +8,10 @@ A candidate lock is the one held most often across the accesses. The
 candidate protects the datum when a write under the lock exists and every
 access outside the lock happens in code that cannot run concurrently.
 
-The records of one datum share one datum LockPath, and a record, like a
+A datum that a lock path runs through stays where it is: moving it into a
+payload would leave that path naming no lock.
+
+The records of one datum share one datum path, and a record, like a
 verdict, is slotted: it has no per-instance dict.
 """
 from __future__ import annotations
@@ -21,7 +24,7 @@ from .callgraph import CallGraph, thread_entries
 from .cfg import FlowGraph
 from .diagnostics import Diagnostics
 from .flowanalysis import FunctionFlowFacts, held_set, propagated_set
-from .summary import FunctionSummary
+from .summary import FunctionSummary, named_lock_paths
 
 
 @dataclass(slots=True)
@@ -47,7 +50,7 @@ def collect_accesses(program: Program, flow: dict[str, FunctionFlowFacts],
                      graphs: dict[str, FlowGraph]) -> list[AccessRecord]:
     """All data accesses with the locks surely held at each one (held_set:
     those held at the statement, plus the propagated set PLS). Records of
-    one datum share one LockPath object."""
+    one datum share one path object."""
     records: list[AccessRecord] = []
     datums: dict[LockPath, LockPath] = {}
     for fn in program.functions:
@@ -81,10 +84,10 @@ def candidate_lock(records: list[AccessRecord], choices: list[str]) -> str | Non
     names = set(choices)
     counts: dict[str, int] = defaultdict(int)
     for r in records:
-        prefix = r.datum.segments[:-1]
+        prefix = r.datum[:-1]
         for p in r.held:
-            name = p.segments[-1]
-            if name in names and p.segments[:-1] == prefix:
+            name = p[-1]
+            if name in names and p[:-1] == prefix:
                 counts[name] += 1
     return min(counts, key=lambda n: (-counts[n], n)) if counts else None
 
@@ -96,22 +99,12 @@ def judge_protection(records: list[AccessRecord], candidate: str,
     safe_write = False
     unsafe = []
     for r in records:
-        if r.datum.sibling(candidate) in r.held:
+        if r.datum[:-1] + (candidate,) in r.held:
             safe_write = safe_write or r.kind == "write"
         else:
             unsafe.append(r)
     ok = safe_write and not any(concurrent(r) for r in unsafe)
     return ProtectionVerdict(target, candidate, ok, unsafe)
-
-
-def _init_paths_by_function(program: Program) -> dict[str, set[LockPath]]:
-    """Lock paths each function initializes via the init call."""
-    inits: dict[str, set[LockPath]] = defaultdict(set)
-    for fn in program.functions:
-        for _, call in function_calls(fn):
-            if call.name == INIT_FN:
-                inits[fn.name].add(call.lock)
-    return dict(inits)
 
 
 def infer_data_locks(program: Program, flow: dict[str, FunctionFlowFacts],
@@ -122,12 +115,17 @@ def infer_data_locks(program: Program, flow: dict[str, FunctionFlowFacts],
     """Compute the global and struct lock maps."""
     records = collect_accesses(program, flow, summaries, graphs)
     concurrent_fns = cg.reachable_from(thread_entries(program))
-    inits = _init_paths_by_function(program)
+    # By function: the lock paths it initializes via the init call, and the
+    # proper prefixes of the lock paths it names.
+    inits = {fn.name: {c.lock for _, c in function_calls(fn) if c.name == INIT_FN}
+             for fn in program.functions}
+    prefixes = {fn.name: {lp[:k] for lp in named_lock_paths(fn, summaries[fn.name])
+                          for k in range(1, len(lp))} for fn in program.functions}
     lock_names = _lock_names(program)
 
     by_target: dict[tuple[str | None, str], list[AccessRecord]] = defaultdict(list)
     for r in records:
-        by_target[(r.struct, r.datum.segments[-1])].append(r)
+        by_target[(r.struct, r.datum[-1])].append(r)
 
     verdicts: list[ProtectionVerdict] = []
     lock_maps: dict[str | None, dict[str, str]] = defaultdict(dict)
@@ -136,8 +134,10 @@ def infer_data_locks(program: Program, flow: dict[str, FunctionFlowFacts],
         struct, name = target
         recs = by_target[target]
         cand = candidate_lock(recs, lock_names[struct])
-        if cand is None:
-            verdicts.append(ProtectionVerdict(target, None, False, recs))
+        # A datum that a lock path of the accessing function runs through
+        # stays out of any payload, as when no lock is ever held.
+        if cand is None or any(r.datum in prefixes[r.function] for r in recs):
+            verdicts.append(ProtectionVerdict(target, cand, False, recs))
             continue
 
         def concurrent(r: AccessRecord, cand=cand) -> bool:
@@ -145,7 +145,7 @@ def infer_data_locks(program: Program, flow: dict[str, FunctionFlowFacts],
             # lock cannot race: no other thread can hold that lock yet.
             return r.function in concurrent_fns and (
                 r.struct is None
-                or r.datum.sibling(cand) not in inits.get(r.function, ()))
+                or r.datum[:-1] + (cand,) not in inits[r.function])
 
         verdict = judge_protection(recs, cand, concurrent, target)
         verdicts.append(verdict)

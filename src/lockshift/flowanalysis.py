@@ -128,7 +128,7 @@ def rename_set(paths: frozenset[LockPath] | None, rename, params, call: Call,
     out, dropped = set(), []
     for p in paths:
         q = rename(p, params, call)
-        if q is None and p.root in bound:
+        if q is None and p[0] in bound:
             dropped.append(p)
         else:
             out.add(p if q is None else q)

@@ -100,14 +100,6 @@ class _AcquireExpr(Expr):
         self.line = line
 
 
-class _Paths(dict):
-    """One LockPath per distinct tuple of segments, made on first use."""
-
-    def __missing__(self, segs: tuple[str, ...]) -> LockPath:
-        path = self[segs] = LockPath(segs)
-        return path
-
-
 class _Parser:
     """Recursive descent over the token lists of a `Tokens`, which end in
     one eof token. A token is its index, as `self.pos` is and as `expect`
@@ -131,7 +123,8 @@ class _Parser:
         self.pos = 0
         self.guarded = guarded
         self.guards: dict[str, LockPath] = {}  # in-scope guard vars of the current fn
-        self.paths = _Paths()  # the lock paths of guard types and declarations
+        # one tuple per distinct lock path of guard types and declarations
+        self.paths: dict[LockPath, LockPath] = {}
         # Levels open around the current token: blocks, and the parentheses,
         # calls and unary operators the parser is inside. `height` is the
         # levels of the expression parsed last, below its own position; a
@@ -229,22 +222,20 @@ class _Parser:
         return ty
 
     def parse_guard_path(self) -> LockPath:
-        """`<p>` after `guard`: a one-segment `p` in one step."""
+        """`<p.q>` after `guard`, and a one-segment `<p>` in one step."""
         t = self.pos
         values = self.values
         if values[t] == "<" and self.kinds[t + 1] == "ident" and values[t + 2] == ">":
             self.pos = t + 3
-            return self.paths[(values[t + 1],)]
-        self.expect("<")
-        path = self.parse_dotted_path()
-        self.expect(">")
-        return path
-
-    def parse_dotted_path(self) -> LockPath:
-        segs = [self.values[self.expect_ident("path segment")]]
-        while self.accept("."):
-            segs.append(self.values[self.expect_ident("path segment")])
-        return self.paths[tuple(segs)]
+            path = (values[t + 1],)
+        else:
+            self.expect("<")
+            segs = [values[self.expect_ident("path segment")]]
+            while self.accept("."):
+                segs.append(values[self.expect_ident("path segment")])
+            self.expect(">")
+            path = tuple(segs)
+        return self.paths.setdefault(path, path)
 
     # -- top level -----------------------------------------------------------
 
@@ -657,11 +648,11 @@ class _Resolver:
         self.names = program.names  # bound once for the lookup of each Var
         self.fn: FunctionDef | None = None  # the function being resolved
         self.params: dict[str, Type] = {}
-        # The type of each lock path typed so far, by segments: a path
-        # rooted at a global for the whole run, one rooted at a parameter
-        # only in the current function.
-        self.global_locks: dict[tuple[str, ...], Type] = {}
-        self.locks: dict[tuple[str, ...], Type] = {}
+        # The type of each lock path typed so far: a path rooted at a
+        # global for the whole run, one rooted at a parameter only in the
+        # current function.
+        self.global_locks: dict[LockPath, Type] = {}
+        self.locks: dict[LockPath, Type] = {}
         # the lock path of each guard variable in the current function
         self.guards: dict[str, LockPath] = {}
         self.line = 0
@@ -727,14 +718,13 @@ class _Resolver:
 
     def lock_type(self, path: LockPath, line: int) -> Type:
         """The type of the lock path names, from a parameter or global."""
-        segs = path.segments
-        locks = self.locks if segs[0] in self.params else self.global_locks
-        ty = locks.get(segs)
+        locks = self.locks if path[0] in self.params else self.global_locks
+        ty = locks.get(path)
         if ty is None:
             ty = lock_path_type(path, self.params, self.program)
             if ty is None:
-                raise TypeCheckError("%s is not a lock" % path.text, line)
-            locks[segs] = ty
+                raise TypeCheckError("%s is not a lock" % ".".join(path), line)
+            locks[path] = ty
         return ty
 
     def resolve_payload_init(self, g: GlobalDecl) -> None:
@@ -850,9 +840,9 @@ class _Resolver:
     def resolve_acquire(self, s: AcquireAssign) -> None:
         self.lock_type(s.path, s.line)
         held = self.guards[s.guard]
-        if s.path.segments != held.segments:
+        if s.path != held:
             raise TypeCheckError("guard %s is for %s, not %s"
-                                 % (s.guard, held.text, s.path.text), s.line)
+                                 % (s.guard, ".".join(held), ".".join(s.path)), s.line)
 
     def check_assign_place(self, e: Expr, ty: Type | None) -> None:
         """e, of type ty, is a place to assign or a payload field."""
@@ -954,7 +944,7 @@ class _Resolver:
         fd = self.program.tags[ty.name].field_decl(e.fld) if ty.kind == "lock" else None
         if fd is None:
             raise UnknownIdentifier(
-                "lock %s has no payload field %r" % (e.path.text, e.fld), self.line)
+                "lock %s has no payload field %r" % (".".join(e.path), e.fld), self.line)
         return fd.ty
 
     def reject_tuple(self, e: TupleExpr) -> None:
@@ -1002,7 +992,7 @@ class _Resolver:
                 if ty.kind != "guard" and type(v) is not GuardRef:
                     continue
                 if ty.kind != "guard" or type(v) is not GuardRef:
-                    what = ("a guard for %s, not a value" % ty.path.text if ty.kind == "guard"
+                    what = ("a guard for %s, not a value" % ".".join(ty.path) if ty.kind == "guard"
                             else "a value, not guard %s" % v.name)
                     raise TypeCheckError("%s() %s %s" % (fn.name, verb, what), self.line)
                 want = ty.path
@@ -1013,10 +1003,10 @@ class _Resolver:
                         raise TypeCheckError(
                             "%s() %s a guard whose lock the call cannot name: %s"
                             % (fn.name, verb, not_a_place(ty.path)), self.line)
-                if want is not v.path and want.segments != v.path.segments:
+                if want != v.path:
                     raise TypeCheckError("guard %s is for %s, but %s() %s a guard for %s"
-                                         % (v.name, v.path.text, fn.name, verb, want.text),
-                                         self.line)
+                                         % (v.name, ".".join(v.path), fn.name, verb,
+                                            ".".join(want)), self.line)
             if verb == "returns":
                 return
             if not rets:

@@ -54,7 +54,7 @@ def type_text(ty: Type) -> str:
     elif ty.kind == "lock":
         base = "mutex<%s>" % ty.name
     elif ty.kind == "guard":
-        base = "guard<%s>" % ty.path.text
+        base = "guard<%s>" % ".".join(ty.path)
     else:
         raise ValueError("unprintable type kind %r" % ty.kind)
     return base + "*" * ty.ptr
@@ -85,7 +85,7 @@ def _expr(e: Expr) -> tuple[str, int]:
         return "%s.%s" % (expr_text(e.base, _PREC_POSTFIX), e.fld), _PREC_POSTFIX
     if isinstance(e, PayloadAccess):
         if e.guard is None:
-            return "%s.get_mut().%s" % (e.path.text, e.fld), _PREC_POSTFIX
+            return "%s.get_mut().%s" % (".".join(e.path), e.fld), _PREC_POSTFIX
         return "(*%s).%s" % (e.guard, e.fld), _PREC_POSTFIX
     if isinstance(e, AddrOf):
         return "&" + expr_text(e.expr, _PREC_UNARY), _PREC_UNARY
@@ -119,7 +119,7 @@ def stmt_text(s: Stmt) -> str:
             return "return;"
         return "return %s;" % expr_text(s.value)
     if isinstance(s, AcquireAssign):
-        return "%s = %s.acquire();" % (s.guard, s.path.text)
+        return "%s = %s.acquire();" % (s.guard, ".".join(s.path))
     if isinstance(s, DropCall):
         return "drop(%s);" % s.guard
     if isinstance(s, CallAssign):
@@ -198,7 +198,7 @@ def _emit_function(sink: _Sink, f: FunctionDef) -> None:
     params = ", ".join(decl_text(p.ty, p.name) for p in f.params)
     sink.put(f.line_span[0], "%s %s(%s) {" % (ret, f.name, params), 0)
     for d in f.guard_decls:
-        sink.put(d.line, "guard<%s> %s;" % (d.path.text, d.guard), 1)
+        sink.put(d.line, "guard<%s> %s;" % (".".join(d.path), d.guard), 1)
     _emit_block_stmts(sink, f.body, 1)
     sink.append_to_last("}")
 

@@ -102,7 +102,7 @@ def propagate(program: Program, flow: dict[str, FunctionFlowFacts],
                 for s in by_callee.get(name, ()):
                     for p in s.dropped:
                         diags.warn("held lock %s has no parameter image at call to %s; "
-                                   "not propagated" % (p.text, s.call.name),
+                                   "not propagated" % (".".join(p), s.call.name),
                                    function=s.caller, line=s.line)
 
     summaries: dict[str, FunctionSummary] = {}

@@ -3,8 +3,9 @@ transformation.
 
 Three maps: global_lock_map (protected global -> lock), struct_lock_map
 (struct -> protected field -> lock field), and function_map (function ->
-entry_lock / return_lock / lock_line). In memory a lock path is a LockPath;
-only read_summary and write_summary turn it into dotted text and back.
+entry_lock / return_lock / lock_line). In memory a lock path is the tuple
+of its names; only read_summary and write_summary turn it into dotted text
+and back.
 Serialization is canonical so golden files and round-trips are byte-stable.
 """
 from __future__ import annotations
@@ -14,7 +15,8 @@ import re
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 
-from .ast import KEYWORDS, LockPath, Program, holds_data, lock_path_type, path_of, root_type
+from .ast import (KEYWORDS, FunctionDef, LockPath, Program, function_calls, holds_data,
+                  lock_path_type, path_of, root_type)
 from .diagnostics import SchemaError
 from .lexer import IDENT
 
@@ -49,6 +51,14 @@ class LockSummary:
         return self.struct_lock_map.get(struct, {}).get(name)
 
 
+def named_lock_paths(fn: FunctionDef, fs: FunctionSummary) -> set[LockPath]:
+    """The lock paths fn names: those of its lock-API calls, its entry and
+    return sets and its held lines."""
+    paths = {c.lock for _, c in function_calls(fn) if c.lock is not None}
+    paths.update(fs.entry_lock, fs.return_lock, fs.lock_line)
+    return paths
+
+
 def build_summary(global_map: dict[str, str],
                   struct_map: dict[str, dict[str, str]],
                   functions: dict[str, FunctionSummary]) -> LockSummary:
@@ -68,7 +78,7 @@ def write_summary(s: LockSummary) -> str:
         for paths in (fs.entry_lock, fs.return_lock):
             if paths not in sets:
                 sets[paths] = _path_list(paths)
-        lines = {p.text: ls for p, ls in fs.lock_line.items()}
+        lines = {".".join(p): ls for p, ls in fs.lock_line.items()}
         lock_line = [encode_basestring_ascii(t) + ": "
                      + _block(list(map(str, sorted(lines[t]))), " " * 8, "[]")
                      for t in sorted(lines)]
@@ -84,7 +94,7 @@ def write_summary(s: LockSummary) -> str:
 
 def _path_list(paths: frozenset[LockPath]) -> str:
     """An entry or return set as write_summary writes it, in path order."""
-    return _block([encode_basestring_ascii(p.text) for p in sorted(paths)], " " * 6, "[]")
+    return _block([encode_basestring_ascii(".".join(p)) for p in sorted(paths)], " " * 6, "[]")
 
 
 def _block(items: list[str], pad: str, brackets: str) -> str:
@@ -226,7 +236,7 @@ def validate_against_program(s: LockSummary, p: Program) -> None:
     global_lock: dict[LockPath, bool] = {}
 
     def names_lock(lp: LockPath, params: dict) -> bool:
-        if lp.root in params:
+        if lp[0] in params:
             return lock_path_type(lp, params, p) is not None
         ok = global_lock.get(lp)
         if ok is None:
@@ -249,5 +259,29 @@ def validate_against_program(s: LockSummary, p: Program) -> None:
             lp, where = min(bad), "$.function_map.%s.%s" % (fname, which)
             if root_type(lp, params, p) is None:
                 raise SchemaError("lock path %r names no global or parameter of %s"
-                                  % (lp.text, fname), where)
-            raise SchemaError("lock path %r of %s is not a lock" % (lp.text, fname), where)
+                                  % (".".join(lp), fname), where)
+            raise SchemaError("lock path %r of %s is not a lock" % (".".join(lp), fname), where)
+    # A datum moved into a payload takes the lock paths through it along,
+    # and they would name no lock.
+    for fn in p.functions if s.global_lock_map or s.struct_lock_map else ():
+        params = {param.name: param.ty for param in fn.params}
+        moved = [lp for lp in named_lock_paths(fn, s.function(fn.name))
+                 if len(lp) > 1 and _moved_through(lp, params, s, p)]
+        if moved:
+            lp = min(moved)
+            raise SchemaError("this datum cannot move into a payload: lock path %r of %s "
+                              "runs through it" % (".".join(lp), fn.name),
+                              _moved_through(lp, params, s, p))
+
+
+def _moved_through(lp: LockPath, params: dict, s: LockSummary, p: Program) -> str | None:
+    """Where s maps the first datum that lock path lp, of two or more
+    names, runs through to a lock, or None when it maps none."""
+    if lp[0] not in params and lp[0] in s.global_lock_map:
+        return "$.global_lock_map.%s" % lp[0]
+    ty = root_type(lp, params, p)
+    for seg in lp[1:-1]:
+        if seg in s.struct_lock_map.get(ty.name, ()):
+            return "$.struct_lock_map.%s.%s" % (ty.name, seg)
+        ty = p.struct(ty.name).field_decl(seg).ty
+    return None

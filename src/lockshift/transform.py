@@ -73,7 +73,7 @@ from .summary import LockSummary, validate_against_program
 
 def guard_name_for(path: LockPath) -> str:
     """m -> m_guard, x.m -> x_m_guard."""
-    return "_".join(path.segments) + "_guard"
+    return "_".join(path) + "_guard"
 
 
 def _fresh_name(base: str, *taken) -> str:
@@ -205,7 +205,7 @@ class _Transformer:
             name = names[path] = _fresh_name(base, self.p.names, self.p.tags, taken)
             if name != base:
                 self.diags.warn("guard name %s for %s collides; renamed %s"
-                                % (base, path.text, name), function=fn.name)
+                                % (base, ".".join(path), name), function=fn.name)
             taken.add(name)
         return names
 
@@ -246,7 +246,7 @@ class _Transformer:
             if None in out:
                 q = qs[out.index(None)]
                 raise UnsupportedCall("%s cannot %s the guard for %s: %s"
-                                      % (where, verb, q.text, not_a_place(q)), s.line)
+                                      % (where, verb, ".".join(q), not_a_place(q)), s.line)
         return named
 
     def _transform_function(self, fn: FunctionDef) -> FunctionDef:
@@ -359,11 +359,11 @@ class _Transformer:
         if isinstance(e, (Var, FieldAccess)):
             datum = datum_of(e)
             owner = e.owner if isinstance(e, FieldAccess) else None
-            lock = None if datum is None else self.s.lock_of(owner, datum.segments[-1])
+            lock = None if datum is None else self.s.lock_of(owner, datum[-1])
             if lock is not None:
-                lock_path = datum.sibling(lock)
+                lock_path = datum[:-1] + (lock,)
                 held = line in self._lock_line.get(lock_path, ())
-                return PayloadAccess(lock_path, datum.segments[-1],
+                return PayloadAccess(lock_path, datum[-1],
                                      self._guard(lock_path) if held else None)
             if isinstance(e, Var):
                 return e

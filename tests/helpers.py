@@ -28,7 +28,7 @@ def access_multiset(p: Program) -> Counter:
     and get_mut accesses map back to the datum they reach (see
     ast.data_accesses).
     """
-    return Counter((s.line, kind, datum.text)
+    return Counter((s.line, kind, ".".join(datum))
                    for fn in p.functions for s in iter_stmts(fn.body)
                    for kind, _, datum in data_accesses(s))
 
@@ -36,6 +36,55 @@ def access_multiset(p: Program) -> Counter:
 def locks(*texts: str) -> frozenset[LockPath]:
     """Lock set from dotted path texts."""
     return frozenset(path_of(t) for t in texts)
+
+
+# A lock path through a datum that each thread writes under another lock:
+# the global p (under m), the field f of struct t (under x.k), and p again
+# with p.lk taken and released by callees, so that only w's held lines name
+# p.lk. Moving the datum into a payload would leave the path naming no lock.
+THROUGH_A_DATUM = """\
+struct s { int a; mutex_t lk; };
+struct t { struct s *f; mutex_t k; };
+struct s q;
+struct s *p;
+struct t x;
+mutex_t m;
+thread_t t1;
+thread_t t2;
+void take(struct s *r) { pthread_mutex_lock(&r->lk); }
+void give(struct s *r) { pthread_mutex_unlock(&r->lk); }
+void w() {
+%s}
+void main() { pthread_create(&t1, w); pthread_create(&t2, w); }
+"""
+
+# By name: (w's body, the datum's target, a summary that moves it anyway).
+LOCK_PATH_THROUGH_A_DATUM = {
+    "global": ("""\
+    pthread_mutex_lock(&m);
+    p = &q;
+    pthread_mutex_lock(&p->lk);
+    p->a = 1;
+    pthread_mutex_unlock(&p->lk);
+    pthread_mutex_unlock(&m);
+""", (None, "p"), '{"global_lock_map": {"p": "m"}}'),
+    "field": ("""\
+    pthread_mutex_lock(&x.k);
+    x.f = &q;
+    pthread_mutex_lock(&x.f->lk);
+    x.f->a = 1;
+    pthread_mutex_unlock(&x.f->lk);
+    pthread_mutex_unlock(&x.k);
+""", ("t", "f"), '{"struct_lock_map": {"t": {"f": "k"}}}'),
+    "through-calls": ("""\
+    pthread_mutex_lock(&m);
+    p = &q;
+    take(p);
+    p->a = 1;
+    give(p);
+    pthread_mutex_unlock(&m);
+""", (None, "p"), '{"global_lock_map": {"p": "m"}}'),
+}
 
 
 # Hand-checked entry/return lock sets. Each case is

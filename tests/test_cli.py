@@ -10,7 +10,7 @@ from lockshift.diagnostics import ParseError
 from lockshift.parser import NESTING_LIMIT, parse, parse_guarded
 from lockshift.printer import print_guarded
 
-from helpers import CORPUS, FIXTURES, fixture_text
+from helpers import CORPUS, FIXTURES, LOCK_PATH_THROUGH_A_DATUM, THROUGH_A_DATUM, fixture_text
 
 
 def place(tmp_path, name, source_dir=None):
@@ -103,6 +103,7 @@ def transform_with(tmp_path, summary: str):
 @pytest.mark.parametrize("summary, path", [
     ('{"function_map": {"g": {"entry_lock": ["m..x"]}}}', "$.function_map.g.entry_lock"),
     ('{"function_map": {"g": {"entry_lock": ["m."]}}}', "$.function_map.g.entry_lock"),
+    ('{"function_map": {"g": {"entry_lock": [""]}}}', "$.function_map.g.entry_lock"),
     ('{"function_map": {"g": {"return_lock": ["x.int"]}}}',
      "$.function_map.g.return_lock"),
     ('{"function_map": {"g": {"lock_line": {"x.k-1": [8]}}}}',
@@ -808,3 +809,20 @@ def test_a_mistyped_return_or_void_value_exits_with_one(tmp_path, capsys, name, 
     assert main(["check" if name.endswith(".gmc") else "full", str(src)]) == 1
     assert capsys.readouterr().err == "%s:%s\n" % (src, message)
 
+
+
+@pytest.mark.parametrize("name", sorted(LOCK_PATH_THROUGH_A_DATUM))
+def test_a_datum_a_lock_path_runs_through_stays_in_place(tmp_path, capsys, name):
+    """`full` moved p (or x.f) into the payload of m (or x.k) but kept the
+    guard `guard<p.lk>`, and `check` on its output failed with `p.lk is
+    not a lock`. The datum now stays where it is, and the output checks."""
+    src = tmp_path / "p.mc"
+    src.write_text(THROUGH_A_DATUM % LOCK_PATH_THROUGH_A_DATUM[name][0])
+    out = tmp_path / "p.gmc"
+    assert main(["full", str(src), "-o", str(out)]) == 0
+    printed = out.read_text()
+    assert "struct s *p;" in printed
+    assert "struct t { struct s *f; mutex_t k; };" in printed
+    assert print_guarded(parse_guarded(printed)) == printed
+    assert main(["check", str(out)]) == 0
+    assert capsys.readouterr().err == ""

@@ -17,7 +17,7 @@ from lockshift.parser import parse, parse_guarded
 from lockshift.pipeline import analyze_program, lock_sets
 from lockshift.propagation import propagate
 
-from helpers import CORPUS, fixture_text, locks
+from helpers import CORPUS, LOCK_PATH_THROUGH_A_DATUM, THROUGH_A_DATUM, fixture_text, locks
 
 
 def records_for(source):
@@ -33,7 +33,7 @@ def accesses_by_line(program):
     for fn in program.functions:
         for st in iter_stmts(fn.body):
             out.setdefault(st.line, []).extend(
-                (kind, type(e).__name__, datum.text)
+                (kind, type(e).__name__, ".".join(datum))
                 for kind, e, datum in data_accesses(st))
     return out
 
@@ -94,7 +94,7 @@ void f() { guard<m> m_guard;
 
 def target_of(record):
     """(owning struct or None, datum path text) of an access record."""
-    return (record.struct, record.datum.text)
+    return (record.struct, ".".join(record.datum))
 
 
 def verdict_for(result, target):
@@ -221,15 +221,15 @@ def reference_candidate_lock(records, choices):
     one pass over the records for each lock name."""
     best, best_count = None, 0
     for name in sorted(choices):
-        count = sum(1 for r in records if r.datum.sibling(name) in r.held)
+        count = sum(1 for r in records if r.datum[:-1] + (name,) in r.held)
         if count > best_count:
             best, best_count = name, count
     return best
 
 
 def reference_judge_protection(records, candidate, concurrent, target):
-    safe = [r for r in records if r.datum.sibling(candidate) in r.held]
-    unsafe = [r for r in records if r.datum.sibling(candidate) not in r.held]
+    safe = [r for r in records if r.datum[:-1] + (candidate,) in r.held]
+    unsafe = [r for r in records if r.datum[:-1] + (candidate,) not in r.held]
     ok = any(r.kind == "write" for r in safe) and not any(concurrent(r) for r in unsafe)
     return ProtectionVerdict(target, candidate, ok, unsafe)
 
@@ -288,6 +288,19 @@ def test_protection_requires_a_write_under_the_lock():
     v = verdict_for(result, (None, "n"))
     assert v.candidate == "m"
     assert not v.protected
+
+
+@pytest.mark.parametrize("name", sorted(LOCK_PATH_THROUGH_A_DATUM))
+def test_a_datum_a_lock_path_runs_through_is_not_protected(name):
+    """Every access of the datum holds the candidate, but a lock path of the
+    accessing function runs through it; the field a that the path reaches
+    is still protected."""
+    body, target, _ = LOCK_PATH_THROUGH_A_DATUM[name]
+    result = analyze_program(THROUGH_A_DATUM % body)
+    v = verdict_for(result, target)
+    assert (v.candidate, v.protected) == ("m" if target[0] is None else "k", False)
+    assert result.lock_summary.global_lock_map == {}
+    assert result.lock_summary.struct_lock_map == {"s": {"a": "lk"}}
 
 
 MIXED_GUARDS = """\

@@ -72,7 +72,7 @@ def test_join_meet_minus_treat_none_as_top():
 # -- call-site binding: to_caller and to_callee --------------------------------
 
 def path(text: str) -> LockPath:
-    return LockPath(tuple(text.split(".")))
+    return tuple(text.split("."))
 
 
 def call_with(args: list) -> Call:
@@ -97,7 +97,7 @@ def textual_alias(p: str, params: list[str], arg_places: list[str]) -> str:
 ])
 def test_alias_matches_textual_substitution(p, params, args, arg_texts):
     got = to_caller(path(p), params, call_with(args))
-    assert got.text == textual_alias(p, params, arg_texts)
+    assert ".".join(got) == textual_alias(p, params, arg_texts)
 
 
 def test_to_caller_is_none_for_a_non_place_argument():
@@ -128,7 +128,7 @@ def textual_to_callee(p: str, params: list[str], arg_places: list) -> str | None
         "non-place-skipped", "no-prefix", "not-a-segment-prefix"])
 def test_to_callee_matches_textual_prefix_substitution(p, params, args, arg_texts):
     got = to_callee(path(p), params, call_with(args))
-    assert (None if got is None else got.text) == textual_to_callee(p, params, arg_texts)
+    assert (None if got is None else ".".join(got)) == textual_to_callee(p, params, arg_texts)
 
 
 RELEASE_BY_NON_PLACE = """\
@@ -331,8 +331,8 @@ def test_entry_and_return_lock_sets(name, source, expected):
     flow = lock_sets(parse(source)).flow
     for fn_name, (mels, mrls) in expected.items():
         facts = flow[fn_name]
-        assert sorted(p.text for p in facts.mels) == mels, fn_name
-        assert sorted(p.text for p in facts.mrls) == mrls, fn_name
+        assert sorted(".".join(p) for p in facts.mels) == mels, fn_name
+        assert sorted(".".join(p) for p in facts.mrls) == mrls, fn_name
 
 
 @pytest.mark.parametrize("case", ["recursive_unlock", "recursive_lock"])

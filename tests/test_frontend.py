@@ -16,7 +16,6 @@ from lockshift.ast import (
     Deref,
     Discard,
     GuardRef,
-    LockPath,
     iter_stmts,
 )
 from lockshift.diagnostics import ParseError, TypeCheckError, UnknownIdentifier
@@ -36,7 +35,7 @@ def first_call_paths(source: str) -> list[str]:
     for fn in program.functions:
         for s in fn.body.stmts:
             if isinstance(s, CallAssign):
-                out.append(s.call.lock.text)
+                out.append(".".join(s.call.lock))
     return out
 
 
@@ -196,7 +195,7 @@ def test_the_resolver_records_each_arguments_place():
               "void f() { g(&x->m, x.f, 1, h()); }\n")
     h, g = p.function("f").body.stmts[0].calls
     assert h.arg_paths == ()
-    assert g.arg_paths == (LockPath(("x", "m")), LockPath(("x", "f")), None, None)
+    assert g.arg_paths == (("x", "m"), ("x", "f"), None, None)
     # The same in the guarded dialect, where a guard argument is not a place.
     gp = parse_guarded(ARG_PLACES
                        + "struct kData { int n; };\nmutex<kData> k = kData { n = 0 };\n"
@@ -207,7 +206,7 @@ def test_the_resolver_records_each_arguments_place():
                        "    g(&x->m, x.f, 1, h(), k_guard); }\n")
     call = gp.function("f").body.stmts[1].call
     assert isinstance(call.args[4], GuardRef)
-    assert call.arg_paths == (LockPath(("x", "m")), LockPath(("x", "f")), None, None, None)
+    assert call.arg_paths == (("x", "m"), ("x", "f"), None, None, None)
 
 
 def test_parse_error_carries_position():
@@ -693,7 +692,7 @@ def test_a_payload_access_in_one_step_is_the_general_tree(one_step, general):
 def test_a_payload_access_then_a_field_is_a_field_of_the_payload_access():
     s = parse_guarded(payload_body("(*g).r->a = 1;")).function("f").body.stmts[1]
     assert tree(s.place) == (
-        "FieldAccess", ("PayloadAccess", ("LockPath", ["m"]), "r", "g"), "a", True, "q",
+        "FieldAccess", ("PayloadAccess", ["m"], "r", "g"), "a", True, "q",
         ("Type", "int", None, None, 0))
 
 
@@ -742,9 +741,9 @@ def test_guard_types_with_a_longer_path_or_a_pointer():
         "void f(guard<a.b> g, guard<m> *p) { guard<a . b> h; drop(g); }\n")
     fn = program.function("f")
     assert [tree(p.ty) for p in fn.params] == [
-        ("Type", "guard", None, ("LockPath", ["a", "b"]), 0),
-        ("Type", "guard", None, ("LockPath", ["m"]), 1)]
-    assert fn.guard_decls[0].path == LockPath(("a", "b"))
+        ("Type", "guard", None, ["a", "b"], 0),
+        ("Type", "guard", None, ["m"], 1)]
+    assert fn.guard_decls[0].path == ("a", "b")
 
 
 def test_a_guarded_program_has_one_path_object_per_lock_path():

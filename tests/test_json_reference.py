@@ -46,9 +46,9 @@ def summary_data(s: LockSummary) -> dict:
         "global_lock_map": s.global_lock_map,
         "struct_lock_map": s.struct_lock_map,
         "function_map": {
-            name: {"entry_lock": [p.text for p in sorted(fs.entry_lock)],
-                   "return_lock": [p.text for p in sorted(fs.return_lock)],
-                   "lock_line": {p.text: sorted(ls) for p, ls in fs.lock_line.items()}}
+            name: {"entry_lock": [".".join(p) for p in sorted(fs.entry_lock)],
+                   "return_lock": [".".join(p) for p in sorted(fs.return_lock)],
+                   "lock_line": {".".join(p): sorted(ls) for p, ls in fs.lock_line.items()}}
             for name, fs in s.function_map.items() if not fs.is_empty()},
     }
 

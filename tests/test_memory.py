@@ -355,7 +355,7 @@ def test_validation_looks_up_each_path_rooted_at_a_global_once(n):
     result = _call_chain(n)
     paths = {lp for fs in result.lock_summary.function_map.values()
              for lp in (*fs.entry_lock, *fs.return_lock, *fs.lock_line)}
-    assert {lp.text for lp in paths} == {"m", "w"}
+    assert {".".join(lp) for lp in paths} == {"m", "w"}
     assert _calls_to(summary, "lock_path_type", lambda: validate_against_program(
         result.lock_summary, result.program))[0] == len(paths)
 

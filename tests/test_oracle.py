@@ -98,9 +98,9 @@ def node_events(n) -> list[tuple[str, str]]:
     events = []
     for call in n.calls:
         if call.name == LOCK_FN:
-            events.append(("lock", place_path(call.args[0]).text))
+            events.append(("lock", ".".join(place_path(call.args[0]))))
         elif call.name == UNLOCK_FN:
-            events.append(("unlock", place_path(call.args[0]).text))
+            events.append(("unlock", ".".join(place_path(call.args[0]))))
     return events
 
 
@@ -187,8 +187,8 @@ def assert_oracle_matches(source: str) -> int:
     assert paths, "no entry-to-ret path"
 
     entry_live = oracle_entry_live(paths)
-    assert {p.text for p in facts.mels} == entry_live
-    assert {p.text for p in facts.mrls} == oracle_ret_avail(paths, entry_live)
+    assert {".".join(p) for p in facts.mels} == entry_live
+    assert {".".join(p) for p in facts.mrls} == oracle_ret_avail(paths, entry_live)
 
     for node in g.nodes:
         live_union: set[str] = set()
@@ -201,9 +201,9 @@ def assert_oracle_matches(source: str) -> int:
             before = replay(path, entry_live, upto=node, inclusive=False)
             avail_meet = before if avail_meet is None else (avail_meet & before)
         assert avail_meet is not None, "node on no path"
-        assert {p.text for p in live_in[node]} == live_union
+        assert {".".join(p) for p in live_in[node]} == live_union
         if node is not g.entry:
-            assert {p.text for p in facts.avail_in[node]} == avail_meet
+            assert {".".join(p) for p in facts.avail_in[node]} == avail_meet
     return len(g.nodes)
 
 

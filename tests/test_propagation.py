@@ -154,7 +154,7 @@ def test_every_entry_set_is_held_at_each_of_its_call_sites(corpus):
                         q = to_callee(p, params[call.name], call)
                         if q is not None:
                             image.add(q)
-                        elif p.root not in params[caller]:
+                        elif p[0] not in params[caller]:
                             image.add(p)
                     entry = summary.function(call.name).entry_lock
                     assert entry <= image, (name, caller, call.name, node.line)
@@ -170,19 +170,19 @@ def test_global_locks_survive_propagation_without_arguments():
 
 def test_lock_line_lists_lines_where_lock_is_held():
     s = summaries_of(fixture_text("listing1.mc"))
-    lines = {p.text: sorted(ls) for p, ls in s["foo"].lock_line.items()}
+    lines = {".".join(p): sorted(ls) for p, ls in s["foo"].lock_line.items()}
     assert lines == {"m": [16, 17]}
-    lines = {p.text: sorted(ls) for p, ls in s["f"].lock_line.items()}
+    lines = {".".join(p): sorted(ls) for p, ls in s["f"].lock_line.items()}
     assert lines == {"m": [6]}
-    lines = {p.text: sorted(ls) for p, ls in s["unlock"].lock_line.items()}
+    lines = {".".join(p): sorted(ls) for p, ls in s["unlock"].lock_line.items()}
     assert lines == {"m": [7]}
-    lines = {p.text: sorted(ls) for p, ls in s["h"].lock_line.items()}
+    lines = {".".join(p): sorted(ls) for p, ls in s["h"].lock_line.items()}
     assert lines == {"x.m": [20, 21]}
 
 
 def test_lock_line_includes_propagated_locks_everywhere():
     s = summaries_of(CALLER_PROVIDES)
-    lines = {p.text: sorted(ls) for p, ls in s["inc"].lock_line.items()}
+    lines = {".".join(p): sorted(ls) for p, ls in s["inc"].lock_line.items()}
     assert lines == {"m": [4]}
 
 

@@ -1,11 +1,12 @@
 """Lock summary serialization, parsing, and validation."""
 
+import itertools
 import json
 
 import pytest
 
-from lockshift.ast import LockPath, path_of
-from lockshift.diagnostics import SchemaError, UnsupportedCall
+from lockshift.ast import path_of
+from lockshift.diagnostics import SchemaError, SummaryMismatch, UnsupportedCall
 from lockshift.parser import parse
 from lockshift.pipeline import analyze_program
 from lockshift.printer import print_guarded
@@ -19,7 +20,7 @@ from lockshift.summary import (
 from lockshift.transform import transform
 
 from corpus import analyzed
-from helpers import fixture_text, locks
+from helpers import LOCK_PATH_THROUGH_A_DATUM, THROUGH_A_DATUM, fixture_text, locks
 
 
 def sample():
@@ -81,14 +82,30 @@ def test_lock_lists_are_sorted_and_deduplicated():
     assert data["lock_line"] == {"m": [3, 5]}
 
 
+# Dotted texts where the order of characters could differ from the order
+# of names: a prefix of another name, `_`, a digit, a capital, and texts of
+# longer paths.
+ORDER_TEXTS = ["a", "a_b", "ab", "a0", "A", "_a", "a.b", "a.b.c"]
+
+
+def test_path_order_is_dotted_text_order():
+    """Guard parameters, returned guards and guard names follow path order,
+    and write_summary writes entry and return sets in it, as the order of
+    their dotted texts. Every path joined from one to three of these texts
+    sorts the same both ways."""
+    paths = list({path_of(".".join(texts)) for k in (1, 2, 3)
+                  for texts in itertools.product(ORDER_TEXTS, repeat=k)})
+    assert sorted(paths) == sorted(paths, key=".".join)
+
+
 def test_read_summary_returns_lock_paths():
     s = read_summary(
         '{"function_map": {"g": {"entry_lock": ["x.m"], "return_lock": ["m"],'
         ' "lock_line": {"x.m": [4]}}}}')
     fs = s.function("g")
-    assert fs.entry_lock == frozenset([LockPath(("x", "m"))])
-    assert fs.return_lock == frozenset([LockPath(("m",))])
-    assert fs.lock_line == {LockPath(("x", "m")): frozenset([4])}
+    assert fs.entry_lock == frozenset([("x", "m")])
+    assert fs.return_lock == frozenset([("m",)])
+    assert fs.lock_line == {("x", "m"): frozenset([4])}
     with pytest.raises(SchemaError, match=(
             r"^\$\.function_map\.g\.lock_line: "
             r"lock path 'm\.\.x' is not a dotted list of identifiers$")):
@@ -116,6 +133,8 @@ def test_read_summary_returns_lock_paths():
         ('{"function_map": {"f": {"lock_line": {"m": [true]}}}}',
          "$.function_map.f.lock_line.m[0]"),
         ('{"function_map": {"g": {"lock_line": {"m..x": [1]}}}}',
+         "$.function_map.g.lock_line"),
+        ('{"function_map": {"g": {"lock_line": {"": [1]}}}}',
          "$.function_map.g.lock_line"),
     ],
 )
@@ -194,6 +213,23 @@ def test_a_parameter_that_is_no_lock_shadows_a_global_lock():
         validate_against_program(read_summary(SHADOWED), program)
     assert exc.value.path == "$.function_map.f.entry_lock"
     assert str(exc.value).endswith("lock path 'm' of f is not a lock")
+
+
+@pytest.mark.parametrize("name", sorted(LOCK_PATH_THROUGH_A_DATUM))
+def test_a_summary_moving_a_datum_a_lock_path_runs_through_is_refused(name):
+    """The analyzed summary leaves the datum in place; with it moved into
+    a payload anyway, the lock path through it would name no lock."""
+    body, target, moved = LOCK_PATH_THROUGH_A_DATUM[name]
+    result = analyze_program(THROUGH_A_DATUM % body)
+    data = json.loads(write_summary(result.lock_summary))
+    for key, value in json.loads(moved).items():
+        data[key].update(value)
+    where = ("$.global_lock_map.p" if target[0] is None else "$.struct_lock_map.t.f")
+    lock = "p.lk" if target[0] is None else "x.f.lk"
+    with pytest.raises(SummaryMismatch) as exc:
+        transform(result.program, read_summary(json.dumps(data)))
+    assert str(exc.value) == ("%s: this datum cannot move into a payload: lock path %r "
+                              "of w runs through it" % (where, lock))
 
 
 NO_DATA = """\

@@ -2,7 +2,6 @@
 
 import pytest
 
-from lockshift.ast import LockPath
 from lockshift.diagnostics import SummaryMismatch, UnsupportedCall
 from lockshift.guardcheck import check
 from lockshift.parser import parse, parse_guarded
@@ -27,8 +26,8 @@ def test_counter_example_matches_the_golden_output():
 
 
 def test_guard_names_flatten_the_lock_path():
-    assert guard_name_for(LockPath(("m",))) == "m_guard"
-    assert guard_name_for(LockPath(("x", "m"))) == "x_m_guard"
+    assert guard_name_for(("m",)) == "m_guard"
+    assert guard_name_for(("x", "m")) == "x_m_guard"
 
 
 @pytest.mark.parametrize("path", corpus_paths(), ids=lambda p: p.stem)
@@ -306,7 +305,7 @@ def test_a_global_initializer_cannot_thread_guards():
     # f releases m, so it takes m's guard, which no initializer can pass.
     result = analyze_program("mutex_t m;\nint f() { pthread_mutex_unlock(&m); return 0; }\n"
                              "int x = f();\nvoid main() { }\n")
-    assert result.lock_summary.function("f").entry_lock == {LockPath(("m",))}
+    assert result.lock_summary.function("f").entry_lock == {("m",)}
     with pytest.raises(UnsupportedCall) as exc:
         transform(result.program, result.lock_summary)
     assert (exc.value.message, exc.value.line) == (
