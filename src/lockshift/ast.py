@@ -190,7 +190,8 @@ class Stmt:
     # resolver sets a tuple on each statement that evaluates calls, and
     # every other statement keeps the shared empty default. So it is defined
     # only on what `parse` and `parse_guarded` return; a statement built by
-    # hand, or by the transformer and not re-parsed, reports none.
+    # hand, or by the transformer and not re-parsed, reports none. The
+    # same holds for FunctionDef.calls, all of a function's calls.
     calls: tuple[Call, ...] = field(default=(), init=False, repr=False)
 
 
@@ -317,6 +318,10 @@ class FunctionDef:
     body: Block
     line_span: tuple[int, int]
     guard_decls: list[GuardVarDecl] = field(default_factory=list)
+    # Every call of the body in program order, the statements' calls
+    # (Stmt.calls) in iter_stmts order, unreachable ones too. Set by the
+    # resolver: the one statement's own tuple when only one has calls.
+    calls: tuple[Call, ...] = field(default=(), init=False, repr=False)
 
     @property
     def param_names(self) -> list[str]:
@@ -435,7 +440,11 @@ def function_calls(fn: FunctionDef) -> list[tuple[Stmt, Call]]:
     return [(s, c) for s in iter_stmts(fn.body) for c in s.calls]
 
 
-def data_accesses(s: Stmt) -> list[tuple[str, Expr, LockPath]]:
+# (kind, expr, datum) of each data access, as data_accesses gives them
+_Accesses = list[tuple[str, Expr, LockPath]]
+
+
+def data_accesses(s: Stmt) -> _Accesses:
     """Data accesses evaluated by s itself, places before values.
 
     Each is (kind, expr, datum): kind is "read" or "write"; expr is the Var,
@@ -445,7 +454,7 @@ def data_accesses(s: Stmt) -> list[tuple[str, Expr, LockPath]]:
     transformer rewrites: the base of a field access and the operand of &
     are read, and a dereferenced place keeps its kind.
     """
-    out: list[tuple[str, Expr, LockPath]] = []
+    out: _Accesses = []
     if isinstance(s, Assign):
         _collect_accesses(s.place, "write", out)  # None adds nothing
         _collect_accesses(s.value, "read", out)
@@ -466,32 +475,68 @@ def datum_of(e: Var | FieldAccess) -> LockPath | None:
     e names no data a lock can protect."""
     if not holds_data(e.ty):
         return None
-    if isinstance(e, Var):
+    if type(e) is Var:
         return (e.name,) if e.kind == "global" else None
     base = place_path(e.base) if e.owner is not None else None
     return base + (e.fld,) if base is not None else None
 
 
-def _collect_accesses(e: Expr | None, kind: str,
-                      out: list[tuple[str, Expr, LockPath]]) -> None:
-    if isinstance(e, (Var, FieldAccess)):
-        datum = datum_of(e)
-        if datum is not None:
-            out.append((kind, e, datum))
-        if isinstance(e, FieldAccess):
-            _collect_accesses(e.base, "read", out)
-    elif isinstance(e, PayloadAccess):
-        out.append((kind, e, e.path[:-1] + (e.fld,)))
-    elif isinstance(e, AddrOf):
-        _collect_accesses(e.expr, "read", out)
-    elif isinstance(e, Deref):
-        _collect_accesses(e.expr, kind, out)
-    elif isinstance(e, Binary):
-        _collect_accesses(e.lhs, "read", out)
-        _collect_accesses(e.rhs, "read", out)
-    elif isinstance(e, Call):
-        for a in e.args:
-            _collect_accesses(a, "read", out)
-    elif isinstance(e, TupleExpr):
-        for item in e.items:
-            _collect_accesses(item, "read", out)
+def _collect_accesses(e: Expr | None, kind: str, out: _Accesses) -> None:
+    """The accesses of e, accessed as kind, by its type's handler in
+    _ACCESSES: the operand of &, a binary's operands, a call's arguments
+    and a tuple's items are read whatever kind is. A number, a guard and
+    None touch no datum."""
+    collect = _ACCESSES.get(type(e))
+    if collect is not None:
+        collect(e, kind, out)
+
+
+def _datum_access(e: Var | FieldAccess, kind: str, out: _Accesses) -> None:
+    datum = datum_of(e)
+    if datum is not None:
+        out.append((kind, e, datum))
+
+
+def _field_accesses(e: FieldAccess, kind: str, out: _Accesses) -> None:
+    _datum_access(e, kind, out)
+    _collect_accesses(e.base, "read", out)
+
+
+def _payload_accesses(e: PayloadAccess, kind: str, out: _Accesses) -> None:
+    out.append((kind, e, e.path[:-1] + (e.fld,)))
+
+
+def _addr_of_accesses(e: AddrOf, kind: str, out: _Accesses) -> None:
+    _collect_accesses(e.expr, "read", out)
+
+
+def _deref_accesses(e: Deref, kind: str, out: _Accesses) -> None:
+    _collect_accesses(e.expr, kind, out)
+
+
+def _binary_accesses(e: Binary, kind: str, out: _Accesses) -> None:
+    _collect_accesses(e.lhs, "read", out)
+    _collect_accesses(e.rhs, "read", out)
+
+
+def _call_accesses(e: Call, kind: str, out: _Accesses) -> None:
+    for a in e.args:
+        _collect_accesses(a, "read", out)
+
+
+def _tuple_accesses(e: TupleExpr, kind: str, out: _Accesses) -> None:
+    for item in e.items:
+        _collect_accesses(item, "read", out)
+
+
+# The accesses of each node type that touches data (_collect_accesses).
+_ACCESSES = {
+    Var: _datum_access,
+    FieldAccess: _field_accesses,
+    PayloadAccess: _payload_accesses,
+    AddrOf: _addr_of_accesses,
+    Deref: _deref_accesses,
+    Binary: _binary_accesses,
+    Call: _call_accesses,
+    TupleExpr: _tuple_accesses,
+}

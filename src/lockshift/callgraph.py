@@ -4,7 +4,7 @@ A call graph is its edges, each function's distinct callees keyed in
 program order, and its strongly connected components. Edges only target
 user-defined callees; the four pthread API names are library functions and
 add none, so the function passed to pthread_create gets no edge
-(thread_entries() finds the entry points by walking the calls again). The
+(thread_entries() finds the entry points in each function's calls). The
 components are emitted in post-order (callees before callers): the lock-set
 analysis sweeps them in it, and propagation takes them reversed, as the
 flow facts' key order. The merged-graph dump derives each function's
@@ -17,7 +17,7 @@ from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .ast import CREATE_FN, LOCK_API, Program, function_calls
+from .ast import CREATE_FN, LOCK_API, Program
 from .diagnostics import Diagnostics
 
 
@@ -50,7 +50,7 @@ def thread_entries(program) -> list[str]:
     # the resolver made the second argument a bare function name
     return list(dict.fromkeys(
         call.args[1].name for fn in program.functions
-        for _, call in function_calls(fn) if call.name == CREATE_FN))
+        for call in fn.calls if call.name == CREATE_FN))
 
 
 def build_call_graph(program: Program, diags: Diagnostics | None = None) -> CallGraph:
@@ -61,7 +61,7 @@ def build_call_graph(program: Program, diags: Diagnostics | None = None) -> Call
     for fn in program.functions:
         # distinct, in first-call order
         edges[fn.name] = list(dict.fromkeys(
-            call.name for _, call in function_calls(fn) if call.name not in LOCK_API))
+            call.name for call in fn.calls if call.name not in LOCK_API))
     return CallGraph(edges, _condense(edges))
 
 

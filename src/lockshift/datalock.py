@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 
-from .ast import INIT_FN, FieldAccess, LockPath, Program, data_accesses, function_calls
+from .ast import INIT_FN, FieldAccess, LockPath, Program, data_accesses
 from .callgraph import CallGraph, thread_entries
 from .cfg import FlowGraph
 from .diagnostics import Diagnostics
@@ -117,7 +117,7 @@ def infer_data_locks(program: Program, flow: dict[str, FunctionFlowFacts],
     concurrent_fns = cg.reachable_from(thread_entries(program))
     # By function: the lock paths it initializes via the init call, and the
     # proper prefixes of the lock paths it names.
-    inits = {fn.name: {c.lock for _, c in function_calls(fn) if c.name == INIT_FN}
+    inits = {fn.name: {c.lock for c in fn.calls if c.name == INIT_FN}
              for fn in program.functions}
     prefixes = {fn.name: {lp[:k] for lp in named_lock_paths(fn, summaries[fn.name])
                           for k in range(1, len(lp))} for fn in program.functions}

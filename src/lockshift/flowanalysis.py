@@ -52,7 +52,6 @@ from .ast import (
     LockPath,
     Stmt,
     UNLOCK_FN,
-    function_calls,
     not_a_place,
     to_caller,
 )
@@ -264,7 +263,7 @@ def analyze_scc(fns: list[FunctionDef], graphs: dict[str, FlowGraph],
     env = ChainMap(current, outer_facts)
     callers: dict[str, list[str]] = {fn.name: [] for fn in fns}
     for fn in fns:
-        for name in {call.name for _, call in function_calls(fn)}:
+        for name in {call.name for call in fn.calls}:
             if name in callers:
                 callers[name].append(fn.name)
     dirty = set(current)

@@ -47,13 +47,11 @@ from .ast import (
     FunctionDef,
     GuardRef,
     If,
-    IntLit,
     PayloadAccess,
     Program,
     Return,
     Stmt,
     TupleExpr,
-    Var,
     While,
     iter_stmts,
 )
@@ -76,32 +74,48 @@ class OwnershipError:
 
 
 def _expr_events(e: Expr | None, out: list[tuple[str, str]]) -> None:
-    """Guard uses inside an expression, in evaluation order.
+    """Guard uses inside an expression, in evaluation order, by its type's
+    handler in _EVENTS; names, numbers and None use no guard.
 
     ("move", g) consumes ownership (argument passing, returning);
     ("deref", g) requires ownership without consuming it.
     """
-    # The forms are tested most frequent first; names and literals use no guard.
-    if isinstance(e, PayloadAccess):
-        if e.guard is not None:
-            out.append(("deref", e.guard))
-    elif isinstance(e, Binary):
-        _expr_events(e.lhs, out)
-        _expr_events(e.rhs, out)
-    elif e is None or isinstance(e, (Var, IntLit)):
-        return
-    elif isinstance(e, GuardRef):
-        out.append(("move", e.name))
-    elif isinstance(e, FieldAccess):
-        _expr_events(e.base, out)
-    elif isinstance(e, (AddrOf, Deref)):
-        _expr_events(e.expr, out)
-    elif isinstance(e, Call):
-        for a in e.args:
-            _expr_events(a, out)
-    elif isinstance(e, TupleExpr):
-        for item in e.items:
-            _expr_events(item, out)
+    events = _EVENTS.get(type(e))
+    if events is not None:
+        events(e, out)
+
+
+def _payload_events(e: PayloadAccess, out: list[tuple[str, str]]) -> None:
+    if e.guard is not None:
+        out.append(("deref", e.guard))
+
+
+def _binary_events(e: Binary, out: list[tuple[str, str]]) -> None:
+    _expr_events(e.lhs, out)
+    _expr_events(e.rhs, out)
+
+
+def _call_events(e: Call, out: list[tuple[str, str]]) -> None:
+    for a in e.args:
+        _expr_events(a, out)
+
+
+def _tuple_events(e: TupleExpr, out: list[tuple[str, str]]) -> None:
+    for item in e.items:
+        _expr_events(item, out)
+
+
+# The guard uses of each expression type that can hold a guard.
+_EVENTS = {
+    PayloadAccess: _payload_events,
+    GuardRef: lambda e, out: out.append(("move", e.name)),
+    Binary: _binary_events,
+    FieldAccess: lambda e, out: _expr_events(e.base, out),
+    AddrOf: lambda e, out: _expr_events(e.expr, out),
+    Deref: lambda e, out: _expr_events(e.expr, out),
+    Call: _call_events,
+    TupleExpr: _tuple_events,
+}
 
 
 def _stmt_events(s: Stmt) -> tuple[list[tuple[str, str]], list[str]]:

@@ -17,6 +17,7 @@ dispatches on a node's type (`_RESOLVE_STMT`, `_RESOLVE_EXPR`).
 """
 from __future__ import annotations
 
+from itertools import chain
 from operator import attrgetter
 
 from .ast import (
@@ -658,6 +659,8 @@ class _Resolver:
         self.line = 0
         # calls of the statement being resolved, in evaluation order
         self.calls: list[Call] = []
+        # the calls of each statement of the current function that has any
+        self.taken: list[tuple[Call, ...]] = []
 
     def run(self) -> Program:
         # A duplicate is a declaration that is not its name's index entry.
@@ -772,7 +775,12 @@ class _Resolver:
                 raise TypeCheckError("duplicate guard %r in %s" % (d.guard, f.name), d.line)
             self.lock_type(d.path, d.line)
             guards[d.guard] = d.path
+        self.taken = taken = []
         self.resolve_block(f.body)
+        if len(taken) == 1:
+            f.calls = taken[0]
+        elif taken:
+            f.calls = tuple(chain.from_iterable(taken))
 
     # -- statements ----------------------------------------------------------
 
@@ -788,9 +796,12 @@ class _Resolver:
                 self.take_calls(s)
 
     def take_calls(self, s: Stmt | GlobalDecl) -> None:
-        """Move the calls resolved since the last move onto s."""
-        s.calls = tuple(self.calls)
+        """Move the calls resolved since the last move onto s, and note
+        them for the function's list (FunctionDef.calls)."""
+        s.calls = calls = tuple(self.calls)
         self.calls.clear()
+        if calls:
+            self.taken.append(calls)
 
     def resolve_assign(self, s: Assign) -> None:
         """The value is read (check_read) after the place, if any, is checked."""

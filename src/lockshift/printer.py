@@ -4,6 +4,9 @@ Printing is line-aware: every statement is emitted on the line recorded in the
 AST (padding with blank lines, sharing a line when several statements carry the
 same number), so a transformed program lines up with its input and a parse ->
 print -> parse round trip preserves statement lines.
+
+After each top-level declaration the finished lines are joined into one
+chunk, so the output is never held as one string per line.
 """
 from __future__ import annotations
 
@@ -66,46 +69,56 @@ def decl_text(ty: Type, name: str) -> str:
 
 
 def expr_text(e: Expr, min_prec: int = 0) -> str:
-    text, prec = _expr(e)
+    """e's text by its type's handler in _EXPR_TEXT, parenthesized when
+    it binds looser than min_prec."""
+    text_of = _EXPR_TEXT.get(type(e))
+    if text_of is None:
+        raise ValueError("unprintable expression %r" % e)
+    text, prec = text_of(e)
     if prec < min_prec:
         return "(%s)" % text
     return text
 
 
-def _expr(e: Expr) -> tuple[str, int]:
-    if isinstance(e, IntLit):
-        return str(e.value), _PREC_PRIMARY
-    if isinstance(e, (Var, GuardRef)):
-        return e.name, _PREC_PRIMARY
-    if isinstance(e, FieldAccess):
-        if e.arrow:
-            return "%s->%s" % (expr_text(e.base, _PREC_POSTFIX), e.fld), _PREC_POSTFIX
-        if isinstance(e.base, Deref):
-            return "(*%s).%s" % (expr_text(e.base.expr), e.fld), _PREC_POSTFIX
-        return "%s.%s" % (expr_text(e.base, _PREC_POSTFIX), e.fld), _PREC_POSTFIX
-    if isinstance(e, PayloadAccess):
-        if e.guard is None:
-            return "%s.get_mut().%s" % (".".join(e.path), e.fld), _PREC_POSTFIX
-        return "(*%s).%s" % (e.guard, e.fld), _PREC_POSTFIX
-    if isinstance(e, AddrOf):
-        return "&" + expr_text(e.expr, _PREC_UNARY), _PREC_UNARY
-    if isinstance(e, Deref):
-        return "*" + expr_text(e.expr, _PREC_UNARY), _PREC_UNARY
-    if isinstance(e, Binary):
-        prec = BIN_PREC[e.op]
-        lhs = expr_text(e.lhs, prec)
-        rhs = expr_text(e.rhs, prec + 1)
-        return "%s %s %s" % (lhs, e.op, rhs), prec
-    if isinstance(e, Call):
-        args = ", ".join(expr_text(a) for a in e.args)
-        return "%s(%s)" % (e.name, args), _PREC_PRIMARY
-    if isinstance(e, TupleExpr):
-        return "(%s)" % ", ".join(expr_text(i) for i in e.items), _PREC_PRIMARY
-    if isinstance(e, PayloadInit):
-        inits = ", ".join(name if init is None else "%s = %s" % (name, expr_text(init))
-                          for name, init in e.inits)
-        return "%s { %s }" % (e.payload, inits), _PREC_PRIMARY
-    raise ValueError("unprintable expression %r" % e)
+def _field_text(e: FieldAccess) -> tuple[str, int]:
+    if e.arrow:
+        return "%s->%s" % (expr_text(e.base, _PREC_POSTFIX), e.fld), _PREC_POSTFIX
+    if type(e.base) is Deref:
+        return "(*%s).%s" % (expr_text(e.base.expr), e.fld), _PREC_POSTFIX
+    return "%s.%s" % (expr_text(e.base, _PREC_POSTFIX), e.fld), _PREC_POSTFIX
+
+
+def _payload_text(e: PayloadAccess) -> tuple[str, int]:
+    if e.guard is None:
+        return "%s.get_mut().%s" % (".".join(e.path), e.fld), _PREC_POSTFIX
+    return "(*%s).%s" % (e.guard, e.fld), _PREC_POSTFIX
+
+
+def _binary_text(e: Binary) -> tuple[str, int]:
+    prec = BIN_PREC[e.op]
+    return "%s %s %s" % (expr_text(e.lhs, prec), e.op, expr_text(e.rhs, prec + 1)), prec
+
+
+def _payload_init_text(e: PayloadInit) -> tuple[str, int]:
+    inits = ", ".join(name if init is None else "%s = %s" % (name, expr_text(init))
+                      for name, init in e.inits)
+    return "%s { %s }" % (e.payload, inits), _PREC_PRIMARY
+
+
+# The text and precedence of each expression type (expr_text).
+_EXPR_TEXT = {
+    IntLit: lambda e: (str(e.value), _PREC_PRIMARY),
+    Var: lambda e: (e.name, _PREC_PRIMARY),
+    GuardRef: lambda e: (e.name, _PREC_PRIMARY),
+    FieldAccess: _field_text,
+    PayloadAccess: _payload_text,
+    AddrOf: lambda e: ("&" + expr_text(e.expr, _PREC_UNARY), _PREC_UNARY),
+    Deref: lambda e: ("*" + expr_text(e.expr, _PREC_UNARY), _PREC_UNARY),
+    Binary: _binary_text,
+    Call: lambda e: ("%s(%s)" % (e.name, ", ".join(map(expr_text, e.args))), _PREC_PRIMARY),
+    TupleExpr: lambda e: ("(%s)" % ", ".join(map(expr_text, e.items)), _PREC_PRIMARY),
+    PayloadInit: _payload_init_text,
+}
 
 
 def stmt_text(s: Stmt) -> str:
@@ -135,17 +148,21 @@ def stmt_text(s: Stmt) -> str:
 
 
 class _Sink:
-    """Output lines. After any put the last line holds content, and only
-    the padding before a line holds none."""
+    """Output lines, the finished ones joined into chunks. After any put
+    the last line holds content, and only the padding before a line holds
+    none."""
 
     def __init__(self) -> None:
-        self.lines: list[str] = []
+        self.chunks: list[str] = []  # each ends with its last line's newline
+        self.chunked = 0  # how many lines the chunks hold
+        self.lines: list[str] = []  # the lines after them
 
     def put(self, line: int, text: str, depth: int) -> None:
         line = max(line, 1)
         lines = self.lines
-        if len(lines) < line:
-            lines.extend([""] * (line - 1 - len(lines)))
+        count = self.chunked + len(lines)
+        if count < line:
+            lines.extend([""] * (line - 1 - count))
             lines.append("    " * depth + text)
         else:
             lines[-1] += " " + text
@@ -154,12 +171,24 @@ class _Sink:
         # Only ever called after a put, so the last line holds content.
         self.lines[-1] += " " + text
 
+    def finish_declaration(self) -> None:
+        """Move every line but the last into a chunk; the last stays open,
+        as a declaration on the same line appends to it."""
+        lines = self.lines
+        if len(lines) > 1:
+            last = lines[-1]
+            lines[-1] = ""  # the newline of the line before it
+            self.chunks.append("\n".join(lines))
+            self.chunked += len(lines) - 1
+            self.lines = [last]
+
     def render(self) -> str:
         lines = self.lines
         if not lines:
             return ""
-        lines.append("")  # the final newline, without a second copy of the text
-        return "\n".join(lines)
+        lines.append("")  # the final newline
+        self.chunks.append("\n".join(lines))
+        return "".join(self.chunks)
 
 
 def _emit_block_stmts(sink: _Sink, block: Block, depth: int) -> None:
@@ -230,6 +259,7 @@ def print_source(p: Program) -> str:
             _emit_struct(sink, item)
         else:
             _emit_function(sink, item)
+        sink.finish_declaration()
     return sink.render()
 
 

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 
-from .ast import (KEYWORDS, FunctionDef, LockPath, Program, function_calls, holds_data,
+from .ast import (KEYWORDS, FunctionDef, LockPath, Program, holds_data,
                   lock_path_type, path_of, root_type)
 from .diagnostics import SchemaError
 from .lexer import IDENT
@@ -54,7 +54,7 @@ class LockSummary:
 def named_lock_paths(fn: FunctionDef, fs: FunctionSummary) -> set[LockPath]:
     """The lock paths fn names: those of its lock-API calls, its entry and
     return sets and its held lines."""
-    paths = {c.lock for _, c in function_calls(fn) if c.lock is not None}
+    paths = {c.lock for c in fn.calls if c.lock is not None}
     paths.update(fs.entry_lock, fs.return_lock, fs.lock_line)
     return paths
 

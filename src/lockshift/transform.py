@@ -286,49 +286,35 @@ class _Transformer:
     # -- statements ---------------------------------------------------------
 
     def _rewrite_block(self, b: Block) -> Block:
+        """b with each statement rewritten by its type's handler in
+        _REWRITE_STMT, which gives None for a statement that goes; a form
+        with no handler, as a guarded one, stays as it is."""
         out: list[Stmt] = []
         for st in b.stmts:
-            out.extend(self._rewrite_stmt(st))
+            rewrite = _REWRITE_STMT.get(type(st))
+            if rewrite is not None:
+                st = rewrite(self, st)
+            if st is not None:
+                out.append(st)
         return Block(line=b.line, stmts=out)
 
-    def _rewrite_stmt(self, st: Stmt) -> list[Stmt]:
-        if isinstance(st, Block):
-            return [self._rewrite_block(st)]
-        if isinstance(st, If):
-            return [If(line=st.line, cond=self._rewrite_expr(st.cond, st.line),
-                       then=self._rewrite_block(st.then),
-                       orelse=self._rewrite_block(st.orelse) if st.orelse else None)]
-        if isinstance(st, While):
-            return [While(line=st.line, cond=self._rewrite_expr(st.cond, st.line),
-                          body=self._rewrite_block(st.body))]
-        if isinstance(st, Return):
-            value = self._rewrite_expr(st.value, st.line) if st.value else None
-            return [self._make_return(value, st.line)]
-        if isinstance(st, CallAssign):
-            if st.call.name in LOCK_API:
-                return self._rewrite_lock_api(st)
-            return [self._rewrite_call(st)]
-        if isinstance(st, Assign):
-            # a place of None, as in `value;`, comes back as None
-            return [Assign(line=st.line, place=self._rewrite_expr(st.place, st.line),
-                           value=self._rewrite_expr(st.value, st.line))]
-        return [st]
+    def _rewrite_if(self, st: If) -> If:
+        orelse = st.orelse
+        return If(line=st.line, cond=self._rewrite_expr(st.cond, st.line),
+                  then=self._rewrite_block(st.then),
+                  orelse=None if orelse is None else self._rewrite_block(orelse))
 
-    def _rewrite_lock_api(self, st: CallAssign) -> list[Stmt]:
-        c = st.call
-        if c.name == INIT_FN:
-            return []
-        if c.name == LOCK_FN:
-            return [AcquireAssign(line=st.line, guard=self._guard(c.lock), path=c.lock)]
-        if c.name == UNLOCK_FN:
-            return [DropCall(line=st.line, guard=self._guard(c.lock))]
-        return [st]
-
-    def _rewrite_call(self, st: CallAssign) -> CallAssign:
-        """`x = f();` or `f();` whose call takes the guards the callee
-        expects and whose targets receive the guards it returns, after `_`
-        for a dropped value."""
+    def _rewrite_call_assign(self, st: CallAssign) -> Stmt | None:
+        """A lock or unlock call becomes an acquire or a drop, an init call
+        goes, and `x = f();` or `f();` takes the guards its callee expects
+        and receives the guards it returns, after `_` for a dropped value."""
         c, line = st.call, st.line
+        if c.name in LOCK_API:
+            if c.name == LOCK_FN:
+                return AcquireAssign(line=line, guard=self._guard(c.lock), path=c.lock)
+            if c.name == UNLOCK_FN:
+                return DropCall(line=line, guard=self._guard(c.lock))
+            return None if c.name == INIT_FN else st
         takes, gives = self._threads[c]
         call = Call(c.name, [self._rewrite_expr(a, line) for a in c.args]
                     + [GuardRef(self._guard(q), q) for q in takes])
@@ -355,30 +341,55 @@ class _Transformer:
 
     # -- expressions --------------------------------------------------------
 
-    def _rewrite_expr(self, e: Expr, line: int) -> Expr:
-        if isinstance(e, (Var, FieldAccess)):
-            datum = datum_of(e)
-            owner = e.owner if isinstance(e, FieldAccess) else None
-            lock = None if datum is None else self.s.lock_of(owner, datum[-1])
-            if lock is not None:
-                lock_path = datum[:-1] + (lock,)
-                held = line in self._lock_line.get(lock_path, ())
-                return PayloadAccess(lock_path, datum[-1],
-                                     self._guard(lock_path) if held else None)
-            if isinstance(e, Var):
-                return e
-            return FieldAccess(self._rewrite_expr(e.base, line), e.fld,
-                               arrow=e.arrow, owner=e.owner, ty=e.ty)
-        if isinstance(e, AddrOf):
-            return AddrOf(self._rewrite_expr(e.expr, line))
-        if isinstance(e, Deref):
-            return Deref(self._rewrite_expr(e.expr, line))
-        if isinstance(e, Binary):
-            return Binary(e.op, self._rewrite_expr(e.lhs, line),
-                          self._rewrite_expr(e.rhs, line))
-        if isinstance(e, Call):
-            return Call(e.name, [self._rewrite_expr(a, line) for a in e.args])
-        return e
+    def _rewrite_expr(self, e: Expr | None, line: int) -> Expr | None:
+        """e rewritten by its type's handler in _REWRITE_EXPR; a form with
+        none, as a number, and None stay as they are."""
+        rewrite = _REWRITE_EXPR.get(type(e))
+        return e if rewrite is None else rewrite(self, e, line)
+
+    def _payload_access(self, lock_path: LockPath, fld: str, line: int) -> PayloadAccess:
+        """Payload field fld of the lock at lock_path: through its guard
+        where the lock is held at line, else through get_mut."""
+        held = line in self._lock_line.get(lock_path, ())
+        return PayloadAccess(lock_path, fld, self._guard(lock_path) if held else None)
+
+    def _rewrite_var(self, e: Var, line: int) -> Expr:
+        lock = self.s.global_lock_map.get(e.name)
+        if lock is None or datum_of(e) is None:
+            return e
+        return self._payload_access((lock,), e.name, line)
+
+    def _rewrite_field_access(self, e: FieldAccess, line: int) -> Expr:
+        datum = datum_of(e)
+        lock = None if datum is None else self.s.lock_of(e.owner, e.fld)
+        if lock is not None:
+            return self._payload_access(datum[:-1] + (lock,), e.fld, line)
+        return FieldAccess(self._rewrite_expr(e.base, line), e.fld,
+                           arrow=e.arrow, owner=e.owner, ty=e.ty)
+
+
+# The rewrite of each plain-dialect node type that changes; every other
+# form, and None, is kept as it is (tests/test_hygiene.py lists them).
+_REWRITE_STMT = {
+    Block: _Transformer._rewrite_block,
+    If: _Transformer._rewrite_if,
+    While: lambda self, st: While(line=st.line, cond=self._rewrite_expr(st.cond, st.line),
+                                  body=self._rewrite_block(st.body)),
+    Return: lambda self, st: self._make_return(self._rewrite_expr(st.value, st.line), st.line),
+    # a place of None, as in `value;`, comes back as None
+    Assign: lambda self, st: Assign(line=st.line, place=self._rewrite_expr(st.place, st.line),
+                                    value=self._rewrite_expr(st.value, st.line)),
+    CallAssign: _Transformer._rewrite_call_assign,
+}
+_REWRITE_EXPR = {
+    Var: _Transformer._rewrite_var,
+    FieldAccess: _Transformer._rewrite_field_access,
+    AddrOf: lambda self, e, line: AddrOf(self._rewrite_expr(e.expr, line)),
+    Deref: lambda self, e, line: Deref(self._rewrite_expr(e.expr, line)),
+    Binary: lambda self, e, line: Binary(e.op, self._rewrite_expr(e.lhs, line),
+                                         self._rewrite_expr(e.rhs, line)),
+    Call: lambda self, e, line: Call(e.name, [self._rewrite_expr(a, line) for a in e.args]),
+}
 
 
 @gc_paused

@@ -1,11 +1,14 @@
-"""Differential test of the calls the resolver records on each statement.
+"""Differential test of the calls the resolver records on each statement
+and on each function.
 
-The passes read `Stmt.calls`, which `parser._Resolver` fills in as it
-resolves a statement. The reference below is the walk it replaced: the
-statement's own expressions (an Assign's value before its place, only the
-condition of an If or While), each searched for calls with arguments
-before their call. For every statement of every program below, both must
-give the same Call objects in the same order.
+The passes read `Stmt.calls` and `FunctionDef.calls`, which
+`parser._Resolver` fills in as it resolves a statement. The reference
+below is the walk they replaced: the statement's own expressions (an
+Assign's value before its place, only the condition of an If or While),
+each searched for calls with arguments before their call, and for a
+function, the statements in `iter_stmts` order, unreachable ones too. For
+every statement and function of every program below, both must give the
+same Call objects in the same order.
 """
 from __future__ import annotations
 
@@ -100,6 +103,27 @@ def test_recorded_calls_match_the_reference_on_guarded_fixtures(path):
     assert_matches_reference(parse_guarded(path.read_text()))
 
 
+def assert_function_calls_match_the_reference(program) -> None:
+    for fn in program.functions:
+        want = [c for s in iter_stmts(fn.body) for c in reference_stmt_calls(s)]
+        assert list(fn.calls) == want, fn.name
+        assert type(fn.calls) is tuple
+
+
+def test_each_functions_calls_match_the_reference_walk(corpus):
+    """Over every pinned program, parsed and re-parsed, and every guarded
+    fixture."""
+    checked = 0
+    for run in corpus.values():
+        for program in (run.program, run.reparsed):
+            if program is not None:
+                assert_function_calls_match_the_reference(program)
+                checked += 1
+    for path in sorted(FIXTURES.glob("*.gmc")):
+        assert_function_calls_match_the_reference(parse_guarded(path.read_text()))
+    assert checked > 300
+
+
 def test_the_inputs_have_calls_to_compare(corpus):
     total = sum(assert_matches_reference(corpus[name].program)
                 for name in PLAIN if corpus[name].program is not None)
@@ -179,3 +203,36 @@ void main() {
         ("pthread_create", None),
         ("pthread_mutex_unlock", path_of("m")),
     ]
+
+
+def test_a_function_keeps_its_calls_in_program_order_unreachable_ones_too():
+    source = CALLEES + """\
+void main() {
+    if (f(1)) {
+        g(2);
+    } else {
+        h();
+    }
+    while (g(f(3))) {
+        h();
+    }
+    return;
+    f(4);
+}
+"""
+    main = parse(source).function("main")
+    assert [c.name for c in main.calls] == ["f", "g", "h", "f", "g", "h", "f"]
+    assert main.calls[-1].args[0].value == 4
+
+
+def test_a_function_shares_the_tuple_of_its_one_statement_with_calls():
+    program = parse(CALLEES + "int x;\nvoid main() { x = 1; f(g(h())); x = 2; }\n")
+    main = program.function("main")
+    assert main.calls is main.body.stmts[1].calls
+    assert [c.name for c in main.calls] == ["h", "g", "f"]
+
+
+def test_a_function_without_calls_has_the_empty_tuple():
+    program = parse(CALLEES)
+    for fn in program.functions:
+        assert fn.calls == () and type(fn.calls) is tuple

@@ -6,11 +6,12 @@ bound names, and every name __init__ imports."""
 from __future__ import annotations
 
 import ast
+from importlib import import_module
 from pathlib import Path
 
 import lockshift
 from lockshift import ast as nodes
-from lockshift import parser
+from lockshift import guardcheck, parser, printer
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "lockshift"
@@ -279,8 +280,10 @@ UNREAD_PARAMETERS = {("callgraph.py", "build_call_graph", "diags"),
 def _unread_parameters(tree: ast.Module, module: str,
                        handlers: set[str]) -> list[tuple[str, int, str, str]]:
     """(module, line, function, parameter) for each parameter that its
-    function's body never reads, but `self` and the node a dispatch handler
-    (one of handlers) is called with, which its type already decides."""
+    function's body never reads, but the first two of a dispatch handler
+    (one of handlers): `self` and the node it is called with, which its
+    type already decides, or the node and the kind of access it is read
+    as, which some node types override for their operands."""
     out = []
     for node in ast.walk(tree):
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
@@ -300,7 +303,8 @@ def _unread_parameters(tree: ast.Module, module: str,
 
 
 def test_every_parameter_is_used():
-    handlers = {f.__name__ for table in (parser._RESOLVE_STMT, parser._RESOLVE_EXPR)
+    handlers = {f.__name__ for table in (parser._RESOLVE_STMT, parser._RESOLVE_EXPR,
+                                         nodes._ACCESSES)
                 for f in table.values()}
     unread = [u for path in MODULES + [PACKAGE / "__init__.py"]
               for u in _unread_parameters(_tree(path), path.name, handlers)]
@@ -330,3 +334,43 @@ def test_every_node_type_has_its_resolver():
              and c not in (nodes.Expr, nodes.PayloadInit)}
     assert set(parser._RESOLVE_STMT) == stmts
     assert set(parser._RESOLVE_EXPR) == exprs | {parser._AcquireExpr}
+
+
+# The node types each back-end dispatch table leaves to its walker's
+# default, which keeps them as they are: numbers, guards and the payload
+# initializer touch no datum; the transformer's input is plain, with no
+# guarded form (a tuple is guarded-only too), and a number has nothing to
+# rewrite; names and numbers use no guard.
+PASS_THROUGH = {
+    "ast._ACCESSES": {nodes.IntLit, nodes.GuardRef, nodes.PayloadInit},
+    "transform._REWRITE_STMT": {nodes.AcquireAssign, nodes.DropCall},
+    "transform._REWRITE_EXPR": {nodes.IntLit, nodes.GuardRef, nodes.PayloadAccess,
+                                nodes.TupleExpr, nodes.PayloadInit},
+    "printer._EXPR_TEXT": set(),
+    "guardcheck._EVENTS": {nodes.Var, nodes.IntLit, nodes.PayloadInit},
+}
+
+
+def test_every_node_type_has_its_back_end_handler_or_passes_through():
+    """Each back-end table dispatches with `.get(type(node))`, so a form
+    with no handler is silently kept as it is. So every statement or
+    expression class of the ast has a handler in each table, or is on that
+    table's pass-through list, and never both; and no table is keyed by a
+    class the ast does not define."""
+    classes = [c for c in vars(nodes).values()
+               if isinstance(c, type) and c.__module__ == nodes.__name__]
+    stmts = {c for c in classes if issubclass(c, nodes.Stmt) and c is not nodes.Stmt}
+    exprs = {c for c in classes if issubclass(c, nodes.Expr) and c is not nodes.Expr}
+    transform = import_module("lockshift.transform")
+    tables = {
+        "ast._ACCESSES": (nodes._ACCESSES, exprs),
+        "transform._REWRITE_STMT": (transform._REWRITE_STMT, stmts),
+        "transform._REWRITE_EXPR": (transform._REWRITE_EXPR, exprs),
+        "printer._EXPR_TEXT": (printer._EXPR_TEXT, exprs),
+        "guardcheck._EVENTS": (guardcheck._EVENTS, exprs),
+    }
+    assert set(tables) == set(PASS_THROUGH)
+    for name, (table, forms) in tables.items():
+        passed = PASS_THROUGH[name]
+        assert not set(table) & passed, name
+        assert set(table) | passed == forms, name

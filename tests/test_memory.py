@@ -31,6 +31,8 @@ validation looks up each path rooted at a global once.
 The front end makes a bounded number of Python calls per token: on the
 bench's three families, parse_guarded 1.7 to 2.3 and parse 2.6 to 2.9,
 and on a `*` chain 80 deep beside a field and `*` chain of 93 levels, 2.4.
+A run pairs each function's calls with their statements at most once: the
+other passes read the resolver's list of the function's calls.
 """
 from __future__ import annotations
 
@@ -51,7 +53,7 @@ from lockshift.diagnostics import Diagnostic, Diagnostics
 from lockshift.flowanalysis import FunctionFlowFacts, stmt_effects
 from lockshift.lexer import tokenize
 from lockshift.parser import parse, parse_guarded
-from lockshift.pipeline import AnalysisResult, analyze_program, lock_sets
+from lockshift.pipeline import AnalysisResult, analyze_program, lock_sets, run_pipeline
 from lockshift.printer import print_guarded
 from lockshift.propagation import CallSiteFact, collect_call_facts
 from lockshift.summary import (
@@ -556,14 +558,15 @@ def _bench_texts(family: str) -> tuple[str, str]:
     return source, print_guarded(transform(result.program, result.lock_summary))
 
 
-def _python_calls(run) -> int:
+def _python_calls(run, code: types.CodeType | None = None) -> int:
     """The Python function calls run() makes, as the profiler sees them:
-    a generator's resumptions count, calls into C do not."""
+    a generator's resumptions count, calls into C do not. With code, only
+    the calls of the function whose code object it is."""
     calls = 0
 
     def count(frame, event, arg):
         nonlocal calls
-        if event == "call":
+        if event == "call" and (code is None or frame.f_code is code):
             calls += 1
 
     sys.setprofile(count)
@@ -601,3 +604,22 @@ def test_the_front_end_makes_a_bounded_number_of_calls_per_token(family):
                                      (source, guarded)):
         per_token = _python_calls(lambda: parse_fn(text)) / len(tokenize(text))
         assert per_token <= bound, (parse_fn.__name__, round(per_token, 2))
+
+
+# The bench families at small sizes: a chain of 40 functions, thread bodies
+# of about 60 statements, and 3 rings.
+SMALL_FAMILIES = {"call_chain": 40, "wide_body": 60, "recursive_rings": 3}
+
+
+@pytest.mark.parametrize("family", SMALL_FAMILIES)
+def test_a_run_walks_each_functions_calls_with_their_statements_at_most_once(family):
+    """The call graph, the thread entries, data-lock inference, the
+    summary's lock paths and the joint sweeps' callers read a function's
+    calls from FunctionDef.calls. Only the transformer pairs each call with
+    its statement, once per function. Each pass walked the statements for
+    its calls: seven walks per function in one run."""
+    factory = runpy.run_path(str(GEN_PATH))["WORKLOADS"][family][0]
+    source = factory(SMALL_FAMILIES[family], 1).source
+    functions = len(parse(source).functions)
+    walks = _python_calls(lambda: run_pipeline(source), ast.function_calls.__code__)
+    assert 0 < walks <= functions, (walks, functions)
