@@ -354,10 +354,10 @@ class Program:
         return _first_by_name(self.structs)
 
     def function(self, name: str) -> FunctionDef | None:
-        return d if isinstance(d := self.names.get(name), FunctionDef) else None
+        return d if type(d := self.names.get(name)) is FunctionDef else None
 
     def global_decl(self, name: str) -> GlobalDecl | None:
-        return d if isinstance(d := self.names.get(name), GlobalDecl) else None
+        return d if type(d := self.names.get(name)) is GlobalDecl else None
 
     def struct(self, name: str) -> StructDef | None:
         return self.tags.get(name)
@@ -374,12 +374,13 @@ def place_path(e: Expr) -> LockPath | None:
     """
     segs: list[str] = []
     while True:
-        if isinstance(e, (AddrOf, Deref)):
+        t = type(e)
+        if t is AddrOf or t is Deref:
             e = e.expr
-        elif isinstance(e, FieldAccess):
+        elif t is FieldAccess:
             segs.append(e.fld)
             e = e.base
-        elif isinstance(e, Var):
+        elif t is Var:
             segs.append(e.name)
             return tuple(reversed(segs))
         else:
@@ -425,13 +426,14 @@ def iter_stmts(block: "Block"):
     """All statements under a block, outer-first, textual order."""
     for s in block.stmts:
         yield s
-        if isinstance(s, Block):
+        t = type(s)
+        if t is Block:
             yield from iter_stmts(s)
-        elif isinstance(s, If):
+        elif t is If:
             yield from iter_stmts(s.then)
             if s.orelse is not None:
                 yield from iter_stmts(s.orelse)
-        elif isinstance(s, While):
+        elif t is While:
             yield from iter_stmts(s.body)
 
 
@@ -455,17 +457,17 @@ def data_accesses(s: Stmt) -> _Accesses:
     are read, and a dereferenced place keeps its kind.
     """
     out: _Accesses = []
-    if isinstance(s, Assign):
+    t = type(s)
+    if t is Assign:
         _collect_accesses(s.place, "write", out)  # None adds nothing
         _collect_accesses(s.value, "read", out)
-    elif isinstance(s, CallAssign):
-        for t in s.targets:
-            if isinstance(t, Expr):
-                _collect_accesses(t, "write", out)
+    elif t is CallAssign:
+        for target in s.targets:  # a guard or a Discard adds nothing
+            _collect_accesses(target, "write", out)
         _collect_accesses(s.call, "read", out)
-    elif isinstance(s, (If, While)):
+    elif t is If or t is While:
         _collect_accesses(s.cond, "read", out)
-    elif isinstance(s, Return):
+    elif t is Return:
         _collect_accesses(s.value, "read", out)
     return out
 

@@ -67,7 +67,7 @@ def build_cfg(fn: FunctionDef, diags: Diagnostics | None = None) -> FlowGraph:
     g.add_node(g.ret)
     _connect(g, tail, g.ret)
     for n in g.nodes:
-        if isinstance(n, Return):
+        if type(n) is Return:
             g.add_edge(n, g.ret)
     return g
 
@@ -88,7 +88,8 @@ def _walk_block(g: FlowGraph, block: Block, frontier: list[Node],
 
 def _walk_stmt(g: FlowGraph, s: Stmt, frontier: list[Node],
                diags: Diagnostics | None) -> list[Node]:
-    if isinstance(s, Block):
+    t = type(s)
+    if t is Block:
         return _walk_block(g, s, frontier, diags)
     if frontier:
         g.add_node(s)
@@ -99,15 +100,15 @@ def _walk_stmt(g: FlowGraph, s: Stmt, frontier: list[Node],
             diags.warn("unreachable statement removed from flow graph",
                        function=g.name, line=s.line)
         here = []
-    if isinstance(s, If):
+    if t is If:
         exits = _walk_block(g, s.then, here, diags)
         if s.orelse is not None:
             return exits + _walk_block(g, s.orelse, here, diags)
         return exits + here
-    if isinstance(s, While):
+    if t is While:
         _connect(g, _walk_block(g, s.body, here, diags), s)
         return here
-    if isinstance(s, Return):
+    if t is Return:
         return []
     return here
 

@@ -21,6 +21,7 @@ from .callgraph import build_call_graph, callgraph_to_dot, merged_callgraph_to_d
 from .diagnostics import (
     Diagnostics,
     LockshiftError,
+    SchemaError,
     SourceError,
     UndecodableInput,
 )
@@ -207,8 +208,12 @@ def _run(args, diags: Diagnostics) -> int:
         phases.report()
         return 0
 
-    summary = (read_summary(_read_text(args.use_summary)) if result is None
-               else result.lock_summary)
+    try:
+        summary = (read_summary(_read_text(args.use_summary)) if result is None
+                   else result.lock_summary)
+    except SchemaError as exc:  # malformed: an error of the summary file
+        print("%s: error: %s" % (args.use_summary, exc), file=sys.stderr)
+        return 1
     # transform validates the summary, so a bad one writes no file.
     guarded = phases.run("transform", lambda: transform(program, summary, diags))
     if getattr(args, "emit_summary", None):

@@ -59,7 +59,7 @@ def collect_accesses(program: Program, flow: dict[str, FunctionFlowFacts],
         for node in graphs[fn.name].stmt_nodes:
             held = held_set(facts.avail_in[node], pls)
             for kind, e, datum in data_accesses(node):
-                struct = e.owner if isinstance(e, FieldAccess) else None
+                struct = e.owner if type(e) is FieldAccess else None
                 datum = datums.setdefault(datum, datum)
                 records.append(AccessRecord(fn.name, node.line, held, datum, struct, kind))
     return records

@@ -26,6 +26,11 @@ top with report set, then checks each statement's uses against its state
 once the enclosing loop heads are at their fixpoint, and warns about each
 statement no path reaches, as the analysis CFGs do.
 
+Every walker dispatches on type(node) through a module table: _EVENTS
+gives an expression's guard uses, _STMT_EVENTS a statement's uses and
+receipts, and _FLOW runs a block, if, while or return; any other statement
+is one _step.
+
 The checker reports errors; it never throws. An empty list means accepted.
 """
 from __future__ import annotations
@@ -118,29 +123,42 @@ _EVENTS = {
 }
 
 
-def _stmt_events(s: Stmt) -> tuple[list[tuple[str, str]], list[str]]:
-    """(uses in order, guards assigned ownership afterwards)."""
+def _stmt_events(s: Stmt) -> tuple:
+    """(uses in order, guards assigned ownership afterwards), by s's type's
+    handler in _STMT_EVENTS; a Block has none of its own."""
+    events = _STMT_EVENTS.get(type(s))
+    return ((), ()) if events is None else events(s)
+
+
+def _uses(*exprs: Expr | None) -> list[tuple[str, str]]:
+    """The guard uses of exprs, in order."""
     uses: list[tuple[str, str]] = []
+    for e in exprs:
+        _expr_events(e, uses)
+    return uses
+
+
+def _call_assign_events(s: CallAssign) -> tuple[list[tuple[str, str]], list[str]]:
+    uses = _uses(s.call)
     gets: list[str] = []
-    if isinstance(s, AcquireAssign):
-        gets.append(s.guard)
-    elif isinstance(s, DropCall):
-        uses.append(("move", s.guard))
-    elif isinstance(s, CallAssign):
-        _expr_events(s.call, uses)
-        for t in s.targets:
-            if isinstance(t, GuardRef):  # a target receives its guard
-                gets.append(t.name)
-            elif isinstance(t, Expr):
-                _expr_events(t, uses)
-    elif isinstance(s, Assign):
-        _expr_events(s.value, uses)
-        _expr_events(s.place, uses)
-    elif isinstance(s, (If, While)):
-        _expr_events(s.cond, uses)
-    elif isinstance(s, Return):
-        _expr_events(s.value, uses)
+    for t in s.targets:
+        if type(t) is GuardRef:  # a target receives its guard
+            gets.append(t.name)
+        else:  # a place; a Discard uses no guard
+            _expr_events(t, uses)
     return uses, gets
+
+
+# The guard uses and receipts of each statement type (_stmt_events).
+_STMT_EVENTS = {
+    AcquireAssign: lambda s: ((), (s.guard,)),
+    DropCall: lambda s: ((("move", s.guard),), ()),
+    CallAssign: _call_assign_events,
+    Assign: lambda s: (_uses(s.value, s.place), ()),
+    If: lambda s: (_uses(s.cond), ()),
+    While: lambda s: (_uses(s.cond), ()),
+    Return: lambda s: (_uses(s.value), ()),
+}
 
 
 class _Walk:
@@ -206,46 +224,56 @@ def _loop(w: _Walk, s: While, entry: int) -> tuple[int, int]:
     return memo
 
 
-def _either(a: int | None, b: int | None) -> int | None:
-    """The state where two paths meet; None stands for no path."""
-    return b if a is None else a if b is None else a | b
-
-
 def _flow(w: _Walk, stmts: list[Stmt], state: int | None,
           report: bool) -> int | None:
     """The state after stmts run from state; None once every path returned.
     With report, the enclosing loop heads are at their fixpoint: each use is
     checked against the state it meets, and each statement no path reaches
-    is warned about."""
+    is warned about. A statement with no handler in _FLOW is one _step."""
     for s in stmts:
         if state is None:
             if not report:
                 return None
             for d in iter_stmts(Block(stmts=[s])):
-                if not isinstance(d, Block):
+                if type(d) is not Block:
                     w.diags.warn("unreachable statement removed from flow graph",
                                  function=w.function, line=d.line)
-        elif isinstance(s, Block):
-            state = _flow(w, s.stmts, state, report)
-        elif isinstance(s, While):
-            head, state = _loop(w, s, state)
-            if report:
-                _step(w, s, head, True)
-                _flow(w, s.body.stmts, state, True)
-        elif isinstance(s, If):
-            state = _step(w, s, state, report)
-            then = _flow(w, s.then.stmts, state, report)
-            if s.orelse is not None:
-                state = _flow(w, s.orelse.stmts, state, report)
-            state = _either(then, state)
-        elif isinstance(s, Return):
-            if not report:
-                return None
-            _step(w, s, state, True)
-            state = None
-        else:
-            state = _step(w, s, state, report)
+            continue
+        flow = _FLOW.get(type(s))
+        state = _step(w, s, state, report) if flow is None else flow(w, s, state, report)
     return state
+
+
+def _flow_while(w: _Walk, s: While, state: int, report: bool) -> int:
+    head, state = _loop(w, s, state)
+    if report:
+        _step(w, s, head, True)
+        _flow(w, s.body.stmts, state, True)
+    return state
+
+
+def _flow_if(w: _Walk, s: If, state: int, report: bool) -> int | None:
+    state = _step(w, s, state, report)
+    then = _flow(w, s.then.stmts, state, report)
+    if s.orelse is not None:
+        state = _flow(w, s.orelse.stmts, state, report)
+    # where the two paths meet; None stands for no path
+    return state if then is None else then if state is None else then | state
+
+
+def _flow_return(w: _Walk, s: Return, state: int, report: bool) -> None:
+    if report:
+        _step(w, s, state, True)
+    return None
+
+
+# How each statement type that is not a plain step runs (_flow).
+_FLOW = {
+    Block: lambda w, s, state, report: _flow(w, s.stmts, state, report),
+    While: _flow_while,
+    If: _flow_if,
+    Return: _flow_return,
+}
 
 
 def _check_function(fn: FunctionDef, diags: Diagnostics) -> list[OwnershipError]:

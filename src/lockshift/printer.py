@@ -7,6 +7,10 @@ print -> parse round trip preserves statement lines.
 
 After each top-level declaration the finished lines are joined into one
 chunk, so the output is never held as one string per line.
+
+Text comes from module tables keyed by type(node): _EXPR_TEXT for an
+expression, _STMT_TEXT for a one-line statement, and _EMIT_STMT for a
+block, if or while, whose body spans lines.
 """
 from __future__ import annotations
 
@@ -122,29 +126,33 @@ _EXPR_TEXT = {
 
 
 def stmt_text(s: Stmt) -> str:
-    """Single-statement text without trailing brace context (simple forms only)."""
-    if isinstance(s, Assign):
-        if s.place is None:
-            return "%s;" % expr_text(s.value)
-        return "%s = %s;" % (expr_text(s.place), expr_text(s.value))
-    if isinstance(s, Return):
-        if s.value is None:
-            return "return;"
-        return "return %s;" % expr_text(s.value)
-    if isinstance(s, AcquireAssign):
-        return "%s = %s.acquire();" % (s.guard, ".".join(s.path))
-    if isinstance(s, DropCall):
-        return "drop(%s);" % s.guard
-    if isinstance(s, CallAssign):
-        call = expr_text(s.call)
-        if not s.targets:
-            return "%s;" % call
-        targets = ", ".join("_" if isinstance(t, Discard) else expr_text(t)
-                            for t in s.targets)
-        if len(s.targets) == 1:
-            return "%s = %s;" % (targets, call)
-        return "(%s) = %s;" % (targets, call)
-    raise ValueError("not a simple statement: %r" % s)
+    """Single-statement text by its type's handler in _STMT_TEXT; a Block,
+    If or While has none, as its text spans its body."""
+    text_of = _STMT_TEXT.get(type(s))
+    if text_of is None:
+        raise ValueError("not a simple statement: %r" % s)
+    return text_of(s)
+
+
+def _call_assign_text(s: CallAssign) -> str:
+    call = expr_text(s.call)
+    if not s.targets:
+        return "%s;" % call
+    targets = ", ".join(["_" if type(t) is Discard else expr_text(t) for t in s.targets])
+    if len(s.targets) == 1:
+        return "%s = %s;" % (targets, call)
+    return "(%s) = %s;" % (targets, call)
+
+
+# The text of each simple statement type (stmt_text).
+_STMT_TEXT = {
+    Assign: lambda s: ("%s;" % expr_text(s.value) if s.place is None
+                       else "%s = %s;" % (expr_text(s.place), expr_text(s.value))),
+    Return: lambda s: "return;" if s.value is None else "return %s;" % expr_text(s.value),
+    AcquireAssign: lambda s: "%s = %s.acquire();" % (s.guard, ".".join(s.path)),
+    DropCall: lambda s: "drop(%s);" % s.guard,
+    CallAssign: _call_assign_text,
+}
 
 
 class _Sink:
@@ -192,31 +200,37 @@ class _Sink:
 
 
 def _emit_block_stmts(sink: _Sink, block: Block, depth: int) -> None:
+    """Each statement of block by its type's handler in _EMIT_STMT, and a
+    simple one as its stmt_text on its line."""
     for s in block.stmts:
-        _emit_stmt(sink, s, depth)
+        emit = _EMIT_STMT.get(type(s))
+        if emit is None:
+            sink.put(s.line, stmt_text(s), depth)
+        else:
+            emit(sink, s, depth)
 
 
-def _emit_stmt(sink: _Sink, s: Stmt, depth: int) -> None:
-    if isinstance(s, Block):
-        sink.put(s.line, "{", depth)
-        _emit_block_stmts(sink, s, depth + 1)
+def _emit_braced(sink: _Sink, line: int, head: str, body: Block, depth: int) -> None:
+    sink.put(line, head + "{", depth)
+    _emit_block_stmts(sink, body, depth + 1)
+    sink.append_to_last("}")
+
+
+def _emit_if(sink: _Sink, s: If, depth: int) -> None:
+    _emit_braced(sink, s.line, "if (%s) " % expr_text(s.cond), s.then, depth)
+    if s.orelse is not None:
+        sink.append_to_last("else {")
+        _emit_block_stmts(sink, s.orelse, depth + 1)
         sink.append_to_last("}")
-        return
-    if isinstance(s, If):
-        sink.put(s.line, "if (%s) {" % expr_text(s.cond), depth)
-        _emit_block_stmts(sink, s.then, depth + 1)
-        sink.append_to_last("}")
-        if s.orelse is not None:
-            sink.append_to_last("else {")
-            _emit_block_stmts(sink, s.orelse, depth + 1)
-            sink.append_to_last("}")
-        return
-    if isinstance(s, While):
-        sink.put(s.line, "while (%s) {" % expr_text(s.cond), depth)
-        _emit_block_stmts(sink, s.body, depth + 1)
-        sink.append_to_last("}")
-        return
-    sink.put(s.line, stmt_text(s), depth)
+
+
+# How each compound statement type is emitted (_emit_block_stmts).
+_EMIT_STMT = {
+    Block: lambda sink, s, depth: _emit_braced(sink, s.line, "", s, depth),
+    If: _emit_if,
+    While: lambda sink, s, depth: _emit_braced(
+        sink, s.line, "while (%s) " % expr_text(s.cond), s.body, depth),
+}
 
 
 def _emit_function(sink: _Sink, f: FunctionDef) -> None:
@@ -253,9 +267,9 @@ def print_source(p: Program) -> str:
                    + [(f.line_span[0], f) for f in p.functions], key=lambda it: it[0])
     sink = _Sink()
     for _, item in items:
-        if isinstance(item, GlobalDecl):
+        if type(item) is GlobalDecl:
             _emit_global(sink, item)
-        elif isinstance(item, StructDef):
+        elif type(item) is StructDef:
             _emit_struct(sink, item)
         else:
             _emit_function(sink, item)

@@ -91,11 +91,12 @@ def _falls_through(stmts: list[Stmt]) -> bool:
     and the checker follow: a return ends a path, an if reaches its end when
     a branch does or it has no else, and a while always exits."""
     for s in stmts:
-        if isinstance(s, Return):
+        t = type(s)
+        if t is Return:
             return False
-        if isinstance(s, Block) and not _falls_through(s.stmts):
+        if t is Block and not _falls_through(s.stmts):
             return False
-        if (isinstance(s, If) and s.orelse is not None
+        if (t is If and s.orelse is not None
                 and not _falls_through(s.then.stmts)
                 and not _falls_through(s.orelse.stmts)):
             return False
@@ -112,8 +113,10 @@ class _Transformer:
         # parameters and returned guards follow it.
         self.entry_paths: dict[str, list[LockPath]] = {}
         self.ret_paths: dict[str, list[LockPath]] = {}
+        self.lock_lines: dict[str, dict[LockPath, frozenset[int]]] = {}
         for fn in p.functions:
             fs = s.function(fn.name)
+            self.lock_lines[fn.name] = fs.lock_line
             if fn.name in self.external:
                 self.entry_paths[fn.name] = []
                 self.ret_paths[fn.name] = []
@@ -199,13 +202,14 @@ class _Transformer:
         names: dict[LockPath, str] = {}
         taken = set(fn.param_names)
         for path in sorted(paths):
-            base = self.base_names.get(path)
-            if base is None:
-                base = self.base_names[path] = guard_name_for(path)
-            name = names[path] = _fresh_name(base, self.p.names, self.p.tags, taken)
-            if name != base:
+            name = self.base_names.get(path)
+            if name is None:
+                name = self.base_names[path] = guard_name_for(path)
+            if name in self.p.names or name in self.p.tags or name in taken:
+                base, name = name, _fresh_name(name, self.p.names, self.p.tags, taken)
                 self.diags.warn("guard name %s for %s collides; renamed %s"
                                 % (base, ".".join(path), name), function=fn.name)
+            names[path] = name
             taken.add(name)
         return names
 
@@ -232,21 +236,24 @@ class _Transformer:
         """The locks of the guards call c passes and receives, as function
         or global owner names them. A call with guards to thread must be all
         the call of a call statement s, and each lock path must run through
-        an argument that is a place."""
+        an argument that is a place. A callee without parameters shares its
+        own lists: to_caller names every path but a parameter's."""
         paths = self.entry_paths[c.name], self.ret_paths[c.name]
         if not (paths[0] or paths[1]):
-            return [], []
-        where = "in %s, call to %s" % (owner, c.name)
-        if not (isinstance(s, CallAssign) and c is s.call):
-            raise UnsupportedCall(
-                "%s inside an expression cannot thread its guards" % where, s.line)
-        params = self.p.function(c.name).param_names
+            return paths
+        if not (type(s) is CallAssign and c is s.call):
+            raise UnsupportedCall("in %s, call to %s inside an expression cannot thread "
+                                  "its guards" % (owner, c.name), s.line)
+        callee = self.p.function(c.name)
+        if not callee.params:
+            return paths
+        params = callee.param_names
         named = tuple([to_caller(q, params, c) for q in qs] for qs in paths)
         for qs, out, verb in zip(paths, named, ("pass", "receive")):
             if None in out:
                 q = qs[out.index(None)]
-                raise UnsupportedCall("%s cannot %s the guard for %s: %s"
-                                      % (where, verb, ".".join(q), not_a_place(q)), s.line)
+                raise UnsupportedCall("in %s, call to %s cannot %s the guard for %s: %s" % (
+                    owner, c.name, verb, ".".join(q), not_a_place(q)), s.line)
         return named
 
     def _transform_function(self, fn: FunctionDef) -> FunctionDef:
@@ -254,7 +261,7 @@ class _Transformer:
         self._entry = self.entry_paths[fn.name]
         self._rets = self.ret_paths[fn.name]
         self._nonvoid = not fn.returns_void
-        self._lock_line = self.s.function(fn.name).lock_line
+        self._lock_line = self.lock_lines[fn.name]
         self._names = self._guard_names(self._candidate_paths(fn), fn)
         self._used: set[LockPath] = set()
 
@@ -318,11 +325,13 @@ class _Transformer:
         takes, gives = self._threads[c]
         call = Call(c.name, [self._rewrite_expr(a, line) for a in c.args]
                     + [GuardRef(self._guard(q), q) for q in takes])
-        targets = tuple(self._rewrite_expr(t, line) for t in st.targets)
+        targets = st.targets
+        if targets:
+            targets = tuple([self._rewrite_expr(t, line) for t in targets])
         if gives:
             if not targets and not self.p.function(c.name).returns_void:
                 targets = (Discard(),)
-            targets += tuple(GuardRef(self._guard(q), q) for q in gives)
+            targets += tuple([GuardRef(self._guard(q), q) for q in gives])
         return CallAssign(line=line, targets=targets, call=call)
 
     def _make_return(self, value: Expr | None, line: int) -> Return:
@@ -332,7 +341,8 @@ class _Transformer:
                 "fall-through return in %s yields 0 alongside its guards"
                 % self._fn.name, function=self._fn.name, line=line)
         parts: list[Expr] = [] if value is None else [value]
-        parts.extend(GuardRef(self._guard(q), q) for q in self._rets)
+        for q in self._rets:
+            parts.append(GuardRef(self._guard(q), q))
         if not parts:
             return Return(line=line, value=None)
         if len(parts) == 1:

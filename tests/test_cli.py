@@ -434,6 +434,27 @@ def test_a_non_utf8_summary_names_the_summary_file(tmp_path, capsys):
     assert captured.err.startswith("%s: error: not UTF-8 text" % summary)
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"global_lock_map": ', "$: invalid JSON: Expecting value"),
+    ('{"global_lock_map": {"n": 5}}', "$.global_lock_map.n: expected a string"),
+])
+def test_a_malformed_summary_names_the_summary_file(tmp_path, capsys, text, message):
+    """A summary that is not well-formed is an error of that file; one that
+    is well-formed but does not fit the program stays an error of the
+    source."""
+    src, summary = str(FIXTURES / "listing1.mc"), tmp_path / "summary.json"
+    summary.write_text(text)
+    code = main(["transform", src, "--use-summary", str(summary), "-o",
+                 str(tmp_path / "out.gmc")])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err.startswith("%s: error: %s" % (summary, message))
+    assert not (tmp_path / "out.gmc").exists()
+    summary.write_text('{"global_lock_map": {"ghost": "m"}}')
+    assert main(["transform", src, "--use-summary", str(summary)]) == 1
+    assert capsys.readouterr().err.startswith("%s: error: $.global_lock_map.ghost" % src)
+
+
 def test_an_exhausted_iteration_budget_exits_with_one(capsys):
     code = main(["analyze", str(CORPUS / "recursive_unlock.mc"),
                  "--iteration-budget", "1"])

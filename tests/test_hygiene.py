@@ -337,10 +337,13 @@ def test_every_node_type_has_its_resolver():
 
 
 # The node types each back-end dispatch table leaves to its walker's
-# default, which keeps them as they are: numbers, guards and the payload
-# initializer touch no datum; the transformer's input is plain, with no
-# guarded form (a tuple is guarded-only too), and a number has nothing to
-# rewrite; names and numbers use no guard.
+# default: numbers, guards and the payload initializer touch no datum; the
+# transformer's input is plain, with no guarded form (a tuple is
+# guarded-only too), and a number has nothing to rewrite; names and numbers
+# use no guard, and a block none of its own; a simple statement is one
+# step of the checker's flow and one line of the printer's, and a block,
+# if or while has no one-line text.
+SIMPLE_STMTS = {nodes.Assign, nodes.CallAssign, nodes.AcquireAssign, nodes.DropCall}
 PASS_THROUGH = {
     "ast._ACCESSES": {nodes.IntLit, nodes.GuardRef, nodes.PayloadInit},
     "transform._REWRITE_STMT": {nodes.AcquireAssign, nodes.DropCall},
@@ -348,15 +351,19 @@ PASS_THROUGH = {
                                 nodes.TupleExpr, nodes.PayloadInit},
     "printer._EXPR_TEXT": set(),
     "guardcheck._EVENTS": {nodes.Var, nodes.IntLit, nodes.PayloadInit},
+    "guardcheck._STMT_EVENTS": {nodes.Block},
+    "guardcheck._FLOW": SIMPLE_STMTS,
+    "printer._STMT_TEXT": {nodes.Block, nodes.If, nodes.While},
+    "printer._EMIT_STMT": SIMPLE_STMTS | {nodes.Return},
 }
 
 
 def test_every_node_type_has_its_back_end_handler_or_passes_through():
     """Each back-end table dispatches with `.get(type(node))`, so a form
-    with no handler is silently kept as it is. So every statement or
-    expression class of the ast has a handler in each table, or is on that
-    table's pass-through list, and never both; and no table is keyed by a
-    class the ast does not define."""
+    with no handler silently takes its walker's default. So every
+    statement or expression class of the ast has a handler in each table,
+    or is on that table's pass-through list, and never both; and no table
+    is keyed by a class the ast does not define."""
     classes = [c for c in vars(nodes).values()
                if isinstance(c, type) and c.__module__ == nodes.__name__]
     stmts = {c for c in classes if issubclass(c, nodes.Stmt) and c is not nodes.Stmt}
@@ -368,6 +375,10 @@ def test_every_node_type_has_its_back_end_handler_or_passes_through():
         "transform._REWRITE_EXPR": (transform._REWRITE_EXPR, exprs),
         "printer._EXPR_TEXT": (printer._EXPR_TEXT, exprs),
         "guardcheck._EVENTS": (guardcheck._EVENTS, exprs),
+        "guardcheck._STMT_EVENTS": (guardcheck._STMT_EVENTS, stmts),
+        "guardcheck._FLOW": (guardcheck._FLOW, stmts),
+        "printer._STMT_TEXT": (printer._STMT_TEXT, stmts),
+        "printer._EMIT_STMT": (printer._EMIT_STMT, stmts),
     }
     assert set(tables) == set(PASS_THROUGH)
     for name, (table, forms) in tables.items():
