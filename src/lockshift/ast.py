@@ -424,17 +424,19 @@ def not_a_place(path: LockPath) -> str:
 
 def iter_stmts(block: "Block"):
     """All statements under a block, outer-first, textual order."""
-    for s in block.stmts:
+    pending = block.stmts[::-1]  # next on top: one frame at any depth
+    while pending:
+        s = pending.pop()
         yield s
         t = type(s)
         if t is Block:
-            yield from iter_stmts(s)
+            pending += s.stmts[::-1]
         elif t is If:
-            yield from iter_stmts(s.then)
             if s.orelse is not None:
-                yield from iter_stmts(s.orelse)
+                pending += s.orelse.stmts[::-1]
+            pending += s.then.stmts[::-1]
         elif t is While:
-            yield from iter_stmts(s.body)
+            pending += s.body.stmts[::-1]
 
 
 def function_calls(fn: FunctionDef) -> list[tuple[Stmt, Call]]:

@@ -1,4 +1,4 @@
-"""Statement-granularity control-flow graphs.
+"""Statement-granularity control-flow graphs, and the graph-free flow walk.
 
 Every function gets a FlowGraph with synthetic Entry and Ret nodes; blocks are
 structural (not nodes), if/while conditions are their own nodes, every Return
@@ -6,7 +6,20 @@ feeds Ret, and a body that can fall off the end gets an edge to Ret. A
 statement that no path reaches gets no node: the walk meets it with an empty
 frontier (a return ends a path; an if reaches its end when a branch does or
 it has no else; a while always exits) and warns about it and every statement
-under it instead.
+under it instead (warn_unreachable).
+
+flow() walks the Block/If/While/Return tree by the same rule, with no
+graph: a state is an int bit mask, paths join by `|`, None means no path,
+and a client supplies only step, the state after one statement (a plain
+one, an if or while head, a return's value). A state of 0 tracks nothing,
+so no step runs on it. A while head joins its entry with its body's exit
+until it stops growing, and is kept with the exit it gave: a later visit
+whose entry is inside the head takes that exit unwalked. A visit grows the
+head on entry (unless it is the first) and after each walk but its last,
+so a body is walked at most b+1 times however deeply loops nest, b being
+the bits its head can gain after its first entry. A last walk from the
+top with report set meets each statement with the loop heads at their
+fixpoint, and warns about each statement no path reaches.
 
 solve() is the one worklist the dataflow passes share.
 """
@@ -14,7 +27,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .ast import Block, FunctionDef, If, Return, Stmt, While
+from .ast import Block, FunctionDef, If, Return, Stmt, While, iter_stmts
 from .diagnostics import Diagnostics
 from .printer import expr_text, stmt_text
 
@@ -97,8 +110,7 @@ def _walk_stmt(g: FlowGraph, s: Stmt, frontier: list[Node],
         here = [s]
     else:
         if diags is not None:
-            diags.warn("unreachable statement removed from flow graph",
-                       function=g.name, line=s.line)
+            warn_unreachable(diags, g.name, s)
         here = []
     if t is If:
         exits = _walk_block(g, s.then, here, diags)
@@ -111,6 +123,100 @@ def _walk_stmt(g: FlowGraph, s: Stmt, frontier: list[Node],
     if t is Return:
         return []
     return here
+
+
+def warn_unreachable(diags: Diagnostics, function: str, s: Stmt) -> None:
+    diags.warn("unreachable statement removed from flow graph",
+               function=function, line=s.line)
+
+
+class Walk:
+    """A function's flow walk: step(w, s, state, report), loop memo, warnings."""
+
+    __slots__ = ("function", "step", "loops", "diags")
+
+    def __init__(self, function: str, step, diags: Diagnostics | None):
+        self.function = function
+        self.step = step
+        self.loops: dict[int, tuple[int, int]] = {}
+        self.diags = diags
+
+
+def flow(w: Walk, stmts: list[Stmt], state: int | None,
+         report: bool) -> int | None:
+    """The state after stmts run from state; None once every path returned.
+    With report, w.step meets each statement in its fixpoint state, and each
+    one no path reaches is warned about. A plain statement is one step."""
+    for s in stmts:
+        if state is None:
+            if not report:
+                return None
+            for d in iter_stmts(Block(stmts=[s])):
+                if type(d) is not Block:
+                    warn_unreachable(w.diags, w.function, d)
+            continue
+        handler = _FLOW.get(type(s))
+        if handler is not None:
+            state = handler(w, s, state, report)
+        elif state:
+            state = w.step(w, s, state, report)
+    return state
+
+
+def _loop(w: Walk, s: While, entry: int) -> tuple[int, int]:
+    """(head, exit) of loop s entered in state entry: the head joins entry
+    with the body's exit until it stops growing, and the exit is the head
+    after the condition."""
+    memo = w.loops.get(id(s))
+    head = entry if memo is None else memo[0] | entry
+    if memo is not None and head == memo[0]:
+        return memo
+    while True:
+        out = w.step(w, s, head, False) if head else head
+        back = flow(w, s.body.stmts, out, False)
+        if back is None or back | head == head:
+            break
+        head |= back
+    memo = w.loops[id(s)] = (head, out)
+    return memo
+
+
+def _flow_while(w: Walk, s: While, state: int, report: bool) -> int:
+    head, state = _loop(w, s, state)
+    if report:
+        if head:
+            w.step(w, s, head, True)
+        flow(w, s.body.stmts, state, True)
+    return state
+
+
+def _flow_if(w: Walk, s: If, state: int, report: bool) -> int | None:
+    if state:
+        state = w.step(w, s, state, report)
+    then = flow(w, s.then.stmts, state, report)
+    if s.orelse is not None:
+        state = flow(w, s.orelse.stmts, state, report)
+    # where the two paths meet; None stands for no path
+    return state if then is None else then if state is None else then | state
+
+
+def _flow_return(w: Walk, s: Return, state: int, report: bool) -> None:
+    if report and state:  # the value's step; no path goes on
+        w.step(w, s, state, True)
+
+
+# How each statement type that is not a plain step runs (flow).
+_FLOW = {
+    Block: lambda w, s, state, report: flow(w, s.stmts, state, report),
+    While: _flow_while,
+    If: _flow_if,
+    Return: _flow_return,
+}
+
+
+def falls_through(stmts: list[Stmt]) -> bool:
+    """Whether a path runs off the end of stmts: a walk that tracks nothing."""
+    return flow(Walk("", None, None), stmts, 0, False) is not None
 
 
 def solve(seed, step) -> None:

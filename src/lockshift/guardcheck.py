@@ -7,29 +7,14 @@ paths gives Conflict. Dereferencing requires Owned; moving requires Owned
 and consumes. Assigning into a guard is never a use, so reacquiring in a
 loop or overwriting an owned guard is fine.
 
-The flow needs no graph: every function, one without guards too, is checked
-by walking its Block/If/While/Return tree. Its n guards are numbered 0..n-1,
-and the state at a program point is one int of three n-bit fields: bit i set
-means guard i may be Uninit there, bit n+i that it may be Owned, bit 2n+i
-that it may be Moved. Paths join by `|`, and a guard with two or more bits
-set is in Conflict. A move or a receipt clears the guard's three bits and
-sets one. After a return, and where no path reaches, the state is None.
-
-A while head joins its entry with its body's exit until it stops growing.
-Each loop keeps that head and the exit it gave, and a later visit whose
-entry is already inside the head takes that exit without walking the body.
-A head starts with at least n of its 3n bits and only grows. A visit that
-walks the body grows it on entry (unless it is the first visit) and after
-each walk but its last, so a body is walked at most 2n+1 times to find its
-head, however deeply loops nest. The same walk, run once more from the
-top with report set, then checks each statement's uses against its state
-once the enclosing loop heads are at their fixpoint, and warns about each
-statement no path reaches, as the analysis CFGs do.
-
-Every walker dispatches on type(node) through a module table: _EVENTS
-gives an expression's guard uses, _STMT_EVENTS a statement's uses and
-receipts, and _FLOW runs a block, if, while or return; any other statement
-is one _step.
+The flow needs no graph: each function, one without guards too, is one
+cfg.flow walk with _step as its step. Its n guards are numbered 0..n-1,
+and a state is one int of three n-bit fields: bit i set means guard i may
+be Uninit there, bit n+i that it may be Owned, bit 2n+i that it may be
+Moved. A guard with two or more bits set is in Conflict. A move or a
+receipt clears the guard's three bits and sets one. A loop head starts
+with at least n of its 3n bits, so each body is walked at most 2n+1 times
+to find it; the report pass then checks each use against its state.
 
 The checker reports errors; it never throws. An empty list means accepted.
 """
@@ -42,7 +27,6 @@ from .ast import (
     AddrOf,
     Assign,
     Binary,
-    Block,
     Call,
     CallAssign,
     Deref,
@@ -58,8 +42,8 @@ from .ast import (
     Stmt,
     TupleExpr,
     While,
-    iter_stmts,
 )
+from .cfg import Walk, flow
 from .diagnostics import Diagnostics, gc_paused
 
 USE_OF_UNINIT = "UseOfUninit"
@@ -161,19 +145,12 @@ _STMT_EVENTS = {
 }
 
 
-class _Walk:
-    """One function's check: its guards' bits, each loop's head and exit,
-    and what the reporting walk found."""
+class _Walk(Walk):
+    """The flow walk with _step: its guards' bits, and the errors found."""
 
-    __slots__ = ("function", "bits", "loops", "errors", "diags")
-
-    def __init__(self, function: str, bits: dict[str, tuple[int, int, int]],
-                 diags: Diagnostics):
-        self.function = function
-        self.bits = bits
-        self.loops: dict[int, tuple[int, int]] = {}
-        self.errors: set[OwnershipError] = set()
-        self.diags = diags
+    __slots__ = ("bits", "errors")
+    bits: dict[str, tuple[int, int, int]]
+    errors: set[OwnershipError]
 
 
 def _step(w: _Walk, s: Stmt, state: int, report: bool) -> int:
@@ -202,80 +179,6 @@ def _step(w: _Walk, s: Stmt, state: int, report: bool) -> int:
     return state
 
 
-def _loop(w: _Walk, s: While, entry: int) -> tuple[int, int]:
-    """(head, exit) of loop s entered in state entry: the head joins entry
-    with the body's exit until it stops growing, and the exit is the head
-    after the condition."""
-    memo = w.loops.get(id(s))
-    if memo is not None:
-        head = memo[0]
-        if entry | head == head:
-            return memo
-        head |= entry
-    else:
-        head = entry
-    while True:
-        out = _step(w, s, head, False)
-        back = _flow(w, s.body.stmts, out, False)
-        if back is None or back | head == head:
-            break
-        head |= back
-    memo = w.loops[id(s)] = (head, out)
-    return memo
-
-
-def _flow(w: _Walk, stmts: list[Stmt], state: int | None,
-          report: bool) -> int | None:
-    """The state after stmts run from state; None once every path returned.
-    With report, the enclosing loop heads are at their fixpoint: each use is
-    checked against the state it meets, and each statement no path reaches
-    is warned about. A statement with no handler in _FLOW is one _step."""
-    for s in stmts:
-        if state is None:
-            if not report:
-                return None
-            for d in iter_stmts(Block(stmts=[s])):
-                if type(d) is not Block:
-                    w.diags.warn("unreachable statement removed from flow graph",
-                                 function=w.function, line=d.line)
-            continue
-        flow = _FLOW.get(type(s))
-        state = _step(w, s, state, report) if flow is None else flow(w, s, state, report)
-    return state
-
-
-def _flow_while(w: _Walk, s: While, state: int, report: bool) -> int:
-    head, state = _loop(w, s, state)
-    if report:
-        _step(w, s, head, True)
-        _flow(w, s.body.stmts, state, True)
-    return state
-
-
-def _flow_if(w: _Walk, s: If, state: int, report: bool) -> int | None:
-    state = _step(w, s, state, report)
-    then = _flow(w, s.then.stmts, state, report)
-    if s.orelse is not None:
-        state = _flow(w, s.orelse.stmts, state, report)
-    # where the two paths meet; None stands for no path
-    return state if then is None else then if state is None else then | state
-
-
-def _flow_return(w: _Walk, s: Return, state: int, report: bool) -> None:
-    if report:
-        _step(w, s, state, True)
-    return None
-
-
-# How each statement type that is not a plain step runs (_flow).
-_FLOW = {
-    Block: lambda w, s, state, report: _flow(w, s.stmts, state, report),
-    While: _flow_while,
-    If: _flow_if,
-    Return: _flow_return,
-}
-
-
 def _check_function(fn: FunctionDef, diags: Diagnostics) -> list[OwnershipError]:
     owned = {d.guard: False for d in fn.guard_decls}
     for p in fn.params:
@@ -288,8 +191,9 @@ def _check_function(fn: FunctionDef, diags: Diagnostics) -> list[OwnershipError]
         u, o, m = 1 << i, 1 << (n + i), 1 << (2 * n + i)
         bits[name] = (u, o, m)
         state |= o if is_owned else u
-    w = _Walk(fn.name, bits, diags)
-    _flow(w, fn.body.stmts, state, True)
+    w = _Walk(fn.name, _step, diags)
+    w.bits, w.errors = bits, set()
+    flow(w, fn.body.stmts, state, True)
     return sorted(w.errors, key=lambda e: (e.line, e.guard, e.kind))
 
 

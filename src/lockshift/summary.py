@@ -41,7 +41,7 @@ class LockSummary:
     function_map: dict[str, FunctionSummary] = field(default_factory=dict)
 
     def function(self, name: str) -> FunctionSummary:
-        return self.function_map.get(name, FunctionSummary())
+        return self.function_map.get(name) or FunctionSummary()
 
     def lock_of(self, struct: str | None, name: str) -> str | None:
         """The lock beside datum name: of a global when struct is None,

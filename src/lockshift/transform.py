@@ -61,6 +61,7 @@ from .ast import (
     to_caller,
 )
 from .callgraph import thread_entries
+from .cfg import falls_through
 from .diagnostics import (
     Diagnostics,
     SchemaError,
@@ -84,23 +85,6 @@ def _fresh_name(base: str, *taken) -> str:
         name = "%s%d" % (base, k)
         k += 1
     return name
-
-
-def _falls_through(stmts: list[Stmt]) -> bool:
-    """Whether a path runs off the end of stmts, by the rule the flow graphs
-    and the checker follow: a return ends a path, an if reaches its end when
-    a branch does or it has no else, and a while always exits."""
-    for s in stmts:
-        t = type(s)
-        if t is Return:
-            return False
-        if t is Block and not _falls_through(s.stmts):
-            return False
-        if (t is If and s.orelse is not None
-                and not _falls_through(s.then.stmts)
-                and not _falls_through(s.orelse.stmts)):
-            return False
-    return True
 
 
 class _Transformer:
@@ -266,7 +250,7 @@ class _Transformer:
         self._used: set[LockPath] = set()
 
         body = self._rewrite_block(fn.body)
-        if self._rets and _falls_through(body.stmts):
+        if self._rets and falls_through(body.stmts):
             body.stmts.append(self._make_return(None, fn.line_span[1]))
 
         params = list(fn.params) + [Param(self._guard_type(q), self._names[q])

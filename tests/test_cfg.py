@@ -1,9 +1,11 @@
 """Flow-graph construction: node inventory, edges, and no nodes for code
-that no path reaches."""
+that no path reaches; and the graph-free flow walk, which follows the same
+rule."""
 from __future__ import annotations
 
-from lockshift.ast import If, Return, While
-from lockshift.cfg import build_cfg, cfg_to_dot
+from lockshift import cfg
+from lockshift.ast import Block, If, Return, While, iter_stmts
+from lockshift.cfg import Walk, build_cfg, cfg_to_dot, falls_through, flow
 from lockshift.diagnostics import Diagnostics
 from lockshift.parser import parse
 
@@ -73,6 +75,36 @@ def test_unreachable_nested_statements_warn_in_textual_order():
     assert [type(n) for n in g.stmt_nodes] == [Return]
     assert [n for n in g.nodes if g.ret in g.succ[n]] == [g.stmt_nodes[0]]
     assert [d.line for d in diags] == [5, 6, 8, 10, 11]
+
+
+def test_the_flow_walk_and_the_flow_graphs_follow_one_rule(corpus, monkeypatch):
+    """On every pinned program's functions, the walk's report pass warns
+    about exactly the statements build_cfg leaves out of the graph, in the
+    same order, and a body falls through exactly when Ret has a
+    predecessor that is not a Return."""
+    warned: list[int] = []
+    monkeypatch.setattr(cfg, "warn_unreachable",
+                        lambda diags, function, s: warned.append(id(s)))
+    functions = dead = through = 0
+    for name, run in corpus.items():
+        if run.program is None:
+            continue
+        for fn in run.program.functions:
+            warned.clear()
+            g = build_cfg(fn, Diagnostics())
+            graph_warned = warned[:]
+            warned.clear()
+            flow(Walk(fn.name, None, Diagnostics()), fn.body.stmts, 0, True)
+            left_out = [id(s) for s in iter_stmts(fn.body)
+                        if type(s) is not Block and s not in g.succ]
+            assert warned == left_out, (name, fn.name)
+            assert graph_warned == left_out, (name, fn.name)
+            falls = any(g.ret in g.succ[n] and type(n) is not Return for n in g.nodes)
+            assert falls_through(fn.body.stmts) == falls, (name, fn.name)
+            functions += 1
+            dead += len(left_out)
+            through += falls
+    assert functions > 1000 and dead > 10 and 1000 < through < functions
 
 
 def test_empty_body_connects_entry_to_ret():

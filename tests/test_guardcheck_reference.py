@@ -1,8 +1,8 @@
 """Differential test of the ownership checker against a flow-graph reference.
 
-`guardcheck.check` walks each function's statement tree over bit-mask
-states and keeps each loop's head between visits. The reference below is
-the checker it replaced: it builds the function's flow graph, runs the
+`guardcheck.check` walks each function's statement tree (`cfg.flow`)
+over bit-mask states and keeps each loop's head between visits. The
+reference below is the checker it replaced: it builds the function's flow graph, runs the
 shared worklist (`cfg.solve`) over one state per guard and node, and
 reports from each reachable node's fixpoint state. Both must give the same
 errors and the same rendered warnings, in the same order.
@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from lockshift import guardcheck
+from lockshift import cfg
 from lockshift.ast import Stmt
 from lockshift.cfg import build_cfg, solve
 from lockshift.diagnostics import Diagnostics
@@ -270,7 +270,7 @@ def test_deeply_nested_loops_are_checked_in_linear_time(monkeypatch):
     depth = 90
     program = parse_guarded(nested_loops(depth))
     walks = []
-    flow = guardcheck._flow
+    flow = cfg.flow
 
     def counted(w, stmts, state, report):
         if not report:
@@ -278,7 +278,7 @@ def test_deeply_nested_loops_are_checked_in_linear_time(monkeypatch):
             assert len(walks) <= 4 * depth, "loop bodies walked once per outer iteration"
         return flow(w, stmts, state, report)
 
-    monkeypatch.setattr(guardcheck, "_flow", counted)
+    monkeypatch.setattr(cfg, "flow", counted)
     errors, _ = assert_matches_reference(program)
     monkeypatch.undo()
     assert len(errors) == 90

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import lockshift
 from lockshift import ast as nodes
-from lockshift import guardcheck, parser, printer
+from lockshift import cfg, guardcheck, parser, printer
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "lockshift"
@@ -341,7 +341,7 @@ def test_every_node_type_has_its_resolver():
 # transformer's input is plain, with no guarded form (a tuple is
 # guarded-only too), and a number has nothing to rewrite; names and numbers
 # use no guard, and a block none of its own; a simple statement is one
-# step of the checker's flow and one line of the printer's, and a block,
+# step of the flow walk and one line of the printer's, and a block,
 # if or while has no one-line text.
 SIMPLE_STMTS = {nodes.Assign, nodes.CallAssign, nodes.AcquireAssign, nodes.DropCall}
 PASS_THROUGH = {
@@ -352,7 +352,7 @@ PASS_THROUGH = {
     "printer._EXPR_TEXT": set(),
     "guardcheck._EVENTS": {nodes.Var, nodes.IntLit, nodes.PayloadInit},
     "guardcheck._STMT_EVENTS": {nodes.Block},
-    "guardcheck._FLOW": SIMPLE_STMTS,
+    "cfg._FLOW": SIMPLE_STMTS,
     "printer._STMT_TEXT": {nodes.Block, nodes.If, nodes.While},
     "printer._EMIT_STMT": SIMPLE_STMTS | {nodes.Return},
 }
@@ -376,7 +376,7 @@ def test_every_node_type_has_its_back_end_handler_or_passes_through():
         "printer._EXPR_TEXT": (printer._EXPR_TEXT, exprs),
         "guardcheck._EVENTS": (guardcheck._EVENTS, exprs),
         "guardcheck._STMT_EVENTS": (guardcheck._STMT_EVENTS, stmts),
-        "guardcheck._FLOW": (guardcheck._FLOW, stmts),
+        "cfg._FLOW": (cfg._FLOW, stmts),
         "printer._STMT_TEXT": (printer._STMT_TEXT, stmts),
         "printer._EMIT_STMT": (printer._EMIT_STMT, stmts),
     }

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from lockshift import summary
 from lockshift.ast import path_of
 from lockshift.diagnostics import SchemaError, SummaryMismatch, UnsupportedCall
 from lockshift.parser import parse
@@ -68,6 +69,26 @@ def test_missing_function_keys_default_to_empty():
     assert s.function_map == {"f": FunctionSummary()}
     assert s.function("f").is_empty()
     assert s.function("absent").is_empty()
+
+
+def test_looking_up_a_present_function_builds_no_summary(monkeypatch):
+    """Only a miss builds the empty default; building one before every
+    lookup cost the transformer a dataclass and a dict per call."""
+    s = sample()
+    built = []
+
+    class Counted(FunctionSummary):
+        __slots__ = ()
+
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(summary, "FunctionSummary", Counted)
+    assert s.function("f") is s.function_map["f"]
+    assert built == []
+    assert s.function("absent").is_empty()
+    assert len(built) == 1
 
 
 def test_lock_lists_are_sorted_and_deduplicated():
