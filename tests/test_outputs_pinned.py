@@ -8,14 +8,21 @@ by its summary JSON, the refusal and its diagnostics. The programs are the fixtu
 each guarded fixture is pinned by its checker errors and diagnostics. A
 change that alters any output fails here and names the programs it touched.
 
-The digests are taken from the session's one run of each program
-(`corpus.run_corpus`). Regenerate the file from the same runs with
+`fixtures/outputs.ledger` says the same thing readably, one line per
+program: its census column (with the refusal's reason and line, the
+checker's error kinds with their counts, or the error raised), its
+warnings counted by kind, and the sizes of its two lock maps. A moved
+digest then reads as a diff of its ledger line.
+
+The digests and the ledger are taken from the session's one run of each
+program (`corpus.run_corpus`). Regenerate both files from the same runs with
 `PYTHONPATH=src python tests/test_outputs_pinned.py` and say in the change's
 notes which lines moved and why.
 """
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 
 from lockshift.diagnostics import (
     Diagnostics,
@@ -31,6 +38,7 @@ from corpus import PinnedRun, run_corpus
 from helpers import FIXTURES
 
 PINNED = FIXTURES / "outputs.sha256"
+LEDGER = FIXTURES / "outputs.ledger"
 
 
 def _digest(parts: list[str]) -> str:
@@ -84,11 +92,103 @@ def read_pinned() -> dict[str, str]:
     return out
 
 
+# The kind of each warning, by a phrase of its message. A message that
+# matches none fails the ledger, so a new kind of warning gets a name here.
+_WARNING_KINDS = (
+    ("unreachable statement", "unreachable"),
+    ("has no terminating path", "no-terminating-path"),
+    ("is not a place", "not-a-place"),
+    ("has no parameter image", "no-parameter-image"),
+    ("is unconstrained", "unconstrained-entry"),
+    ("is invoked from outside", "external"),
+    ("payload struct name", "struct-renamed"),
+    ("guard name", "guard-renamed"),
+    ("fall-through return", "fall-through-return"),
+)
+
+# The reason of each refusal (UnsupportedCall), by a phrase of its message.
+_REFUSALS = (("inside an expression", "inside an expression"),
+             ("is not a place", "not a place"))
+
+
+def _kind(text: str, kinds) -> str:
+    for phrase, kind in kinds:
+        if phrase in text:
+            return kind
+    raise AssertionError("no ledger kind for %r" % text)
+
+
+def _counts(kinds) -> str:
+    return ", ".join("%s %d" % kv for kv in sorted(Counter(kinds).items()))
+
+
+def _warnings(diagnostics) -> str:
+    return "warnings " + (_counts(_kind(d, _WARNING_KINDS) for d in diagnostics)
+                          or "none")
+
+
+def _verdict(errors) -> str:
+    if not errors:
+        return "accepted"
+    return "rejected (%s)" % _counts(e.kind for e in errors)
+
+
+def program_line(run: PinnedRun) -> str:
+    """The census column, the warnings and the lock-map sizes of run."""
+    if isinstance(run.error, IterationBudgetExceeded):
+        return "over budget"
+    if run.result is None:
+        return "error (%s, line %d)" % (type(run.error).__name__, run.error.line)
+    if run.error is None:
+        column = _verdict(run.errors)
+    else:
+        column = "refused (%s, line %d)" % (_kind(str(run.error), _REFUSALS),
+                                            run.error.line)
+    ls = run.result.lock_summary
+    return "%s; %s; maps %d globals, %d fields" % (
+        column, _warnings(run.diagnostics), len(ls.global_lock_map),
+        sum(map(len, ls.struct_lock_map.values())))
+
+
+def guarded_line(text: str) -> str:
+    """The checker's verdict on a guarded program, and its warnings."""
+    diags = Diagnostics()
+    try:
+        errors = check(parse_guarded(text), diags)
+    except LockshiftError as exc:
+        return "error (%s)" % type(exc).__name__
+    return "%s; %s" % (_verdict(errors), _warnings(d.render() for d in diags))
+
+
+def ledger(runs: dict[str, PinnedRun]) -> dict[str, str]:
+    out = {name: program_line(run) for name, run in runs.items()}
+    for p in sorted(FIXTURES.glob("*.gmc")):
+        out["gmc/%s" % p.name] = guarded_line(p.read_text())
+    return out
+
+
+def read_ledger() -> dict[str, str]:
+    out = {}
+    for line in LEDGER.read_text().splitlines():
+        name, entry = line.split(": ", 1)
+        out[name] = entry
+    return out
+
+
 def test_every_output_matches_its_pinned_digest(corpus):
     pinned = read_pinned()
     got = digests(corpus)
     assert sorted(got) == sorted(pinned)
     changed = [name for name in got if got[name] != pinned[name]]
+    assert changed == []
+
+
+def test_every_program_matches_its_ledger_line(corpus):
+    pinned = read_ledger()
+    got = ledger(corpus)
+    assert sorted(got) == sorted(pinned)
+    changed = ["%s: %s -> %s" % (name, pinned[name], got[name])
+               for name in got if got[name] != pinned[name]]
     assert changed == []
 
 
@@ -137,5 +237,8 @@ def test_the_census_of_each_family_is_pinned(corpus):
 
 
 if __name__ == "__main__":
+    runs = run_corpus()
     PINNED.write_text("".join("%s  %s\n" % (d, name)
-                              for name, d in digests(run_corpus()).items()))
+                              for name, d in digests(runs).items()))
+    LEDGER.write_text("".join("%s: %s\n" % (name, entry)
+                              for name, entry in ledger(runs).items()))
