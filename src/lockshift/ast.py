@@ -186,8 +186,8 @@ class Stmt:
     line: int = 0
     # The calls evaluated by the statement itself, in evaluation order:
     # arguments before their call (a place holds none), and only the
-    # condition of an If or While. Not an __init__ argument: the
-    # resolver sets a tuple on each statement that evaluates calls, and
+    # condition of an If or While. Not an __init__ argument: the resolver
+    # sets a tuple on each reachable statement that evaluates calls, and
     # every other statement keeps the shared empty default. So it is defined
     # only on what `parse` and `parse_guarded` return; a statement built by
     # hand, or by the transformer and not re-parsed, reports none. The
@@ -319,9 +319,13 @@ class FunctionDef:
     line_span: tuple[int, int]
     guard_decls: list[GuardVarDecl] = field(default_factory=list)
     # Every call of the body in program order, the statements' calls
-    # (Stmt.calls) in iter_stmts order, unreachable ones too. Set by the
-    # resolver: the one statement's own tuple when only one has calls.
+    # (Stmt.calls) in iter_stmts order. Set by the resolver: the one
+    # statement's own tuple when only one has calls.
     calls: tuple[Call, ...] = field(default=(), init=False, repr=False)
+    # The statements the resolver cut from the body, in textual order: each
+    # follows a statement of its block that ends every path. They are
+    # type-checked but take no call, and are kept for cfg.warn_unreachable.
+    unreachable: tuple[Stmt, ...] = field(default=(), init=False, repr=False)
 
     @property
     def param_names(self) -> list[str]:

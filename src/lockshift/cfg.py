@@ -2,24 +2,22 @@
 
 Every function gets a FlowGraph with synthetic Entry and Ret nodes; blocks are
 structural (not nodes), if/while conditions are their own nodes, every Return
-feeds Ret, and a body that can fall off the end gets an edge to Ret. A
-statement that no path reaches gets no node: the walk meets it with an empty
-frontier (a return ends a path; an if reaches its end when a branch does or
-it has no else; a while always exits) and warns about it and every statement
-under it instead (warn_unreachable).
+feeds Ret, and a body that can fall off the end gets an edge to Ret. The
+resolver cut each statement no path reaches (FunctionDef.unreachable);
+build_cfg warns about them (warn_unreachable).
 
-flow() walks the Block/If/While/Return tree by the same rule, with no
-graph: a state is an int bit mask, paths join by `|`, None means no path,
-and a client supplies only step, the state after one statement (a plain
-one, an if or while head, a return's value). A state of 0 tracks nothing,
-so no step runs on it. A while head joins its entry with its body's exit
-until it stops growing, and is kept with the exit it gave: a later visit
-whose entry is inside the head takes that exit unwalked. A visit grows the
-head on entry (unless it is the first) and after each walk but its last,
-so a body is walked at most b+1 times however deeply loops nest, b being
-the bits its head can gain after its first entry. A last walk from the
-top with report set meets each statement with the loop heads at their
-fixpoint, and warns about each statement no path reaches.
+flow() walks the Block/If/While/Return tree with no graph: a state is an
+int bit mask, paths join by `|`, None means no path (after a return, or an
+if whose branches both end), and a client supplies only step, the state
+after one statement (a plain one, an if or while head, a return's value).
+A state of 0 tracks nothing, so no step runs on it. A while head joins its
+entry with its body's exit until it stops growing, and is kept with the
+exit it gave: a later visit whose entry is inside the head takes that exit
+unwalked. A visit grows the head on entry (unless it is the first) and
+after each walk but its last, so a body is walked at most b+1 times however
+deeply loops nest, b being the bits its head can gain after its first
+entry. A last walk from the top with report set meets each statement with
+the loop heads at their fixpoint.
 
 solve() is the one worklist the dataflow passes share.
 """
@@ -74,14 +72,12 @@ class FlowGraph:
 
 
 def build_cfg(fn: FunctionDef, diags: Diagnostics | None = None) -> FlowGraph:
+    warn_unreachable(diags, fn)
     g = FlowGraph(fn.name)
     g.add_node(g.entry)
-    tail = _walk_block(g, fn.body, [g.entry], diags)
+    tail = _walk_block(g, fn.body, [g.entry])
     g.add_node(g.ret)
     _connect(g, tail, g.ret)
-    for n in g.nodes:
-        if type(n) is Return:
-            g.add_edge(n, g.ret)
     return g
 
 
@@ -92,69 +88,57 @@ def _connect(g: FlowGraph, frontier: list[Node], node: Node) -> None:
         g.add_edge(f, node)
 
 
-def _walk_block(g: FlowGraph, block: Block, frontier: list[Node],
-                diags: Diagnostics | None) -> list[Node]:
+def _walk_block(g: FlowGraph, block: Block, frontier: list[Node]) -> list[Node]:
     for s in block.stmts:
-        frontier = _walk_stmt(g, s, frontier, diags)
+        frontier = _walk_stmt(g, s, frontier)
     return frontier
 
 
-def _walk_stmt(g: FlowGraph, s: Stmt, frontier: list[Node],
-               diags: Diagnostics | None) -> list[Node]:
+def _walk_stmt(g: FlowGraph, s: Stmt, frontier: list[Node]) -> list[Node]:
     t = type(s)
     if t is Block:
-        return _walk_block(g, s, frontier, diags)
-    if frontier:
-        g.add_node(s)
-        _connect(g, frontier, s)
-        here = [s]
-    else:
-        if diags is not None:
-            warn_unreachable(diags, g.name, s)
-        here = []
+        return _walk_block(g, s, frontier)
+    g.add_node(s)
+    _connect(g, frontier, s)
+    here = [s]
     if t is If:
-        exits = _walk_block(g, s.then, here, diags)
-        if s.orelse is not None:
-            return exits + _walk_block(g, s.orelse, here, diags)
-        return exits + here
+        exits = _walk_block(g, s.then, here)
+        return exits + (here if s.orelse is None else _walk_block(g, s.orelse, here))
     if t is While:
-        _connect(g, _walk_block(g, s.body, here, diags), s)
-        return here
-    if t is Return:
+        _connect(g, _walk_block(g, s.body, here), s)
+    elif t is Return:
+        g.add_edge(s, g.ret)
         return []
     return here
 
 
-def warn_unreachable(diags: Diagnostics, function: str, s: Stmt) -> None:
-    diags.warn("unreachable statement removed from flow graph",
-               function=function, line=s.line)
+def warn_unreachable(diags: Diagnostics | None, fn: FunctionDef) -> None:
+    """Warn about each statement the resolver cut from fn and each one
+    under it, in textual order."""
+    if diags is not None and fn.unreachable:
+        for s in iter_stmts(Block(stmts=list(fn.unreachable))):
+            if type(s) is not Block:
+                diags.warn("unreachable statement removed from flow graph",
+                           function=fn.name, line=s.line)
 
 
 class Walk:
-    """A function's flow walk: step(w, s, state, report), loop memo, warnings."""
+    """A function's flow walk: step(w, s, state, report) and the loop memo."""
 
-    __slots__ = ("function", "step", "loops", "diags")
+    __slots__ = ("function", "step", "loops")
 
-    def __init__(self, function: str, step, diags: Diagnostics | None):
+    def __init__(self, function: str, step):
         self.function = function
         self.step = step
         self.loops: dict[int, tuple[int, int]] = {}
-        self.diags = diags
 
 
 def flow(w: Walk, stmts: list[Stmt], state: int | None,
          report: bool) -> int | None:
     """The state after stmts run from state; None once every path returned.
-    With report, w.step meets each statement in its fixpoint state, and each
-    one no path reaches is warned about. A plain statement is one step."""
+    With report, w.step meets each statement in its fixpoint state. A plain
+    statement is one step."""
     for s in stmts:
-        if state is None:
-            if not report:
-                return None
-            for d in iter_stmts(Block(stmts=[s])):
-                if type(d) is not Block:
-                    warn_unreachable(w.diags, w.function, d)
-            continue
         handler = _FLOW.get(type(s))
         if handler is not None:
             state = handler(w, s, state, report)
@@ -216,7 +200,7 @@ _FLOW = {
 
 def falls_through(stmts: list[Stmt]) -> bool:
     """Whether a path runs off the end of stmts: a walk that tracks nothing."""
-    return flow(Walk("", None, None), stmts, 0, False) is not None
+    return flow(Walk("", None), stmts, 0, False) is not None
 
 
 def solve(seed, step) -> None:

@@ -222,8 +222,7 @@ def _run(args, diags: Diagnostics) -> int:
 
     errors = []
     if args.mode == "full":
-        # The checker's warnings repeat the analysis's; `check` prints them.
-        errors = phases.run("check", lambda: check(guarded))
+        errors = phases.run("check", lambda: check(guarded, diags))
         _print_errors(errors, args.input)
     _print_diagnostics(diags, args.input)
     phases.report()

@@ -43,7 +43,7 @@ from .ast import (
     TupleExpr,
     While,
 )
-from .cfg import Walk, flow
+from .cfg import Walk, flow, warn_unreachable
 from .diagnostics import Diagnostics, gc_paused
 
 USE_OF_UNINIT = "UseOfUninit"
@@ -179,7 +179,7 @@ def _step(w: _Walk, s: Stmt, state: int, report: bool) -> int:
     return state
 
 
-def _check_function(fn: FunctionDef, diags: Diagnostics) -> list[OwnershipError]:
+def _check_function(fn: FunctionDef) -> list[OwnershipError]:
     owned = {d.guard: False for d in fn.guard_decls}
     for p in fn.params:
         if p.ty.kind == "guard":
@@ -191,7 +191,7 @@ def _check_function(fn: FunctionDef, diags: Diagnostics) -> list[OwnershipError]
         u, o, m = 1 << i, 1 << (n + i), 1 << (2 * n + i)
         bits[name] = (u, o, m)
         state |= o if is_owned else u
-    w = _Walk(fn.name, _step, diags)
+    w = _Walk(fn.name, _step)
     w.bits, w.errors = bits, set()
     flow(w, fn.body.stmts, state, True)
     return sorted(w.errors, key=lambda e: (e.line, e.guard, e.kind))
@@ -199,10 +199,10 @@ def _check_function(fn: FunctionDef, diags: Diagnostics) -> list[OwnershipError]
 
 @gc_paused
 def check(gp: Program, diags: Diagnostics | None = None) -> list[OwnershipError]:
-    """All ownership errors in the program, per function in program order."""
-    if diags is None:
-        diags = Diagnostics()
+    """All ownership errors in the program, per function in program order.
+    The statements the resolver cut as unreachable are warned about."""
     errors: list[OwnershipError] = []
     for fn in gp.functions:
-        errors.extend(_check_function(fn, diags))
+        warn_unreachable(diags, fn)
+        errors.extend(_check_function(fn))
     return errors

@@ -661,6 +661,7 @@ class _Resolver:
         self.calls: list[Call] = []
         # the calls of each statement of the current function that has any
         self.taken: list[tuple[Call, ...]] = []
+        self.live = True  # whether the statements resolving are reachable
 
     def run(self) -> Program:
         # A duplicate is a declaration that is not its name's index entry.
@@ -776,32 +777,45 @@ class _Resolver:
             self.lock_type(d.path, d.line)
             guards[d.guard] = d.path
         self.taken = taken = []
+        self.dead: list[Stmt] = []  # the statements resolve_block cuts
         self.resolve_block(f.body)
         if len(taken) == 1:
             f.calls = taken[0]
         elif taken:
             f.calls = tuple(chain.from_iterable(taken))
+        f.unreachable = tuple(self.dead)
 
     # -- statements ----------------------------------------------------------
 
-    def resolve_block(self, b: Block) -> None:
+    def resolve_block(self, b: Block) -> bool:
         """Resolve each statement of b and move the calls it evaluates
         itself onto its `calls`; an If or While takes its condition's calls
         before its nested statements resolve, and a Block has none of its
-        own."""
-        for s in b.stmts:
+        own. Whether b ends every path, as the first statement whose handler
+        says so does. No path reaches the ones after it: they are resolved,
+        so that their errors raise, but take no call, and move to `dead`."""
+        stmts, end = b.stmts, 0
+        for i, s in enumerate(stmts, 1):
             self.line = s.line
-            _RESOLVE_STMT[type(s)](self, s)
+            ends = _RESOLVE_STMT[type(s)](self, s)
             if self.calls:
                 self.take_calls(s)
+            if ends and self.live:
+                self.live, end = False, i
+        if end:
+            self.live = True
+            self.dead += stmts[end:]
+            del stmts[end:]
+        return end > 0
 
     def take_calls(self, s: Stmt | GlobalDecl) -> None:
         """Move the calls resolved since the last move onto s, and note
-        them for the function's list (FunctionDef.calls)."""
-        s.calls = calls = tuple(self.calls)
+        them for the function's list (FunctionDef.calls), if s is reachable."""
+        if self.live:
+            s.calls = calls = tuple(self.calls)
+            if calls:
+                self.taken.append(calls)
         self.calls.clear()
-        if calls:
-            self.taken.append(calls)
 
     def resolve_assign(self, s: Assign) -> None:
         """The value is read (check_read) after the place, if any, is checked."""
@@ -826,27 +840,28 @@ class _Resolver:
             if kind is not GuardRef and kind is not Discard:  # a guard receives
                 self.check_assign_place(t, _RESOLVE_EXPR[kind](self, t))
 
-    def resolve_if(self, s: If) -> None:
+    def resolve_if(self, s: If) -> bool:
+        """Whether s ends every path: both of its branches do."""
         self.read(s.cond)
         self.take_calls(s)
-        self.resolve_block(s.then)
-        if s.orelse is not None:
-            self.resolve_block(s.orelse)
+        ends = self.resolve_block(s.then)
+        return s.orelse is not None and self.resolve_block(s.orelse) and ends
 
     def resolve_while(self, s: While) -> None:
         self.read(s.cond)
         self.take_calls(s)
         self.resolve_block(s.body)
 
-    def resolve_return(self, s: Return) -> None:
+    def resolve_return(self, s: Return) -> bool:
         """A return gives its function's values as a call's targets do
-        (check_values); with no value it drops each."""
+        (check_values); with no value it drops each. It ends every path."""
         value = s.value
         values = (() if value is None else value.items if type(value) is TupleExpr
                   else (value,))
         for v in values:
             _RESOLVE_EXPR[type(v)](self, v)
         self.check_values(self.fn, (), values, "%s() returns void, not a value", None)
+        return True
 
     def resolve_acquire(self, s: AcquireAssign) -> None:
         self.lock_type(s.path, s.line)

@@ -77,7 +77,5 @@ def run_pipeline(source: str | Program, budget: int = 1000,
         diags = Diagnostics()
     result = analyze_program(source, budget, diags)
     guarded = transform(result.program, result.lock_summary, diags)
-    # The checker's flow walk warns about the statements the analysis's
-    # flow graphs left out, by the same rule, so its warnings are not kept.
-    errors = check(guarded)
+    errors = check(guarded, diags)
     return result, guarded, errors

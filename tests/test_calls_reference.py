@@ -6,9 +6,11 @@ The passes read `Stmt.calls` and `FunctionDef.calls`, which
 below is the walk they replaced: the statement's own expressions (an
 Assign's value before its place, only the condition of an If or While),
 each searched for calls with arguments before their call, and for a
-function, the statements in `iter_stmts` order, unreachable ones too. For
-every statement and function of every program below, both must give the
-same Call objects in the same order.
+function, the statements in `iter_stmts` order. For every statement and
+function of every program below, both must give the same Call objects in
+the same order. A statement the resolver cut as unreachable
+(`FunctionDef.unreachable`) records no call, and none of its calls is in
+its function's list.
 """
 from __future__ import annotations
 
@@ -18,6 +20,7 @@ from lockshift.ast import (
     AddrOf,
     Assign,
     Binary,
+    Block,
     Call,
     CallAssign,
     Deref,
@@ -103,25 +106,33 @@ def test_recorded_calls_match_the_reference_on_guarded_fixtures(path):
     assert_matches_reference(parse_guarded(path.read_text()))
 
 
-def assert_function_calls_match_the_reference(program) -> None:
+def assert_function_calls_match_the_reference(program) -> int:
+    """Compare every function; return how many unreachable calls it left out."""
+    dead = 0
     for fn in program.functions:
         want = [c for s in iter_stmts(fn.body) for c in reference_stmt_calls(s)]
         assert list(fn.calls) == want, fn.name
         assert type(fn.calls) is tuple
+        for s in iter_stmts(Block(stmts=list(fn.unreachable))):
+            assert s.calls == (), (fn.name, s.line)
+            left_out = reference_stmt_calls(s)
+            assert not any(c is d for c in left_out for d in fn.calls), (fn.name, s.line)
+            dead += len(left_out)
+    return dead
 
 
 def test_each_functions_calls_match_the_reference_walk(corpus):
     """Over every pinned program, parsed and re-parsed, and every guarded
     fixture."""
-    checked = 0
+    checked = dead = 0
     for run in corpus.values():
         for program in (run.program, run.reparsed):
             if program is not None:
-                assert_function_calls_match_the_reference(program)
+                dead += assert_function_calls_match_the_reference(program)
                 checked += 1
     for path in sorted(FIXTURES.glob("*.gmc")):
         assert_function_calls_match_the_reference(parse_guarded(path.read_text()))
-    assert checked > 300
+    assert checked > 300 and dead > 10
 
 
 def test_the_inputs_have_calls_to_compare(corpus):
@@ -205,7 +216,7 @@ void main() {
     ]
 
 
-def test_a_function_keeps_its_calls_in_program_order_unreachable_ones_too():
+def test_a_function_keeps_its_calls_in_program_order_and_none_unreachable():
     source = CALLEES + """\
 void main() {
     if (f(1)) {
@@ -221,8 +232,9 @@ void main() {
 }
 """
     main = parse(source).function("main")
-    assert [c.name for c in main.calls] == ["f", "g", "h", "f", "g", "h", "f"]
-    assert main.calls[-1].args[0].value == 4
+    assert [c.name for c in main.calls] == ["f", "g", "h", "f", "g", "h"]
+    (dead,) = main.unreachable
+    assert dead.calls == () and dead.call.args[0].value == 4
 
 
 def test_a_function_shares_the_tuple_of_its_one_statement_with_calls():

@@ -1,13 +1,16 @@
 """Flow-graph construction: node inventory, edges, and no nodes for code
-that no path reaches; and the graph-free flow walk, which follows the same
-rule."""
+that no path reaches, which the resolver cut; and the reference for that
+cut, the frontier rule build_cfg followed before the resolver decided
+reachability."""
 from __future__ import annotations
 
-from lockshift import cfg
 from lockshift.ast import Block, If, Return, While, iter_stmts
-from lockshift.cfg import Walk, build_cfg, cfg_to_dot, falls_through, flow
+from lockshift.cfg import build_cfg, cfg_to_dot, falls_through
 from lockshift.diagnostics import Diagnostics
-from lockshift.parser import parse
+from lockshift.lexer import tokenize
+from lockshift.parser import _Parser, _Resolver, parse
+
+from corpus import programs
 
 
 def graph_for(source: str, name: str = "f", diags=None):
@@ -77,32 +80,57 @@ def test_unreachable_nested_statements_warn_in_textual_order():
     assert [d.line for d in diags] == [5, 6, 8, 10, 11]
 
 
-def test_the_flow_walk_and_the_flow_graphs_follow_one_rule(corpus, monkeypatch):
-    """On every pinned program's functions, the walk's report pass warns
-    about exactly the statements build_cfg leaves out of the graph, in the
-    same order, and a body falls through exactly when Ret has a
-    predecessor that is not a Return."""
-    warned: list[int] = []
-    monkeypatch.setattr(cfg, "warn_unreachable",
-                        lambda diags, function, s: warned.append(id(s)))
-    functions = dead = through = 0
-    for name, run in corpus.items():
-        if run.program is None:
+def reference_walk(stmts, reached: bool, live: list, dead: list) -> bool:
+    """The frontier rule: whether a path runs off the end of stmts when one
+    reaches their start (reached). Each statement under stmts but a block
+    goes to live or dead in textual order. A return ends a path; an if
+    reaches its end when a branch does or it has no else; a while always
+    exits."""
+    for s in stmts:
+        t = type(s)
+        if t is Block:
+            reached = reference_walk(s.stmts, reached, live, dead)
             continue
-        for fn in run.program.functions:
-            warned.clear()
-            g = build_cfg(fn, Diagnostics())
-            graph_warned = warned[:]
-            warned.clear()
-            flow(Walk(fn.name, None, Diagnostics()), fn.body.stmts, 0, True)
-            left_out = [id(s) for s in iter_stmts(fn.body)
-                        if type(s) is not Block and s not in g.succ]
-            assert warned == left_out, (name, fn.name)
-            assert graph_warned == left_out, (name, fn.name)
+        (live if reached else dead).append(s)
+        if t is If:
+            then = reference_walk(s.then.stmts, reached, live, dead)
+            other = (reached if s.orelse is None
+                     else reference_walk(s.orelse.stmts, reached, live, dead))
+            reached = then or other
+        elif t is While:
+            reference_walk(s.body.stmts, reached, live, dead)
+        elif t is Return:
+            reached = False
+    return reached
+
+
+def test_the_flow_walk_and_the_flow_graphs_follow_one_rule():
+    """On every pinned source, the resolver cuts exactly the statements the
+    reference finds dead and keeps them in textual order, and build_cfg
+    warns about each; a body falls through (the flow walk) exactly when Ret
+    has a predecessor that is not a Return (the flow graph)."""
+    functions = dead = through = 0
+    for name, source in programs().items():
+        program = _Parser(tokenize(source), guarded=False).parse_program()
+        want = {}
+        for fn in program.functions:
+            want[fn.name] = live, unreached = [], []
+            reference_walk(fn.body.stmts, True, live, unreached)
+        _Resolver(program).run()
+        for fn in program.functions:
+            live, unreached = want[fn.name]
+            # Statements compare by identity.
+            assert [s for s in iter_stmts(fn.body) if type(s) is not Block] == live
+            cut = [s for s in iter_stmts(Block(stmts=list(fn.unreachable)))
+                   if type(s) is not Block]
+            assert cut == unreached, (name, fn.name)
+            diags = Diagnostics()
+            g = build_cfg(fn, diags)
+            assert [d.line for d in diags] == [s.line for s in unreached]
             falls = any(g.ret in g.succ[n] and type(n) is not Return for n in g.nodes)
             assert falls_through(fn.body.stmts) == falls, (name, fn.name)
             functions += 1
-            dead += len(left_out)
+            dead += len(unreached)
             through += falls
     assert functions > 1000 and dead > 10 and 1000 < through < functions
 

@@ -692,14 +692,17 @@ void f() {
 
 
 def test_full_prints_each_warning_once(tmp_path, capsys):
+    """The dead statement is warned about once and left out of the output,
+    so `check` on the output has nothing to warn about."""
     src = tmp_path / "p.mc"
     src.write_text(RETURNS_EARLY)
     out = tmp_path / "p.gmc"
     assert main(["full", str(src), "-o", str(out)]) == 0
     warning = "warning: unreachable statement removed from flow graph (f, line 8)"
     assert capsys.readouterr().err == "%s: %s\n" % (src, warning)
+    assert "n = 2;" not in out.read_text()
     assert main(["check", str(out)]) == 0
-    assert capsys.readouterr().err == "%s: %s\n" % (out, warning)
+    assert capsys.readouterr().err == ""
 
 
 RETURNS_ON_EVERY_BRANCH = """\
@@ -748,7 +751,48 @@ def test_no_fall_through_return_after_dead_code(tmp_path, capsys):
     assert capsys.readouterr().err == "%s: %s\n" % (src, warning)
     assert out.read_text().count("return m_guard;") == 1
     assert main(["check", str(out)]) == 0
-    assert capsys.readouterr().err == "%s: %s\n" % (out, warning)
+    assert capsys.readouterr().err == ""
+
+
+# get takes m's guard, so a call inside an expression could not thread it;
+# but the one call of get follows main's return.
+DEAD_CALL_IN_AN_EXPRESSION = """\
+int n; mutex_t m; int get() { pthread_mutex_unlock(&m); return 1; } \
+void main() { n = 2; return; n = 1 + get(); }
+"""
+
+
+def test_a_dead_call_is_not_threaded(tmp_path, capsys):
+    src = tmp_path / "p.mc"
+    src.write_text(DEAD_CALL_IN_AN_EXPRESSION)
+    assert main(["full", str(src)]) == 0
+    out, err = capsys.readouterr()
+    assert "void main() { n = 2; return; }" in out
+    assert err == ("%s: warning: unreachable statement removed from flow graph "
+                   "(main, line 1)\n" % src)
+
+
+# w would race with main on g, but it is created only after main's return.
+DEAD_THREAD_CREATION = """\
+int g;
+mutex_t m;
+thread_t t;
+void w() { g = 1; }
+void main() {
+    pthread_mutex_lock(&m);
+    g = 2;
+    pthread_mutex_unlock(&m);
+    return;
+    pthread_create(&t, w);
+}
+"""
+
+
+def test_a_dead_thread_creation_starts_no_thread(tmp_path, capsys):
+    src = tmp_path / "p.mc"
+    src.write_text(DEAD_THREAD_CREATION)
+    assert main(["analyze", str(src)]) == 0
+    assert json.loads(capsys.readouterr().out)["global_lock_map"] == {"g": "m"}
 
 
 def test_check_warns_about_dead_code_in_a_function_without_guards(tmp_path, capsys):

@@ -16,6 +16,7 @@ from lockshift.ast import (
     Deref,
     Discard,
     GuardRef,
+    Return,
     iter_stmts,
 )
 from lockshift.diagnostics import ParseError, TypeCheckError, UnknownIdentifier
@@ -154,6 +155,25 @@ def test_place_and_type_errors():
     with pytest.raises(TypeCheckError, match="address of a non-place"):
         parse("int n;\nint g() { return 0; }\n"
               "void f() { n = 1; pthread_mutex_lock(&g()); }\n")
+
+
+def test_dead_code_is_type_checked_to_the_end():
+    # The if follows main's return, and its second statement follows a
+    # return of its own: both are cut, and both are still checked.
+    source = ("int n;\nvoid main() {\n    return;\n    if (n) {\n        return;\n"
+              "        n = nope;\n    }\n}\n")
+    with pytest.raises(UnknownIdentifier, match="nope") as exc:
+        parse(source)
+    assert exc.value.line == 6
+    with pytest.raises(TypeCheckError, match="returns void") as exc:
+        parse(source.replace("n = nope;", "return 1;"))
+    assert exc.value.line == 6
+    # Valid, the if is cut whole: its own dead statement stays in it, for
+    # the warning.
+    main = parse(source.replace("nope", "1")).function("main")
+    assert [type(s) for s in main.body.stmts] == [Return]
+    (cut,) = main.unreachable
+    assert [s.line for s in cut.then.stmts] == [5, 6]
 
 
 VOID_G = "int x;\nstruct s { int a; };\nstruct s y;\nvoid g() { }\nint h(int v) { return v; }\n"

@@ -283,19 +283,32 @@ def test_summaries_for_some_other_program_are_refused():
         transform(program, stray)
 
 
+# f and g call each other and nothing calls them, so each entry set is its
+# own released set, and f cannot name the guard for g's p.w: it passes get().
+PASSES_A_NON_PLACE = """\
+struct s { int a; mutex_t w; };
+struct s ga;
+struct s *get() { return &ga; }
+void f(struct s *p) { pthread_mutex_unlock(&p->w); g(get()); }
+void g(struct s *p) { f(p); }
+void main() { }
+"""
+
+
 # Recursive programs that pass the non-place `get()` where a lock path runs
 # through a parameter, so the caller cannot name that guard, or that call a
 # function with guards inside an expression. The transformer refuses them
 # and names the caller, the callee and the line; the analysis still runs.
-@pytest.mark.parametrize("seed, message, line", [
-    (40, "in f2, call to f3 cannot pass the guard for p.w: argument for "
-         "parameter 'p' is not a place (lock path p.w)", 24),
-    (5, "in f0, call to f1 cannot receive the guard for p.m: argument for "
-        "parameter 'p' is not a place (lock path p.m)", 15),
-    (49, "in worker, call to get inside an expression cannot thread its guards", 20),
+@pytest.mark.parametrize("source, message, line", [
+    (PASSES_A_NON_PLACE, "in f, call to g cannot pass the guard for p.w: argument "
+                         "for parameter 'p' is not a place (lock path p.w)", 4),
+    (SccGen(5).program(), "in f0, call to f1 cannot receive the guard for p.m: "
+                          "argument for parameter 'p' is not a place (lock path p.m)", 15),
+    (SccGen(49).program(),
+     "in worker, call to get inside an expression cannot thread its guards", 20),
 ], ids=["guard-argument", "returned-guard", "inside-an-expression"])
-def test_guards_a_call_cannot_thread_are_reported(seed, message, line):
-    result = analyze_program(SccGen(seed).program())
+def test_guards_a_call_cannot_thread_are_reported(source, message, line):
+    result = analyze_program(source)
     with pytest.raises(UnsupportedCall) as exc:
         transform(result.program, result.lock_summary)
     assert (exc.value.message, exc.value.line) == (message, line)
