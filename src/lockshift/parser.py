@@ -693,6 +693,7 @@ class _Resolver:
                     raise TypeCheckError("duplicate field %r in struct %s"
                                          % (fd.name, s.name), s.line)
                 self.check_type(fd.ty, s.line, "field %r in struct %s" % (fd.name, s.name))
+        self.check_struct_cycles()
         # Every global's type is checked before an initializer reads one.
         for g in p.globals:
             self.check_type(g.ty, g.line, "global %r" % g.name)
@@ -706,6 +707,38 @@ class _Resolver:
         for f in p.functions:
             self.resolve_function(f)
         return p
+
+    def check_struct_cycles(self) -> None:
+        """No struct holds itself by value, through its fields or the
+        payloads of its mutex<P> fields; a pointer breaks such a cycle. One
+        iterative depth-first search visits each struct and field once."""
+        tags = self.program.tags
+        on_path: dict[str, bool] = {}  # False once a struct's search is done
+        for root in self.program.structs:
+            if root.name in on_path:
+                continue
+            on_path[root.name] = True
+            # each struct on the search path: its name, the field by which
+            # it was entered, and the fields it has left to search
+            path = [(root.name, "", iter(root.fields))]
+            while path:
+                for fd in path[-1][2]:
+                    ty = fd.ty
+                    if ty.ptr or ty.kind != "struct" and ty.kind != "lock":
+                        continue
+                    mark = on_path.get(ty.name)
+                    if mark:
+                        names = [name for name, _, _ in path]
+                        via = [f for _, f, _ in path[names.index(ty.name) + 1:]]
+                        raise TypeCheckError("struct %s contains itself by value (%s)"
+                                             % (ty.name, ".".join([ty.name, *via, fd.name])),
+                                             tags[ty.name].line)
+                    if mark is None:
+                        on_path[ty.name] = True
+                        path.append((ty.name, fd.name, iter(tags[ty.name].fields)))
+                        break
+                else:
+                    on_path[path.pop()[0]] = False
 
     def check_type(self, ty: Type, line: int, holder: str = "") -> None:
         """ty names declared structs and locks. A holder of a value, a

@@ -176,6 +176,45 @@ def test_dead_code_is_type_checked_to_the_end():
     assert [s.line for s in cut.then.stmts] == [5, 6]
 
 
+# Structs that hold themselves by value: directly, through a second struct,
+# and through the payload of a data-owning lock. C rejects the incomplete
+# field type, and Rust a type of infinite size.
+SELF_CONTAINING = [
+    ("plain", "struct s { int a; struct s x; };\n", "s.x", 1),
+    ("plain", "struct s { int a; struct u b; };\nstruct u { struct s c; };\n", "s.b.c", 1),
+    ("guarded", "struct t { int n; };\nstruct s { int a; struct u b; };\n"
+                "struct u { struct t k; mutex<s> m; };\n", "s.b.m", 2),
+    ("guarded", "struct P { int a; mutex<P> m; };\n", "P.m", 1),
+]
+
+
+@pytest.mark.parametrize("dialect, source, cycle, line", SELF_CONTAINING,
+                         ids=["direct", "through-a-struct", "through-a-payload", "own-payload"])
+def test_a_struct_that_contains_itself_by_value_is_rejected(dialect, source, cycle, line):
+    name = cycle.split(".")[0]
+    with pytest.raises(TypeCheckError) as exc:
+        (parse if dialect == "plain" else parse_guarded)(source + "void main() { }\n")
+    assert (exc.value.message, exc.value.line) == (
+        "struct %s contains itself by value (%s)" % (name, cycle), line)
+
+
+def test_a_pointer_breaks_a_struct_cycle():
+    parse("struct s { int a; struct s *x; struct u *y; };\nstruct u { struct s c; };\n"
+          "struct w { struct u d; struct u e; };\nvoid main() { }\n")
+    parse_guarded("struct P { int a; mutex<P> *m; };\nvoid main() { }\n")
+
+
+def test_struct_cycles_are_found_in_linear_time():
+    n = 2000
+    chain = "".join("struct s%d { int a; struct s%d x; };\n" % (i, i + 1) for i in range(n))
+    start = time.perf_counter()
+    parse(chain + "struct s%d { int a; };\nvoid main() { }\n" % n)
+    with pytest.raises(TypeCheckError, match="struct s0 contains itself") as exc:
+        parse(chain + "struct s%d { int a; struct s0 x; };\nvoid main() { }\n" % n)
+    assert time.perf_counter() - start < 2
+    assert exc.value.line == 1
+
+
 VOID_G = "int x;\nstruct s { int a; };\nstruct s y;\nvoid g() { }\nint h(int v) { return v; }\n"
 
 
