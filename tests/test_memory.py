@@ -32,7 +32,8 @@ The front end makes a bounded number of Python calls per token: on the
 bench's three families, parse_guarded 1.7 to 2.3 and parse 2.6 to 2.9,
 and on a `*` chain 80 deep beside a field and `*` chain of 93 levels, 2.4.
 Parsing, transforming and checking an `if` or `while` nest make calls
-linear in its depth.
+linear in its depth, and every public phase makes calls linear in the size
+of each bench family, from n to 4n.
 A run pairs each function's calls with their statements at most once: the
 other passes read the resolver's list of the function's calls. A run, the
 printing of its output and a check of that text make at most one
@@ -687,6 +688,47 @@ def test_the_walkers_test_node_types_without_isinstance(family):
 
     calls = _profiled(run, lambda frame, event, arg: event == "c_call" and arg is isinstance)
     assert calls <= statements, (calls, statements)
+
+
+# Each bench family at n, 2n and 4n.
+GROWTH_SIZES = {"call_chain": 100, "wide_body": 100, "recursive_rings": 6}
+
+
+def _phase_calls(source: str) -> dict[str, int]:
+    """The calls, Python and C, each public phase makes on source."""
+    result = analyze_program(source)
+    program, lock_summary = result.program, result.lock_summary
+    guarded = transform(program, lock_summary)
+    text = print_guarded(guarded)
+    reparsed = parse_guarded(text)
+    runs = {
+        "parse": lambda: parse(source),
+        "lock_sets": lambda: lock_sets(program),
+        "analyze_program": lambda: analyze_program(source),
+        "write_summary": lambda: write_summary(lock_summary),
+        "transform": lambda: transform(program, lock_summary),
+        "print_guarded": lambda: print_guarded(guarded),
+        "parse_guarded": lambda: parse_guarded(text),
+        "check": lambda: check(reparsed),
+    }
+    return {phase: _profiled(run, lambda frame, event, arg: event in ("call", "c_call"))
+            for phase, run in runs.items()}
+
+
+@pytest.mark.parametrize("family", GROWTH_SIZES)
+def test_every_phase_makes_calls_linear_in_program_size(family):
+    """Doubling a bench family's size at most about doubles the calls each
+    public phase makes, from n to 2n and from 2n to 4n: each grew by at most
+    2.0. A phase that makes calls per item once per item grows faster: with
+    Program.function rebuilding the by-name index at each lookup, as
+    lookups did before the program owned its indexes, lock_sets on a
+    chain grew 2.95 times from 100 to 200 functions."""
+    factory, _ = runpy.run_path(str(GEN_PATH))["WORKLOADS"][family]
+    n = GROWTH_SIZES[family]
+    counts = [_phase_calls(factory(size, 1).source) for size in (n, 2 * n, 4 * n)]
+    for small, large in zip(counts, counts[1:]):
+        for phase, calls in small.items():
+            assert large[phase] <= 2.1 * calls, (phase, calls, large[phase])
 
 
 @pytest.mark.parametrize("n", [20, 40])
