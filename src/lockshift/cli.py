@@ -16,7 +16,7 @@ import time
 from pathlib import Path
 
 from .ast import Program
-from .cfg import build_cfg, cfg_to_dot, node_text
+from .cfg import build_cfg, cfg_to_dot, node_text, warn_unreachable
 from .callgraph import build_call_graph, callgraph_to_dot, merged_callgraph_to_dot
 from .diagnostics import (
     Diagnostics,
@@ -200,6 +200,8 @@ def _run(args, diags: Diagnostics) -> int:
         program = result.program
     else:
         program = phases.run("parse", lambda: parse(text))
+        for fn in program.functions:  # no flow graph warns about them
+            warn_unreachable(diags, fn)
     _write_dumps(args, program)
 
     if args.mode == "analyze":

@@ -788,6 +788,20 @@ void main() {
 """
 
 
+def test_a_dead_statement_is_warned_about_with_a_given_summary(tmp_path, capsys):
+    """With --use-summary no analysis runs, but the cut is still reported."""
+    src = tmp_path / "p.mc"
+    src.write_text(DEAD_CALL_IN_AN_EXPRESSION)
+    summary = tmp_path / "s.json"
+    assert main(["analyze", str(src), "--emit-summary", str(summary)]) == 0
+    capsys.readouterr()
+    for mode in ("transform", "full"):
+        assert main([mode, str(src), "--use-summary", str(summary)]) == 0
+        assert capsys.readouterr().err == (
+            "%s: warning: unreachable statement removed from flow graph "
+            "(main, line 1)\n" % src)
+
+
 def test_a_dead_thread_creation_starts_no_thread(tmp_path, capsys):
     src = tmp_path / "p.mc"
     src.write_text(DEAD_THREAD_CREATION)
