@@ -11,8 +11,8 @@ from .callgraph import CallGraph, build_call_graph, thread_entries
 from .cfg import FlowGraph, build_cfg
 from .diagnostics import (
     Diagnostics,
-    IterationBudgetExceeded,
     LockshiftError,
+    NoFixpoint,
     ParseError,
     SchemaError,
     SourceError,
@@ -47,11 +47,11 @@ __all__ = [
     "Diagnostics",
     "FlowGraph",
     "FunctionFlowFacts",
-    "IterationBudgetExceeded",
     "LockPath",
     "LockSets",
     "LockshiftError",
     "LockSummary",
+    "NoFixpoint",
     "OwnershipError",
     "ParseError",
     "Program",

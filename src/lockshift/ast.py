@@ -317,7 +317,7 @@ class FunctionDef:
     params: list[Param]
     body: Block
     line_span: tuple[int, int]
-    guard_decls: list[GuardVarDecl] = field(default_factory=list)
+    guard_decls: tuple[GuardVarDecl, ...] = ()  # the shared () in the plain dialect
     # Every call of the body in program order, the statements' calls
     # (Stmt.calls) in iter_stmts order. Set by the resolver: the one
     # statement's own tuple when only one has calls.

@@ -43,10 +43,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_analysis_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--iteration-budget", type=int, default=1000, metavar="N",
-                     help="fixpoint sweep limit per recursive call-graph "
-                          "component; a sweep re-solves only members whose "
-                          "callees in the component changed (default 1000)")
     sub.add_argument("--dump-cfg", action="store_true",
                      help="write <input>.cfg.<function>.dot files")
     sub.add_argument("--dump-callgraph", action="store_true",
@@ -150,7 +146,7 @@ def _write_dumps(args, program: Program) -> None:
     """Write the requested --dump-* files from facts computed again, with
     no diagnostics: the analysis, if it ran, reported them already. Only
     --dump-flow runs the lock-set fixpoints; the others build the graphs."""
-    sets = lock_sets(program, args.iteration_budget) if args.dump_flow else None
+    sets = lock_sets(program) if args.dump_flow else None
     base = Path(args.input)
     if args.dump_cfg:
         for fn in program.functions:
@@ -195,8 +191,7 @@ def _run(args, diags: Diagnostics) -> int:
 
     result = None
     if args.mode == "analyze" or not getattr(args, "use_summary", None):
-        result = phases.run("analyze", lambda: analyze_program(
-            text, args.iteration_budget, diags))
+        result = phases.run("analyze", lambda: analyze_program(text, diags))
         program = result.program
     else:
         program = phases.run("parse", lambda: parse(text))
@@ -245,10 +240,6 @@ def main(argv: list[str] | None = None) -> int:
         # A usage error exits 1, as every input error does: argparse's 2 is
         # the code of a checker rejection. --help exits 0.
         return 1 if exc.code == 2 else exc.code
-    # Checked after parsing, with a message of its own.
-    if getattr(args, "iteration_budget", 1) < 1:
-        print("error: --iteration-budget must be at least 1", file=sys.stderr)
-        return 1
     diags = Diagnostics()
     try:
         return _run(args, diags)

@@ -51,16 +51,14 @@ class UndecodableInput(LockshiftError):
         self.file = file
 
 
-class IterationBudgetExceeded(LockshiftError):
-    """An SCC fixpoint failed to stabilize within the configured bound."""
+class NoFixpoint(LockshiftError):
+    """A recursive component's lock-set sweep provably never converges."""
 
-    def __init__(self, functions: list[str], budget: int):
-        super().__init__(
-            "lock-set fixpoint for {%s} did not converge within %d iterations"
-            % (", ".join(sorted(functions)), budget)
-        )
+    def __init__(self, functions: list[str], reason: str):
+        super().__init__("lock-set fixpoint for {%s} does not converge: %s"
+                         % (", ".join(sorted(functions)), reason))
         self.functions = functions
-        self.budget = budget
+        self.reason = reason
 
 
 class SchemaError(LockshiftError):

@@ -26,7 +26,7 @@ component. Mutually recursive functions are solved to a joint fixpoint with
 MELS seeded empty and MRLS seeded Top; Top never escapes: every set in
 returned facts is a finite frozenset of lock paths. Each sweep visits the
 members in a fixed order but re-solves only members whose SCC callees
-changed since their last solve; the iteration budget still counts sweeps.
+changed since their last solve, until it converges or proves it never will.
 
 Lock sets are shared values. join, meet and minus return an operand whenever
 the result equals it, and a callee summary that renaming leaves unchanged is
@@ -44,6 +44,8 @@ from __future__ import annotations
 from collections import ChainMap
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from itertools import chain, count
+from operator import attrgetter
 
 from .ast import (
     Call,
@@ -56,7 +58,7 @@ from .ast import (
     to_caller,
 )
 from .cfg import FlowGraph, Node, solve
-from .diagnostics import Diagnostics, IterationBudgetExceeded
+from .diagnostics import Diagnostics, NoFixpoint
 
 
 # A lock set is a frozenset of lock paths. Top, the set of all paths, is None;
@@ -66,6 +68,7 @@ from .diagnostics import Diagnostics, IterationBudgetExceeded
 # object; _EMPTY is the one empty set they start from and minus returns.
 
 _EMPTY: frozenset[LockPath] = frozenset()
+_MELS, _MRLS = attrgetter("mels"), attrgetter("mrls")
 
 
 def join(a: frozenset[LockPath] | None,
@@ -241,7 +244,6 @@ def analyze_function(fn: FunctionDef, g: FlowGraph,
 
 def analyze_scc(fns: list[FunctionDef], graphs: dict[str, FlowGraph],
                 outer_facts: dict[str, FunctionFlowFacts],
-                budget: int = 1000,
                 diags: Diagnostics | None = None,
                 trace: list | None = None) -> dict[str, FunctionFlowFacts]:
     """Joint fixpoint over one recursive SCC.
@@ -255,20 +257,47 @@ def analyze_scc(fns: list[FunctionDef], graphs: dict[str, FlowGraph],
     callee MRLS through the lock kills), so visiting members in another
     order, e.g. callees first, can reach a different fixpoint.
 
+    A sweep's result is thus a function of the members' (MELS, MRLS) at
+    its start, and NoFixpoint is raised on either proof, in that start
+    state, that the sweep never converges:
+      cycle:  a sweep starts where an earlier sweep started;
+      growth: a path is longer than K. Paths start as members' lock-API paths
+              and outer callees' paths renamed at their calls; a member call
+              whose longest argument place is a adds at most len(a) - 1
+              names. K sums the longest start and these terms, so a longer
+              path went through some call twice, with growth.
+    Under K the states are finite, so the sweep always ends.
+
     The sweep warns only about a member with no base case; dropped paths
     are reported by analyze_program_flow, from the converged facts.
     """
     current = {fn.name: FunctionFlowFacts(tuple(fn.param_names), mrls=None)
                for fn in fns}
     env = ChainMap(current, outer_facts)
-    callers: dict[str, list[str]] = {fn.name: [] for fn in fns}
+    callers: dict[str, set[str]] = {fn.name: set() for fn in fns}
+    growth = 0
     for fn in fns:
-        for name in {call.name for call in fn.calls}:
-            if name in callers:
-                callers[name].append(fn.name)
+        for call in fn.calls:
+            if call.name in callers:
+                callers[call.name].add(fn.name)
+                growth += max(map(len, filter(None, call.arg_paths)), default=1) - 1
+    # K, needed only where some call can lengthen a path
+    limit = growth and growth + max(
+        (len(p) for fn in fns for call in fn.calls if call.name not in callers
+         for paths in _call_effect(call, outer_facts) or () for p in paths), default=0)
     dirty = set(current)
     clamped: set[str] = set()
-    for iteration in range(1, budget + 1):
+    starts: dict[tuple, int] = {}
+    for iteration in count(1):
+        state = (*map(_MELS, current.values()), *map(_MRLS, current.values()))
+        first = starts.setdefault(state, iteration)
+        if first != iteration:
+            raise NoFixpoint(list(current), "sweep %d starts where sweep %d did"
+                             % (iteration, first))
+        if growth and max(map(len, chain.from_iterable(filter(None, state))), default=0) > limit:
+            long = min(p for p in chain.from_iterable(filter(None, state)) if len(p) > limit)
+            raise NoFixpoint(list(current), "lock path %s is longer than %d names"
+                             % (".".join(long), limit))
         changed = False
         for fn in fns:
             name = fn.name
@@ -308,11 +337,9 @@ def analyze_scc(fns: list[FunctionDef], graphs: dict[str, FlowGraph],
             for f in current.values():
                 f.scc_iterations = iteration
             return current
-    raise IterationBudgetExceeded([fn.name for fn in fns], budget)
 
 
 def analyze_program_flow(program, cg, graphs: dict[str, FlowGraph],
-                         budget: int = 1000,
                          diags: Diagnostics | None = None) -> dict[str, FunctionFlowFacts]:
     """Bottom-up pass over the condensed call graph, callees before callers,
     warning about the paths each component's calls drop once it converges.
@@ -322,7 +349,7 @@ def analyze_program_flow(program, cg, graphs: dict[str, FlowGraph],
     for idx, members in enumerate(cg.merged_nodes):
         fns = [program.function(name) for name in members]
         if cg.is_recursive_scc(idx):
-            facts.update(analyze_scc(fns, graphs, facts, budget, diags))
+            facts.update(analyze_scc(fns, graphs, facts, diags))
         else:
             fn = fns[0]
             one = analyze_function(fn, graphs[fn.name], facts)

@@ -350,7 +350,7 @@ class _Parser:
         close = self.expect("}")
         body = Block(line=self.lines[open_brace], stmts=stmts)
         fn = FunctionDef(rets, values[name], params, body,
-                         (start_line, self.lines[close]), guard_decls)
+                         (start_line, self.lines[close]), tuple(guard_decls))
         self.guards = {}
         return fn
 
@@ -811,7 +811,9 @@ class _Resolver:
             guards[d.guard] = d.path
         self.taken = taken = []
         self.dead: list[Stmt] = []  # the statements resolve_block cuts
-        self.resolve_block(f.body)
+        if not self.resolve_block(f.body) and not f.returns_void:
+            raise TypeCheckError("%s() can reach its end without a return" % f.name,
+                                 f.line_span[1])
         if len(taken) == 1:
             f.calls = taken[0]
         elif taken:
@@ -887,7 +889,7 @@ class _Resolver:
 
     def resolve_return(self, s: Return) -> bool:
         """A return gives its function's values as a call's targets do
-        (check_values); with no value it drops each. It ends every path."""
+        (check_values), bare only in a plain void function; it ends every path."""
         value = s.value
         values = (() if value is None else value.items if type(value) is TupleExpr
                   else (value,))
@@ -1039,11 +1041,11 @@ class _Resolver:
                           call)
 
     def check_values(self, fn: FunctionDef, args, rets, void: str, call: Call | None) -> None:
-        """Match args to fn's parameters, then rets to what it returns (none
-        drops each; `void` is the error for a plain void fn's value): the
-        arguments and targets of call, or a return's values with no call. A
-        guard stands exactly where fn takes or returns guard<p>, for p renamed
-        through fn's parameters at call, or with no call for p itself."""
+        """Match args to fn's parameters, then rets to what it returns (no
+        targets drop each; `void` is the error for a plain void fn's value):
+        the arguments and targets of call, or a return's values with no
+        call. A guard stands exactly where fn takes or returns guard<p>, for
+        p renamed through fn's parameters at call, or with no call for p itself."""
         names = None  # fn's parameter names, built at the first guard of a call
         values, types, verb = args, map(attrgetter("ty"), fn.params), "takes"
         while True:
@@ -1068,7 +1070,7 @@ class _Resolver:
                                             ".".join(want)), self.line)
             if verb == "returns":
                 return
-            if not rets:
+            if not rets and (call is not None or fn.returns_void):
                 rets = [Discard()] * len(fn.rets)
             elif fn.returns_void:
                 raise TypeCheckError(void % fn.name, self.line)

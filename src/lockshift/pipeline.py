@@ -45,22 +45,20 @@ class AnalysisResult:
 
 
 @gc_paused
-def lock_sets(program: Program, budget: int = 1000,
-              diags: Diagnostics | None = None) -> LockSets:
+def lock_sets(program: Program, diags: Diagnostics | None = None) -> LockSets:
     """Flow graphs, call graph and bottom-up lock-set fixpoints."""
     graphs = {fn.name: build_cfg(fn, diags) for fn in program.functions}
     cg = build_call_graph(program, diags)
-    return LockSets(graphs, cg, analyze_program_flow(program, cg, graphs, budget, diags))
+    return LockSets(graphs, cg, analyze_program_flow(program, cg, graphs, diags))
 
 
 @gc_paused
-def analyze_program(source: str | Program, budget: int = 1000,
-                    diags: Diagnostics | None = None) -> AnalysisResult:
+def analyze_program(source: str | Program, diags: Diagnostics | None = None) -> AnalysisResult:
     """Run the full analysis and assemble the lock summary."""
     if diags is None:
         diags = Diagnostics()
     program = parse(source) if isinstance(source, str) else source
-    graphs, cg, flow = lock_sets(program, budget, diags)
+    graphs, cg, flow = lock_sets(program, diags)
     functions = propagate(program, flow, graphs, diags)
     global_map, struct_map, verdicts = infer_data_locks(
         program, flow, functions, graphs, cg, diags)
@@ -69,13 +67,12 @@ def analyze_program(source: str | Program, budget: int = 1000,
 
 
 @gc_paused
-def run_pipeline(source: str | Program, budget: int = 1000,
-                 diags: Diagnostics | None = None,
+def run_pipeline(source: str | Program, diags: Diagnostics | None = None,
                  ) -> tuple[AnalysisResult, Program, list[OwnershipError]]:
     """Analyze, transform, and check in one go."""
     if diags is None:
         diags = Diagnostics()
-    result = analyze_program(source, budget, diags)
+    result = analyze_program(source, diags)
     guarded = transform(result.program, result.lock_summary, diags)
     errors = check(guarded, diags)
     return result, guarded, errors

@@ -241,10 +241,8 @@ class _Transformer:
         return named
 
     def _transform_function(self, fn: FunctionDef) -> FunctionDef:
-        self._fn = fn
         self._entry = self.entry_paths[fn.name]
         self._rets = self.ret_paths[fn.name]
-        self._nonvoid = not fn.returns_void
         self._lock_line = self.lock_lines[fn.name]
         self._names = self._guard_names(self._candidate_paths(fn), fn)
         self._used: set[LockPath] = set()
@@ -257,11 +255,11 @@ class _Transformer:
                                     for q in self._entry]
         rets = fn.rets
         if self._rets:
-            rets = ((rets if self._nonvoid else ())
+            rets = ((() if fn.returns_void else rets)
                     + tuple(self._guard_type(q) for q in self._rets))
-        decls = [GuardVarDecl(name, path, fn.line_span[0])
-                 for path, name in self._names.items()
-                 if path in self._used and path not in self._entry]
+        decls = tuple([GuardVarDecl(name, path, fn.line_span[0])
+                       for path, name in self._names.items()
+                       if path in self._used and path not in self._entry])
         return FunctionDef(rets, fn.name, params, body, fn.line_span, decls)
 
     def _guard_type(self, path: LockPath) -> Type:
@@ -319,19 +317,11 @@ class _Transformer:
         return CallAssign(line=line, targets=targets, call=call)
 
     def _make_return(self, value: Expr | None, line: int) -> Return:
-        if value is None and self._nonvoid and self._rets:
-            value = IntLit(0)
-            self.diags.warn(
-                "fall-through return in %s yields 0 alongside its guards"
-                % self._fn.name, function=self._fn.name, line=line)
-        parts: list[Expr] = [] if value is None else [value]
-        for q in self._rets:
-            parts.append(GuardRef(self._guard(q), q))
-        if not parts:
-            return Return(line=line, value=None)
-        if len(parts) == 1:
-            return Return(line=line, value=parts[0])
-        return Return(line=line, value=TupleExpr(parts))
+        parts = [] if value is None else [value]
+        parts += [GuardRef(self._guard(q), q) for q in self._rets]
+        if len(parts) > 1:
+            return Return(line=line, value=TupleExpr(parts))
+        return Return(line=line, value=parts[0] if parts else None)
 
     # -- expressions --------------------------------------------------------
 

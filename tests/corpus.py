@@ -3,8 +3,8 @@
 `programs()` names every plain-dialect input whose outputs
 `fixtures/outputs.sha256` pins: the fixtures and corpus, the flow cases,
 seeded `SccGen` and `ProgramGen` programs and small programs of every bench
-family. `run_corpus()` parses each once and runs the pipeline on it once at
-BUDGET, and keeps what the corpus-wide tests read. The analysis result keeps
+family. `run_corpus()` parses each once and runs the pipeline on it once,
+and keeps what the corpus-wide tests read. The analysis result keeps
 no flow graphs or facts, so a run computes them with `lock_sets` the first
 time a test reads `PinnedRun.sets`, and keeps them for the session. The
 tests get these runs from the session fixture `corpus` (conftest.py); none
@@ -20,8 +20,8 @@ from pathlib import Path
 from lockshift.ast import Program
 from lockshift.diagnostics import (
     Diagnostics,
-    IterationBudgetExceeded,
     LockshiftError,
+    NoFixpoint,
     UnsupportedCall,
 )
 from lockshift.guardcheck import OwnershipError, check
@@ -35,7 +35,6 @@ from helpers import FIXTURES, FLOW_CASES, ProgramGen
 from test_scc_reference import SccGen
 
 GEN_PATH = Path(__file__).resolve().parent.parent / "bench" / "gen.py"
-BUDGET = 64
 
 
 @functools.cache
@@ -69,7 +68,7 @@ def first_seeds(names, **limits: int) -> list[str]:
 
 @dataclass(frozen=True)
 class PinnedRun:
-    """One program's run: parse, then `run_pipeline` at BUDGET, then the
+    """One program's run: parse, then `run_pipeline`, then the
     printed text parsed back. The texts are those the digests pin. Where
     the transformer refuses the program, the run keeps the analysis: its
     result, summary and diagnostics, and the refusal as its error."""
@@ -90,8 +89,8 @@ class PinnedRun:
     @functools.cached_property
     def sets(self) -> LockSets:
         """The flow graphs, call graph and flow facts of the analysis,
-        computed again at BUDGET on the first read."""
-        return lock_sets(self.program, BUDGET)
+        computed again on the first read."""
+        return lock_sets(self.program)
 
 
 def run_program(source: str, program: Program | None = None) -> PinnedRun:
@@ -106,7 +105,7 @@ def run_program(source: str, program: Program | None = None) -> PinnedRun:
     # the transformer refuses.
     diags = Diagnostics()
     try:
-        result = analyze_program(program, BUDGET, diags)
+        result = analyze_program(program, diags)
     except LockshiftError as exc:
         return PinnedRun(source, program, exc.with_traceback(None))
     summary = write_summary(result.lock_summary)
@@ -134,10 +133,10 @@ def run_corpus() -> dict[str, PinnedRun]:
 
 def analyzed(runs: dict[str, PinnedRun]):
     """(name, run) for each run whose analysis completed, also where the
-    transformer refused it (UnsupportedCall). Runs over BUDGET are skipped;
+    transformer refused it (UnsupportedCall). Runs with no fixpoint are skipped;
     any other error fails the calling test."""
     for name, run in runs.items():
-        if isinstance(run.error, IterationBudgetExceeded):
+        if isinstance(run.error, NoFixpoint):
             continue
         assert run.error is None or isinstance(run.error, UnsupportedCall), (name, run.error)
         yield name, run

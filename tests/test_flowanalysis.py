@@ -21,7 +21,7 @@ from lockshift.ast import (
 )
 from lockshift.cfg import build_cfg
 from lockshift.datalock import collect_accesses
-from lockshift.diagnostics import Diagnostics, IterationBudgetExceeded
+from lockshift.diagnostics import Diagnostics, NoFixpoint
 from lockshift.flowanalysis import (
     analyze_function,
     analyze_scc,
@@ -424,10 +424,28 @@ def test_iteration_budget_exceeded_on_growing_paths():
         f(x->next);
     }
     """
-    with pytest.raises(IterationBudgetExceeded) as exc:
-        analyze_program(source, budget=16)
+    # K = 3: the longest lock-API path x.m, plus 1 for x->next. A fourth
+    # name means a path went through the call twice, growing each time.
+    with pytest.raises(NoFixpoint) as exc:
+        analyze_program(source)
     assert exc.value.functions == ["f"]
-    assert exc.value.budget == 16
+    assert exc.value.reason == "lock path x.next.next.m is longer than 3 names"
+
+
+def test_the_path_limit_starts_from_outer_callees_renamed_at_their_calls():
+    # K = 3 for rel's z.next.m as x.next.m, plus 1 for x->inner. A component
+    # whose call lengthens no path of its sets still converges.
+    head = "struct node { mutex_t m; struct node *next; struct node *inner; };\nint c;\n"
+    source = head + """
+    void rel(struct node *z) { pthread_mutex_unlock(&z->next->m); }
+    void f(struct node *x) { rel(x); if (c) { f(x->inner); } }
+    """
+    with pytest.raises(NoFixpoint) as exc:
+        analyze_program(source)
+    assert exc.value.reason == "lock path x.inner.inner.next.m is longer than 4 names"
+    facts = lock_sets(parse(head + "void f(struct node *x) { if (c) { f(x->next); } "
+                                   "pthread_mutex_lock(&x->m); }\n")).flow["f"]
+    assert (facts.mels, facts.mrls) == (frozenset(), locks("x.m"))
 
 
 def test_avail_in_is_seeded_with_entry_set():

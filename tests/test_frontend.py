@@ -856,13 +856,17 @@ def test_a_payload_field_is_checked_like_any_place(stmt, error, message):
     (parse_guarded, TWO_LOCKS + "guard<m> f() {\n return 0; }\n",
      "f() returns a guard for m, not a value", 6),
     (parse_guarded, TWO_LOCKS + "guard<m> f() {\n return; }\n",
-     "f() returns a guard for m, not a value", 6),
+     "f() returns 1 values, not 0", 6),
+    (parse, "int n;\nint f() { n = 1;\n return; }\n", "f() returns 1 values, not 0", 3),
+    (parse_guarded, TWO_LOCKS + "(int, guard<m>) f() { guard<m> g; g = m.acquire();\n"
+     " return; }\n", "f() returns 2 values, not 0", 6),
     (parse_guarded, TWO_LOCKS + "void f() { guard<m> g; g = m.acquire();\n return g; }\n",
      "f() returns void, not a value", 6),
     (parse_guarded, TWO_LOCKS + "(int, guard<m>) f() { guard<m> g; g = m.acquire();\n"
      " return (1, g, g); }\n", "f() returns 2 values, not 3", 6),
 ], ids=["plain-void-returns-a-value", "guard-for-another-lock", "tuple-for-one-value",
         "value-and-guard-swapped", "value-for-a-guard", "nothing-for-a-guard",
+        "nothing-for-a-value", "nothing-for-a-value-and-a-guard",
         "guarded-void-returns-a-guard", "too-many-values"])
 def test_a_return_gives_what_its_function_returns(dialect, source, message, line):
     with pytest.raises(TypeCheckError) as exc:
@@ -870,17 +874,26 @@ def test_a_return_gives_what_its_function_returns(dialect, source, message, line
     assert (exc.value.message, exc.value.line) == (message, line)
 
 
-def test_a_return_with_no_value_drops_a_value_but_no_guard():
-    parse("int n;\nint f() { return; }\nvoid g() { return; }\n")
-    parse_guarded(TWO_LOCKS + "(int, guard<m>) f() { guard<m> g; g = m.acquire(); "
-                  "return (1, g); }\nint h() { return; }\n")
+@pytest.mark.parametrize("dialect, source, line", [
+    (parse, "int n;\nint f() { if (n) {\n return 1; }\n}\n", 4),
+    (parse, "int n;\nint main() { while (n) { return 1; }\n}\n", 3),
+    (parse_guarded, TWO_LOCKS + "guard<m> f() { guard<m> g; g = m.acquire();\n}\n", 6),
+], ids=["if-without-else", "main-after-a-loop", "guard"])
+def test_a_function_that_returns_a_value_cannot_reach_its_end(dialect, source, line):
+    """As in Rust: a function with a value or a guard to return returns on
+    every path, main included, and a loop may always be left."""
+    with pytest.raises(TypeCheckError) as exc:
+        dialect(source)
+    name = "main" if "main" in source else "f"
+    assert (exc.value.message, exc.value.line) == (
+        "%s() can reach its end without a return" % name, line)
 
 
 @pytest.mark.parametrize("dialect", [parse, parse_guarded], ids=["plain", "guarded"])
 @pytest.mark.parametrize("source, message, line", [
     ("int n;\n\nvoid x;\n", "global 'x' has type void", 3),
     ("struct s {\n int a;\n void b; };\n", "field 'b' in struct s has type void", 1),
-    ("int n;\nvoid f(int a,\n void b) { n = a; }\n", "parameter 'b' in f has type void", 2),
+    ("int n;\nint f(int a,\n void b) { return a; }\n", "parameter 'b' in f has type void", 2),
 ], ids=["global", "field", "parameter"])
 def test_a_declaration_of_a_plain_void_value_is_rejected(dialect, source, message, line):
     with pytest.raises(TypeCheckError) as exc:

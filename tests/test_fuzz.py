@@ -24,7 +24,6 @@ from helpers import FIXTURES
 
 SEED = 20231
 MUTANTS_PER_SOURCE = 20
-BUDGET = 64
 # SHA-256 of every mutant's outcome, in order: "ok", or
 # "type|message|line|col" of the LockshiftError it raised.
 OUTCOMES_SHA256 = "ea423f66d0172ab47535a1198e3bfe22b1c73d5607432370e8b0d7c769dec245"
@@ -60,7 +59,7 @@ def mutate(tokens: list[tuple[int, str]], rng: random.Random) -> str:
 
 def analyze_and_check(source: str):
     """The guarded program and its checker errors."""
-    _, guarded, errors = run_pipeline(source, BUDGET)
+    _, guarded, errors = run_pipeline(source)
     return guarded, errors
 
 

@@ -149,7 +149,8 @@ class GuardGen:
     locks. Its body acquires, drops, dereferences and passes guards on
     (`both(g, g)` among them), rebinds them from destructuring calls, and
     nests if/else, while, blocks and returns, with more statements after a
-    return than any path reaches.
+    return than any path reaches. A function that returns a guard ends with
+    a return, so that no path runs off its end.
     """
 
     HEADER = [
@@ -183,6 +184,8 @@ class GuardGen:
             "%s f(%s) { guard<m0> g0; guard<m0> g1; guard<m1> h0;"
             % (ret, ", ".join(params))]
         lines += self.stmts(1, 5)
+        if self.returns_guard:
+            lines.append("    return %s;" % rng.choice(self.m0))
         lines.append("}")
         return "\n".join(lines) + "\n"
 

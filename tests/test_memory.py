@@ -10,7 +10,9 @@ later phases keep are shared too: one string per distinct token text, one
 datum path per datum across the access records, one set object per
 distinct entry or return set across the summaries, and one guard type per
 lock path across a transformed program's guard parameters and returned
-guards. AST nodes and the analysis's records have no per-instance dict.
+guards, and one empty tuple of guard declarations across the plain
+dialect's functions. AST nodes and the analysis's records have no
+per-instance dict.
 A declaration is found through its container's by-name index: doubling
 the declarations at most doubles the items visited in the declaration
 lists.
@@ -32,8 +34,8 @@ The front end makes a bounded number of Python calls per token: on the
 bench's three families, parse_guarded 1.7 to 2.3 and parse 2.6 to 2.9,
 and on a `*` chain 80 deep beside a field and `*` chain of 93 levels, 2.4.
 Parsing, transforming and checking an `if` or `while` nest make calls
-linear in its depth, and every public phase makes calls linear in the size
-of each bench family, from n to 4n.
+linear in its depth, and every public phase makes calls, and runs lines,
+linear in the size of each bench family, from n to 4n.
 A run pairs each function's calls with their statements at most once: the
 other passes read the resolver's list of the function's calls. A run, the
 printing of its output and a check of that text make at most one
@@ -226,6 +228,14 @@ def _sample_programs(corpus) -> list[ast.Program]:
     out += [parse_guarded(p.read_text()) for p in sorted(FIXTURES.glob("*.gmc"))]
     out.append(parse_guarded(EXTRA_GUARDED))
     return out
+
+
+def test_plain_functions_share_one_empty_guard_declaration_tuple(corpus):
+    """Only the guarded dialect declares guards, so every plain function
+    holds the one empty tuple, where each held an empty list of its own."""
+    decls = {id(fn.guard_decls): fn.guard_decls for run in corpus.values()
+             if run.program is not None for fn in run.program.functions}
+    assert list(decls.values()) == [()]
 
 
 def test_no_ast_node_has_an_instance_dict(corpus):
@@ -694,8 +704,27 @@ def test_the_walkers_test_node_types_without_isinstance(family):
 GROWTH_SIZES = {"call_chain": 100, "wide_body": 100, "recursive_rings": 6}
 
 
-def _phase_calls(source: str) -> dict[str, int]:
-    """The calls, Python and C, each public phase makes on source."""
+def _lines(run) -> int:
+    """The source lines run() executes, as sys.settrace sees them: a loop
+    that makes no call per item still runs a line per item."""
+    lines = 0
+
+    def trace(frame, event, arg):
+        nonlocal lines
+        lines += event == "line"
+        return trace
+
+    sys.settrace(trace)
+    try:
+        run()
+    finally:
+        sys.settrace(None)
+    return lines
+
+
+def _phase_work(source: str) -> dict[tuple[str, str], int]:
+    """The calls, Python and C, and the lines each public phase runs on
+    source, keyed (phase, "calls") and (phase, "lines")."""
     result = analyze_program(source)
     program, lock_summary = result.program, result.lock_summary
     guarded = transform(program, lock_summary)
@@ -711,24 +740,32 @@ def _phase_calls(source: str) -> dict[str, int]:
         "parse_guarded": lambda: parse_guarded(text),
         "check": lambda: check(reparsed),
     }
-    return {phase: _profiled(run, lambda frame, event, arg: event in ("call", "c_call"))
-            for phase, run in runs.items()}
+    work = {}
+    for phase, run in runs.items():
+        work[phase, "calls"] = _profiled(
+            run, lambda frame, event, arg: event in ("call", "c_call"))
+        work[phase, "lines"] = _lines(run)
+    return work
 
 
 @pytest.mark.parametrize("family", GROWTH_SIZES)
 def test_every_phase_makes_calls_linear_in_program_size(family):
     """Doubling a bench family's size at most about doubles the calls each
-    public phase makes, from n to 2n and from 2n to 4n: each grew by at most
-    2.0. A phase that makes calls per item once per item grows faster: with
-    Program.function rebuilding the by-name index at each lookup, as
-    lookups did before the program owned its indexes, lock_sets on a
-    chain grew 2.95 times from 100 to 200 functions."""
+    public phase makes, and the lines it runs, from n to 2n and from 2n to
+    4n: each grew by at most 2.0. A phase that makes calls per item once
+    per item grows faster: with Program.function rebuilding the by-name
+    index at each lookup, as lookups did before the program owned its
+    indexes, lock_sets on a chain grew 2.95 times from 100 to 200
+    functions. A scan that makes no call per item shows in the lines:
+    with Program.function a next() over a generator of the functions, the
+    calls of lock_sets on the chain grew at most 1.99 times per doubling,
+    its lines 2.50 times and those of transform 2.97 times."""
     factory, _ = runpy.run_path(str(GEN_PATH))["WORKLOADS"][family]
     n = GROWTH_SIZES[family]
-    counts = [_phase_calls(factory(size, 1).source) for size in (n, 2 * n, 4 * n)]
+    counts = [_phase_work(factory(size, 1).source) for size in (n, 2 * n, 4 * n)]
     for small, large in zip(counts, counts[1:]):
-        for phase, calls in small.items():
-            assert large[phase] <= 2.1 * calls, (phase, calls, large[phase])
+        for key, work in small.items():
+            assert large[key] <= 2.1 * work, (key, work, large[key])
 
 
 @pytest.mark.parametrize("n", [20, 40])

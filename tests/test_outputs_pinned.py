@@ -10,14 +10,16 @@ change that alters any output fails here and names the programs it touched.
 
 `fixtures/outputs.ledger` says the same thing readably, one line per
 program: its census column (with the refusal's reason and line, the
-checker's error kinds with their counts, or the error raised), its
+checker's error kinds with their counts, the rule that proved a fixpoint
+does not exist, or the error raised), its
 warnings counted by kind, and the sizes of its two lock maps. A moved
 digest then reads as a diff of its ledger line.
 
 The digests and the ledger are taken from the session's one run of each
 program (`corpus.run_corpus`). Regenerate both files from the same runs with
-`PYTHONPATH=src python tests/test_outputs_pinned.py` and say in the change's
-notes which lines moved and why.
+`PYTHONPATH=src python tests/test_outputs_pinned.py`, which prints each
+program whose digest moved with its old and new ledger lines, and say in
+the change's notes which lines moved and why.
 """
 from __future__ import annotations
 
@@ -26,8 +28,8 @@ from collections import Counter
 
 from lockshift.diagnostics import (
     Diagnostics,
-    IterationBudgetExceeded,
     LockshiftError,
+    NoFixpoint,
     UnsupportedCall,
 )
 from lockshift.guardcheck import check
@@ -103,12 +105,14 @@ _WARNING_KINDS = (
     ("is invoked from outside", "external"),
     ("payload struct name", "struct-renamed"),
     ("guard name", "guard-renamed"),
-    ("fall-through return", "fall-through-return"),
 )
 
 # The reason of each refusal (UnsupportedCall), by a phrase of its message.
 _REFUSALS = (("inside an expression", "inside an expression"),
              ("is not a place", "not a place"))
+
+# The rule that proved a fixpoint does not exist (NoFixpoint), by its reason.
+_NO_FIXPOINT = (("starts where", "cycle"), ("is longer than", "growth"))
 
 
 def _kind(text: str, kinds) -> str:
@@ -135,8 +139,9 @@ def _verdict(errors) -> str:
 
 def program_line(run: PinnedRun) -> str:
     """The census column, the warnings and the lock-map sizes of run."""
-    if isinstance(run.error, IterationBudgetExceeded):
-        return "over budget"
+    if isinstance(run.error, NoFixpoint):
+        return "no fixpoint (%s: %s)" % (_kind(run.error.reason, _NO_FIXPOINT),
+                                         run.error.reason)
     if run.result is None:
         return "error (%s, line %d)" % (type(run.error).__name__, run.error.line)
     if run.error is None:
@@ -197,7 +202,7 @@ def test_every_printed_output_prints_back_unchanged(corpus):
     parses back, prints back the same and gets the same verdict."""
     refused, exhausted, held = 0, 0, 0
     for name, run in corpus.items():
-        if isinstance(run.error, IterationBudgetExceeded):
+        if isinstance(run.error, NoFixpoint):
             exhausted += 1
             continue
         if isinstance(run.error, UnsupportedCall):
@@ -210,7 +215,7 @@ def test_every_printed_output_prints_back_unchanged(corpus):
     assert (held, refused, exhausted) == (220, 91, 15)
 
 
-# (completed and accepted, checker-rejected, refused, over budget) per family:
+# (completed and accepted, checker-rejected, refused, no fixpoint) per family:
 # the fixtures and corpus, the flow cases, ProgramGen, the bench families
 # and SccGen. A change in precision shows as a diff of this table.
 CENSUS = {
@@ -225,7 +230,7 @@ CENSUS = {
 def test_the_census_of_each_family_is_pinned(corpus):
     census = {family: [0, 0, 0, 0] for family in CENSUS}
     for name, run in corpus.items():
-        if isinstance(run.error, IterationBudgetExceeded):
+        if isinstance(run.error, NoFixpoint):
             column = 3
         elif isinstance(run.error, UnsupportedCall):
             column = 2
@@ -237,8 +242,16 @@ def test_the_census_of_each_family_is_pinned(corpus):
 
 
 if __name__ == "__main__":
+    old_digests, old_lines = read_pinned(), read_ledger()
     runs = run_corpus()
+    new_digests, new_lines = digests(runs), ledger(runs)
     PINNED.write_text("".join("%s  %s\n" % (d, name)
-                              for name, d in digests(runs).items()))
+                              for name, d in new_digests.items()))
     LEDGER.write_text("".join("%s: %s\n" % (name, entry)
-                              for name, entry in ledger(runs).items()))
+                              for name, entry in new_lines.items()))
+    moved = [name for name in {**old_digests, **new_digests}
+             if old_digests.get(name) != new_digests.get(name)]
+    for name in moved:
+        print("%s\n  - %s\n  + %s" % (name, old_lines.get(name, "(none)"),
+                                      new_lines.get(name, "(none)")))
+    print("%d digests moved" % len(moved))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from lockshift.diagnostics import SummaryMismatch, UnsupportedCall
+from lockshift.diagnostics import SummaryMismatch, TypeCheckError, UnsupportedCall
 from lockshift.guardcheck import check
 from lockshift.parser import parse, parse_guarded
 from lockshift.pipeline import analyze_program, run_pipeline
@@ -365,23 +365,27 @@ def test_a_body_that_ends_in_a_returning_block_gets_no_appended_return():
             "{ (*m_guard).c = 1; return m_guard; } }") in text
 
 
-def test_a_value_function_that_falls_through_returns_zero_beside_its_guard():
+@pytest.mark.parametrize("body, message, line", [
+    ("pthread_mutex_lock(&m); if (c) { return 1; } }",
+     "acq() can reach its end without a return", 3),
+    ("pthread_mutex_lock(&m); return; }", "acq() returns 1 values, not 0", 3),
+], ids=["falls-through-beside-a-guard", "bare-return"])
+def test_a_value_function_that_can_end_without_a_value_is_rejected(body, message, line):
+    """The transformer never makes up a value: it printed `return (0, m_guard);`
+    with a warning, and `return 0;` for a bare return, before."""
+    source = ("mutex_t m;\nint c;\nint acq() { %s\n"
+              "void main() { c = acq(); pthread_mutex_unlock(&m); }\n" % body)
+    with pytest.raises(TypeCheckError) as exc:
+        run_pipeline(source)
+    assert (exc.value.message, exc.value.line) == (message, line)
+
+
+def test_a_value_function_returns_its_value_beside_its_guard():
     source = ("mutex_t m;\nint c;\n"
-              "int acq() { pthread_mutex_lock(&m); if (c) { return 1; } }\n"
+              "int acq() { pthread_mutex_lock(&m); if (c) { return 1; } return 0; }\n"
               "void main() { c = acq(); pthread_mutex_unlock(&m); }\n")
     result, guarded, errors = run_pipeline(source)
-    assert errors == []
-    assert [(d.message, d.function, d.line) for d in result.diagnostics] == [
-        ("fall-through return in acq yields 0 alongside its guards", "acq", 3)]
+    assert errors == [] and list(result.diagnostics) == []
     text = print_guarded(guarded)
     assert "if (c) { return (1, m_guard); } return (0, m_guard); }" in text
     assert "(c, m_guard) = acq();" in text
-
-
-def test_a_value_function_without_guards_keeps_its_bare_return():
-    """Only a function that returns guards gives 0 beside them for `return;`;
-    this one printed `return 0;` with that warning before."""
-    result, guarded, errors = run_pipeline(
-        "int n;\nint f() { n = 1; return; }\nvoid main() { f(); }\n")
-    assert errors == [] and list(result.diagnostics) == []
-    assert "int f() { n = 1; return; }" in print_guarded(guarded)
