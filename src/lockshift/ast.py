@@ -1,12 +1,12 @@
 """AST node types for the plain and guarded dialects, plus lock-path canonicalization.
 
-Node classes use identity equality (eq=False) so they can key CFG maps and
-worklist sets, and slots, so a node carries no per-instance dict. Program
-keeps its dict for its cached by-name indexes.
+Node classes use identity equality so they can key CFG maps and worklist
+sets, and slots, so a node carries no per-instance dict. Program keeps its
+dict for its cached by-name indexes. Record, the base of every record class
+of the library, is defined here.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 KEYWORDS = frozenset(
@@ -36,16 +36,54 @@ def path_of(text: str) -> LockPath:
 
 
 # ---------------------------------------------------------------------------
+# Records
+
+class Record:
+    """Base of the library's record classes, each written out with its
+    __slots__ and __init__. They share one repr: the fields that the slots
+    of the class and its bases name, a base's first, or the instance dict
+    of a class that keeps one. A record is equal only to itself."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "%s(%s)" % (type(self).__name__,
+                           ", ".join("%s=%r" % item for item in _fields(self)))
+
+
+class ValueRecord(Record):
+    """A record equal to any other of its class whose fields are equal."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _fields(self) == _fields(other)
+
+
+def _fields(record: Record) -> list[tuple[str, object]]:
+    """(name, value) of each field of record, in the order Record names them."""
+    if hasattr(record, "__dict__"):
+        return list(vars(record).items())
+    return [(name, getattr(record, name)) for cls in reversed(type(record).__mro__)
+            for name in cls.__dict__.get("__slots__", ())]
+
+
+# ---------------------------------------------------------------------------
 # Types
 
-@dataclass(eq=False, slots=True)
-class Type:
+class Type(Record):
     """A declared type: base kind, optional struct/payload name, pointer depth."""
 
-    kind: str  # int | void | mutex | thread | struct | lock | guard
-    name: str | None = None      # struct name, or payload struct for kind == "lock"
-    path: LockPath | None = None  # lock path for kind == "guard"
-    ptr: int = 0
+    __slots__ = ("kind", "name", "path", "ptr")
+
+    def __init__(self, kind: str, name: str | None = None, path: LockPath | None = None,
+                 ptr: int = 0):
+        self.kind = kind  # int | void | mutex | thread | struct | lock | guard
+        self.name = name  # struct name, or payload struct for kind == "lock"
+        self.path = path  # lock path for kind == "guard"
+        self.ptr = ptr
 
     def is_mutex(self) -> bool:
         """Whether a declaration of this type is a lock."""
@@ -83,196 +121,262 @@ def lock_path_type(path: LockPath, params: dict[str, Type], program: Program) ->
 # ---------------------------------------------------------------------------
 # Expressions
 
-@dataclass(eq=False, slots=True)
-class Expr:
-    pass
+class Expr(Record):
+    __slots__ = ()
 
 
-@dataclass(eq=False, slots=True)
 class IntLit(Expr):
-    value: int
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        self.value = value
 
 
-@dataclass(eq=False, slots=True)
 class Var(Expr):
-    name: str
-    # set by the resolver: "global" | "param" | "function"
-    kind: str | None = None
-    ty: Type | None = None
+    __slots__ = ("name", "kind", "ty")
+
+    def __init__(self, name: str, kind: str | None = None, ty: Type | None = None):
+        self.name = name
+        self.kind = kind  # set by the resolver: "global" | "param" | "function"
+        self.ty = ty
 
 
-@dataclass(eq=False, slots=True)
 class FieldAccess(Expr):
     """Covers both `.` and `->`; arrow is recorded for printing only."""
 
-    base: Expr
-    fld: str
-    arrow: bool = False
-    owner: str | None = None  # struct name owning fld, set by the resolver
-    ty: Type | None = None
+    __slots__ = ("base", "fld", "arrow", "owner", "ty")
+
+    def __init__(self, base: Expr, fld: str, arrow: bool = False, owner: str | None = None,
+                 ty: Type | None = None):
+        self.base = base
+        self.fld = fld
+        self.arrow = arrow
+        self.owner = owner  # struct name owning fld, set by the resolver
+        self.ty = ty
 
 
-@dataclass(eq=False, slots=True)
 class AddrOf(Expr):
-    expr: Expr
+    __slots__ = ("expr",)
+
+    def __init__(self, expr: Expr):
+        self.expr = expr
 
 
-@dataclass(eq=False, slots=True)
 class Deref(Expr):
-    expr: Expr
+    __slots__ = ("expr",)
+
+    def __init__(self, expr: Expr):
+        self.expr = expr
 
 
-@dataclass(eq=False, slots=True)
 class Binary(Expr):
-    op: str  # + - * == != < <=
-    lhs: Expr
-    rhs: Expr
+    __slots__ = ("op", "lhs", "rhs")
+
+    def __init__(self, op: str, lhs: Expr, rhs: Expr):
+        self.op = op  # + - * == != < <=
+        self.lhs = lhs
+        self.rhs = rhs
 
 
-@dataclass(eq=False, slots=True)
 class Call(Expr):
-    name: str
-    args: list[Expr]
-    # set by the resolver on lock, unlock and init calls: the canonical path
-    # of the mutex the call names
-    lock: LockPath | None = None
-    # set by the resolver on calls to defined functions: the canonical place
-    # path of each argument, or None where the argument is not a place
-    arg_paths: tuple[LockPath | None, ...] = ()
+    __slots__ = ("name", "args", "lock", "arg_paths")
+
+    def __init__(self, name: str, args: list[Expr], lock: LockPath | None = None,
+                 arg_paths: tuple[LockPath | None, ...] = ()):
+        self.name = name
+        self.args = args
+        # set by the resolver on lock, unlock and init calls: the canonical
+        # path of the mutex the call names
+        self.lock = lock
+        # set by the resolver on calls to defined functions: the canonical
+        # place path of each argument, or None where the argument is not a place
+        self.arg_paths = arg_paths
 
 
 # Guarded-dialect expressions
 
-@dataclass(eq=False, slots=True)
 class GuardRef(Expr):
     """A guard variable: a value where it is passed or returned, a receiver
     where it is a call statement's target."""
 
-    name: str
-    path: LockPath
+    __slots__ = ("name", "path")
+
+    def __init__(self, name: str, path: LockPath):
+        self.name = name
+        self.path = path
 
 
-@dataclass(eq=False, slots=True)
 class PayloadAccess(Expr):
     """A payload field of the lock at path: through the owned guard named
     guard, (*m_guard).n, or with no guard on the lock itself, m.get_mut().n."""
 
-    path: LockPath
-    fld: str
-    guard: str | None = None
+    __slots__ = ("path", "fld", "guard")
+
+    def __init__(self, path: LockPath, fld: str, guard: str | None = None):
+        self.path = path
+        self.fld = fld
+        self.guard = guard
 
 
-@dataclass(eq=False, slots=True)
 class TupleExpr(Expr):
     """A parenthesised list `(a, b)`: only ever a return value, or the
     targets of a call statement before the parser unpacks them."""
 
-    items: list[Expr]
+    __slots__ = ("items",)
+
+    def __init__(self, items: list[Expr]):
+        self.items = items
 
 
-@dataclass(eq=False, slots=True)
 class PayloadInit(Expr):
     """The initializer of a data-owning lock global: P { f = init, ... }."""
 
-    payload: str
-    inits: list[tuple[str, Expr | None]]
+    __slots__ = ("payload", "inits")
+
+    def __init__(self, payload: str, inits: list[tuple[str, Expr | None]]):
+        self.payload = payload
+        self.inits = inits
 
 
 # ---------------------------------------------------------------------------
 # Statements
 
-@dataclass(eq=False, slots=True)
-class Stmt:
-    line: int = 0
-    # The calls evaluated by the statement itself, in evaluation order:
-    # arguments before their call (a place holds none), and only the
+class Stmt(Record):
+    # calls: the calls evaluated by the statement itself, in evaluation
+    # order: arguments before their call (a place holds none), and only the
     # condition of an If or While. Not an __init__ argument: the resolver
     # sets a tuple on each reachable statement that evaluates calls, and
     # every other statement keeps the shared empty default. So it is defined
     # only on what `parse` and `parse_guarded` return; a statement built by
     # hand, or by the transformer and not re-parsed, reports none. The
     # same holds for FunctionDef.calls, all of a function's calls.
-    calls: tuple[Call, ...] = field(default=(), init=False, repr=False)
+    __slots__ = ("line", "calls")
+
+    def __init__(self, line: int = 0):
+        self.line = line
+        self.calls: tuple[Call, ...] = ()
 
 
-@dataclass(eq=False, slots=True)
 class Assign(Stmt):
     """`place = value;` where value is not a call (see CallAssign); `value;`
     has no place (None), as `f();` has no targets."""
 
-    place: Expr | None = None
-    value: Expr = None  # type: ignore[assignment]
+    __slots__ = ("place", "value")
+
+    def __init__(self, line: int = 0, place: Expr | None = None,
+                 value: Expr = None):  # type: ignore[assignment]
+        self.line = line
+        self.calls = ()
+        self.place = place
+        self.value = value
 
 
-@dataclass(eq=False, slots=True)
 class Block(Stmt):
-    stmts: list[Stmt] = field(default_factory=list)
+    __slots__ = ("stmts",)
+
+    def __init__(self, line: int = 0, stmts: list[Stmt] | None = None):
+        self.line = line
+        self.calls = ()
+        self.stmts = [] if stmts is None else stmts
 
 
-@dataclass(eq=False, slots=True)
 class If(Stmt):
-    cond: Expr = None  # type: ignore[assignment]
-    then: Block = None  # type: ignore[assignment]
-    orelse: Block | None = None
+    __slots__ = ("cond", "then", "orelse")
+
+    def __init__(self, line: int = 0, cond: Expr = None,  # type: ignore[assignment]
+                 then: Block = None, orelse: Block | None = None):  # type: ignore[assignment]
+        self.line = line
+        self.calls = ()
+        self.cond = cond
+        self.then = then
+        self.orelse = orelse
 
 
-@dataclass(eq=False, slots=True)
 class While(Stmt):
-    cond: Expr = None  # type: ignore[assignment]
-    body: Block = None  # type: ignore[assignment]
+    __slots__ = ("cond", "body")
+
+    def __init__(self, line: int = 0, cond: Expr = None,  # type: ignore[assignment]
+                 body: Block = None):  # type: ignore[assignment]
+        self.line = line
+        self.calls = ()
+        self.cond = cond
+        self.body = body
 
 
-@dataclass(eq=False, slots=True)
 class Return(Stmt):
-    value: Expr | None = None
+    __slots__ = ("value",)
+
+    def __init__(self, line: int = 0, value: Expr | None = None):
+        self.line = line
+        self.calls = ()
+        self.value = value
 
 
 # Guarded-dialect statements
 
-@dataclass(eq=False, slots=True)
 class AcquireAssign(Stmt):
-    guard: str = ""
-    path: LockPath = None  # type: ignore[assignment]
+    __slots__ = ("guard", "path")
+
+    def __init__(self, line: int = 0, guard: str = "",
+                 path: LockPath = None):  # type: ignore[assignment]
+        self.line = line
+        self.calls = ()
+        self.guard = guard
+        self.path = path
 
 
-@dataclass(eq=False, slots=True)
 class DropCall(Stmt):
-    guard: str = ""
+    __slots__ = ("guard",)
+
+    def __init__(self, line: int = 0, guard: str = ""):
+        self.line = line
+        self.calls = ()
+        self.guard = guard
 
 
-@dataclass(eq=False, slots=True)
-class Discard:
+class Discard(Record):
     """The `_` target of a call statement: that value is dropped."""
 
+    __slots__ = ()
 
-@dataclass(eq=False, slots=True)
+
 class CallAssign(Stmt):
     """Every statement whose value is a call, and where its values go, one
     target per returned value: `f();` has no targets (the shared empty
     tuple) and drops every value, `x = f();` has one, `(x, _, g) = f();`
     several. A target is a place, a GuardRef that receives, or a Discard."""
 
-    targets: tuple = ()
-    call: Call = None  # type: ignore[assignment]
+    __slots__ = ("targets", "call")
+
+    def __init__(self, line: int = 0, targets: tuple = (),
+                 call: Call = None):  # type: ignore[assignment]
+        self.line = line
+        self.calls = ()
+        self.targets = targets
+        self.call = call
 
 
 # ---------------------------------------------------------------------------
 # Declarations
 
-@dataclass(eq=False, slots=True)
-class GlobalDecl:
-    ty: Type
-    name: str
-    init: Expr | None
-    line: int
-    # the calls of init, set by the resolver as on a statement (Stmt.calls)
-    calls: tuple[Call, ...] = field(default=(), init=False, repr=False)
+class GlobalDecl(Record):
+    __slots__ = ("ty", "name", "init", "line", "calls")
+
+    def __init__(self, ty: Type, name: str, init: Expr | None, line: int):
+        self.ty = ty
+        self.name = name
+        self.init = init
+        self.line = line
+        # the calls of init, set by the resolver as on a statement (Stmt.calls)
+        self.calls: tuple[Call, ...] = ()
 
 
-@dataclass(eq=False, slots=True)
-class FieldDecl:
-    ty: Type
-    name: str
+class FieldDecl(Record):
+    __slots__ = ("ty", "name")
+
+    def __init__(self, ty: Type, name: str):
+        self.ty = ty
+        self.name = name
 
 
 def _first_by_name(decls) -> dict:
@@ -283,13 +387,15 @@ def _first_by_name(decls) -> dict:
     return index
 
 
-@dataclass(eq=False, slots=True)
-class StructDef:
-    name: str
-    fields: list[FieldDecl]
-    line: int
-    # the first field of each name, built on first use
-    _by_name: dict[str, FieldDecl] | None = field(default=None, init=False, repr=False)
+class StructDef(Record):
+    __slots__ = ("name", "fields", "line", "_by_name")
+
+    def __init__(self, name: str, fields: list[FieldDecl], line: int):
+        self.name = name
+        self.fields = fields
+        self.line = line
+        # the first field of each name, built on first use
+        self._by_name: dict[str, FieldDecl] | None = None
 
     def field_decl(self, name: str) -> FieldDecl | None:
         if self._by_name is None:
@@ -297,35 +403,47 @@ class StructDef:
         return self._by_name.get(name)
 
 
-@dataclass(eq=False, slots=True)
-class Param:
-    ty: Type
-    name: str
+class Param(Record):
+    __slots__ = ("ty", "name")
+
+    def __init__(self, ty: Type, name: str):
+        self.ty = ty
+        self.name = name
 
 
-@dataclass(eq=False, slots=True)
-class GuardVarDecl:
-    guard: str
-    path: LockPath
-    line: int
+class GuardVarDecl(Record):
+    __slots__ = ("guard", "path", "line")
+
+    def __init__(self, guard: str, path: LockPath, line: int):
+        self.guard = guard
+        self.path = path
+        self.line = line
 
 
-@dataclass(eq=False, slots=True)
-class FunctionDef:
-    rets: tuple[Type, ...]
-    name: str
-    params: list[Param]
-    body: Block
-    line_span: tuple[int, int]
-    guard_decls: tuple[GuardVarDecl, ...] = ()  # the shared () in the plain dialect
-    # Every call of the body in program order, the statements' calls
-    # (Stmt.calls) in iter_stmts order. Set by the resolver: the one
-    # statement's own tuple when only one has calls.
-    calls: tuple[Call, ...] = field(default=(), init=False, repr=False)
-    # The statements the resolver cut from the body, in textual order: each
-    # follows a statement of its block that ends every path. They are
-    # type-checked but take no call, and are kept for cfg.warn_unreachable.
-    unreachable: tuple[Stmt, ...] = field(default=(), init=False, repr=False)
+class FunctionDef(Record):
+    __slots__ = ("rets", "name", "params", "body", "line_span", "guard_decls", "calls",
+                 "unreachable", "falls_through")
+
+    def __init__(self, rets: tuple[Type, ...], name: str, params: list[Param], body: Block,
+                 line_span: tuple[int, int], guard_decls: tuple[GuardVarDecl, ...] = ()):
+        self.rets = rets
+        self.name = name
+        self.params = params
+        self.body = body
+        self.line_span = line_span
+        self.guard_decls = guard_decls  # the shared () in the plain dialect
+        # Set by the resolver, as are the two below. Every call of the body
+        # in program order, the statements' calls (Stmt.calls) in iter_stmts
+        # order: the one statement's own tuple when only one has calls.
+        self.calls: tuple[Call, ...] = ()
+        # The statements the resolver cut from the body, in textual order:
+        # each follows a statement of its block that ends every path. They
+        # are type-checked but take no call, and are kept for
+        # cfg.warn_unreachable.
+        self.unreachable: tuple[Stmt, ...] = ()
+        # Whether a path can run off the end of the body; True until the
+        # resolver decides it.
+        self.falls_through = True
 
     @property
     def param_names(self) -> list[str]:
@@ -338,16 +456,17 @@ class FunctionDef:
         return len(self.rets) == 1 and ret.kind == "void" and not ret.ptr
 
 
-@dataclass(eq=False)
-class Program:
+class Program(Record):
     """A program in either dialect. A guarded program's data-owning locks
     are globals of type mutex<P>. Its by-name indexes, cached on first use,
     keep the first declaration of each name: `names` for globals and
     functions, which share one namespace, and `tags` for structs."""
 
-    globals: list[GlobalDecl]
-    structs: list[StructDef]
-    functions: list[FunctionDef]
+    def __init__(self, globals: list[GlobalDecl], structs: list[StructDef],
+                 functions: list[FunctionDef]):
+        self.globals = globals
+        self.structs = structs
+        self.functions = functions
 
     @cached_property
     def names(self) -> dict[str, GlobalDecl | FunctionDef]:

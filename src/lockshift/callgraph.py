@@ -15,16 +15,15 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from collections.abc import Iterator
-from dataclasses import dataclass
 
-from .ast import CREATE_FN, LOCK_API, Program
+from .ast import CREATE_FN, LOCK_API, Program, ValueRecord
 from .diagnostics import Diagnostics
 
 
-@dataclass
-class CallGraph:
-    edges: dict[str, list[str]]  # keyed in program order
-    merged_nodes: list[list[str]]  # callees first
+class CallGraph(ValueRecord):
+    def __init__(self, edges: dict[str, list[str]], merged_nodes: list[list[str]]):
+        self.edges = edges  # keyed in program order
+        self.merged_nodes = merged_nodes  # callees first
 
     def is_recursive_scc(self, idx: int) -> bool:
         members = self.merged_nodes[idx]

@@ -198,11 +198,6 @@ _FLOW = {
 }
 
 
-def falls_through(stmts: list[Stmt]) -> bool:
-    """Whether a path runs off the end of stmts: a walk that tracks nothing."""
-    return flow(Walk("", None), stmts, 0, False) is not None
-
-
 def solve(seed, step) -> None:
     """Run a worklist to its fixpoint.
 

@@ -17,9 +17,8 @@ verdict, is slotted: it has no per-instance dict.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 
-from .ast import INIT_FN, FieldAccess, LockPath, Program, data_accesses
+from .ast import INIT_FN, FieldAccess, LockPath, Program, ValueRecord, data_accesses
 from .callgraph import CallGraph, thread_entries
 from .cfg import FlowGraph
 from .diagnostics import Diagnostics
@@ -27,22 +26,28 @@ from .flowanalysis import FunctionFlowFacts, held_set, propagated_set
 from .summary import FunctionSummary, named_lock_paths
 
 
-@dataclass(slots=True)
-class AccessRecord:
-    function: str
-    line: int
-    held: frozenset[LockPath]
-    datum: LockPath
-    struct: str | None  # struct owning the field datum; None for a global
-    kind: str  # "read" or "write"
+class AccessRecord(ValueRecord):
+    __slots__ = ("function", "line", "held", "datum", "struct", "kind")
+
+    def __init__(self, function: str, line: int, held: frozenset[LockPath], datum: LockPath,
+                 struct: str | None, kind: str):
+        self.function = function
+        self.line = line
+        self.held = held
+        self.datum = datum
+        self.struct = struct  # struct owning the field datum; None for a global
+        self.kind = kind  # "read" or "write"
 
 
-@dataclass(slots=True)
-class ProtectionVerdict:
-    target: tuple[str | None, str]  # (owning struct or None, datum name)
-    candidate: str | None
-    protected: bool
-    unsafe_accesses: list[AccessRecord]
+class ProtectionVerdict(ValueRecord):
+    __slots__ = ("target", "candidate", "protected", "unsafe_accesses")
+
+    def __init__(self, target: tuple[str | None, str], candidate: str | None, protected: bool,
+                 unsafe_accesses: list[AccessRecord]):
+        self.target = target  # (owning struct or None, datum name)
+        self.candidate = candidate
+        self.protected = protected
+        self.unsafe_accesses = unsafe_accesses
 
 
 def collect_accesses(program: Program, flow: dict[str, FunctionFlowFacts],

@@ -3,7 +3,8 @@ from __future__ import annotations
 
 import functools
 import gc
-from dataclasses import dataclass
+
+from .ast import ValueRecord
 
 
 class LockshiftError(Exception):
@@ -73,13 +74,15 @@ class SummaryMismatch(LockshiftError):
     """A summary references entities that do not exist in the program it is applied to."""
 
 
-@dataclass(slots=True)
-class Diagnostic:
+class Diagnostic(ValueRecord):
     """A non-fatal warning emitted by a phase."""
 
-    message: str
-    function: str | None = None
-    line: int | None = None
+    __slots__ = ("message", "function", "line")
+
+    def __init__(self, message: str, function: str | None = None, line: int | None = None):
+        self.message = message
+        self.function = function
+        self.line = line
 
     def render(self) -> str:
         where = []

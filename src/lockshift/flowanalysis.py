@@ -43,7 +43,6 @@ from __future__ import annotations
 
 from collections import ChainMap
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from itertools import chain, count
 from operator import attrgetter
 
@@ -54,6 +53,7 @@ from .ast import (
     LockPath,
     Stmt,
     UNLOCK_FN,
+    ValueRecord,
     not_a_place,
     to_caller,
 )
@@ -137,16 +137,21 @@ def rename_set(paths: frozenset[LockPath] | None, rename, params, call: Call,
     return paths if out == paths else frozenset(out), tuple(sorted(dropped))
 
 
-@dataclass(slots=True)
-class FunctionFlowFacts:
+class FunctionFlowFacts(ValueRecord):
     """Per-function analysis result: the summaries, and the locks surely
     held before each flow-graph node."""
 
-    params: tuple[str, ...]
-    mels: frozenset[LockPath] = _EMPTY
-    mrls: frozenset[LockPath] | None = _EMPTY  # Top only inside analyze_scc
-    avail_in: dict[Node, frozenset[LockPath]] = field(default_factory=dict)
-    scc_iterations: int = 0
+    __slots__ = ("params", "mels", "mrls", "avail_in", "scc_iterations")
+
+    def __init__(self, params: tuple[str, ...], mels: frozenset[LockPath] = _EMPTY,
+                 mrls: frozenset[LockPath] | None = _EMPTY,
+                 avail_in: dict[Node, frozenset[LockPath]] | None = None,
+                 scc_iterations: int = 0):
+        self.params = params
+        self.mels = mels
+        self.mrls = mrls  # Top only inside analyze_scc
+        self.avail_in = {} if avail_in is None else avail_in
+        self.scc_iterations = scc_iterations
 
 
 # (released, held): released is always finite; held comes from callee MRLS,

@@ -20,8 +20,6 @@ The checker reports errors; it never throws. An empty list means accepted.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .ast import (
     AcquireAssign,
     AddrOf,
@@ -41,6 +39,7 @@ from .ast import (
     Return,
     Stmt,
     TupleExpr,
+    ValueRecord,
     While,
 )
 from .cfg import Walk, flow, warn_unreachable
@@ -51,12 +50,15 @@ USE_AFTER_MOVE = "UseAfterMove"
 CONFLICTING_PATHS = "ConflictingPaths"
 
 
-@dataclass(frozen=True)
-class OwnershipError:
-    kind: str
-    guard: str
-    function: str
-    line: int
+class OwnershipError(ValueRecord):
+    def __init__(self, kind: str, guard: str, function: str, line: int):
+        self.kind = kind
+        self.guard = guard
+        self.function = function
+        self.line = line
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.guard, self.function, self.line))
 
     def __str__(self) -> str:
         return "%s: %s at %s line %d" % (self.kind, self.guard, self.function, self.line)

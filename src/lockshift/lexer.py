@@ -10,10 +10,9 @@ from them into the AST.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import islice
 
-from .ast import KEYWORDS
+from .ast import KEYWORDS, ValueRecord
 from .diagnostics import ParseError
 
 # Identifiers, keywords included; lock paths in a summary are checked
@@ -35,15 +34,17 @@ _FIRST.update(dict.fromkeys("0123456789", "int"))
 _FIRST.update(dict.fromkeys("{}()[];,.&*+-<>=", "punct"))
 
 
-@dataclass(slots=True)
-class Tokens:
+class Tokens(ValueRecord):
     """The token lists of one source text; token i is
     (kinds[i], values[i], lines[i], col(i))."""
 
-    kinds: list[str]
-    values: list[str]
-    lines: list[int]
-    source: str
+    __slots__ = ("kinds", "values", "lines", "source")
+
+    def __init__(self, kinds: list[str], values: list[str], lines: list[int], source: str):
+        self.kinds = kinds
+        self.values = values
+        self.lines = lines
+        self.source = source
 
     def __len__(self) -> int:
         return len(self.kinds)

@@ -96,6 +96,8 @@ _STMT_WORDS = frozenset(["{", "if", "while", "return", "drop"])
 class _AcquireExpr(Expr):
     """Parse-time marker for `path.acquire()`; must become an AcquireAssign."""
 
+    __slots__ = ("path", "line")
+
     def __init__(self, path: LockPath, line: int):
         self.path = path
         self.line = line
@@ -811,7 +813,8 @@ class _Resolver:
             guards[d.guard] = d.path
         self.taken = taken = []
         self.dead: list[Stmt] = []  # the statements resolve_block cuts
-        if not self.resolve_block(f.body) and not f.returns_void:
+        f.falls_through = not self.resolve_block(f.body)
+        if f.falls_through and not f.returns_void:
             raise TypeCheckError("%s() can reach its end without a return" % f.name,
                                  f.line_span[1])
         if len(taken) == 1:

@@ -11,10 +11,9 @@ The --dump-flow flag calls lock_sets() again; the phases are deterministic.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from operator import itemgetter
 
-from .ast import Program
+from .ast import Program, ValueRecord
 from .callgraph import CallGraph, build_call_graph
 from .cfg import FlowGraph, build_cfg
 from .datalock import ProtectionVerdict, infer_data_locks
@@ -27,21 +26,28 @@ from .summary import LockSummary, build_summary
 from .transform import transform
 
 
-class LockSets(NamedTuple):
-    """What the lock-set phases make: a flow graph per function, the call
-    graph, and each function's flow facts."""
+class LockSets(tuple):
+    """What the lock-set phases make, a tuple of three: a flow graph per
+    function, the call graph, and each function's flow facts."""
 
-    graphs: dict[str, FlowGraph]
-    callgraph: CallGraph
-    flow: dict[str, FunctionFlowFacts]
+    __slots__ = ()
+    graphs = property(itemgetter(0))
+    callgraph = property(itemgetter(1))
+    flow = property(itemgetter(2))
+
+    def __new__(cls, graphs: dict[str, FlowGraph], callgraph: CallGraph,
+                flow: dict[str, FunctionFlowFacts]):
+        return tuple.__new__(cls, (graphs, callgraph, flow))
 
 
-@dataclass
-class AnalysisResult:
-    program: Program
-    lock_summary: LockSummary
-    verdicts: list[ProtectionVerdict] = field(default_factory=list)
-    diagnostics: Diagnostics = field(default_factory=Diagnostics)
+class AnalysisResult(ValueRecord):
+    def __init__(self, program: Program, lock_summary: LockSummary,
+                 verdicts: list[ProtectionVerdict] | None = None,
+                 diagnostics: Diagnostics | None = None):
+        self.program = program
+        self.lock_summary = lock_summary
+        self.verdicts = [] if verdicts is None else verdicts
+        self.diagnostics = Diagnostics() if diagnostics is None else diagnostics
 
 
 @gc_paused

@@ -11,25 +11,27 @@ across all the records.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 
-from .ast import Call, LockPath, Program, to_callee
+from .ast import Call, LockPath, Program, ValueRecord, to_callee
 from .cfg import FlowGraph, solve
 from .diagnostics import Diagnostics
 from .flowanalysis import FunctionFlowFacts, held_set, meet, propagated_set, rename_set
 from .summary import FunctionSummary
 
 
-@dataclass(slots=True)
-class CallSiteFact:
+class CallSiteFact(ValueRecord):
     """One syntactic call: who calls whom, with what surely held there, and
     the paths propagation's last renaming of it dropped, in path order."""
 
-    caller: str
-    available: frozenset[LockPath]
-    call: Call
-    line: int
-    dropped: tuple[LockPath, ...] = ()
+    __slots__ = ("caller", "available", "call", "line", "dropped")
+
+    def __init__(self, caller: str, available: frozenset[LockPath], call: Call, line: int,
+                 dropped: tuple[LockPath, ...] = ()):
+        self.caller = caller
+        self.available = available
+        self.call = call
+        self.line = line
+        self.dropped = dropped
 
 
 def collect_call_facts(program: Program, flow: dict[str, FunctionFlowFacts],

@@ -12,33 +12,38 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 
-from .ast import (KEYWORDS, FunctionDef, LockPath, Program, holds_data,
+from .ast import (KEYWORDS, FunctionDef, LockPath, Program, ValueRecord, holds_data,
                   lock_path_type, path_of, root_type)
 from .diagnostics import SchemaError
 from .lexer import IDENT
 
 
-@dataclass(slots=True)
-class FunctionSummary:
+class FunctionSummary(ValueRecord):
     """One function's lock facts: its entry and return lock sets, and the
     lines on which each lock is surely held."""
 
-    entry_lock: frozenset[LockPath] = frozenset()
-    return_lock: frozenset[LockPath] = frozenset()
-    lock_line: dict[LockPath, frozenset[int]] = field(default_factory=dict)
+    __slots__ = ("entry_lock", "return_lock", "lock_line")
+
+    def __init__(self, entry_lock: frozenset[LockPath] = frozenset(),
+                 return_lock: frozenset[LockPath] = frozenset(),
+                 lock_line: dict[LockPath, frozenset[int]] | None = None):
+        self.entry_lock = entry_lock
+        self.return_lock = return_lock
+        self.lock_line = {} if lock_line is None else lock_line
 
     def is_empty(self) -> bool:
         return not (self.entry_lock or self.return_lock or self.lock_line)
 
 
-@dataclass
-class LockSummary:
-    global_lock_map: dict[str, str] = field(default_factory=dict)
-    struct_lock_map: dict[str, dict[str, str]] = field(default_factory=dict)
-    function_map: dict[str, FunctionSummary] = field(default_factory=dict)
+class LockSummary(ValueRecord):
+    def __init__(self, global_lock_map: dict[str, str] | None = None,
+                 struct_lock_map: dict[str, dict[str, str]] | None = None,
+                 function_map: dict[str, FunctionSummary] | None = None):
+        self.global_lock_map = {} if global_lock_map is None else global_lock_map
+        self.struct_lock_map = {} if struct_lock_map is None else struct_lock_map
+        self.function_map = {} if function_map is None else function_map
 
     def function(self, name: str) -> FunctionSummary:
         return self.function_map.get(name) or FunctionSummary()

@@ -61,7 +61,6 @@ from .ast import (
     to_caller,
 )
 from .callgraph import thread_entries
-from .cfg import falls_through
 from .diagnostics import (
     Diagnostics,
     SchemaError,
@@ -248,7 +247,7 @@ class _Transformer:
         self._used: set[LockPath] = set()
 
         body = self._rewrite_block(fn.body)
-        if self._rets and falls_through(body.stmts):
+        if self._rets and fn.falls_through:
             body.stmts.append(self._make_return(None, fn.line_span[1]))
 
         params = list(fn.params) + [Param(self._guard_type(q), self._names[q])

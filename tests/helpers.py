@@ -1,12 +1,14 @@
-"""Shared fixtures: verified flow-analysis cases, fixture loading, and the
-random program generator used by the property and oracle tests."""
+"""Shared fixtures: verified flow-analysis cases, fixture loading, the
+random program generator used by the property and oracle tests, and the
+walk over a record's fields."""
 from __future__ import annotations
 
 import random
 from collections import Counter
 from pathlib import Path
 
-from lockshift.ast import LockPath, Program, data_accesses, iter_stmts, path_of
+from lockshift.ast import (LockPath, Program, Record, ValueRecord, data_accesses, iter_stmts,
+                           path_of)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 CORPUS = FIXTURES / "corpus"
@@ -18,6 +20,24 @@ def fixture_text(name: str) -> str:
 
 def corpus_paths() -> list[Path]:
     return sorted(CORPUS.glob("*.mc"))
+
+
+def fields(record: Record) -> dict[str, object]:
+    """A record's fields by name: the __slots__ of its class and of its
+    bases, a base's first, then the instance dict of a class that keeps
+    one. Every record of the library is a Record."""
+    out = {name: getattr(record, name) for cls in reversed(type(record).__mro__)
+           for name in cls.__dict__.get("__slots__", ())}
+    out.update(getattr(record, "__dict__", {}))
+    return out
+
+
+def record_classes(*modules) -> list[type]:
+    """The record classes the modules define: every subclass of Record but
+    the two bases."""
+    return [c for m in modules for c in vars(m).values()
+            if isinstance(c, type) and issubclass(c, Record)
+            and c.__module__ == m.__name__ and c not in (Record, ValueRecord)]
 
 
 def access_multiset(p: Program) -> Counter:

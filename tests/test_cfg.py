@@ -5,7 +5,7 @@ reachability."""
 from __future__ import annotations
 
 from lockshift.ast import Block, If, Return, While, iter_stmts
-from lockshift.cfg import build_cfg, cfg_to_dot, falls_through
+from lockshift.cfg import build_cfg, cfg_to_dot
 from lockshift.diagnostics import Diagnostics
 from lockshift.lexer import tokenize
 from lockshift.parser import _Parser, _Resolver, parse
@@ -107,8 +107,9 @@ def reference_walk(stmts, reached: bool, live: list, dead: list) -> bool:
 def test_the_flow_walk_and_the_flow_graphs_follow_one_rule():
     """On every pinned source, the resolver cuts exactly the statements the
     reference finds dead and keeps them in textual order, and build_cfg
-    warns about each; a body falls through (the flow walk) exactly when Ret
-    has a predecessor that is not a Return (the flow graph)."""
+    warns about each; a body falls through (FunctionDef.falls_through, as
+    the resolver records it) exactly when Ret has a predecessor that is not
+    a Return (the flow graph)."""
     functions = dead = through = 0
     for name, source in programs().items():
         program = _Parser(tokenize(source), guarded=False).parse_program()
@@ -128,7 +129,7 @@ def test_the_flow_walk_and_the_flow_graphs_follow_one_rule():
             g = build_cfg(fn, diags)
             assert [d.line for d in diags] == [s.line for s in unreached]
             falls = any(g.ret in g.succ[n] and type(n) is not Return for n in g.nodes)
-            assert falls_through(fn.body.stmts) == falls, (name, fn.name)
+            assert fn.falls_through == falls, (name, fn.name)
             functions += 1
             dead += len(unreached)
             through += falls

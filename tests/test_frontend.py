@@ -1,7 +1,6 @@
 """Lexer, parser, resolver, and printer behavior for both dialects."""
 from __future__ import annotations
 
-import dataclasses
 import time
 
 import pytest
@@ -16,6 +15,7 @@ from lockshift.ast import (
     Deref,
     Discard,
     GuardRef,
+    Record,
     Return,
     iter_stmts,
 )
@@ -26,7 +26,7 @@ from lockshift.parser import parse, parse_guarded
 from lockshift.printer import expr_text, print_guarded, print_source
 
 from corpus import analyzed
-from helpers import corpus_paths, fixture_text
+from helpers import corpus_paths, fields, fixture_text
 
 
 def first_call_paths(source: str) -> list[str]:
@@ -716,9 +716,8 @@ def tree(node):
     trees two parse paths build."""
     if isinstance(node, (list, tuple)):
         return [tree(x) for x in node]
-    if dataclasses.is_dataclass(node):
-        return (type(node).__name__,) + tuple(
-            tree(getattr(node, f.name)) for f in dataclasses.fields(node))
+    if isinstance(node, Record):
+        return (type(node).__name__,) + tuple(tree(v) for v in fields(node).values())
     return node
 
 

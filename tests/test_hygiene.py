@@ -6,12 +6,18 @@ bound names, and every name __init__ imports."""
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from importlib import import_module
 from pathlib import Path
 
 import lockshift
 from lockshift import ast as nodes
 from lockshift import cfg, guardcheck, parser, printer
+from lockshift.pipeline import LockSets
+
+from helpers import record_classes
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "lockshift"
@@ -225,33 +231,77 @@ PER_RUN_SINGLETONS = {"Program", "LockSummary", "AnalysisResult", "CallGraph",
                       "OwnershipError"}
 
 
-def _is_slotted_dataclass(decorator: ast.expr) -> bool | None:
-    """None when decorator is not @dataclass, else whether it has slots=True."""
-    call = decorator if isinstance(decorator, ast.Call) else None
-    name = call.func if call else decorator
-    if not (isinstance(name, ast.Name) and name.id == "dataclass"):
-        return None
-    return call is not None and any(
-        k.arg == "slots" and isinstance(k.value, ast.Constant) and k.value.value is True
-        for k in call.keywords)
-
-
-def test_every_dataclass_is_slotted_but_the_per_run_singletons():
+def test_every_record_class_is_slotted_but_the_per_run_singletons():
     """A slotted instance has no per-instance dict; the library builds
-    records by the thousand, so each of them is slotted."""
-    unslotted = set()
-    dataclasses = 0
-    for path in MODULES:
-        for node in ast.walk(_tree(path)):
-            if isinstance(node, ast.ClassDef):
-                for decorator in node.decorator_list:
-                    slotted = _is_slotted_dataclass(decorator)
-                    if slotted is not None:
-                        dataclasses += 1
-                        if not slotted:
-                            unslotted.add(node.name)
-    assert dataclasses > 40
+    records by the thousand, so each of them is slotted. The record
+    classes are the subclasses of ast.Record, 42 with the parser's
+    `_AcquireExpr` marker, and LockSets."""
+    classes = record_classes(*(import_module("lockshift." + p.stem) for p in MODULES))
+    assert len(classes) >= 42
+    unslotted = {c.__name__ for c in [*classes, LockSets] if c.__dictoffset__}
     assert unslotted == PER_RUN_SINGLETONS
+
+
+# Generated code: each of these compiles source text while the package is
+# imported, or while it runs.
+CODE_GENERATORS = {"dataclasses", "NamedTuple", "namedtuple", "exec", "eval"}
+
+
+def _code_generators(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, name) of each import of dataclasses, each use of NamedTuple or
+    namedtuple, and each call of exec or eval."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            names = [node.func.id] if node.func.id in ("exec", "eval") else []
+        elif isinstance(node, (ast.Name, ast.Attribute)):
+            name = node.id if isinstance(node, ast.Name) else node.attr
+            names = [name] if name in ("NamedTuple", "namedtuple") else []
+        else:
+            continue
+        out += [(node.lineno, n) for n in names if n in CODE_GENERATORS]
+    return out
+
+
+def test_the_library_generates_no_code():
+    """Every record class is written out: src/lockshift imports no
+    dataclasses, defines no named tuple and calls neither exec nor eval."""
+    found = ["%s:%d: %s" % (path.name, line, name) for path in sorted(PACKAGE.glob("*.py"))
+             for line, name in _code_generators(_tree(path))]
+    assert not found, "code generators in the library:\n" + "\n".join(found)
+    # The rule sees each form it forbids.
+    sample = ast.parse("import dataclasses\nfrom dataclasses import field\n"
+                       "from typing import NamedTuple\nimport collections\n"
+                       "P = collections.namedtuple('P', 'x')\nexec(s)\neval(s)\n")
+    assert sorted(name for _, name in _code_generators(sample)) == [
+        "NamedTuple", "dataclasses", "dataclasses", "eval", "exec", "namedtuple"]
+
+
+# Run in a fresh interpreter: counts the source the import compiles from a
+# string, the text every generated method is made from.
+COLD_IMPORT = """\
+import sys
+compiled = []
+sys.addaudithook(lambda event, args: compiled.append(args[1])
+                 if event == "compile" and args[1] == "<string>" else None)
+import lockshift
+print(len(compiled), "dataclasses" in sys.modules, "inspect" in sys.modules)
+"""
+
+
+def test_importing_the_package_compiles_no_string_and_loads_no_dataclasses():
+    """`import lockshift` generates no method: it compiles no `<string>`
+    source, and loads neither dataclasses nor the inspect module that
+    dataclasses pulls in."""
+    done = subprocess.run([sys.executable, "-c", COLD_IMPORT], capture_output=True,
+                          text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", "False", "False"]
 
 
 def test_only_the_fixpoint_drivers_take_a_collector():

@@ -93,7 +93,9 @@ def _load_bench_gen():
     spec = importlib.util.spec_from_file_location(
         "bench_gen", FIXTURES.parent.parent / "bench" / "gen.py")
     module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up
+    # bench/gen.py defines dataclasses, and @dataclass looks a class's
+    # module up in sys.modules while it builds the class.
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 

@@ -45,7 +45,6 @@ lists to its callers without renaming them.
 """
 from __future__ import annotations
 
-import dataclasses
 import functools
 import gc
 import runpy
@@ -76,7 +75,7 @@ from lockshift.summary import (
 from lockshift.transform import transform
 
 from corpus import GEN_PATH, analyzed, completed, first_seeds, programs
-from helpers import FIXTURES, chain_program, fixture_text
+from helpers import FIXTURES, chain_program, fields, fixture_text, record_classes
 
 
 def test_flow_facts_keep_one_map_keyed_by_the_graph_nodes(corpus):
@@ -84,8 +83,7 @@ def test_flow_facts_keep_one_map_keyed_by_the_graph_nodes(corpus):
     for name, run in analyzed(corpus):
         graphs, _, flow = run.sets
         for fn, facts in flow.items():
-            maps = [getattr(facts, f.name) for f in dataclasses.fields(facts)
-                    if isinstance(getattr(facts, f.name), dict)]
+            maps = [v for v in fields(facts).values() if isinstance(v, dict)]
             assert maps == [facts.avail_in], (name, fn, len(maps))
             assert list(facts.avail_in) == graphs[fn].nodes, (name, fn)
             checked += 1
@@ -95,10 +93,10 @@ def test_flow_facts_keep_one_map_keyed_by_the_graph_nodes(corpus):
 def test_graphs_store_each_edge_once(corpus):
     """Predecessor lists, a function's component and the edges between
     components are derived where they are read, not stored."""
-    assert [f.name for f in dataclasses.fields(CallGraph)] == ["edges", "merged_nodes"]
     checked = 0
     for name, run in analyzed(corpus):
         graphs, cg, _ = run.sets
+        assert list(fields(cg)) == ["edges", "merged_nodes"], name
         for fn, g in graphs.items():
             maps = [v for v in vars(g).values() if isinstance(v, dict)]
             assert maps == [g.succ], (name, fn, len(maps))
@@ -145,11 +143,11 @@ def _reached_types(root) -> set[type]:
 
 
 def test_the_analysis_result_keeps_nothing_of_the_lock_set_phases(corpus):
-    fields = [f.name for f in dataclasses.fields(AnalysisResult)]
-    assert fields == ["program", "lock_summary", "verdicts", "diagnostics"]
     # The result is analyze_program's; the tuple is what run_pipeline returns.
     walked = 0
     for name, run in analyzed(corpus):
+        assert list(fields(run.result)) == [
+            "program", "lock_summary", "verdicts", "diagnostics"], name
         reached = _reached_types((run.result, run.guarded, list(run.errors)))
         assert ast.Program in reached, name
         assert not reached & LOCK_SET_PHASE_TYPES, (name, reached & LOCK_SET_PHASE_TYPES)
@@ -182,9 +180,9 @@ def test_a_call_that_renames_nothing_shares_its_callee_summary(corpus):
 
 
 def _node_classes() -> list[type]:
-    return [c for c in vars(ast).values()
-            if isinstance(c, type) and dataclasses.is_dataclass(c)
-            and c.__module__ == ast.__name__ and c is not ast.Program]
+    classes = record_classes(ast)
+    assert len(classes) >= 30, classes  # the node classes and Program
+    return [c for c in classes if c is not ast.Program]
 
 
 # A discarded result slot and a dereference, which no fixture prints.
@@ -203,17 +201,17 @@ void f() { guard<m> m_guard;
 
 
 def _reachable_nodes(root):
-    """Every dataclass instance reachable from root through fields, lists,
-    tuples and Stmt.calls."""
+    """Every record reachable from root through fields, lists, tuples and
+    Stmt.calls."""
     seen: dict[int, object] = {}
     stack = [root]
     while stack:
         x = stack.pop()
         if isinstance(x, (list, tuple)):
             stack.extend(x)
-        elif dataclasses.is_dataclass(x) and id(x) not in seen:
+        elif isinstance(x, ast.Record) and id(x) not in seen:
             seen[id(x)] = x
-            stack.extend(getattr(x, f.name) for f in dataclasses.fields(x))
+            stack.extend(fields(x).values())
     return list(seen.values())
 
 

@@ -10,8 +10,6 @@ the same type, or both none.
 """
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from lockshift import parser
@@ -24,6 +22,7 @@ from lockshift.ast import (
     GuardRef,
     PayloadAccess,
     PayloadInit,
+    Record,
     TupleExpr,
     Type,
     Var,
@@ -33,7 +32,7 @@ from lockshift.diagnostics import LockshiftError
 from lockshift.parser import parse, parse_guarded
 
 from corpus import completed, programs
-from helpers import FIXTURES
+from helpers import FIXTURES, fields
 
 
 def reference_place_type(resolver, e: Expr) -> Type | None:
@@ -64,8 +63,8 @@ def _dispatched(program) -> set[int]:
     """The ids of the expressions the resolver types: every expression but
     the call of a call statement, which it matches to the statement's
     targets, a guard target, and a tuple or a payload initializer, whose
-    items it types one by one. The walk goes through every dataclass
-    field, so it reaches the statements the resolver typed and then cut
+    items it types one by one. The walk goes through every field of every
+    record, so it reaches the statements the resolver typed and then cut
     as unreachable (FunctionDef.unreachable)."""
     out: set[int] = set()
     stack = [program.globals, program.functions]
@@ -73,15 +72,14 @@ def _dispatched(program) -> set[int]:
         x = stack.pop()
         if isinstance(x, (list, tuple)):
             stack.extend(x)
-        elif dataclasses.is_dataclass(x) and not isinstance(x, Type):
+        elif isinstance(x, Record) and not isinstance(x, Type):
             if isinstance(x, CallAssign):
                 stack.append(x.call.args)
                 stack.extend(t for t in x.targets if type(t) is not GuardRef)
                 continue
             if isinstance(x, Expr) and not isinstance(x, (TupleExpr, PayloadInit)):
                 out.add(id(x))
-            stack.extend(getattr(x, f.name) for f in dataclasses.fields(x)
-                         if f.name != "calls")
+            stack.extend(v for name, v in fields(x).items() if name != "calls")
     return out
 
 

@@ -26,6 +26,7 @@ import pytest
 from lockshift import flowanalysis, pipeline
 from lockshift.diagnostics import Diagnostics, LockshiftError
 from lockshift.flowanalysis import FunctionFlowFacts, analyze_function, flow_sets
+from lockshift.parser import parse
 from lockshift.pipeline import run_pipeline
 from lockshift.printer import print_guarded
 from lockshift.summary import write_summary
@@ -38,6 +39,9 @@ RANDOM_PROGRAMS = 320
 # the reference runs out of its budget, which a small value keeps cheap.
 # Converging random SCCs take at most 14 sweeps.
 RANDOM_BUDGET = 64
+# NextGen programs: about nine in ten have a member call that can lengthen
+# a lock path.
+NEXT_PROGRAMS = 120
 
 
 class OverBudget(LockshiftError):
@@ -157,6 +161,7 @@ class SccGen:
     SCCs have no base case.
     """
 
+    STRUCT = "struct s { int n; mutex_t m; mutex_t w; };"
     LOCKS = ["p->m", "q->m", "p->w", "g1", "g2", "ga.m"]
     ARGS = ["p", "q", "&ga", "&gb", "get()"]
     ACCESSES = ["p->n = p->n + 1;", "q->n = q->n + 1;", "c = c + 1;",
@@ -173,8 +178,7 @@ class SccGen:
     def program(self) -> str:
         rng = self.rng
         self.members = rng.randint(1, 6)
-        lines = ["struct s { int n; mutex_t m; mutex_t w; };",
-                 "struct s ga;", "struct s gb;", "mutex_t g1;", "mutex_t g2;",
+        lines = [self.STRUCT, "struct s ga;", "struct s gb;", "mutex_t g1;", "mutex_t g2;",
                  "int c;", "thread_t t;",
                  "struct s *get() {", "    return &ga;", "}"]
         for i in range(self.members):
@@ -230,6 +234,26 @@ class SccGen:
         return [pad + "while (c) {"] + body + [pad + "}"]
 
 
+class NextGen(SccGen):
+    """SccGen over a struct with a `next` pointer, whose members also pass
+    `p->next` and `q->next`: such a call lengthens a lock path by a name,
+    so analyze_scc computes K, the bound of its growth rule. It is not
+    pinned: the corpus holds SccGen programs only."""
+
+    STRUCT = "struct s { int n; mutex_t m; mutex_t w; struct s *next; };"
+    LOCKS = SccGen.LOCKS + ["p->next->m"]
+    ARGS = SccGen.ARGS + ["p->next", "q->next"]
+
+
+def lengthens(source: str, members: int) -> bool:
+    """Whether a call between the members f0, f1, ... passes a place of
+    more than one name: the condition on which analyze_scc computes K."""
+    names = {"f%d" % i for i in range(members)}
+    return any(arg is not None and len(arg) > 1
+               for fn in parse(source).functions if fn.name in names
+               for call in fn.calls if call.name in names for arg in call.arg_paths)
+
+
 FIXTURE_PATHS = sorted(FIXTURES.glob("**/*.mc"))
 
 
@@ -273,3 +297,21 @@ def test_matches_reference_on_random_sccs(monkeypatch):
     assert seen >= {"members=%d" % n for n in range(1, 7)} | {
         "NoFixpoint", "3+ sweeps", "entry locks", "return locks",
         "no base case", "non-place argument", "rejected"}, seen
+
+
+def test_matches_reference_where_calls_lengthen_lock_paths(monkeypatch):
+    """On NextGen programs analyze_scc agrees with the reference where K is
+    computed: most programs compute it, and of those some converge and
+    some are proved never to, by a path longer than K."""
+    lengthening = converged = too_long = 0
+    for seed in range(NEXT_PROGRAMS):
+        gen = NextGen(seed)
+        source = gen.program()
+        got = assert_same(source, monkeypatch, "NextGen seed %d" % seed, RANDOM_BUDGET)
+        if lengthens(source, gen.members):
+            lengthening += 1
+            kind, message = got.get("error", ("", ""))
+            converged += kind != "NoFixpoint"
+            too_long += "is longer than" in message
+    assert lengthening > NEXT_PROGRAMS * 3 // 4, lengthening
+    assert converged > 20 and too_long > 20, (converged, too_long)
