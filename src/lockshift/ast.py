@@ -252,10 +252,6 @@ class Stmt(Record):
     # same holds for FunctionDef.calls, all of a function's calls.
     __slots__ = ("line", "calls")
 
-    def __init__(self, line: int = 0):
-        self.line = line
-        self.calls: tuple[Call, ...] = ()
-
 
 class Assign(Stmt):
     """`place = value;` where value is not a call (see CallAssign); `value;`

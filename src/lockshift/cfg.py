@@ -25,58 +25,42 @@ from __future__ import annotations
 
 from collections import deque
 
-from .ast import Block, FunctionDef, If, Return, Stmt, While, iter_stmts
+from .ast import Block, FunctionDef, If, Record, Return, Stmt, While, iter_stmts
 from .diagnostics import Diagnostics
 from .printer import expr_text, stmt_text
 
 
-class EntryNode:
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "<entry>"
+Node = object  # g.entry | g.ret | Stmt
 
 
-class RetNode:
-    __slots__ = ()
+class FlowGraph(Record):
+    """succ holds each node's successors, the one stored form of the
+    graph: its keys are Entry, the statements in textual order, then Ret.
+    Entry and Ret are plain sentinels."""
 
-    def __repr__(self) -> str:
-        return "<ret>"
-
-
-Node = object  # EntryNode | RetNode | Stmt
-
-
-class FlowGraph:
-    """nodes lists Entry, the statements in textual order, then Ret; succ
-    holds each node's successors, the one stored form of its edges."""
+    __slots__ = ("name", "entry", "ret", "succ")
 
     def __init__(self, name: str):
         self.name = name
-        self.entry = EntryNode()
-        self.ret = RetNode()
-        self.nodes: list[Node] = []
+        self.entry = object()
+        self.ret = object()
         self.succ: dict[Node, list[Node]] = {}
 
-    def add_node(self, n: Node) -> None:
-        self.nodes.append(n)
-        self.succ[n] = []
-
-    def add_edge(self, a: Node, b: Node) -> None:
-        if b not in self.succ[a]:
-            self.succ[a].append(b)
+    @property
+    def nodes(self) -> list[Node]:
+        return list(self.succ)
 
     @property
     def stmt_nodes(self) -> list[Stmt]:
-        return self.nodes[1:-1]
+        return list(self.succ)[1:-1]
 
 
 def build_cfg(fn: FunctionDef, diags: Diagnostics | None = None) -> FlowGraph:
     warn_unreachable(diags, fn)
     g = FlowGraph(fn.name)
-    g.add_node(g.entry)
+    g.succ[g.entry] = []
     tail = _walk_block(g, fn.body, [g.entry])
-    g.add_node(g.ret)
+    g.succ[g.ret] = []
     _connect(g, tail, g.ret)
     return g
 
@@ -85,7 +69,9 @@ def build_cfg(fn: FunctionDef, diags: Diagnostics | None = None) -> FlowGraph:
 # each other through cells, a cycle per graph that only the collector frees.
 def _connect(g: FlowGraph, frontier: list[Node], node: Node) -> None:
     for f in frontier:
-        g.add_edge(f, node)
+        succ = g.succ[f]
+        if node not in succ:  # an if with an empty branch repeats f
+            succ.append(node)
 
 
 def _walk_block(g: FlowGraph, block: Block, frontier: list[Node]) -> list[Node]:
@@ -98,7 +84,7 @@ def _walk_stmt(g: FlowGraph, s: Stmt, frontier: list[Node]) -> list[Node]:
     t = type(s)
     if t is Block:
         return _walk_block(g, s, frontier)
-    g.add_node(s)
+    g.succ[s] = []
     _connect(g, frontier, s)
     here = [s]
     if t is If:
@@ -107,7 +93,7 @@ def _walk_stmt(g: FlowGraph, s: Stmt, frontier: list[Node]) -> list[Node]:
     if t is While:
         _connect(g, _walk_block(g, s.body, here), s)
     elif t is Return:
-        g.add_edge(s, g.ret)
+        g.succ[s].append(g.ret)
         return []
     return here
 
@@ -240,12 +226,12 @@ def cfg_to_dot(g: FlowGraph) -> str:
     for i, n in enumerate(g.stmt_nodes):
         ids[id(n)] = "s%d" % i
     out = ["digraph %s {" % g.name]
-    for n in g.nodes:
+    for n in g.succ:
         label = _node_label(g, n).replace('"', '\\"')
         shape = "diamond" if not isinstance(n, Stmt) else "box"
         out.append('    %s [shape=%s, label="%s"];' % (ids[id(n)], shape, label))
-    for n in g.nodes:
-        for s in g.succ[n]:
+    for n, succ in g.succ.items():
+        for s in succ:
             out.append("    %s -> %s;" % (ids[id(n)], ids[id(s)]))
     out.append("}")
     return "\n".join(out) + "\n"

@@ -2,8 +2,9 @@
 
 Subcommands: analyze (emit a lock summary), transform (rewrite to the
 guarded dialect), check (run the ownership checker on guarded code), and
-full (all of it). Outputs are byte-deterministic; timings go to stderr so
-they never perturb them.
+full (all of it). Outputs are byte-deterministic; timings, warnings and
+full's checker errors go to stderr so they never perturb them; check prints
+its errors, its only output, to stdout.
 
 Exit codes: 0 success, 1 usage, input or analysis errors, 2 ownership
 rejection.
@@ -172,9 +173,10 @@ def _print_diagnostics(diags: Diagnostics, path: str) -> None:
         print("%s: %s" % (path, d.render()), file=sys.stderr)
 
 
-def _print_errors(errors, path: str) -> None:
+def _print_errors(errors, path: str, file) -> None:
     for e in errors:
-        print("%s:%d: %s: %s in %s" % (path, e.line, e.kind, e.guard, e.function))
+        print("%s:%d: %s: %s in %s" % (path, e.line, e.kind, e.guard, e.function),
+              file=file)
 
 
 def _run(args, diags: Diagnostics) -> int:
@@ -185,7 +187,7 @@ def _run(args, diags: Diagnostics) -> int:
         guarded = phases.run("parse", lambda: parse_guarded(text))
         errors = phases.run("check", lambda: check(guarded, diags))
         _print_diagnostics(diags, args.input)
-        _print_errors(errors, args.input)
+        _print_errors(errors, args.input, sys.stdout)
         phases.report()
         return 2 if errors else 0
 
@@ -220,8 +222,9 @@ def _run(args, diags: Diagnostics) -> int:
     errors = []
     if args.mode == "full":
         errors = phases.run("check", lambda: check(guarded, diags))
-        _print_errors(errors, args.input)
     _print_diagnostics(diags, args.input)
+    # to stderr, as stdout may carry the guarded program
+    _print_errors(errors, args.input, sys.stderr)
     phases.report()
     return 2 if errors else 0
 

@@ -190,14 +190,14 @@ def flow_sets(g: FlowGraph, callee_facts: Mapping[str, FunctionFlowFacts]):
     effects = {n: e for n in g.stmt_nodes
                if (e := stmt_effects(n, callee_facts))}
     succ = g.succ
-    pred: dict[Node, list[Node]] = {n: [] for n in g.nodes}
-    for n in g.nodes:
-        for s in succ[n]:
+    pred: dict[Node, list[Node]] = {n: [] for n in succ}
+    for n, ss in succ.items():
+        for s in ss:
             pred[s].append(n)
 
     # Backward may pass, least fixpoint from the empty set.
-    live_in = dict.fromkeys(g.nodes, _EMPTY)
-    live_out = dict.fromkeys(g.nodes, _EMPTY)
+    live_in = dict.fromkeys(succ, _EMPTY)
+    live_out = dict.fromkeys(succ, _EMPTY)
 
     def live_step(n: Node):
         out = _EMPTY
@@ -211,12 +211,12 @@ def flow_sets(g: FlowGraph, callee_facts: Mapping[str, FunctionFlowFacts]):
         live_in[n] = new_in
         return pred[n]
 
-    solve(reversed(g.nodes), live_step)
+    solve(reversed(succ), live_step)
 
     # Forward must pass, greatest fixpoint from Top (None), entry seeded with
     # MELS.
-    avail_in = dict.fromkeys(g.nodes)
-    avail_out = dict.fromkeys(g.nodes)
+    avail_in = dict.fromkeys(succ)
+    avail_out = dict.fromkeys(succ)
     avail_in[g.entry] = avail_out[g.entry] = live_in[g.entry]
 
     def avail_step(n: Node):
@@ -231,7 +231,7 @@ def flow_sets(g: FlowGraph, callee_facts: Mapping[str, FunctionFlowFacts]):
         avail_out[n] = new_out
         return succ[n]
 
-    solve((n for n in g.nodes if n is not g.entry), avail_step)
+    solve((n for n in succ if n is not g.entry), avail_step)
     return live_in, live_out, avail_in, avail_out
 
 

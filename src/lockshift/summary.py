@@ -48,13 +48,6 @@ class LockSummary(ValueRecord):
     def function(self, name: str) -> FunctionSummary:
         return self.function_map.get(name) or FunctionSummary()
 
-    def lock_of(self, struct: str | None, name: str) -> str | None:
-        """The lock beside datum name: of a global when struct is None,
-        else of a field of that struct."""
-        if struct is None:
-            return self.global_lock_map.get(name)
-        return self.struct_lock_map.get(struct, {}).get(name)
-
 
 def named_lock_paths(fn: FunctionDef, fs: FunctionSummary) -> set[LockPath]:
     """The lock paths fn names: those of its lock-API calls, its entry and

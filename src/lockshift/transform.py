@@ -344,7 +344,7 @@ class _Transformer:
 
     def _rewrite_field_access(self, e: FieldAccess, line: int) -> Expr:
         datum = datum_of(e)
-        lock = None if datum is None else self.s.lock_of(e.owner, e.fld)
+        lock = None if datum is None else self.s.struct_lock_map.get(e.owner, {}).get(e.fld)
         if lock is not None:
             return self._payload_access(datum[:-1] + (lock,), e.fld, line)
         return FieldAccess(self._rewrite_expr(e.base, line), e.fld,

@@ -193,8 +193,23 @@ def test_full_rejects_a_conditional_acquisition(tmp_path, capsys):
     code = main(["full", str(src), "-o", str(target)])
     captured = capsys.readouterr()
     assert code == 2
-    assert "%s:14: UseOfUninit: m_guard in main\n" % src in captured.out
+    assert captured.out == ""
+    assert captured.err.endswith("%s:14: UseOfUninit: m_guard in main\n" % src)
     assert "m_guard = m.acquire();" in target.read_text()
+
+
+def test_full_prints_a_program_that_check_reads_and_rejects_alike(tmp_path, capsys):
+    # full's errors go to stderr, so its stdout is the guarded program alone.
+    src = place(tmp_path, "cond_acq.mc")
+    error = ":14: UseOfUninit: m_guard in main\n"
+    assert main(["full", str(src)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.endswith(str(src) + error)
+    parse_guarded(captured.out)
+    target = tmp_path / "out.gmc"
+    target.write_text(captured.out)
+    assert main(["check", str(target)]) == 2
+    assert capsys.readouterr() == (str(target) + error, "")
 
 
 def test_transform_alone_does_not_judge_the_output(tmp_path, capsys):
@@ -266,6 +281,16 @@ def _address_ofs(n):
     return "int c;\nint *p;\nvoid main() { p = " + "&" * n + "c; }\n"
 
 
+def _field_chain(n):
+    return ("struct s { struct s *f; int a; };\nstruct s *p;\nint c;\nvoid main() { c = p"
+            + "->f" * (n - 1) + "->a; }\n")
+
+
+def _calls(n):
+    return ("int c;\nint f(int x) { return x; }\nvoid main() { c = "
+            + "f(" * n + "1" + ")" * n + "; }\n")
+
+
 # shape -> (source nesting n levels deep, n of a deep input, (line, col)
 #           where level 101 opens)
 NESTING_SHAPES = {
@@ -274,6 +299,8 @@ NESTING_SHAPES = {
     "ifs": (_ifs, 1000, (103, 8)),
     "else_ifs": (_else_ifs, 1000, (103, 13)),
     "address_ofs": (_address_ofs, 3000, (3, 119)),
+    "field_chain": (_field_chain, 3000, (4, 320)),
+    "calls": (_calls, 3000, (3, 220)),
 }
 
 
@@ -303,6 +330,26 @@ def test_nesting_at_the_limit_runs_full(tmp_path, capsys, name):
     assert main(["full", str(src), "-o", str(out)]) == 0
     assert main(["check", str(out)]) == 0
     assert capsys.readouterr().err == ""
+
+
+def _tuple_return(n):
+    # a tuple whose later item, the guard, is its highest
+    return ("struct d { int n; };\nmutex<d> m;\n(int, guard<m>) f(guard<m> g) {\n"
+            "    return (0, " + "(" * (n - 1) + "g" + ")" * (n - 1) + "); }\n")
+
+
+def test_a_deep_guarded_tuple_exits_with_one(tmp_path, capsys):
+    src = tmp_path / "deep.gmc"
+    src.write_text(_tuple_return(NESTING_LIMIT))
+    assert main(["check", str(src)]) == 0
+    for n in (1000, NESTING_LIMIT + 1):
+        src.write_text(_tuple_return(n))
+        assert main(["check", str(src)]) == 1
+        assert capsys.readouterr().err == (
+            "%s:4:115: error: nested too deeply (the limit is 100 levels)\n" % src)
+        with pytest.raises(ParseError) as exc:
+            parse_guarded(_tuple_return(n))
+        assert (exc.value.line, exc.value.col) == (4, 115)
 
 
 def _grouped_sums(n):
@@ -466,7 +513,7 @@ void f2(struct s *p) { f0(&ga); }
 """
 
 
-def test_an_exhausted_iteration_budget_exits_with_one(tmp_path, capsys):
+def test_no_fixpoint_exits_with_one(tmp_path, capsys):
     src = tmp_path / "cycle.mc"
     src.write_text(NO_FIXPOINT)
     code = main(["analyze", str(src)])
@@ -626,7 +673,7 @@ def test_an_assigned_call_passes_the_guards_its_callee_takes(tmp_path, capsys):
     assert main(["full", str(src)]) == 2
     captured = capsys.readouterr()
     assert "(*m_guard).x = rel(m_guard);" in captured.out
-    assert "p.mc:12: UseAfterMove: m_guard in w" in captured.out
+    assert "p.mc:12: UseAfterMove: m_guard in w" in captured.err
     assert "error:" not in captured.err
 
 

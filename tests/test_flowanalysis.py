@@ -416,7 +416,7 @@ def test_scc_warnings_are_reported_once_at_convergence():
     assert [(d.function, d.line, d.message.split(" (")[0]) for d in diags] == no_base_case
 
 
-def test_iteration_budget_exceeded_on_growing_paths():
+def test_no_fixpoint_on_growing_paths():
     source = """
     struct node { mutex_t m; struct node *next; };
     void f(struct node *x) {

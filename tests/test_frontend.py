@@ -791,6 +791,24 @@ def test_a_leaf_adds_no_level(dialect, leaf):
             "nested too deeply (the limit is 100 levels)", 7, col)
 
 
+def test_a_tuple_is_as_high_as_its_highest_item():
+    """A tuple whose later item is its highest sits one level above that
+    item: a sum on it, with the item inside 98 parentheses, parses and then
+    fails to resolve; inside 99 it opens level 101 at its `+`."""
+    def source(parens: int) -> str:
+        return payload_body("k = (0, " + "(" * parens + "g" + ")" * parens + ") + 1;")
+
+    limit = parser.NESTING_LIMIT
+    with pytest.raises(TypeCheckError) as exc:
+        parse_guarded(source(limit - 2))
+    assert exc.value.message == "a tuple is only a return value or a target list"
+    with pytest.raises(ParseError) as exc:
+        parse_guarded(source(limit - 1))
+    col = source(limit - 1).split("\n")[6].index("+") + 1
+    assert (exc.value.message, exc.value.line, exc.value.col) == (
+        "nested too deeply (the limit is 100 levels)", 7, col)
+
+
 def test_guard_types_with_a_longer_path_or_a_pointer():
     """`guard<a.b>` and `guard<m> *` take the general path of parse_type,
     and `guard<a.b>` that of a guard declaration."""

@@ -98,7 +98,7 @@ def test_graphs_store_each_edge_once(corpus):
         graphs, cg, _ = run.sets
         assert list(fields(cg)) == ["edges", "merged_nodes"], name
         for fn, g in graphs.items():
-            maps = [v for v in vars(g).values() if isinstance(v, dict)]
+            maps = [v for v in fields(g).values() if isinstance(v, dict)]
             assert maps == [g.succ], (name, fn, len(maps))
             assert list(g.succ) == g.nodes, (name, fn)
             assert all(type(v) is list for v in g.succ.values()), (name, fn)
