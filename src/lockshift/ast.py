@@ -356,15 +356,13 @@ class CallAssign(Stmt):
 # Declarations
 
 class GlobalDecl(Record):
-    __slots__ = ("ty", "name", "init", "line", "calls")
+    __slots__ = ("ty", "name", "init", "line")
 
     def __init__(self, ty: Type, name: str, init: Expr | None, line: int):
         self.ty = ty
         self.name = name
-        self.init = init
+        self.init = init  # a constant expression, or a lock's PayloadInit of them
         self.line = line
-        # the calls of init, set by the resolver as on a statement (Stmt.calls)
-        self.calls: tuple[Call, ...] = ()
 
 
 class FieldDecl(Record):

@@ -57,6 +57,7 @@ from .ast import (
     Type,
     Var,
     While,
+    holds_data,
     lock_path_type,
     not_a_place,
     place_path,
@@ -638,6 +639,21 @@ _RESERVED = "%s named '_': a target named '_' drops its value"
 _WHOLE_KINDS = frozenset(["mutex", "lock", "thread", "struct"])
 
 
+def _check_initializer(e: Expr, ty: Type, holder: str, line: int) -> None:
+    """An initializer evaluates nothing (C11 6.7.9p4): only a holder of data
+    takes one, and it is integer literals joined by binary operators. Not
+    even `&n`: once n moves into a lock's payload, it would point into it."""
+    if not holds_data(ty):
+        raise TypeCheckError("%s holds no data, so it takes no initializer" % holder, line)
+    operands = [e]
+    for e in operands:
+        if type(e) is Binary:
+            operands += e.lhs, e.rhs
+        elif type(e) is not IntLit:
+            raise TypeCheckError("the initializer of %s is not an integer constant "
+                                 "expression" % holder, line)
+
+
 class _Resolver:
     """Resolves names and checks types, one declaration kind at a time,
     then each function body. Statements and expressions are dispatched on
@@ -661,8 +677,6 @@ class _Resolver:
         self.line = 0
         # calls of the statement being resolved, in evaluation order
         self.calls: list[Call] = []
-        # the calls of each statement of the current function that has any
-        self.taken: list[tuple[Call, ...]] = []
         self.live = True  # whether the statements resolving are reachable
 
     def run(self) -> Program:
@@ -696,16 +710,12 @@ class _Resolver:
                                          % (fd.name, s.name), s.line)
                 self.check_type(fd.ty, s.line, "field %r in struct %s" % (fd.name, s.name))
         self.check_struct_cycles()
-        # Every global's type is checked before an initializer reads one.
         for g in p.globals:
             self.check_type(g.ty, g.line, "global %r" % g.name)
-        for g in p.globals:
-            self.line = g.line
             if type(g.init) is PayloadInit:
-                self.resolve_payload_init(g)
+                self.check_payload_init(g)
             elif g.init is not None:
-                self.read(g.init)
-            self.take_calls(g)
+                _check_initializer(g.init, g.ty, "global %r" % g.name, g.line)
         for f in p.functions:
             self.resolve_function(f)
         return p
@@ -766,23 +776,21 @@ class _Resolver:
             locks[path] = ty
         return ty
 
-    def resolve_payload_init(self, g: GlobalDecl) -> None:
-        init = g.init
+    def check_payload_init(self, g: GlobalDecl) -> None:
+        init, line = g.init, g.line
         if not g.ty.is_mutex():
-            raise TypeCheckError("a payload initializer needs a lock held by value",
-                                 self.line)
+            raise TypeCheckError("a payload initializer needs a lock held by value", line)
         payload = self.program.struct(init.payload)
         seen: set[str] = set()
         for fname, finit in init.inits:
-            if payload.field_decl(fname) is None:
-                raise UnknownIdentifier(
-                    "payload %r has no field %r" % (init.payload, fname), self.line)
+            if (fd := payload.field_decl(fname)) is None:
+                raise UnknownIdentifier("payload %r has no field %r" % (init.payload, fname), line)
             if fname in seen:
                 raise TypeCheckError("duplicate field %r in the initializer of %s"
-                                     % (fname, g.name), self.line)
+                                     % (fname, g.name), line)
             seen.add(fname)
             if finit is not None:
-                self.read(finit)
+                _check_initializer(finit, fd.ty, "field %r of %s" % (fname, g.name), line)
 
     def resolve_function(self, f: FunctionDef) -> None:
         self.fn = f
@@ -811,7 +819,7 @@ class _Resolver:
                 raise TypeCheckError("duplicate guard %r in %s" % (d.guard, f.name), d.line)
             self.lock_type(d.path, d.line)
             guards[d.guard] = d.path
-        self.taken = taken = []
+        self.taken = taken = []  # the calls of each statement that has any
         self.dead: list[Stmt] = []  # the statements resolve_block cuts
         f.falls_through = not self.resolve_block(f.body)
         if f.falls_through and not f.returns_void:
@@ -846,7 +854,7 @@ class _Resolver:
             del stmts[end:]
         return end > 0
 
-    def take_calls(self, s: Stmt | GlobalDecl) -> None:
+    def take_calls(self, s: Stmt) -> None:
         """Move the calls resolved since the last move onto s, and note
         them for the function's list (FunctionDef.calls), if s is reachable."""
         if self.live:
@@ -925,11 +933,11 @@ class _Resolver:
         self.check_read(e, _RESOLVE_EXPR[type(e)](self, e))
 
     def check_read(self, e: Expr, ty: Type | None, into: Type | None = None) -> None:
-        """e, of type ty, is read: an operand, a condition, an initializer,
-        a statement `e;`, or the right side of `=` or a call's argument into
-        a place or parameter of type `into`. It is no guard, and no lock,
-        thread handle or struct held by value unless `into` holds the same
-        kind by value (a handle copied, a payload field assigned whole)."""
+        """e, of type ty, is read: an operand, a condition, a statement
+        `e;`, or the right side of `=` or a call's argument into a place or
+        parameter of type `into`. It is no guard, and no lock, thread
+        handle or struct held by value unless `into` holds the same kind by
+        value (a handle copied, a payload field assigned whole)."""
         if type(e) is GuardRef:
             raise TypeCheckError("guard %s is not a value" % e.name, self.line)
         if (ty is not None and not ty.ptr and ty.kind in _WHOLE_KINDS

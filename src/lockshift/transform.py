@@ -111,7 +111,6 @@ class _Transformer:
             else:
                 self.entry_paths[fn.name] = sorted(fs.entry_lock)
                 self.ret_paths[fn.name] = sorted(fs.return_lock)
-        self._lock_line: dict = {}  # none is held in a global initializer
         self.base_names: dict[LockPath, str] = {}
         self.guard_types: dict[LockPath, Type] = {}
 
@@ -137,17 +136,14 @@ class _Transformer:
             payload = self._fresh_struct_name(lock + "Data", taken)
             fields = [FieldDecl(d.ty, d.name) for d in datums]
             global_payloads.append(StructDef(payload, fields, datums[0].line))
-            inits = [(d.name, IntLit(0) if d.init is None else self._rewrite_expr(d.init, d.line))
-                     for d in datums]
+            inits = [(d.name, IntLit(0) if d.init is None else d.init) for d in datums]
             locks.append(GlobalDecl(Type("lock", payload), lock, PayloadInit(payload, inits),
                                     self.p.global_decl(lock).line))
 
         # Lock globals follow the others: the printer orders declarations
         # that share a line by their place in the list.
         removed = set(self.s.global_lock_map) | set(by_lock)
-        self.globals_out = [g if g.init is None else GlobalDecl(
-            g.ty, g.name, self._rewrite_expr(g.init, g.line), g.line)
-            for g in self.p.globals if g.name not in removed] + locks
+        self.globals_out = [g for g in self.p.globals if g.name not in removed] + locks
 
         self.structs_out: list[StructDef] = global_payloads
         for sd in self.p.structs:
@@ -197,9 +193,6 @@ class _Transformer:
         return names
 
     def run(self) -> Program:
-        for g in self.p.globals:
-            for c in g.calls:
-                self._thread(g.name, g, c)
         self._build_decls()
         functions = [self._transform_function(fn) for fn in self.p.functions]
         return Program(self.globals_out, self.structs_out, functions)
@@ -215,9 +208,9 @@ class _Transformer:
                 paths.update(takes, gives)
         return paths
 
-    def _thread(self, owner: str, s, c: Call) -> tuple[list[LockPath], list[LockPath]]:
+    def _thread(self, owner: str, s: Stmt, c: Call) -> tuple[list[LockPath], list[LockPath]]:
         """The locks of the guards call c passes and receives, as function
-        or global owner names them. A call with guards to thread must be all
+        owner names them. A call with guards to thread must be all
         the call of a call statement s, and each lock path must run through
         an argument that is a place. A callee without parameters shares its
         own lists: to_caller names every path but a parameter's."""

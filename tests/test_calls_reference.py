@@ -181,15 +181,6 @@ void main() {
     assert _calls(source)[3:] == [["f"], ["g"], ["h"], ["f", "g"], ["h"], ["f"]]
 
 
-def test_a_global_initializer_call_lands_on_no_statement():
-    program = parse(CALLEES + "int x = f(h());\nvoid main() { x = 2; g(x); }\n")
-    init = program.global_decl("x").init
-    assert isinstance(init, Call) and init.name == "f"
-    recorded = [c for fn in program.functions for s in iter_stmts(fn.body)
-                for c in s.calls]
-    assert [c.name for c in recorded] == ["g"]
-
-
 def test_lock_api_calls_are_recorded_with_their_lock():
     program = parse("""\
 struct s { int n; mutex_t m; };

@@ -373,7 +373,7 @@ def test_every_parameter_is_used():
 
 def test_every_node_type_has_its_resolver():
     """Every statement class of the ast has a _RESOLVE_STMT handler, every
-    expression class but PayloadInit (a lock global's initializer, resolved
+    expression class but PayloadInit (a lock global's initializer, checked
     with its global) a _RESOLVE_EXPR one, and no handler is keyed by a class
     the ast does not define, but the parser's own `acquire()` marker. A form
     added or removed without its handler fails here, not as a KeyError."""

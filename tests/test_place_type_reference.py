@@ -21,7 +21,6 @@ from lockshift.ast import (
     FieldAccess,
     GuardRef,
     PayloadAccess,
-    PayloadInit,
     Record,
     TupleExpr,
     Type,
@@ -60,14 +59,15 @@ def _fields(ty: Type | None):
 
 
 def _dispatched(program) -> set[int]:
-    """The ids of the expressions the resolver types: every expression but
-    the call of a call statement, which it matches to the statement's
-    targets, a guard target, and a tuple or a payload initializer, whose
-    items it types one by one. The walk goes through every field of every
-    record, so it reaches the statements the resolver typed and then cut
-    as unreachable (FunctionDef.unreachable)."""
+    """The ids of the expressions the resolver types: every expression of
+    a function but the call of a call statement, which it matches to the
+    statement's targets, a guard target, and a tuple, whose items it types
+    one by one. A global's initializer is a constant it checks without
+    typing. The walk goes through every field of every record, so it
+    reaches the statements the resolver typed and then cut as unreachable
+    (FunctionDef.unreachable)."""
     out: set[int] = set()
-    stack = [program.globals, program.functions]
+    stack = [program.functions]
     while stack:
         x = stack.pop()
         if isinstance(x, (list, tuple)):
@@ -77,7 +77,7 @@ def _dispatched(program) -> set[int]:
                 stack.append(x.call.args)
                 stack.extend(t for t in x.targets if type(t) is not GuardRef)
                 continue
-            if isinstance(x, Expr) and not isinstance(x, (TupleExpr, PayloadInit)):
+            if isinstance(x, Expr) and not isinstance(x, TupleExpr):
                 out.add(id(x))
             stack.extend(v for name, v in fields(x).items() if name != "calls")
     return out

@@ -2,6 +2,7 @@
 
 import pytest
 
+from lockshift.cli import main
 from lockshift.diagnostics import SummaryMismatch, TypeCheckError, UnsupportedCall
 from lockshift.guardcheck import check
 from lockshift.parser import parse, parse_guarded
@@ -314,35 +315,48 @@ def test_guards_a_call_cannot_thread_are_reported(source, message, line):
     assert (exc.value.message, exc.value.line) == (message, line)
 
 
-def test_a_global_initializer_cannot_thread_guards():
-    # f releases m, so it takes m's guard, which no initializer can pass.
-    result = analyze_program("mutex_t m;\nint f() { pthread_mutex_unlock(&m); return 0; }\n"
-                             "int x = f();\nvoid main() { }\n")
-    assert result.lock_summary.function("f").entry_lock == {("m",)}
-    with pytest.raises(UnsupportedCall) as exc:
-        transform(result.program, result.lock_summary)
-    assert (exc.value.message, exc.value.line) == (
-        "in x, call to f inside an expression cannot thread its guards", 3)
+def _thread_program(decls, writes="n = 1;"):
+    """decls, then a thread that makes each datum in writes m's."""
+    return (decls + "\nthread_t h;\nint get() { return 1; }\n"
+            "void w() { pthread_mutex_lock(&m); " + writes + " pthread_mutex_unlock(&m); }\n"
+            "void main() { pthread_create(&h, w); }\n")
 
 
-def test_global_initializers_read_protected_data_through_get_mut():
-    # n and y move into m, z into ga.k; the initializers that read them
-    # run before any thread, with no lock held.
-    source = (
-        "mutex_t m; int n = 3; int y = n + 1; int x = n;\n"
-        "struct s { int a; mutex_t k; }; struct s ga; int z = ga.a;\n"
-        "thread_t t;\n"
-        "void w() { pthread_mutex_lock(&m); n = 1; y = 2; pthread_mutex_unlock(&m);\n"
-        "  pthread_mutex_lock(&ga.k); ga.a = 1; pthread_mutex_unlock(&ga.k); }\n"
-        "void main() { pthread_create(&t, w); }\n")
-    _, guarded, errors, text = pipeline_text(source)
-    assert errors == []
-    for line in ("int x = m.get_mut().n;", "int z = ga.k.get_mut().a;",
-                 "mutex<mData> m = mData { n = 3, y = m.get_mut().n + 1 };"):
-        assert line in text
-    reparsed = parse_guarded(text)
-    assert print_guarded(reparsed) == text
-    assert check(reparsed) == []
+# A global initializer evaluates nothing: it is an integer constant
+# expression, on a global that holds data, as C requires. With n (and p)
+# protected by m, an initializer that read n would read m above its
+# declaration, `&n` would point into the lock it helps initialize, a call
+# would run before main, and a lock has no value of its own to keep.
+NOT_CONSTANT = "the initializer of %s is not an integer constant expression"
+NO_DATA = "%s holds no data, so it takes no initializer"
+
+
+@pytest.mark.parametrize("source, message, line", [
+    (_thread_program("mutex_t m;\nint n;\nint k = n + 1;"), NOT_CONSTANT % "global 'k'", 3),
+    (_thread_program("mutex_t m;\nint n;\nint *p = &n;", "n = 1; p = 0;"),
+     NOT_CONSTANT % "global 'p'", 3),
+    (_thread_program("mutex_t m;\nint n;\nint k = get();"), NOT_CONSTANT % "global 'k'", 3),
+    (_thread_program("mutex_t m = 5;\nint n;"), NO_DATA % "global 'm'", 1),
+    (_thread_program("mutex_t m;\nint n;\nthread_t t = 3;"), NO_DATA % "global 't'", 3),
+    (_thread_program("mutex_t m;\nint n;\nstruct s { int a; };\nstruct s x = 1;"),
+     NO_DATA % "global 'x'", 4),
+    (_thread_program("mutex_t m;\nint n;\nint k = k;"), NOT_CONSTANT % "global 'k'", 3),
+    ("struct mData { int n; };\nint k;\nmutex<mData> m = mData { n = k };\n"
+     "void main() { }\n", NOT_CONSTANT % "field 'n' of m", 3),
+], ids=["read-of-protected-data", "address-of-protected-data", "call", "lock",
+        "thread-handle", "struct-by-value", "self-read", "payload-field"])
+def test_a_global_initializer_evaluates_nothing(tmp_path, capsys, source, message, line):
+    """The library raises a located TypeCheckError; `full` on a plain
+    program and `check` on a guarded one exit 1 with it, printing nothing
+    else."""
+    guarded = "mutex<" in source
+    with pytest.raises(TypeCheckError) as exc:
+        parse_guarded(source) if guarded else run_pipeline(source)
+    assert (exc.value.message, exc.value.line) == (message, line)
+    src = tmp_path / ("p.gmc" if guarded else "p.mc")
+    src.write_text(source)
+    assert main(["check" if guarded else "full", str(src)]) == 1
+    assert capsys.readouterr() == ("", "%s:%d: error: %s\n" % (src, line, message))
 
 
 def test_a_body_whose_branches_all_return_gets_no_appended_return():
