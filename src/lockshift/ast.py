@@ -77,6 +77,7 @@ class Type(Record):
     """A declared type: base kind, optional struct/payload name, pointer depth."""
 
     __slots__ = ("kind", "name", "path", "ptr")
+    lent = False  # True for a LentGuard
 
     def __init__(self, kind: str, name: str | None = None, path: LockPath | None = None,
                  ptr: int = 0):
@@ -88,6 +89,15 @@ class Type(Record):
     def is_mutex(self) -> bool:
         """Whether a declaration of this type is a lock."""
         return self.kind in ("mutex", "lock") and self.ptr == 0
+
+
+class LentGuard(Type):
+    """`&guard<p>`, the type of a guard parameter its caller lends, as Rust's
+    `&mut MutexGuard`: the function keeps it Owned throughout, and neither
+    drops, moves nor rebinds it."""
+
+    __slots__ = ()
+    lent = True
 
 
 def holds_data(ty: Type | None) -> bool:

@@ -202,7 +202,8 @@ def _run(args, diags: Diagnostics) -> int:
     _write_dumps(args, program)
 
     if args.mode == "analyze":
-        _emit(write_summary(result.lock_summary), args.emit_summary)
+        _emit(phases.run("summary", lambda: write_summary(result.lock_summary)),
+              args.emit_summary)
         _print_diagnostics(diags, args.input)
         phases.report()
         return 0
@@ -216,8 +217,8 @@ def _run(args, diags: Diagnostics) -> int:
     # transform validates the summary, so a bad one writes no file.
     guarded = phases.run("transform", lambda: transform(program, summary, diags))
     if getattr(args, "emit_summary", None):
-        _emit(write_summary(summary), args.emit_summary)
-    _emit(print_guarded(guarded), getattr(args, "output", None))
+        _emit(phases.run("summary", lambda: write_summary(summary)), args.emit_summary)
+    _emit(phases.run("print", lambda: print_guarded(guarded)), getattr(args, "output", None))
 
     errors = []
     if args.mode == "full":

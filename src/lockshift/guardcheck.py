@@ -3,8 +3,9 @@
 Forward, path-insensitive flow per function: a guard is Uninit at its
 declaration, Owned when acquired or received (parameter, call result),
 Moved once dropped, passed on, or returned. Joining different states across
-paths gives Conflict. Dereferencing requires Owned; moving requires Owned
-and consumes. Assigning into a guard is never a use, so reacquiring in a
+paths gives Conflict. Dereferencing and lending (`&g`) require Owned;
+moving requires Owned and consumes. A lent parameter `&guard<p>` is Owned
+throughout, as the resolver lets nothing move or rebind it. Assigning into a guard is never a use, so reacquiring in a
 loop or overwriting an owned guard is fine.
 
 The flow needs no graph: each function, one without guards too, is one
@@ -69,7 +70,8 @@ def _expr_events(e: Expr | None, out: list[tuple[str, str]]) -> None:
     handler in _EVENTS; names, numbers and None use no guard.
 
     ("move", g) consumes ownership (argument passing, returning);
-    ("deref", g) requires ownership without consuming it.
+    ("deref", g) and ("lend", g), `&g` in a call, require ownership
+    without consuming it.
     """
     events = _EVENTS.get(type(e))
     if events is not None:
@@ -102,7 +104,8 @@ _EVENTS = {
     GuardRef: lambda e, out: out.append(("move", e.name)),
     Binary: _binary_events,
     FieldAccess: lambda e, out: _expr_events(e.base, out),
-    AddrOf: lambda e, out: _expr_events(e.expr, out),
+    AddrOf: lambda e, out: (out.append(("lend", e.expr.name)) if type(e.expr) is GuardRef
+                            else _expr_events(e.expr, out)),
     Deref: lambda e, out: _expr_events(e.expr, out),
     Call: _call_events,
     TupleExpr: _tuple_events,

@@ -2,7 +2,8 @@
 
 parse() reads the plain dialect (.mc); parse_guarded() additionally accepts the
 guarded forms a transformed program uses (.gmc): data-owning lock declarations,
-guard variables typed guard<lock-path>, acquire/drop, parenthesised lists as
+guard variables typed guard<lock-path>, lent guard parameters typed
+&guard<lock-path> and passed as `&g`, acquire/drop, parenthesised lists as
 return values and call targets, and payload accesses.
 
 A call statement is one CallAssign: `f();`, `x = f();` or `(x, g) = f();`.
@@ -45,6 +46,7 @@ from .ast import (
     GuardVarDecl,
     If,
     IntLit,
+    LentGuard,
     LockPath,
     Param,
     PayloadAccess,
@@ -329,7 +331,11 @@ class _Parser:
         guards: dict[str, LockPath] = {}
         if values[self.pos] != ")":
             while True:
-                pty = self.parse_type()
+                if self.guarded and values[self.pos] == "&" and values[self.pos + 1] == "guard":
+                    self.pos += 2
+                    pty = LentGuard("guard", path=self.parse_guard_path())
+                else:
+                    pty = self.parse_type()
                 pname = values[self.expect_ident("parameter name")]
                 params.append(Param(pty, pname))
                 if pty.kind == "guard":
@@ -646,12 +652,15 @@ def _check_initializer(e: Expr, ty: Type, holder: str, line: int) -> None:
     if not holds_data(ty):
         raise TypeCheckError("%s holds no data, so it takes no initializer" % holder, line)
     operands = [e]
-    for e in operands:
-        if type(e) is Binary:
-            operands += e.lhs, e.rhs
-        elif type(e) is not IntLit:
+    for x in operands:
+        if type(x) is Binary:
+            operands += x.lhs, x.rhs
+        elif type(x) is not IntLit:
             raise TypeCheckError("the initializer of %s is not an integer constant "
                                  "expression" % holder, line)
+    if ty.ptr and not (type(e) is IntLit and e.value == 0):
+        raise TypeCheckError("the initializer of %s, a pointer, is not the literal 0"
+                             % holder, line)
 
 
 class _Resolver:
@@ -672,8 +681,10 @@ class _Resolver:
         # current function.
         self.global_locks: dict[LockPath, Type] = {}
         self.locks: dict[LockPath, Type] = {}
-        # the lock path of each guard variable in the current function
+        # the lock path of each guard variable in the current function,
+        # and the names of its lent guard parameters
         self.guards: dict[str, LockPath] = {}
+        self.lent: set[str] = set()
         self.line = 0
         # calls of the statement being resolved, in evaluation order
         self.calls: list[Call] = []
@@ -797,6 +808,7 @@ class _Resolver:
         self.params = params = {}
         self.locks = {}
         self.guards = guards = {}
+        self.lent = lent = set()
         line = f.line_span[0]
         for param in f.params:
             if param.name in params:
@@ -807,6 +819,8 @@ class _Resolver:
             params[param.name] = param.ty
             if param.ty.kind == "guard":
                 guards[param.name] = param.ty.path
+                if param.ty.lent:
+                    lent.add(param.name)
         for param in f.params:
             self.check_type(param.ty, line, "parameter %r in %s" % (param.name, f.name))
         for ty in f.rets:
@@ -871,20 +885,25 @@ class _Resolver:
         if place is not None:
             place_ty = _RESOLVE_EXPR[type(place)](self, place)
             self.check_assign_place(place, place_ty)
+            if place_ty is not None and (place_ty.ptr or ty is not None and ty.ptr):
+                self.check_conversion(value, ty, place_ty)
         if type(value) is GuardRef or ty is not None and ty.kind in _WHOLE_KINDS:
             self.check_read(value, ty, place_ty)
 
     def resolve_call_assign(self, s: CallAssign) -> None:
+        """Each place target takes its value as by `=` (check_conversion)."""
         call = s.call
         if call.name in LOCK_API and not s.targets:
             self.resolve_lock_api(call, s.line)
         else:
             self.resolve_call(call, s.targets)
         self.calls.append(call)
-        for t in s.targets:
+        for t, ret in zip(s.targets, self.names[call.name].rets if s.targets else ()):
             kind = type(t)
             if kind is not GuardRef and kind is not Discard:  # a guard receives
-                self.check_assign_place(t, _RESOLVE_EXPR[kind](self, t))
+                ty = _RESOLVE_EXPR[kind](self, t)
+                self.check_assign_place(t, ty)
+                self.check_conversion(None, ret, ty)
 
     def resolve_if(self, s: If) -> bool:
         """Whether s ends every path: both of its branches do."""
@@ -904,12 +923,15 @@ class _Resolver:
         value = s.value
         values = (() if value is None else value.items if type(value) is TupleExpr
                   else (value,))
-        for v in values:
-            _RESOLVE_EXPR[type(v)](self, v)
+        types = [_RESOLVE_EXPR[type(v)](self, v) for v in values]
         self.check_values(self.fn, (), values, "%s() returns void, not a value", None)
+        for v, ty, into in zip(values, types, self.fn.rets):
+            self.check_conversion(v, ty, into)
         return True
 
     def resolve_acquire(self, s: AcquireAssign) -> None:
+        if s.guard in self.lent:
+            raise TypeCheckError("lent guard %s cannot be reacquired" % s.guard, s.line)
         self.lock_type(s.path, s.line)
         held = self.guards[s.guard]
         if s.path != held:
@@ -944,9 +966,27 @@ class _Resolver:
                 and (into is None or into.kind != ty.kind or into.ptr)):
             raise TypeCheckError("cannot read whole %s values" % ty.kind, self.line)
 
-    def resolve_nothing(self, node: IntLit | GuardRef | DropCall) -> None:
-        """A number, a guard, whose lock path was typed where it was
-        declared, or a drop."""
+    def check_conversion(self, e: Expr | None, ty: Type | None, into: Type | None) -> None:
+        """e, of type ty, goes into a place, parameter or return value of
+        type into. Between an integer and a pointer C converts without a
+        cast only the null pointer constant (C11 6.5.16.1p1): no nonzero
+        number and no int is a pointer, and no pointer is an int. The type
+        of a binary or call expression is not known here, so it passes."""
+        if into is None:
+            return
+        if into.ptr:
+            if type(e) is IntLit and e.value or ty is not None and not ty.ptr and ty.kind == "int":
+                raise TypeCheckError("an int is not a pointer without a cast", self.line)
+        elif ty is not None and ty.ptr and into.kind == "int":
+            raise TypeCheckError("a pointer is not an int without a cast", self.line)
+
+    def resolve_drop(self, s: DropCall) -> None:
+        if s.guard in self.lent:
+            raise TypeCheckError("lent guard %s cannot be dropped" % s.guard, s.line)
+
+    def resolve_nothing(self, node: IntLit | GuardRef) -> None:
+        """A number, or a guard, whose lock path was typed where it was
+        declared."""
 
     def resolve_var(self, e: Var, fn_name_ok: bool = False) -> Type | None:
         ty = self.params.get(e.name)
@@ -1043,10 +1083,15 @@ class _Resolver:
             raise TypeCheckError("%s() takes %d arguments, got %d"
                                  % (name, len(params), len(args)), line)
         for a, param in zip(args, params):
-            # read into a value parameter as by `=`; guards go to check_values
+            # read into a value parameter as by `=`; guards go to check_values,
+            # and so does `&g` for a lent one, which is no place
+            pty = param.ty
+            if pty.lent and type(a) is AddrOf and type(a.expr) is GuardRef:
+                continue
             ty = _RESOLVE_EXPR[type(a)](self, a)
-            if ty is not None and ty.kind in _WHOLE_KINDS and param.ty.kind != "guard":
-                self.check_read(a, ty, param.ty)
+            if ty is not None and ty.kind in _WHOLE_KINDS and pty.kind != "guard":
+                self.check_read(a, ty, pty)
+            self.check_conversion(a, ty, pty)
         call.arg_paths = tuple(map(place_path, args))
         self.check_values(fn, args, targets, "%s() returns void; its value cannot be used",
                           call)
@@ -1055,14 +1100,28 @@ class _Resolver:
         """Match args to fn's parameters, then rets to what it returns (no
         targets drop each; `void` is the error for a plain void fn's value):
         the arguments and targets of call, or a return's values with no
-        call. A guard stands exactly where fn takes or returns guard<p>, for
-        p renamed through fn's parameters at call, or with no call for p itself."""
+        call. A guard stands exactly where fn takes or returns guard<p>, and
+        `&g` for a guard g exactly where it takes &guard<p>, for p renamed
+        through fn's parameters at call, or with no call for p itself. A
+        lent guard of the function resolving stands in no other place."""
         names = None  # fn's parameter names, built at the first guard of a call
         values, types, verb = args, map(attrgetter("ty"), fn.params), "takes"
         while True:
             for v, ty in zip(values, types):
                 if ty.kind != "guard" and type(v) is not GuardRef:
                     continue
+                if ty.lent:
+                    if type(v) is not AddrOf or type(v.expr) is not GuardRef:
+                        raise TypeCheckError("%s() borrows a guard for %s, so it takes &g"
+                                             % (fn.name, ".".join(ty.path)), self.line)
+                    v = v.expr
+                    if len(values) > 1 and self.count_guard(values, v.name) > 1:
+                        raise TypeCheckError("guard %s is lent to %s() and passed again"
+                                             % (v.name, fn.name), self.line)
+                elif type(v) is GuardRef and v.name in self.lent:
+                    raise TypeCheckError("lent guard %s cannot be %s" % (
+                        v.name, "moved" if verb == "takes" else "returned" if call is None
+                        else "rebound"), self.line)
                 if ty.kind != "guard" or type(v) is not GuardRef:
                     what = ("a guard for %s, not a value" % ".".join(ty.path) if ty.kind == "guard"
                             else "a value, not guard %s" % v.name)
@@ -1089,6 +1148,16 @@ class _Resolver:
                 raise TypeCheckError("%s() returns %d values, not %d"
                                      % (fn.name, len(fn.rets), len(rets)), self.line)
             values, types, verb = rets, fn.rets, "returns"
+
+    @staticmethod
+    def count_guard(args, name: str) -> int:
+        """How many of args pass guard name, moved or lent (`&name`)."""
+        count = 0
+        for a in args:
+            if type(a) is AddrOf:
+                a = a.expr
+            count += type(a) is GuardRef and a.name == name
+        return count
 
     def resolve_lock_api(self, call: Call, line: int) -> None:
         """Check a standalone lock-API call; record the lock path of a lock,
@@ -1137,7 +1206,7 @@ _RESOLVE_STMT = {
     While: _Resolver.resolve_while,
     Return: _Resolver.resolve_return,
     AcquireAssign: _Resolver.resolve_acquire,
-    DropCall: _Resolver.resolve_nothing,
+    DropCall: _Resolver.resolve_drop,
 }
 _RESOLVE_EXPR = {
     IntLit: _Resolver.resolve_nothing,

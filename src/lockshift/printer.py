@@ -61,7 +61,7 @@ def type_text(ty: Type) -> str:
     elif ty.kind == "lock":
         base = "mutex<%s>" % ty.name
     elif ty.kind == "guard":
-        base = "guard<%s>" % ".".join(ty.path)
+        base = "%sguard<%s>" % ("&" if ty.lent else "", ".".join(ty.path))
     else:
         raise ValueError("unprintable type kind %r" % ty.kind)
     return base + "*" * ty.ptr

@@ -5,7 +5,9 @@ struct owned by the lock declaration, protected struct fields move into a
 payload struct owned by the lock field. Lock and unlock calls become guard
 acquisition and drop, accesses go through a guard where one is held (per
 lock_line) and through get_mut elsewhere, and functions with entry or return
-locks exchange guards through parameters and return values.
+locks exchange guards through parameters and return values. A guard a
+function keeps from entry to exit is lent instead (`_Transformer._lend`): a
+parameter `&guard<p>`, passed as `&g` and not returned.
 
 A run builds one guard type and one base guard name per lock path, and
 every function's guard parameters, returned guards and guard names share
@@ -24,7 +26,6 @@ from .ast import (
     Assign,
     Binary,
     Block,
-    CREATE_FN,
     Call,
     CallAssign,
     Deref,
@@ -42,6 +43,7 @@ from .ast import (
     IntLit,
     LOCK_API,
     LOCK_FN,
+    LentGuard,
     LockPath,
     Param,
     PayloadAccess,
@@ -76,6 +78,10 @@ def guard_name_for(path: LockPath) -> str:
     return "_".join(path) + "_guard"
 
 
+# The entry and return locks of a function that has neither.
+_NO_PATHS: tuple[tuple[LockPath, ...], tuple[LockPath, ...]] = ((), ())
+
+
 def _fresh_name(base: str, *taken) -> str:
     """base, or the first of base2, base3, ... that nothing in taken holds."""
     name = base
@@ -92,27 +98,31 @@ class _Transformer:
         self.s = s
         self.diags = diags
         self.external = {"main"} | set(thread_entries(p))
-        # In path order, which is the order of their dotted texts: guard
-        # parameters and returned guards follow it.
-        self.entry_paths: dict[str, list[LockPath]] = {}
-        self.ret_paths: dict[str, list[LockPath]] = {}
+        # Each function's entry and return locks, in path order, which is
+        # the order of their dotted texts: guard parameters and returned
+        # guards follow it.
+        self.paths: dict[str, tuple[list[LockPath], list[LockPath]]] = {}
         self.lock_lines: dict[str, dict[LockPath, frozenset[int]]] = {}
         for fn in p.functions:
             fs = s.function(fn.name)
             self.lock_lines[fn.name] = fs.lock_line
             if fn.name in self.external:
-                self.entry_paths[fn.name] = []
-                self.ret_paths[fn.name] = []
+                self.paths[fn.name] = _NO_PATHS
                 if fs.entry_lock or fs.return_lock:
                     diags.warn(
                         "%s is invoked from outside; entry/return guards stay "
                         "local instead of changing its signature" % fn.name,
                         function=fn.name)
+            elif fs.entry_lock or fs.return_lock:
+                self.paths[fn.name] = (sorted(fs.entry_lock), sorted(fs.return_lock))
             else:
-                self.entry_paths[fn.name] = sorted(fs.entry_lock)
-                self.ret_paths[fn.name] = sorted(fs.return_lock)
+                self.paths[fn.name] = _NO_PATHS
+        # each call that threads guards, with the locks of the guards it
+        # passes and receives as its caller names them (_named), set by _lend
+        self.named: dict[Call, tuple[list[LockPath | None], list[LockPath | None]]] = {}
         self.base_names: dict[LockPath, str] = {}
-        self.guard_types: dict[LockPath, Type] = {}
+        # the guard<p> and the &guard<p> of each lock path
+        self.guard_types: tuple[dict[LockPath, Type], dict[LockPath, Type]] = ({}, {})
 
     # -- declarations -------------------------------------------------------
 
@@ -194,8 +204,72 @@ class _Transformer:
 
     def run(self) -> Program:
         self._build_decls()
+        self.lent = self._lend()
         functions = [self._transform_function(fn) for fn in self.p.functions]
         return Program(self.globals_out, self.structs_out, functions)
+
+    def _lend(self) -> dict[str, frozenset[LockPath]]:
+        """The locks each function keeps from entry to exit, whose guards
+        it borrows: the greatest sets where a lock of f is in its entry and
+        return sets, f neither locks nor unlocks it, no call hands f one
+        guard for it and for another lock of f, and no call of f moves its
+        guard. A call moves the guard of each callee lock the callee does
+        not lend; one it lends is in its entry and return sets, so the call
+        both passes and receives its guard. A function whose set shrinks is
+        checked again with its callers. Functions with equal sets share
+        one. Fills self.named."""
+        paths = self.paths
+        shared: dict[frozenset[LockPath], frozenset[LockPath]] = {}
+        lent = {}
+        # the callers of each function and, for a function that keeps a
+        # lock, the callee and the named locks (_named) of each call that
+        # threads guards
+        callers: dict[str, list[str]] = {}
+        threads: dict[str, list[tuple[str, tuple]]] = {}
+        # the locks of each callee that some call hands one guard for twice
+        doubled: dict[str, set[LockPath]] = {}
+        for fn in self.p.functions:
+            entry, ret = paths[fn.name]
+            keep = frozenset(entry).intersection(ret)
+            calls = []
+            for c in fn.calls:
+                if c.name == LOCK_FN or c.name == UNLOCK_FN:
+                    if c.lock in keep:
+                        keep = keep - {c.lock}
+                    continue
+                named = self._named(c)
+                if named is _NO_PATHS:
+                    continue
+                self.named[c] = named
+                takes = named[0]
+                if takes is not paths[c.name][0] and len(set(takes)) < len(takes):
+                    doubled.setdefault(c.name, set()).update(
+                        p for p, q in zip(paths[c.name][0], takes) if takes.count(q) > 1)
+                calls.append((c.name, named))
+            lent[fn.name] = shared.setdefault(keep, keep)
+            if keep and calls:
+                threads[fn.name] = calls
+                for callee, _ in calls:
+                    callers.setdefault(callee, []).append(fn.name)
+        for name, locks in doubled.items():
+            keep = lent[name] - locks
+            lent[name] = shared.setdefault(keep, keep)
+        pending = list(threads)
+        while pending:
+            name = pending.pop()
+            keep = lent[name]
+            for callee, named in threads[name]:
+                # the call moves the guard of each callee lock, passed
+                # or received, that the callee does not lend
+                lends = lent[callee]
+                for ps, qs in zip(paths[callee], named):
+                    for p, q in zip(ps, qs):
+                        if q in keep and p not in lends:
+                            keep = keep - {q}
+            if keep is not lent[name]:
+                lent[name] = shared.setdefault(keep, keep)
+                pending += [f for f in callers.get(name, ()) if lent[f]]
+        return lent
 
     def _candidate_paths(self, fn: FunctionDef) -> set[LockPath]:
         paths = set(self._entry) | set(self._rets) | set(self._lock_line)
@@ -203,29 +277,36 @@ class _Transformer:
         for s, c in function_calls(fn):
             if c.name in (LOCK_FN, UNLOCK_FN):
                 paths.add(c.lock)
-            elif c.name not in (INIT_FN, CREATE_FN):
+            elif c in self.named:
                 takes, gives = self._threads[c] = self._thread(fn.name, s, c)
                 paths.update(takes, gives)
         return paths
 
-    def _thread(self, owner: str, s: Stmt, c: Call) -> tuple[list[LockPath], list[LockPath]]:
-        """The locks of the guards call c passes and receives, as function
-        owner names them. A call with guards to thread must be all
-        the call of a call statement s, and each lock path must run through
-        an argument that is a place. A callee without parameters shares its
-        own lists: to_caller names every path but a parameter's."""
-        paths = self.entry_paths[c.name], self.ret_paths[c.name]
-        if not (paths[0] or paths[1]):
+    def _named(self, c: Call) -> tuple[list[LockPath | None], list[LockPath | None]]:
+        """The locks of the guards call c passes and receives, as its
+        caller names them (to_caller): None where an argument is no place.
+        A callee without parameters shares its own lists, and a lock-API
+        call threads none."""
+        paths = self.paths.get(c.name, _NO_PATHS)
+        if paths is _NO_PATHS:
             return paths
-        if not (type(s) is CallAssign and c is s.call):
-            raise UnsupportedCall("in %s, call to %s inside an expression cannot thread "
-                                  "its guards" % (owner, c.name), s.line)
         callee = self.p.function(c.name)
         if not callee.params:
             return paths
         params = callee.param_names
-        named = tuple([to_caller(q, params, c) for q in qs] for qs in paths)
-        for qs, out, verb in zip(paths, named, ("pass", "receive")):
+        return tuple([to_caller(q, params, c) for q in qs] for qs in paths)
+
+    def _thread(self, owner: str, s: Stmt, c: Call) -> tuple[list[LockPath], list[LockPath]]:
+        """The locks of the guards call c, which threads some, passes and
+        receives, as function owner names them (self.named, which lets
+        them go, so that they are not held while the output grows). It must
+        be all the call of a call statement s, and each lock path must run
+        through an argument that is a place."""
+        if not (type(s) is CallAssign and c is s.call):
+            raise UnsupportedCall("in %s, call to %s inside an expression cannot thread "
+                                  "its guards" % (owner, c.name), s.line)
+        named = self.named.pop(c)
+        for qs, out, verb in zip(self.paths[c.name], named, ("pass", "receive")):
             if None in out:
                 q = qs[out.index(None)]
                 raise UnsupportedCall("in %s, call to %s cannot %s the guard for %s: %s" % (
@@ -233,8 +314,9 @@ class _Transformer:
         return named
 
     def _transform_function(self, fn: FunctionDef) -> FunctionDef:
-        self._entry = self.entry_paths[fn.name]
-        self._rets = self.ret_paths[fn.name]
+        lent = self.lent[fn.name]
+        self._entry, rets = self.paths[fn.name]
+        self._rets = [q for q in rets if q not in lent]
         self._lock_line = self.lock_lines[fn.name]
         self._names = self._guard_names(self._candidate_paths(fn), fn)
         self._used: set[LockPath] = set()
@@ -243,7 +325,7 @@ class _Transformer:
         if self._rets and fn.falls_through:
             body.stmts.append(self._make_return(None, fn.line_span[1]))
 
-        params = list(fn.params) + [Param(self._guard_type(q), self._names[q])
+        params = list(fn.params) + [Param(self._guard_type(q, q in lent), self._names[q])
                                     for q in self._entry]
         rets = fn.rets
         if self._rets:
@@ -254,10 +336,11 @@ class _Transformer:
                        if path in self._used and path not in self._entry])
         return FunctionDef(rets, fn.name, params, body, fn.line_span, decls)
 
-    def _guard_type(self, path: LockPath) -> Type:
-        ty = self.guard_types.get(path)
+    def _guard_type(self, path: LockPath, lent: bool = False) -> Type:
+        types = self.guard_types[lent]
+        ty = types.get(path)
         if ty is None:
-            ty = self.guard_types[path] = Type("guard", path=path)
+            ty = types[path] = (LentGuard if lent else Type)("guard", path=path)
         return ty
 
     def _guard(self, path: LockPath) -> str:
@@ -296,17 +379,22 @@ class _Transformer:
             if c.name == UNLOCK_FN:
                 return DropCall(line=line, guard=self._guard(c.lock))
             return None if c.name == INIT_FN else st
-        takes, gives = self._threads[c]
-        call = Call(c.name, [self._rewrite_expr(a, line) for a in c.args]
-                    + [GuardRef(self._guard(q), q) for q in takes])
+        takes, gives = self._threads.get(c, _NO_PATHS)
+        entry, ret = self.paths[c.name]
+        lends = self.lent[c.name]
+        args = [self._rewrite_expr(a, line) for a in c.args]
+        for p, q in zip(entry, takes):
+            guard = GuardRef(self._guard(q), q)
+            args.append(AddrOf(guard) if p in lends else guard)
         targets = st.targets
         if targets:
             targets = tuple([self._rewrite_expr(t, line) for t in targets])
+        gives = [q for p, q in zip(ret, gives) if p not in lends]
         if gives:
             if not targets and not self.p.function(c.name).returns_void:
                 targets = (Discard(),)
             targets += tuple([GuardRef(self._guard(q), q) for q in gives])
-        return CallAssign(line=line, targets=targets, call=call)
+        return CallAssign(line=line, targets=targets, call=Call(c.name, args))
 
     def _make_return(self, value: Expr | None, line: int) -> Return:
         parts = [] if value is None else [value]

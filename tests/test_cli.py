@@ -587,16 +587,20 @@ def test_only_the_flow_dump_runs_the_lock_set_fixpoints(tmp_path, capsys):
     assert not (tmp_path / "d.flow.json").exists()
 
 
-def test_timings_go_to_stderr_and_leave_stdout_alone(capsys):
+def test_timings_go_to_stderr_and_leave_stdout_alone(tmp_path, capsys):
+    """One row per phase, in the order the phases run: printing and
+    summary writing are phases too."""
     src = str(FIXTURES / "listing1.mc")
-    assert main(["full", src]) in (0, 2)
-    plain = capsys.readouterr()
-    assert main(["full", src, "--timings"]) in (0, 2)
-    timed = capsys.readouterr()
-    assert timed.out == plain.out
-    assert "analyze" in timed.err
-    assert "transform" in timed.err
-    assert "check" in timed.err
+    for argv, rows in ((["full", src], ["analyze", "transform", "print", "check"]),
+                       (["full", src, "--emit-summary", str(tmp_path / "s.json")],
+                        ["analyze", "transform", "summary", "print", "check"]),
+                       (["analyze", src], ["analyze", "summary"])):
+        assert main(argv) in (0, 2)
+        plain = capsys.readouterr()
+        assert main(argv + ["--timings"]) in (0, 2)
+        timed = capsys.readouterr()
+        assert timed.out == plain.out
+        assert [line.split()[0] for line in timed.err.splitlines()] == rows
 
 
 def test_repeated_runs_are_byte_identical(capsys):

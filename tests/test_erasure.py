@@ -9,9 +9,9 @@ function erases statement by statement, with line numbers:
   source side, which drops its `pthread_mutex_init` calls;
 - `(*g).f` and `p.get_mut().f` are the datum: p without its last segment,
   then f;
-- guard arguments, guard targets, `_` targets and returned guards go, and
-  so do guard parameters, returned guard types and a bare `return` that
-  ends a body;
+- guard arguments, lent `&g` arguments, guard targets, `_` targets and
+  returned guards go, and so do guard parameters, lent `&guard<p>` ones
+  among them, returned guard types and a bare `return` that ends a body;
 - both sides write `->` and `(*r).` as `.`, since a lock path drops `*`.
 
 Each declaration erases too: a source global is printed unchanged, or it
@@ -83,8 +83,9 @@ def expr_text(e) -> str:
 
 
 def _values(items) -> list[str]:
-    """The texts of the items that are no guard or `_`."""
-    return [expr_text(x) for x in items if type(x) is not GuardRef and type(x) is not Discard]
+    """The texts of the items that are no guard, lent guard `&g` or `_`."""
+    return [expr_text(x) for x in items if type(x) is not GuardRef and type(x) is not Discard
+            and not (type(x) is AddrOf and type(x.expr) is GuardRef)]
 
 
 def _stmts(stmts, guards, out: list) -> None:

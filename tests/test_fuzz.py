@@ -26,7 +26,7 @@ SEED = 20231
 MUTANTS_PER_SOURCE = 20
 # SHA-256 of every mutant's outcome, in order: "ok", or
 # "type|message|line|col" of the LockshiftError it raised.
-OUTCOMES_SHA256 = "ea423f66d0172ab47535a1198e3bfe22b1c73d5607432370e8b0d7c769dec245"
+OUTCOMES_SHA256 = "f29644a3f71a289ca2d805b8d8be72988b0c6e7b9a8c4d16e47c78bdee65a983"
 
 
 def token_texts(source: str) -> list[tuple[int, str]]:

@@ -146,8 +146,8 @@ class GuardGen:
     """Seeded generator of guarded functions that stress the checker.
 
     A function may take guard parameters and declares guards for two
-    locks. Its body acquires, drops, dereferences and passes guards on
-    (`both(g, g)` among them), rebinds them from destructuring calls, and
+    locks. Its body acquires, drops, dereferences, lends (`look(&g)`) and
+    passes guards on (`both(g, g)` among them), rebinds them from destructuring calls, and
     nests if/else, while, blocks and returns, with more statements after a
     return than any path reaches. A function that returns a guard ends with
     a return, so that no path runs off its end.
@@ -161,6 +161,7 @@ class GuardGen:
         "int k;",
         "void take(guard<m0> h) { drop(h); }",
         "void both(guard<m0> a, guard<m0> b) { drop(a); drop(b); }",
+        "void look(&guard<m0> h) { (*h).n = 1; }",
         "guard<m0> give(guard<m0> h) { return h; }",
         "(int, guard<m1>) pair(guard<m1> h) { return (1, h); }",
         "guard<m1> fresh() { guard<m1> g; g = m1.acquire(); return g; }",
@@ -226,6 +227,7 @@ class GuardGen:
             "(*%s).n = (*%s).n + 1;" % (a, b),
             "k = (*%s).n;" % h,
             "take(%s);" % a,
+            "look(&%s);" % a,
             "both(%s, %s);" % (a, b),
             "both(%s, %s);" % (a, a),
             "%s = give(%s);" % (a, b),

@@ -312,11 +312,12 @@ def test_summaries_share_one_object_per_distinct_lock_set(corpus):
 
 
 def test_guard_parameters_and_returned_guards_share_one_type_per_lock_path(corpus):
+    """One guard<p> and one &guard<p> object per lock path p."""
     checked = 0
     for name, run in completed(corpus):
         types = [t for fn in run.guarded.functions
                  for t in [p.ty for p in fn.params] + list(fn.rets) if t.kind == "guard"]
-        assert len({id(t) for t in types}) == len({t.path for t in types}), name
+        assert len({id(t) for t in types}) == len({(t.path, t.lent) for t in types}), name
         checked += len(types)
     assert checked > 500
 

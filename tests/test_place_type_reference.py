@@ -61,8 +61,9 @@ def _fields(ty: Type | None):
 def _dispatched(program) -> set[int]:
     """The ids of the expressions the resolver types: every expression of
     a function but the call of a call statement, which it matches to the
-    statement's targets, a guard target, and a tuple, whose items it types
-    one by one. A global's initializer is a constant it checks without
+    statement's targets, a guard target, a lent guard argument `&g`, which
+    it matches to its callee's `&guard<p>`, and a tuple, whose items it
+    types one by one. A global's initializer is a constant it checks without
     typing. The walk goes through every field of every record, so it
     reaches the statements the resolver typed and then cut as unreachable
     (FunctionDef.unreachable)."""
@@ -74,7 +75,8 @@ def _dispatched(program) -> set[int]:
             stack.extend(x)
         elif isinstance(x, Record) and not isinstance(x, Type):
             if isinstance(x, CallAssign):
-                stack.append(x.call.args)
+                stack.extend(a for a in x.call.args
+                             if not (type(a) is AddrOf and type(a.expr) is GuardRef))
                 stack.extend(t for t in x.targets if type(t) is not GuardRef)
                 continue
             if isinstance(x, Expr) and not isinstance(x, TupleExpr):

@@ -126,9 +126,9 @@ void main() {
 }
 """)
     assert errors == []
-    assert "guard<m> inc(int m_guard, guard<m> m_guard2) {" in text
+    assert "void inc(int m_guard, &guard<m> m_guard2) {" in text
     assert "void bump(int m_guard) { guard<m> m_guard2;" in text
-    assert "m_guard2 = inc(m_guard, m_guard2);" in text
+    assert "inc(m_guard, &m_guard2);" in text
     assert _collisions(result) == [
         ("inc", "guard name m_guard for m collides; renamed m_guard2"),
         ("bump", "guard name m_guard for m collides; renamed m_guard2")]
@@ -237,6 +237,8 @@ INHERITED_CALL_ARG = """\
 int n;
 mutex_t m;
 int twice(int v) {
+    pthread_mutex_unlock(&m);
+    pthread_mutex_lock(&m);
     return v + v;
 }
 void bump() {
@@ -248,9 +250,23 @@ void bump() {
 
 
 def test_guard_threading_through_a_self_feeding_call_is_rejected():
+    """twice releases m, so it takes m's guard and gives it back: the
+    target reads the payload through a guard the call moved."""
     result, _, errors, text = pipeline_text(INHERITED_CALL_ARG)
     assert "((*m_guard).n, m_guard) = twice((*m_guard).n, m_guard);" in text
     assert [(e.kind, e.function) for e in errors] == [("UseAfterMove", "bump")]
+
+
+def test_a_self_feeding_call_that_borrows_the_guard_is_accepted():
+    """A callee that keeps m throughout borrows its guard, so the caller
+    still owns it when the target is written, as Rust's two-phase borrow
+    of `&mut m_guard` allows."""
+    source = INHERITED_CALL_ARG.replace(
+        "    pthread_mutex_unlock(&m);\n    pthread_mutex_lock(&m);\n    return", "    return")
+    _, _, errors, text = pipeline_text(source)
+    assert "int twice(int v, &guard<m> m_guard) {" in text
+    assert "(*m_guard).n = twice((*m_guard).n, &m_guard);" in text
+    assert errors == [] and check(parse_guarded(text)) == []
 
 
 VOID_POINTER_LOCKER = """\
@@ -357,6 +373,59 @@ def test_a_global_initializer_evaluates_nothing(tmp_path, capsys, source, messag
     src.write_text(source)
     assert main(["check" if guarded else "full", str(src)]) == 1
     assert capsys.readouterr() == ("", "%s:%d: error: %s\n" % (src, line, message))
+
+
+# Between an integer and a pointer C converts without a cast only the null
+# pointer constant 0 (C11 6.5.16.1p1). The resolver rejects the other
+# conversions wherever it knows both types: each statement below is in w,
+# at line 4, or in the guarded program's f, at line 5.
+TO_POINTER = "an int is not a pointer without a cast"
+TO_INT = "a pointer is not an int without a cast"
+CONVERSIONS = ("int n;\nint *p;\nint h(int x) { return x; }\nint *r(int *x) { return x; }\n"
+               "void w() { %s }\nvoid main() { }\n")
+GUARDED_CONVERSIONS = ("struct d { int n; int *p; };\nmutex<d> m;\nint k;\n"
+                       "int *q(int *x) { return x; }\nvoid f() { guard<m> g; g = m.acquire(); %s "
+                       "drop(g); }\n")
+
+
+@pytest.mark.parametrize("source, message, line", [
+    ("mutex_t m;\nint n;\nint *p = 5;\nvoid main() { }\n",
+     "the initializer of global 'p', a pointer, is not the literal 0", 3),
+    (CONVERSIONS % "p = 7;", TO_POINTER, 5),
+    (CONVERSIONS % "n = p;", TO_INT, 5),
+    (CONVERSIONS % "h(p);", TO_INT, 5),
+    (CONVERSIONS % "n = h(&n);", TO_INT, 5),
+    (CONVERSIONS % "p = r(n);", TO_POINTER, 5),
+    (CONVERSIONS % "p = h(1);", TO_POINTER, 5),
+    (CONVERSIONS % "n = r(p);", TO_INT, 5),
+    (CONVERSIONS.replace("int *r(int *x) { return x; }", "int *r(int *x) { return 3; }")
+     % "", TO_POINTER, 4),
+    (GUARDED_CONVERSIONS % "(*g).p = 5;", TO_POINTER, 5),
+    (GUARDED_CONVERSIONS % "k = (*g).p;", TO_INT, 5),
+    (GUARDED_CONVERSIONS % "(*g).p = q((*g).n);", TO_POINTER, 5),
+    ("struct d { int *p; };\nmutex<d> m = d { p = 3 };\nvoid main() { }\n",
+     "the initializer of field 'p' of m, a pointer, is not the literal 0", 2),
+], ids=["pointer-global", "assigned", "pointer-assigned-to-int",
+        "pointer-argument", "address-argument", "int-argument", "int-result", "pointer-result",
+        "returned", "payload-assigned", "payload-read", "payload-argument", "payload-init"])
+def test_an_int_and_a_pointer_do_not_convert(tmp_path, capsys, source, message, line):
+    """The library raises a located TypeCheckError; `full` on a plain
+    program and `check` on a guarded one exit 1 with it, printing nothing
+    else."""
+    guarded = "mutex<" in source
+    with pytest.raises(TypeCheckError) as exc:
+        parse_guarded(source) if guarded else run_pipeline(source)
+    assert (exc.value.message, exc.value.line) == (message, line)
+    src = tmp_path / ("p.gmc" if guarded else "p.mc")
+    src.write_text(source)
+    assert main(["check" if guarded else "full", str(src)]) == 1
+    assert capsys.readouterr() == ("", "%s:%d: error: %s\n" % (src, line, message))
+
+
+@pytest.mark.parametrize("stmt", ["p = 0;", "p = &n;", "h(*p);", "n = *p + 1;", "p = r(0);",
+                                  "p = r(p);", "n = h(n);"])
+def test_the_null_pointer_constant_and_matching_types_convert(stmt):
+    run_pipeline(CONVERSIONS % stmt)
 
 
 def test_a_body_whose_branches_all_return_gets_no_appended_return():
