@@ -19,7 +19,7 @@ deeply loops nest, b being the bits its head can gain after its first
 entry. A last walk from the top with report set meets each statement with
 the loop heads at their fixpoint.
 
-solve() is the one worklist the dataflow passes share.
+solve() is the one worklist that the dataflow passes and lending share.
 """
 from __future__ import annotations
 

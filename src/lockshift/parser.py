@@ -640,6 +640,8 @@ class _Parser:
 # Name resolution and checking
 
 _RESERVED = "%s named '_': a target named '_' drops its value"
+# main and a thread entry: no call of the program hands them a guard
+_UNHANDED = "%s cannot take guard %s: no call hands it one"
 
 # The kinds no expression reads held by value (_Resolver.check_read).
 _WHOLE_KINDS = frozenset(["mutex", "lock", "thread", "struct"])
@@ -818,6 +820,8 @@ class _Resolver:
                 raise TypeCheckError(_RESERVED % "parameter", line)
             params[param.name] = param.ty
             if param.ty.kind == "guard":
+                if f.name == "main":
+                    raise TypeCheckError(_UNHANDED % ("main()", param.name), line)
                 guards[param.name] = param.ty.path
                 if param.ty.lent:
                     lent.add(param.name)
@@ -1195,6 +1199,10 @@ class _Resolver:
         if entry.kind != "function":
             raise TypeCheckError(
                 "pthread_create() second argument must name a function", line)
+        for param in self.names[entry.name].params:
+            if param.ty.kind == "guard":
+                raise TypeCheckError(_UNHANDED % ("thread entry %s()" % entry.name, param.name),
+                                     line)
 
 
 # The resolver of each node type the parser builds.

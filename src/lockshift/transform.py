@@ -6,8 +6,9 @@ payload struct owned by the lock field. Lock and unlock calls become guard
 acquisition and drop, accesses go through a guard where one is held (per
 lock_line) and through get_mut elsewhere, and functions with entry or return
 locks exchange guards through parameters and return values. A guard a
-function keeps from entry to exit is lent instead (`_Transformer._lend`): a
-parameter `&guard<p>`, passed as `&g` and not returned.
+function keeps from entry to exit is lent instead (`_Transformer._lend`, a
+greatest fixpoint on the shared worklist `cfg.solve`): a parameter
+`&guard<p>`, passed as `&g` and not returned.
 
 A run builds one guard type and one base guard name per lock path, and
 every function's guard parameters, returned guards and guard names share
@@ -63,6 +64,7 @@ from .ast import (
     to_caller,
 )
 from .callgraph import thread_entries
+from .cfg import solve
 from .diagnostics import (
     Diagnostics,
     SchemaError,
@@ -102,10 +104,8 @@ class _Transformer:
         # the order of their dotted texts: guard parameters and returned
         # guards follow it.
         self.paths: dict[str, tuple[list[LockPath], list[LockPath]]] = {}
-        self.lock_lines: dict[str, dict[LockPath, frozenset[int]]] = {}
         for fn in p.functions:
             fs = s.function(fn.name)
-            self.lock_lines[fn.name] = fs.lock_line
             if fn.name in self.external:
                 self.paths[fn.name] = _NO_PATHS
                 if fs.entry_lock or fs.return_lock:
@@ -117,8 +117,12 @@ class _Transformer:
                 self.paths[fn.name] = (sorted(fs.entry_lock), sorted(fs.return_lock))
             else:
                 self.paths[fn.name] = _NO_PATHS
+        # the parameter names of each callee of a call that threads guards,
+        # read once per run by _named and let go by _guard_names
+        self.param_names: dict[str, list[str]] = {}
         # each call that threads guards, with the locks of the guards it
-        # passes and receives as its caller names them (_named), set by _lend
+        # passes and receives as its caller names them (_named): set by
+        # _lend, and let go as the call is rewritten
         self.named: dict[Call, tuple[list[LockPath | None], list[LockPath | None]]] = {}
         self.base_names: dict[LockPath, str] = {}
         # the guard<p> and the &guard<p> of each lock path
@@ -189,7 +193,8 @@ class _Transformer:
         among the names given so far; a collision warns and takes a suffix.
         Each path's base name is made once per run."""
         names: dict[LockPath, str] = {}
-        taken = set(fn.param_names)
+        params = self.param_names.pop(fn.name, None)
+        taken = set(fn.param_names if params is None else params)
         for path in sorted(paths):
             name = self.base_names.get(path)
             if name is None:
@@ -215,71 +220,78 @@ class _Transformer:
         guard for it and for another lock of f, and no call of f moves its
         guard. A call moves the guard of each callee lock the callee does
         not lend; one it lends is in its entry and return sets, so the call
-        both passes and receives its guard. A function whose set shrinks is
-        checked again with its callers. Functions with equal sets share
-        one. Fills self.named."""
-        paths = self.paths
+        both passes and receives its guard. The shared worklist (cfg.solve)
+        checks a function again with its callers when its set shrinks; the
+        greatest fixpoint is unique, so the order of the checks does not
+        change it. Functions with equal sets share one. Fills self.named."""
+        paths, named = self.paths, self.named
         shared: dict[frozenset[LockPath], frozenset[LockPath]] = {}
         lent = {}
-        # the callers of each function and, for a function that keeps a
-        # lock, the callee and the named locks (_named) of each call that
-        # threads guards
-        callers: dict[str, list[str]] = {}
-        threads: dict[str, list[tuple[str, tuple]]] = {}
+        # each function's callers, once per call that threads guards
+        callers: dict[str, list[FunctionDef]] = {}
         # the locks of each callee that some call hands one guard for twice
         doubled: dict[str, set[LockPath]] = {}
         for fn in self.p.functions:
             entry, ret = paths[fn.name]
             keep = frozenset(entry).intersection(ret)
-            calls = []
             for c in fn.calls:
                 if c.name == LOCK_FN or c.name == UNLOCK_FN:
                     if c.lock in keep:
                         keep = keep - {c.lock}
                     continue
-                named = self._named(c)
-                if named is _NO_PATHS:
+                names = self._named(c)
+                if names is _NO_PATHS:
                     continue
-                self.named[c] = named
-                takes = named[0]
+                named[c] = names
+                takes = names[0]
                 if takes is not paths[c.name][0] and len(set(takes)) < len(takes):
                     doubled.setdefault(c.name, set()).update(
                         p for p, q in zip(paths[c.name][0], takes) if takes.count(q) > 1)
-                calls.append((c.name, named))
+                callers.setdefault(c.name, []).append(fn)
             lent[fn.name] = shared.setdefault(keep, keep)
-            if keep and calls:
-                threads[fn.name] = calls
-                for callee, _ in calls:
-                    callers.setdefault(callee, []).append(fn.name)
         for name, locks in doubled.items():
             keep = lent[name] - locks
             lent[name] = shared.setdefault(keep, keep)
-        pending = list(threads)
-        while pending:
-            name = pending.pop()
-            keep = lent[name]
-            for callee, named in threads[name]:
-                # the call moves the guard of each callee lock, passed
-                # or received, that the callee does not lend
-                lends = lent[callee]
-                for ps, qs in zip(paths[callee], named):
-                    for p, q in zip(ps, qs):
-                        if q in keep and p not in lends:
-                            keep = keep - {q}
-            if keep is not lent[name]:
-                lent[name] = shared.setdefault(keep, keep)
-                pending += [f for f in callers.get(name, ()) if lent[f]]
+
+        def recheck(fn: FunctionDef) -> list[FunctionDef]:
+            keep = lent[fn.name]
+            for c in fn.calls:
+                if c in named:
+                    # the call moves the guard of each callee lock, passed
+                    # or received, that the callee does not lend
+                    lends = lent[c.name]
+                    for ps, qs in zip(paths[c.name], named[c]):
+                        for p, q in zip(ps, qs):
+                            if q in keep and p not in lends:
+                                keep = keep - {q}
+            if keep is lent[fn.name]:
+                return []
+            lent[fn.name] = shared.setdefault(keep, keep)
+            return [f for f in callers.get(fn.name, ()) if lent[f.name]]
+
+        solve([fn for fn in self.p.functions if lent[fn.name]], recheck)
         return lent
 
     def _candidate_paths(self, fn: FunctionDef) -> set[LockPath]:
+        """The lock paths of fn's guards, lock calls and calls that thread
+        guards (self.named). Such a call must be all the call of its call
+        statement, and each lock path must run through an argument that is
+        a place."""
         paths = set(self._entry) | set(self._rets) | set(self._lock_line)
-        self._threads: dict[Call, tuple[list[LockPath], list[LockPath]]] = {}
         for s, c in function_calls(fn):
             if c.name in (LOCK_FN, UNLOCK_FN):
                 paths.add(c.lock)
             elif c in self.named:
-                takes, gives = self._threads[c] = self._thread(fn.name, s, c)
-                paths.update(takes, gives)
+                if not (type(s) is CallAssign and c is s.call):
+                    raise UnsupportedCall("in %s, call to %s inside an expression cannot "
+                                          "thread its guards" % (fn.name, c.name), s.line)
+                for qs, out, verb in zip(self.paths[c.name], self.named[c], ("pass", "receive")):
+                    if None in out:
+                        q = qs[out.index(None)]
+                        raise UnsupportedCall("in %s, call to %s cannot %s the guard for %s: %s"
+                                              % (fn.name, c.name, verb, ".".join(q),
+                                                 not_a_place(q)), s.line)
+                    paths.update(out)
         return paths
 
     def _named(self, c: Call) -> tuple[list[LockPath | None], list[LockPath | None]]:
@@ -290,34 +302,18 @@ class _Transformer:
         paths = self.paths.get(c.name, _NO_PATHS)
         if paths is _NO_PATHS:
             return paths
-        callee = self.p.function(c.name)
-        if not callee.params:
+        params = self.param_names.get(c.name)
+        if params is None:
+            params = self.param_names[c.name] = self.p.function(c.name).param_names
+        if not params:
             return paths
-        params = callee.param_names
         return tuple([to_caller(q, params, c) for q in qs] for qs in paths)
-
-    def _thread(self, owner: str, s: Stmt, c: Call) -> tuple[list[LockPath], list[LockPath]]:
-        """The locks of the guards call c, which threads some, passes and
-        receives, as function owner names them (self.named, which lets
-        them go, so that they are not held while the output grows). It must
-        be all the call of a call statement s, and each lock path must run
-        through an argument that is a place."""
-        if not (type(s) is CallAssign and c is s.call):
-            raise UnsupportedCall("in %s, call to %s inside an expression cannot thread "
-                                  "its guards" % (owner, c.name), s.line)
-        named = self.named.pop(c)
-        for qs, out, verb in zip(self.paths[c.name], named, ("pass", "receive")):
-            if None in out:
-                q = qs[out.index(None)]
-                raise UnsupportedCall("in %s, call to %s cannot %s the guard for %s: %s" % (
-                    owner, c.name, verb, ".".join(q), not_a_place(q)), s.line)
-        return named
 
     def _transform_function(self, fn: FunctionDef) -> FunctionDef:
         lent = self.lent[fn.name]
         self._entry, rets = self.paths[fn.name]
         self._rets = [q for q in rets if q not in lent]
-        self._lock_line = self.lock_lines[fn.name]
+        self._lock_line = self.s.function(fn.name).lock_line
         self._names = self._guard_names(self._candidate_paths(fn), fn)
         self._used: set[LockPath] = set()
 
@@ -379,7 +375,7 @@ class _Transformer:
             if c.name == UNLOCK_FN:
                 return DropCall(line=line, guard=self._guard(c.lock))
             return None if c.name == INIT_FN else st
-        takes, gives = self._threads.get(c, _NO_PATHS)
+        takes, gives = self.named.pop(c, _NO_PATHS)
         entry, ret = self.paths[c.name]
         lends = self.lent[c.name]
         args = [self._rewrite_expr(a, line) for a in c.args]

@@ -4,11 +4,9 @@ walk over a record's fields."""
 from __future__ import annotations
 
 import random
-from collections import Counter
 from pathlib import Path
 
-from lockshift.ast import (LockPath, Program, Record, ValueRecord, data_accesses, iter_stmts,
-                           path_of)
+from lockshift.ast import LockPath, Record, ValueRecord, path_of
 
 FIXTURES = Path(__file__).parent / "fixtures"
 CORPUS = FIXTURES / "corpus"
@@ -38,19 +36,6 @@ def record_classes(*modules) -> list[type]:
     return [c for m in modules for c in vars(m).values()
             if isinstance(c, type) and issubclass(c, Record)
             and c.__module__ == m.__name__ and c not in (Record, ValueRecord)]
-
-
-def access_multiset(p: Program) -> Counter:
-    """Multiset of (line, kind, datum) for every data access in p, to check
-    that a transformation preserves accesses.
-
-    Datum is the dotted place text of the accessed global or field; guard
-    and get_mut accesses map back to the datum they reach (see
-    ast.data_accesses).
-    """
-    return Counter((s.line, kind, ".".join(datum))
-                   for fn in p.functions for s in iter_stmts(fn.body)
-                   for kind, _, datum in data_accesses(s))
 
 
 def locks(*texts: str) -> frozenset[LockPath]:

@@ -186,17 +186,48 @@ def test_a_lent_guard_is_only_borrowed(tmp_path, capsys, ret, stmt, message):
     printing only it; a guard the function owns may be lent and then
     moved in later statements."""
     source = MISUSE % (ret, stmt)
-    path = tmp_path / "p.gmc"
-    path.write_text(source)
     if message is None:
+        path = tmp_path / "p.gmc"
+        path.write_text(source)
         assert check(parse_guarded(source)) == []
         assert main(["check", str(path)]) == 0
         return
+    assert_rejected(tmp_path, capsys, source, message, 10)
+
+
+def assert_rejected(tmp_path, capsys, source: str, message: str, line: int) -> None:
+    """parse_guarded raises a TypeCheckError with message at line, and
+    `check` exits 1 printing only it."""
+    path = tmp_path / "p.gmc"
+    path.write_text(source)
     with pytest.raises(TypeCheckError) as exc:
         parse_guarded(source)
-    assert (type(exc.value), exc.value.message, exc.value.line) == (TypeCheckError, message, 10)
+    assert (type(exc.value), exc.value.message, exc.value.line) == (TypeCheckError, message, line)
     assert main(["check", str(path)]) == 1
-    assert capsys.readouterr() == ("", "%s:10: error: %s\n" % (path, message))
+    assert capsys.readouterr() == ("", "%s:%d: error: %s\n" % (path, line, message))
+
+
+# main, and a thread entry w, taking a guard g of the type given; the
+# line where each is rejected, and who is rejected.
+UNHANDED = {
+    "main": ("struct d { int n; };\nmutex<d> m;\nvoid main(%s g) {\n    (*g).n = 2;\n}\n",
+             3, "main()"),
+    "entry": ("struct d { int n; };\nmutex<d> m;\nthread_t t;\nvoid w(%s g) { (*g).n = 1; }\n"
+              "void main() {\n    pthread_create(&t, w);\n    m.get_mut().n = 2;\n}\n",
+              6, "thread entry w()"),
+}
+
+
+@pytest.mark.parametrize("ty", ["guard<m>", "&guard<m>"], ids=["moved", "lent"])
+@pytest.mark.parametrize("shape", UNHANDED)
+def test_main_and_thread_entries_take_no_guard(tmp_path, capsys, shape, ty):
+    """No call hands main, or a function passed to pthread_create, a guard,
+    as Rust's main and thread::spawn hand none: such a guard would let w
+    write m's payload while main writes it through get_mut. The resolver
+    rejects it at main's line, or at the pthread_create."""
+    template, line, who = UNHANDED[shape]
+    assert_rejected(tmp_path, capsys, template % ty,
+                    "%s cannot take guard g: no call hands it one" % who, line)
 
 
 @pytest.mark.parametrize("source", [

@@ -41,7 +41,9 @@ other passes read the resolver's list of the function's calls. A run, the
 printing of its output and a check of that text make at most one
 isinstance call per statement, as every walker tests node types by
 identity, and the transformer hands a callee without parameters' guard
-lists to its callers without renaming them.
+lists to its callers without renaming them, and renames each lock path a
+call passes or receives once, reading each callee's parameter names once
+per run.
 """
 from __future__ import annotations
 
@@ -50,12 +52,13 @@ import gc
 import runpy
 import sys
 import types
+from collections import Counter
 from importlib import import_module
 
 import pytest
 
 from lockshift import ast, flowanalysis, parser, propagation, summary
-from lockshift.callgraph import CallGraph
+from lockshift.callgraph import CallGraph, thread_entries
 from lockshift.cfg import FlowGraph
 from lockshift.datalock import AccessRecord, ProtectionVerdict, collect_accesses
 from lockshift.diagnostics import Diagnostic, Diagnostics
@@ -779,3 +782,38 @@ def test_a_callee_without_parameters_hands_its_callers_its_own_guard_lists(n):
     rings = analyze_program(programs()["bench/recursive_rings/1"])
     assert _calls_to(module, "to_caller", lambda: transform(
         rings.program, rings.lock_summary))[0] > 0
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_a_threading_call_renames_each_guard_once_and_reads_its_callee_once(k):
+    """On the bench's recursive rings at n, 2n and 4n, one to_caller call
+    per lock path that a call passes or receives, for a callee with
+    parameters, and each function's parameter names read at most once per
+    run. Reading a callee's names at each of its calls made 510 reads per
+    run at bench size, a new list each."""
+    n = GROWTH_SIZES["recursive_rings"] * k
+    result = analyze_program(runpy.run_path(str(GEN_PATH))["WORKLOADS"]["recursive_rings"][0](
+        n, 1).source)
+    program, lock_summary = result.program, result.lock_summary
+    external = {"main", *thread_entries(program)}
+    pairs = 0
+    for fn in program.functions:
+        for c in fn.calls:
+            callee = program.function(c.name)
+            if callee is not None and callee.params and c.name not in external:
+                fs = lock_summary.function(c.name)
+                pairs += len(fs.entry_lock) + len(fs.return_lock)
+    reads: Counter[str] = Counter()
+    param_names = ast.FunctionDef.param_names
+
+    def counted(fn):
+        reads[fn.name] += 1
+        return param_names.fget(fn)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(ast.FunctionDef, "param_names", property(counted))
+        calls, _ = _calls_to(import_module("lockshift.transform"), "to_caller",
+                             lambda: transform(program, lock_summary))
+    assert pairs > 0
+    assert calls == pairs
+    assert max(reads.values()) == 1

@@ -5,6 +5,8 @@ held to the worklist checker it replaced by test_guardcheck_reference.
 """
 from __future__ import annotations
 
+from importlib import import_module
+
 import pytest
 
 from lockshift import cfg, flowanalysis, propagation
@@ -54,8 +56,9 @@ def _observables(program_text: str):
 
 
 def _reverse_seeds(monkeypatch) -> list[list]:
-    """Make every pass seed its worklist in reverse order. Returns the list
-    of seeds handed to the solver, which grows with each solve."""
+    """Make every pass, lending among them, seed its worklist in reverse
+    order. Returns the list of seeds handed to the solver, which grows
+    with each solve."""
     seeds: list[list] = []
 
     def solve_reversed(seed, step):
@@ -63,7 +66,8 @@ def _reverse_seeds(monkeypatch) -> list[list]:
         seeds.append(seed)
         cfg.solve(seed[::-1], step)
 
-    for module in (flowanalysis, propagation):
+    # the package's `transform` is the function, which hides its module
+    for module in (flowanalysis, propagation, import_module("lockshift.transform")):
         monkeypatch.setattr(module, "solve", solve_reversed)
     return seeds
 
