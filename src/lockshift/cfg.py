@@ -1,4 +1,4 @@
-"""Statement-granularity control-flow graphs, and the graph-free flow walk.
+"""Statement-granularity control-flow graphs, and the graph-free flow walks.
 
 Every function gets a FlowGraph with synthetic Entry and Ret nodes; blocks are
 structural (not nodes), if/while conditions are their own nodes, every Return
@@ -17,9 +17,9 @@ unwalked. A visit grows the head on entry (unless it is the first) and
 after each walk but its last, so a body is walked at most b+1 times however
 deeply loops nest, b being the bits its head can gain after its first
 entry. A last walk from the top with report set meets each statement with
-the loop heads at their fixpoint.
+the loop heads at their fixpoint. flow_back() is its backward twin.
 
-solve() is the one worklist that the dataflow passes and lending share.
+solve() is the one worklist that propagation and lending share.
 """
 from __future__ import annotations
 
@@ -36,12 +36,12 @@ Node = object  # g.entry | g.ret | Stmt
 class FlowGraph(Record):
     """succ holds each node's successors, the one stored form of the
     graph: its keys are Entry, the statements in textual order, then Ret.
-    Entry and Ret are plain sentinels."""
+    Entry and Ret are plain sentinels; fn is the function."""
 
-    __slots__ = ("name", "entry", "ret", "succ")
+    __slots__ = ("fn", "entry", "ret", "succ")
 
-    def __init__(self, name: str):
-        self.name = name
+    def __init__(self, fn: FunctionDef):
+        self.fn = fn
         self.entry = object()
         self.ret = object()
         self.succ: dict[Node, list[Node]] = {}
@@ -57,7 +57,7 @@ class FlowGraph(Record):
 
 def build_cfg(fn: FunctionDef, diags: Diagnostics | None = None) -> FlowGraph:
     warn_unreachable(diags, fn)
-    g = FlowGraph(fn.name)
+    g = FlowGraph(fn)
     g.succ[g.entry] = []
     tail = _walk_block(g, fn.body, [g.entry])
     g.succ[g.ret] = []
@@ -109,14 +109,17 @@ def warn_unreachable(diags: Diagnostics | None, fn: FunctionDef) -> None:
 
 
 class Walk:
-    """A function's flow walk: step(w, s, state, report) and the loop memo."""
+    """A function's flow walk: step(w, s, state, report), the loop memo, and
+    exit, which a report walk of flow joins each return's state into and
+    flow_back starts each return from."""
 
-    __slots__ = ("function", "step", "loops")
+    __slots__ = ("function", "step", "loops", "exit")
 
     def __init__(self, function: str, step):
         self.function = function
         self.step = step
         self.loops: dict[int, tuple[int, int]] = {}
+        self.exit = 0
 
 
 def flow(w: Walk, stmts: list[Stmt], state: int | None,
@@ -133,17 +136,39 @@ def flow(w: Walk, stmts: list[Stmt], state: int | None,
     return state
 
 
-def _loop(w: Walk, s: While, entry: int) -> tuple[int, int]:
-    """(head, exit) of loop s entered in state entry: the head joins entry
-    with the body's exit until it stops growing, and the exit is the head
-    after the condition."""
+def flow_back(w: Walk, stmts: list[Stmt], state: int, report: bool) -> int:
+    """flow's backward twin: the state before stmts, given the state after
+    them, which is never 0. Every statement is a step, a return's from
+    w.exit, and a while head keeps flow's loop memo."""
+    for s in reversed(stmts):
+        t = type(s)
+        if t is Block:
+            state = flow_back(w, s.stmts, state, report)
+            continue
+        if t is While:
+            state, end = _loop(w, s, state, flow_back)
+            if report:  # the body ends in the head's state before the condition
+                flow_back(w, s.body.stmts, end, True)
+        elif t is If:
+            state = flow_back(w, s.then.stmts, state, report) | (
+                state if s.orelse is None else flow_back(w, s.orelse.stmts, state, report))
+        elif t is Return:
+            state = w.exit
+        state = w.step(w, s, state, report)
+    return state
+
+
+def _loop(w: Walk, s: While, entry: int, walk) -> tuple[int, int]:
+    """(head, exit) of loop s entered in state entry, walking its body with
+    walk: the head joins entry with the body's exit until it stops growing,
+    and the exit is the head after the condition."""
     memo = w.loops.get(id(s))
     head = entry if memo is None else memo[0] | entry
     if memo is not None and head == memo[0]:
         return memo
     while True:
         out = w.step(w, s, head, False) if head else head
-        back = flow(w, s.body.stmts, out, False)
+        back = walk(w, s.body.stmts, out, False)
         if back is None or back | head == head:
             break
         head |= back
@@ -152,7 +177,7 @@ def _loop(w: Walk, s: While, entry: int) -> tuple[int, int]:
 
 
 def _flow_while(w: Walk, s: While, state: int, report: bool) -> int:
-    head, state = _loop(w, s, state)
+    head, state = _loop(w, s, state, flow)
     if report:
         if head:
             w.step(w, s, head, True)
@@ -172,7 +197,7 @@ def _flow_if(w: Walk, s: If, state: int, report: bool) -> int | None:
 
 def _flow_return(w: Walk, s: Return, state: int, report: bool) -> None:
     if report and state:  # the value's step; no path goes on
-        w.step(w, s, state, True)
+        w.exit |= w.step(w, s, state, True)
 
 
 # How each statement type that is not a plain step runs (flow).
@@ -225,7 +250,7 @@ def cfg_to_dot(g: FlowGraph) -> str:
     ids: dict[int, str] = {id(g.entry): "entry", id(g.ret): "ret"}
     for i, n in enumerate(g.stmt_nodes):
         ids[id(n)] = "s%d" % i
-    out = ["digraph %s {" % g.name]
+    out = ["digraph %s {" % g.fn.name]
     for n in g.succ:
         label = _node_label(g, n).replace('"', '\\"')
         shape = "diamond" if not isinstance(n, Stmt) else "box"

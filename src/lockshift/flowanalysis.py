@@ -3,7 +3,8 @@
 Each call a statement evaluates has one lock effect, a pair (released, held)
 as the caller names it: an unlock is ({p}, {}), a lock ({}, {p}), and a call
 to a defined function its callee's (MELS, MRLS). Two dataflow passes per
-function over its flow graph apply a statement's effects in turn:
+function walk its statement tree (cfg.flow_back, then cfg.flow) on bit
+masks, and apply a statement's effects in turn:
 
   backward may ("live"):   last to first, live = (live - held) + released;
                            out[s] = U in[succ]
@@ -12,11 +13,11 @@ function over its flow graph apply a statement's effects in turn:
                            in[s] = ^ out[pred], in[entry] = MELS
       -> MRLS = out[ret], locks surely held when returning.
 
-flow_sets() solves both and returns all four per-node maps. A function's
-facts keep only what later phases read: MELS, MRLS and avail_in, the locks
-surely held before each node. Converged facts are a fixpoint against the
-callees' final summaries, so flow_sets() run again against them gives back
-the same maps, the three the facts drop included.
+flow_sets() reports both walks as all four maps per flow-graph node. A
+function's facts keep only what later phases read: MELS, MRLS and
+avail_in, the locks surely held before each node. Converged facts are a
+fixpoint against the callees' final summaries, so flow_sets() run again
+against them gives back the same maps, the three the facts drop included.
 
 Calls use callee summaries renamed into the caller by ast.to_caller, the
 one parameter-to-argument binding the analysis and transformer share; a
@@ -30,9 +31,9 @@ changed since their last solve, until it converges or proves it never will.
 
 Lock sets are shared values. join, meet and minus return an operand whenever
 the result equals it, and a callee summary that renaming leaves unchanged is
-the callee's own set (a callee without parameters is not renamed at all),
-so most steps allocate nothing, and each
-analyze_function call stores one object per distinct set in avail_in.
+the callee's own set (a callee without parameters is not renamed at all).
+A walk's masks become sets through one table per analyze_program_flow run
+(per component for a recursive one), one object per value.
 
 The rules that later phases apply to these sets are stated once, here:
 propagated_set and held_set combine the facts with a function's entry lock
@@ -41,7 +42,6 @@ returns the paths it drops, for the caller to report.
 """
 from __future__ import annotations
 
-from collections import ChainMap
 from collections.abc import Mapping
 from itertools import chain, count
 from operator import attrgetter
@@ -57,7 +57,7 @@ from .ast import (
     not_a_place,
     to_caller,
 )
-from .cfg import FlowGraph, Node, solve
+from .cfg import FlowGraph, Node, Walk, flow, flow_back
 from .diagnostics import Diagnostics, NoFixpoint
 
 
@@ -184,67 +184,104 @@ def stmt_effects(s: Stmt, callee_facts: Mapping[str, FunctionFlowFacts]) -> tupl
     return tuple(effects)
 
 
+class _Pass(Walk):
+    """One pass's walk: its transfers, and where a report walk records states."""
+
+    __slots__ = ("keep", "add", "seen")
+
+
+def _step(w: _Pass, s: Stmt, state: int, report: bool) -> int:
+    if report:
+        w.seen[s] = state
+    keep = w.keep.get(s)
+    return state if keep is None else state & keep | w.add[s]
+
+
+def _walks(g: FlowGraph, callee_facts: Mapping[str, FunctionFlowFacts],
+           avail: dict, live: dict | None = None):
+    """Walk g's body backward, then forward, against fixed callee summaries.
+    A state's bit 0 stands for every path no effect names, and index gives
+    the others theirs. The backward state holds the live paths' bits and bit
+    0; the forward one those of the paths that may not be held, so a finite
+    set has bit 0 and Top is 0, on which cfg.flow rightly runs no step.
+    avail gets the forward state before each node, and live, if given, the
+    backward state after it. Returns index and, per direction, the maps
+    keep and add: a statement with effects maps a state to state & keep | add."""
+    index: dict[LockPath, int] = {}
+
+    def bits(paths) -> int:
+        m = 0
+        for p in paths:
+            m |= index.get(p) or index.setdefault(p, 2 << len(index))
+        return m
+
+    forward, backward = ({}, {}), ({}, {})
+    for s in g.stmt_nodes:
+        if not s.calls:
+            continue
+        es = [(bits(r), h if h is None else bits(h)) for r, h in stmt_effects(s, callee_facts)]
+        keep, add = -1, 0
+        for r, h in es:
+            if h is None:  # Top, which the later effects keep
+                keep = add = 0
+                break
+            keep, add = keep & ~h, (add | r) & ~h
+        forward[0][s], forward[1][s] = keep, add
+        keep, add = -1, 0
+        for r, h in reversed(es):
+            h = -2 if h is None else h  # Top kills every path but bit 0's
+            keep, add = keep & ~h, add & ~h | r
+        backward[0][s], backward[1][s] = keep, add
+
+    w = _Pass(g.fn.name, _step)
+    (w.keep, w.add), w.seen, w.exit = backward, live, 1
+    mels = flow_back(w, g.fn.body.stmts, 1, live is not None)
+    w = _Pass(g.fn.name, _step)
+    (w.keep, w.add), w.seen = forward, avail
+    avail[g.entry] = entry = (2 << len(index)) - 1 ^ mels | 1
+    fall = flow(w, g.fn.body.stmts, entry, True) or 0
+    avail[g.ret] = fall | w.exit  # MRLS: the fall-through met with each return
+    if live is not None:
+        live[g.entry] = mels
+    return index, forward, backward
+
+
 def flow_sets(g: FlowGraph, callee_facts: Mapping[str, FunctionFlowFacts]):
-    """(live_in, live_out, avail_in, avail_out) per node of g, both passes
-    solved against fixed callee summaries."""
-    effects = {n: e for n in g.stmt_nodes
-               if (e := stmt_effects(n, callee_facts))}
-    succ = g.succ
-    pred: dict[Node, list[Node]] = {n: [] for n in succ}
-    for n, ss in succ.items():
-        for s in ss:
-            pred[s].append(n)
-
-    # Backward may pass, least fixpoint from the empty set.
-    live_in = dict.fromkeys(succ, _EMPTY)
-    live_out = dict.fromkeys(succ, _EMPTY)
-
-    def live_step(n: Node):
-        out = _EMPTY
-        for s in succ[n]:
-            out = join(out, live_in[s])
-        live_out[n] = new_in = out
-        for released, held in reversed(effects.get(n, ())):
-            new_in = join(minus(new_in, held), released)
-        if new_in == live_in[n]:
-            return ()
-        live_in[n] = new_in
-        return pred[n]
-
-    solve(reversed(succ), live_step)
-
-    # Forward must pass, greatest fixpoint from Top (None), entry seeded with
-    # MELS.
-    avail_in = dict.fromkeys(succ)
-    avail_out = dict.fromkeys(succ)
-    avail_in[g.entry] = avail_out[g.entry] = live_in[g.entry]
-
-    def avail_step(n: Node):
-        inn = None
-        for p in pred[n]:
-            inn = meet(inn, avail_out[p])
-        avail_in[n] = new_out = inn
-        for released, held in effects.get(n, ()):
-            new_out = join(minus(new_out, released), held)
-        if new_out == avail_out[n]:
-            return ()
-        avail_out[n] = new_out
-        return succ[n]
-
-    solve((n for n in succ if n is not g.entry), avail_step)
+    """(live_in, live_out, avail_in, avail_out) per node of g, both walks
+    reported against fixed callee summaries."""
+    live_out, avail_in = dict.fromkeys(g.succ, 1), dict.fromkeys(g.succ)
+    index, forward, backward = _walks(g, callee_facts, avail_in, live_out)
+    out = []
+    for before, (keep, add), flip in ((live_out, backward, 0), (avail_in, forward, -1)):
+        after = {n: m & keep[n] | add[n] if m and n in keep else m for n, m in before.items()}
+        out += [{n: frozenset(p for p, b in index.items() if (m ^ flip) & b) if m else None
+                 for n, m in masks.items()} for masks in (before, after)]
+    live_out, live_in, avail_in, avail_out = out
     return live_in, live_out, avail_in, avail_out
 
 
 def analyze_function(fn: FunctionDef, g: FlowGraph,
-                     callee_facts: Mapping[str, FunctionFlowFacts]) -> FunctionFlowFacts:
-    """Solve both passes for one function against fixed callee summaries,
-    keeping MELS, MRLS and avail_in."""
-    live_in, _, avail_in, avail_out = flow_sets(g, callee_facts)
-    # One stored object per distinct set; the table dies with this call.
-    shared: dict = {}
-    for n, s in avail_in.items():
-        avail_in[n] = shared.setdefault(s, s)
-    return FunctionFlowFacts(tuple(fn.param_names), live_in[g.entry], avail_out[g.ret], avail_in)
+                     callee_facts: Mapping[str, FunctionFlowFacts],
+                     params: tuple[str, ...] | None = None,
+                     shared: dict | None = None) -> FunctionFlowFacts:
+    """Walk both passes over one function against fixed callee summaries,
+    keeping MELS, MRLS and avail_in. params, if given, are fn's parameter
+    names, and shared holds one object per distinct lock set."""
+    params = tuple(fn.param_names) if params is None else params
+    shared = {} if shared is None else shared
+    avail_in = dict.fromkeys(g.succ)
+    index = _walks(g, callee_facts, avail_in)[0]
+    sets = shared.setdefault(tuple(index), {})  # by mask, for every equal index
+    for n, m in avail_in.items():
+        if m:
+            s = sets.get(m)
+            if s is None:
+                s = frozenset(p for p, b in index.items() if not m & b) or _EMPTY
+                s = sets[m] = shared.setdefault(s, s)
+            avail_in[n] = s
+        else:  # Top
+            avail_in[n] = None
+    return FunctionFlowFacts(params, avail_in[g.entry], avail_in[g.ret], avail_in)
 
 
 def analyze_scc(fns: list[FunctionDef], graphs: dict[str, FlowGraph],
@@ -278,7 +315,8 @@ def analyze_scc(fns: list[FunctionDef], graphs: dict[str, FlowGraph],
     """
     current = {fn.name: FunctionFlowFacts(tuple(fn.param_names), mrls=None)
                for fn in fns}
-    env = ChainMap(current, outer_facts)
+    env = dict(current)  # the summaries the members' calls read
+    shared: dict = {}
     callers: dict[str, set[str]] = {fn.name: set() for fn in fns}
     growth = 0
     for fn in fns:
@@ -286,6 +324,8 @@ def analyze_scc(fns: list[FunctionDef], graphs: dict[str, FlowGraph],
             if call.name in callers:
                 callers[call.name].add(fn.name)
                 growth += max(map(len, filter(None, call.arg_paths)), default=1) - 1
+            elif call.name in outer_facts:
+                env[call.name] = outer_facts[call.name]
     # K, needed only where some call can lengthen a path
     limit = growth and growth + max(
         (len(p) for fn in fns for call in fn.calls if call.name not in callers
@@ -308,12 +348,12 @@ def analyze_scc(fns: list[FunctionDef], graphs: dict[str, FlowGraph],
             name = fn.name
             if name in dirty:
                 dirty.discard(name)
-                new = analyze_function(fn, graphs[name], env)
                 old = current[name]
+                new = analyze_function(fn, graphs[name], env, old.params, shared)
                 if new.mels != old.mels or new.mrls != old.mrls:
                     changed = True
                     dirty.update(callers[name])
-                current[name] = new
+                current[name] = env[name] = new
             if trace is not None:
                 f = current[name]
                 trace.append((iteration, name, f.mels, f.mrls))
@@ -351,13 +391,14 @@ def analyze_program_flow(program, cg, graphs: dict[str, FlowGraph],
     The facts come back keyed callers first: components in the reverse of
     cg.merged_nodes, a recursive component's members in their sweep order."""
     facts: dict[str, FunctionFlowFacts] = {}
+    shared: dict = {}  # one object per distinct lock set
     for idx, members in enumerate(cg.merged_nodes):
         fns = [program.function(name) for name in members]
         if cg.is_recursive_scc(idx):
             facts.update(analyze_scc(fns, graphs, facts, diags))
         else:
             fn = fns[0]
-            one = analyze_function(fn, graphs[fn.name], facts)
+            one = analyze_function(fn, graphs[fn.name], facts, shared=shared)
             one.scc_iterations = 1
             facts[fn.name] = one
         if diags is not None:

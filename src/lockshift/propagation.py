@@ -21,17 +21,18 @@ from .summary import FunctionSummary
 
 class CallSiteFact(ValueRecord):
     """One syntactic call: who calls whom, with what surely held there, and
-    the paths propagation's last renaming of it dropped, in path order."""
+    propagation's last renaming of it: the caller PLS it renamed, the held
+    set the callee got, and the paths it dropped, in path order."""
 
-    __slots__ = ("caller", "available", "call", "line", "dropped")
+    __slots__ = ("caller", "available", "call", "line", "pls", "renamed", "dropped")
 
-    def __init__(self, caller: str, available: frozenset[LockPath], call: Call, line: int,
-                 dropped: tuple[LockPath, ...] = ()):
+    def __init__(self, caller: str, available: frozenset[LockPath], call: Call, line: int):
         self.caller = caller
         self.available = available
         self.call = call
         self.line = line
-        self.dropped = dropped
+        self.pls = self.renamed = False  # no PLS is False: never renamed
+        self.dropped: tuple[LockPath, ...] = ()
 
 
 def collect_call_facts(program: Program, flow: dict[str, FunctionFlowFacts],
@@ -62,9 +63,10 @@ def propagate(program: Program, flow: dict[str, FunctionFlowFacts],
     Functions reachable only from call cycles with no root keep Top
     forever; they are clamped to their own MELS with a diagnostic.
 
-    The solve only computes. A caller whose ELS changes re-queues its
-    callees, so each site's last renaming saw its caller's final PLS; its
-    drops are reported after the solve, for callees with a finite ELS.
+    The solve only computes. A caller whose PLS changes re-queues its
+    callees, and a site is renamed again only once its caller's PLS has
+    changed, so its last renaming saw its caller's final PLS. Its drops are
+    reported after the solve, for callees with a finite ELS.
     """
     by_callee: dict[str, list[CallSiteFact]] = defaultdict(list)
     # each caller's distinct callees, in first-call order
@@ -76,6 +78,7 @@ def propagate(program: Program, flow: dict[str, FunctionFlowFacts],
     # ELS and PLS per function, in program order.
     els: dict[str, frozenset[LockPath] | None] = {}
     pls: dict[str, frozenset[LockPath] | None] = {}
+    renamed_sets: dict = {}  # one object per distinct renamed set
     for fn in program.functions:
         mels = flow[fn.name].mels
         els[fn.name] = None if by_callee.get(fn.name) else mels
@@ -85,15 +88,21 @@ def propagate(program: Program, flow: dict[str, FunctionFlowFacts],
         params = flow[name].params
         new = None
         for s in by_callee[name]:
-            # A held path no argument carries keeps its name, unless it is
-            # rooted at a parameter of the caller; then it is dropped.
-            renamed, s.dropped = rename_set(held_set(s.available, pls[s.caller]), to_callee,
-                                            params, s.call, flow[s.caller].params)
-            new = meet(new, renamed)
+            if s.pls is not pls[s.caller]:
+                s.pls = pls[s.caller]
+                # A held path no argument carries keeps its name, unless it is
+                # rooted at a parameter of the caller; then it is dropped.
+                renamed, s.dropped = rename_set(held_set(s.available, s.pls), to_callee,
+                                                params, s.call, flow[s.caller].params)
+                s.renamed = renamed_sets.setdefault(renamed, renamed)
+            new = meet(new, s.renamed)
         if new == els[name]:
             return ()
         els[name] = new
-        pls[name] = propagated_set(new, flow[name].mels)
+        new = propagated_set(new, flow[name].mels)
+        if new == pls[name]:  # what the callees get is unchanged
+            return ()
+        pls[name] = new
         return callees_of[name]
 
     solve([name for name in flow if by_callee.get(name)], els_step)

@@ -232,6 +232,18 @@ def chain_program(depth: int) -> str:
     return "\n".join(parts) + "\n"
 
 
+def while_nest(depth: int) -> str:
+    """`while` loops nested depth deep in one function. Each level unlocks
+    m on one branch of an if, holds the level below, then locks m again:
+    m is live at the start of every loop body and never after a loop."""
+    lines = ["int n;", "int c;", "mutex_t m;", "void f() {"]
+    lines += ["while (c) {", "if (c) {", "pthread_mutex_unlock(&m);", "}"] * depth
+    lines.append("n = n + 1;")
+    lines += ["pthread_mutex_lock(&m);", "}"] * depth
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
 RING = 8
 
 
