@@ -109,17 +109,14 @@ def warn_unreachable(diags: Diagnostics | None, fn: FunctionDef) -> None:
 
 
 class Walk:
-    """A function's flow walk: step(w, s, state, report), the loop memo, and
-    exit, which a report walk of flow joins each return's state into and
-    flow_back starts each return from."""
+    """A function's flow walk: step(w, s, state, report) and the loop memo."""
 
-    __slots__ = ("function", "step", "loops", "exit")
+    __slots__ = ("function", "step", "loops")
 
     def __init__(self, function: str, step):
         self.function = function
         self.step = step
         self.loops: dict[int, tuple[int, int]] = {}
-        self.exit = 0
 
 
 def flow(w: Walk, stmts: list[Stmt], state: int | None,
@@ -136,39 +133,41 @@ def flow(w: Walk, stmts: list[Stmt], state: int | None,
     return state
 
 
-def flow_back(w: Walk, stmts: list[Stmt], state: int, report: bool) -> int:
+def flow_back(w: Walk, stmts: list[Stmt], state: int, report: bool,
+              at_exit: int) -> int:
     """flow's backward twin: the state before stmts, given the state after
-    them, which is never 0. Every statement is a step, a return's from
-    w.exit, and a while head keeps flow's loop memo."""
+    them and the state at_exit that each return starts from, neither of them
+    0. Every statement is a step, and a while head keeps flow's loop memo."""
     for s in reversed(stmts):
         t = type(s)
         if t is Block:
-            state = flow_back(w, s.stmts, state, report)
+            state = flow_back(w, s.stmts, state, report, at_exit)
             continue
         if t is While:
-            state, end = _loop(w, s, state, flow_back)
+            state, end = _loop(w, s, state, flow_back, at_exit)
             if report:  # the body ends in the head's state before the condition
-                flow_back(w, s.body.stmts, end, True)
+                flow_back(w, s.body.stmts, end, True, at_exit)
         elif t is If:
-            state = flow_back(w, s.then.stmts, state, report) | (
-                state if s.orelse is None else flow_back(w, s.orelse.stmts, state, report))
+            state = flow_back(w, s.then.stmts, state, report, at_exit) | (
+                state if s.orelse is None
+                else flow_back(w, s.orelse.stmts, state, report, at_exit))
         elif t is Return:
-            state = w.exit
+            state = at_exit
         state = w.step(w, s, state, report)
     return state
 
 
-def _loop(w: Walk, s: While, entry: int, walk) -> tuple[int, int]:
+def _loop(w: Walk, s: While, entry: int, walk, *args) -> tuple[int, int]:
     """(head, exit) of loop s entered in state entry, walking its body with
-    walk: the head joins entry with the body's exit until it stops growing,
-    and the exit is the head after the condition."""
+    walk, which also gets args: the head joins entry with the body's exit
+    until it stops growing, and the exit is the head after the condition."""
     memo = w.loops.get(id(s))
     head = entry if memo is None else memo[0] | entry
     if memo is not None and head == memo[0]:
         return memo
     while True:
         out = w.step(w, s, head, False) if head else head
-        back = walk(w, s.body.stmts, out, False)
+        back = walk(w, s.body.stmts, out, False, *args)
         if back is None or back | head == head:
             break
         head |= back
@@ -197,7 +196,7 @@ def _flow_if(w: Walk, s: If, state: int, report: bool) -> int | None:
 
 def _flow_return(w: Walk, s: Return, state: int, report: bool) -> None:
     if report and state:  # the value's step; no path goes on
-        w.exit |= w.step(w, s, state, True)
+        w.step(w, s, state, True)
 
 
 # How each statement type that is not a plain step runs (flow).

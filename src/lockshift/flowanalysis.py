@@ -32,8 +32,8 @@ changed since their last solve, until it converges or proves it never will.
 Lock sets are shared values. join, meet and minus return an operand whenever
 the result equals it, and a callee summary that renaming leaves unchanged is
 the callee's own set (a callee without parameters is not renamed at all).
-A walk's masks become sets through one table per analyze_program_flow run
-(per component for a recursive one), one object per value.
+A walk's masks become sets through two tables a run shares (a recursive
+component its own), by mask and by value: one object per distinct set.
 
 The rules that later phases apply to these sets are stated once, here:
 propagated_set and held_set combine the facts with a function's entry lock
@@ -51,6 +51,7 @@ from .ast import (
     FunctionDef,
     LOCK_FN,
     LockPath,
+    Return,
     Stmt,
     UNLOCK_FN,
     ValueRecord,
@@ -185,28 +186,38 @@ def stmt_effects(s: Stmt, callee_facts: Mapping[str, FunctionFlowFacts]) -> tupl
 
 
 class _Pass(Walk):
-    """One pass's walk: its transfers, and where a report walk records states."""
+    """One pass's walk: its transfers, the maps a report walk records the
+    states before and after each statement in, and the returns' join."""
 
-    __slots__ = ("keep", "add", "seen")
+    __slots__ = ("keep", "add", "before", "after", "exit")
+
+    def __init__(self, g: FlowGraph, transfers, before, after):
+        Walk.__init__(self, g.fn.name, _step)
+        self.keep, self.add = transfers
+        self.before, self.after, self.exit = before, after, 0
 
 
 def _step(w: _Pass, s: Stmt, state: int, report: bool) -> int:
-    if report:
-        w.seen[s] = state
     keep = w.keep.get(s)
-    return state if keep is None else state & keep | w.add[s]
+    out = state if keep is None else state & keep | w.add[s]
+    if report:
+        w.before[s] = state
+        if w.after is not None:
+            w.after[s] = out
+        if type(s) is Return:
+            w.exit |= out
+    return out
 
 
 def _walks(g: FlowGraph, callee_facts: Mapping[str, FunctionFlowFacts],
-           avail: dict, live: dict | None = None):
-    """Walk g's body backward, then forward, against fixed callee summaries.
-    A state's bit 0 stands for every path no effect names, and index gives
-    the others theirs. The backward state holds the live paths' bits and bit
-    0; the forward one those of the paths that may not be held, so a finite
-    set has bit 0 and Top is 0, on which cfg.flow rightly runs no step.
-    avail gets the forward state before each node, and live, if given, the
-    backward state after it. Returns index and, per direction, the maps
-    keep and add: a statement with effects maps a state to state & keep | add."""
+           avail: dict, more: tuple[dict, dict, dict] | None = None) -> dict[LockPath, int]:
+    """Walk g's body backward, then forward, against fixed callee summaries;
+    return index, which numbers every path an effect names from bit 1 up.
+    A backward state has the bits of the live paths, a forward one those of
+    the paths that may not be held, and each has bit 0, for the paths no
+    effect names; Top is 0, on which cfg.flow runs no step. avail gets the
+    forward state before each node; more, (live_out, live_in, avail_out),
+    the backward states after and before each node and the forward after."""
     index: dict[LockPath, int] = {}
 
     def bits(paths) -> int:
@@ -233,55 +244,46 @@ def _walks(g: FlowGraph, callee_facts: Mapping[str, FunctionFlowFacts],
             keep, add = keep & ~h, add & ~h | r
         backward[0][s], backward[1][s] = keep, add
 
-    w = _Pass(g.fn.name, _step)
-    (w.keep, w.add), w.seen, w.exit = backward, live, 1
-    mels = flow_back(w, g.fn.body.stmts, 1, live is not None)
-    w = _Pass(g.fn.name, _step)
-    (w.keep, w.add), w.seen = forward, avail
+    live_out, live_in, avail_out = more or (None, None, None)
+    mels = flow_back(_Pass(g, backward, live_out, live_in), g.fn.body.stmts, 1, bool(more), 1)
+    w = _Pass(g, forward, avail, avail_out)
     avail[g.entry] = entry = (2 << len(index)) - 1 ^ mels | 1
     fall = flow(w, g.fn.body.stmts, entry, True) or 0
-    avail[g.ret] = fall | w.exit  # MRLS: the fall-through met with each return
-    if live is not None:
-        live[g.entry] = mels
-    return index, forward, backward
+    avail[g.ret] = mrls = fall | w.exit  # the fall-through met with each return
+    if more:
+        live_out[g.entry] = live_in[g.entry] = mels
+        avail_out[g.entry], avail_out[g.ret] = entry, mrls
+    return index
 
 
 def flow_sets(g: FlowGraph, callee_facts: Mapping[str, FunctionFlowFacts]):
     """(live_in, live_out, avail_in, avail_out) per node of g, both walks
     reported against fixed callee summaries."""
-    live_out, avail_in = dict.fromkeys(g.succ, 1), dict.fromkeys(g.succ)
-    index, forward, backward = _walks(g, callee_facts, avail_in, live_out)
-    out = []
-    for before, (keep, add), flip in ((live_out, backward, 0), (avail_in, forward, -1)):
-        after = {n: m & keep[n] | add[n] if m and n in keep else m for n, m in before.items()}
-        out += [{n: frozenset(p for p, b in index.items() if (m ^ flip) & b) if m else None
-                 for n, m in masks.items()} for masks in (before, after)]
-    live_out, live_in, avail_in, avail_out = out
-    return live_in, live_out, avail_in, avail_out
+    live_out, live_in = dict.fromkeys(g.succ, 1), dict.fromkeys(g.succ, 1)
+    avail_in, avail_out = dict.fromkeys(g.succ), dict.fromkeys(g.succ)
+    index = _walks(g, callee_facts, avail_in, (live_out, live_in, avail_out))
+    return tuple({n: frozenset(p for p, b in index.items() if (m ^ flip) & b) if m else None
+                  for n, m in masks.items()}
+                 for masks, flip in ((live_in, 0), (live_out, 0), (avail_in, -1), (avail_out, -1)))
 
 
 def analyze_function(fn: FunctionDef, g: FlowGraph,
                      callee_facts: Mapping[str, FunctionFlowFacts],
-                     params: tuple[str, ...] | None = None,
-                     shared: dict | None = None) -> FunctionFlowFacts:
+                     shared: tuple[dict, dict] | None = None) -> FunctionFlowFacts:
     """Walk both passes over one function against fixed callee summaries,
-    keeping MELS, MRLS and avail_in. params, if given, are fn's parameter
-    names, and shared holds one object per distinct lock set."""
-    params = tuple(fn.param_names) if params is None else params
-    shared = {} if shared is None else shared
+    keeping MELS, MRLS and avail_in. shared, if given, is (sets, masks): each
+    distinct lock set as its own value, and per index each mask's set."""
+    sets, masks = shared or ({}, {})
     avail_in = dict.fromkeys(g.succ)
-    index = _walks(g, callee_facts, avail_in)[0]
-    sets = shared.setdefault(tuple(index), {})  # by mask, for every equal index
+    index = _walks(g, callee_facts, avail_in)
+    key = tuple(index)
+    table = masks.get(key) or masks.setdefault(key, {None: None, 0: None})  # Top is None
     for n, m in avail_in.items():
-        if m:
-            s = sets.get(m)
-            if s is None:
-                s = frozenset(p for p, b in index.items() if not m & b) or _EMPTY
-                s = sets[m] = shared.setdefault(s, s)
-            avail_in[n] = s
-        else:  # Top
-            avail_in[n] = None
-    return FunctionFlowFacts(params, avail_in[g.entry], avail_in[g.ret], avail_in)
+        if m not in table:
+            s = frozenset(p for p, b in index.items() if not m & b) or _EMPTY
+            table[m] = sets.setdefault(s, s)
+        avail_in[n] = table[m]
+    return FunctionFlowFacts(tuple(fn.param_names), avail_in[g.entry], avail_in[g.ret], avail_in)
 
 
 def analyze_scc(fns: list[FunctionDef], graphs: dict[str, FlowGraph],
@@ -316,7 +318,7 @@ def analyze_scc(fns: list[FunctionDef], graphs: dict[str, FlowGraph],
     current = {fn.name: FunctionFlowFacts(tuple(fn.param_names), mrls=None)
                for fn in fns}
     env = dict(current)  # the summaries the members' calls read
-    shared: dict = {}
+    shared = {}, {}  # one object per distinct lock set
     callers: dict[str, set[str]] = {fn.name: set() for fn in fns}
     growth = 0
     for fn in fns:
@@ -348,8 +350,8 @@ def analyze_scc(fns: list[FunctionDef], graphs: dict[str, FlowGraph],
             name = fn.name
             if name in dirty:
                 dirty.discard(name)
+                new = analyze_function(fn, graphs[name], env, shared)
                 old = current[name]
-                new = analyze_function(fn, graphs[name], env, old.params, shared)
                 if new.mels != old.mels or new.mrls != old.mrls:
                     changed = True
                     dirty.update(callers[name])
@@ -391,7 +393,7 @@ def analyze_program_flow(program, cg, graphs: dict[str, FlowGraph],
     The facts come back keyed callers first: components in the reverse of
     cg.merged_nodes, a recursive component's members in their sweep order."""
     facts: dict[str, FunctionFlowFacts] = {}
-    shared: dict = {}  # one object per distinct lock set
+    shared = {}, {}  # one object per distinct lock set
     for idx, members in enumerate(cg.merged_nodes):
         fns = [program.function(name) for name in members]
         if cg.is_recursive_scc(idx):

@@ -75,7 +75,7 @@ def reference_flow_sets(g, callee_facts):
     return live_in, live_out, avail_in, avail_out
 
 
-def reference_analyze_function(fn, g, callee_facts, params=None, shared=None):
+def reference_analyze_function(fn, g, callee_facts, shared=None):
     """analyze_function on the reference passes."""
     live_in, _, avail_in, avail_out = reference_flow_sets(g, callee_facts)
     return FunctionFlowFacts(tuple(fn.param_names), live_in[g.entry], avail_out[g.ret],
