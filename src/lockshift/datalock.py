@@ -120,12 +120,13 @@ def infer_data_locks(program: Program, flow: dict[str, FunctionFlowFacts],
     """Compute the global and struct lock maps."""
     records = collect_accesses(program, flow, summaries, graphs)
     concurrent_fns = cg.reachable_from(thread_entries(program))
-    # By function: the lock paths it initializes via the init call, and the
-    # proper prefixes of the lock paths it names.
-    inits = {fn.name: {c.lock for c in fn.calls if c.name == INIT_FN}
-             for fn in program.functions}
-    prefixes = {fn.name: {lp[:k] for lp in named_lock_paths(fn, summaries[fn.name])
-                          for k in range(1, len(lp))} for fn in program.functions}
+    # (function, lock path) for each lock path a function initializes via
+    # the init call, and for each proper prefix of a lock path it names: a
+    # function with none has no entry.
+    inits = {(fn.name, c.lock) for fn in program.functions for c in fn.calls
+             if c.name == INIT_FN}
+    prefixes = {(fn.name, lp[:k]) for fn in program.functions
+                for lp in named_lock_paths(fn, summaries[fn.name]) for k in range(1, len(lp))}
     lock_names = _lock_names(program)
 
     by_target: dict[tuple[str | None, str], list[AccessRecord]] = defaultdict(list)
@@ -141,7 +142,7 @@ def infer_data_locks(program: Program, flow: dict[str, FunctionFlowFacts],
         cand = candidate_lock(recs, lock_names[struct])
         # A datum that a lock path of the accessing function runs through
         # stays out of any payload, as when no lock is ever held.
-        if cand is None or any(r.datum in prefixes[r.function] for r in recs):
+        if cand is None or any((r.function, r.datum) in prefixes for r in recs):
             verdicts.append(ProtectionVerdict(target, cand, False, recs))
             continue
 
@@ -150,7 +151,7 @@ def infer_data_locks(program: Program, flow: dict[str, FunctionFlowFacts],
             # lock cannot race: no other thread can hold that lock yet.
             return r.function in concurrent_fns and (
                 r.struct is None
-                or r.datum[:-1] + (cand,) not in inits[r.function])
+                or (r.function, r.datum[:-1] + (cand,)) not in inits)
 
         verdict = judge_protection(recs, cand, concurrent, target)
         verdicts.append(verdict)

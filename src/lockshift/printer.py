@@ -5,8 +5,9 @@ AST (padding with blank lines, sharing a line when several statements carry the
 same number), so a transformed program lines up with its input and a parse ->
 print -> parse round trip preserves statement lines.
 
-After each top-level declaration the finished lines are joined into one
-chunk, so the output is never held as one string per line.
+After each top-level declaration the finished lines are joined and
+appended to the output text, so the output is never held as one string
+per line, nor as chunks beside their join.
 
 Text comes from module tables keyed by type(node): _EXPR_TEXT for an
 expression, _STMT_TEXT for a one-line statement, and _EMIT_STMT for a
@@ -156,19 +157,17 @@ _STMT_TEXT = {
 
 
 class _Sink:
-    """Output lines, the finished ones joined into chunks. After any put
-    the last line holds content, and only the padding before a line holds
-    none."""
+    """Output lines not yet taken as text. After any put the last line
+    holds content, and only the padding before a line holds none."""
 
     def __init__(self) -> None:
-        self.chunks: list[str] = []  # each ends with its last line's newline
-        self.chunked = 0  # how many lines the chunks hold
+        self.taken = 0  # how many lines were taken as text
         self.lines: list[str] = []  # the lines after them
 
     def put(self, line: int, text: str, depth: int) -> None:
         line = max(line, 1)
         lines = self.lines
-        count = self.chunked + len(lines)
+        count = self.taken + len(lines)
         if count < line:
             lines.extend([""] * (line - 1 - count))
             lines.append("    " * depth + text)
@@ -179,24 +178,25 @@ class _Sink:
         # Only ever called after a put, so the last line holds content.
         self.lines[-1] += " " + text
 
-    def finish_declaration(self) -> None:
-        """Move every line but the last into a chunk; the last stays open,
-        as a declaration on the same line appends to it."""
+    def finish_declaration(self) -> str:
+        """Take every line but the last as text, each with its newline; the
+        last stays open, as a declaration on the same line appends to it."""
         lines = self.lines
-        if len(lines) > 1:
-            last = lines[-1]
-            lines[-1] = ""  # the newline of the line before it
-            self.chunks.append("\n".join(lines))
-            self.chunked += len(lines) - 1
-            self.lines = [last]
+        if len(lines) < 2:
+            return ""
+        last = lines[-1]
+        lines[-1] = ""  # the newline of the line before it
+        self.taken += len(lines) - 1
+        self.lines = [last]
+        return "\n".join(lines)
 
     def render(self) -> str:
+        """The lines not yet taken, with the final newline."""
         lines = self.lines
         if not lines:
             return ""
-        lines.append("")  # the final newline
-        self.chunks.append("\n".join(lines))
-        return "".join(self.chunks)
+        lines.append("")
+        return "\n".join(lines)
 
 
 def _emit_block_stmts(sink: _Sink, block: Block, depth: int) -> None:
@@ -266,6 +266,11 @@ def print_source(p: Program) -> str:
     items = sorted([(g.line, g) for g in p.globals] + [(s.line, s) for s in p.structs]
                    + [(f.line_span[0], f) for f in p.functions], key=lambda it: it[0])
     sink = _Sink()
+    # CPython grows a str that only this local refers to in place on +=, so
+    # the text is never held beside a list of its parts. PEP 8 advises
+    # against relying on that; elsewhere += copies, and the output is the
+    # same.
+    text = ""
     for _, item in items:
         if type(item) is GlobalDecl:
             _emit_global(sink, item)
@@ -273,8 +278,9 @@ def print_source(p: Program) -> str:
             _emit_struct(sink, item)
         else:
             _emit_function(sink, item)
-        sink.finish_declaration()
-    return sink.render()
+        text += sink.finish_declaration()
+    text += sink.render()
+    return text
 
 
 # One printer serves both dialects; this name reads better at guarded call sites.

@@ -64,16 +64,14 @@ def propagate(program: Program, flow: dict[str, FunctionFlowFacts],
     forever; they are clamped to their own MELS with a diagnostic.
 
     The solve only computes. A caller whose PLS changes re-queues its
-    callees, and a site is renamed again only once its caller's PLS has
-    changed, so its last renaming saw its caller's final PLS. Its drops are
-    reported after the solve, for callees with a finite ELS.
+    callees, read off its own calls, and a site is renamed again only once
+    its caller's PLS has changed, so its last renaming saw its caller's
+    final PLS. Its drops are reported after the solve, for callees with a
+    finite ELS.
     """
     by_callee: dict[str, list[CallSiteFact]] = defaultdict(list)
-    # each caller's distinct callees, in first-call order
-    callees_of: dict[str, dict[str, None]] = defaultdict(dict)
     for fact in collect_call_facts(program, flow, graphs):
         by_callee[fact.call.name].append(fact)
-        callees_of[fact.caller][fact.call.name] = None
 
     # ELS and PLS per function, in program order.
     els: dict[str, frozenset[LockPath] | None] = {}
@@ -103,7 +101,8 @@ def propagate(program: Program, flow: dict[str, FunctionFlowFacts],
         if new == pls[name]:  # what the callees get is unchanged
             return ()
         pls[name] = new
-        return callees_of[name]
+        # its callees in call order; solve queues each once, at its first call
+        return [c.name for c in program.function(name).calls if c.name in by_callee]
 
     solve([name for name in flow if by_callee.get(name)], els_step)
 
@@ -138,7 +137,8 @@ def propagate(program: Program, flow: dict[str, FunctionFlowFacts],
 
 
 def _lock_lines(g: FlowGraph, facts: FunctionFlowFacts,
-                pls: frozenset[LockPath]) -> dict[LockPath, frozenset[int]]:
+                pls: frozenset[LockPath]) -> dict[LockPath, tuple[int, ...]]:
+    """The lines where each lock is surely held, as an ascending tuple."""
     # Lines by avail_in set, one object per value: one join per held set.
     by_avail: dict[frozenset[LockPath], list[int]] = defaultdict(list)
     for node in g.stmt_nodes:
@@ -147,4 +147,4 @@ def _lock_lines(g: FlowGraph, facts: FunctionFlowFacts,
     for avail, group in by_avail.items():
         for p in held_set(avail, pls):
             lines[p].update(group)
-    return {p: frozenset(ls) for p, ls in lines.items()}
+    return {p: tuple(sorted(ls)) for p, ls in lines.items()}

@@ -5,7 +5,8 @@ Three maps: global_lock_map (protected global -> lock), struct_lock_map
 (struct -> protected field -> lock field), and function_map (function ->
 entry_lock / return_lock / lock_line). In memory a lock path is the tuple
 of its names; only read_summary and write_summary turn it into dotted text
-and back.
+and back. A lock's held lines are the ascending tuple of their numbers,
+the order write_summary writes them in.
 Serialization is canonical so golden files and round-trips are byte-stable.
 """
 from __future__ import annotations
@@ -22,13 +23,14 @@ from .lexer import IDENT
 
 class FunctionSummary(ValueRecord):
     """One function's lock facts: its entry and return lock sets, and the
-    lines on which each lock is surely held."""
+    lines on which each lock is surely held, by lock path, each an
+    ascending tuple of distinct line numbers."""
 
     __slots__ = ("entry_lock", "return_lock", "lock_line")
 
     def __init__(self, entry_lock: frozenset[LockPath] = frozenset(),
                  return_lock: frozenset[LockPath] = frozenset(),
-                 lock_line: dict[LockPath, frozenset[int]] | None = None):
+                 lock_line: dict[LockPath, tuple[int, ...]] | None = None):
         self.entry_lock = entry_lock
         self.return_lock = return_lock
         self.lock_line = {} if lock_line is None else lock_line
@@ -78,7 +80,7 @@ def write_summary(s: LockSummary) -> str:
                 sets[paths] = _path_list(paths)
         lines = {".".join(p): ls for p, ls in fs.lock_line.items()}
         lock_line = [encode_basestring_ascii(t) + ": "
-                     + _block(list(map(str, sorted(lines[t]))), " " * 8, "[]")
+                     + _block(list(map(str, lines[t])), " " * 8, "[]")
                      for t in sorted(lines)]
         functions.append(encode_basestring_ascii(name) + ": " + _block(
             ['"entry_lock": ' + sets[fs.entry_lock],
@@ -154,7 +156,7 @@ def _path_set(value, path: str) -> frozenset[LockPath]:
     return frozenset(_lock_path(text, path) for text in sorted(set(value)))
 
 
-def _line_map(value, path: str) -> dict[LockPath, frozenset[int]]:
+def _line_map(value, path: str) -> dict[LockPath, tuple[int, ...]]:
     _expect(isinstance(value, dict), "expected an object", path)
     out = {}
     for k, lines in value.items():
@@ -163,7 +165,7 @@ def _line_map(value, path: str) -> dict[LockPath, frozenset[int]]:
         for i, n in enumerate(lines):
             _expect(isinstance(n, int) and not isinstance(n, bool),
                     "expected an integer", "%s[%d]" % (kpath, i))
-        out[_lock_path(k, path)] = frozenset(lines)
+        out[_lock_path(k, path)] = tuple(sorted(set(lines)))
     return out
 
 

@@ -21,6 +21,8 @@ result.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
+
 from .ast import (
     AcquireAssign,
     AddrOf,
@@ -102,8 +104,10 @@ class _Transformer:
         self.external = {"main"} | set(thread_entries(p))
         # Each function's entry and return locks, in path order, which is
         # the order of their dotted texts: guard parameters and returned
-        # guards follow it.
-        self.paths: dict[str, tuple[list[LockPath], list[LockPath]]] = {}
+        # guards follow it. Functions with equal sets share one pair.
+        self.paths: dict[str, tuple[tuple[LockPath, ...], tuple[LockPath, ...]]] = {}
+        pairs: dict[tuple[frozenset[LockPath], frozenset[LockPath]],
+                    tuple[tuple[LockPath, ...], tuple[LockPath, ...]]] = {}
         for fn in p.functions:
             fs = s.function(fn.name)
             if fn.name in self.external:
@@ -114,7 +118,12 @@ class _Transformer:
                         "local instead of changing its signature" % fn.name,
                         function=fn.name)
             elif fs.entry_lock or fs.return_lock:
-                self.paths[fn.name] = (sorted(fs.entry_lock), sorted(fs.return_lock))
+                key = fs.entry_lock, fs.return_lock
+                pair = pairs.get(key)
+                if pair is None:
+                    pair = pairs[key] = (tuple(sorted(fs.entry_lock)),
+                                         tuple(sorted(fs.return_lock)))
+                self.paths[fn.name] = pair
             else:
                 self.paths[fn.name] = _NO_PATHS
         # the parameter names of each callee of a call that threads guards,
@@ -297,7 +306,7 @@ class _Transformer:
     def _named(self, c: Call) -> tuple[list[LockPath | None], list[LockPath | None]]:
         """The locks of the guards call c passes and receives, as its
         caller names them (to_caller): None where an argument is no place.
-        A callee without parameters shares its own lists, and a lock-API
+        A callee without parameters shares its own pair, and a lock-API
         call threads none."""
         paths = self.paths.get(c.name, _NO_PATHS)
         if paths is _NO_PATHS:
@@ -410,7 +419,9 @@ class _Transformer:
     def _payload_access(self, lock_path: LockPath, fld: str, line: int) -> PayloadAccess:
         """Payload field fld of the lock at lock_path: through its guard
         where the lock is held at line, else through get_mut."""
-        held = line in self._lock_line.get(lock_path, ())
+        lines = self._lock_line.get(lock_path, ())
+        i = bisect_left(lines, line)
+        held = i < len(lines) and lines[i] == line
         return PayloadAccess(lock_path, fld, self._guard(lock_path) if held else None)
 
     def _rewrite_var(self, e: Var, line: int) -> Expr:

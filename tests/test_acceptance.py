@@ -66,7 +66,7 @@ def test_criterion_2_listing_pipeline():
     assert s.struct_lock_map == {"s": {"n": "m"}}
     assert s.function("unlock").entry_lock == locks("m")
     assert s.function("lock").return_lock == locks("m")
-    assert s.function("foo").lock_line == {path_of("m"): frozenset([16, 17])}
+    assert s.function("foo").lock_line == {path_of("m"): (16, 17)}
 
     text = print_guarded(guarded)
     assert text == fixture_text("listing1.gmc")

@@ -85,17 +85,17 @@ SUMMARIES = {
     "nested-struct-maps": LockSummary(
         {"n": "m"}, {"s": {"a": "m", "b": "m2"}, "t": {}},
         {"g": FunctionSummary(locks("m"), locks("m"),
-                              {path_of("m"): frozenset([3, 1, 12])})}),
+                              {path_of("m"): (1, 3, 12)})}),
     "non-ascii-and-quotes": read_summary(
         '{"global_lock_map": {"é": "a\\"b", "a\\"b": "é"}}'),
     "return-lock-only": LockSummary(function_map={
         "f": FunctionSummary(return_lock=locks("m", "w"))}),
     "lock-line-only": LockSummary(function_map={
-        "f": FunctionSummary(lock_line={path_of("m"): frozenset([7])})}),
+        "f": FunctionSummary(lock_line={path_of("m"): (7,)})}),
     "empty-line-set": read_summary('{"function_map": {"f": {"lock_line": {"m": []}}}}'),
     "parameter-rooted": LockSummary(function_map={
         "f": FunctionSummary(locks("p.m", "g"), locks("p.m"),
-                             {path_of("p.m"): frozenset([4, 5]), path_of("g"): frozenset([5])})}),
+                             {path_of("p.m"): (4, 5), path_of("g"): (5,)})}),
     "shared-set-object": LockSummary(function_map={
         "f": FunctionSummary(SHARED, SHARED), "g": FunctionSummary(locks(), SHARED),
         "h": FunctionSummary()}),

@@ -46,6 +46,10 @@ identity, and the transformer hands a callee without parameters' guard
 lists to its callers without renaming them, and renames each lock path a
 call passes or receives once, reading each callee's parameter names once
 per run.
+What one full call keeps grows by a pinned number of bytes per function
+on the bench's call chain: held lines are ascending tuples, data-lock
+inference keeps no set per function there, and the transformer one pair
+of path tuples per distinct entry and return value.
 """
 from __future__ import annotations
 
@@ -53,13 +57,14 @@ import functools
 import gc
 import runpy
 import sys
+import tracemalloc
 import types
 from collections import Counter
 from importlib import import_module
 
 import pytest
 
-from lockshift import ast, flowanalysis, parser, propagation, summary
+from lockshift import ast, datalock, flowanalysis, parser, propagation, summary
 from lockshift.callgraph import CallGraph, thread_entries
 from lockshift.cfg import FlowGraph
 from lockshift.datalock import AccessRecord, ProtectionVerdict, collect_accesses
@@ -70,14 +75,15 @@ from lockshift.lexer import tokenize
 from lockshift.parser import parse, parse_guarded
 from lockshift.pipeline import AnalysisResult, analyze_program, lock_sets, run_pipeline
 from lockshift.printer import print_guarded
-from lockshift.propagation import CallSiteFact, collect_call_facts
+from lockshift.propagation import CallSiteFact, collect_call_facts, propagate
 from lockshift.summary import (
     FunctionSummary,
     LockSummary,
+    read_summary,
     validate_against_program,
     write_summary,
 )
-from lockshift.transform import transform
+from lockshift.transform import _Transformer, transform
 
 from corpus import GEN_PATH, analyzed, completed, first_seeds, programs
 from helpers import FIXTURES, chain_program, fields, fixture_text, record_classes, while_nest
@@ -327,11 +333,15 @@ def test_guard_parameters_and_returned_guards_share_one_type_per_lock_path(corpu
     assert checked > 500
 
 
+def _call_chain_source(n: int) -> str:
+    """The bench's call chain of n functions, seed 1."""
+    return runpy.run_path(str(GEN_PATH))["WORKLOADS"]["call_chain"][0](n, 1).source
+
+
 @functools.cache
 def _call_chain(n: int) -> AnalysisResult:
     """The analysis of the bench's call chain of n functions, seed 1."""
-    workloads = runpy.run_path(str(GEN_PATH))["WORKLOADS"]
-    return analyze_program(workloads["call_chain"][0](n, 1).source)
+    return analyze_program(_call_chain_source(n))
 
 
 def _calls_to(module, name: str, run) -> tuple[int, object]:
@@ -894,3 +904,107 @@ def test_a_threading_call_renames_each_guard_once_and_reads_its_callee_once(k):
     assert pairs > 0
     assert calls == pairs
     assert max(reads.values()) == 1
+
+
+def test_held_lines_are_ascending_tuples_of_distinct_lines(corpus):
+    """Each lock's held lines, as the analysis makes them and as
+    read_summary reads them back, are one ascending tuple of distinct
+    ints: as a frozenset, a lock's few lines took about four times the
+    bytes."""
+    checked = 0
+    for name, run in analyzed(corpus):
+        for s in (run.result.lock_summary, read_summary(run.summary)):
+            for fs in s.function_map.values():
+                for lines in fs.lock_line.values():
+                    assert type(lines) is tuple, name
+                    assert all(type(n) is int for n in lines), name
+                    assert list(lines) == sorted(set(lines)), name
+                    checked += 1
+    assert checked > 1000
+
+
+def _live_sets() -> int:
+    return sum(type(o) is set for o in gc.get_objects())
+
+
+def _sets_held_by_inference(n: int, monkeypatch) -> int:
+    """How many more sets are alive when data-lock inference of the bench's
+    call chain of n functions first picks a candidate lock than before it
+    began."""
+    program = parse(_call_chain_source(n))
+    graphs, cg, flow = lock_sets(program)
+    summaries = propagate(program, flow, graphs)
+    counts = []
+    real = datalock.candidate_lock
+
+    def counted(*args):
+        if not counts:
+            counts.append(_live_sets())
+        return real(*args)
+
+    monkeypatch.setattr(datalock, "candidate_lock", counted)
+    before = _live_sets()
+    datalock.infer_data_locks(program, flow, summaries, graphs, cg)
+    assert counts
+    return counts[0] - before
+
+
+def test_data_lock_inference_keeps_no_set_per_function(monkeypatch):
+    """The bench's call chain has no init call and no lock path of two or
+    more names. So inference holds the same few sets at 40 and 80
+    functions: its tables of each function's init paths and path prefixes
+    held two empty sets per function."""
+    held = [_sets_held_by_inference(n, monkeypatch) for n in (40, 80)]
+    assert held[0] == held[1] <= 3, held
+
+
+@pytest.mark.parametrize("source", [
+    lambda: _call_chain_source(40),
+    lambda: programs()["bench/recursive_rings/1"],
+], ids=["call_chain", "recursive_rings"])
+def test_the_transformer_keeps_one_path_pair_per_distinct_value(source):
+    """Functions with equal entry and return locks share one (entry,
+    return) pair of path tuples: two new lists per function made 80 on
+    the chain of 40, where every f_i has the same pair."""
+    result = analyze_program(source())
+    pairs = list(_Transformer(result.program, result.lock_summary, Diagnostics()).paths.values())
+    assert len({id(pair) for pair in pairs}) == len(set(pairs))
+    assert all(type(paths) is tuple for pair in pairs for paths in pair)
+
+
+# The tracemalloc peak of one full call on the bench's call chain, in bytes
+# per function, measured as the slope from n = 40 to 160. Held lines as
+# frozensets, two empty sets per function in data-lock inference, a callee
+# dict per caller in propagation and two path lists per function in the
+# transformer made it 3,492. A change that moves it beyond 5% either way
+# moves this figure, with its measurement.
+FULL_CALL_BYTES_PER_FUNCTION = 2987
+
+
+def _full_call_peak(source: str) -> int:
+    """tracemalloc's peak over one full call: analyze, write the summary,
+    transform, check and print, keeping each result to the end."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        diags = Diagnostics()
+        result = analyze_program(source, diags)
+        summary_json = write_summary(result.lock_summary)
+        guarded = transform(result.program, result.lock_summary, diags)
+        errors = check(guarded, diags)
+        text = print_guarded(guarded)
+        assert summary_json and text and not errors
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_full_call_peak_grows_linearly_at_a_pinned_rate_per_function():
+    """The peak is a count of bytes, the same on every run of one
+    interpreter build: the analysis allocates the same objects in the
+    same order."""
+    peaks = [_full_call_peak(_call_chain_source(n)) for n in (40, 80, 160)]
+    first, second = (peaks[1] - peaks[0]) / 40, (peaks[2] - peaks[1]) / 80
+    assert second <= 1.1 * first, peaks
+    per_function = (peaks[2] - peaks[0]) / 120
+    assert abs(per_function / FULL_CALL_BYTES_PER_FUNCTION - 1) <= 0.05, peaks

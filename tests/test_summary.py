@@ -30,9 +30,9 @@ def sample():
         {"s": {"n": "m"}},
         {
             "f": FunctionSummary(frozenset(), frozenset(),
-                                 {path_of("m"): frozenset([6])}),
+                                 {path_of("m"): (6,)}),
             "unlock": FunctionSummary(locks("m"), frozenset(),
-                                      {path_of("m"): frozenset([7])}),
+                                      {path_of("m"): (7,)}),
         },
     )
 
@@ -97,7 +97,7 @@ def test_lock_lists_are_sorted_and_deduplicated():
         ' "lock_line": {"m": [5, 3, 5]}}}}')
     fs = s.function_map["f"]
     assert fs.entry_lock == locks("a.m", "m")
-    assert fs.lock_line == {path_of("m"): frozenset([3, 5])}
+    assert fs.lock_line == {path_of("m"): (3, 5)}
     data = json.loads(write_summary(s))["function_map"]["f"]
     assert data["entry_lock"] == ["a.m", "m"]
     assert data["lock_line"] == {"m": [3, 5]}
@@ -126,7 +126,7 @@ def test_read_summary_returns_lock_paths():
     fs = s.function("g")
     assert fs.entry_lock == frozenset([("x", "m")])
     assert fs.return_lock == frozenset([("m",)])
-    assert fs.lock_line == {("x", "m"): frozenset([4])}
+    assert fs.lock_line == {("x", "m"): (4,)}
     with pytest.raises(SchemaError, match=(
             r"^\$\.function_map\.g\.lock_line: "
             r"lock path 'm\.\.x' is not a dotted list of identifiers$")):
