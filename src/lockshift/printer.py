@@ -263,15 +263,15 @@ def print_source(p: Program) -> str:
     """Render a program, in either dialect, back to source text."""
     # By line; the sort is stable, so declarations that share a line keep
     # their order: globals, then structs, then functions.
-    items = sorted([(g.line, g) for g in p.globals] + [(s.line, s) for s in p.structs]
-                   + [(f.line_span[0], f) for f in p.functions], key=lambda it: it[0])
+    items = sorted([*p.globals, *p.structs, *p.functions],
+                   key=lambda d: d.line_span[0] if type(d) is FunctionDef else d.line)
     sink = _Sink()
     # CPython grows a str that only this local refers to in place on +=, so
     # the text is never held beside a list of its parts. PEP 8 advises
     # against relying on that; elsewhere += copies, and the output is the
     # same.
     text = ""
-    for _, item in items:
+    for item in items:
         if type(item) is GlobalDecl:
             _emit_global(sink, item)
         elif type(item) is StructDef:

@@ -6,9 +6,9 @@ payload struct owned by the lock field. Lock and unlock calls become guard
 acquisition and drop, accesses go through a guard where one is held (per
 lock_line) and through get_mut elsewhere, and functions with entry or return
 locks exchange guards through parameters and return values. A guard a
-function keeps from entry to exit is lent instead (`_Transformer._lend`, a
-greatest fixpoint on the shared worklist `cfg.solve`): a parameter
-`&guard<p>`, passed as `&g` and not returned.
+function keeps from entry to exit is lent instead, unless it must move
+(`_Transformer._lend`, a least fixpoint of moved locks on the shared
+worklist `cfg.solve`): a parameter `&guard<p>`, passed as `&g`, not returned.
 
 A run builds one guard type and one base guard name per lock path, and
 every function's guard parameters, returned guards and guard names share
@@ -223,30 +223,26 @@ class _Transformer:
         return Program(self.globals_out, self.structs_out, functions)
 
     def _lend(self) -> dict[str, frozenset[LockPath]]:
-        """The locks each function keeps from entry to exit, whose guards
-        it borrows: the greatest sets where a lock of f is in its entry and
-        return sets, f neither locks nor unlocks it, no call hands f one
-        guard for it and for another lock of f, and no call of f moves its
-        guard. A call moves the guard of each callee lock the callee does
-        not lend; one it lends is in its entry and return sets, so the call
-        both passes and receives its guard. The shared worklist (cfg.solve)
-        checks a function again with its callers when its set shrinks; the
-        greatest fixpoint is unique, so the order of the checks does not
-        change it. Functions with equal sets share one. Fills self.named."""
+        """The locks each function borrows: its entry locks less the least
+        sets of locks it moves. f moves a lock in one of its entry and
+        return sets but not the other, one it locks or unlocks, one a call
+        hands it a single guard for together with another of its locks, and
+        at each call the image of each callee lock, passed or received, that
+        the callee moves. One the callee lends is in both its sets, so the
+        call passes and receives its guard. When a set grows the shared
+        worklist (cfg.solve) checks again the callers that still lend; the
+        least fixpoint is unique, so the order of the checks does not change
+        it. Equal lent sets are shared. Fills self.named."""
         paths, named = self.paths, self.named
-        shared: dict[frozenset[LockPath], frozenset[LockPath]] = {}
-        lent = {}
+        moved = {name: set(entry).symmetric_difference(ret)
+                 for name, (entry, ret) in paths.items()}
         # each function's callers, once per call that threads guards
         callers: dict[str, list[FunctionDef]] = {}
-        # the locks of each callee that some call hands one guard for twice
-        doubled: dict[str, set[LockPath]] = {}
         for fn in self.p.functions:
-            entry, ret = paths[fn.name]
-            keep = frozenset(entry).intersection(ret)
+            moves = moved[fn.name]
             for c in fn.calls:
                 if c.name == LOCK_FN or c.name == UNLOCK_FN:
-                    if c.lock in keep:
-                        keep = keep - {c.lock}
+                    moves.add(c.lock)
                     continue
                 names = self._named(c)
                 if names is _NO_PATHS:
@@ -254,31 +250,33 @@ class _Transformer:
                 named[c] = names
                 takes = names[0]
                 if takes is not paths[c.name][0] and len(set(takes)) < len(takes):
-                    doubled.setdefault(c.name, set()).update(
+                    moved[c.name].update(
                         p for p, q in zip(paths[c.name][0], takes) if takes.count(q) > 1)
                 callers.setdefault(c.name, []).append(fn)
-            lent[fn.name] = shared.setdefault(keep, keep)
-        for name, locks in doubled.items():
-            keep = lent[name] - locks
-            lent[name] = shared.setdefault(keep, keep)
+
+        def lends(fn: FunctionDef) -> bool:
+            return not moved[fn.name].issuperset(paths[fn.name][0])
 
         def recheck(fn: FunctionDef) -> list[FunctionDef]:
-            keep = lent[fn.name]
+            moves = moved[fn.name]
+            n = len(moves)
             for c in fn.calls:
                 if c in named:
-                    # the call moves the guard of each callee lock, passed
-                    # or received, that the callee does not lend
-                    lends = lent[c.name]
+                    callee = moved[c.name]
                     for ps, qs in zip(paths[c.name], named[c]):
                         for p, q in zip(ps, qs):
-                            if q in keep and p not in lends:
-                                keep = keep - {q}
-            if keep is lent[fn.name]:
+                            if p in callee and q is not None:
+                                moves.add(q)
+            if len(moves) == n:
                 return []
-            lent[fn.name] = shared.setdefault(keep, keep)
-            return [f for f in callers.get(fn.name, ()) if lent[f.name]]
+            return [f for f in callers.get(fn.name, ()) if lends(f)]
 
-        solve([fn for fn in self.p.functions if lent[fn.name]], recheck)
+        solve([fn for fn in self.p.functions if lends(fn)], recheck)
+        shared: dict[frozenset[LockPath], frozenset[LockPath]] = {}
+        lent = {}
+        for name, moves in moved.items():
+            keep = frozenset(paths[name][0]) - moves
+            lent[name] = shared.setdefault(keep, keep)
         return lent
 
     def _candidate_paths(self, fn: FunctionDef) -> set[LockPath]:

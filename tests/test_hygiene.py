@@ -180,8 +180,9 @@ def _by_name_tables(tree: ast.Module) -> list[int]:
     """Lines that build a table of declarations by name from a declaration
     list (`p.globals`, `p.structs`, `p.functions`, `s.fields`): a set of
     their names, or a dict from each name to the declaration or one of its
-    attributes, by a comprehension over the list or a loop that stores or
-    adds under `d.name`."""
+    attributes, by a comprehension over the list, or by a loop that stores
+    the declaration or one of its attributes under `d.name` (by assignment
+    or setdefault) or adds `d.name` to a set."""
     lines = []
     for node in ast.walk(tree):
         if isinstance(node, (ast.SetComp, ast.DictComp)):
@@ -201,8 +202,9 @@ def _by_name_tables(tree: ast.Module) -> list[int]:
                           and any(isinstance(t, ast.Subscript) and _is_name_of(t.slice, d)
                                   for t in inner.targets))
                 added = (isinstance(inner, ast.Call) and isinstance(inner.func, ast.Attribute)
-                         and inner.func.attr in ("add", "setdefault") and inner.args
-                         and _is_name_of(inner.args[0], d))
+                         and inner.args and _is_name_of(inner.args[0], d)
+                         and (inner.func.attr == "add" or inner.func.attr == "setdefault"
+                              and len(inner.args) > 1 and _is_or_is_of(inner.args[1], d)))
                 if stored or added:
                     lines.append(inner.lineno)
     return lines
@@ -219,10 +221,11 @@ def test_declarations_are_indexed_by_name_only_in_the_ast():
     # The rule sees the forms it forbids, and lets per-function results be.
     assert len(_by_name_tables(ast.parse(
         "a = {g.name: g.ty for g in p.globals}\nb = {s.name for s in p.structs}\n"
-        "for f in p.functions:\n    c[f.name] = f\n    d.add(f.name)\n"))) == 4
+        "for f in p.functions:\n    c[f.name] = f\n    d.add(f.name)\n"
+        "    t.setdefault(f.name, f)\n"))) == 5
     assert not _by_name_tables(ast.parse(
         "a = {q.name: q.ty for q in fn.params}\nfor f in p.functions:\n"
-        "    out[f.name] = build(f)\n"))
+        "    out[f.name] = build(f)\n    t.setdefault(f.name, set()).add(x)\n"))
 
 
 # Made once per run or per error, these keep their dict: Program for its

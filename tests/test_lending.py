@@ -133,20 +133,51 @@ void main() {
 """
 
 
+# ALIASED with g defined after f, where the move must not depend on order.
+ALIASED_LATE = ALIASED.replace(
+    "void g(struct s *p, struct s *q) {\n    p->n = 1;\n}\n", "").replace(
+    "void main", "void g(struct s *p, struct s *q) {\n    p->n = 1;\n}\nvoid main")
+
+# f keeps a.m from entry to exit, and its call of g moves the guard: f must
+# learn that through the solve, and take and return a.m's guard.
+ALIASED_HELD = """\
+struct s { int n; mutex_t m; };
+struct s a;
+void g(struct s *p, struct s *q) {
+    p->n = 1;
+}
+void f() {
+    g(&a, &a);
+}
+void main() {
+    pthread_mutex_lock(&a.m);
+    f();
+    pthread_mutex_unlock(&a.m);
+}
+"""
+
+
 def test_one_guard_for_two_locks_of_the_callee_is_not_lent():
     """With a summary where g keeps p.m and q.m, the call g(&a, &a) hands
     a.m's one guard for both: lent twice, it would be two borrows of one
     guard at once, which Rust rejects, so both are moved and the checker
-    sees the second move."""
-    program = parse(ALIASED)
-    data = json.loads(write_summary(analyze_program(program).lock_summary))
-    data["function_map"]["g"]["entry_lock"] = ["p.m", "q.m"]
-    data["function_map"]["g"]["return_lock"] = ["p.m", "q.m"]
-    text = print_guarded(transform(program, read_summary(json.dumps(data))))
-    assert "&guard" not in text
-    assert "(a_m_guard, a_m_guard) = g(&a, &a, a_m_guard, a_m_guard);" in text
-    assert [(e.kind, e.function) for e in check(parse_guarded(text))] == [
-        ("UseAfterMove", "f")]
+    sees the second move. Neither the order of the definitions nor the
+    caller f holding a.m from entry to exit changes that, and then f
+    moves a.m's guard too."""
+    assert ALIASED_LATE.index("void g") > ALIASED_LATE.index("void f")
+    for source, head in [(ALIASED, "void f() { guard<a.m> a_m_guard;"),
+                         (ALIASED_LATE, "void f() { guard<a.m> a_m_guard;"),
+                         (ALIASED_HELD, "guard<a.m> f(guard<a.m> a_m_guard) {")]:
+        program = parse(source)
+        data = json.loads(write_summary(analyze_program(program).lock_summary))
+        data["function_map"]["g"]["entry_lock"] = ["p.m", "q.m"]
+        data["function_map"]["g"]["return_lock"] = ["p.m", "q.m"]
+        text = print_guarded(transform(program, read_summary(json.dumps(data))))
+        assert "&guard" not in text
+        assert "(a_m_guard, a_m_guard) = g(&a, &a, a_m_guard, a_m_guard);" in text
+        assert [(e.kind, e.function) for e in check(parse_guarded(text))] == [
+            ("UseAfterMove", "f")]
+        assert head in text
 
 
 # A lent guard g of f, used at line 10; h is a guard of v that f owns.
